@@ -21,7 +21,7 @@ int, float or string, in that order.  Sections:
     it the geometry is evaluated at a single point.
 ``options``
     Quadrature controls: ``rel_tol``, ``subtract_infinite_separation``,
-    ``omega_max``, ``sector_split``, ``thermal_only``.
+    ``omega_max``, ``thermal_only``.
 ``output``
     ``path`` — CSV destination (overridden by ``--out``).
 ``units``
@@ -70,7 +70,7 @@ _GEOMETRY_KEYS = {"l", "left", "right", "T_L", "T_R", "beta_em"}
 _MATERIAL_KEYS = {"omega0", "lambda0", "mass", "bath", "gamma", "cutoff"}
 _SWEEP_KEYS = {"variable", "start", "stop", "points", "spacing"}
 _OPTIONS_KEYS = {"rel_tol", "subtract_infinite_separation", "omega_max",
-                 "sector_split", "thermal_only"}
+                 "thermal_only"}
 _OUTPUT_KEYS = {"path"}
 _UNITS_KEYS = {"si_scale_hz"}
 _EPSILON_KEYS = {"material", "omega_min", "omega_max", "points"}
@@ -253,7 +253,7 @@ def load_config(path):
                  "points": points, "spacing": spacing}
 
     opt_types = {"rel_tol": float, "subtract_infinite_separation": bool,
-                 "omega_max": float, "sector_split": bool, "thermal_only": bool}
+                 "omega_max": float, "thermal_only": bool}
     options = {k: _expect(v, opt_types[k], f"options.{k}", line)
                for k, (v, line) in block("options", _OPTIONS_KEYS).items()}
     out_block = block("output", _OUTPUT_KEYS)

@@ -251,25 +251,6 @@ class GreenBlock:
                      and (tags is None or t.tag in tags))
         return replace(self, terms=keep)
 
-    def conjugate_parity(self):
-        """The block at (conj(s), -phase_sign), i.e. the elementwise conjugate.
-
-        Realizes the reality identity G(Q, conj(s))|_{+phase} =
-        conj(G(Q, s))|_{-phase} without recomputing any Fresnel data;
-        the xz/zx entries are odd under the transverse parity that
-        accompanies the conjugation.
-        """
-        terms = tuple(replace(t,
-                              field_vec=np.conj(t.field_vec),
-                              src_vec=np.conj(t.src_vec),
-                              scalar=np.conj(t.scalar),
-                              exp_z=np.conj(t.exp_z),
-                              src_exp=np.conj(t.src_exp))
-                      for t in self.terms)
-        return replace(self, terms=terms, s=complex(np.conj(self.s)),
-                       phase_sign=-self.phase_sign,
-                       delta_scalar=complex(np.conj(self.delta_scalar)))
-
     def evaluate(self, z, z_src=None):
         """Assemble the 3x3 tensor at field height z (and source height z_src).
 
@@ -346,24 +327,13 @@ def _gap_source_vecs(side, s, Q, qv, updown):
     return te, tm
 
 
-def _emission_parts(geom, plate, s, Q, phase_sign, fresnel_cache=None):
-    """Shared geometry/Fresnel data of the gap-from-plate blocks.
-
-    fresnel_cache optionally maps plate labels to precomputed
-    fresnel(side, s, Q) tuples (sharing across builders at one (s, Q)).
-    """
+def _emission_parts(geom, plate, s, Q, phase_sign):
+    """Shared geometry/Fresnel data of the gap-from-plate blocks."""
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(qz(1.0, s, Q))
     side = geom.side(plate)
-    other_label = "R" if plate == "L" else "L"
-
-    def _fres(label):
-        if fresnel_cache is not None and label in fresnel_cache:
-            return fresnel_cache[label]
-        return fresnel(geom.side(label), s, Q)
-
-    f_own = _fres(plate)
-    f_other = _fres(other_label)
+    f_own = fresnel(side, s, Q)
+    f_other = fresnel(geom.side("R" if plate == "L" else "L"), s, Q)
     eps = plate_eps(side, s)
     qn = np.asarray(qz(eps, s, Q))
     qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
@@ -387,18 +357,14 @@ def _emission_parts(geom, plate, s, Q, phase_sign, fresnel_cache=None):
                 src_exp=src_exp)
 
 
-def _emission_terms(geom, plate, p, infinite_separation):
+def _emission_terms(geom, plate, p):
     """Assemble the direct/reflected GreenTerms from _emission_parts data."""
     q, qn = p["q"], p["qn"]
-    if infinite_separation:
-        d_te = d_tm = 1.0
-        decay_near = decay_far = np.ones_like(q)
-    else:
-        ex = np.exp(-q * geom.gap)               # one full gap crossing
-        d_te = 1.0 - p["f_own"][0] * p["f_other"][0] * ex * ex
-        d_tm = 1.0 - p["f_own"][1] * p["f_other"][1] * ex * ex
-        decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
-        decay_far = decay_near * ex              # after one far-plate bounce
+    ex = np.exp(-q * geom.gap)               # one full gap crossing
+    d_te = 1.0 - p["f_own"][0] * p["f_other"][0] * ex * ex
+    d_tm = 1.0 - p["f_own"][1] * p["f_other"][1] * ex * ex
+    decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
+    decay_far = decay_near * ex              # after one far-plate bounce
     terms = []
     for pol, dvec, rvec, svec, d_pol, r_far in (
             ("TE", p["direct_vecs"]["TE"], p["refl_vecs"]["TE"], p["src_te"],
@@ -419,7 +385,7 @@ def _emission_terms(geom, plate, p, infinite_separation):
     return tuple(terms)
 
 
-def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, infinite_separation=False):
+def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1):
     """Green block: field point in the gap, source point inside one plate.
 
     Two terms per polarization: the transmitted wave runs straight to the
@@ -428,33 +394,14 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, infinite_separation=F
     The source z-dependence stays symbolic, referenced to the plate
     boundary: exp(q_n * distance-into-plate).
 
-    With ``infinite_separation`` the terms keep their vector structure and
-    z-exponents but drop every explicit exp(-q l) factor and the 1/D_mu
-    resummation — the building blocks of the detached-plates (l -> inf)
-    baseline, where the round-trip phase decouples (see pressure module).
+    These blocks feed the transient integrands and the plate-source
+    integrals; the steady pressure uses the closed form they contract to
+    (see the pressure module), and the tests check one against the other.
     """
     p = _emission_parts(geom, plate, s, Q, phase_sign)
-    terms = _emission_terms(geom, plate, p, infinite_separation)
+    terms = _emission_terms(geom, plate, p)
     return GreenBlock(terms=terms, s=complex(s), Q=p["Q"], qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
-
-
-def gap_emission_pair(geom, plate, s, Q, phase_sign=+1, fresnel_cache=None):
-    """Finite-gap and detached-limit gap-from-plate blocks in one pass.
-
-    Equivalent to calling green_gap_from_plate twice (with and without
-    ``infinite_separation``) but sharing every Fresnel/wavevector
-    computation; ``fresnel_cache`` additionally shares the interface
-    coefficients across plates at one (s, Q).
-    """
-    p = _emission_parts(geom, plate, s, Q, phase_sign, fresnel_cache=fresnel_cache)
-    full = GreenBlock(terms=_emission_terms(geom, plate, p, False),
-                      s=complex(s), Q=p["Q"], qhat=XHAT,
-                      phase_sign=phase_sign, geom=geom)
-    detached = GreenBlock(terms=_emission_terms(geom, plate, p, True),
-                          s=complex(s), Q=p["Q"], qhat=XHAT,
-                          phase_sign=phase_sign, geom=geom)
-    return full, detached
 
 
 def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):

@@ -3,8 +3,11 @@
 The long-time pressure is carried entirely by the plate baths: each plate
 emits into the gap with weight omega^2 * coth(beta omega/2) * Im eps(omega)
 (equivalently, pre-identity, via its bath noise kernel), and the zz stress
-contraction of the emitted field is assembled from the symbolic Green
-blocks of :mod:`.em_green`.  The (omega, Q) integral is done with a
+of the emitted field is the closed-form non-equilibrium Lifshitz integrand
+of the two plates' Fresnel coefficients.  The symbolic Green blocks of
+:mod:`.em_green`, contracted by :func:`theta_contract`, serve only the
+transient integrands at the end of this module (and the tests, as the
+oracle of the closed form).  The (omega, Q) integral is done with a
 vectorized adaptive Gauss-Kronrod rule, split into propagating (Q < omega)
 and evanescent (Q > omega) sectors, with an optional subtraction of the
 detached-plates (l -> infinity) baseline so the distance-dependent part is
@@ -27,10 +30,8 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, Material, _coth, _fourier_s,
                        bath_dissipation_fourier, permittivity,
                        permittivity_fourier, qbm_green)
-from .em_green import (ZHAT, fresnel, gap_emission_pair, green_gap_from_plate,
-                       ic_z_block)
-
-LAMBDA_DIAG = np.array([1.0, 1.0, -1.0])
+from .em_green import (_s_eff, fresnel, green_gap_from_plate, ic_z_block,
+                       plate_eps, qz)
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -53,18 +54,6 @@ BREAKDOWN_KEYS = tuple((p, m, s) for p in _PLATES for m in _POLS for s in _SECTO
 # ---------------------------------------------------------------------------
 # stress contraction of two Green blocks
 # ---------------------------------------------------------------------------
-
-
-def _lam_dot(a, b):
-    """Bilinear a . diag(1,1,-1) . b over the last axis."""
-    return np.einsum("...i,...i->...", a * LAMBDA_DIAG, b)
-
-
-def _wave_vector(block, exp_z, Q):
-    """Gradient vector of one term: i*phase*Q*qhat + exp_z*zhat."""
-    ez = np.broadcast_to(np.asarray(exp_z, dtype=complex), Q.shape)
-    return (1j * block.phase_sign * np.multiply.outer(Q, np.asarray(block.qhat, float))
-            + np.multiply.outer(ez, ZHAT))
 
 
 def _source_factor(t1, t2):
@@ -90,8 +79,7 @@ def _source_factor(t1, t2):
     raise DomainError("gap terms with pending source exponents cannot be contracted")
 
 
-def theta_contract(block1, block2, s1, s2, source_weight=None, pair_weight=None,
-                   split=False):
+def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     """Coincidence-limit zz-stress contraction of two Green blocks.
 
     Applies, term pair by term pair, the operator
@@ -116,9 +104,6 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, pair_weight=None,
     source_weight : (3, 3) array, optional
         Metric for the source-index contraction (e.g. a transverse
         projector); defaults to the identity.
-    pair_weight : callable (t1, t2) -> scalar/array, optional
-        Extra weight per term pair; returning 0 drops the pair.  Used for
-        the detached-plates baseline selection.
     split : bool
         When true return ``(electric, magnetic)`` instead of their sum.
 
@@ -173,9 +158,6 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, pair_weight=None,
     for t1, f1x, f1y, f1z, c1x, c1y, c1z, sc1 in d1:
         u1 = np.asarray(t1.src_vec)
         for t2, f2x, f2y, f2z, c2x, c2y, c2z, sc2 in d2:
-            w = 1.0 if pair_weight is None else pair_weight(t1, t2)
-            if pair_weight is not None and np.all(np.asarray(w) == 0):
-                continue
             u2 = np.asarray(t2.src_vec)
             if source_weight is None:
                 usrc = (u1[..., 0] * u2[..., 0] + u1[..., 1] * u2[..., 1]
@@ -183,7 +165,7 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, pair_weight=None,
             else:
                 usrc = np.einsum("...i,ij,...j->...", u1,
                                  np.asarray(source_weight), u2)
-            amp = w * sc1 * sc2 * _source_factor(t1, t2) * usrc
+            amp = sc1 * sc2 * _source_factor(t1, t2) * usrc
             elec += amp * (s1s2 * (f1x * f2x + f1y * f2y - f1z * f2z))
             mag += amp * (c1x * c2x + c1y * c2y - c1z * c2z)
     if Q.ndim == 0:
@@ -222,16 +204,12 @@ def _emission_weight(side, omega, use_fdr=True, thermal_only=False):
     w = float(omega)
     if w == 0.0:
         return 0.0
-    if isinstance(side, (int, float, complex)):
-        im_eps = complex(side).imag
-        beta = math.inf
-    elif isinstance(side, EpsilonTable):
+    beta = side.beta_bath
+    if isinstance(side, EpsilonTable):
         if not use_fdr:
             raise DomainError("tabulated plates only support the permittivity path")
         im_eps = complex(side.eps_fourier(w)).imag
-        beta = side.beta_bath
     else:
-        beta = side.beta_bath
         if not use_fdr:
             if side.lambda0 == 0.0:
                 return 0.0
@@ -251,101 +229,79 @@ def _emission_weight(side, omega, use_fdr=True, thermal_only=False):
     return w * w * occ * im_eps
 
 
-def _locked_cavity(geom, s1, s2, Q, fresnel_cache=None):
-    """Phase-averaged cavity weight 1/(1 - rho(s1) rho(s2)) per polarization.
-
-    rho(s) = r1(s) r2(s) is the round-trip reflection product; the weight is
-    the uniform-phase average of the full cavity factor and replaces it in
-    the detached-plates baseline, where the round-trip phase decouples.
-    For the usual conjugate pair s2 = conj(s1) this is 1/(1 - |rho|^2),
-    built from the s1 coefficients alone (optionally from ``fresnel_cache``
-    mapping plate labels to precomputed fresnel tuples at s1).
-    """
-    out = {}
-    if fresnel_cache is not None:
-        f1a, f2a = fresnel_cache["L"], fresnel_cache["R"]
-    else:
-        f1a = fresnel(geom.left, s1, Q)
-        f2a = fresnel(geom.right, s1, Q)
-    conj_pair = complex(s2) == complex(s1).conjugate()
-    if not conj_pair:
-        f1b = fresnel(geom.left, s2, Q)
-        f2b = fresnel(geom.right, s2, Q)
-    for i, pol in enumerate(_POLS):
-        rho = f1a[i] * f2a[i]
-        den = 1.0 - rho * np.conj(rho) if conj_pair \
-            else 1.0 - rho * (f1b[i] * f2b[i])
-        if np.any(np.abs(den) < 1e-13):
-            raise SingularityError("detached-plates cavity weight hits a trapped "
-                                   "lossless mode", point=complex(s1))
-        out[pol] = 1.0 / den
-    return out
-
-
-def _zero_channels(shape):
-    return {k: np.zeros(shape, dtype=complex) for k in BREAKDOWN_KEYS}
-
-
 def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False):
     """Per-channel bath integrand at one frequency and a batch of Q.
 
-    Returns a dict over BREAKDOWN_KEYS of arrays shaped like Q.  The values
-    include the full measure (the Q of Q dQ and the 1/(16 pi^3) of the
-    folded frequency/angle integrals), so the pressure is the plain
-    (omega, Q) double integral of their sum over channels.
+    Returns a dict over BREAKDOWN_KEYS of real arrays shaped like Q.  The
+    values include the full measure (the Q of Q dQ and ``_MEASURE``), so the
+    pressure is the plain (omega, Q) double integral of their sum over
+    channels.
 
-    kernel = "full" | "baseline" | "difference".  The baseline keeps only
-    the phase-locked direct/direct and reflected/reflected pairs of the
-    detached-plates blocks, weighted by the averaged cavity factor, and
-    lives purely in the propagating sector (evanescent emission does not
-    survive the l -> infinity limit).
+    Each channel is the closed-form zz stress of the field that plate a
+    emits into the gap in one polarization, reflected by the partner plate
+    b (Antezza et al., PRA 77, 022901 (2008)).  At s = -i omega, with
+    q = qz(1, s, Q), qn = qz(eps_a, s, Q) and D = 1 - r_a r_b exp(-2 q l),
+
+        propagating:  G * 2|q|^2 (1 + |r_b|^2) / |D|^2
+        evanescent:   G * (-4|q|^2) Re(r_b exp(-2 q l)) / |D|^2
+        G = PRESSURE_SIGN * _MEASURE * w_a(omega) * Q |u|^2 / (8 Re(qn) |qn|^2)
+
+    where w_a is the emission weight, |u_TE|^2 = |t_TE,a|^2 and
+    |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2) are the
+    squared plate-source vectors and 1/(2 Re qn) is their depth integral.
+    The symbolic contraction of :func:`theta_contract` over
+    :func:`.em_green.green_gap_from_plate` blocks gives the same numbers
+    term by term; the tests use it as the oracle.
+
+    kernel = "full" | "baseline" | "difference".  The baseline replaces
+    1/|D|^2 by its round-trip phase average 1/(1 - |r_a r_b|^2), the
+    detached-plates (l -> infinity) limit, and lives purely in the
+    propagating sector (evanescent emission does not survive that limit);
+    "difference" is full minus baseline.
     """
     if kernel not in ("full", "baseline", "difference"):
         raise DomainError(f"unknown kernel {kernel!r}")
     Q = np.asarray(Q, dtype=float)
-    shape = Q.shape
-    out = _zero_channels(shape)
+    out = {k: np.zeros(Q.shape) for k in BREAKDOWN_KEYS}
     w0 = float(omega)
     if w0 == 0.0:
         return out
-    s1, s2 = -1j * w0, +1j * w0
+    s = -1j * w0
     prop = Q < w0
-    need_full = kernel in ("full", "difference")
-    need_base = kernel in ("baseline", "difference") and bool(np.any(prop))
-    cache = {"L": fresnel(geom.left, s1, Q), "R": fresnel(geom.right, s1, Q)}
-    locked = _locked_cavity(geom, s1, s2, Q, fresnel_cache=cache) if need_base else None
+    q = np.asarray(qz(1.0, s, Q))
+    q2 = np.abs(q) ** 2
+    trip = np.exp(-2.0 * q * geom.gap)
+    coeffs = {p: fresnel(geom.side(p), s, Q) for p in _PLATES}
+    s_eff2 = abs(_s_eff(s)) ** 2
 
-    for plate in _PLATES:
-        side = geom.side(plate)
+    for a, b in (("L", "R"), ("R", "L")):
+        side = geom.side(a)
         weight = _emission_weight(side, w0, use_fdr=use_fdr, thermal_only=thermal_only)
         if weight == 0.0:
             continue
-        pref = PRESSURE_SIGN * _MEASURE * weight * Q
-        # s2 = conj(s1) with opposite transverse phase: the partner blocks
-        # are the conjugate-parity images of the s1 blocks.
-        b1, c1 = gap_emission_pair(geom, plate, s1, Q, phase_sign=+1,
-                                   fresnel_cache=cache)
-        if need_full:
-            b2 = b1.conjugate_parity()
-        if need_base:
-            c2 = c1.conjugate_parity()
-        for pol in _POLS:
-            val = 0.0
-            if need_full:
-                val = theta_contract(b1.filtered(pol), b2.filtered(pol), s1, s2)
-            if need_base:
-                lock = locked[pol]
-
-                def _diag(t1, t2, _lock=lock):
-                    return _lock if t1.tag == t2.tag else 0.0
-
-                base = theta_contract(c1.filtered(pol), c2.filtered(pol), s1, s2,
-                                      pair_weight=_diag)
-                base = np.where(prop, base, 0.0)
-                val = base if kernel == "baseline" else val - base
-            v = pref * val
-            out[(plate, pol, "propagating")] += np.where(prop, v, 0.0)
-            out[(plate, pol, "evanescent")] += np.where(prop, 0.0, v)
+        eps = plate_eps(side, s)
+        qn = np.asarray(qz(eps, s, Q))
+        qn2 = np.abs(qn) ** 2
+        pref = PRESSURE_SIGN * _MEASURE * weight * Q * q2 / (8.0 * qn.real * qn2)
+        src = {"TE": np.abs(coeffs[a][2]) ** 2,
+               "TM": 4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2)}
+        for i, pol in enumerate(_POLS):
+            ra, rb = coeffs[a][i], coeffs[b][i]
+            g = pref * src[pol]
+            cavity = 1.0 / np.abs(1.0 - ra * rb * trip) ** 2
+            prop_cavity = cavity
+            if kernel != "full":
+                lock = 1.0 - np.abs(ra * rb) ** 2
+                if np.any(prop & (np.abs(lock) < 1e-13)):
+                    raise SingularityError("detached-plates cavity weight hits a trapped "
+                                           "lossless mode", point=s)
+                locked = 1.0 / np.where(prop, lock, 1.0)
+                prop_cavity = locked if kernel == "baseline" else cavity - locked
+            out[(a, pol, "propagating")] = np.where(
+                prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
+            if kernel != "baseline":
+                out[(a, pol, "evanescent")] = np.where(
+                    prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
     return out
 
 
@@ -353,14 +309,14 @@ def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
     """Steady bath-pressure integrand at one (omega, Q) point (or Q batch).
 
     The sum over plates, polarizations and sectors of the channel map; real
-    up to the retarded regulator.  ``use_fdr=False`` switches every Material
-    plate to the noise-kernel evaluation path (a cross-check; identical by
-    the fluctuation-dissipation identity).
+    by construction.  ``use_fdr=False`` switches every Material plate to the
+    noise-kernel evaluation path (a cross-check; identical by the
+    fluctuation-dissipation identity).
     """
     ch = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr)
     total = sum(ch.values())
     if np.ndim(Q) == 0:
-        return complex(total)
+        return float(total)
     return total
 
 
@@ -515,14 +471,13 @@ class PressureOptions:
     rel_tol bounds the total error estimate relative to the result;
     subtract_infinite_separation integrates the detached-plates difference
     kernel (the distance-dependent pressure); omega_max overrides the
-    automatic frequency ceiling; sector_split=False disables the Q = omega
-    panel split (slower, for ablation).
+    automatic frequency ceiling; thermal_only keeps only the thermal
+    occupation part coth - 1 of each plate's emission (vanishing at T = 0).
     """
 
     rel_tol: float = 1e-4
     subtract_infinite_separation: bool = True
     omega_max: float = None
-    sector_split: bool = True
     thermal_only: bool = False
 
     def __post_init__(self):
@@ -556,21 +511,6 @@ class PressureResult:
         return cells
 
 
-def _plate_temperature(side):
-    if isinstance(side, (int, float, complex)):
-        return 0.0
-    beta = side.beta_bath
-    return 0.0 if math.isinf(beta) else 1.0 / beta
-
-
-def _has_emission(side):
-    if isinstance(side, (int, float, complex)):
-        return complex(side).imag > 0
-    if isinstance(side, EpsilonTable):
-        return side.has_loss
-    return side.has_loss
-
-
 def _auto_omega_max(geom):
     """Frequency ceiling from the material, thermal and cavity scales.
 
@@ -584,8 +524,6 @@ def _auto_omega_max(geom):
         if isinstance(side, EpsilonTable):
             if not side.is_dispersionless:
                 cap = min(cap, float(side.omega[-1]))
-            continue
-        if isinstance(side, (int, float, complex)):
             continue
         cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
         if math.isfinite(side.beta_bath):
@@ -608,7 +546,7 @@ def _inner_q_edges_prop(geom, omega):
 
 
 def _inner_q_integral(geom, omega, kernel, use_fdr, thermal_only, rel_tol,
-                      abs_floor, sector_split=True):
+                      abs_floor):
     """Q-integral of the channel map at fixed omega.
 
     Propagating sector via Q = omega sin(theta) (removes the edge cusp),
@@ -619,62 +557,41 @@ def _inner_q_integral(geom, omega, kernel, use_fdr, thermal_only, rel_tol,
     totals = {k: 0.0 + 0.0j for k in BREAKDOWN_KEYS}
     err = 0.0
 
-    if sector_split:
-        if omega > 0.0:
-            def f_prop(thetas):
-                Qs = omega * np.sin(thetas)
-                jac = omega * np.cos(thetas)
-                ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
-                                    thermal_only=thermal_only)
-                return {k: v * jac for k, v in ch.items()}
-
-            got, e = _adaptive_gk(f_prop, _inner_q_edges_prop(geom, omega),
-                                  rel_tol, abs_floor=abs_floor, max_panels=512,
-                                  label=f"propagating Q integral at omega={omega:.4g}")
-            for k in BREAKDOWN_KEYS:
-                totals[k] += got[k]
-            err += e
-
-        if kernel != "baseline":
-            scale = max(omega, 0.5 / l)
-            q_cap = 320.0 / l
-            t_cap = q_cap / (scale + q_cap)
-            marks = {0.0, t_cap}
-            for q in (0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l, omega, 2 * omega):
-                if 0.0 < q < q_cap:
-                    marks.add(q / (scale + q))
-
-            def f_evan(ts):
-                qs = scale * ts / (1.0 - ts)
-                Qs = np.hypot(omega, qs)
-                jac = (qs / np.maximum(Qs, 1e-300)) * scale / (1.0 - ts) ** 2
-                ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
-                                    thermal_only=thermal_only)
-                return {k: v * jac for k, v in ch.items()}
-
-            got, e = _adaptive_gk(f_evan, sorted(marks), rel_tol,
-                                  abs_floor=abs_floor, max_panels=512,
-                                  label=f"evanescent Q integral at omega={omega:.4g}")
-            for k in BREAKDOWN_KEYS:
-                totals[k] += got[k]
-            err += e
-    else:
-        # single map over the whole range: Q = scale*t/(1-t) without the
-        # sector seam (ablation path; the cusp at Q = omega costs panels)
-        scale = max(omega, 0.5 / l)
-        q_cap = 320.0 / l + omega
-        t_cap = q_cap / (scale + q_cap)
-
-        def f_all(ts):
-            Qs = scale * ts / (1.0 - ts)
-            jac = scale / (1.0 - ts) ** 2
+    if omega > 0.0:
+        def f_prop(thetas):
+            Qs = omega * np.sin(thetas)
+            jac = omega * np.cos(thetas)
             ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
                                 thermal_only=thermal_only)
             return {k: v * jac for k, v in ch.items()}
 
-        got, e = _adaptive_gk(f_all, [0.0, omega / (scale + omega), t_cap], rel_tol,
-                              abs_floor=abs_floor, max_panels=1024,
-                              label=f"Q integral at omega={omega:.4g}")
+        got, e = _adaptive_gk(f_prop, _inner_q_edges_prop(geom, omega),
+                              rel_tol, abs_floor=abs_floor, max_panels=512,
+                              label=f"propagating Q integral at omega={omega:.4g}")
+        for k in BREAKDOWN_KEYS:
+            totals[k] += got[k]
+        err += e
+
+    if kernel != "baseline":
+        scale = max(omega, 0.5 / l)
+        q_cap = 320.0 / l
+        t_cap = q_cap / (scale + q_cap)
+        marks = {0.0, t_cap}
+        for q in (0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l, omega, 2 * omega):
+            if 0.0 < q < q_cap:
+                marks.add(q / (scale + q))
+
+        def f_evan(ts):
+            qs = scale * ts / (1.0 - ts)
+            Qs = np.hypot(omega, qs)
+            jac = (qs / np.maximum(Qs, 1e-300)) * scale / (1.0 - ts) ** 2
+            ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
+                                thermal_only=thermal_only)
+            return {k: v * jac for k, v in ch.items()}
+
+        got, e = _adaptive_gk(f_evan, sorted(marks), rel_tol,
+                              abs_floor=abs_floor, max_panels=512,
+                              label=f"evanescent Q integral at omega={omega:.4g}")
         for k in BREAKDOWN_KEYS:
             totals[k] += got[k]
         err += e
@@ -732,7 +649,7 @@ def _omega_edges(geom, omega_max):
 
 
 def _steady(geom, opts, kernel):
-    if not (_has_emission(geom.left) or _has_emission(geom.right)):
+    if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")
     omega_max = opts.omega_max if opts.omega_max is not None else _auto_omega_max(geom)
@@ -745,8 +662,7 @@ def _steady(geom, opts, kernel):
         for i, w in enumerate(np.asarray(ws, dtype=float)):
             floor = 1e-3 * inner_tol * state["scale"]
             ch, e = _inner_q_integral(geom, float(w), kernel, True,
-                                      opts.thermal_only, inner_tol, floor,
-                                      sector_split=opts.sector_split)
+                                      opts.thermal_only, inner_tol, floor)
             mag = abs(sum(ch.values()))
             state["scale"] = max(state["scale"], mag)
             for k in BREAKDOWN_KEYS:

@@ -95,6 +95,7 @@ def test_load_config_minimal(tmp_path):
      "undefined material"),
     (lambda t: t + "\nmystery.k = 1", "unknown section"),
     (lambda t: t + "\ngeometry.bogus = 1", "unknown key"),
+    (lambda t: t + "\noptions.sector_split = false", "unknown key options.sector_split"),
     (lambda t: t + "\nmaterial.hot.color = red", "unknown material field"),
     (lambda t: t.replace("geometry.T_R = 0.3", "geometry.T_R = -2"), ">= 0"),
     (lambda t: t + "\nsweep.variable = q\nsweep.start = 1\nsweep.stop = 2\n"

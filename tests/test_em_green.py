@@ -376,49 +376,3 @@ def test_bad_plate_and_source():
         geom.side("M")
     with pytest.raises(DomainError):
         green_gap_bulk_scattered(geom, 1.0 - 1j, 0.3, z_src=2.0)
-
-
-def test_conjugate_parity_matches_direct_build():
-    # the (conj s, -phase) block is the elementwise conjugate of the
-    # (s, +phase) block; check against an independent direct construction
-    geom = geom_pair(gap=1.3, z_field=0.0)
-    Q = np.array([0.15, 0.8, 2.4])
-    for s in (-1.7j, 0.3 - 1.1j):
-        for inf_sep in (False, True):
-            built = green_gap_from_plate(geom, "L", np.conj(s), Q,
-                                         phase_sign=-1,
-                                         infinite_separation=inf_sep)
-            mirrored = green_gap_from_plate(geom, "L", s, Q, phase_sign=+1,
-                                            infinite_separation=inf_sep
-                                            ).conjugate_parity()
-            assert mirrored.phase_sign == -1
-            assert mirrored.s == complex(np.conj(s))
-            for tm, tb in zip(mirrored.terms, built.terms):
-                assert tm.pol == tb.pol and tm.tag == tb.tag
-                assert_allclose(tm.scalar, tb.scalar, rtol=1e-12)
-                # field and source vectors are fixed only up to a joint sign
-                # (TE flips both under the transverse parity); the dyad that
-                # enters every contraction is convention-free
-                dyad_m = tm.field_vec[..., :, None] * tm.src_vec[..., None, :]
-                dyad_b = tb.field_vec[..., :, None] * tb.src_vec[..., None, :]
-                assert_allclose(dyad_m, dyad_b, rtol=1e-12, atol=1e-15)
-                assert_allclose(tm.exp_z, tb.exp_z, rtol=1e-12)
-                assert_allclose(tm.src_exp, tb.src_exp, rtol=1e-12)
-
-
-def test_gap_emission_pair_matches_single_builds():
-    from neqlifshitz.em_green import gap_emission_pair
-
-    geom = geom_pair(gap=0.8, z_field=0.0)
-    Q = np.linspace(0.05, 3.0, 7)
-    s = -2.2j
-    cache = {"L": fresnel(geom.left, s, Q), "R": fresnel(geom.right, s, Q)}
-    full, detached = gap_emission_pair(geom, "R", s, Q, fresnel_cache=cache)
-    want_full = green_gap_from_plate(geom, "R", s, Q)
-    want_det = green_gap_from_plate(geom, "R", s, Q, infinite_separation=True)
-    for got, want in ((full, want_full), (detached, want_det)):
-        for tg, tw in zip(got.terms, want.terms):
-            assert tg.pol == tw.pol and tg.tag == tw.tag
-            assert_allclose(tg.scalar, tw.scalar, rtol=1e-13)
-            assert_allclose(tg.field_vec, tw.field_vec, rtol=1e-13, atol=1e-300)
-            assert_allclose(tg.src_vec, tw.src_vec, rtol=1e-12, atol=1e-300)

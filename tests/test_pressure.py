@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,8 +122,6 @@ def test_theta_contract_symmetry_and_weights():
     b1t = plane_wave_block(geom, b1.terms[0].field_vec, trunc1, 0.9,
                            0.3 - 0.8j, +1, Q)
     assert_allclose(got, theta_contract(b1t, b2, s1, s2), rtol=1e-13)
-    # pair_weight returning zero drops everything
-    assert theta_contract(b1, b2, s1, s2, pair_weight=lambda a, b: 0.0) == 0.0
 
 
 def test_theta_contract_usage_errors():
@@ -135,7 +134,6 @@ def test_theta_contract_usage_errors():
     b_badgeom = plane_wave_block(geom2, np.ones(3), np.ones(3), 1.0, 0.1, -1, 0.7)
     with pytest.raises(DomainError):
         theta_contract(b1, b_badgeom, 1.0, 1.0)
-    from dataclasses import replace
     b_delta = replace(b1, has_delta=True, delta_scalar=1.0 + 0j)
     with pytest.raises(DomainError):
         theta_contract(b_delta, b1, 1.0, 1.0)
@@ -225,22 +223,60 @@ def test_baseline_kernel_is_propagating_only():
     assert np.any(total.real != 0.0)
 
 
+def symbolic_channels(geom, omega, Q):
+    """Full-kernel channel map from the symbolic stress contraction.
+
+    Each plate's gap-field blocks at s = -i omega and their partners at
+    s = +i omega with the opposite transverse phase, contracted term by
+    term and weighted like the closed form.
+    """
+    Q = np.asarray(Q, dtype=float)
+    s1, s2 = -1j * omega, 1j * omega
+    prop = Q < omega
+    out = {}
+    for plate in ("L", "R"):
+        weight = pr._emission_weight(geom.side(plate), omega)
+        b1 = green_gap_from_plate(geom, plate, s1, Q, +1)
+        b2 = green_gap_from_plate(geom, plate, s2, Q, -1)
+        for pol in ("TE", "TM"):
+            v = theta_contract(b1.filtered(pol), b2.filtered(pol), s1, s2) \
+                * pr.PRESSURE_SIGN * pr._MEASURE * weight * Q
+            out[(plate, pol, "propagating")] = np.where(prop, v, 0.0)
+            out[(plate, pol, "evanescent")] = np.where(prop, 0.0, v)
+    return out
+
+
+def test_closed_form_channels_match_symbolic_contraction():
+    # off-centre field point, one cutoff-bath plate, both sectors
+    cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
+    geom = Geometry(gap=0.9, left=warm_geom().left, right=cutoff, z_field=0.23)
+    rng = np.random.default_rng(17)
+    for _ in range(80):
+        w = float(rng.uniform(0.05, 8.0))
+        Q = w * np.concatenate([rng.uniform(0.0, 1.0, 8), rng.uniform(1.0, 4.0, 8)])
+        got = pr._bath_channels(geom, w, Q, kernel="full")
+        want = symbolic_channels(geom, w, Q)
+        scale = max(np.max(np.abs(v)) for v in want.values())
+        for key in BREAKDOWN_KEYS:
+            assert np.max(np.abs(got[key] - want[key].real)) <= 1e-12 * scale, (w, key)
+
+
 def test_locked_cavity_is_the_phase_average():
-    # 1/(1 - |rho|^2) equals the uniform phase average of |1 - rho e^{i phi}|^-2
+    # the baseline kernel's cavity weight 1/(1 - |r_a r_b|^2) is the average
+    # of the full propagating channel over one round-trip period pi/k_z of
+    # the gap
     geom = warm_geom()
-    s1 = -1.7j
-    s2 = np.conj(s1)
-    Q = np.array([0.4])
-    locked = pr._locked_cavity(geom, s1, s2, Q)
-    from neqlifshitz.em_green import fresnel
-    f1 = fresnel(geom.left, s1, Q)
-    f2 = fresnel(geom.right, s1, Q)
-    phis = np.linspace(0.0, 2.0 * math.pi, 4096, endpoint=False)
-    for i, pol in enumerate(("TE", "TM")):
-        rho = complex(f1[i][0] * f2[i][0])
-        avg = np.mean(1.0 / np.abs(1.0 - rho * np.exp(1j * phis)) ** 2)
-        assert_allclose(complex(locked[pol][0]).real, avg, rtol=1e-10)
-        assert abs(complex(locked[pol][0]).imag) < 1e-12
+    w = 1.7
+    for Q in (0.4, 1.2):
+        kz = math.sqrt(w * w - Q * Q)
+        gaps = geom.gap + (math.pi / kz) * np.arange(256) / 256
+        base = pr._bath_channels(geom, w, Q, kernel="baseline")
+        runs = [symbolic_channels(replace(geom, gap=g), w, Q) for g in gaps]
+        for key in BREAKDOWN_KEYS:
+            if key[2] == "propagating":
+                avg = np.mean([complex(r[key]).real for r in runs])
+                assert_allclose(float(base[key]), avg, rtol=1e-12)
 
 
 def test_difference_kernel_additivity_and_evanescent_decay():
