@@ -177,6 +177,15 @@ def fresnel(side, s, Q):
     eps = plate_eps(side, s)
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
+    return _fresnel_coeffs(eps, q, qn, s)
+
+
+def _fresnel_coeffs(eps, q, qn, s):
+    """`fresnel` from a plate's permittivity and the two z-wavenumbers.
+
+    For callers that need eps and qn themselves as well; raises the same
+    SingularityError when a denominator vanishes.
+    """
     den_te = q + qn
     den_tm = eps * q + qn
     scale = np.abs(q) + np.abs(qn)

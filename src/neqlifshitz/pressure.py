@@ -5,10 +5,10 @@ emits into the gap with weight omega^2 * coth(beta omega/2) * Im eps(omega)
 (equivalently, pre-identity, via its bath noise kernel), and the zz stress
 of the emitted field is the closed-form non-equilibrium Lifshitz integrand
 of the two plates' Fresnel coefficients.  The symbolic Green blocks of
-:mod:`.em_green`, contracted by :func:`theta_contract`, serve only the
-transient integrands at the end of this module (and the tests, as the
-oracle of the closed form).  The (omega, Q) integral is done with a
-vectorized adaptive Gauss-Kronrod rule, split into propagating (Q < omega)
+:mod:`.em_green`, contracted per source group as in :func:`theta_contract`,
+serve only the transient integrands at the end of this module (and the
+tests, as the oracle of the closed form).  The (omega, Q) integral is done
+with a vectorized adaptive Gauss-Kronrod rule, split into propagating (Q < omega)
 and evanescent (Q > omega) sectors, with an optional subtraction of the
 detached-plates (l -> infinity) baseline so the distance-dependent part is
 integrated without the large l-independent radiation terms.
@@ -30,8 +30,8 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, Material, _coth, _fourier_s,
                        bath_dissipation_fourier, permittivity,
                        permittivity_fourier, qbm_green)
-from .em_green import (_s_eff, fresnel, green_gap_from_plate, ic_z_block,
-                       plate_eps, qz)
+from .em_green import (_fresnel_coeffs, _s_eff, green_gap_from_plate,
+                       ic_z_block, plate_eps, qz)
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -79,10 +79,81 @@ def _source_factor(t1, t2):
     raise DomainError("gap terms with pending source exponents cannot be contracted")
 
 
+_LAMBDA = np.array([1.0, 1.0, -1.0])
+
+
+def _source_groups(block):
+    """Coincidence tensors of one block, per source group.
+
+    A source group is the terms sharing ``plate``, ``z_ref`` and
+    ``src_exp``.  For each group this returns (representative term, F, C)
+    with, at z = the geometry's ``z_field``,
+
+        F = sum_t scalar_t e^{exp_z z} f_t (x) u_t
+        C = sum_t scalar_t e^{exp_z z} (curl f_t) (x) u_t,
+
+    where the curl of the plane-wave factor takes transverse derivatives
+    as +-i*Q*qhat on the block's parallel phase and z-derivatives as the
+    term's exp_z.  F and C are shaped Q.shape + (3, 3).
+    """
+    Q = np.asarray(block.Q, dtype=float)
+    z = block.geom.z_field
+    phase = 1j * block.phase_sign
+    kx = (phase * float(block.qhat[0])) * Q
+    ky = (phase * float(block.qhat[1])) * Q
+    groups = []
+    for t in block.terms:
+        if t.step:
+            raise DomainError("step-gated bulk terms are not defined at coincidence")
+        f = np.asarray(t.field_vec)
+        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+        ez = np.asarray(t.exp_z, dtype=complex)
+        curl = np.stack(np.broadcast_arrays(ky * fz - ez * fy, ez * fx - kx * fz,
+                                            kx * fy - ky * fx), axis=-1)
+        scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
+        su = np.asarray(scal)[..., None] * np.asarray(t.src_vec)
+        F = f[..., :, None] * su[..., None, :]
+        C = curl[..., :, None] * su[..., None, :]
+        for g in groups:
+            rep = g[0]
+            if (rep.plate == t.plate and rep.z_ref == t.z_ref
+                    and (rep.src_exp is t.src_exp
+                         or np.array_equal(rep.src_exp, t.src_exp))):
+                g[1] = g[1] + F
+                g[2] = g[2] + C
+                break
+        else:
+            groups.append([t, F, C])
+    return groups
+
+
+def _contract_groups(groups1, groups2, s1, s2, source_weight=None):
+    """(electric, magnetic) stress contraction of two blocks' source groups.
+
+    The contraction is bilinear in the terms and every term pair of one
+    group pair shares its source factor, so each group pair contributes
+    sf * sum_i Lambda_i (X1 W X2^T)_ii with X = F (electric, times s1 s2)
+    or X = C (magnetic).
+    """
+    elec = 0.0
+    mag = 0.0
+    for t1, F1, C1 in groups1:
+        if source_weight is not None:
+            F1 = F1 @ source_weight
+            C1 = C1 @ source_weight
+        F1 = _LAMBDA[:, None] * F1
+        C1 = _LAMBDA[:, None] * C1
+        for t2, F2, C2 in groups2:
+            sf = _source_factor(t1, t2)
+            elec = elec + sf * (F1 * F2).sum(axis=(-2, -1))
+            mag = mag + sf * (C1 * C2).sum(axis=(-2, -1))
+    return complex(s1) * complex(s2) * elec, mag
+
+
 def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     """Coincidence-limit zz-stress contraction of two Green blocks.
 
-    Applies, term pair by term pair, the operator
+    Applies, summed over every term pair, the operator
 
         Lambda^{ij} (s1 s2 delta^{is} delta^{jm}
                      + eps^{irs} eps^{jlm} d_{r,1} d_{l,2})
@@ -93,6 +164,14 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     ``z_field``.  The source indices are contracted with ``source_weight``
     (identity when None) and pending plate-source exponentials are
     integrated in closed form.
+
+    The sum is evaluated per source group (terms sharing plate, z_ref and
+    src_exp; see ``_source_groups``): the operator is bilinear, and the
+    source factor of a term pair depends only on (src_exp1 + src_exp2,
+    plate, z_ref), which is common to every pair of one group pair.  So
+    each block reduces to two 3x3 coincidence tensors per group and the
+    pair sum to one trace per group pair.  A from-plate block is one
+    group, an ``ic_z_block`` three (L, R and gap).
 
     Parameters
     ----------
@@ -125,49 +204,12 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
         raise DomainError("contracted blocks must share the field geometry")
 
     Q = np.asarray(block1.Q, dtype=float)
-    z = g1.z_field
-    s1 = complex(s1)
-    s2 = complex(s2)
-    s1s2 = s1 * s2
-
-    def _term_data(block):
-        """Per-term field/curl components and z-shifted scalar, hoisted."""
-        phase = 1j * block.phase_sign
-        hx, hy = float(block.qhat[0]), float(block.qhat[1])
-        rows = []
-        for t in block.terms:
-            if t.step:
-                raise DomainError(
-                    "step-gated bulk terms are not defined at coincidence")
-            f = np.asarray(t.field_vec)
-            fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-            kx = (phase * hx) * Q
-            ky = (phase * hy) * Q
-            ez = np.asarray(t.exp_z, dtype=complex)
-            cx = ky * fz - ez * fy
-            cy = ez * fx - kx * fz
-            cz = kx * fy - ky * fx
-            scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
-            rows.append((t, fx, fy, fz, cx, cy, cz, scal))
-        return rows
-
-    d1 = _term_data(block1)
-    d2 = _term_data(block2)
-    elec = np.zeros(Q.shape, dtype=complex)
-    mag = np.zeros(Q.shape, dtype=complex)
-    for t1, f1x, f1y, f1z, c1x, c1y, c1z, sc1 in d1:
-        u1 = np.asarray(t1.src_vec)
-        for t2, f2x, f2y, f2z, c2x, c2y, c2z, sc2 in d2:
-            u2 = np.asarray(t2.src_vec)
-            if source_weight is None:
-                usrc = (u1[..., 0] * u2[..., 0] + u1[..., 1] * u2[..., 1]
-                        + u1[..., 2] * u2[..., 2])
-            else:
-                usrc = np.einsum("...i,ij,...j->...", u1,
-                                 np.asarray(source_weight), u2)
-            amp = sc1 * sc2 * _source_factor(t1, t2) * usrc
-            elec += amp * (s1s2 * (f1x * f2x + f1y * f2y - f1z * f2z))
-            mag += amp * (c1x * c2x + c1y * c2y - c1z * c2z)
+    weight = None if source_weight is None else np.asarray(source_weight)
+    elec, mag = _contract_groups(_source_groups(block1), _source_groups(block2),
+                                 s1, s2, weight)
+    # shaped like Q also when a block has no terms
+    elec = elec + np.zeros(Q.shape, dtype=complex)
+    mag = mag + np.zeros(Q.shape, dtype=complex)
     if Q.ndim == 0:
         elec, mag = complex(elec), complex(mag)
     if split:
@@ -249,6 +291,10 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     where w_a is the emission weight, |u_TE|^2 = |t_TE,a|^2 and
     |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2) are the
     squared plate-source vectors and 1/(2 Re qn) is their depth integral.
+    On the light line Q = omega, q = 0 and r_a = r_b = -1, so |q|^2 and D
+    vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
+    qn/eps (TM), and the evanescent channel takes its limit
+    G / |l + 1/n_a + 1/n_b|^2 instead of 0 * inf.
     The symbolic contraction of :func:`theta_contract` over
     :func:`.em_green.green_gap_from_plate` blocks gives the same numbers
     term by term; the tests use it as the oracle.
@@ -270,25 +316,33 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     prop = Q < w0
     q = np.asarray(qz(1.0, s, Q))
     q2 = np.abs(q) ** 2
+    light = q == 0.0    # Q = omega: |q|^2 and D vanish together
+    on_light = bool(light.any())
     trip = np.exp(-2.0 * q * geom.gap)
-    coeffs = {p: fresnel(geom.side(p), s, Q) for p in _PLATES}
+    media = {}      # plate -> (eps, qn), each evaluated once per batch
+    coeffs = {}
+    for p in _PLATES:
+        eps = plate_eps(geom.side(p), s)
+        qn = np.asarray(qz(eps, s, Q))
+        media[p] = (eps, qn)
+        coeffs[p] = _fresnel_coeffs(eps, q, qn, s)
     s_eff2 = abs(_s_eff(s)) ** 2
 
     for a, b in (("L", "R"), ("R", "L")):
-        side = geom.side(a)
-        weight = _emission_weight(side, w0, use_fdr=use_fdr, thermal_only=thermal_only)
+        weight = _emission_weight(geom.side(a), w0, use_fdr=use_fdr,
+                                  thermal_only=thermal_only)
         if weight == 0.0:
             continue
-        eps = plate_eps(side, s)
-        qn = np.asarray(qz(eps, s, Q))
+        eps, qn = media[a]
         qn2 = np.abs(qn) ** 2
-        pref = PRESSURE_SIGN * _MEASURE * weight * Q * q2 / (8.0 * qn.real * qn2)
+        pref = PRESSURE_SIGN * _MEASURE * weight * Q / (8.0 * qn.real * qn2)
         src = {"TE": np.abs(coeffs[a][2]) ** 2,
                "TM": 4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2)}
         for i, pol in enumerate(_POLS):
             ra, rb = coeffs[a][i], coeffs[b][i]
-            g = pref * src[pol]
-            cavity = 1.0 / np.abs(1.0 - ra * rb * trip) ** 2
+            g = pref * src[pol] * q2
+            d2 = np.abs(1.0 - ra * rb * trip) ** 2
+            cavity = 1.0 / (np.where(light, 1.0, d2) if on_light else d2)
             prop_cavity = cavity
             if kernel != "full":
                 lock = 1.0 - np.abs(ra * rb) ** 2
@@ -300,8 +354,13 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
             out[(a, pol, "propagating")] = np.where(
                 prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
             if kernel != "baseline":
-                out[(a, pol, "evanescent")] = np.where(
-                    prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
+                evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
+                if on_light:
+                    eps_b, qn_b = media[b]
+                    n_a, n_b = (qn, qn_b) if pol == "TE" else (qn / eps, qn_b / eps_b)
+                    lim = pref * src[pol] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
+                    evan = np.where(light, lim, evan)
+                out[(a, pol, "evanescent")] = evan
     return out
 
 
@@ -455,7 +514,7 @@ def _adaptive_gk(f, edges, rel_tol, abs_floor=0.0, max_panels=1024, label="integ
         hi = np.concatenate([hi[keep], new_hi])
         err = np.concatenate([err[keep], nerr])
         ch = {k: np.concatenate([v[keep], nch[k]]) for k, v in ch.items()}
-    totals = {k: complex(v.sum()) for k, v in ch.items()}
+    totals = {k: float(v.sum()) for k, v in ch.items()}
     return totals, float(err.sum())
 
 
@@ -554,7 +613,7 @@ def _inner_q_integral(geom, omega, kernel, use_fdr, thermal_only, rel_tol,
     to t in [0, 1) with scale max(omega, 1/(2 l)).
     """
     l = geom.gap
-    totals = {k: 0.0 + 0.0j for k in BREAKDOWN_KEYS}
+    totals = {k: 0.0 for k in BREAKDOWN_KEYS}
     err = 0.0
 
     if omega > 0.0:
@@ -657,8 +716,8 @@ def _steady(geom, opts, kernel):
     state = {"scale": 0.0}
 
     def f_out(ws):
-        out = {k: np.zeros(ws.shape, dtype=complex) for k in BREAKDOWN_KEYS}
-        out["_inner"] = np.zeros(ws.shape, dtype=complex)
+        out = {k: np.zeros(ws.shape) for k in BREAKDOWN_KEYS}
+        out["_inner"] = np.zeros(ws.shape)
         for i, w in enumerate(np.asarray(ws, dtype=float)):
             floor = 1e-3 * inner_tol * state["scale"]
             ch, e = _inner_q_integral(geom, float(w), kernel, True,
@@ -701,17 +760,9 @@ def _steady(geom, opts, kernel):
         resid = sum(slices[0][k] + slices[1][k] for k in BREAKDOWN_KEYS)
         outer_err += 0.5 * abs(resid)
 
-    inner_err = abs(totals.pop("_inner"))
-    raw = sum(totals.values())
-    value = float(raw.real)
-    err = outer_err + inner_err
-    scale = max(abs(value), 1e-14 / geom.gap ** 4)
-    if abs(raw.imag) > 1e-8 * scale:
-        raise ConvergenceError(
-            f"pressure reality check failed: Im = {raw.imag:.3e} vs value {value:.3e}")
-    breakdown = {k: float(v.real) for k, v in totals.items()}
-    value = math.fsum(breakdown.values())
-    return PressureResult(value=value, err=float(err), breakdown=breakdown,
+    err = outer_err + abs(totals.pop("_inner"))
+    return PressureResult(value=math.fsum(totals.values()), err=float(err),
+                          breakdown=totals,
                           baseline_subtracted=(kernel == "difference"),
                           omega_max_used=float(omega_max))
 
@@ -851,6 +902,57 @@ def equilibrium_matsubara(geom, T, opts=None):
 # ---------------------------------------------------------------------------
 # transient integrand builders (analytic-structure study)
 # ---------------------------------------------------------------------------
+#
+# Both transient integrands are a sum over pairs of factors, one depending
+# on s1 alone and one on s2 alone.  Each is split into a per-variable half
+# (the Green block's source groups plus the s-only prefactors) and a pair
+# step, so a caller sampling many (s1, s2) pairs builds each block once per
+# distinct Laplace point.
+
+
+def _dof_half(geom, Q, s, phase_sign):
+    """One Laplace variable's factor of the oscillator-transient integrand.
+
+    Returns (s, {plate: (s^2 G(s) - 1, s G(s), {pol: source groups})})
+    over the coupled Material plates; phase_sign is +1 for the s1 factor
+    and -1 for its s2 partner.
+    """
+    s = complex(s)
+    plates = {}
+    for plate in _PLATES:
+        side = geom.side(plate)
+        if not isinstance(side, Material):
+            raise DomainError("oscillator integrands need Material plates")
+        if side.lambda0 == 0.0:
+            continue
+        g = qbm_green(side, s)
+        block = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign)
+        plates[plate] = (s * s * g - 1.0, s * g,
+                         {pol: _source_groups(block.filtered(pol)) for pol in _POLS})
+    return s, plates
+
+
+def _dof_pair(geom, half1, half2, parts=False):
+    """Oscillator-transient integrand from its s1 and s2 halves."""
+    (s1, plates1), (s2, plates2) = half1, half2
+    total = 0.0 + 0.0j
+    pieces = {}
+    for plate, (a1, b1, groups1) in plates1.items():
+        a2, b2, groups2 = plates2[plate]
+        side = geom.side(plate)
+        brackets = {"product": a1 * a2, "cross": side.omega0 ** 2 * b1 * b2}
+        pref = (-1.0 / (8.0 * math.pi)) * side.lambda0 ** 2 * side.mass \
+            / (2.0 * side.omega0) * _coth(0.5 * side.beta_dof * side.omega0)
+        for pol in _POLS:
+            elec, mag = _contract_groups(groups1[pol], groups2[pol], s1, s2)
+            for bname, bval in brackets.items():
+                for tname, tval in (("electric", elec), ("magnetic", mag)):
+                    v = pref * bval * tval
+                    pieces[(plate, pol, bname, tname)] = v
+                    total = total + v
+    if parts:
+        return total, pieces
+    return total
 
 
 def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
@@ -866,37 +968,56 @@ def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
     measures and the time factor e^{(s1+s2)(t - t_i)} stay external: this
     object is what the pole-order classifiers probe.
 
+    Evaluated as the pair step of two per-variable halves (`_dof_half` at
+    s1 and s2); the origin report reuses each half across every pair it
+    enters, so each block is built once per distinct Laplace point.
+
     With ``parts`` also returns the dict keyed
     (plate, pol, "product"|"cross", "electric"|"magnetic").
     """
-    s1 = complex(s1)
-    s2 = complex(s2)
+    return _dof_pair(geom, _dof_half(geom, Q, s1, +1), _dof_half(geom, Q, s2, -1),
+                     parts=parts)
+
+
+def _ic_wavevector(k):
+    """(Q, kz, w_k) of a photon wavevector, rotated into the x-z plane."""
+    k = np.asarray(k, dtype=float)
+    if k.shape != (3,):
+        raise DomainError("k must be a 3-vector")
+    wk = float(np.linalg.norm(k))
+    if wk == 0.0:
+        raise DomainError("the zero wavevector carries no initial mode")
+    return math.hypot(k[0], k[1]), float(k[2]), wk
+
+
+def _ic_half(geom, k, s, phase_sign):
+    """One Laplace variable's factor of the initial-field integrand.
+
+    Returns (s, {pol: source groups of the plane-wave-weighted block}).
+    """
+    Q, kz, _ = _ic_wavevector(k)
+    s = complex(s)
+    block = ic_z_block(geom, s, Q, kz, phase_sign=phase_sign)
+    return s, {pol: _source_groups(block.filtered(pol)) for pol in _POLS}
+
+
+def _ic_pair(k, half1, half2, beta_em=math.inf, parts=False):
+    """Initial-field integrand from its s1 and s2 halves."""
+    Q, kz, wk = _ic_wavevector(k)
+    (s1, groups1), (s2, groups2) = half1, half2
+    proj = transverse_projector(np.array([Q, 0.0, kz]))
+    occ = _coth(0.5 * beta_em * wk) if math.isfinite(beta_em) else 1.0
+    pref = (-1.0 / (8.0 * math.pi)) * occ * (s1 * s2 + wk * wk) \
+        / (2.0 * wk * (2.0 * math.pi) ** 3)
     total = 0.0 + 0.0j
     pieces = {}
-    for plate in _PLATES:
-        side = geom.side(plate)
-        if not isinstance(side, Material):
-            raise DomainError("oscillator integrands need Material plates")
-        if side.lambda0 == 0.0:
-            continue
-        g1 = qbm_green(side, s1)
-        g2 = qbm_green(side, s2)
-        brackets = {
-            "product": (s1 * s1 * g1 - 1.0) * (s2 * s2 * g2 - 1.0),
-            "cross": side.omega0 ** 2 * s1 * s2 * g1 * g2,
-        }
-        pref = (-1.0 / (8.0 * math.pi)) * side.lambda0 ** 2 * side.mass \
-            / (2.0 * side.omega0) * _coth(0.5 * side.beta_dof * side.omega0)
-        b1 = green_gap_from_plate(geom, plate, s1, Q, phase_sign=+1)
-        b2 = green_gap_from_plate(geom, plate, s2, Q, phase_sign=-1)
-        for pol in _POLS:
-            elec, mag = theta_contract(b1.filtered(pol), b2.filtered(pol), s1, s2,
-                                       split=True)
-            for bname, bval in brackets.items():
-                for tname, tval in (("electric", elec), ("magnetic", mag)):
-                    v = pref * bval * tval
-                    pieces[(plate, pol, bname, tname)] = v
-                    total = total + v
+    for pol in _POLS:
+        elec, mag = _contract_groups(groups1[pol], groups2[pol], s1, s2,
+                                     source_weight=proj)
+        for tname, tval in (("electric", elec), ("magnetic", mag)):
+            v = pref * tval
+            pieces[(pol, tname)] = v
+            total = total + v
     if parts:
         return total, pieces
     return total
@@ -913,35 +1034,12 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
                    integrals ... ]
 
     leaving d^3k, the Bromwich measures and the time factor external.
-    ``beta_em`` is the initial field temperature (inf = vacuum).  With
+    ``beta_em`` is the initial field temperature (inf = vacuum).
+
+    Evaluated as the pair step of two per-variable halves (`_ic_half` at
+    s1 and s2); the origin report reuses each half across every pair it
+    enters, so each block is built once per distinct Laplace point.  With
     ``parts`` also returns the dict keyed (pol, "electric"|"magnetic").
     """
-    k = np.asarray(k, dtype=float)
-    if k.shape != (3,):
-        raise DomainError("k must be a 3-vector")
-    wk = float(np.linalg.norm(k))
-    if wk == 0.0:
-        raise DomainError("the zero wavevector carries no initial mode")
-    s1 = complex(s1)
-    s2 = complex(s2)
-    Q = math.hypot(k[0], k[1])
-    kz = float(k[2])
-    k_eff = np.array([Q, 0.0, kz])
-    proj = transverse_projector(k_eff)
-    occ = _coth(0.5 * beta_em * wk) if math.isfinite(beta_em) else 1.0
-    pref = (-1.0 / (8.0 * math.pi)) * occ * (s1 * s2 + wk * wk) \
-        / (2.0 * wk * (2.0 * math.pi) ** 3)
-    b1 = ic_z_block(geom, s1, Q, kz, phase_sign=+1)
-    b2 = ic_z_block(geom, s2, Q, kz, phase_sign=-1)
-    total = 0.0 + 0.0j
-    pieces = {}
-    for pol in _POLS:
-        elec, mag = theta_contract(b1.filtered(pol), b2.filtered(pol), s1, s2,
-                                   source_weight=proj, split=True)
-        for tname, tval in (("electric", elec), ("magnetic", mag)):
-            v = pref * tval
-            pieces[(pol, tname)] = v
-            total = total + v
-    if parts:
-        return total, pieces
-    return total
+    return _ic_pair(k, _ic_half(geom, k, s1, +1), _ic_half(geom, k, s2, -1),
+                    beta_em=beta_em, parts=parts)

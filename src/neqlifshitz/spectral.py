@@ -34,7 +34,7 @@ import numpy as np
 from .em_green import dmu, ic_z_integral, qz
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import EpsilonTable, Material
-from .pressure import assemble_dof_integrand, assemble_ic_integrand
+from .pressure import _dof_half, _dof_pair, _ic_half, _ic_pair
 
 METHOD_ANALYTIC = "analytic_quadratic"
 METHOD_WINDING = "contour_winding"
@@ -816,20 +816,24 @@ def _ring_samples(r0, shrink, n_radii, n_theta):
     return radii, angles, pts
 
 
-def _classify_parts(eval_parts, probe, r0=1e-2, shrink=4.0, n_radii=4,
+def _classify_parts(half, pair, probe, r0=1e-2, shrink=4.0, n_radii=4,
                     n_theta=8, slope_tol=0.25):
     """Classify every part of a two-variable integrand in each variable.
 
-    ``eval_parts(s1, s2)`` returns the parts dict; one call per sample
-    point classifies all parts at once.
+    ``half(s, phase_sign)`` builds one variable's factor (+1 for s1, -1
+    for s2) and ``pair(h1, h2)`` returns the parts dict of the pair; one
+    pair classifies all parts at once.  Each ring point and the probe get
+    their factor built once per variable.
     """
     radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
     orders = {}
     for var in (0, 1):
-        rows = []
-        for s in pts:
-            args = (s, probe) if var == 0 else (probe, s)
-            rows.append(eval_parts(*args))
+        if var == 0:
+            fixed = half(probe, -1)
+            rows = [pair(half(s, +1), fixed) for s in pts]
+        else:
+            fixed = half(probe, +1)
+            rows = [pair(fixed, half(s, -1)) for s in pts]
         for key in rows[0]:
             vals = np.array([row[key] for row in rows]).reshape(
                 len(radii), len(angles))
@@ -841,7 +845,26 @@ def _classify_parts(eval_parts, probe, r0=1e-2, shrink=4.0, n_radii=4,
 _DIVERGENT_ORDERS = ((-2, -2), (-2, -1), (-1, -2))
 
 
-def _origin_tables(eval_parts, keys, radius, n_theta):
+def _torus_tables(half, pair, keys, radius, n_theta):
+    """Every part of the integrand on the torus |s1| = |s2| = radius.
+
+    Returns the ring of n_theta points and, per part, the (s1, s2) table
+    over it; each ring point's s1 and s2 factors are built once.
+    """
+    ang = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+    ring = radius * np.exp(1j * ang)
+    halves1 = [half(complex(s), +1) for s in ring]
+    halves2 = [half(complex(s), -1) for s in ring]
+    tabs = {key: np.empty((n_theta, n_theta), dtype=complex) for key in keys}
+    for a, h1 in enumerate(halves1):
+        for b, h2 in enumerate(halves2):
+            parts = pair(h1, h2)
+            for key in keys:
+                tabs[key][a, b] = parts[key]
+    return ring, tabs
+
+
+def _origin_tables(half, pair, keys, radius, n_theta):
     """Torus Laurent tables for every part, plus the integrand scale.
 
     Returns per-part coefficients c_mn for the four time-relevant
@@ -849,14 +872,7 @@ def _origin_tables(eval_parts, keys, radius, n_theta):
     which calibrates how large a coefficient of each order *could* be
     given the observed integrand size.
     """
-    ang = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    ring = radius * np.exp(1j * ang)
-    tabs = {key: np.empty((n_theta, n_theta), dtype=complex) for key in keys}
-    for a, s1 in enumerate(ring):
-        for b, s2 in enumerate(ring):
-            parts = eval_parts(complex(s1), complex(s2))
-            for key in keys:
-                tabs[key][a, b] = parts[key]
+    ring, tabs = _torus_tables(half, pair, keys, radius, n_theta)
     weights = {mn: np.outer(ring ** (-mn[0]), ring ** (-mn[1]))
                for mn in _DIVERGENT_ORDERS + ((-1, -1),)}
     coeffs = {key: {mn: complex(np.mean(tabs[key] * w))
@@ -914,11 +930,20 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
     cancel across the plate's parts, and records the surviving
     first-order double residue as the discarded switch-on term.  The
     returned dict is JSON-ready; ``"taxonomy_ok"`` summarizes it.
-    """
-    def eval_parts(s1, s2):
-        return assemble_dof_integrand(geom, Q, s1, s2, parts=True)[1]
 
-    orders = _classify_parts(eval_parts, probe)
+    The integrand is sampled at 208 (s1, s2) pairs (two rings of 32
+    points against the probe, a 12 x 12 torus) but its Green blocks are
+    built once per distinct Laplace point and phase: 90 per-variable
+    halves, each holding one `green_gap_from_plate` block per coupled
+    plate.
+    """
+    def half(s, phase_sign):
+        return _dof_half(geom, Q, s, phase_sign)
+
+    def pair(h1, h2):
+        return _dof_pair(geom, h1, h2, parts=True)[1]
+
+    orders = _classify_parts(half, pair, probe)
     parts_report = {}
     all_match = True
     for (plate, pol, bracket, piece), (o1, o2) in sorted(orders.items()):
@@ -932,7 +957,7 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
             "matches": match,
         }
     keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(eval_parts, keys, radius, n_theta)
+    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
     plates_report = {}
     cancel_ok = True
     for plate in ("L", "R"):
@@ -962,13 +987,17 @@ def ic_origin_report(geom, k, beta_em=math.inf, probe=0.31 + 0.23j,
 
     Same structure as the oscillator-transient report with parts keyed
     (pol, piece); the candidate modes away from the origin are covered
-    separately by `modified_mode_check`.
+    separately by `modified_mode_check`.  As there, each Green block
+    (`ic_z_block`) is built once per distinct Laplace point and phase:
+    90 builds for the 208 sampled pairs.
     """
-    def eval_parts(s1, s2):
-        return assemble_ic_integrand(geom, k, s1, s2, beta_em=beta_em,
-                                     parts=True)[1]
+    def half(s, phase_sign):
+        return _ic_half(geom, k, s, phase_sign)
 
-    orders = _classify_parts(eval_parts, probe)
+    def pair(h1, h2):
+        return _ic_pair(k, h1, h2, beta_em=beta_em, parts=True)[1]
+
+    orders = _classify_parts(half, pair, probe)
     parts_report = {}
     all_match = True
     for (pol, piece), (o1, o2) in sorted(orders.items()):
@@ -982,7 +1011,7 @@ def ic_origin_report(geom, k, beta_em=math.inf, probe=0.31 + 0.23j,
             "matches": match,
         }
     keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(eval_parts, keys, radius, n_theta)
+    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
     record, cancel_ok = _cancellation_record(coeffs, keys, cancel_tol,
                                              f_scale, radius)
     return {

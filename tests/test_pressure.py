@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from neqlifshitz import pressure as pr
 from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT,
-                                  green_gap_from_plate)
+                                  green_gap_from_plate, ic_z_block)
 from neqlifshitz.errors import DomainError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions,
@@ -42,13 +42,64 @@ def equal_t_geom(gap=1.0, T=1.0):
 # ---------------------------------------------------------------------------
 
 
-def plane_wave_block(geom, field, src, scalar, exp_z, phase_sign, Q):
-    term = GreenTerm(pol="TM", plate="gap", tag="osc",
+def plane_wave_block(geom, field, src, scalar, exp_z, phase_sign, Q,
+                     plate="gap", src_exp=0.0, z_ref=0.0):
+    term = GreenTerm(pol="TM", plate=plate, tag="osc",
                      field_vec=np.asarray(field, dtype=complex),
                      src_vec=np.asarray(src, dtype=complex),
-                     scalar=complex(scalar), exp_z=complex(exp_z))
+                     scalar=complex(scalar), exp_z=complex(exp_z),
+                     src_exp=src_exp, z_ref=z_ref)
     return GreenBlock(terms=(term,), s=-1j, Q=np.asarray(float(Q)), qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
+
+
+def pairwise_contract(block1, block2, s1, s2, source_weight=None):
+    """Reference (electric, magnetic) contraction, one term pair at a time.
+
+    The direct double sum over term pairs with a source factor per pair;
+    ``theta_contract`` must reproduce it through its per-group tensors.
+    """
+    Q = np.asarray(block1.Q, dtype=float)
+    z = block1.geom.z_field
+    s1s2 = complex(s1) * complex(s2)
+
+    def term_data(block):
+        phase = 1j * block.phase_sign
+        hx, hy = float(block.qhat[0]), float(block.qhat[1])
+        rows = []
+        for t in block.terms:
+            f = np.asarray(t.field_vec)
+            fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+            kx = (phase * hx) * Q
+            ky = (phase * hy) * Q
+            ez = np.asarray(t.exp_z, dtype=complex)
+            curl = (ky * fz - ez * fy, ez * fx - kx * fz, kx * fy - ky * fx)
+            scal = t.scalar * np.exp(ez * z)
+            rows.append((t, (fx, fy, fz), curl, scal))
+        return rows
+
+    elec = np.zeros(Q.shape, dtype=complex)
+    mag = np.zeros(Q.shape, dtype=complex)
+    for t1, f1, c1, sc1 in term_data(block1):
+        u1 = np.asarray(t1.src_vec)
+        for t2, f2, c2, sc2 in term_data(block2):
+            u2 = np.asarray(t2.src_vec)
+            w = np.eye(3) if source_weight is None else np.asarray(source_weight)
+            usrc = np.einsum("...i,ij,...j->...", u1, w, u2)
+            amp = sc1 * sc2 * pr._source_factor(t1, t2) * usrc
+            elec += amp * s1s2 * (f1[0] * f2[0] + f1[1] * f2[1] - f1[2] * f2[2])
+            mag += amp * (c1[0] * c2[0] + c1[1] * c2[1] - c1[2] * c2[2])
+    return elec, mag
+
+
+def assert_matches_pairwise(b1, b2, s1, s2, source_weight=None):
+    got = theta_contract(b1, b2, s1, s2, source_weight=source_weight, split=True)
+    want = pairwise_contract(b1, b2, s1, s2, source_weight=source_weight)
+    scale = max(np.max(np.abs(v)) for v in want)
+    for g, w in zip(got, want):
+        assert np.shape(g) == np.shape(b1.Q)
+        assert np.max(np.abs(g - w)) <= 1e-12 * scale
+    return got
 
 
 def test_theta_contract_matches_finite_differences():
@@ -124,6 +175,53 @@ def test_theta_contract_symmetry_and_weights():
     assert_allclose(got, theta_contract(b1t, b2, s1, s2), rtol=1e-13)
 
 
+def test_theta_contract_matches_pairwise_oracle():
+    cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
+    geom = Geometry(gap=0.9, left=LOSSY, right=cutoff, z_field=0.23)
+    rng = np.random.default_rng(5)
+
+    # from-plate pairs: one source group each, with the +-qn source factor
+    # of either sign; Q as an array and as a scalar
+    for plate in ("L", "R"):
+        for w in (0.4, 2.7):
+            s1, s2 = -1j * w, 1j * w
+            for Q in (w * np.linspace(0.05, 3.0, 13), 0.8 * w):
+                b1 = green_gap_from_plate(geom, plate, s1, Q, +1)
+                b2 = green_gap_from_plate(geom, plate, s2, Q, -1)
+                for pol in ("TE", "TM"):
+                    got = assert_matches_pairwise(b1.filtered(pol), b2.filtered(pol),
+                                                  s1, s2)
+                    if np.ndim(Q) == 0:
+                        assert all(isinstance(v, complex) for v in got)
+
+    # plane-wave-weighted blocks: L, R and gap groups under a projector.
+    # Near s = 0 the pairwise sum itself loses digits to the 1/s^2 terms
+    # that cancel within the gap group, so the reference points stay at
+    # |s| ~ 1
+    k = np.array([0.7, 0.0, -1.1])
+    proj = transverse_projector(k)
+    for s1, s2 in ((0.3 - 0.9j, 0.2 + 1.4j), (-0.2 + 0.5j, 0.1 - 0.7j)):
+        b1 = ic_z_block(geom, s1, k[0], k[2], phase_sign=+1)
+        b2 = ic_z_block(geom, s2, k[0], k[2], phase_sign=-1)
+        for pol in ("TE", "TM"):
+            assert_matches_pairwise(b1.filtered(pol), b2.filtered(pol), s1, s2,
+                                    source_weight=proj)
+
+    # a block whose terms fall into two source groups
+    def vec():
+        return rng.normal(size=3) + 1j * rng.normal(size=3)
+
+    Q = 0.6
+    parts1 = [plane_wave_block(geom, vec(), vec(), 0.9 - 0.2j, 0.3 - 0.8j, +1, Q,
+                               plate="L", src_exp=e, z_ref=-0.45) for e in (0.4, 1.3)]
+    parts2 = [plane_wave_block(geom, vec(), vec(), 1.1 + 0.4j, -0.6 + 0.2j, -1, Q,
+                               plate="L", src_exp=e, z_ref=-0.45) for e in (0.7, 0.5)]
+    b1 = replace(parts1[0], terms=parts1[0].terms + parts1[1].terms)
+    b2 = replace(parts2[0], terms=parts2[0].terms + parts2[1].terms)
+    assert_matches_pairwise(b1, b2, 0.2 - 1.1j, -0.4 + 0.7j, source_weight=proj)
+
+
 def test_theta_contract_usage_errors():
     geom = Geometry(gap=1.0, left=LOSSY, right=LOSSY2)
     b1 = plane_wave_block(geom, np.ones(3), np.ones(3), 1.0, 0.1, +1, 0.7)
@@ -158,15 +256,18 @@ def test_transverse_projector_properties():
 # ---------------------------------------------------------------------------
 
 
-def test_bath_integrand_real_and_z_independent():
-    for z in (0.0, 0.31, -0.44):
-        geom = warm_geom(z_field=z)
-        for w, Q in ((0.7, 0.3), (0.7, 1.9), (2.3, 1.1), (2.3, 5.0)):
-            v = bath_integrand(geom, w, Q)
-            assert abs(v.imag) <= 1e-12 * max(abs(v.real), 1e-300)
-    ref = bath_integrand(warm_geom(z_field=0.0), 1.1, 0.6)
-    shifted = bath_integrand(warm_geom(z_field=0.37), 1.1, 0.6)
-    assert_allclose(shifted.real, ref.real, rtol=1e-12)
+def test_bath_channels_continuous_across_the_light_line():
+    # at Q = omega exactly q = 0, and the channels' |q|^2 factor and the
+    # cavity denominator D vanish together; the channel map takes their
+    # limit, not 0 * inf
+    geom = warm_geom()
+    for w in (0.3, 1.0, 2.7):
+        Qs = w * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+        ch = pr._bath_channels(geom, w, Qs)
+        for plate, pol in ((p, m) for p in ("L", "R") for m in ("TE", "TM")):
+            v = ch[(plate, pol, "propagating")] + ch[(plate, pol, "evanescent")]
+            assert np.all(np.isfinite(v)) and v[1] != 0.0
+            assert_allclose(v[[0, 2]], v[1], rtol=1e-5)
 
 
 def test_bath_integrand_vanishes_without_coupling_and_at_zero_frequency():
@@ -246,11 +347,14 @@ def symbolic_channels(geom, omega, Q):
     return out
 
 
-def test_closed_form_channels_match_symbolic_contraction():
-    # off-centre field point, one cutoff-bath plate, both sectors
+@pytest.mark.parametrize("z_field", [0.0, 0.23, -0.44])
+def test_closed_form_channels_match_symbolic_contraction(z_field):
+    # the closed form never reads the field height; the symbolic side does,
+    # term by term, so agreement at three heights (centred and off-centre)
+    # shows the stress is z-independent.  One cutoff-bath plate, both sectors
     cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
                       bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
-    geom = Geometry(gap=0.9, left=warm_geom().left, right=cutoff, z_field=0.23)
+    geom = Geometry(gap=0.9, left=warm_geom().left, right=cutoff, z_field=z_field)
     rng = np.random.default_rng(17)
     for _ in range(80):
         w = float(rng.uniform(0.05, 8.0))
@@ -471,10 +575,15 @@ def test_ic_integrand_occupation_weight():
 
 @settings(max_examples=20, deadline=None)
 @given(w=st.floats(0.05, 8.0), x=st.floats(0.0, 3.0))
-def test_integrand_reality_property(w, x):
-    geom = warm_geom()
-    v = bath_integrand(geom, w, x * w)
-    assert abs(v.imag) <= 1e-10 * max(abs(v.real), 1e-300)
+def test_mirror_swap_property(w, x):
+    # mirroring the cavity exchanges the two dissimilar plates' channels
+    geom = warm_geom(z_field=0.21)
+    a = pr._bath_channels(geom, w, x * w)
+    b = pr._bath_channels(geom.swapped(), w, x * w)
+    scale = max(abs(float(v)) for v in a.values())
+    for (plate, pol, sector), v in a.items():
+        other = ("R" if plate == "L" else "L", pol, sector)
+        assert abs(float(v) - float(b[other])) <= 1e-13 * scale
 
 
 @settings(max_examples=15, deadline=None)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from neqlifshitz import pressure, spectral
 from neqlifshitz.em_green import Geometry
 from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
@@ -440,3 +441,56 @@ def test_ic_origin_taxonomy():
     assert rep["total"]["switch_on"]["strength"] < 1e-3
     assert rep["steady_after_discard"] == 0.0
     assert json.dumps(rep)
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _spy_torus_tables(monkeypatch):
+    seen = []
+    original = spectral._torus_tables
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        seen.append(out)
+        return out
+
+    monkeypatch.setattr(spectral, "_torus_tables", spy)
+    return seen
+
+
+def test_origin_reports_build_each_block_once_per_point(monkeypatch):
+    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per phase:
+    # 32 ring points, the probe and 12 torus points
+    geom = warm_geom(z_field=0.13)
+    Q = 0.7
+    k = np.array([0.4, 0.3, 1.1])
+
+    ic_calls = _count_calls(monkeypatch, pressure, "ic_z_block")
+    tables = _spy_torus_tables(monkeypatch)
+    ic_origin_report(geom, k)
+    assert 0 < len(ic_calls) <= 90
+    (ring, tabs), = tables
+    for a, b in ((0, 0), (3, 7), (11, 5)):
+        _, want = pressure.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
+        for key, tab in tabs.items():
+            assert_allclose(tab[a, b], want[key], rtol=1e-12)
+
+    dof_calls = _count_calls(monkeypatch, pressure, "green_gap_from_plate")
+    tables.clear()
+    dof_origin_report(geom, Q)
+    assert 0 < len(dof_calls) <= 180
+    (ring, tabs), = tables
+    for a, b in ((0, 0), (2, 9), (10, 4)):
+        _, want = pressure.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
+        for key, tab in tabs.items():
+            assert_allclose(tab[a, b], want[key], rtol=1e-12)
