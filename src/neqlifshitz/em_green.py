@@ -126,7 +126,12 @@ def qz(eps, s, Q):
 
 
 def _s_eff(s):
-    """The common retarded evaluation point used inside every block."""
+    """The common retarded evaluation point used inside every block.
+
+    Elementwise for an array of Laplace points.
+    """
+    if np.ndim(s):
+        return s + ETA_REL * np.maximum(np.abs(s), 1.0)
     return s + ETA_REL * max(abs(s), 1.0)
 
 
@@ -184,13 +189,16 @@ def _fresnel_coeffs(eps, q, qn, s):
     """`fresnel` from a plate's permittivity and the two z-wavenumbers.
 
     For callers that need eps and qn themselves as well; raises the same
-    SingularityError when a denominator vanishes.
+    SingularityError when a denominator vanishes (s may be an array of
+    Laplace points broadcast against q; the error names the first bad one).
     """
     den_te = q + qn
     den_tm = eps * q + qn
     scale = np.abs(q) + np.abs(qn)
-    if np.any(np.abs(den_te) <= 1e-14 * scale) or np.any(np.abs(den_tm) <= 1e-14 * scale):
-        raise SingularityError(f"Fresnel denominator vanishes at s={s}", point=s)
+    bad = (np.abs(den_te) <= 1e-14 * scale) | (np.abs(den_tm) <= 1e-14 * scale)
+    if np.any(bad):
+        pt = np.broadcast_to(s, np.shape(bad))[bad].flat[0] if np.ndim(s) else s
+        raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
     r_te = (q - qn) / den_te
     r_tm = (eps * q - qn) / den_tm
     t_te = 2.0 * qn / den_te
@@ -198,11 +206,24 @@ def _fresnel_coeffs(eps, q, qn, s):
     return r_te, r_tm, t_te, t_tm
 
 
-def dmu(geom, s, Q, pol):
-    """Multiple-reflection denominator D_mu = 1 - r1 r2 exp(-2 q_z l)."""
+def _plate_fresnel(geom, s, Q, _fresnel=None):
+    """(fresnel(left), fresnel(right)) at (s, Q), or the pair a caller
+    already computed for this same (geom, s, Q)."""
+    if _fresnel is not None:
+        return _fresnel
+    return fresnel(geom.left, s, Q), fresnel(geom.right, s, Q)
+
+
+def dmu(geom, s, Q, pol, _fresnel=None):
+    """Multiple-reflection denominator D_mu = 1 - r1 r2 exp(-2 q_z l).
+
+    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
+    (s, Q), for block builders that already hold it.
+    """
     i = 0 if pol == "TE" else 1
-    r1 = fresnel(geom.left, s, Q)[i]
-    r2 = fresnel(geom.right, s, Q)[i]
+    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
+    r1 = f_left[i]
+    r2 = f_right[i]
     q = np.asarray(qz(1.0, s, Q))
     return 1.0 - r1 * r2 * np.exp(-2.0 * q * geom.gap)
 
@@ -336,13 +357,13 @@ def _gap_source_vecs(side, s, Q, qv, updown):
     return te, tm
 
 
-def _emission_parts(geom, plate, s, Q, phase_sign):
+def _emission_parts(geom, plate, s, Q, phase_sign, _fresnel=None):
     """Shared geometry/Fresnel data of the gap-from-plate blocks."""
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(qz(1.0, s, Q))
     side = geom.side(plate)
-    f_own = fresnel(side, s, Q)
-    f_other = fresnel(geom.side("R" if plate == "L" else "L"), s, Q)
+    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
+    f_own, f_other = (f_left, f_right) if plate == "L" else (f_right, f_left)
     eps = plate_eps(side, s)
     qn = np.asarray(qz(eps, s, Q))
     qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
@@ -394,7 +415,7 @@ def _emission_terms(geom, plate, p):
     return tuple(terms)
 
 
-def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1):
+def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     """Green block: field point in the gap, source point inside one plate.
 
     Two terms per polarization: the transmitted wave runs straight to the
@@ -406,19 +427,23 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1):
     These blocks feed the transient integrands and the plate-source
     integrals; the steady pressure uses the closed form they contract to
     (see the pressure module), and the tests check one against the other.
+    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
+    (s, Q), for builders that already hold it.
     """
-    p = _emission_parts(geom, plate, s, Q, phase_sign)
+    p = _emission_parts(geom, plate, s, Q, phase_sign, _fresnel)
     terms = _emission_terms(geom, plate, p)
     return GreenBlock(terms=terms, s=complex(s), Q=p["Q"], qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
 
 
-def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):
+def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1, _fresnel=None):
     """Green block: both points in the gap (bulk + scattered pieces).
 
     Bulk: the free two-sided decay plus the symbolic
     -zz*delta(z-z')/s^2 term (flagged, never evaluated).  Scattered: the
     four once-or-more reflected paths, each resummed by 1/D_mu.
+    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
+    (s, Q), for builders that already hold it.
     """
     Q = np.asarray(Q, dtype=float)
     l = geom.gap
@@ -426,9 +451,11 @@ def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):
         raise DomainError(f"source height {z_src} outside the gap")
     q = np.asarray(qz(1.0, s, Q))
     qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
-    r1 = fresnel(geom.left, s, Q)[:2]
-    r2 = fresnel(geom.right, s, Q)[:2]
-    d = {"TE": dmu(geom, s, Q, "TE"), "TM": dmu(geom, s, Q, "TM")}
+    pair = _plate_fresnel(geom, s, Q, _fresnel)
+    r1 = pair[0][:2]
+    r2 = pair[1][:2]
+    d = {"TE": dmu(geom, s, Q, "TE", _fresnel=pair),
+         "TM": dmu(geom, s, Q, "TM", _fresnel=pair)}
     pref = -1.0 / (2.0 * q)
 
     terms = []
@@ -560,17 +587,22 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     closed-form gap/plate denominators folded into the scalars.  The
     sign of the exponent kz follows phase_sign so that the partner block
     of a pressure contraction is obtained with phase_sign = -1.
+
+    The two plates' Fresnel coefficients are evaluated once per build and
+    shared by every sub-block.
     """
     Q = np.asarray(Q, dtype=float)
     kz_eff = phase_sign * kz
     l = geom.gap
     q = np.asarray(qz(1.0, s, Q))
     qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
+    pair = _plate_fresnel(geom, s, Q)
 
     terms = []
     # --- source in the plates: boundary value / (qn -+ i kz)
     for plate, sgn in (("L", +1), ("R", -1)):
-        blk = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign)
+        blk = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign,
+                                   _fresnel=pair)
         qn = np.asarray(qz(plate_eps(geom.side(plate), s), s, Q))
         den = qn + sgn * 1j * kz_eff
         if np.any(np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))):
@@ -614,7 +646,8 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                            exp_z=1j * kz_eff + 0.0 * q))
 
     # --- source in the gap: scattered pieces, entire functions of kz
-    sc = green_gap_bulk_scattered(geom, s, Q, z_src=0.0, phase_sign=phase_sign)
+    sc = green_gap_bulk_scattered(geom, s, Q, z_src=0.0, phase_sign=phase_sign,
+                                  _fresnel=pair)
     f_up = _finite_exp_integral(+q + 1j * kz_eff, l)    # src_exp = +q terms
     f_dn = _finite_exp_integral(-q + 1j * kz_eff, l)    # src_exp = -q terms
     for t in sc.terms:

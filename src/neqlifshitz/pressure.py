@@ -13,6 +13,16 @@ and evanescent (Q > omega) sectors, with an optional subtraction of the
 detached-plates (l -> infinity) baseline so the distance-dependent part is
 integrated without the large l-independent radiation terms.
 
+The inner Q integrals of the frequency nodes of one outer round run in
+lockstep, up to ``_OMEGA_GROUP`` frequencies at a time: both sectors of
+every frequency are independent segments of one adaptive rule, and each
+round evaluates all panels being split with one integrand call per chunk
+of ``_PANEL_CHUNK`` panels, so memory stays bounded however many panels
+a round holds.  Each segment keeps its own error test, panel budget and
+ConvergenceError; its absolute floor is ``_INNER_FLOOR * rel_tol`` times
+the largest inner integral among the frequencies already finished and the
+running estimates of its own lockstep call.
+
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
 power.  Negative values mean attraction.
@@ -242,42 +252,42 @@ def _emission_weight(side, omega, use_fdr=True, thermal_only=False):
     rebuilds the same number from the bath noise kernel and the oscillator
     response (only available for Material plates).  ``thermal_only``
     replaces coth by coth - 1 (pure occupation part, vanishing at T = 0).
+    Elementwise for an array of frequencies (a float for a scalar one);
+    omega = 0 carries no emission.
     """
-    w = float(omega)
-    if w == 0.0:
-        return 0.0
-    beta = side.beta_bath
-    if isinstance(side, EpsilonTable):
-        if not use_fdr:
-            raise DomainError("tabulated plates only support the permittivity path")
-        im_eps = complex(side.eps_fourier(w)).imag
-    else:
-        if not use_fdr:
-            if side.lambda0 == 0.0:
-                return 0.0
-            imd = float(np.imag(bath_dissipation_fourier(side.bath, w)))
-            occ = _coth(0.5 * beta * w) if math.isfinite(beta) else 1.0
-            if thermal_only:
-                occ -= 1.0
+    if isinstance(side, EpsilonTable) and not use_fdr:
+        raise DomainError("tabulated plates only support the permittivity path")
+    w = np.asarray(omega, dtype=float)
+    out = np.zeros(w.shape)
+    live = w != 0.0
+    if live.any():
+        w = w[live]
+        beta = side.beta_bath
+        occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
+        if thermal_only:
+            occ = occ - 1.0
+        if use_fdr:
+            out[live] = w * w * occ * np.imag(permittivity_fourier(side, w))
+        elif side.lambda0 != 0.0:
+            imd = np.imag(bath_dissipation_fourier(side.bath, w))
             sround = _fourier_s(side, w)
-            gg = float(np.real(qbm_green(side, sround) * qbm_green(side, np.conj(sround))))
-            return 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
-        im_eps = float(np.imag(permittivity_fourier(side, w)))
-    if im_eps == 0.0:
-        return 0.0
-    occ = _coth(0.5 * beta * w) if math.isfinite(beta) else 1.0
-    if thermal_only:
-        occ -= 1.0
-    return w * w * occ * im_eps
+            gg = np.real(qbm_green(side, sround) * qbm_green(side, np.conj(sround)))
+            out[live] = 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
+    return float(out) if out.ndim == 0 else out
 
 
 def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False):
-    """Per-channel bath integrand at one frequency and a batch of Q.
+    """Per-channel bath integrand on a batch of (omega, Q) points.
 
-    Returns a dict over BREAKDOWN_KEYS of real arrays shaped like Q.  The
-    values include the full measure (the Q of Q dQ and ``_MEASURE``), so the
-    pressure is the plain (omega, Q) double integral of their sum over
-    channels.
+    omega is one frequency or an array of them broadcast against Q (the
+    inner Q integrals of many frequencies run through one call).  Returns
+    a dict over BREAKDOWN_KEYS of real arrays of the broadcast shape.  The
+    values include the full measure (the Q of Q dQ and ``_MEASURE``), so
+    the pressure is the plain (omega, Q) double integral of their sum over
+    channels.  Factors of omega alone (each plate's permittivity and
+    emission weight, |s_eff|^2) are evaluated once per distinct frequency
+    of the call and gathered per point; points at omega = 0 carry no
+    emission and read 0.
 
     Each channel is the closed-form zz stress of the field that plate a
     emits into the gap in one polarization, reflected by the partner plate
@@ -307,35 +317,41 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     """
     if kernel not in ("full", "baseline", "difference"):
         raise DomainError(f"unknown kernel {kernel!r}")
-    Q = np.asarray(Q, dtype=float)
+    w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
+                               np.asarray(Q, dtype=float))
     out = {k: np.zeros(Q.shape) for k in BREAKDOWN_KEYS}
-    w0 = float(omega)
-    if w0 == 0.0:
+    live = w != 0.0
+    if not live.any():
         return out
-    s = -1j * w0
-    prop = Q < w0
-    q = np.asarray(qz(1.0, s, Q))
+    w, Q = w[live], Q[live]
+    w_u, at = np.unique(w, return_inverse=True)     # distinct frequencies
+    s_u = -1j * w_u
+    s = s_u[at]
+    prop = Q < w
+    q = qz(1.0, s, Q)
     q2 = np.abs(q) ** 2
     light = q == 0.0    # Q = omega: |q|^2 and D vanish together
     on_light = bool(light.any())
     trip = np.exp(-2.0 * q * geom.gap)
-    media = {}      # plate -> (eps, qn), each evaluated once per batch
+    media = {}      # plate -> (eps, qn), eps evaluated once per frequency
     coeffs = {}
     for p in _PLATES:
-        eps = plate_eps(geom.side(p), s)
-        qn = np.asarray(qz(eps, s, Q))
+        eps = np.asarray(plate_eps(geom.side(p), s_u))[at]
+        qn = qz(eps, s, Q)
         media[p] = (eps, qn)
         coeffs[p] = _fresnel_coeffs(eps, q, qn, s)
-    s_eff2 = abs(_s_eff(s)) ** 2
+    s_eff2 = (np.abs(_s_eff(s_u)) ** 2)[at]
 
     for a, b in (("L", "R"), ("R", "L")):
-        weight = _emission_weight(geom.side(a), w0, use_fdr=use_fdr,
-                                  thermal_only=thermal_only)
-        if weight == 0.0:
+        weight = _emission_weight(geom.side(a), w_u, use_fdr=use_fdr,
+                                  thermal_only=thermal_only)[at]
+        emit = weight != 0.0    # pref = 0 there, also where Re qn = 0
+        if not emit.any():
             continue
         eps, qn = media[a]
         qn2 = np.abs(qn) ** 2
-        pref = PRESSURE_SIGN * _MEASURE * weight * Q / (8.0 * qn.real * qn2)
+        pref = PRESSURE_SIGN * _MEASURE * weight * Q \
+            / np.where(emit, 8.0 * qn.real * qn2, 1.0)
         src = {"TE": np.abs(coeffs[a][2]) ** 2,
                "TM": 4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2)}
         for i, pol in enumerate(_POLS):
@@ -346,12 +362,13 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
             prop_cavity = cavity
             if kernel != "full":
                 lock = 1.0 - np.abs(ra * rb) ** 2
-                if np.any(prop & (np.abs(lock) < 1e-13)):
+                trapped = prop & emit & (np.abs(lock) < 1e-13)
+                if np.any(trapped):
                     raise SingularityError("detached-plates cavity weight hits a trapped "
-                                           "lossless mode", point=s)
+                                           "lossless mode", point=s[trapped][0])
                 locked = 1.0 / np.where(prop, lock, 1.0)
                 prop_cavity = locked if kernel == "baseline" else cavity - locked
-            out[(a, pol, "propagating")] = np.where(
+            out[(a, pol, "propagating")][live] = np.where(
                 prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
             if kernel != "baseline":
                 evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
@@ -360,12 +377,12 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
                     n_a, n_b = (qn, qn_b) if pol == "TE" else (qn / eps, qn_b / eps_b)
                     lim = pref * src[pol] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
                     evan = np.where(light, lim, evan)
-                out[(a, pol, "evanescent")] = evan
+                out[(a, pol, "evanescent")][live] = evan
     return out
 
 
 def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
-    """Steady bath-pressure integrand at one (omega, Q) point (or Q batch).
+    """Steady bath-pressure integrand at one (omega, Q) point (or a batch).
 
     The sum over plates, polarizations and sectors of the channel map; real
     by construction.  ``use_fdr=False`` switches every Material plate to the
@@ -374,9 +391,7 @@ def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
     """
     ch = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr)
     total = sum(ch.values())
-    if np.ndim(Q) == 0:
-        return float(total)
-    return total
+    return float(total) if total.ndim == 0 else total
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +444,22 @@ _GK_WG[1::2] = [
 ]
 
 
-def _eval_panels(f, lo, hi):
+#: Panels per integrand call in `_eval_panels` (15 nodes each).
+_PANEL_CHUNK = 256
+
+#: Most frequencies whose inner Q integrals run in one lockstep call.
+_OMEGA_GROUP = 60
+
+
+def _eval_panels(f, lo, hi, seg):
     """Evaluate a channel-valued integrand on a batch of panels.
 
-    f maps a flat node array to a dict of equal-shape arrays; keys starting
-    with "_" ride along (integrated) but do not drive the error estimate.
-    Returns (per-panel channel integrals, per-panel error estimates).
+    f maps (flat node array, segment index of each node) to a dict of
+    equal-shape arrays; keys starting with "_" ride along (integrated) but
+    do not drive the error estimate.  The panels go to f in chunks of
+    ``_PANEL_CHUNK``, each reduced to its per-panel integrals and errors
+    before the next, so memory does not grow with the batch.  Returns
+    (per-panel channel integrals, per-panel error estimates).
 
     The error estimate is the QUADPACK rescaling of |K15 - G7|: a panel
     whose nodes show large variation about the mean (resasc) is never
@@ -443,79 +468,123 @@ def _eval_panels(f, lo, hi):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = (mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()
-    vals = f(xs)
+    n = len(lo)
     ints = {}
-    total = 0.0
-    for key, v in vals.items():
-        v = np.asarray(v).reshape(len(lo), 15)
-        ints[key] = (v * _GK_WK).sum(axis=1) * half
-        if not (isinstance(key, str) and key.startswith("_")):
-            total = total + v
-    k15 = (total * _GK_WK).sum(axis=1) * half
-    g7 = (total * _GK_WG).sum(axis=1) * half
-    raw = np.abs(k15 - g7)
-    mean = k15 / (2.0 * half)
-    resasc = (np.abs(total - mean[:, None]) * _GK_WK).sum(axis=1) * half
-    resabs = (np.abs(total) * _GK_WK).sum(axis=1) * half
-    safe = np.maximum(resasc, 1e-300)
-    err = np.where((resasc > 0.0) & (raw > 0.0),
-                   resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
-                   raw)
-    err = np.maximum(err, 50.0 * np.finfo(float).eps * resabs)
+    err = np.empty(n)
+    for c in range(0, n, _PANEL_CHUNK):
+        part = slice(c, min(c + _PANEL_CHUNK, n))
+        m = part.stop - part.start
+        mid = 0.5 * (lo[part] + hi[part])
+        half = 0.5 * (hi[part] - lo[part])
+        xs = (mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()
+        vals = f(xs, np.repeat(seg[part], 15))
+        total = 0.0
+        for key, v in vals.items():
+            v = np.asarray(v).reshape(m, 15)
+            if key not in ints:
+                ints[key] = np.empty(n)
+            ints[key][part] = (v * _GK_WK).sum(axis=1) * half
+            if not (isinstance(key, str) and key.startswith("_")):
+                total = total + v
+        k15 = (total * _GK_WK).sum(axis=1) * half
+        g7 = (total * _GK_WG).sum(axis=1) * half
+        raw = np.abs(k15 - g7)
+        mean = k15 / (2.0 * half)
+        resasc = (np.abs(total - mean[:, None]) * _GK_WK).sum(axis=1) * half
+        resabs = (np.abs(total) * _GK_WK).sum(axis=1) * half
+        safe = np.maximum(resasc, 1e-300)
+        e = np.where((resasc > 0.0) & (raw > 0.0),
+                     resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
+                     raw)
+        err[part] = np.maximum(e, 50.0 * np.finfo(float).eps * resabs)
     return ints, err
 
 
-def _adaptive_gk(f, edges, rel_tol, abs_floor=0.0, max_panels=1024, label="integral"):
-    """Globally adaptive vectorized Gauss-Kronrod over seeded panels.
+def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels):
+    """Globally adaptive vectorized Gauss-Kronrod over independent segments.
 
-    Splits the worst panels (in batches) until the summed K15-G7 error
-    estimate of the main channels drops below
-    rel_tol * max(|total|, abs_floor).  Raises ConvergenceError with the
-    worst subinterval when the panel budget runs out.
+    Each segment is one integral, given by its seed panel edges and named
+    by its entry in ``labels``; f(x, seg) evaluates the integrand at nodes
+    x of segments seg.  The segments run in lockstep: every round
+    evaluates the panels being split in all segments with one
+    `_eval_panels` call (which feeds f fixed-size chunks, so memory stays
+    bounded), but each segment follows the QUADPACK K15/G7 rule
+    (Piessens et al., 1983) exactly as if it ran alone:
+
+    * it has converged, for good, once its summed error estimate is at most
+      rel_tol * max(|I_j|, floor), I_j its summed main channels;
+    * otherwise it splits its worst 32 panels whose error exceeds
+      room = rel_tol * max(|I_j|, floor) / (2 * its panel count), or its
+      worst panel when none does;
+    * it raises ConvergenceError, naming its label and worst subinterval,
+      when it reaches ``max_panels`` panels unconverged.
+
+    ``abs_floor`` is a number or a callable mapping the current per-segment
+    totals I to the floor (the inner Q integrals use the latter, see
+    `_inner_q_integral`).  A single integral, such as the outer frequency
+    integral or a tail slice, is the one-segment case.
+    Returns ({channel: per-segment totals}, per-segment error estimates).
     """
-    edges = sorted({float(e) for e in edges})
-    if len(edges) < 2:
-        raise DomainError(f"{label}: need at least two panel edges")
-    lo = np.array(edges[:-1])
-    hi = np.array(edges[1:])
-    ch, err = _eval_panels(f, lo, hi)
+    nseg = len(segments)
+    lo, hi, seg = [], [], []
+    for j, edges in enumerate(segments):
+        edges = sorted({float(e) for e in edges})
+        if len(edges) < 2:
+            raise DomainError(f"{labels[j]}: need at least two panel edges")
+        lo += edges[:-1]
+        hi += edges[1:]
+        seg += [j] * (len(edges) - 1)
+    lo, hi, seg = np.array(lo), np.array(hi), np.array(seg, dtype=np.intp)
+    ch, err = _eval_panels(f, lo, hi, seg)
+    done = np.zeros(nseg, dtype=bool)
     while True:
         total = 0.0
         for key, v in ch.items():
             if not (isinstance(key, str) and key.startswith("_")):
-                total = total + v.sum()
-        scale = max(abs(total), abs_floor)
-        bad = err.sum()
-        if bad <= rel_tol * scale:
+                total = total + v
+        sums = np.bincount(seg, weights=total, minlength=nseg)
+        bad = np.bincount(seg, weights=err, minlength=nseg)
+        floor = abs_floor(sums) if callable(abs_floor) else abs_floor
+        target = rel_tol * np.maximum(np.abs(sums), floor)
+        done |= bad <= target
+        if done.all():
             break
-        if len(lo) >= max_panels:
-            i = int(np.argmax(err))
+        count = np.bincount(seg, minlength=nseg)
+        stuck = ~done & (count >= max_panels)
+        if stuck.any():
+            j = int(np.argmax(stuck))
+            mine = np.flatnonzero(seg == j)
+            i = mine[np.argmax(err[mine])]
             raise ConvergenceError(
-                f"{label} did not converge: {len(lo)} panels, residual {bad:.3e} "
-                f"vs target {rel_tol * scale:.3e}; worst subinterval "
+                f"{labels[j]} did not converge: {count[j]} panels, residual "
+                f"{bad[j]:.3e} vs target {target[j]:.3e}; worst subinterval "
                 f"[{lo[i]:.6g}, {hi[i]:.6g}] with error {err[i]:.3e}")
-        # split every panel still carrying a meaningful share of the budget
-        room = rel_tol * scale / (2.0 * len(lo))
-        order = np.argsort(err)[::-1]
-        pick = [i for i in order[:32] if err[i] > room]
-        if not pick:
-            pick = [int(order[0])]
-        pick = np.array(pick, dtype=int)
+        # per open segment, split every panel still carrying a meaningful
+        # share of its budget: rank its panels by error, worst first
+        room = target / (2.0 * count)
+        open_ = np.flatnonzero(~done[seg])
+        order = open_[np.lexsort((-err[open_], seg[open_]))]
+        owner = seg[order]
+        rank = np.arange(len(order)) - np.searchsorted(owner, owner)
+        pick = (rank < 32) & (err[order] > room[owner])
+        lone = np.ones(nseg, dtype=bool)
+        lone[owner[pick]] = False
+        pick |= (rank == 0) & lone[owner]
+        pick = order[pick]
         mids = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
-        nch, nerr = _eval_panels(f, new_lo, new_hi)
+        new_seg = np.concatenate([seg[pick], seg[pick]])
+        nch, nerr = _eval_panels(f, new_lo, new_hi, new_seg)
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
+        seg = np.concatenate([seg[keep], new_seg])
         err = np.concatenate([err[keep], nerr])
         ch = {k: np.concatenate([v[keep], nch[k]]) for k, v in ch.items()}
-    totals = {k: float(v.sum()) for k, v in ch.items()}
-    return totals, float(err.sum())
+    totals = {k: np.bincount(seg, weights=v, minlength=nseg) for k, v in ch.items()}
+    return totals, bad
 
 
 # ---------------------------------------------------------------------------
@@ -604,57 +673,80 @@ def _inner_q_edges_prop(geom, omega):
     return sorted(marks)
 
 
-def _inner_q_integral(geom, omega, kernel, use_fdr, thermal_only, rel_tol,
-                      abs_floor):
-    """Q-integral of the channel map at fixed omega.
+def _inner_q_edges_evan(geom, omega):
+    """Seed edges of the evanescent sector in its decay variable t in [0, 1)."""
+    l = geom.gap
+    scale = max(omega, 0.5 / l)
+    q_cap = 320.0 / l
+    marks = {0.0, q_cap / (scale + q_cap)}
+    for q in (0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l, omega, 2 * omega):
+        if 0.0 < q < q_cap:
+            marks.add(q / (scale + q))
+    return sorted(marks)
+
+
+#: The inner integrals' absolute floor is this fraction of rel_tol times
+#: the largest inner integral seen so far.
+_INNER_FLOOR = 1e-3
+
+
+def _inner_q_integral(geom, omegas, kernel, use_fdr, thermal_only, rel_tol,
+                      floor_scale):
+    """Q-integrals of the channel map at an array of frequencies, in lockstep.
 
     Propagating sector via Q = omega sin(theta) (removes the edge cusp),
     evanescent tail via the decay variable q = sqrt(Q^2 - omega^2) mapped
-    to t in [0, 1) with scale max(omega, 1/(2 l)).
+    to t in [0, 1) with scale max(omega, 1/(2 l)).  Both sectors of every
+    frequency are independent segments of one `_adaptive_gk` call, so each
+    round evaluates every panel still being split with one integrand call
+    per chunk, while each sector keeps its own error test, panel budget and
+    ConvergenceError.  The absolute floor of every segment is
+    ``_INNER_FLOOR * rel_tol`` times the largest |inner integral| among
+    ``floor_scale`` (that of the frequencies already finished) and the
+    running estimates of this call, so it does not depend on the order in
+    which the frequencies of one call are listed.
+
+    Returns ({channel: per-frequency integrals}, per-frequency errors).
     """
-    l = geom.gap
-    totals = {k: 0.0 for k in BREAKDOWN_KEYS}
-    err = 0.0
-
-    if omega > 0.0:
-        def f_prop(thetas):
-            Qs = omega * np.sin(thetas)
-            jac = omega * np.cos(thetas)
-            ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
-                                thermal_only=thermal_only)
-            return {k: v * jac for k, v in ch.items()}
-
-        got, e = _adaptive_gk(f_prop, _inner_q_edges_prop(geom, omega),
-                              rel_tol, abs_floor=abs_floor, max_panels=512,
-                              label=f"propagating Q integral at omega={omega:.4g}")
-        for k in BREAKDOWN_KEYS:
-            totals[k] += got[k]
-        err += e
-
+    omegas = np.asarray(omegas, dtype=float)
+    n = len(omegas)
+    todo = [("propagating", i, w) for i, w in enumerate(omegas.tolist()) if w > 0.0]
     if kernel != "baseline":
-        scale = max(omega, 0.5 / l)
-        q_cap = 320.0 / l
-        t_cap = q_cap / (scale + q_cap)
-        marks = {0.0, t_cap}
-        for q in (0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l, omega, 2 * omega):
-            if 0.0 < q < q_cap:
-                marks.add(q / (scale + q))
+        todo += [("evanescent", i, w) for i, w in enumerate(omegas.tolist())]
+    if not todo:
+        return {k: np.zeros(n) for k in BREAKDOWN_KEYS}, np.zeros(n)
+    segments = [(_inner_q_edges_prop if sector == "propagating" else _inner_q_edges_evan)
+                (geom, w) for sector, _, w in todo]
+    labels = [f"{sector} Q integral at omega={w:.4g}" for sector, _, w in todo]
+    owner = np.array([i for _, i, _ in todo], dtype=np.intp)
+    evan = np.array([sector == "evanescent" for sector, _, _ in todo])
+    w_seg = omegas[owner]
+    decay = np.maximum(w_seg, 0.5 / geom.gap)
 
-        def f_evan(ts):
-            qs = scale * ts / (1.0 - ts)
-            Qs = np.hypot(omega, qs)
-            jac = (qs / np.maximum(Qs, 1e-300)) * scale / (1.0 - ts) ** 2
-            ch = _bath_channels(geom, omega, Qs, kernel=kernel, use_fdr=use_fdr,
-                                thermal_only=thermal_only)
-            return {k: v * jac for k, v in ch.items()}
+    def f(x, seg):
+        w = w_seg[seg]
+        ev = evan[seg]
+        Qs = w * np.sin(x)
+        jac = w * np.cos(x)
+        if ev.any():
+            sc, ts = decay[seg[ev]], x[ev]
+            qs = sc * ts / (1.0 - ts)
+            Qe = np.hypot(w[ev], qs)
+            Qs[ev] = Qe
+            jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
+        ch = _bath_channels(geom, w, Qs, kernel=kernel, use_fdr=use_fdr,
+                            thermal_only=thermal_only)
+        return {k: v * jac for k, v in ch.items()}
 
-        got, e = _adaptive_gk(f_evan, sorted(marks), rel_tol,
-                              abs_floor=abs_floor, max_panels=512,
-                              label=f"evanescent Q integral at omega={omega:.4g}")
-        for k in BREAKDOWN_KEYS:
-            totals[k] += got[k]
-        err += e
-    return totals, err
+    def floor(totals):
+        running = np.abs(np.bincount(owner, weights=totals, minlength=n)).max()
+        return _INNER_FLOOR * rel_tol * max(floor_scale, running)
+
+    got, err = _adaptive_gk(f, segments, rel_tol, abs_floor=floor,
+                            max_panels=512, labels=labels)
+    totals = {k: np.bincount(owner, weights=got[k], minlength=n)
+              for k in BREAKDOWN_KEYS}
+    return totals, np.bincount(owner, weights=err, minlength=n)
 
 
 def _surface_band_marks(side, omega_max):
@@ -708,31 +800,42 @@ def _omega_edges(geom, omega_max):
 
 
 def _steady(geom, opts, kernel):
+    """Outer frequency integral of the inner Q integrals, plus the tail.
+
+    The outer rule runs at rel_tol/2 (a one-segment `_adaptive_gk`); its
+    integrand hands the frequency nodes of each round, ``_OMEGA_GROUP`` at a
+    time, to `_inner_q_integral`, which runs their Q integrals in lockstep
+    at rel_tol/4 with the floor described there, fed by the largest inner
+    integral finished so far.  The inner error estimates ride along as the
+    "_inner" channel and enter ``err``.
+    """
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")
     omega_max = opts.omega_max if opts.omega_max is not None else _auto_omega_max(geom)
     inner_tol = opts.rel_tol / 4.0
-    state = {"scale": 0.0}
+    state = {"scale": 0.0}      # largest |inner integral| finished so far
 
-    def f_out(ws):
-        out = {k: np.zeros(ws.shape) for k in BREAKDOWN_KEYS}
-        out["_inner"] = np.zeros(ws.shape)
-        for i, w in enumerate(np.asarray(ws, dtype=float)):
-            floor = 1e-3 * inner_tol * state["scale"]
-            ch, e = _inner_q_integral(geom, float(w), kernel, True,
-                                      opts.thermal_only, inner_tol, floor)
-            mag = abs(sum(ch.values()))
-            state["scale"] = max(state["scale"], mag)
+    def f_out(ws, seg):
+        out = {k: np.empty(ws.shape) for k in BREAKDOWN_KEYS}
+        out["_inner"] = np.empty(ws.shape)
+        for c in range(0, len(ws), _OMEGA_GROUP):
+            group = slice(c, c + _OMEGA_GROUP)
+            ch, e = _inner_q_integral(geom, ws[group], kernel, True,
+                                      opts.thermal_only, inner_tol, state["scale"])
+            mag = np.abs(sum(ch[k] for k in BREAKDOWN_KEYS))
+            state["scale"] = max(state["scale"], float(mag.max()))
             for k in BREAKDOWN_KEYS:
-                out[k][i] = ch[k]
-            out["_inner"][i] = e
+                out[k][group] = ch[k]
+            out["_inner"][group] = e
         return out
 
-    totals, outer_err = _adaptive_gk(
-        f_out, _omega_edges(geom, omega_max), opts.rel_tol / 2.0,
-        abs_floor=1e-14 / geom.gap ** 4, max_panels=1024,
-        label="frequency integral")
+    floor = 1e-14 / geom.gap ** 4
+    got, outer_err = _adaptive_gk(
+        f_out, [_omega_edges(geom, omega_max)], opts.rel_tol / 2.0,
+        abs_floor=floor, max_panels=1024, labels=["frequency integral"])
+    totals = {k: float(v[0]) for k, v in got.items()}
+    outer_err = float(outer_err[0])
 
     table_cap = math.inf
     for side in (geom.left, geom.right):
@@ -750,11 +853,11 @@ def _steady(geom, opts, kernel):
         slices = []
         for j in (0, 1):
             sl, e = _adaptive_gk(
-                f_out, [omega_max + j * half, omega_max + (j + 1) * half],
-                opts.rel_tol / 2.0, abs_floor=1e-14 / geom.gap ** 4,
-                max_panels=64, label="frequency tail slice")
-            outer_err += e
-            slices.append(sl)
+                f_out, [[omega_max + j * half, omega_max + (j + 1) * half]],
+                opts.rel_tol / 2.0, abs_floor=floor, max_panels=64,
+                labels=["frequency tail slice"])
+            outer_err += float(e[0])
+            slices.append({k: float(v[0]) for k, v in sl.items()})
         for k in list(totals):
             totals[k] = totals[k] + 0.75 * slices[0][k] + 0.25 * slices[1][k]
         resid = sum(slices[0][k] + slices[1][k] for k in BREAKDOWN_KEYS)

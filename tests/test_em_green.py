@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from neqlifshitz import em_green
 from neqlifshitz.em_green import (
     XHAT,
     ZHAT,
@@ -351,6 +352,36 @@ def test_ic_conjugation():
     a = ic_z_block(geom, np.conj(s), Q, kz, phase_sign=+1).evaluate(geom.z_field)
     b = ic_z_block(geom, s, Q, kz, phase_sign=-1).evaluate(geom.z_field)
     assert_allclose(a, np.conj(b), rtol=1e-9, atol=1e-13)
+
+
+def test_ic_z_block_evaluates_each_plate_fresnel_once(monkeypatch):
+    # one build needs the two plates' coefficients once each; its from-plate,
+    # scattered and D_mu sub-builds share them, and the terms are the same
+    # bits as a build whose sub-builds each evaluate their own
+    geom = geom_pair(z_field=0.13)
+    s, Q, kz = 0.4 - 0.9j, np.array([0.3, 0.7, 1.9]), 1.3
+    calls = []
+    counted = em_green.fresnel
+
+    def spy(side, s_, Q_):
+        calls.append(side)
+        return counted(side, s_, Q_)
+
+    monkeypatch.setattr(em_green, "fresnel", spy)
+    shared = ic_z_block(geom, s, Q, kz, phase_sign=-1)
+    assert len(calls) <= 2
+    assert {id(side) for side in calls} == {id(geom.left), id(geom.right)}
+
+    def unshared(geom_, s_, Q_, _fresnel=None):
+        return counted(geom_.left, s_, Q_), counted(geom_.right, s_, Q_)
+
+    monkeypatch.setattr(em_green, "_plate_fresnel", unshared)
+    alone = ic_z_block(geom, s, Q, kz, phase_sign=-1)
+    assert len(shared.terms) == len(alone.terms)
+    for a, b in zip(shared.terms, alone.terms):
+        assert (a.pol, a.plate, a.tag) == (b.pol, b.plate, b.tag)
+        for name in ("scalar", "exp_z", "field_vec", "src_vec"):
+            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.tag, name)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from neqlifshitz import pressure as pr
 from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT,
                                   green_gap_from_plate, ic_z_block)
-from neqlifshitz.errors import DomainError
+from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions,
                                   assemble_dof_integrand,
@@ -398,6 +398,71 @@ def test_difference_kernel_additivity_and_evanescent_decay():
     assert abs(far) <= 1e-5 * abs(near)
 
 
+@pytest.mark.parametrize("kernel", ["full", "baseline", "difference"])
+def test_bath_channels_frequency_array_matches_scalar_calls(kernel):
+    # a frequency array broadcast against Q gives, point for point, the
+    # per-frequency calls; rows cover omega = 0, Q = 0, both sides of the
+    # light line and the light line itself, in a shuffled batch
+    cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
+    geom = Geometry(gap=0.8, left=warm_geom().left, right=cutoff, z_field=0.17)
+    rng = np.random.default_rng(41)
+    ws = np.concatenate([[0.0, 1.0], rng.uniform(0.05, 8.0, 9), [0.0]])
+    x = np.array([0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 4.0])
+    Q = np.where(ws[:, None] > 0.0, ws[:, None] * x, np.linspace(0.0, 3.0, x.size))
+    want = [pr._bath_channels(geom, float(w), Q[i], kernel=kernel) for i, w in enumerate(ws)]
+    perm = rng.permutation(Q.size)
+    flat = pr._bath_channels(geom, np.repeat(ws, x.size)[perm], Q.ravel()[perm],
+                             kernel=kernel)
+    grid = pr._bath_channels(geom, ws[:, None], Q, kernel=kernel)
+    for key in BREAKDOWN_KEYS:
+        stacked = np.stack([w[key] for w in want])
+        assert grid[key].shape == Q.shape
+        assert_allclose(grid[key], stacked, rtol=1e-14, atol=0.0)
+        assert_allclose(flat[key], stacked.ravel()[perm], rtol=1e-14, atol=0.0)
+        assert np.all(stacked[ws == 0.0] == 0.0)
+    if kernel != "baseline":    # the light line is in the evanescent sector
+        on_line = sum(w[key][3] for w in want for key in BREAKDOWN_KEYS)
+        assert np.isfinite(on_line) and on_line != 0.0
+
+
+def test_bath_channels_frequency_batch_with_a_partly_lossless_plate():
+    # a table plate without loss below omega = 1 emits nothing there (its
+    # weight is 0 and, in the propagating sector, so is Re qn); in a batch
+    # that mixes both kinds of frequency its channels still read exactly 0
+    grid = np.geomspace(0.05, 20.0, 40)
+    table = EpsilonTable(omega=grid, eps=3.0 + np.where(grid < 1.0, 0.0, 0.5j),
+                         beta_bath=1.0)
+    geom = Geometry(gap=1.0, left=table, right=warm_geom().right)
+    ws = np.array([0.3, 2.0, 0.6, 5.0])
+    Q = ws[:, None] * np.array([0.2, 0.9, 1.4])
+    grid_ch = pr._bath_channels(geom, ws[:, None], Q)
+    for i, w in enumerate(ws):
+        want = pr._bath_channels(geom, float(w), Q[i])
+        for key in BREAKDOWN_KEYS:
+            assert_allclose(grid_ch[key][i], want[key], rtol=1e-14, atol=0.0)
+            if key[0] == "L" and w < 1.0:
+                assert np.all(grid_ch[key][i] == 0.0)
+    assert np.all(grid_ch[("L", "TE", "propagating")][ws > 1.0, :2] != 0.0)
+
+
+def test_bath_channels_frequency_batch_still_detects_trapped_modes():
+    # with a nearly lossless plate pair, Re eps < 0 between omega0 and
+    # sqrt(omega0^2 + lambda0^2) makes |r_a r_b| = 1 to 1e-15: the detached
+    # baseline is singular there, and a batch that holds one such point
+    # must raise like the scalar call does
+    glassy = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1e-15))
+    geom = Geometry(gap=1.0, left=glassy, right=glassy)
+    ws, Q = np.array([0.5, 1.2, 2.0]), np.array([0.3, 0.3, 0.3])
+    pr._bath_channels(geom, 0.5, 0.3, kernel="baseline")
+    with pytest.raises(SingularityError):
+        pr._bath_channels(geom, 1.2, 0.3, kernel="baseline")
+    with pytest.raises(SingularityError) as info:
+        pr._bath_channels(geom, ws, Q, kernel="baseline")
+    assert info.value.point == -1.2j
+    pr._bath_channels(geom, ws, Q, kernel="full")
+
+
 # ---------------------------------------------------------------------------
 # steady pressure: calibration oracles
 # ---------------------------------------------------------------------------
@@ -511,6 +576,95 @@ def test_pressure_options_validation():
         PressureOptions(rel_tol=0.5)
     with pytest.raises(DomainError):
         PressureOptions(rel_tol=0.0)
+
+
+# ---------------------------------------------------------------------------
+# the segmented (lockstep) adaptive rule
+# ---------------------------------------------------------------------------
+
+_G, _X0 = 1e-3, 0.3137
+KNOWN = {
+    "smooth": (lambda x: np.exp(x) * np.cos(x), [0.0, 1.0, 2.0],
+               0.5 * (math.exp(2.0) * (math.cos(2.0) + math.sin(2.0)) - 1.0)),
+    "lorentzian": (lambda x: _G / ((x - _X0) ** 2 + _G ** 2), [-1.0, 0.0, 1.0],
+                   math.atan((1.0 - _X0) / _G) + math.atan((1.0 + _X0) / _G)),
+    "oscillatory": (lambda x: np.cos(40.0 * x), [0.0, 1.5, 3.0], math.sin(120.0) / 40.0),
+}
+
+
+def segment_integrand(names, seen=None):
+    """Channel-valued f(x, seg) evaluating KNOWN[names[seg]] per node;
+    ``seen`` collects the nodes each segment was evaluated at."""
+    def f(x, seg):
+        out = np.empty_like(x)
+        for j, name in enumerate(names):
+            here = seg == j
+            out[here] = KNOWN[name][0](x[here])
+            if seen is not None:
+                seen.setdefault(j, []).append(x[here])
+        return {"main": out, "_ride": 2.0 * out}
+    return f
+
+
+def run_segments(names, rel_tol=1e-9, seen=None, **kw):
+    return pr._adaptive_gk(segment_integrand(names, seen), [KNOWN[n][1] for n in names],
+                           rel_tol, labels=list(names), **kw)
+
+
+def test_segmented_rule_meets_each_segments_own_tolerance():
+    names = ("smooth", "lorentzian", "oscillatory", "smooth")
+    rel_tol = 1e-9
+    totals, err = run_segments(names, rel_tol)
+    assert err.shape == (len(names),)
+    assert_allclose(totals["_ride"], 2.0 * totals["main"], rtol=1e-15)
+    for j, name in enumerate(names):
+        exact = KNOWN[name][2]
+        assert abs(totals["main"][j] - exact) <= err[j], name
+        assert err[j] <= rel_tol * abs(totals["main"][j]), name
+
+
+def test_segmented_rule_segments_are_independent():
+    # with no floor, every segment takes the decisions it would take alone:
+    # the same nodes in the same order, the same value and error, whoever
+    # runs beside it
+    names = ("lorentzian", "oscillatory", "smooth", "lorentzian", "oscillatory")
+    seen = {}
+    together, err = run_segments(names, seen=seen, abs_floor=0.0)
+    for j, name in enumerate(names):
+        seen1 = {}
+        alone, err1 = run_segments((name,), seen=seen1, abs_floor=0.0)
+        assert_allclose(together["main"][j], alone["main"][0], rtol=1e-14, atol=0.0)
+        assert_allclose(err[j], err1[0], rtol=1e-14, atol=0.0)
+        assert np.array_equal(np.concatenate(seen[j]), np.concatenate(seen1[0])), name
+
+
+@pytest.mark.parametrize("sector", ["propagating", "evanescent"])
+def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector):
+    # a channel map that stays rough on one sector of one frequency exhausts
+    # that segment's panel budget; the error names it, not its neighbours
+    def rough(geom, omega, Q, **kw):
+        w = np.broadcast_to(omega, np.shape(Q))
+        bad = (w == 2.5) & ((Q < w) if sector == "propagating" else (Q > w))
+        v = np.exp(-Q) + np.where(bad, np.sin(1e6 * Q), 0.0)
+        return {k: v for k in BREAKDOWN_KEYS}
+
+    monkeypatch.setattr(pr, "_bath_channels", rough)
+    with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
+        pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), "full", True,
+                             False, 1e-6, 0.0)
+
+
+def test_inner_integrals_do_not_depend_on_frequency_order():
+    # the floor of a lockstep call comes from its running estimates, not
+    # from the order in which its frequencies are listed
+    geom = warm_geom()
+    ws = np.array([0.2, 0.9, 1.3, 2.6, 5.0, 11.0])
+    ch, err = pr._inner_q_integral(geom, ws, "difference", True, False, 2.5e-5, 0.0)
+    rev, err_rev = pr._inner_q_integral(geom, ws[::-1], "difference", True, False,
+                                        2.5e-5, 0.0)
+    for key in BREAKDOWN_KEYS:
+        assert_allclose(rev[key][::-1], ch[key], rtol=1e-14, atol=0.0)
+    assert_allclose(err_rev[::-1], err, rtol=1e-14, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
