@@ -31,7 +31,6 @@ from .pressure import (
     PressureResult,
     bath_integrand,
     equilibrium_matsubara,
-    regularize,
     steady_pressure,
 )
 from .spectral import (
@@ -79,7 +78,6 @@ __all__ = [
     "plate_mode_roots",
     "qbm_green",
     "qz",
-    "regularize",
     "scan_dmu_imaginary_axis",
     "steady_pressure",
     "__version__",

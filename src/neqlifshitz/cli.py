@@ -20,8 +20,10 @@ int, float or string, in that order.  Sections:
     ``points``, ``spacing`` (``linear`` | ``log``).  Optional; without
     it the geometry is evaluated at a single point.
 ``options``
-    Quadrature controls: ``rel_tol``, ``subtract_infinite_separation``,
-    ``omega_max``, ``thermal_only``.
+    Quadrature controls: ``rel_tol``, ``omega_max``, ``thermal_only``.
+    The pressure is always the distance-dependent part; the key
+    ``subtract_infinite_separation`` is still read, and only ``true`` is
+    accepted.
 ``output``
     ``path`` — CSV destination (overridden by ``--out``).
 ``units``
@@ -254,8 +256,14 @@ def load_config(path):
 
     opt_types = {"rel_tol": float, "subtract_infinite_separation": bool,
                  "omega_max": float, "thermal_only": bool}
+    opt_block = block("options", _OPTIONS_KEYS)
     options = {k: _expect(v, opt_types[k], f"options.{k}", line)
-               for k, (v, line) in block("options", _OPTIONS_KEYS).items()}
+               for k, (v, line) in opt_block.items()}
+    if not options.pop("subtract_infinite_separation", True):
+        raise ConfigError(
+            "options.subtract_infinite_separation must be true: without the "
+            "detached-plates baseline the raw integral grows as omega_max^4 "
+            "and has no limit", line=opt_block["subtract_infinite_separation"][1])
     out_block = block("output", _OUTPUT_KEYS)
     output_path = out_block.get("path", (None, 0))[0]
     if output_path is not None:
@@ -328,8 +336,6 @@ def _pressure_options(cfg, args):
     opts = dict(cfg.options)
     if getattr(args, "rel_tol", None) is not None:
         opts["rel_tol"] = args.rel_tol
-    if getattr(args, "no_baseline_subtract", False):
-        opts["subtract_infinite_separation"] = False
     return PressureOptions(**opts)
 
 
@@ -559,8 +565,7 @@ def _verify_properties(cfg, args):
                                "poles leave the steady emission weights "
                                "undefined, no equilibrium limit to compare")
         return records
-    opts_eq = replace(opts, rel_tol=max(opts.rel_tol, 3e-4),
-                      subtract_infinite_separation=True)
+    opts_eq = replace(opts, rel_tol=max(opts.rel_tol, 3e-4))
     steady = steady_pressure(geom_eq, opts_eq)
     eq = equilibrium_matsubara(geom_eq, t_eq)
     if abs(eq) < 1e-12:
@@ -595,9 +600,6 @@ def cmd_compare_eq(cfg, args):
     tol = args.rel_tol if args.rel_tol is not None else 1e-3
     geom = geometry_for(cfg)
     opts = _pressure_options(cfg, args)
-    if getattr(args, "no_baseline_subtract", False):
-        raise ConfigError("compare-eq always subtracts the detached-plates "
-                          "baseline; drop --no-baseline-subtract")
     steady = steady_pressure(geom, opts)
     eq = equilibrium_matsubara(geom, cfg.t_left)
     dev = abs(steady.value - eq) / max(abs(eq), 1e-300)
@@ -637,9 +639,6 @@ def _build_parser():
         p.add_argument("--rel-tol", type=float, default=None,
                        help="override options.rel_tol (for compare-eq: the "
                             "match threshold, default 1e-3)")
-        p.add_argument("--no-baseline-subtract", action="store_true",
-                       help="report the raw channel integral instead of the "
-                            "distance-dependent pressure")
     return parser
 
 

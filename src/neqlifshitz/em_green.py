@@ -20,7 +20,6 @@ cancelled form and are single-valued across the sqrt(eps) cut.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -135,40 +134,6 @@ def _s_eff(s):
     return s + ETA_REL * max(abs(s), 1.0)
 
 
-def polarization_vectors(eps, s, Q, qhat=XHAT, sign=+1):
-    """TE and TM unit polarization vectors for one medium.
-
-    Parameters
-    ----------
-    eps : complex
-        Medium permittivity at s.
-    s : complex
-        Laplace variable (s = 0 raises: the TM 1/s is a tracked pole).
-    Q : float or ndarray
-        Transverse wavenumber magnitude(s).
-    qhat : 3-vector
-        Transverse unit direction (z-component must vanish).
-    sign : +1 or -1
-        Propagation toward +z / -z for the TM vector.
-
-    Returns
-    -------
-    (e_te, e_tm) : ndarray pair, shape Q.shape + (3,)
-        Bilinear normalization e.e = 1 (no conjugation).
-    """
-    if s == 0:
-        raise SingularityError("polarization vectors undefined at s = 0", point=0.0)
-    qhat = np.asarray(qhat, dtype=float)
-    if abs(qhat[2]) > 1e-12 or abs(qhat @ qhat - 1.0) > 1e-12:
-        raise DomainError("qhat must be a transverse unit vector")
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(qz(eps, s, Q))
-    e_te = np.broadcast_to(np.cross(qhat, ZHAT), Q.shape + (3,))
-    e_tm = (np.multiply.outer(Q, ZHAT) - sign * 1j * np.multiply.outer(q, qhat)) \
-        / (np.sqrt(complex(eps)) * 1j * _s_eff(s))
-    return e_te, e_tm
-
-
 def fresnel(side, s, Q):
     """Interface coefficients between the vacuum gap and one plate.
 
@@ -182,15 +147,18 @@ def fresnel(side, s, Q):
     eps = plate_eps(side, s)
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
-    return _fresnel_coeffs(eps, q, qn, s)
+    t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / (eps * q + qn)
+    return _fresnel_coeffs(eps, q, qn, s) + (t_tm,)
 
 
 def _fresnel_coeffs(eps, q, qn, s):
-    """`fresnel` from a plate's permittivity and the two z-wavenumbers.
+    """(r_TE, r_TM, t_TE) of `fresnel` from a plate's permittivity and the
+    two z-wavenumbers.
 
-    For callers that need eps and qn themselves as well; raises the same
-    SingularityError when a denominator vanishes (s may be an array of
-    Laplace points broadcast against q; the error names the first bad one).
+    The bare t_TM is left out: the assembled source vectors cancel its
+    sqrt(eps) (see `_source_vecs`).  Raises the same SingularityError as
+    `fresnel` when a denominator vanishes (s may be an array of Laplace
+    points broadcast against q; the error names the first bad one).
     """
     den_te = q + qn
     den_tm = eps * q + qn
@@ -202,23 +170,33 @@ def _fresnel_coeffs(eps, q, qn, s):
     r_te = (q - qn) / den_te
     r_tm = (eps * q - qn) / den_tm
     t_te = 2.0 * qn / den_te
-    t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / den_tm
-    return r_te, r_tm, t_te, t_tm
+    return r_te, r_tm, t_te
 
 
 def _plate_fresnel(geom, s, Q, _fresnel=None):
-    """(fresnel(left), fresnel(right)) at (s, Q), or the pair a caller
-    already computed for this same (geom, s, Q)."""
+    """Per plate (left, right), (r_TE, r_TM, t_TE, eps, qn) at (s, Q).
+
+    Each plate's permittivity and z-wavenumber ride along with its Fresnel
+    coefficients, so the block builders never evaluate them again.
+    ``_fresnel`` is the pair a caller already computed for this same
+    (geom, s, Q); it is returned as is.
+    """
     if _fresnel is not None:
         return _fresnel
-    return fresnel(geom.left, s, Q), fresnel(geom.right, s, Q)
+    q = np.asarray(qz(1.0, s, Q))
+    pair = []
+    for side in (geom.left, geom.right):
+        eps = plate_eps(side, s)
+        qn = np.asarray(qz(eps, s, Q))
+        pair.append(_fresnel_coeffs(eps, q, qn, s) + (eps, qn))
+    return tuple(pair)
 
 
 def dmu(geom, s, Q, pol, _fresnel=None):
     """Multiple-reflection denominator D_mu = 1 - r1 r2 exp(-2 q_z l).
 
-    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
-    (s, Q), for block builders that already hold it.
+    ``_fresnel`` is the private `_plate_fresnel` pair at the same (s, Q),
+    for block builders that already hold it.
     """
     i = 0 if pol == "TE" else 1
     f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
@@ -325,35 +303,20 @@ def _gap_vectors(s, Q, qhat, phase_sign, q=None):
     return qv, e_te, qz_part - qv_part, qz_part + qv_part
 
 
-def _plate_source_vecs(side, s, Q, qv, updown):
-    """Assembled t_n^mu * e_mu^(n)[updown] with the sqrt(eps) cancelled.
+def _source_vecs(eps, q, qn, s, Q, qv, updown, num):
+    """Assembled t^mu * e_mu^(n)[updown] of one plate, sqrt(eps) cancelled.
 
-    TE: 2 qn/(q + qn) * (qv x zhat)
-    TM: 2 qn (Q zhat - updown*i*qn*qv) / ((eps q + qn) (i s))
+    eps, q and qn are the plate's permittivity and the gap and plate
+    z-wavenumbers at (s, Q).  num is the numerator of the transmission
+    coefficient: 2 qn for plate->gap, 2 q for gap->plate.
+
+        TE: num/(q + qn) * (qv x zhat)
+        TM: num (Q zhat - updown*i*qn*qv) / ((eps q + qn) (i s))
     """
-    eps = plate_eps(side, s)
-    q = np.asarray(qz(1.0, s, Q))
-    qn = np.asarray(qz(eps, s, Q))
-    te = (2.0 * qn / (q + qn))[..., None] * np.cross(qv, ZHAT)
+    te = (num / (q + qn))[..., None] * np.cross(qv, ZHAT)
     tm = (np.multiply.outer(np.asarray(Q, dtype=float), ZHAT)
           - updown * 1j * np.multiply.outer(qn, qv)) \
-        * (2.0 * qn / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
-    return te, tm
-
-
-def _gap_source_vecs(side, s, Q, qv, updown):
-    """Assembled t~_n^mu * e_mu^(n)[updown] for gap->plate transmission.
-
-    The gap-side transmission t~ carries 2q in place of 2qn; the same
-    sqrt(eps) cancellation applies.
-    """
-    eps = plate_eps(side, s)
-    q = np.asarray(qz(1.0, s, Q))
-    qn = np.asarray(qz(eps, s, Q))
-    te = (2.0 * q / (q + qn))[..., None] * np.cross(qv, ZHAT)
-    tm = (np.multiply.outer(np.asarray(Q, dtype=float), ZHAT)
-          - updown * 1j * np.multiply.outer(qn, qv)) \
-        * (2.0 * q / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
+        * (num / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
     return te, tm
 
 
@@ -361,18 +324,13 @@ def _emission_parts(geom, plate, s, Q, phase_sign, _fresnel=None):
     """Shared geometry/Fresnel data of the gap-from-plate blocks."""
     Q = np.asarray(Q, dtype=float)
     q = np.asarray(qz(1.0, s, Q))
-    side = geom.side(plate)
     f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
     f_own, f_other = (f_left, f_right) if plate == "L" else (f_right, f_left)
-    eps = plate_eps(side, s)
-    qn = np.asarray(qz(eps, s, Q))
+    eps, qn = f_own[3], f_own[4]
     qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
                                               phase_sign=phase_sign, q=q)
     updown = +1 if plate == "L" else -1
-    src_te = f_own[2][..., None] * np.cross(qv, ZHAT)
-    src_tm = (np.multiply.outer(Q, ZHAT)
-              - updown * 1j * np.multiply.outer(qn, qv)) \
-        * (2.0 * qn / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
+    src_te, src_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * qn)
     if plate == "L":
         direct_vecs = {"TE": e_te, "TM": e_tm_up}
         refl_vecs = {"TE": e_te, "TM": e_tm_dn}
@@ -427,7 +385,7 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     These blocks feed the transient integrands and the plate-source
     integrals; the steady pressure uses the closed form they contract to
     (see the pressure module), and the tests check one against the other.
-    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
+    ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """
     p = _emission_parts(geom, plate, s, Q, phase_sign, _fresnel)
@@ -442,7 +400,7 @@ def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1, _fresnel=None):
     Bulk: the free two-sided decay plus the symbolic
     -zz*delta(z-z')/s^2 term (flagged, never evaluated).  Scattered: the
     four once-or-more reflected paths, each resummed by 1/D_mu.
-    ``_fresnel`` is the private (left, right) `fresnel` pair at the same
+    ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """
     Q = np.asarray(Q, dtype=float)
@@ -505,20 +463,21 @@ def green_plate_from_gap(geom, plate, s, Q, z_src, phase_sign=+1):
     if not (-l / 2 < z_src < l / 2):
         raise DomainError(f"source height {z_src} outside the gap")
     q = np.asarray(qz(1.0, s, Q))
-    side = geom.side(plate)
-    other = geom.side("R" if plate == "L" else "L")
-    qn = np.asarray(qz(plate_eps(side, s), s, Q))
+    pair = _plate_fresnel(geom, s, Q)
+    own, other = (pair[0], pair[1]) if plate == "L" else (pair[1], pair[0])
+    eps, qn = own[3], own[4]
     qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
-    r_other = fresnel(other, s, Q)[:2]
-    d = {"TE": dmu(geom, s, Q, "TE"), "TM": dmu(geom, s, Q, "TM")}
+    r_other = other[:2]
+    d = {"TE": dmu(geom, s, Q, "TE", _fresnel=pair),
+         "TM": dmu(geom, s, Q, "TM", _fresnel=pair)}
+    updown = -1 if plate == "L" else +1
+    fld_te, fld_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * q)
 
     if plate == "L":
-        fld_te, fld_tm = _gap_source_vecs(side, s, Q, qv, updown=-1)
         fld_exp = +qn
         near_src, far_src = {"TE": e_te, "TM": e_dn}, {"TE": e_te, "TM": e_up}
         near_exp, far_exp = -q, +q
     else:
-        fld_te, fld_tm = _gap_source_vecs(side, s, Q, qv, updown=+1)
         fld_exp = -qn
         near_src, far_src = {"TE": e_te, "TM": e_up}, {"TE": e_te, "TM": e_dn}
         near_exp, far_exp = +q, -q
@@ -537,31 +496,6 @@ def green_plate_from_gap(geom, plate, s, Q, z_src, phase_sign=+1):
                                exp_z=fld_exp + 0j, src_exp=far_exp + 0j))
     return GreenBlock(terms=tuple(terms), s=complex(s), Q=Q, qhat=XHAT,
                       phase_sign=phase_sign, geom=geom, z_src=z_src)
-
-
-def z_integrated_pair(geom, plate, s1, s2, Q):
-    """Closed-form plate integral of a product of two from-plate blocks.
-
-    Integrates over the source coordinate inside ``plate``::
-
-        T^{jk} = int_plate dz' G^{jb}(z1, z', +Q, s1) G^{kb}(z1, z', -Q, s2)
-               = [boundary blocks contracted over b] / (qn(s1) + qn(s2))
-
-    since both source factors decay like exp(qn * depth).  Requires
-    Re(qn(s1) + qn(s2)) > 0.
-    """
-    side = geom.side(plate)
-    qn1 = np.asarray(qz(plate_eps(side, s1), s1, Q))
-    qn2 = np.asarray(qz(plate_eps(side, s2), s2, Q))
-    den = qn1 + qn2
-    if np.any(den.real <= 0):
-        raise DomainError("plate z-integral diverges: Re(qn(s1)+qn(s2)) <= 0")
-    b1 = green_gap_from_plate(geom, plate, s1, Q, phase_sign=+1)
-    b2 = green_gap_from_plate(geom, plate, s2, Q, phase_sign=-1)
-    z = geom.z_field
-    t1 = b1.evaluate(z)          # source factor at the boundary = 1
-    t2 = b2.evaluate(z)
-    return np.einsum("...jb,...kb->...jk", t1, t2) / den[..., None, None]
 
 
 def _finite_exp_integral(c, length):
@@ -588,8 +522,9 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     sign of the exponent kz follows phase_sign so that the partner block
     of a pressure contraction is obtained with phase_sign = -1.
 
-    The two plates' Fresnel coefficients are evaluated once per build and
-    shared by every sub-block.
+    The two plates' Fresnel coefficients, permittivities and
+    z-wavenumbers are evaluated once per build and shared by every
+    sub-block.
     """
     Q = np.asarray(Q, dtype=float)
     kz_eff = phase_sign * kz
@@ -600,10 +535,10 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
 
     terms = []
     # --- source in the plates: boundary value / (qn -+ i kz)
-    for plate, sgn in (("L", +1), ("R", -1)):
+    for (plate, sgn), optics in zip((("L", +1), ("R", -1)), pair):
         blk = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign,
                                    _fresnel=pair)
-        qn = np.asarray(qz(plate_eps(geom.side(plate), s), s, Q))
+        qn = optics[4]
         den = qn + sgn * 1j * kz_eff
         if np.any(np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))):
             raise SingularityError(

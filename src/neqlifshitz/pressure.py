@@ -7,11 +7,13 @@ of the emitted field is the closed-form non-equilibrium Lifshitz integrand
 of the two plates' Fresnel coefficients.  The symbolic Green blocks of
 :mod:`.em_green`, contracted per source group as in :func:`theta_contract`,
 serve only the transient integrands at the end of this module (and the
-tests, as the oracle of the closed form).  The (omega, Q) integral is done
-with a vectorized adaptive Gauss-Kronrod rule, split into propagating (Q < omega)
-and evanescent (Q > omega) sectors, with an optional subtraction of the
-detached-plates (l -> infinity) baseline so the distance-dependent part is
-integrated without the large l-independent radiation terms.
+tests, as the oracle of the closed form).  The product is the
+distance-dependent pressure: the integrand is the channel map minus its
+detached-plates (l -> infinity) baseline, so the large l-independent
+radiation terms, whose integral grows without bound with the frequency
+ceiling, never enter.  The (omega, Q) integral is done with a vectorized
+adaptive Gauss-Kronrod rule, split into propagating (Q < omega) and
+evanescent (Q > omega) sectors.
 
 The inner Q integrals of the frequency nodes of one outer round run in
 lockstep, up to ``_OMEGA_GROUP`` frequencies at a time: both sectors of
@@ -31,7 +33,7 @@ power.  Negative values mean attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -313,7 +315,9 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     1/|D|^2 by its round-trip phase average 1/(1 - |r_a r_b|^2), the
     detached-plates (l -> infinity) limit, and lives purely in the
     propagating sector (evanescent emission does not survive that limit);
-    "difference" is full minus baseline.
+    "difference" is full minus baseline and is what `steady_pressure`
+    integrates.  The "full" map is finite point by point, but with the
+    zero-point emission included its integral grows as omega_max^4.
     """
     if kernel not in ("full", "baseline", "difference"):
         raise DomainError(f"unknown kernel {kernel!r}")
@@ -597,14 +601,12 @@ class PressureOptions:
     """Quadrature controls for the steady pressure.
 
     rel_tol bounds the total error estimate relative to the result;
-    subtract_infinite_separation integrates the detached-plates difference
-    kernel (the distance-dependent pressure); omega_max overrides the
-    automatic frequency ceiling; thermal_only keeps only the thermal
-    occupation part coth - 1 of each plate's emission (vanishing at T = 0).
+    omega_max overrides the automatic frequency ceiling; thermal_only keeps
+    only the thermal occupation part coth - 1 of each plate's emission
+    (vanishing at T = 0).
     """
 
     rel_tol: float = 1e-4
-    subtract_infinite_separation: bool = True
     omega_max: float = None
     thermal_only: bool = False
 
@@ -621,21 +623,20 @@ class PressureResult:
 
     value is the sum of the eight breakdown entries (plate x polarization
     x sector); err combines the outer and accumulated inner quadrature
-    estimates; omega_max_used records the resolved frequency ceiling so a
-    later baseline subtraction can reuse it.
+    estimates; omega_max_used records the resolved frequency ceiling.
     """
 
     value: float
     err: float
     breakdown: dict
-    baseline_subtracted: bool
     omega_max_used: float = 0.0
 
     def csv_row(self, gap, t_left, t_right):
-        """Flat CSV row: l, T_L, T_R, value, err, 8 channels, flag."""
+        """Flat CSV row: l, T_L, T_R, value, err, 8 channels, and a constant
+        1 in the ``baseline_subtracted`` column kept for existing readers."""
         cells = [gap, t_left, t_right, self.value, self.err]
         cells += [self.breakdown[k] for k in BREAKDOWN_KEYS]
-        cells.append(int(self.baseline_subtracted))
+        cells.append(1)
         return cells
 
 
@@ -690,8 +691,7 @@ def _inner_q_edges_evan(geom, omega):
 _INNER_FLOOR = 1e-3
 
 
-def _inner_q_integral(geom, omegas, kernel, use_fdr, thermal_only, rel_tol,
-                      floor_scale):
+def _inner_q_integral(geom, omegas, kernel, thermal_only, rel_tol, floor_scale):
     """Q-integrals of the channel map at an array of frequencies, in lockstep.
 
     Propagating sector via Q = omega sin(theta) (removes the edge cusp),
@@ -734,8 +734,7 @@ def _inner_q_integral(geom, omegas, kernel, use_fdr, thermal_only, rel_tol,
             Qe = np.hypot(w[ev], qs)
             Qs[ev] = Qe
             jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
-        ch = _bath_channels(geom, w, Qs, kernel=kernel, use_fdr=use_fdr,
-                            thermal_only=thermal_only)
+        ch = _bath_channels(geom, w, Qs, kernel=kernel, thermal_only=thermal_only)
         return {k: v * jac for k, v in ch.items()}
 
     def floor(totals):
@@ -807,7 +806,9 @@ def _steady(geom, opts, kernel):
     time, to `_inner_q_integral`, which runs their Q integrals in lockstep
     at rel_tol/4 with the floor described there, fed by the largest inner
     integral finished so far.  The inner error estimates ride along as the
-    "_inner" channel and enter ``err``.
+    "_inner" channel and enter ``err``.  kernel is "difference" (the
+    product, see `steady_pressure`) or "baseline" (the detached-plates
+    pressure itself, which the blackbody calibration integrates).
     """
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
@@ -821,8 +822,8 @@ def _steady(geom, opts, kernel):
         out["_inner"] = np.empty(ws.shape)
         for c in range(0, len(ws), _OMEGA_GROUP):
             group = slice(c, c + _OMEGA_GROUP)
-            ch, e = _inner_q_integral(geom, ws[group], kernel, True,
-                                      opts.thermal_only, inner_tol, state["scale"])
+            ch, e = _inner_q_integral(geom, ws[group], kernel, opts.thermal_only,
+                                      inner_tol, state["scale"])
             mag = np.abs(sum(ch[k] for k in BREAKDOWN_KEYS))
             state["scale"] = max(state["scale"], float(mag.max()))
             for k in BREAKDOWN_KEYS:
@@ -865,53 +866,20 @@ def _steady(geom, opts, kernel):
 
     err = outer_err + abs(totals.pop("_inner"))
     return PressureResult(value=math.fsum(totals.values()), err=float(err),
-                          breakdown=totals,
-                          baseline_subtracted=(kernel == "difference"),
-                          omega_max_used=float(omega_max))
+                          breakdown=totals, omega_max_used=float(omega_max))
 
 
 def steady_pressure(geom, opts=None):
-    """Steady-state pressure carried by the plate baths.
+    """Distance-dependent steady-state pressure carried by the plate baths.
 
-    Integrates the bath emission channels over (omega, Q) with nested
-    adaptive Gauss-Kronrod panels.  With
-    ``opts.subtract_infinite_separation`` (default) the detached-plates
-    baseline is subtracted inside the integrand, yielding the
-    distance-dependent pressure (negative = attraction); otherwise the raw
-    channel integral up to omega_max is returned, whose l-independent part
-    retains the physical ultraviolet sensitivity of the total radiation
-    pressure on each interface.
+    Integrates the bath emission channels minus their detached-plates
+    baseline over (omega, Q) with nested adaptive Gauss-Kronrod panels
+    (negative = attraction).  The baseline, the l-independent radiation
+    pressure on each interface, is subtracted inside the integrand: it
+    carries no information about the gap, and with the zero-point emission
+    included its integral grows as omega_max^4.
     """
-    opts = opts or PressureOptions()
-    kernel = "difference" if opts.subtract_infinite_separation else "full"
-    return _steady(geom, opts, kernel)
-
-
-def regularize(raw, geom, opts=None):
-    """Subtract the detached-plates baseline from a raw pressure result.
-
-    Idempotent: an already-subtracted result is returned unchanged.  The
-    baseline is integrated with the same frequency ceiling the raw run
-    resolved, so raw = regularized + baseline holds to quadrature accuracy
-    *on the raw scale* -- the raw value is dominated by the l-independent
-    radiation background, so the cancellation leaves the small
-    distance-dependent remainder with an absolute error of order
-    rel_tol * |raw|.  For precision work integrate the subtracted kernel
-    directly (``subtract_infinite_separation=True``, the default), which
-    avoids the cancellation entirely.
-    """
-    if raw.baseline_subtracted:
-        return replace(raw)
-    opts = opts or PressureOptions()
-    if raw.omega_max_used and opts.omega_max is None:
-        opts = replace(opts, omega_max=raw.omega_max_used)
-    base = _steady(geom, opts, "baseline")
-    breakdown = {k: raw.breakdown[k] - base.breakdown[k] for k in BREAKDOWN_KEYS}
-    return PressureResult(value=math.fsum(breakdown.values()),
-                          err=raw.err + base.err,
-                          breakdown=breakdown,
-                          baseline_subtracted=True,
-                          omega_max_used=raw.omega_max_used)
+    return _steady(geom, opts or PressureOptions(), "difference")
 
 
 # ---------------------------------------------------------------------------

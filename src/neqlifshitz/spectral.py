@@ -762,25 +762,6 @@ def classify_origin_order(f, r0=1e-2, shrink=4.0, n_radii=4, n_theta=8,
     return _order_from_samples(vals, radii, angles, slope_tol)
 
 
-def origin_laurent_2d(f2, orders, radius=5e-3, n_theta=12):
-    """Laurent coefficients c_{mn} of f2(s1, s2) at the double origin.
-
-    Double angular means on the torus |s1| = |s2| = radius.  Aliased
-    contributions enter at relative size radius**n_theta, far below the
-    working tolerance for any sensible parameters.
-    """
-    ang = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    ring = radius * np.exp(1j * ang)
-    f_tab = np.empty((n_theta, n_theta), dtype=complex)
-    for a, s1 in enumerate(ring):
-        for b, s2 in enumerate(ring):
-            f_tab[a, b] = f2(complex(s1), complex(s2))
-    return {
-        (m, n): complex(np.mean(f_tab * np.outer(ring ** (-m), ring ** (-n))))
-        for m, n in orders
-    }
-
-
 def expected_dof_origin_orders(pol, bracket, piece):
     """Per-variable origin pole orders of one oscillator-transient part.
 

@@ -1,10 +1,22 @@
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
 from neqlifshitz.material import BathModel, Material
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def pytest_configure(config):
+    """Let subprocesses (the CLI runs of the acceptance suite) import this
+    checkout's package even when it is not installed."""
+    paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    if SRC not in paths:
+        os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + paths)
 
 
 @pytest.fixture

@@ -87,6 +87,11 @@ def test_load_config_minimal(tmp_path):
     # echo is sorted and round-trippable
     assert list(cfg.echo) == sorted(cfg.echo)
     assert any(pair.startswith("geometry.l = ") for pair in cfg.echo)
+    # older configs carry the subtraction switch set to true: it loads and
+    # is echoed, but is not a pressure option
+    cfg = load_config(write_cfg(tmp_path, BASE + "options.subtract_infinite_separation = true\n"))
+    assert cfg.options == {"rel_tol": 5e-3}
+    assert "options.subtract_infinite_separation = True" in cfg.echo
 
 
 @pytest.mark.parametrize("mangle,fragment", [
@@ -96,6 +101,7 @@ def test_load_config_minimal(tmp_path):
     (lambda t: t + "\nmystery.k = 1", "unknown section"),
     (lambda t: t + "\ngeometry.bogus = 1", "unknown key"),
     (lambda t: t + "\noptions.sector_split = false", "unknown key options.sector_split"),
+    (lambda t: t + "\noptions.subtract_infinite_separation = false", "omega_max^4"),
     (lambda t: t + "\nmaterial.hot.color = red", "unknown material field"),
     (lambda t: t.replace("geometry.T_R = 0.3", "geometry.T_R = -2"), ">= 0"),
     (lambda t: t + "\nsweep.variable = q\nsweep.start = 1\nsweep.stop = 2\n"
@@ -181,16 +187,6 @@ def test_pressure_config_output_path_and_summary(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert out_file.exists()
     assert "pressure" in printed and "1.2" in printed  # human summary table
-
-
-def test_pressure_no_baseline_subtract_flag(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, BASE)
-    assert main(["pressure", "--config", cfg]) == 0
-    _, rows_sub = read_csv(capsys.readouterr().out)
-    assert main(["pressure", "--config", cfg, "--no-baseline-subtract"]) == 0
-    _, rows_raw = read_csv(capsys.readouterr().out)
-    assert rows_sub[0][-1] == "1" and rows_raw[0][-1] == "0"
-    assert float(rows_sub[0][3]) != float(rows_raw[0][3])
 
 
 def test_pressure_si_echo_columns(tmp_path, capsys):

@@ -18,11 +18,9 @@ from neqlifshitz.em_green import (
     ic_z_block,
     ic_z_integral,
     plate_eps,
-    polarization_vectors,
     qz,
-    z_integrated_pair,
 )
-from neqlifshitz.errors import DomainError, SingularityError
+from neqlifshitz.errors import DomainError
 from neqlifshitz.material import BathModel, Material
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
@@ -71,7 +69,7 @@ def quad_complex(f, a, b, **kw):
 
 
 # ---------------------------------------------------------------------------
-# wavevectors, polarization vectors, Fresnel coefficients
+# wavevectors, Fresnel coefficients, source vectors
 # ---------------------------------------------------------------------------
 
 
@@ -97,21 +95,6 @@ def test_qz_eta_prescription_consistency():
 def test_qz_conjugate_pair():
     for Q in (0.2, 1.0, 3.0):
         assert_allclose(qz(1.0, 1.7j, Q), np.conj(qz(1.0, -1.7j, Q)), rtol=1e-12)
-
-
-def test_polarization_vectors_basic():
-    e_te, e_tm = polarization_vectors(1.0, -1j * 2.0, 1.0, XHAT, +1)
-    assert_allclose(e_te, [0.0, -1.0, 0.0])          # xhat x zhat = -yhat
-    assert abs(e_te @ e_tm) < 1e-12                   # orthogonal
-    assert_allclose(e_tm @ e_tm, 1.0, atol=1e-6)      # bilinear normalization
-    # normal incidence: TM vector lies along qhat with unit norm
-    _, e_tm0 = polarization_vectors(1.0, -1j * 2.0, 0.0, XHAT, +1)
-    assert_allclose(np.abs(e_tm0), [1.0, 0.0, 0.0], atol=1e-6)
-
-
-def test_polarization_vectors_at_origin_raise():
-    with pytest.raises(SingularityError):
-        polarization_vectors(1.0, 0.0, 1.0)
 
 
 def test_fresnel_trivial_and_limits():
@@ -159,12 +142,15 @@ def test_tm_sqrt_cut_cancellation():
     """The sqrt(eps) of t^TM cancels the one in e_TM^(n): the assembled
     source vector is single-valued across the sqrt cut while the bare
     t^TM alone flips sign."""
-    from neqlifshitz.em_green import _plate_source_vecs
-
     s, Q = 0.2 - 1j * 1.1, 0.6
     above, below = -4.0 + 1e-13j, -4.0 - 1e-13j
-    _, tm_above = _plate_source_vecs(above, s, Q, XHAT, +1)
-    _, tm_below = _plate_source_vecs(below, s, Q, XHAT, +1)
+    q = np.asarray(qz(1.0, s, Q))
+
+    def tm_source(eps):
+        qn = np.asarray(qz(eps, s, Q))
+        return em_green._source_vecs(eps, q, qn, s, Q, XHAT, +1, 2.0 * qn)[1]
+
+    tm_above, tm_below = tm_source(above), tm_source(below)
     assert np.max(np.abs(tm_above - tm_below)) < 1e-10
     t_above = fresnel(above, s, Q)[3]
     t_below = fresnel(below, s, Q)[3]
@@ -259,37 +245,10 @@ def test_batched_equals_scalar():
 # ---------------------------------------------------------------------------
 
 
-def test_z_integrated_pair_oracle():
-    geom = geom_pair(gap=1.1, z_field=0.15)
-    s1, s2 = 0.6 - 1.2j, 0.4 + 0.9j
-    Q = 0.8
-    for plate, zb, sgn in (("L", -0.55, -1.0), ("R", 0.55, +1.0)):
-        got = z_integrated_pair(geom, plate, s1, s2, Q)
-        b1 = green_gap_from_plate(geom, plate, s1, Q, phase_sign=+1)
-        b2 = green_gap_from_plate(geom, plate, s2, Q, phase_sign=-1)
-
-        want = np.empty((3, 3), dtype=complex)
-        for j in range(3):
-            for k in range(3):
-                def f(u, j=j, k=k):
-                    zp = zb + sgn * u
-                    return (b1.evaluate(geom.z_field, zp)[j] @
-                            b2.evaluate(geom.z_field, zp)[k])
-                want[j, k] = quad_complex(f, 0.0, 60.0, limit=300)
-        assert_allclose(got, want, rtol=1e-8, atol=1e-12)
-
-
-def test_z_integrated_pair_symmetry():
-    # slot 1 rides the +Q phase and slot 2 the -Q phase, so the swap
-    # transposes only after conjugating by the in-plane parity diag(-1,-1,1)
-    geom = geom_pair(gap=1.3, z_field=-0.2)
-    a = z_integrated_pair(geom, "L", 0.5 - 1j, 0.3 + 0.7j, 1.1)
-    b = z_integrated_pair(geom, "L", 0.3 + 0.7j, 0.5 - 1j, 1.1)
-    par = np.diag([-1.0, -1.0, 1.0])
-    assert_allclose(a, par @ b.T @ par, rtol=1e-10)
-
-
 def test_z_integrated_pair_conjugate_denominator():
+    # a plate source pair at s = -i w and +i w integrates over the plate to
+    # 1/(qn(s1) + qn(s2)) (see pressure._source_factor): that sum is real
+    # and positive, so the depth integral converges
     geom = geom_pair()
     w = 1.4
     side = geom.left
@@ -355,25 +314,33 @@ def test_ic_conjugation():
 
 
 def test_ic_z_block_evaluates_each_plate_fresnel_once(monkeypatch):
-    # one build needs the two plates' coefficients once each; its from-plate,
-    # scattered and D_mu sub-builds share them, and the terms are the same
-    # bits as a build whose sub-builds each evaluate their own
+    # one build needs the two plates' coefficients, permittivities and
+    # z-wavenumbers once each; its from-plate, scattered and D_mu sub-builds
+    # share them, and the terms are the same bits as a build whose sub-builds
+    # each evaluate their own
     geom = geom_pair(z_field=0.13)
     s, Q, kz = 0.4 - 0.9j, np.array([0.3, 0.7, 1.9]), 1.3
-    calls = []
-    counted = em_green.fresnel
+    pairs, eps_calls = [], []
+    plate_fresnel, counted_eps = em_green._plate_fresnel, em_green.plate_eps
 
-    def spy(side, s_, Q_):
-        calls.append(side)
-        return counted(side, s_, Q_)
+    def spy_pair(geom_, s_, Q_, _fresnel=None):
+        if _fresnel is None:
+            pairs.append(geom_)
+        return plate_fresnel(geom_, s_, Q_, _fresnel)
 
-    monkeypatch.setattr(em_green, "fresnel", spy)
+    def spy_eps(side, s_):
+        eps_calls.append(side)
+        return counted_eps(side, s_)
+
+    monkeypatch.setattr(em_green, "_plate_fresnel", spy_pair)
+    monkeypatch.setattr(em_green, "plate_eps", spy_eps)
     shared = ic_z_block(geom, s, Q, kz, phase_sign=-1)
-    assert len(calls) <= 2
-    assert {id(side) for side in calls} == {id(geom.left), id(geom.right)}
+    assert len(pairs) <= 1
+    assert len(eps_calls) <= 2
+    assert {id(side) for side in eps_calls} == {id(geom.left), id(geom.right)}
 
     def unshared(geom_, s_, Q_, _fresnel=None):
-        return counted(geom_.left, s_, Q_), counted(geom_.right, s_, Q_)
+        return plate_fresnel(geom_, s_, Q_)
 
     monkeypatch.setattr(em_green, "_plate_fresnel", unshared)
     alone = ic_z_block(geom, s, Q, kz, phase_sign=-1)

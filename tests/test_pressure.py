@@ -15,8 +15,7 @@ from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions,
                                   assemble_dof_integrand,
                                   assemble_ic_integrand, bath_integrand,
-                                  equilibrium_matsubara, regularize,
-                                  steady_pressure, theta_contract,
+                                  equilibrium_matsubara, steady_pressure, theta_contract,
                                   transverse_projector)
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
@@ -31,10 +30,15 @@ def warm_geom(gap=1.0, t_left=1.0, t_right=0.5, z_field=0.0):
     return Geometry(gap=gap, left=left, right=right, z_field=z_field)
 
 
+def identical_plates(gap, t_left, t_right):
+    def plate(T):
+        return Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1),
+                        beta_bath=1.0 / T)
+    return Geometry(gap=gap, left=plate(t_left), right=plate(t_right))
+
+
 def equal_t_geom(gap=1.0, T=1.0):
-    mat = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1),
-                   beta_bath=1.0 / T)
-    return Geometry(gap=gap, left=mat, right=mat)
+    return identical_plates(gap, T, T)
 
 
 # ---------------------------------------------------------------------------
@@ -486,6 +490,29 @@ def test_equal_temperature_matches_matsubara():
     assert abs(res.value - eq) <= 1e-3 * abs(eq)
 
 
+@pytest.mark.parametrize("gap", [0.5, 1.0, 2.0])
+def test_nonequilibrium_identical_plates_match_matsubara_half_sum(gap):
+    # identical plates at T_L != T_R: the distance-dependent pressure is the
+    # mean of the two equilibrium pressures (Antezza et al., PRA 77, 022901
+    # (2008)), each from the independent imaginary-frequency sum
+    res = steady_pressure(identical_plates(gap, 1.0, 0.3), PressureOptions(rel_tol=1e-3))
+    half = 0.5 * (equilibrium_matsubara(equal_t_geom(gap, 1.0), 1.0)
+                  + equilibrium_matsubara(equal_t_geom(gap, 0.3), 0.3))
+    assert abs(res.value - half) <= 1e-4 * abs(half)
+
+
+def test_nonequilibrium_pressure_is_linear_in_each_occupation():
+    # P is linear in each plate's occupation factor, so changing the right
+    # plate's temperature shifts P by the same amount whatever the left's
+    opts = PressureOptions(rel_tol=1e-4)
+    shift = {}
+    for t_left in (1.0, 0.2):
+        shift[t_left] = (steady_pressure(identical_plates(1.0, t_left, 0.3), opts).value
+                         - steady_pressure(identical_plates(1.0, t_left, 0.6), opts).value)
+    assert shift[1.0] != 0.0
+    assert abs(shift[1.0] - shift[0.2]) <= 1e-6 * abs(shift[1.0])
+
+
 def test_matsubara_oracle_shape():
     geom = equal_t_geom(gap=1.0, T=1.0)
     p1 = equilibrium_matsubara(geom, 1.0)
@@ -533,7 +560,6 @@ def test_mirror_swap_invariance_of_integrand():
 def test_steady_pressure_result_contract():
     geom = warm_geom(gap=1.0)
     res = steady_pressure(geom, PressureOptions(rel_tol=1e-3))
-    assert res.baseline_subtracted
     assert res.omega_max_used > 0.0
     assert math.isfinite(res.value)
     assert res.err >= 0.0
@@ -542,26 +568,6 @@ def test_steady_pressure_result_contract():
     row = res.csv_row(1.0, 1.0, 0.5)
     assert len(row) == 14
     assert row[3] == res.value and row[-1] == 1
-
-
-def test_regularize_is_idempotent_and_consistent():
-    geom = equal_t_geom(gap=1.0, T=1.0)
-    opts = PressureOptions(rel_tol=3e-4, subtract_infinite_separation=False,
-                           omega_max=10.0)
-    raw = steady_pressure(geom, opts)
-    assert not raw.baseline_subtracted
-    reg = regularize(raw, geom, opts)
-    assert reg.baseline_subtracted
-    again = regularize(reg, geom, opts)
-    assert again.value == reg.value
-    diff = steady_pressure(geom, PressureOptions(rel_tol=3e-4, omega_max=10.0))
-    # the raw value is dominated by the l-independent radiation background;
-    # the subtraction cancellation limits agreement to the raw scale, not
-    # the (much smaller) distance-dependent scale
-    assert abs(reg.value - diff.value) <= 2e-3 * abs(raw.value)
-    # the directly subtracted run is the accurate object
-    eq = equilibrium_matsubara(geom, 1.0)
-    assert abs(diff.value - eq) <= 1e-3 * abs(eq)
 
 
 def test_steady_pressure_requires_dissipation():
@@ -650,7 +656,7 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
 
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
-        pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), "full", True,
+        pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), "full",
                              False, 1e-6, 0.0)
 
 
@@ -659,8 +665,8 @@ def test_inner_integrals_do_not_depend_on_frequency_order():
     # from the order in which its frequencies are listed
     geom = warm_geom()
     ws = np.array([0.2, 0.9, 1.3, 2.6, 5.0, 11.0])
-    ch, err = pr._inner_q_integral(geom, ws, "difference", True, False, 2.5e-5, 0.0)
-    rev, err_rev = pr._inner_q_integral(geom, ws[::-1], "difference", True, False,
+    ch, err = pr._inner_q_integral(geom, ws, "difference", False, 2.5e-5, 0.0)
+    rev, err_rev = pr._inner_q_integral(geom, ws[::-1], "difference", False,
                                         2.5e-5, 0.0)
     for key in BREAKDOWN_KEYS:
         assert_allclose(rev[key][::-1], ch[key], rtol=1e-14, atol=0.0)

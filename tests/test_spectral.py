@@ -16,8 +16,7 @@ from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
                                   dof_origin_report, expected_dof_origin_orders,
                                   expected_ic_origin_orders, find_qbm_poles,
                                   ic_origin_report, invert_laplace_qbm,
-                                  modified_mode_check, origin_laurent_2d,
-                                  plate_mode_roots, qbm_char_poly,
+                                  modified_mode_check, plate_mode_roots, qbm_char_poly,
                                   scan_dmu_imaginary_axis, winding_count)
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
@@ -392,15 +391,35 @@ def test_classifier_on_synthetic_laurent():
 
 
 def test_laurent_2d_extracts_torus_coefficients():
-    def f2(s1, s2):
-        return 0.3 / (s1 * s2) + 2.0 / (s1 ** 2 * s2 ** 2) + 0.7 / s1 + 5.0
+    # the origin reports' torus tables on a synthetic two-part Laurent
+    # series: per part, the four orders the reports read
+    parts = {
+        "a": lambda s1, s2: 0.3 / (s1 * s2) + 2.0 / (s1 ** 2 * s2 ** 2) + 0.7 / s1 + 5.0,
+        "b": lambda s1, s2: (1.5 - 0.5j) / (s1 ** 2 * s2) - 0.4 / (s1 * s2 ** 2) + s2,
+    }
+    want = {"a": {(-1, -1): 0.3, (-2, -2): 2.0, (-2, -1): 0.0, (-1, -2): 0.0},
+            "b": {(-1, -1): 0.0, (-2, -2): 0.0, (-2, -1): 1.5 - 0.5j, (-1, -2): -0.4}}
+    built = []
 
-    got = origin_laurent_2d(f2, [(-1, -1), (-2, -2), (-1, 0), (0, 0), (-2, -1)])
-    assert_allclose(got[(-1, -1)], 0.3, atol=1e-12)
-    assert_allclose(got[(-2, -2)], 2.0, atol=1e-8)
-    assert_allclose(got[(-1, 0)], 0.7, atol=1e-12)
-    assert_allclose(got[(0, 0)], 5.0, atol=1e-10)
-    assert_allclose(got[(-2, -1)], 0.0, atol=1e-8)
+    def half(s, phase_sign):
+        built.append((s, phase_sign))
+        return s
+
+    def pair(s1, s2):
+        return {key: f(s1, s2) for key, f in parts.items()}
+
+    radius, n_theta = 5e-3, 12
+    coeffs, scale = spectral._origin_tables(half, pair, ["a", "b"], radius, n_theta)
+    for key, orders in want.items():
+        assert set(coeffs[key]) == set(orders)
+        for mn, c in orders.items():
+            assert_allclose(coeffs[key][mn], c, atol=1e-10, err_msg=f"{key} {mn}")
+    # each ring point's factor is built once per variable
+    assert sorted(ph for _, ph in built) == [-1] * n_theta + [+1] * n_theta
+    ring = radius * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
+    s1, s2 = np.meshgrid(ring, ring, indexing="ij")
+    assert_allclose(scale, np.median(sum(np.abs(f(s1, s2)) for f in parts.values())),
+                    rtol=1e-12)
 
 
 def test_expected_order_tables():
