@@ -247,7 +247,7 @@ def test_batched_equals_scalar():
 
 def test_z_integrated_pair_conjugate_denominator():
     # a plate source pair at s = -i w and +i w integrates over the plate to
-    # 1/(qn(s1) + qn(s2)) (see pressure._source_factor): that sum is real
+    # 1/(qn(s1) + qn(s2)) (see spectral._source_factor): that sum is real
     # and positive, so the depth integral converges
     geom = geom_pair()
     w = 1.4

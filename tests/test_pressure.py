@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from neqlifshitz import pressure as pr
+from neqlifshitz import spectral
 from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT,
                                   green_gap_from_plate, ic_z_block)
 from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
-from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions,
-                                  assemble_dof_integrand,
-                                  assemble_ic_integrand, bath_integrand,
-                                  equilibrium_matsubara, steady_pressure, theta_contract,
-                                  transverse_projector)
+from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions, bath_integrand,
+                                  equilibrium_matsubara, steady_pressure)
+from neqlifshitz.spectral import (assemble_dof_integrand, assemble_ic_integrand,
+                                  theta_contract, transverse_projector)
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
 LOSSY2 = Material(omega0=1.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.3))
@@ -90,7 +90,7 @@ def pairwise_contract(block1, block2, s1, s2, source_weight=None):
             u2 = np.asarray(t2.src_vec)
             w = np.eye(3) if source_weight is None else np.asarray(source_weight)
             usrc = np.einsum("...i,ij,...j->...", u1, w, u2)
-            amp = sc1 * sc2 * pr._source_factor(t1, t2) * usrc
+            amp = sc1 * sc2 * spectral._source_factor(t1, t2) * usrc
             elec += amp * s1s2 * (f1[0] * f2[0] + f1[1] * f2[1] - f1[2] * f2[2])
             mag += amp * (c1[0] * c2[0] + c1[1] * c2[1] - c1[2] * c2[2])
     return elec, mag

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from neqlifshitz import pressure, spectral
+from neqlifshitz import spectral
 from neqlifshitz.em_green import Geometry
 from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
@@ -494,22 +494,22 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
     Q = 0.7
     k = np.array([0.4, 0.3, 1.1])
 
-    ic_calls = _count_calls(monkeypatch, pressure, "ic_z_block")
+    ic_calls = _count_calls(monkeypatch, spectral, "ic_z_block")
     tables = _spy_torus_tables(monkeypatch)
     ic_origin_report(geom, k)
     assert 0 < len(ic_calls) <= 90
     (ring, tabs), = tables
     for a, b in ((0, 0), (3, 7), (11, 5)):
-        _, want = pressure.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
+        _, want = spectral.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
 
-    dof_calls = _count_calls(monkeypatch, pressure, "green_gap_from_plate")
+    dof_calls = _count_calls(monkeypatch, spectral, "green_gap_from_plate")
     tables.clear()
     dof_origin_report(geom, Q)
     assert 0 < len(dof_calls) <= 180
     (ring, tabs), = tables
     for a, b in ((0, 0), (2, 9), (10, 4)):
-        _, want = pressure.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
+        _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
