@@ -7,7 +7,11 @@ transform in the transverse plane every block is a finite sum of terms
     scalar * exp(exp_z * z) * exp(src_exp * (z_src - z_ref)) * f ⊗ u
 
 over polarizations mu in {TE, TM}, which is kept symbolic (GreenTerm /
-GreenBlock) so that z-derivatives act exactly term by term.
+GreenBlock) so that z-derivatives act exactly term by term.  The stress
+contraction of two blocks (`spectral.theta_contract`) and the transient
+integrands built on it live in :mod:`.spectral`; the steady pressure
+(:mod:`.pressure`) uses only the Fresnel coefficients and wavenumbers of
+this module.
 
 Conventions: q_z = sqrt(eps(s) s^2 + Q^2) with the principal branch and a
 retarded shift s -> s + eta realizing boundary values from Re s > 0;
@@ -382,9 +386,10 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     The source z-dependence stays symbolic, referenced to the plate
     boundary: exp(q_n * distance-into-plate).
 
-    These blocks feed the transient integrands and the plate-source
-    integrals; the steady pressure uses the closed form they contract to
-    (see the pressure module), and the tests check one against the other.
+    These blocks feed the transient integrands (:mod:`.spectral`) and the
+    plate-source integrals; the steady pressure uses the closed form they
+    contract to (see the pressure module), and the tests check one
+    against the other.
     ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """

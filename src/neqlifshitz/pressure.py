@@ -4,16 +4,19 @@ The long-time pressure is carried entirely by the plate baths: each plate
 emits into the gap with weight omega^2 * coth(beta omega/2) * Im eps(omega)
 (equivalently, pre-identity, via its bath noise kernel), and the zz stress
 of the emitted field is the closed-form non-equilibrium Lifshitz integrand
-of the two plates' Fresnel coefficients.  The symbolic Green blocks of
-:mod:`.em_green`, contracted per source group as in :func:`theta_contract`,
-serve only the transient integrands at the end of this module (and the
-tests, as the oracle of the closed form).  The product is the
+of the two plates' Fresnel coefficients.  The product is the
 distance-dependent pressure: the integrand is the channel map minus its
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
 ceiling, never enter.  The (omega, Q) integral is done with a vectorized
 adaptive Gauss-Kronrod rule, split into propagating (Q < omega) and
-evanescent (Q > omega) sectors.
+evanescent (Q > omega) sectors.  The module also holds the equilibrium
+oracle, the imaginary-frequency sum.
+
+This module builds no symbolic Green block: the blocks of
+:mod:`.em_green` and their stress contraction
+(:func:`.spectral.theta_contract`) serve the transient study in
+:mod:`.spectral`, and in the tests the oracle of the closed form.
 
 The inner Q integrals of the frequency nodes of one outer round run in
 lockstep, up to ``_OMEGA_GROUP`` frequencies at a time: both sectors of
@@ -128,7 +131,7 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
     qn/eps (TM), and the evanescent channel takes its limit
     G / |l + 1/n_a + 1/n_b|^2 instead of 0 * inf.
-    The symbolic contraction of :func:`theta_contract` over
+    The symbolic contraction of :func:`.spectral.theta_contract` over
     :func:`.em_green.green_gap_from_plate` blocks gives the same numbers
     term by term; the tests use it as the oracle.
 
@@ -461,24 +464,31 @@ class PressureResult:
         return cells
 
 
+def _table_cap(geom):
+    """Highest frequency that every dispersive tabulated plate covers
+    (inf when no plate is one)."""
+    cap = math.inf
+    for side in (geom.left, geom.right):
+        if isinstance(side, EpsilonTable) and not side.is_dispersionless:
+            cap = min(cap, float(side.omega[-1]))
+    return cap
+
+
 def _auto_omega_max(geom):
     """Frequency ceiling from the material, thermal and cavity scales.
 
     The ceiling only has to clear the dissipation hump and leave the
     oscillatory tail in its asymptotic decay; the endpoint-averaged tail
     treatment in the frequency integral removes the truncation residue.
+    It never exceeds the tabulated plates' range (`_table_cap`).
     """
     cands = [18.0, 4.0 / geom.gap]
-    cap = math.inf
     for side in (geom.left, geom.right):
-        if isinstance(side, EpsilonTable):
-            if not side.is_dispersionless:
-                cap = min(cap, float(side.omega[-1]))
-            continue
-        cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
-        if math.isfinite(side.beta_bath):
-            cands.append(8.0 / side.beta_bath)
-    return min(max(cands), cap)
+        if isinstance(side, Material):
+            cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
+            if math.isfinite(side.beta_bath):
+                cands.append(8.0 / side.beta_bath)
+    return min(max(cands), _table_cap(geom))
 
 
 def _inner_q_edges_prop(geom, omega):
@@ -659,12 +669,8 @@ def _steady(geom, opts, kernel):
     totals = {k: float(v[0]) for k, v in got.items()}
     outer_err = float(outer_err[0])
 
-    table_cap = math.inf
-    for side in (geom.left, geom.right):
-        if isinstance(side, EpsilonTable) and not side.is_dispersionless:
-            table_cap = min(table_cap, float(side.omega[-1]))
     half = math.pi / (2.0 * geom.gap)
-    if kernel == "difference" and omega_max + 2.0 * half <= table_cap:
+    if kernel == "difference" and omega_max + 2.0 * half <= _table_cap(geom):
         # Past the material scales the subtracted integrand is dominated by
         # a decaying cavity round-trip oscillation cos(2 omega l + phi):
         # truncating at omega_max leaves a conditionally convergent tail of
@@ -710,8 +716,6 @@ def steady_pressure(geom, opts=None):
 
 def _eps_imag_axis(side, xi):
     """Permittivity on the positive real Laplace axis (real there)."""
-    if isinstance(side, (int, float, complex)):
-        return complex(side).real
     if isinstance(side, EpsilonTable):
         return float(np.real(side.eps_laplace(xi)))
     if xi == 0.0:

@@ -7,6 +7,14 @@ candidate gap modes at s = +-i*sqrt(Q^2 + kz^2), Talbot-contour Laplace
 inversion of the oscillator kernel, and shrinking-radius Laurent tooling
 that classifies the origin behaviour of the transient integrands.
 
+The transient integrands themselves live here too: the oscillator
+(`assemble_dof_integrand`) and initial-field (`assemble_ic_integrand`)
+pressures are zz-stress contractions (`theta_contract`) of the symbolic
+Green blocks of :mod:`.em_green`.  Each block reduces to one pair of 3x3
+coincidence tensors with one source factor, so a contracted pair costs
+one trace pair.  The steady pressure (:mod:`.pressure`) needs none of
+this: it integrates the closed form those contractions reduce to.
+
 Conventions
 -----------
 * Everything lives on the retarded sheet: square roots follow the same
@@ -31,7 +39,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .em_green import dmu, green_gap_from_plate, ic_z_block, ic_z_integral, qz
+from .em_green import (_plate_fresnel, dmu, green_gap_from_plate, ic_z_block,
+                       ic_z_integral, qz)
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import EpsilonTable, Material, _coth, qbm_green
 
@@ -177,15 +186,13 @@ class OriginOrder:
     ``order`` is the pole order (0 = regular or vanishing), ``coeff``
     the leading Laurent coefficient c_{-order} from an angular mean at
     the smallest radius, ``slope`` the fitted log-log growth rate
-    (close to -order when resolved), ``drift`` the relative change of
-    ``coeff`` across the two smallest radii.
+    (close to -order when resolved).
     """
 
     order: int
     coeff: complex
     slope: float
     resolved: bool
-    drift: float
 
 
 # ----------------------------------------------------------------------
@@ -715,9 +722,8 @@ def invert_laplace_qbm(mat, t_grid, n_nodes=64):
     return out.reshape(t.shape)
 
 
-# ---------------------------------------------------------------------------
+# ----------------------------------------------------------------------
 # stress contraction of two Green blocks
-# ---------------------------------------------------------------------------
 
 
 def _source_factor(t1, t2):
@@ -746,29 +752,40 @@ def _source_factor(t1, t2):
 _LAMBDA = np.array([1.0, 1.0, -1.0])
 
 
-def _source_groups(block):
-    """Coincidence tensors of one block, per source group.
+def _coincidence(block):
+    """Source term and coincidence tensors (rep, F, C) of one block.
 
-    A source group is the terms sharing ``plate``, ``z_ref`` and
-    ``src_exp``.  For each group this returns (representative term, F, C)
-    with, at z = the geometry's ``z_field``,
+    With z = the geometry's ``z_field``,
 
         F = sum_t scalar_t e^{exp_z z} f_t (x) u_t
         C = sum_t scalar_t e^{exp_z z} (curl f_t) (x) u_t,
 
     where the curl of the plane-wave factor takes transverse derivatives
     as +-i*Q*qhat on the block's parallel phase and z-derivatives as the
-    term's exp_z.  F and C are shaped Q.shape + (3, 3).
+    term's exp_z.  F and C are shaped Q.shape + (3, 3).  ``rep`` is the
+    block's first term, which carries the source of every term: either
+    all terms are source-integrated (src_exp = 0, as in an
+    ``ic_z_block``) or all share one (plate, z_ref, src_exp) (as in a
+    from-plate block); any other block raises DomainError.  It is None
+    for a block without terms.
     """
     Q = np.asarray(block.Q, dtype=float)
     z = block.geom.z_field
     phase = 1j * block.phase_sign
     kx = (phase * float(block.qhat[0])) * Q
     ky = (phase * float(block.qhat[1])) * Q
-    groups = []
+    rep = block.terms[0] if block.terms else None
+    integrated = all(np.all(np.asarray(t.src_exp) == 0) for t in block.terms)
+    F = np.zeros(Q.shape + (3, 3), dtype=complex)
+    C = np.zeros(Q.shape + (3, 3), dtype=complex)
     for t in block.terms:
         if t.step:
             raise DomainError("step-gated bulk terms are not defined at coincidence")
+        if not (integrated or (t.plate == rep.plate and t.z_ref == rep.z_ref
+                               and (t.src_exp is rep.src_exp
+                                    or np.array_equal(t.src_exp, rep.src_exp)))):
+            raise DomainError("a contracted block's terms must all be source-integrated "
+                              "or share one plate, reference height and source exponent")
         f = np.asarray(t.field_vec)
         fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
         ez = np.asarray(t.exp_z, dtype=complex)
@@ -776,41 +793,26 @@ def _source_groups(block):
                                             kx * fy - ky * fx), axis=-1)
         scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
         su = np.asarray(scal)[..., None] * np.asarray(t.src_vec)
-        F = f[..., :, None] * su[..., None, :]
-        C = curl[..., :, None] * su[..., None, :]
-        for g in groups:
-            rep = g[0]
-            if (rep.plate == t.plate and rep.z_ref == t.z_ref
-                    and (rep.src_exp is t.src_exp
-                         or np.array_equal(rep.src_exp, t.src_exp))):
-                g[1] = g[1] + F
-                g[2] = g[2] + C
-                break
-        else:
-            groups.append([t, F, C])
-    return groups
+        F = F + f[..., :, None] * su[..., None, :]
+        C = C + curl[..., :, None] * su[..., None, :]
+    return rep, F, C
 
 
-def _contract_groups(groups1, groups2, s1, s2, source_weight=None):
-    """(electric, magnetic) stress contraction of two blocks' source groups.
+def _contract(co1, co2, s1, s2, source_weight=None):
+    """(electric, magnetic) stress contraction of two blocks' coincidence data.
 
-    The contraction is bilinear in the terms and every term pair of one
-    group pair shares its source factor, so each group pair contributes
-    sf * sum_i Lambda_i (X1 W X2^T)_ii with X = F (electric, times s1 s2)
-    or X = C (magnetic).
+    The contraction is bilinear in the terms and every term pair shares
+    the blocks' source factor sf, so it is sf * sum_i Lambda_i
+    (X1 W X2^T)_ii with X = F (electric, times s1 s2) or X = C
+    (magnetic): one source factor and one trace pair per block pair.
     """
-    elec = 0.0
-    mag = 0.0
-    for t1, F1, C1 in groups1:
-        if source_weight is not None:
-            F1 = F1 @ source_weight
-            C1 = C1 @ source_weight
-        F1 = _LAMBDA[:, None] * F1
-        C1 = _LAMBDA[:, None] * C1
-        for t2, F2, C2 in groups2:
-            sf = _source_factor(t1, t2)
-            elec = elec + sf * (F1 * F2).sum(axis=(-2, -1))
-            mag = mag + sf * (C1 * C2).sum(axis=(-2, -1))
+    (t1, F1, C1), (t2, F2, C2) = co1, co2
+    if source_weight is not None:
+        F1 = F1 @ source_weight
+        C1 = C1 @ source_weight
+    sf = 1.0 if t1 is None or t2 is None else _source_factor(t1, t2)
+    elec = sf * ((_LAMBDA[:, None] * F1) * F2).sum(axis=(-2, -1))
+    mag = sf * ((_LAMBDA[:, None] * C1) * C2).sum(axis=(-2, -1))
     return complex(s1) * complex(s2) * elec, mag
 
 
@@ -829,19 +831,18 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     (identity when None) and pending plate-source exponentials are
     integrated in closed form.
 
-    The sum is evaluated per source group (terms sharing plate, z_ref and
-    src_exp; see ``_source_groups``): the operator is bilinear, and the
-    source factor of a term pair depends only on (src_exp1 + src_exp2,
-    plate, z_ref), which is common to every pair of one group pair.  So
-    each block reduces to two 3x3 coincidence tensors per group and the
-    pair sum to one trace per group pair.  A from-plate block is one
-    group, an ``ic_z_block`` three (L, R and gap).
+    The operator is bilinear, and the source factor of a term pair depends
+    only on (src_exp1 + src_exp2, plate, z_ref).  Every term of a block
+    the program builds shares that source (see ``_coincidence``), so each
+    block reduces to two 3x3 coincidence tensors and the pair sum to one
+    source factor times one trace per tensor pair.
 
     Parameters
     ----------
     block1, block2 : GreenBlock
         Must share Q, qhat and field geometry; block2 is conventionally the
-        opposite-phase partner.
+        opposite-phase partner.  Each block's terms must all be
+        source-integrated or share one (plate, z_ref, src_exp).
     s1, s2 : complex
         Laplace points of the two factors (the electric part carries s1*s2).
     source_weight : (3, 3) array, optional
@@ -867,14 +868,9 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     if g1.gap != g2.gap or g1.z_field != g2.z_field:
         raise DomainError("contracted blocks must share the field geometry")
 
-    Q = np.asarray(block1.Q, dtype=float)
     weight = None if source_weight is None else np.asarray(source_weight)
-    elec, mag = _contract_groups(_source_groups(block1), _source_groups(block2),
-                                 s1, s2, weight)
-    # shaped like Q also when a block has no terms
-    elec = elec + np.zeros(Q.shape, dtype=complex)
-    mag = mag + np.zeros(Q.shape, dtype=complex)
-    if Q.ndim == 0:
+    elec, mag = _contract(_coincidence(block1), _coincidence(block2), s1, s2, weight)
+    if np.ndim(block1.Q) == 0:
         elec, mag = complex(elec), complex(mag)
     if split:
         return elec, mag
@@ -893,60 +889,57 @@ def transverse_projector(k):
     return np.eye(3) - np.outer(k, k) / wk2
 
 
-# ---------------------------------------------------------------------------
-# transient integrand builders (analytic-structure study)
-# ---------------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# transient integrands
 #
 # Both transient integrands are a sum over pairs of factors, one depending
 # on s1 alone and one on s2 alone.  Each is split into a per-variable half
-# (the Green block's source groups plus the s-only prefactors) and a pair
-# step, so a caller sampling many (s1, s2) pairs builds each block once per
-# distinct Laplace point.
+# (the Green blocks' coincidence data plus the s-only prefactors) and a
+# pair step returning the parts, so a caller sampling many (s1, s2) pairs
+# builds each block once per distinct Laplace point.
 
 
 def _dof_half(geom, Q, s, phase_sign):
     """One Laplace variable's factor of the oscillator-transient integrand.
 
-    Returns (s, {plate: (s^2 G(s) - 1, s G(s), {pol: source groups})})
+    Returns (s, {plate: (s^2 G(s) - 1, s G(s), {pol: coincidence data})})
     over the coupled Material plates; phase_sign is +1 for the s1 factor
-    and -1 for its s2 partner.
+    and -1 for its s2 partner.  The plates' Fresnel data are evaluated
+    once and shared by both plates' blocks.
     """
     s = complex(s)
-    plates = {}
-    for plate in _PLATES:
-        side = geom.side(plate)
+    for side in (geom.left, geom.right):
         if not isinstance(side, Material):
             raise DomainError("oscillator integrands need Material plates")
-        if side.lambda0 == 0.0:
-            continue
-        g = qbm_green(side, s)
-        block = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign)
+    coupled = [p for p in _PLATES if geom.side(p).lambda0 != 0.0]
+    pair = _plate_fresnel(geom, s, Q) if coupled else None
+    plates = {}
+    for plate in coupled:
+        g = qbm_green(geom.side(plate), s)
+        block = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign,
+                                     _fresnel=pair)
         plates[plate] = (s * s * g - 1.0, s * g,
-                         {pol: _source_groups(block.filtered(pol)) for pol in _POLS})
+                         {pol: _coincidence(block.filtered(pol)) for pol in _POLS})
     return s, plates
 
 
-def _dof_pair(geom, half1, half2, parts=False):
-    """Oscillator-transient integrand from its s1 and s2 halves."""
+def _dof_pair(geom, half1, half2):
+    """Oscillator-transient integrand parts from its s1 and s2 halves,
+    keyed (plate, pol, "product"|"cross", "electric"|"magnetic")."""
     (s1, plates1), (s2, plates2) = half1, half2
-    total = 0.0 + 0.0j
     pieces = {}
-    for plate, (a1, b1, groups1) in plates1.items():
-        a2, b2, groups2 = plates2[plate]
+    for plate, (a1, b1, co1) in plates1.items():
+        a2, b2, co2 = plates2[plate]
         side = geom.side(plate)
         brackets = {"product": a1 * a2, "cross": side.omega0 ** 2 * b1 * b2}
         pref = (-1.0 / (8.0 * math.pi)) * side.lambda0 ** 2 * side.mass \
             / (2.0 * side.omega0) * _coth(0.5 * side.beta_dof * side.omega0)
         for pol in _POLS:
-            elec, mag = _contract_groups(groups1[pol], groups2[pol], s1, s2)
+            elec, mag = _contract(co1[pol], co2[pol], s1, s2)
             for bname, bval in brackets.items():
                 for tname, tval in (("electric", elec), ("magnetic", mag)):
-                    v = pref * bval * tval
-                    pieces[(plate, pol, bname, tname)] = v
-                    total = total + v
-    if parts:
-        return total, pieces
-    return total
+                    pieces[(plate, pol, bname, tname)] = pref * bval * tval
+    return pieces
 
 
 def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
@@ -969,8 +962,9 @@ def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
     With ``parts`` also returns the dict keyed
     (plate, pol, "product"|"cross", "electric"|"magnetic").
     """
-    return _dof_pair(geom, _dof_half(geom, Q, s1, +1), _dof_half(geom, Q, s2, -1),
-                     parts=parts)
+    pieces = _dof_pair(geom, _dof_half(geom, Q, s1, +1), _dof_half(geom, Q, s2, -1))
+    total = sum(pieces.values(), 0.0 + 0.0j)
+    return (total, pieces) if parts else total
 
 
 def _ic_wavevector(k):
@@ -987,34 +981,29 @@ def _ic_wavevector(k):
 def _ic_half(geom, k, s, phase_sign):
     """One Laplace variable's factor of the initial-field integrand.
 
-    Returns (s, {pol: source groups of the plane-wave-weighted block}).
+    Returns (s, {pol: coincidence data of the plane-wave-weighted block}).
     """
     Q, kz, _ = _ic_wavevector(k)
     s = complex(s)
     block = ic_z_block(geom, s, Q, kz, phase_sign=phase_sign)
-    return s, {pol: _source_groups(block.filtered(pol)) for pol in _POLS}
+    return s, {pol: _coincidence(block.filtered(pol)) for pol in _POLS}
 
 
-def _ic_pair(k, half1, half2, beta_em=math.inf, parts=False):
-    """Initial-field integrand from its s1 and s2 halves."""
+def _ic_pair(k, half1, half2, beta_em=math.inf):
+    """Initial-field integrand parts from its s1 and s2 halves, keyed
+    (pol, "electric"|"magnetic")."""
     Q, kz, wk = _ic_wavevector(k)
-    (s1, groups1), (s2, groups2) = half1, half2
+    (s1, co1), (s2, co2) = half1, half2
     proj = transverse_projector(np.array([Q, 0.0, kz]))
     occ = _coth(0.5 * beta_em * wk) if math.isfinite(beta_em) else 1.0
     pref = (-1.0 / (8.0 * math.pi)) * occ * (s1 * s2 + wk * wk) \
         / (2.0 * wk * (2.0 * math.pi) ** 3)
-    total = 0.0 + 0.0j
     pieces = {}
     for pol in _POLS:
-        elec, mag = _contract_groups(groups1[pol], groups2[pol], s1, s2,
-                                     source_weight=proj)
-        for tname, tval in (("electric", elec), ("magnetic", mag)):
-            v = pref * tval
-            pieces[(pol, tname)] = v
-            total = total + v
-    if parts:
-        return total, pieces
-    return total
+        elec, mag = _contract(co1[pol], co2[pol], s1, s2, source_weight=proj)
+        pieces[(pol, "electric")] = pref * elec
+        pieces[(pol, "magnetic")] = pref * mag
+    return pieces
 
 
 def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
@@ -1035,8 +1024,10 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
     enters, so each block is built once per distinct Laplace point.  With
     ``parts`` also returns the dict keyed (pol, "electric"|"magnetic").
     """
-    return _ic_pair(k, _ic_half(geom, k, s1, +1), _ic_half(geom, k, s2, -1),
-                    beta_em=beta_em, parts=parts)
+    pieces = _ic_pair(k, _ic_half(geom, k, s1, +1), _ic_half(geom, k, s2, -1),
+                      beta_em=beta_em)
+    total = sum(pieces.values(), 0.0 + 0.0j)
+    return (total, pieces) if parts else total
 
 
 # ----------------------------------------------------------------------
@@ -1048,11 +1039,9 @@ def _order_from_samples(vals, radii, angles, slope_tol=0.25):
     vals = np.asarray(vals, dtype=complex)
     mags = np.median(np.abs(vals), axis=1)
     if np.all(mags < 1e-280):
-        return OriginOrder(order=0, coeff=0.0j, slope=math.inf,
-                           resolved=True, drift=0.0)
+        return OriginOrder(order=0, coeff=0.0j, slope=math.inf, resolved=True)
     if np.any(mags < 1e-280):
-        return OriginOrder(order=0, coeff=0.0j, slope=math.nan,
-                           resolved=False, drift=math.nan)
+        return OriginOrder(order=0, coeff=0.0j, slope=math.nan, resolved=False)
     slopes = np.diff(np.log(mags)) / np.diff(np.log(radii))
     p_hat = float(np.mean(slopes[-2:]))
     order_f = -p_hat
@@ -1061,13 +1050,8 @@ def _order_from_samples(vals, radii, angles, slope_tol=0.25):
         resolved = order_f <= slope_tol
     else:
         resolved = abs(order_f - order) <= slope_tol
-    ring = np.exp(1j * angles)
-    c_last = complex(np.mean(vals[-1] * (radii[-1] * ring) ** order))
-    c_prev = complex(np.mean(vals[-2] * (radii[-2] * ring) ** order))
-    denom = max(abs(c_last), abs(c_prev))
-    drift = abs(c_last - c_prev) / denom if denom > 0.0 else 0.0
-    return OriginOrder(order=order, coeff=c_last, slope=p_hat,
-                       resolved=bool(resolved), drift=float(drift))
+    coeff = complex(np.mean(vals[-1] * (radii[-1] * np.exp(1j * angles)) ** order))
+    return OriginOrder(order=order, coeff=coeff, slope=p_hat, resolved=bool(resolved))
 
 
 def classify_origin_order(f, r0=1e-2, shrink=4.0, n_radii=4, n_theta=8,
@@ -1081,10 +1065,8 @@ def classify_origin_order(f, r0=1e-2, shrink=4.0, n_radii=4, n_theta=8,
     fitted slope is not near an integer — the caller decides whether
     that is an error.
     """
-    radii = np.array([r0 * shrink ** (-j) for j in range(n_radii)])
-    angles = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    vals = np.array([[complex(f(complex(r * math.cos(a), r * math.sin(a))))
-                      for a in angles] for r in radii])
+    radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
+    vals = np.array([complex(f(s)) for s in pts]).reshape(n_radii, n_theta)
     return _order_from_samples(vals, radii, angles, slope_tol)
 
 
@@ -1227,6 +1209,34 @@ def _cancellation_record(coeffs, keys, cancel_tol, f_scale, radius):
     return record, ok
 
 
+def _origin_report(half, pair, expected, probe, radius, n_theta):
+    """Classification and torus tables shared by the two origin reports.
+
+    ``half``/``pair`` are the integrand's per-variable factor and pair
+    step (see `_classify_parts`), ``expected(key)`` the expected
+    per-variable orders of the part ``key``.  Classifies every part in
+    each Laplace variable and tabulates every part on the torus.  Returns
+    (parts report keyed "|"-joined, whether every part matches, sorted
+    part keys, per-part Laurent coefficients, integrand scale).
+    """
+    orders = _classify_parts(half, pair, probe)
+    parts_report = {}
+    all_match = True
+    for key, (o1, o2) in sorted(orders.items()):
+        want = expected(key)
+        match = (o1.order, o2.order) == want and o1.resolved and o2.resolved
+        all_match = all_match and match
+        parts_report["|".join(key)] = {
+            "order": [o1.order, o2.order],
+            "slope": [o1.slope, o2.slope],
+            "expected": list(want),
+            "matches": match,
+        }
+    keys = sorted(orders)
+    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
+    return parts_report, all_match, keys, coeffs, f_scale
+
+
 def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
                       cancel_tol=1e-5):
     """Origin taxonomy of the oscillator-transient integrand at one Q.
@@ -1244,27 +1254,10 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
     halves, each holding one `green_gap_from_plate` block per coupled
     plate.
     """
-    def half(s, phase_sign):
-        return _dof_half(geom, Q, s, phase_sign)
-
-    def pair(h1, h2):
-        return _dof_pair(geom, h1, h2, parts=True)[1]
-
-    orders = _classify_parts(half, pair, probe)
-    parts_report = {}
-    all_match = True
-    for (plate, pol, bracket, piece), (o1, o2) in sorted(orders.items()):
-        want = expected_dof_origin_orders(pol, bracket, piece)
-        match = (o1.order, o2.order) == want and o1.resolved and o2.resolved
-        all_match = all_match and match
-        parts_report["|".join((plate, pol, bracket, piece))] = {
-            "order": [o1.order, o2.order],
-            "slope": [o1.slope, o2.slope],
-            "expected": list(want),
-            "matches": match,
-        }
-    keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
+    parts_report, all_match, keys, coeffs, f_scale = _origin_report(
+        lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
+        lambda h1, h2: _dof_pair(geom, h1, h2),
+        lambda key: expected_dof_origin_orders(*key[1:]), probe, radius, n_theta)
     plates_report = {}
     cancel_ok = True
     for plate in ("L", "R"):
@@ -1298,27 +1291,10 @@ def ic_origin_report(geom, k, beta_em=math.inf, probe=0.31 + 0.23j,
     (`ic_z_block`) is built once per distinct Laplace point and phase:
     90 builds for the 208 sampled pairs.
     """
-    def half(s, phase_sign):
-        return _ic_half(geom, k, s, phase_sign)
-
-    def pair(h1, h2):
-        return _ic_pair(k, h1, h2, beta_em=beta_em, parts=True)[1]
-
-    orders = _classify_parts(half, pair, probe)
-    parts_report = {}
-    all_match = True
-    for (pol, piece), (o1, o2) in sorted(orders.items()):
-        want = expected_ic_origin_orders(pol, piece)
-        match = (o1.order, o2.order) == want and o1.resolved and o2.resolved
-        all_match = all_match and match
-        parts_report["|".join((pol, piece))] = {
-            "order": [o1.order, o2.order],
-            "slope": [o1.slope, o2.slope],
-            "expected": list(want),
-            "matches": match,
-        }
-    keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
+    parts_report, all_match, keys, coeffs, f_scale = _origin_report(
+        lambda s, phase_sign: _ic_half(geom, k, s, phase_sign),
+        lambda h1, h2: _ic_pair(k, h1, h2, beta_em=beta_em),
+        lambda key: expected_ic_origin_orders(*key), probe, radius, n_theta)
     record, cancel_ok = _cancellation_record(coeffs, keys, cancel_tol,
                                              f_scale, radius)
     return {

@@ -61,7 +61,7 @@ def pairwise_contract(block1, block2, s1, s2, source_weight=None):
     """Reference (electric, magnetic) contraction, one term pair at a time.
 
     The direct double sum over term pairs with a source factor per pair;
-    ``theta_contract`` must reproduce it through its per-group tensors.
+    ``theta_contract`` must reproduce it through its per-block tensors.
     """
     Q = np.asarray(block1.Q, dtype=float)
     z = block1.geom.z_field
@@ -185,8 +185,8 @@ def test_theta_contract_matches_pairwise_oracle():
     geom = Geometry(gap=0.9, left=LOSSY, right=cutoff, z_field=0.23)
     rng = np.random.default_rng(5)
 
-    # from-plate pairs: one source group each, with the +-qn source factor
-    # of either sign; Q as an array and as a scalar
+    # from-plate pairs: one shared source per block, with the +-qn source
+    # factor of either sign; Q as an array and as a scalar
     for plate in ("L", "R"):
         for w in (0.4, 2.7):
             s1, s2 = -1j * w, 1j * w
@@ -199,10 +199,10 @@ def test_theta_contract_matches_pairwise_oracle():
                     if np.ndim(Q) == 0:
                         assert all(isinstance(v, complex) for v in got)
 
-    # plane-wave-weighted blocks: L, R and gap groups under a projector.
-    # Near s = 0 the pairwise sum itself loses digits to the 1/s^2 terms
-    # that cancel within the gap group, so the reference points stay at
-    # |s| ~ 1
+    # plane-wave-weighted blocks: L, R and gap terms, all source-integrated,
+    # under a projector.  Near s = 0 the pairwise sum itself loses digits to
+    # the 1/s^2 terms that cancel among the gap terms, so the reference
+    # points stay at |s| ~ 1
     k = np.array([0.7, 0.0, -1.1])
     proj = transverse_projector(k)
     for s1, s2 in ((0.3 - 0.9j, 0.2 + 1.4j), (-0.2 + 0.5j, 0.1 - 0.7j)):
@@ -212,7 +212,8 @@ def test_theta_contract_matches_pairwise_oracle():
             assert_matches_pairwise(b1.filtered(pol), b2.filtered(pol), s1, s2,
                                     source_weight=proj)
 
-    # a block whose terms fall into two source groups
+    # a block whose terms carry two different pending source exponents has
+    # no single source factor, and is refused
     def vec():
         return rng.normal(size=3) + 1j * rng.normal(size=3)
 
@@ -223,7 +224,14 @@ def test_theta_contract_matches_pairwise_oracle():
                                plate="L", src_exp=e, z_ref=-0.45) for e in (0.7, 0.5)]
     b1 = replace(parts1[0], terms=parts1[0].terms + parts1[1].terms)
     b2 = replace(parts2[0], terms=parts2[0].terms + parts2[1].terms)
-    assert_matches_pairwise(b1, b2, 0.2 - 1.1j, -0.4 + 0.7j, source_weight=proj)
+    with pytest.raises(DomainError):
+        theta_contract(b1, b2, 0.2 - 1.1j, -0.4 + 0.7j, source_weight=proj)
+    with pytest.raises(DomainError):
+        theta_contract(parts1[0], b2, 0.2 - 1.1j, -0.4 + 0.7j, source_weight=proj)
+    mixed = replace(parts1[0], terms=parts1[0].terms
+                    + (replace(parts1[1].terms[0], src_exp=0.0),))
+    with pytest.raises(DomainError):
+        theta_contract(mixed, parts2[0], 0.2 - 1.1j, -0.4 + 0.7j, source_weight=proj)
 
 
 def test_theta_contract_usage_errors():

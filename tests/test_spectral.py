@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from neqlifshitz import spectral
-from neqlifshitz.em_green import Geometry
+from neqlifshitz import em_green, spectral
+from neqlifshitz.em_green import Geometry, green_gap_from_plate
 from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
@@ -513,3 +513,67 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
+
+
+def test_ic_origin_report_makes_one_trace_pair_per_polarization(monkeypatch):
+    # each contracted block pair costs one source factor and one trace pair:
+    # 208 sampled (s1, s2) pairs x 2 polarizations
+    factors = _count_calls(monkeypatch, spectral, "_source_factor")
+    ic_origin_report(warm_geom(), np.array([0.4, 0.3, 1.1]))
+    assert len(factors) == 416
+
+
+@pytest.mark.parametrize("kind", ["dof", "ic"])
+def test_transient_blocks_reduce_to_one_source_factor(monkeypatch, kind):
+    # every block either integrand contracts is one polarization with one
+    # source: a from-plate block's terms share plate, reference height and
+    # pending exponent; a plane-wave-weighted block's L, R and gap terms are
+    # all source-integrated
+    blocks = []
+    coincidence = spectral._coincidence
+
+    def spy(block):
+        blocks.append(block)
+        return coincidence(block)
+
+    monkeypatch.setattr(spectral, "_coincidence", spy)
+    factors = _count_calls(monkeypatch, spectral, "_source_factor")
+    geom = warm_geom(z_field=0.13)
+    s1, s2 = 0.2 - 0.9j, 0.1 + 1.3j
+    if kind == "dof":
+        spectral.assemble_dof_integrand(geom, 0.7, s1, s2)
+        assert len(blocks) == 8     # 2 plates x 2 phases x 2 polarizations
+    else:
+        spectral.assemble_ic_integrand(geom, np.array([0.4, 0.3, 1.1]), s1, s2)
+        assert len(blocks) == 4     # 2 phases x 2 polarizations
+    assert {b.terms[0].pol for b in blocks} == {"TE", "TM"}
+    for b in blocks:
+        rep = b.terms[0]
+        assert all(t.pol == rep.pol for t in b.terms)
+        if kind == "dof":
+            assert np.all(np.asarray(rep.src_exp) != 0)
+            assert all(t.plate == rep.plate and t.z_ref == rep.z_ref
+                       and np.array_equal(t.src_exp, rep.src_exp) for t in b.terms)
+        else:
+            assert {t.plate for t in b.terms} == {"L", "R", "gap"}
+            assert all(np.all(np.asarray(t.src_exp) == 0) for t in b.terms)
+    assert len(factors) == len(blocks) // 2
+
+
+def test_dof_half_evaluates_each_plate_fresnel_once(monkeypatch):
+    # both plates' blocks of one Laplace point share one evaluation of the
+    # two plates' Fresnel data, and give the same bits as separate builds
+    geom = warm_geom(z_field=0.13)
+    Q, s = np.array([0.3, 0.7, 1.9]), 0.2 - 0.9j
+    eps_calls = _count_calls(monkeypatch, em_green, "plate_eps")
+    coeff_calls = _count_calls(monkeypatch, em_green, "_fresnel_coeffs")
+    _, plates = spectral._dof_half(geom, Q, s, -1)
+    assert set(plates) == {"L", "R"}
+    assert len(eps_calls) == 2
+    assert len(coeff_calls) == 2
+    for plate, (_, _, co) in plates.items():
+        alone = green_gap_from_plate(geom, plate, s, Q, phase_sign=-1)
+        for pol in ("TE", "TM"):
+            _, F, C = spectral._coincidence(alone.filtered(pol))
+            assert np.array_equal(co[pol][1], F) and np.array_equal(co[pol][2], C)
+
