@@ -4,35 +4,48 @@ Configuration grammar
 ---------------------
 Line-oriented ``section.key = value`` pairs; blank lines and ``#``
 comments are ignored.  Values are parsed as bool (``true``/``false``),
-int, float or string, in that order.  Sections:
+int, float or string, in that order.  ``_SCHEMA`` states every key's
+type, default and range; this list repeats it.  A float key takes an
+int, a str key reads any value as text, and every number must be finite.
+Material and BathModel check the material ranges, PressureOptions the
+options ranges.  ``table:PATH`` is relative to the config file::
 
-``geometry``
-    ``l`` (gap, required), ``left``/``right`` (material name or
-    ``table:PATH`` with PATH relative to the config file), ``T_L``,
-    ``T_R`` (plate bath temperatures, default 0), ``beta_em``
-    (optional initial-field inverse temperature; recorded for the
-    transient integrand reports).
-``material.<name>``
-    ``omega0``, ``lambda0``, ``mass``, ``bath`` (``none`` | ``ohmic`` |
-    ``ohmic_lorentz_cutoff``), ``gamma``, ``cutoff``.
-``sweep``
-    ``variable`` (``l`` | ``T_L`` | ``T_R``), ``start``, ``stop``,
-    ``points``, ``spacing`` (``linear`` | ``log``).  Optional; without
-    it the geometry is evaluated at a single point.
-``options``
-    Quadrature controls: ``rel_tol``, ``omega_max``, ``thermal_only``.
-    The pressure is always the distance-dependent part; the key
-    ``subtract_infinite_separation`` is still read, and only ``true`` is
-    accepted.
-``output``
-    ``path`` — CSV destination (overridden by ``--out``).
-``units``
-    ``si_scale_hz`` — one natural frequency unit in Hz; enables SI echo
-    columns (lengths in m, pressures in Pa).
-``epsilon`` / ``poles`` / ``verify``
-    Command tuning: ``epsilon.material``, ``epsilon.omega_min``,
-    ``epsilon.omega_max``, ``epsilon.points``; ``poles.material``;
-    ``verify.samples``, ``verify.seed``, ``verify.T_eq``.
+    geometry
+      l             float  required           > 0
+      left, right   str    required           material name or table:PATH
+      T_L, T_R      float  0.0                >= 0
+    material.<name>
+      omega0, mass  float  1.0                > 0
+      lambda0       float  1.0                >= 0
+      bath          str    ohmic              none | ohmic | ohmic_lorentz_cutoff
+      gamma         float  0.1 (0 if none)    >= 0, and 0 if bath = none
+      cutoff        float  inf                > 0 for ohmic_lorentz_cutoff
+    sweep (optional; without it the geometry is evaluated at one point)
+      variable      str    required           l | T_L | T_R
+      start, stop   float  required           > 0
+      points        int    required           >= 1
+      spacing       str    linear             linear | log
+    options
+      rel_tol       float  1e-4               (0, 1e-2]
+      omega_max     float  automatic          > 0
+      thermal_only  bool   false
+      subtract_infinite_separation
+                    bool   true               true (always subtracted)
+    output
+      path          str    stdout             (--out overrides it)
+    units
+      si_scale_hz   float  unset              > 0 Hz; adds SI columns (m, Pa)
+    epsilon
+      material      str    geometry.left      material name or table:PATH
+      omega_min     float  -10.0              < epsilon.omega_max
+      omega_max     float  10.0
+      points        int    401                >= 2
+    poles
+      material      str    geometry.left      material name
+    verify
+      samples       int    12                 >= 1
+      seed          int    0                  >= 0
+      T_eq          float  T_L or T_R or 0.5  >= 0
 
 All quantities are in natural units (hbar = c = kB = 1).  Every CSV
 starts with ``#`` header comments embedding the tool version and the
@@ -48,15 +61,16 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .em_green import Geometry
-from .errors import ConfigError, NeqLifshitzError
+from .errors import ConfigError, DomainError, NeqLifshitzError
 from .material import (BathModel, Material, fdr_epsilon_identity,
                        load_epsilon_table, permittivity_fourier)
 from .pressure import (BREAKDOWN_KEYS, PressureOptions, equilibrium_matsubara,
@@ -66,18 +80,60 @@ from .spectral import find_qbm_poles, modified_mode_check, scan_dmu_imaginary_ax
 HBAR_SI = 1.054571817e-34   # J s
 C_SI = 299792458.0          # m / s
 
-_SECTIONS = {"geometry", "material", "sweep", "options", "output", "units",
-             "epsilon", "poles", "verify"}
-_GEOMETRY_KEYS = {"l", "left", "right", "T_L", "T_R", "beta_em"}
-_MATERIAL_KEYS = {"omega0", "lambda0", "mass", "bath", "gamma", "cutoff"}
-_SWEEP_KEYS = {"variable", "start", "stop", "points", "spacing"}
-_OPTIONS_KEYS = {"rel_tol", "subtract_infinite_separation", "omega_max",
-                 "thermal_only"}
-_OUTPUT_KEYS = {"path"}
-_UNITS_KEYS = {"si_scale_hz"}
-_EPSILON_KEYS = {"material", "omega_min", "omega_max", "points"}
-_POLES_KEYS = {"material"}
-_VERIFY_KEYS = {"samples", "seed", "T_eq"}
+_REQUIRED = object()   # no default: the key must be given
+_RANGE_OPS = {">": operator.gt, ">=": operator.ge}
+
+# section -> key -> (type, default, range).  A callable default is computed
+# from the values resolved before it (the flat dotted values, or the
+# material's own fields).  A range is "> x" / ">= x", a tuple of allowed
+# values, or None where nothing is checked or the object load_config builds
+# from the value (Material, BathModel, PressureOptions) checks it.
+_SCHEMA = {
+    "geometry": {
+        "l": (float, _REQUIRED, "> 0"),
+        "left": (str, _REQUIRED, None),
+        "right": (str, _REQUIRED, None),
+        "T_L": (float, 0.0, ">= 0"),
+        "T_R": (float, 0.0, ">= 0"),
+    },
+    "material": {   # material.<name>.<field>
+        "omega0": (float, Material.omega0, None),
+        "lambda0": (float, Material.lambda0, None),
+        "mass": (float, Material.mass, None),
+        "bath": (str, BathModel.kind, None),
+        "gamma": (float, lambda m: 0.0 if m["bath"] == "none" else BathModel.gamma,
+                  None),
+        "cutoff": (float, BathModel.cutoff, None),
+    },
+    "sweep": {
+        "variable": (str, _REQUIRED, ("l", "T_L", "T_R")),
+        "start": (float, _REQUIRED, "> 0"),
+        "stop": (float, _REQUIRED, "> 0"),
+        "points": (int, _REQUIRED, ">= 1"),
+        "spacing": (str, "linear", ("linear", "log")),
+    },
+    "options": {
+        "rel_tol": (float, PressureOptions.rel_tol, None),
+        "omega_max": (float, PressureOptions.omega_max, None),
+        "thermal_only": (bool, PressureOptions.thermal_only, None),
+        "subtract_infinite_separation": (bool, True, None),
+    },
+    "output": {"path": (str, None, None)},
+    "units": {"si_scale_hz": (float, None, "> 0")},
+    "epsilon": {
+        "material": (str, lambda v: v["geometry.left"], None),
+        "omega_min": (float, -10.0, None),
+        "omega_max": (float, 10.0, None),
+        "points": (int, 401, ">= 2"),
+    },
+    "poles": {"material": (str, lambda v: v["geometry.left"], None)},
+    "verify": {
+        "samples": (int, 12, ">= 1"),
+        "seed": (int, 0, ">= 0"),
+        "T_eq": (float, lambda v: v["geometry.T_L"] or v["geometry.T_R"] or 0.5,
+                 ">= 0"),
+    },
+}
 
 
 @dataclass
@@ -87,17 +143,15 @@ class RunConfig:
     gap: float
     left: str
     right: str
-    t_left: float = 0.0
-    t_right: float = 0.0
-    beta_em: float = math.inf
-    materials: dict = field(default_factory=dict)   # name -> field dict
-    tables: dict = field(default_factory=dict)      # path key -> EpsilonTable
-    sweep: dict = None
-    options: dict = field(default_factory=dict)
-    output_path: str = None
-    si_scale_hz: float = None
-    command_opts: dict = field(default_factory=dict)
-    echo: tuple = ()                                # resolved key=value pairs
+    t_left: float
+    t_right: float
+    materials: dict     # name -> resolved field dict
+    tables: dict        # "table:PATH" -> EpsilonTable
+    sweep: dict         # resolved sweep block, or None
+    options: dict       # the options keys the file sets
+    si_scale_hz: float
+    values: dict        # dotted key -> resolved value (no material keys)
+    echo: tuple         # resolved key=value pairs
 
 
 def _parse_value(text):
@@ -141,20 +195,49 @@ def parse_entries(text):
     return entries
 
 
-def _expect(value, types, key, line):
-    if types is float and isinstance(value, (int, bool)) \
-            and not isinstance(value, bool):
-        return float(value)
-    if not isinstance(value, types) or isinstance(value, bool) and types is not bool:
-        want = types.__name__ if isinstance(types, type) else "value"
-        raise ConfigError(f"{key} must be a {want}, got {value!r}", line=line)
+def _check(key, value, spec, line):
+    """One entry against its schema row: type, finiteness and range."""
+    kind, _, rng = spec
+    if kind is str:
+        value = str(value)
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise ConfigError(f"{key} must be a {kind.__name__}, got {value!r}", line=line)
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}", line=line)
+    if isinstance(rng, tuple) and value not in rng:
+        raise ConfigError(f"{key} must be one of {', '.join(rng)}", line=line)
+    if isinstance(rng, str):
+        op, bound = rng.split()
+        if not _RANGE_OPS[op](value, float(bound)):
+            raise ConfigError(f"{key} must be {rng}, got {value!r}", line=line)
     return value
+
+
+def _resolve(table, given, prefix, out):
+    """Add every key of ``table`` to ``out``: given, else the default."""
+    for sub, (_, default, _) in table.items():
+        key = prefix + sub
+        if key in given:
+            out[key] = given[key]
+        else:
+            out[key] = default(out) if callable(default) else default
+    return out
+
+
+def _material(fields, beta):
+    bath = BathModel(kind=fields["bath"], gamma=fields["gamma"],
+                     cutoff=fields["cutoff"])
+    return Material(omega0=fields["omega0"], lambda0=fields["lambda0"],
+                    mass=fields["mass"], bath=bath, beta_bath=beta)
 
 
 def load_config(path):
     """Parse and validate a config file into a RunConfig.
 
-    Referenced material names and table paths are resolved eagerly, so
+    Every entry is checked against ``_SCHEMA``; materials, pressure
+    options, material names and table paths are resolved eagerly, so
     every configuration error surfaces here with a line number.
     """
     path = Path(path)
@@ -164,163 +247,97 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {exc}")
     entries = parse_entries(text)
 
-    blocks = {}
+    # checked values, and their lines ("material.<name>": its first line)
+    given, mat_given, lines = {}, {}, {}
     for key, value, line in entries:
-        section = key.split(".", 1)[0]
-        if section not in _SECTIONS:
+        lines[key] = line
+        section, _, sub = key.partition(".")
+        if section not in _SCHEMA:
             raise ConfigError(f"unknown section {section!r} in {key!r}", line=line)
-        blocks.setdefault(section, {})[key.split(".", 1)[1]] = (value, line)
+        if section != "material":
+            if sub not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key {key}", line=line)
+            given[key] = _check(key, value, _SCHEMA[section][sub], line)
+            continue
+        name, dot, fld = sub.partition(".")
+        if not dot:
+            raise ConfigError(f"material keys look like material.<name>.<field>,"
+                              f" got {key}", line=line)
+        if fld not in _SCHEMA["material"]:
+            raise ConfigError(f"unknown material field {fld!r}", line=line)
+        mat_given.setdefault(name, {})[fld] = _check(
+            key, value, _SCHEMA["material"][fld], line)
+        lines.setdefault(f"material.{name}", line)
 
-    def block(name, allowed):
-        out = {}
-        for sub, (value, line) in blocks.get(name, {}).items():
-            if sub not in allowed:
-                raise ConfigError(f"unknown key {name}.{sub}", line=line)
-            out[sub] = (value, line)
-        return out
-
-    geo = block("geometry", _GEOMETRY_KEYS)
-    for req in ("l", "left", "right"):
-        if req not in geo:
-            raise ConfigError(f"geometry.{req} is required")
-    gap = _expect(geo["l"][0], float, "geometry.l", geo["l"][1])
-    if not gap > 0:
-        raise ConfigError("geometry.l must be > 0", line=geo["l"][1])
-    t_left = _expect(geo.get("T_L", (0.0, 0))[0], float, "geometry.T_L",
-                     geo.get("T_L", (0.0, 0))[1])
-    t_right = _expect(geo.get("T_R", (0.0, 0))[0], float, "geometry.T_R",
-                      geo.get("T_R", (0.0, 0))[1])
-    if t_left < 0 or t_right < 0:
-        raise ConfigError("plate temperatures must be >= 0")
-    beta_em = _expect(geo.get("beta_em", (math.inf, 0))[0], float,
-                      "geometry.beta_em", geo.get("beta_em", (math.inf, 0))[1])
+    sweeping = any(key.startswith("sweep.") for key in given)
+    values = {}
+    for section, table in _SCHEMA.items():
+        if section != "material" and (section != "sweep" or sweeping):
+            _resolve(table, given, section + ".", values)
+    for key, value in values.items():
+        if value is _REQUIRED:
+            raise ConfigError(f"{key} is required")
 
     materials = {}
-    for sub, (value, line) in blocks.get("material", {}).items():
-        if "." not in sub:
-            raise ConfigError(f"material keys look like material.<name>.<field>,"
-                              f" got material.{sub}", line=line)
-        name, fld = sub.split(".", 1)
-        if fld not in _MATERIAL_KEYS:
-            raise ConfigError(f"unknown material field {fld!r}", line=line)
-        materials.setdefault(name, {})[fld] = (value, line)
+    for name, fields in mat_given.items():
+        materials[name] = _resolve(_SCHEMA["material"], fields, "", {})
+        try:
+            _material(materials[name], math.inf)
+        except DomainError as exc:
+            raise ConfigError(f"material {name!r}: {exc}",
+                              line=lines[f"material.{name}"])
 
     tables = {}
-    sides = {}
-    for side_key in ("left", "right"):
-        ref, line = geo[side_key]
-        ref = str(ref)
-        if ref.startswith("table:"):
-            rel = ref[len("table:"):].strip()
-            tpath = (path.parent / rel).resolve()
+    for key in ("geometry.left", "geometry.right", "epsilon.material",
+                "poles.material"):   # a material name or table:PATH
+        ref, line = values[key], lines.get(key)
+        if not ref.startswith("table:"):
+            if ref not in materials:
+                raise ConfigError(f"{key} references undefined material {ref!r}",
+                                  line=line)
+        elif ref not in tables:
+            tpath = (path.parent / ref[len("table:"):].strip()).resolve()
             if not tpath.is_file():
                 raise ConfigError(f"table file {tpath} does not exist", line=line)
-            if ref not in tables:
+            try:
                 tables[ref] = load_epsilon_table(tpath.read_text())
-        elif ref not in materials:
-            raise ConfigError(f"geometry.{side_key} references undefined "
-                              f"material {ref!r}", line=line)
-        sides[side_key] = ref
+            except DomainError as exc:
+                raise ConfigError(f"table {tpath}: {exc}", line=line)
 
-    # validate material blocks eagerly by constructing each once
-    for name in sorted(materials):
-        try:
-            _build_material(materials, name, 0.0)
-        except NeqLifshitzError as exc:
-            raise ConfigError(f"material {name!r}: {exc}")
-
-    sweep = None
-    sw = block("sweep", _SWEEP_KEYS)
-    if sw:
-        for req in ("variable", "start", "stop", "points"):
-            if req not in sw:
-                raise ConfigError(f"sweep.{req} is required when sweeping")
-        variable = _expect(sw["variable"][0], str, "sweep.variable",
-                           sw["variable"][1])
-        if variable not in ("l", "T_L", "T_R"):
-            raise ConfigError("sweep.variable must be one of l, T_L, T_R",
-                              line=sw["variable"][1])
-        start = _expect(sw["start"][0], float, "sweep.start", sw["start"][1])
-        stop = _expect(sw["stop"][0], float, "sweep.stop", sw["stop"][1])
-        points = _expect(sw["points"][0], int, "sweep.points", sw["points"][1])
-        spacing = _expect(sw.get("spacing", ("linear", 0))[0], str,
-                          "sweep.spacing", sw.get("spacing", ("linear", 0))[1])
-        if spacing not in ("linear", "log"):
-            raise ConfigError("sweep.spacing must be linear or log")
-        if not (start > 0 and stop > 0):
-            raise ConfigError("sweep range must be positive")
-        if points < 1:
-            raise ConfigError("sweep.points must be >= 1")
-        sweep = {"variable": variable, "start": start, "stop": stop,
-                 "points": points, "spacing": spacing}
-
-    opt_types = {"rel_tol": float, "subtract_infinite_separation": bool,
-                 "omega_max": float, "thermal_only": bool}
-    opt_block = block("options", _OPTIONS_KEYS)
-    options = {k: _expect(v, opt_types[k], f"options.{k}", line)
-               for k, (v, line) in opt_block.items()}
+    options = {key.split(".", 1)[1]: value for key, value in given.items()
+               if key.startswith("options.")}
     if not options.pop("subtract_infinite_separation", True):
         raise ConfigError(
             "options.subtract_infinite_separation must be true: without the "
             "detached-plates baseline the raw integral grows as omega_max^4 "
-            "and has no limit", line=opt_block["subtract_infinite_separation"][1])
-    out_block = block("output", _OUTPUT_KEYS)
-    output_path = out_block.get("path", (None, 0))[0]
-    if output_path is not None:
-        output_path = str(output_path)
-    units = block("units", _UNITS_KEYS)
-    si_scale = units.get("si_scale_hz", (None, 0))[0]
-    if si_scale is not None:
-        si_scale = _expect(si_scale, float, "units.si_scale_hz",
-                           units["si_scale_hz"][1])
-        if not si_scale > 0:
-            raise ConfigError("units.si_scale_hz must be > 0")
+            "and has no limit", line=lines["options.subtract_infinite_separation"])
+    for key, value in options.items():
+        try:
+            PressureOptions(**{key: value})
+        except DomainError as exc:
+            raise ConfigError(f"options.{key}: {exc}", line=lines[f"options.{key}"])
+    if not values["epsilon.omega_min"] < values["epsilon.omega_max"]:
+        raise ConfigError("epsilon.omega_min must be < epsilon.omega_max",
+                          line=lines.get("epsilon.omega_min",
+                                         lines.get("epsilon.omega_max")))
 
-    cmd_types = {"epsilon.material": str, "epsilon.omega_min": float,
-                 "epsilon.omega_max": float, "epsilon.points": int,
-                 "poles.material": str, "verify.samples": int,
-                 "verify.seed": int, "verify.T_eq": float}
-    command_opts = {}
-    for section, allowed in (("epsilon", _EPSILON_KEYS), ("poles", _POLES_KEYS),
-                             ("verify", _VERIFY_KEYS)):
-        for sub, (value, line) in block(section, allowed).items():
-            key = f"{section}.{sub}"
-            command_opts[key] = _expect(value, cmd_types[key], key, line)
-
+    sweep = ({sub: values[f"sweep.{sub}"] for sub in _SCHEMA["sweep"]}
+             if sweeping else None)
     echo = tuple(sorted(f"{key} = {value}" for key, value, _ in entries))
-    return RunConfig(gap=gap, left=sides["left"], right=sides["right"],
-                     t_left=t_left, t_right=t_right, beta_em=beta_em,
-                     materials={n: {f: v for f, (v, _) in flds.items()}
-                                for n, flds in materials.items()},
+    return RunConfig(gap=values["geometry.l"], left=values["geometry.left"],
+                     right=values["geometry.right"], t_left=values["geometry.T_L"],
+                     t_right=values["geometry.T_R"], materials=materials,
                      tables=tables, sweep=sweep, options=options,
-                     output_path=output_path, si_scale_hz=si_scale,
-                     command_opts=command_opts, echo=echo)
+                     si_scale_hz=values["units.si_scale_hz"], values=values,
+                     echo=echo)
 
 
-def _build_material(materials, name, temperature):
-    flds = materials[name]
-
-    def get(fld, default):
-        v = flds.get(fld, default)
-        return v[0] if isinstance(v, tuple) else v
-
-    kind = get("bath", "ohmic")
-    gamma = float(get("gamma", 0.1 if kind != "none" else 0.0))
-    cutoff = float(get("cutoff", math.inf))
-    bath = BathModel(kind=str(kind), gamma=gamma, cutoff=cutoff)
+def _side(cfg, ref, temperature):
+    """The plate named by ``ref`` with its bath at ``temperature``."""
     beta = math.inf if temperature == 0.0 else 1.0 / temperature
-    return Material(omega0=float(get("omega0", 1.0)),
-                    lambda0=float(get("lambda0", 1.0)),
-                    mass=float(get("mass", 1.0)), bath=bath, beta_bath=beta)
-
-
-def _side(cfg, which, temperature):
-    ref = cfg.left if which == "left" else cfg.right
     if ref.startswith("table:"):
-        return replace(cfg.tables[ref],
-                       beta_bath=math.inf if temperature == 0.0
-                       else 1.0 / temperature)
-    return _build_material(cfg.materials, ref, temperature)
+        return replace(cfg.tables[ref], beta_bath=beta)
+    return _material(cfg.materials[ref], beta)
 
 
 def geometry_for(cfg, gap=None, t_left=None, t_right=None):
@@ -328,8 +345,8 @@ def geometry_for(cfg, gap=None, t_left=None, t_right=None):
     t_l = cfg.t_left if t_left is None else t_left
     t_r = cfg.t_right if t_right is None else t_right
     return Geometry(gap=cfg.gap if gap is None else gap,
-                    left=_side(cfg, "left", t_l),
-                    right=_side(cfg, "right", t_r))
+                    left=_side(cfg, cfg.left, t_l),
+                    right=_side(cfg, cfg.right, t_r))
 
 
 def _pressure_options(cfg, args):
@@ -340,24 +357,19 @@ def _pressure_options(cfg, args):
 
 
 def _sweep_points(cfg):
-    if cfg.sweep is None:
-        return [(cfg.gap, cfg.t_left, cfg.t_right)]
+    """(l, T_L, T_R) of every point of the sweep, or the one configured."""
+    point = [cfg.gap, cfg.t_left, cfg.t_right]
     sw = cfg.sweep
-    if sw["points"] == 1:
-        grid = np.array([sw["start"]])
-    elif sw["spacing"] == "log":
-        grid = np.geomspace(sw["start"], sw["stop"], sw["points"])
-    else:
-        grid = np.linspace(sw["start"], sw["stop"], sw["points"])
+    if sw is None:
+        return [tuple(point)]
+    spaced = np.geomspace if sw["spacing"] == "log" else np.linspace
+    grid = ([sw["start"]] if sw["points"] == 1
+            else spaced(sw["start"], sw["stop"], sw["points"]))
+    axis = _SCHEMA["sweep"]["variable"][2].index(sw["variable"])  # l, T_L, T_R
     out = []
     for x in grid:
-        x = float(x)
-        if sw["variable"] == "l":
-            out.append((x, cfg.t_left, cfg.t_right))
-        elif sw["variable"] == "T_L":
-            out.append((cfg.gap, x, cfg.t_right))
-        else:
-            out.append((cfg.gap, cfg.t_left, x))
+        point[axis] = float(x)
+        out.append(tuple(point))
     return out
 
 
@@ -424,19 +436,9 @@ def cmd_pressure(cfg, args):
 
 
 def cmd_epsilon(cfg, args):
-    name = cfg.command_opts.get("epsilon.material", cfg.left)
-    w_lo = float(cfg.command_opts.get("epsilon.omega_min", -10.0))
-    w_hi = float(cfg.command_opts.get("epsilon.omega_max", 10.0))
-    n = int(cfg.command_opts.get("epsilon.points", 401))
-    if not w_hi > w_lo or n < 2:
-        raise ConfigError("epsilon range needs omega_max > omega_min and points >= 2")
-    if name.startswith("table:"):
-        mat = cfg.tables[name]
-    elif name in cfg.materials:
-        mat = _build_material(cfg.materials, name, 0.0)
-    else:
-        raise ConfigError(f"epsilon.material references undefined material {name!r}")
-    grid = np.linspace(w_lo, w_hi, n)
+    grid = np.linspace(cfg.values["epsilon.omega_min"],
+                       cfg.values["epsilon.omega_max"], cfg.values["epsilon.points"])
+    mat = _side(cfg, cfg.values["epsilon.material"], 0.0)
     eps = np.asarray(permittivity_fourier(mat, grid))
     cols = "omega,re_eps,im_eps"
     rows = [",".join((_fmt(float(w)), _fmt(float(e.real)), _fmt(float(e.imag))))
@@ -451,11 +453,11 @@ def cmd_epsilon(cfg, args):
 
 
 def cmd_poles(cfg, args):
-    name = cfg.command_opts.get("poles.material", cfg.left)
+    name = cfg.values["poles.material"]
     if name not in cfg.materials:
-        raise ConfigError(f"poles.material references undefined material {name!r}")
-    mat = _build_material(cfg.materials, name, 0.0)
-    rep = find_qbm_poles(mat)
+        raise ConfigError(f"poles.material {name!r} is a table, not an oscillator "
+                          f"material")
+    rep = find_qbm_poles(_side(cfg, name, 0.0))
     doc = {"version": __version__, "material": name, "poles": rep.as_report()}
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args)
     for s, order, _ in rep.roots:
@@ -465,8 +467,11 @@ def cmd_poles(cfg, args):
     return 0
 
 
-class _Trivial(Exception):
-    """A verify property that does not apply to this configuration."""
+def _equilibrium_deviation(geom, T, opts):
+    """Steady pressure at T_L = T_R = T, Matsubara sum, relative deviation."""
+    steady = steady_pressure(geom, opts).value
+    eq = equilibrium_matsubara(geom, T)
+    return steady, eq, abs(steady - eq) / max(abs(eq), 1e-300)
 
 
 def _verify_properties(cfg, args):
@@ -482,9 +487,7 @@ def _verify_properties(cfg, args):
         records.append(rec)
 
     geom = geometry_for(cfg)
-    plates = [("left", geom.left), ("right", geom.right)]
-
-    for label, side in plates:
+    for label, side in (("left", geom.left), ("right", geom.right)):
         if not isinstance(side, Material) or side.lambda0 == 0.0:
             continue
         rep = find_qbm_poles(side)
@@ -524,35 +527,34 @@ def _verify_properties(cfg, args):
     except NeqLifshitzError as exc:
         record("dmu_floor", True, math.nan, {"skipped": str(exc)})
 
-    coupled_any = any(not isinstance(side, Material) or side.lambda0 != 0.0
-                      for side in (geom.left, geom.right))
-    try:
-        if not coupled_any:
-            raise _Trivial("no plate coupling: the gap spectrum has no "
-                           "candidate poles")
-        rng = np.random.default_rng(int(cfg.command_opts.get("verify.seed", 0)))
-        n = int(cfg.command_opts.get("verify.samples", 12))
-        worst_spread = 0.0
-        all_removable = True
-        for _ in range(n):
-            Q = float(rng.uniform(0.05, 2.5))
-            kz = float(rng.uniform(0.25, 2.5)) * (1 if rng.random() < 0.5 else -1)
-            chk = modified_mode_check(geom, Q, kz)
-            worst_spread = max(worst_spread, chk.spread)
-            all_removable = all_removable and chk.removable
-        record("modified_modes", all_removable and worst_spread <= 1e-6,
-               worst_spread, {"samples": n, "max_spread": worst_spread},
-               explanation="a candidate gap mode failed the removability test")
-    except (_Trivial, NeqLifshitzError) as exc:
-        record("modified_modes", True, math.nan, {"skipped": str(exc)})
+    coupled = any(not isinstance(side, Material) or side.lambda0 != 0.0
+                  for side in (geom.left, geom.right))
+    if not coupled:
+        record("modified_modes", True, math.nan,
+               {"skipped": "no plate coupling: the gap spectrum has no "
+                           "candidate poles"})
+    else:
+        try:
+            rng = np.random.default_rng(cfg.values["verify.seed"])
+            n = cfg.values["verify.samples"]
+            worst_spread = 0.0
+            all_removable = True
+            for _ in range(n):
+                Q = float(rng.uniform(0.05, 2.5))
+                kz = float(rng.uniform(0.25, 2.5)) * (1 if rng.random() < 0.5 else -1)
+                chk = modified_mode_check(geom, Q, kz)
+                worst_spread = max(worst_spread, chk.spread)
+                all_removable = all_removable and chk.removable
+            record("modified_modes", all_removable and worst_spread <= 1e-6,
+                   worst_spread, {"samples": n, "max_spread": worst_spread},
+                   explanation="a candidate gap mode failed the removability test")
+        except NeqLifshitzError as exc:
+            record("modified_modes", True, math.nan, {"skipped": str(exc)})
 
-    t_eq = float(cfg.command_opts.get(
-        "verify.T_eq", cfg.t_left or cfg.t_right or 0.5))
+    t_eq = cfg.values["verify.T_eq"]
     geom_eq = geometry_for(cfg, t_left=t_eq, t_right=t_eq)
     lossy = any(getattr(side, "has_loss", False)
                 for side in (geom_eq.left, geom_eq.right))
-    coupled = any(not isinstance(side, Material) or side.lambda0 != 0.0
-                  for side in (geom_eq.left, geom_eq.right))
     if not lossy:
         if not coupled:
             record("equal_t_reduction", True, 0.0,
@@ -566,16 +568,14 @@ def _verify_properties(cfg, args):
                                "undefined, no equilibrium limit to compare")
         return records
     opts_eq = replace(opts, rel_tol=max(opts.rel_tol, 3e-4))
-    steady = steady_pressure(geom_eq, opts_eq)
-    eq = equilibrium_matsubara(geom_eq, t_eq)
+    steady, eq, dev = _equilibrium_deviation(geom_eq, t_eq, opts_eq)
     if abs(eq) < 1e-12:
-        ok = abs(steady.value) <= 1e-10
-        dev = abs(steady.value)
+        dev = abs(steady)
+        ok = dev <= 1e-10
     else:
-        dev = abs(steady.value - eq) / abs(eq)
         ok = dev <= 1e-3
     record("equal_t_reduction", ok, dev,
-           {"T": t_eq, "steady": steady.value, "matsubara": eq},
+           {"T": t_eq, "steady": steady, "matsubara": eq},
            explanation="steady pressure does not reduce to the "
                        "imaginary-frequency sum at equal temperatures")
     return records
@@ -598,17 +598,13 @@ def cmd_compare_eq(cfg, args):
     if cfg.t_left != cfg.t_right:
         raise ConfigError("compare-eq needs T_L == T_R in the geometry block")
     tol = args.rel_tol if args.rel_tol is not None else 1e-3
-    geom = geometry_for(cfg)
-    opts = _pressure_options(cfg, args)
-    steady = steady_pressure(geom, opts)
-    eq = equilibrium_matsubara(geom, cfg.t_left)
-    dev = abs(steady.value - eq) / max(abs(eq), 1e-300)
+    steady, eq, dev = _equilibrium_deviation(geometry_for(cfg), cfg.t_left,
+                                             _pressure_options(cfg, args))
     cols = "l,T,steady,matsubara,rel_dev"
-    row = ",".join(_fmt(x) for x in
-                   (cfg.gap, cfg.t_left, steady.value, eq, dev))
+    row = ",".join(_fmt(x) for x in (cfg.gap, cfg.t_left, steady, eq, dev))
     text = "\n".join(_header_lines(cfg, "compare-eq") + [cols, row])
     _emit(text + "\n", args)
-    print(f"steady    = {steady.value:.10e}\n"
+    print(f"steady    = {steady:.10e}\n"
           f"matsubara = {eq:.10e}\n"
           f"rel dev   = {dev:.3e} (tolerance {tol:g})", file=sys.stderr)
     return 0 if dev <= tol else 1
@@ -658,8 +654,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.out is None and cfg.output_path:
-        args.out = cfg.output_path
+    if args.out is None and cfg.values["output.path"]:
+        args.out = cfg.values["output.path"]
     try:
         return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:

@@ -437,8 +437,8 @@ class PressureOptions:
     def __post_init__(self):
         if not (0.0 < self.rel_tol <= 1e-2):
             raise DomainError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
-        if self.omega_max is not None and not self.omega_max > 0:
-            raise DomainError(f"omega_max must be > 0, got {self.omega_max}")
+        if self.omega_max is not None and not 0 < self.omega_max < math.inf:
+            raise DomainError(f"omega_max must be finite and > 0, got {self.omega_max}")
 
 
 @dataclass
@@ -755,7 +755,11 @@ def _polylog3(x):
     return float(np.sum(x ** k / k ** 3))
 
 
-def equilibrium_matsubara(geom, T, opts=None):
+#: Relative size of the last three Matsubara terms at which the sum stops.
+_MATSUBARA_REL_TOL = 1e-9
+
+
+def equilibrium_matsubara(geom, T):
     """Equilibrium pressure oracle: imaginary-frequency round-trip sum.
 
     P(l, T) = -(T/pi) * sum'_j integral_{xi_j}^inf dkappa kappa^2
@@ -768,7 +772,6 @@ def equilibrium_matsubara(geom, T, opts=None):
     """
     if T < 0:
         raise DomainError(f"temperature must be >= 0, got {T}")
-    rel = opts.rel_tol if opts is not None else 1e-9
     l = geom.gap
     if T == 0.0:
         val, _ = integrate.quad(lambda xi: _matsubara_inner(geom, xi), 0.0, math.inf,
@@ -783,7 +786,7 @@ def equilibrium_matsubara(geom, T, opts=None):
     while True:
         term = _matsubara_inner(geom, 2.0 * math.pi * j * T)
         acc += term
-        if abs(term) <= rel * abs(acc):
+        if abs(term) <= _MATSUBARA_REL_TOL * abs(acc):
             quiet += 1
             if quiet >= 3:
                 break

@@ -33,6 +33,30 @@ material.m.gamma = 0.0
 """
 
 
+# (line of BASE to replace or None to append, new text, message fragment,
+#  command that misbehaved on it before load_config checked it): non-finite
+# numbers and out-of-range counts, seeds and temperatures
+BAD_VALUES = [
+    (None, "\noptions.omega_max = inf", "options.omega_max must be finite", "pressure"),
+    (None, "\nunits.si_scale_hz = inf", "units.si_scale_hz must be finite", "pressure"),
+    (None, "\nepsilon.omega_max = inf", "epsilon.omega_max must be finite", "epsilon"),
+    (None, "\nverify.samples = 0", "verify.samples must be >= 1, got 0", "verify"),
+    (None, "\nverify.samples = -3", "verify.samples must be >= 1, got -3", "verify"),
+    (None, "\nverify.seed = -1", "verify.seed must be >= 0", "verify"),
+    ("geometry.T_R = 0.3", "geometry.T_R = nan", "geometry.T_R must be finite",
+     "pressure"),
+    ("geometry.T_L = 0.9", "geometry.T_L = inf", "geometry.T_L must be finite",
+     "pressure"),
+    (None, "\nverify.T_eq = -1", "verify.T_eq must be >= 0", "verify"),
+    ("options.rel_tol = 5e-3", "options.rel_tol = 0.5", "rel_tol must lie in",
+     "pressure"),
+    ("options.rel_tol = 5e-3", "options.rel_tol = nan", "options.rel_tol must be finite",
+     "pressure"),
+    (None, "\nsweep.variable = l\nsweep.start = 1.0\nsweep.points = 2\nsweep.stop = inf",
+     "sweep.stop must be finite", "pressure"),
+]
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
@@ -110,6 +134,9 @@ def test_load_config_minimal(tmp_path):
     (lambda t: t + "\nunits.si_scale_hz = 0", "si_scale_hz"),
     (lambda t: t.replace("options.rel_tol = 5e-3", "options.rel_tol = tight"),
      "float"),
+    (lambda t: t + "\ngeometry.beta_em = 2.0", "unknown key geometry.beta_em"),
+    *[(lambda t, bad=bad, new=new: t.replace(bad, new) if bad else t + new, fragment)
+      for bad, new, fragment, _ in BAD_VALUES],
 ])
 def test_load_config_rejects_bad_values(tmp_path, mangle, fragment):
     with pytest.raises(ConfigError) as err:
@@ -126,6 +153,13 @@ def test_load_config_missing_required_geometry(tmp_path):
 def test_load_config_missing_table_file(tmp_path):
     text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
     with pytest.raises(ConfigError, match="does not exist"):
+        load_config(write_cfg(tmp_path, text))
+
+
+def test_load_config_rejects_invalid_table(tmp_path):
+    (tmp_path / "eps.csv").write_text("1.0,2.5,0.0\n0.5,2.5,0.0\n")
+    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    with pytest.raises(ConfigError, match="line 3: table .*strictly increasing"):
         load_config(write_cfg(tmp_path, text))
 
 
@@ -252,6 +286,15 @@ def test_epsilon_from_table_material(tmp_path, capsys):
     assert all(float(r[1]) == 2.5 and float(r[2]) == 0.0 for r in rows)
 
 
+def test_epsilon_table_outside_geometry(tmp_path, capsys):
+    # a table named only by epsilon.material is loaded too
+    (tmp_path / "eps.csv").write_text("0.5,3.0,0.1\n2.0,3.0,0.1\n")
+    text = BASE + "epsilon.material = table:eps.csv\nepsilon.omega_min = 1.0\n"
+    assert main(["epsilon", "--config", write_cfg(tmp_path, text)]) == 0
+    _, rows = read_csv(capsys.readouterr().out)
+    assert all(float(r[1]) == 3.0 and float(r[2]) == 0.1 for r in rows)
+
+
 def test_poles_json_causal(tmp_path, capsys):
     assert main(["poles", "--config", write_cfg(tmp_path, BASE)]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -348,6 +391,19 @@ def test_main_reports_config_error_with_line(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "line 2" in err
+
+
+@pytest.mark.parametrize("bad,new,fragment,command", BAD_VALUES,
+                         ids=[new.splitlines()[-1] for _, new, _, _ in BAD_VALUES])
+def test_main_rejects_bad_value_with_its_line(tmp_path, capsys, bad, new, fragment,
+                                              command):
+    text = BASE.replace(bad, new) if bad else BASE + new
+    lineno = text.splitlines().index(new.splitlines()[-1]) + 1
+    code = main([command, "--config", write_cfg(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: line {lineno}: " in err and fragment in err
+    assert "Traceback" not in err
 
 
 def test_main_missing_config_file(tmp_path, capsys):

@@ -592,6 +592,13 @@ def test_pressure_options_validation():
         PressureOptions(rel_tol=0.0)
 
 
+def test_pressure_options_rejects_infinite_omega_max():
+    # an infinite ceiling used to be accepted and overflow in the Q edges
+    with pytest.raises(DomainError, match="finite"):
+        PressureOptions(omega_max=math.inf)
+    assert PressureOptions(omega_max=24.0).omega_max == 24.0
+
+
 # ---------------------------------------------------------------------------
 # the segmented (lockstep) adaptive rule
 # ---------------------------------------------------------------------------
