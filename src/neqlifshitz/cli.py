@@ -301,6 +301,9 @@ def load_config(path):
                 raise ConfigError(f"table file {tpath} does not exist", line=line)
             try:
                 tables[ref] = load_epsilon_table(tpath.read_text())
+            except ConfigError as exc:   # a line of the table, not of the config
+                at = "" if exc.line is None else f", line {exc.line}"
+                raise ConfigError(f"table {tpath}{at}: {exc.detail}", line=line)
             except DomainError as exc:
                 raise ConfigError(f"table {tpath}: {exc}", line=line)
 
@@ -349,10 +352,11 @@ def geometry_for(cfg, gap=None, t_left=None, t_right=None):
                     right=_side(cfg, cfg.right, t_r))
 
 
-def _pressure_options(cfg, args):
+def _pressure_options(cfg, rel_tol=None):
+    """The configured PressureOptions, with rel_tol overridden if given."""
     opts = dict(cfg.options)
-    if getattr(args, "rel_tol", None) is not None:
-        opts["rel_tol"] = args.rel_tol
+    if rel_tol is not None:
+        opts["rel_tol"] = rel_tol
     return PressureOptions(**opts)
 
 
@@ -410,7 +414,7 @@ def _si_pressure(si_scale_hz):
 
 
 def cmd_pressure(cfg, args):
-    opts = _pressure_options(cfg, args)
+    opts = _pressure_options(cfg, args.rel_tol)
     cols = ["l", "T_L", "T_R", "pressure", "err"]
     cols += ["_".join(k) for k in BREAKDOWN_KEYS]
     cols.append("baseline_subtracted")
@@ -476,7 +480,7 @@ def _equilibrium_deviation(geom, T, opts):
 
 def _verify_properties(cfg, args):
     """Property records for cmd_verify, in deterministic order."""
-    opts = _pressure_options(cfg, args)
+    opts = _pressure_options(cfg, args.rel_tol)
     records = []
 
     def record(name, ok, margin, detail, explanation=None):
@@ -597,9 +601,10 @@ def cmd_verify(cfg, args):
 def cmd_compare_eq(cfg, args):
     if cfg.t_left != cfg.t_right:
         raise ConfigError("compare-eq needs T_L == T_R in the geometry block")
+    # --rel-tol is the match threshold here; the quadrature keeps options.rel_tol
     tol = args.rel_tol if args.rel_tol is not None else 1e-3
     steady, eq, dev = _equilibrium_deviation(geometry_for(cfg), cfg.t_left,
-                                             _pressure_options(cfg, args))
+                                             _pressure_options(cfg))
     cols = "l,T,steady,matsubara,rel_dev"
     row = ",".join(_fmt(x) for x in (cfg.gap, cfg.t_left, steady, eq, dev))
     text = "\n".join(_header_lines(cfg, "compare-eq") + [cols, row])

@@ -196,6 +196,16 @@ def _plate_fresnel(geom, s, Q, _fresnel=None):
     return tuple(pair)
 
 
+def _block_s(s):
+    """A block's Laplace point(s): a complex scalar, or a complex array."""
+    return complex(s) if np.ndim(s) == 0 else np.asarray(s, dtype=complex)
+
+
+def _first_bad(s, bad):
+    """The first Laplace point flagged by ``bad`` (s broadcasts against it)."""
+    return np.broadcast_to(s, np.shape(bad))[bad].flat[0] if np.ndim(s) else complex(s)
+
+
 def dmu(geom, s, Q, pol, _fresnel=None):
     """Multiple-reflection denominator D_mu = 1 - r1 r2 exp(-2 q_z l).
 
@@ -240,6 +250,10 @@ class GreenTerm:
 class GreenBlock:
     """Sum-of-exponentials Green-tensor block at fixed (s, Q, qhat).
 
+    ``s`` is one complex Laplace point or an array of them; an array
+    broadcasts against Q, and every term's arrays carry the broadcast
+    shape of the two (plus the vector axis for field and source vectors).
+
     ``phase_sign`` records whether the block lives at transverse wavevector
     +Q*qhat or -Q*qhat (the sign enters the polarization vectors and the
     transverse derivatives of the stress contraction).  ``delta_scalar``
@@ -248,7 +262,7 @@ class GreenBlock:
     """
 
     terms: tuple
-    s: complex
+    s: complex                    # or ndarray of Laplace points
     Q: np.ndarray
     qhat: np.ndarray
     phase_sign: int
@@ -295,13 +309,17 @@ class GreenBlock:
 
 
 def _gap_vectors(s, Q, qhat, phase_sign, q=None):
-    """Vacuum polarization vectors of a block at wavevector phase_sign*Q*qhat."""
+    """Vacuum polarization vectors of a block at wavevector phase_sign*Q*qhat.
+
+    s (one point or an array) broadcasts against Q; the vectors are shaped
+    broadcast(s, Q) + (3,).
+    """
     qv = phase_sign * np.asarray(qhat, dtype=float)
     Q = np.asarray(Q, dtype=float)
     if q is None:
         q = np.asarray(qz(1.0, s, Q))
-    e_te = np.broadcast_to(np.cross(qv, ZHAT), Q.shape + (3,))
-    scale = 1.0 / (1j * _s_eff(s))
+    e_te = np.broadcast_to(np.cross(qv, ZHAT), q.shape + (3,))
+    scale = np.asarray(1.0 / (1j * _s_eff(s)))[..., None]
     qz_part = np.multiply.outer(Q, ZHAT) * scale
     qv_part = np.multiply.outer(q, qv) * (1j * scale)
     return qv, e_te, qz_part - qv_part, qz_part + qv_part
@@ -311,7 +329,7 @@ def _source_vecs(eps, q, qn, s, Q, qv, updown, num):
     """Assembled t^mu * e_mu^(n)[updown] of one plate, sqrt(eps) cancelled.
 
     eps, q and qn are the plate's permittivity and the gap and plate
-    z-wavenumbers at (s, Q).  num is the numerator of the transmission
+    z-wavenumbers at (s, Q), s one point or an array broadcast against Q.  num is the numerator of the transmission
     coefficient: 2 qn for plate->gap, 2 q for gap->plate.
 
         TE: num/(q + qn) * (qv x zhat)
@@ -390,12 +408,13 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     plate-source integrals; the steady pressure uses the closed form they
     contract to (see the pressure module), and the tests check one
     against the other.
+    s may be one Laplace point or an array broadcast against Q.
     ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """
     p = _emission_parts(geom, plate, s, Q, phase_sign, _fresnel)
     terms = _emission_terms(geom, plate, p)
-    return GreenBlock(terms=terms, s=complex(s), Q=p["Q"], qhat=XHAT,
+    return GreenBlock(terms=terms, s=_block_s(s), Q=p["Q"], qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
 
 
@@ -405,6 +424,7 @@ def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1, _fresnel=None):
     Bulk: the free two-sided decay plus the symbolic
     -zz*delta(z-z')/s^2 term (flagged, never evaluated).  Scattered: the
     four once-or-more reflected paths, each resummed by 1/D_mu.
+    s may be one Laplace point or an array broadcast against Q.
     ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """
@@ -450,7 +470,7 @@ def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1, _fresnel=None):
                                field_vec=dn, src_vec=dn,
                                scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
                                exp_z=+q + 0j, src_exp=-q))
-    return GreenBlock(terms=tuple(terms), s=complex(s), Q=Q, qhat=XHAT,
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
                       phase_sign=phase_sign, geom=geom, z_src=z_src,
                       has_delta=True, delta_scalar=-1.0 / _s_eff(s) ** 2)
 
@@ -529,7 +549,10 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
 
     The two plates' Fresnel coefficients, permittivities and
     z-wavenumbers are evaluated once per build and shared by every
-    sub-block.
+    sub-block.  s may be an array of Laplace points broadcast against Q:
+    one build then covers them all, and a point on a plate or gap
+    denominator root raises a SingularityError naming the first such
+    point.
     """
     Q = np.asarray(Q, dtype=float)
     kz_eff = phase_sign * kz
@@ -545,10 +568,12 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                                    _fresnel=pair)
         qn = optics[4]
         den = qn + sgn * 1j * kz_eff
-        if np.any(np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))):
+        bad = np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))
+        if np.any(bad):
+            pt = _first_bad(s, bad)
             raise SingularityError(
-                f"plate source integral hits a root of qn {'+' if sgn>0 else '-'} i kz",
-                point=complex(s))
+                f"plate source integral hits a root of qn {'+' if sgn>0 else '-'} i kz"
+                f" at s={pt}", point=pt)
         factor = np.exp(-sgn * 1j * kz_eff * l / 2) / den
         for t in blk.terms:
             terms.append(replace(t, scalar=t.scalar * factor, src_exp=0.0, z_ref=0.0))
@@ -557,10 +582,12 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     cp = q + 1j * kz_eff          # denominator of the z' < z branch
     cm = q - 1j * kz_eff          # denominator of the z' > z branch
     for den, name in ((cp, "bulk+"), (cm, "bulk-")):
-        if np.any(np.abs(den) <= 1e-13 * (np.abs(q) + abs(kz))):
+        bad = np.abs(den) <= 1e-13 * (np.abs(q) + abs(kz))
+        if np.any(bad):
+            pt = _first_bad(s, bad)
             raise SingularityError(
-                f"gap source integral hits the modified-mode root in {name}",
-                point=complex(s))
+                f"gap source integral hits the modified-mode root in {name} at s={pt}",
+                point=pt)
     for pol, up, dn in (("TE", e_te, e_te), ("TM", e_up, e_dn)):
         terms.append(GreenTerm(pol=pol, plate="gap", tag="bulk+",
                                field_vec=up, src_vec=up,
@@ -580,8 +607,8 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                                exp_z=+q + 0j))
     # the zz delta term integrates to a regular plane wave
     terms.append(GreenTerm(pol="TM", plate="gap", tag="delta",
-                           field_vec=np.broadcast_to(ZHAT, Q.shape + (3,)),
-                           src_vec=np.broadcast_to(ZHAT, Q.shape + (3,)),
+                           field_vec=np.broadcast_to(ZHAT, q.shape + (3,)),
+                           src_vec=np.broadcast_to(ZHAT, q.shape + (3,)),
                            scalar=(-1.0 / _s_eff(s) ** 2) * np.ones_like(q),
                            exp_z=1j * kz_eff + 0.0 * q))
 
@@ -596,7 +623,7 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
         fac = f_up if t.tag in ("S1", "S3") else f_dn
         terms.append(replace(t, scalar=t.scalar * fac, src_exp=0.0))
 
-    return GreenBlock(terms=tuple(terms), s=complex(s), Q=Q, qhat=XHAT,
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
 
 
@@ -607,5 +634,7 @@ def ic_z_integral(geom, s, Q, kz):
     The roots of the gap denominators q_z ± i kz (at s = ±i sqrt(Q²+kz²))
     and of the plate denominators are guarded: landing on one raises a
     SingularityError — they are analyzed, not evaluated (see spectral).
+    For an array of s broadcast against Q the tensors are stacked on the
+    broadcast shape.
     """
     return ic_z_block(geom, s, Q, kz, phase_sign=+1).evaluate(geom.z_field)

@@ -21,9 +21,10 @@ class SingularityError(NeqLifshitzError, ArithmeticError):
 
 class ConfigError(NeqLifshitzError, ValueError):
     """Malformed run configuration or table file; carries a line number
-    when one is known."""
+    when one is known, and the message without it as ``detail``."""
 
     def __init__(self, message, line=None):
+        self.detail = message
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

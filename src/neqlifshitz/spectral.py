@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 
-from .em_green import (_plate_fresnel, dmu, green_gap_from_plate, ic_z_block,
-                       ic_z_integral, qz)
+from .em_green import (_block_s, _plate_fresnel, dmu, green_gap_from_plate,
+                       ic_z_block, ic_z_integral, qz)
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import EpsilonTable, Material, _coth, qbm_green
 
@@ -561,7 +561,9 @@ def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
     directions confined to Re(s) >= 0 — the root sits on the gap
     branch cut, so left-half approaches would change sheet — and must
     agree across directions to ``tol_limit`` of the tensor scale.
-    Disagreement yields ``removable=False`` with the data.
+    Disagreement yields ``removable=False`` with the data.  The 24
+    approach points (2 signs x 4 directions x 3 radii) share one
+    `ic_z_block` build.
     """
     Q = float(Q)
     kz = float(kz)
@@ -574,39 +576,31 @@ def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
     z = geom.z_field
     length = geom.gap
     r0 = (3e-5 if radius is None else float(radius)) * max(wk, 1.0)
-    num_zero = 0.0
-    den_zero = 0.0
-    spread = 0.0
-    limit_trace = 0.0 + 0.0j
-    for sign in (+1.0, -1.0):
-        s_star = complex(0.0, sign * wk)
-        q = complex(qz(1.0, s_star, Q))
-        cp = q + 1j * kz
-        cm = q - 1j * kz
-        if abs(cm) <= abs(cp):
-            c_root, edge = cm, +1.0   # z' > z branch decays upward
-        else:
-            c_root, edge = cp, -1.0   # z' < z branch decays downward
-        den_zero = max(den_zero, abs(c_root) / (abs(q) + abs(kz)))
-        numerator = (-cmath.exp(1j * kz * z)
-                     + cmath.exp(-c_root * length / 2.0) * cmath.exp(edge * q * z))
-        num_zero = max(num_zero, abs(numerator))  # both pieces are unimodular
-        dirs = (1.0 + 0.0j, cmath.exp(0.25j * math.pi),
-                cmath.exp(-0.25j * math.pi), 1.0j)
-        if sign < 0:
-            dirs = tuple(d.conjugate() for d in dirs)
-        extrap = []
-        for d in dirs:
-            t1 = np.asarray(ic_z_integral(geom, s_star + r0 * d, Q, kz))
-            t2 = np.asarray(ic_z_integral(geom, s_star + 0.5 * r0 * d, Q, kz))
-            t3 = np.asarray(ic_z_integral(geom, s_star + 0.25 * r0 * d, Q, kz))
-            extrap.append((8.0 * t3 - 6.0 * t2 + t1) / 3.0)
-        mean = sum(extrap) / len(extrap)
-        scale = max(1.0, float(np.max(np.abs(mean))))
-        worst = max(float(np.max(np.abs(v - mean))) for v in extrap) / scale
-        spread = max(spread, worst)
-        if sign > 0:
-            limit_trace = complex(np.trace(mean))
+    sign = np.array([+1.0, -1.0])
+    s_star = 1j * wk * sign
+    q = qz(1.0, s_star, Q)
+    cp = q + 1j * kz
+    cm = q - 1j * kz
+    # the vanishing denominator: cm on the z' > z branch, which decays
+    # upward, else cp on the z' < z branch, which decays downward
+    upper = np.abs(cm) <= np.abs(cp)
+    c_root = np.where(upper, cm, cp)
+    edge = np.where(upper, 1.0, -1.0)
+    den_zero = float(np.max(np.abs(c_root) / (np.abs(q) + abs(kz))))
+    numerator = (-np.exp(1j * kz * z)
+                 + np.exp(-c_root * length / 2.0) * np.exp(edge * q * z))
+    num_zero = float(np.max(np.abs(numerator)))  # both pieces are unimodular
+    dirs = np.array([1.0 + 0.0j, cmath.exp(0.25j * math.pi),
+                     cmath.exp(-0.25j * math.pi), 1.0j])
+    dirs = np.where(sign[:, None] > 0, dirs, dirs.conj())
+    steps = r0 * np.array([1.0, 0.5, 0.25])
+    t = ic_z_integral(geom, s_star[:, None, None] + steps * dirs[..., None], Q, kz)
+    extrap = (8.0 * t[:, :, 2] - 6.0 * t[:, :, 1] + t[:, :, 0]) / 3.0
+    mean = extrap.mean(axis=1)
+    scale = np.maximum(1.0, np.max(np.abs(mean), axis=(-2, -1)))
+    worst = np.max(np.abs(extrap - mean[:, None]), axis=(-3, -2, -1)) / scale
+    spread = float(np.max(worst))
+    limit_trace = complex(np.trace(mean[0]))
     removable = (num_zero <= tol_zero and den_zero <= tol_zero
                  and spread <= tol_limit)
     return ModifiedModeCheck(num_zero=num_zero, den_zero=den_zero,
@@ -624,37 +618,44 @@ _TALBOT_CACHE = {}
 def _talbot_fixtures(n_nodes, dps):
     """Contour geometry for the fixed cot-shaped contour, cached per dps.
 
-    ``base[k]`` is s_k/r, ``weight[k] = 1 + i*sigma_k`` the quadrature
-    factor and ``expo[k] = exp((2M/5) base[k])`` the time factor valid
-    whenever r keeps its canonical value 2M/(5t).
+    ``base[k]`` is s_k/r and ``weight[k] = 1 + i*sigma_k`` the
+    quadrature factor.  Whenever r keeps its canonical value 2M/(5t) the
+    time factor of node k is exp((2M/5) base[k]) and that of the node
+    s = r is ``expo0`` = exp(2M/5); ``expo_weight[k]`` caches the
+    canonical node factor exp((2M/5) base[k]) * weight[k].
     """
     key = (n_nodes, dps)
     fx = _TALBOT_CACHE.get(key)
     if fx is None:
-        base, weight, expo = [], [], []
+        base, weight, expo_weight = [], [], []
         rt = mp.mpf(2 * n_nodes) / 5
         for k in range(1, n_nodes):
             th = mp.pi * k / n_nodes
             ct = mp.cot(th)
             b = th * (ct + 1j)
+            w = 1 + 1j * (th + (th * ct - 1) * ct)
             base.append(b)
-            weight.append(1 + 1j * (th + (th * ct - 1) * ct))
-            expo.append(mp.e ** (rt * b))
-        fx = (base, weight, expo, mp.e ** rt)
+            weight.append(w)
+            expo_weight.append(mp.e ** (rt * b) * w)
+        fx = (base, weight, mp.e ** rt, expo_weight)
         _TALBOT_CACHE[key] = fx
     return fx
 
 
-def _mp_response(mat, s):
-    """Oscillator kernel transform evaluated in arbitrary precision."""
+def _mp_response(mat):
+    """Oscillator kernel transform in arbitrary precision, as a function of s.
+
+    The material constants are converted once, at the working precision
+    in force when this is called.
+    """
     w2 = mp.mpf(mat.omega0) ** 2
     bath = mat.bath
     if bath.kind == "ohmic_lorentz_cutoff":
         lam = mp.mpf(bath.cutoff)
         g = mp.mpf(bath.gamma)
-        return (s + lam) / ((s * s + w2) * (s + lam) + g * lam * s)
+        return lambda s: (s + lam) / ((s * s + w2) * (s + lam) + g * lam * s)
     g = mp.mpf(bath.gamma) if bath.kind == "ohmic" else mp.mpf(0)
-    return 1 / (s * s + g * s + w2)
+    return lambda s: 1 / (s * s + g * s + w2)
 
 
 def _min_node_gap(n_nodes, r, poles):
@@ -678,17 +679,20 @@ def _talbot_point(mat, t, n_nodes, r_floor, poles):
             point=min(poles, key=lambda p: abs(p)))
     dps = max(35, 25 + int(0.2 * n_eff))
     with mp.workdps(dps):
-        base, weight, expo, expo0 = _talbot_fixtures(n_eff, dps)
+        base, weight, expo0, expo_weight = _talbot_fixtures(n_eff, dps)
+        response = _mp_response(mat)
         rm = mp.mpf(r)
         tm = mp.mpf(t)
         canonical = (r == r_canon)
-        total = mp.mpf(0.5) * _mp_response(mat, rm) * \
+        total = mp.mpf(0.5) * response(rm) * \
             (expo0 if canonical else mp.e ** (rm * tm))
         total = mp.re(total)
         for k in range(n_eff - 1):
             s = rm * base[k]
-            efac = expo[k] if canonical else mp.e ** (tm * s)
-            total += mp.re(efac * _mp_response(mat, s) * weight[k])
+            if canonical:
+                total += mp.re(expo_weight[k] * response(s))
+            else:
+                total += mp.re(mp.e ** (tm * s) * response(s) * weight[k])
         return float(total * rm / n_eff)
 
 
@@ -762,9 +766,9 @@ def _coincidence(block):
 
     where the curl of the plane-wave factor takes transverse derivatives
     as +-i*Q*qhat on the block's parallel phase and z-derivatives as the
-    term's exp_z.  F and C are shaped Q.shape + (3, 3).  ``rep`` is the
-    block's first term, which carries the source of every term: either
-    all terms are source-integrated (src_exp = 0, as in an
+    term's exp_z.  F and C are shaped broadcast(block.s, Q) + (3, 3).
+    ``rep`` is the block's first term, which carries the source of every
+    term: either all terms are source-integrated (src_exp = 0, as in an
     ``ic_z_block``) or all share one (plate, z_ref, src_exp) (as in a
     from-plate block); any other block raises DomainError.  It is None
     for a block without terms.
@@ -776,8 +780,9 @@ def _coincidence(block):
     ky = (phase * float(block.qhat[1])) * Q
     rep = block.terms[0] if block.terms else None
     integrated = all(np.all(np.asarray(t.src_exp) == 0) for t in block.terms)
-    F = np.zeros(Q.shape + (3, 3), dtype=complex)
-    C = np.zeros(Q.shape + (3, 3), dtype=complex)
+    shape = np.broadcast_shapes(np.shape(block.s), Q.shape) + (3, 3)
+    F = np.zeros(shape, dtype=complex)
+    C = np.zeros(shape, dtype=complex)
     for t in block.terms:
         if t.step:
             raise DomainError("step-gated bulk terms are not defined at coincidence")
@@ -805,6 +810,9 @@ def _contract(co1, co2, s1, s2, source_weight=None):
     the blocks' source factor sf, so it is sf * sum_i Lambda_i
     (X1 W X2^T)_ii with X = F (electric, times s1 s2) or X = C
     (magnetic): one source factor and one trace pair per block pair.
+    Coincidence data and Laplace points built on arrays broadcast
+    against each other, so one call contracts every pair of two halves
+    shaped, say, (n, 1) and (1, m).
     """
     (t1, F1, C1), (t2, F2, C2) = co1, co2
     if source_weight is not None:
@@ -813,7 +821,7 @@ def _contract(co1, co2, s1, s2, source_weight=None):
     sf = 1.0 if t1 is None or t2 is None else _source_factor(t1, t2)
     elec = sf * ((_LAMBDA[:, None] * F1) * F2).sum(axis=(-2, -1))
     mag = sf * ((_LAMBDA[:, None] * C1) * C2).sum(axis=(-2, -1))
-    return complex(s1) * complex(s2) * elec, mag
+    return s1 * s2 * elec, mag
 
 
 def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
@@ -870,7 +878,7 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
 
     weight = None if source_weight is None else np.asarray(source_weight)
     elec, mag = _contract(_coincidence(block1), _coincidence(block2), s1, s2, weight)
-    if np.ndim(block1.Q) == 0:
+    if np.ndim(elec) == 0:
         elec, mag = complex(elec), complex(mag)
     if split:
         return elec, mag
@@ -895,8 +903,10 @@ def transverse_projector(k):
 # Both transient integrands are a sum over pairs of factors, one depending
 # on s1 alone and one on s2 alone.  Each is split into a per-variable half
 # (the Green blocks' coincidence data plus the s-only prefactors) and a
-# pair step returning the parts, so a caller sampling many (s1, s2) pairs
-# builds each block once per distinct Laplace point.
+# pair step returning the parts.  A half takes one Laplace point or an
+# array of them, and the pair step broadcasts two halves against each
+# other, so a caller sampling many (s1, s2) pairs builds each variable's
+# blocks once per point set and contracts them in one step.
 
 
 def _dof_half(geom, Q, s, phase_sign):
@@ -904,10 +914,11 @@ def _dof_half(geom, Q, s, phase_sign):
 
     Returns (s, {plate: (s^2 G(s) - 1, s G(s), {pol: coincidence data})})
     over the coupled Material plates; phase_sign is +1 for the s1 factor
-    and -1 for its s2 partner.  The plates' Fresnel data are evaluated
+    and -1 for its s2 partner.  s is one Laplace point or an array of
+    them, broadcast against Q.  The plates' Fresnel data are evaluated
     once and shared by both plates' blocks.
     """
-    s = complex(s)
+    s = _block_s(s)
     for side in (geom.left, geom.right):
         if not isinstance(side, Material):
             raise DomainError("oscillator integrands need Material plates")
@@ -925,7 +936,8 @@ def _dof_half(geom, Q, s, phase_sign):
 
 def _dof_pair(geom, half1, half2):
     """Oscillator-transient integrand parts from its s1 and s2 halves,
-    keyed (plate, pol, "product"|"cross", "electric"|"magnetic")."""
+    keyed (plate, pol, "product"|"cross", "electric"|"magnetic"); array
+    halves broadcast against each other."""
     (s1, plates1), (s2, plates2) = half1, half2
     pieces = {}
     for plate, (a1, b1, co1) in plates1.items():
@@ -942,6 +954,17 @@ def _dof_pair(geom, half1, half2):
     return pieces
 
 
+def _point_parts(pieces, shape):
+    """Parts of a pair step on one-point halves, shaped like Q.
+
+    The halves of a scalar (s1, s2) are built on one-point arrays so that
+    they round exactly as the array builds of the origin reports do (the
+    scalar block path rounds differently, which shows in parts that
+    cancel at small |s|).
+    """
+    return {key: np.reshape(v, shape)[()] for key, v in pieces.items()}
+
+
 def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
     """Two-Laplace integrand of the plate-oscillator transient pressure.
 
@@ -956,13 +979,15 @@ def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
     object is what the pole-order classifiers probe.
 
     Evaluated as the pair step of two per-variable halves (`_dof_half` at
-    s1 and s2); the origin report reuses each half across every pair it
-    enters, so each block is built once per distinct Laplace point.
+    s1 and s2), each built on a one-point array: the scalar case of the
+    halves the origin report builds on whole arrays of Laplace points,
+    with the same rounding.
 
     With ``parts`` also returns the dict keyed
     (plate, pol, "product"|"cross", "electric"|"magnetic").
     """
-    pieces = _dof_pair(geom, _dof_half(geom, Q, s1, +1), _dof_half(geom, Q, s2, -1))
+    pieces = _point_parts(_dof_pair(geom, _dof_half(geom, Q, [s1], +1),
+                                    _dof_half(geom, Q, [s2], -1)), np.shape(Q))
     total = sum(pieces.values(), 0.0 + 0.0j)
     return (total, pieces) if parts else total
 
@@ -981,17 +1006,19 @@ def _ic_wavevector(k):
 def _ic_half(geom, k, s, phase_sign):
     """One Laplace variable's factor of the initial-field integrand.
 
-    Returns (s, {pol: coincidence data of the plane-wave-weighted block}).
+    Returns (s, {pol: coincidence data of the plane-wave-weighted block});
+    s is one Laplace point or an array of them.
     """
     Q, kz, _ = _ic_wavevector(k)
-    s = complex(s)
+    s = _block_s(s)
     block = ic_z_block(geom, s, Q, kz, phase_sign=phase_sign)
     return s, {pol: _coincidence(block.filtered(pol)) for pol in _POLS}
 
 
 def _ic_pair(k, half1, half2, beta_em=math.inf):
     """Initial-field integrand parts from its s1 and s2 halves, keyed
-    (pol, "electric"|"magnetic")."""
+    (pol, "electric"|"magnetic"); array halves broadcast against each
+    other."""
     Q, kz, wk = _ic_wavevector(k)
     (s1, co1), (s2, co2) = half1, half2
     proj = transverse_projector(np.array([Q, 0.0, kz]))
@@ -1020,12 +1047,13 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
     ``beta_em`` is the initial field temperature (inf = vacuum).
 
     Evaluated as the pair step of two per-variable halves (`_ic_half` at
-    s1 and s2); the origin report reuses each half across every pair it
-    enters, so each block is built once per distinct Laplace point.  With
+    s1 and s2), each built on a one-point array: the scalar case of the
+    halves the origin report builds on whole arrays of Laplace points,
+    with the same rounding.  With
     ``parts`` also returns the dict keyed (pol, "electric"|"magnetic").
     """
-    pieces = _ic_pair(k, _ic_half(geom, k, s1, +1), _ic_half(geom, k, s2, -1),
-                      beta_em=beta_em)
+    pieces = _point_parts(_ic_pair(k, _ic_half(geom, k, [s1], +1),
+                                   _ic_half(geom, k, [s2], -1), beta_em=beta_em), ())
     total = sum(pieces.values(), 0.0 + 0.0j)
     return (total, pieces) if parts else total
 
@@ -1066,7 +1094,7 @@ def classify_origin_order(f, r0=1e-2, shrink=4.0, n_radii=4, n_theta=8,
     that is an error.
     """
     radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
-    vals = np.array([complex(f(s)) for s in pts]).reshape(n_radii, n_theta)
+    vals = np.array([complex(f(s)) for s in pts.flat]).reshape(pts.shape)
     return _order_from_samples(vals, radii, angles, slope_tol)
 
 
@@ -1098,34 +1126,28 @@ def expected_ic_origin_orders(pol, piece):
 
 
 def _ring_samples(r0, shrink, n_radii, n_theta):
+    """Radii, angles and the (n_radii, n_theta) array of ring points."""
     radii = np.array([r0 * shrink ** (-j) for j in range(n_radii)])
     angles = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    pts = [complex(r * math.cos(a), r * math.sin(a))
-           for r in radii for a in angles]
-    return radii, angles, pts
+    return radii, angles, radii[:, None] * np.exp(1j * angles)
 
 
 def _classify_parts(half, pair, probe, r0=1e-2, shrink=4.0, n_radii=4,
                     n_theta=8, slope_tol=0.25):
     """Classify every part of a two-variable integrand in each variable.
 
-    ``half(s, phase_sign)`` builds one variable's factor (+1 for s1, -1
-    for s2) and ``pair(h1, h2)`` returns the parts dict of the pair; one
-    pair classifies all parts at once.  Each ring point and the probe get
-    their factor built once per variable.
+    ``half(s, phase_sign)`` builds one variable's factor on an array of
+    Laplace points (+1 for s1, -1 for s2) and ``pair(h1, h2)`` returns
+    the parts dict of two halves broadcast against each other.  Per
+    variable the rings are one half and the probe another, and one pair
+    step gives every part on every ring point.
     """
     radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
+    rows = (pair(half(pts, +1), half(probe, -1)),
+            pair(half(probe, +1), half(pts, -1)))
     orders = {}
-    for var in (0, 1):
-        if var == 0:
-            fixed = half(probe, -1)
-            rows = [pair(half(s, +1), fixed) for s in pts]
-        else:
-            fixed = half(probe, +1)
-            rows = [pair(fixed, half(s, -1)) for s in pts]
-        for key in rows[0]:
-            vals = np.array([row[key] for row in rows]).reshape(
-                len(radii), len(angles))
+    for var, parts in enumerate(rows):
+        for key, vals in parts.items():
             orders.setdefault(key, [None, None])[var] = _order_from_samples(
                 vals, radii, angles, slope_tol)
     return orders
@@ -1138,19 +1160,14 @@ def _torus_tables(half, pair, keys, radius, n_theta):
     """Every part of the integrand on the torus |s1| = |s2| = radius.
 
     Returns the ring of n_theta points and, per part, the (s1, s2) table
-    over it; each ring point's s1 and s2 factors are built once.
+    over it: the ring is built once per variable, as a column of s1 and
+    a row of s2, and one pair step fills every table.
     """
     ang = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
     ring = radius * np.exp(1j * ang)
-    halves1 = [half(complex(s), +1) for s in ring]
-    halves2 = [half(complex(s), -1) for s in ring]
-    tabs = {key: np.empty((n_theta, n_theta), dtype=complex) for key in keys}
-    for a, h1 in enumerate(halves1):
-        for b, h2 in enumerate(halves2):
-            parts = pair(h1, h2)
-            for key in keys:
-                tabs[key][a, b] = parts[key]
-    return ring, tabs
+    parts = pair(half(ring[:, None], +1), half(ring[None, :], -1))
+    return ring, {key: np.broadcast_to(parts[key], (n_theta, n_theta))
+                  for key in keys}
 
 
 def _origin_tables(half, pair, keys, radius, n_theta):
@@ -1250,9 +1267,9 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
 
     The integrand is sampled at 208 (s1, s2) pairs (two rings of 32
     points against the probe, a 12 x 12 torus) but its Green blocks are
-    built once per distinct Laplace point and phase: 90 per-variable
-    halves, each holding one `green_gap_from_plate` block per coupled
-    plate.
+    built on arrays of Laplace points: 6 per-variable halves (ring,
+    probe and torus ring, per phase), each holding one
+    `green_gap_from_plate` block per coupled plate, and 3 pair steps.
     """
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
@@ -1287,9 +1304,9 @@ def ic_origin_report(geom, k, beta_em=math.inf, probe=0.31 + 0.23j,
 
     Same structure as the oscillator-transient report with parts keyed
     (pol, piece); the candidate modes away from the origin are covered
-    separately by `modified_mode_check`.  As there, each Green block
-    (`ic_z_block`) is built once per distinct Laplace point and phase:
-    90 builds for the 208 sampled pairs.
+    separately by `modified_mode_check`.  As there, the Green blocks
+    (`ic_z_block`) are built on arrays of Laplace points: 6 builds and 3
+    pair steps for the 208 sampled pairs.
     """
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _ic_half(geom, k, s, phase_sign),

@@ -163,6 +163,19 @@ def test_load_config_rejects_invalid_table(tmp_path):
         load_config(write_cfg(tmp_path, text))
 
 
+def test_main_reports_table_error_with_table_line(tmp_path, capsys):
+    # a malformed table row names the table file and its own line; the
+    # config line is that of the key referencing the table
+    (tmp_path / "eps.csv").write_text("0.5,2.5,0.0\n1.0,2.5\n")
+    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    lineno = text.splitlines().index("geometry.left = table:eps.csv") + 1
+    code = main(["pressure", "--config", write_cfg(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"config error: line {lineno}: table " in err
+    assert "eps.csv, line 2: expected 3 columns" in err
+
+
 def test_load_config_resolves_table_relative_to_config(tmp_path):
     (tmp_path / "eps.csv").write_text(
         "# omega, re_eps, im_eps\n0.5,2.5,0.0\n1.0,2.5,0.0\n2.0,2.5,0.0\n")
@@ -378,6 +391,21 @@ def test_compare_eq_pass_and_threshold_override(tmp_path, capsys):
     assert main(["compare-eq", "--config", cfg, "--rel-tol",
                  repr(dev / 10)]) == 1
     capsys.readouterr()
+
+
+def test_compare_eq_rel_tol_is_only_the_match_threshold(tmp_path, capsys):
+    # --rel-tol sets the threshold; the quadrature keeps options.rel_tol, so
+    # a loose threshold (above the quadrature's own limit) still runs and
+    # reports the same numbers
+    text = BASE.replace("geometry.T_R = 0.3", "geometry.T_R = 0.9")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["compare-eq", "--config", cfg]) == 0
+    _, plain = read_csv(capsys.readouterr().out)
+    assert main(["compare-eq", "--config", cfg, "--rel-tol", "0.05"]) == 0
+    captured = capsys.readouterr()
+    _, loose = read_csv(captured.out)
+    assert loose[0][2:4] == plain[0][2:4]
+    assert "tolerance 0.05" in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,20 @@ def test_modified_mode_spread_tolerance():
     assert json.dumps(chk.as_report())
 
 
+def test_modified_mode_check_builds_one_block(monkeypatch):
+    # the 24 approach points (2 signs x 4 directions x 3 radii) share one build
+    calls = []
+    build = em_green.ic_z_block
+
+    def counted(geom, s, *args, **kwargs):
+        calls.append(np.shape(s))
+        return build(geom, s, *args, **kwargs)
+
+    monkeypatch.setattr(em_green, "ic_z_block", counted)
+    assert modified_mode_check(warm_geom(), 0.7, 1.1).removable
+    assert calls == [(2, 4, 3)]
+
+
 def test_modified_mode_rejects_axis_collision():
     with pytest.raises(DomainError):
         modified_mode_check(warm_geom(), 0.7, 0.0)
@@ -414,8 +428,9 @@ def test_laurent_2d_extracts_torus_coefficients():
         assert set(coeffs[key]) == set(orders)
         for mn, c in orders.items():
             assert_allclose(coeffs[key][mn], c, atol=1e-10, err_msg=f"{key} {mn}")
-    # each ring point's factor is built once per variable
-    assert sorted(ph for _, ph in built) == [-1] * n_theta + [+1] * n_theta
+    # the ring is built once per variable, as a column of s1 and a row of s2
+    assert sorted(ph for _, ph in built) == [-1, +1]
+    assert {np.shape(s) for s, _ in built} == {(n_theta, 1), (1, n_theta)}
     ring = radius * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
     s1, s2 = np.meshgrid(ring, ring, indexing="ij")
     assert_allclose(scale, np.median(sum(np.abs(f(s1, s2)) for f in parts.values())),
@@ -488,8 +503,9 @@ def _spy_torus_tables(monkeypatch):
 
 
 def test_origin_reports_build_each_block_once_per_point(monkeypatch):
-    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per phase:
-    # 32 ring points, the probe and 12 torus points
+    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per phase
+    # (32 ring points, the probe and 12 torus points), built as 3 arrays
+    # per phase whatever the torus size
     geom = warm_geom(z_field=0.13)
     Q = 0.7
     k = np.array([0.4, 0.3, 1.1])
@@ -497,30 +513,39 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
     ic_calls = _count_calls(monkeypatch, spectral, "ic_z_block")
     tables = _spy_torus_tables(monkeypatch)
     ic_origin_report(geom, k)
-    assert 0 < len(ic_calls) <= 90
+    n_ic = len(ic_calls)
+    assert 0 < n_ic <= 6
     (ring, tabs), = tables
     for a, b in ((0, 0), (3, 7), (11, 5)):
         _, want = spectral.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
+    ic_calls.clear()
+    ic_origin_report(geom, k, n_theta=16)
+    assert len(ic_calls) == n_ic
 
     dof_calls = _count_calls(monkeypatch, spectral, "green_gap_from_plate")
     tables.clear()
     dof_origin_report(geom, Q)
-    assert 0 < len(dof_calls) <= 180
+    n_dof = len(dof_calls)
+    assert 0 < n_dof <= 12
     (ring, tabs), = tables
     for a, b in ((0, 0), (2, 9), (10, 4)):
         _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
+    dof_calls.clear()
+    dof_origin_report(geom, Q, n_theta=16)
+    assert len(dof_calls) == n_dof
 
 
 def test_ic_origin_report_makes_one_trace_pair_per_polarization(monkeypatch):
-    # each contracted block pair costs one source factor and one trace pair:
-    # 208 sampled (s1, s2) pairs x 2 polarizations
+    # each contracted pair of halves costs one source factor and one trace
+    # pair: 3 pair steps (the rings against the probe in each variable, the
+    # torus) x 2 polarizations cover the 208 sampled (s1, s2) pairs
     factors = _count_calls(monkeypatch, spectral, "_source_factor")
     ic_origin_report(warm_geom(), np.array([0.4, 0.3, 1.1]))
-    assert len(factors) == 416
+    assert len(factors) == 6
 
 
 @pytest.mark.parametrize("kind", ["dof", "ic"])
@@ -577,3 +602,90 @@ def test_dof_half_evaluates_each_plate_fresnel_once(monkeypatch):
             _, F, C = spectral._coincidence(alone.filtered(pol))
             assert np.array_equal(co[pol][1], F) and np.array_equal(co[pol][2], C)
 
+
+# ---------------------------------------------------------------------------
+# Green blocks on arrays of Laplace points
+# ---------------------------------------------------------------------------
+
+
+def _term_arrays(block):
+    return [np.asarray(getattr(t, name)) for t in block.terms
+            for name in ("scalar", "exp_z", "src_exp", "field_vec", "src_vec")]
+
+
+def _bulk_scattered_arrays(geom, s, Q):
+    block = em_green.green_gap_bulk_scattered(geom, s, Q, z_src=0.2)
+    return _term_arrays(block) + [block.delta_scalar]
+
+
+def _dof_half_arrays(geom, s, Q):
+    _, plates = spectral._dof_half(geom, Q, s, -1)
+    return [x for plate in sorted(plates) for a, b, co in [plates[plate]]
+            for x in (a, b) + tuple(co[pol][i] for pol in ("TE", "TM") for i in (1, 2))]
+
+
+def _ic_half_arrays(geom, s, Q):
+    _, co = spectral._ic_half(geom, np.array([Q, 0.0, 1.1]), s, +1)
+    return [co[pol][i] for pol in ("TE", "TM") for i in (1, 2)]
+
+
+_POINT_BUILDS = {
+    "from_plate_L": lambda g, s, Q: _term_arrays(
+        green_gap_from_plate(g, "L", s, Q, phase_sign=-1)),
+    "from_plate_R": lambda g, s, Q: _term_arrays(green_gap_from_plate(g, "R", s, Q)),
+    "bulk_scattered": _bulk_scattered_arrays,
+    "ic_z_block": lambda g, s, Q: _term_arrays(em_green.ic_z_block(g, s, Q, 1.1, -1)),
+    "ic_z_integral": lambda g, s, Q: [em_green.ic_z_integral(g, s, Q, 1.1)],
+    "dof_half": _dof_half_arrays,
+    "ic_half": _ic_half_arrays,
+}
+
+
+def _fresnel_tm_root(side, Q, s):
+    """A root of the TM Fresnel denominator eps(s) q + qn, by Newton from s."""
+    def den(x):
+        eps = em_green.plate_eps(side, x)
+        return eps * em_green.qz(1.0, x, Q) + em_green.qz(eps, x, Q)
+
+    for _ in range(40):
+        step = den(s) * 2e-6 / (den(s + 1e-6) - den(s - 1e-6))
+        s -= step
+        if abs(step) <= 1e-15 * abs(s):
+            return s
+    raise AssertionError("Newton did not converge on the Fresnel root")
+
+
+@pytest.mark.parametrize("name", sorted(_POINT_BUILDS))
+def test_point_array_builds_match_scalar_builds(name):
+    # one build on an array of Laplace points equals the scalar builds
+    # stacked: a shuffled 1-d array at one Q, and a column of s against a
+    # row of Q (the initial-field half takes its Q from a wavevector, so
+    # it gets the column at one Q).  The points keep |s| >= 0.1: nearer
+    # the origin the TM coincidence sums of the initial-field half cancel
+    # (about 4 digits at |s| = 5e-3), so two roundings of them differ by
+    # more than 1e-13; the origin-report test covers that region against
+    # `assemble_*`, which rounds as the array builds do.
+    build = _POINT_BUILDS[name]
+    geom = warm_geom(z_field=0.13)
+    rng = np.random.default_rng(11)
+    s = rng.permutation(np.array([0.2 - 0.9j, 0.1 + 1.3j, 0.1 * np.exp(0.3j),
+                                  -0.85j, 0.6 + 0.05j, 1.5 - 2.0j, 0.02 + 0.3j]))
+    Q_row = 0.7 if name == "ic_half" else np.array([0.3, 0.7, 1.9])
+    for pts, Q in ((s, 0.7), (s[:, None], Q_row)):
+        got = build(geom, pts, Q)
+        each = [build(geom, x, Q) for x in pts.flat]
+        assert len(got) == len(each[0])
+        for i, arr in enumerate(got):
+            want = np.stack([np.asarray(e[i]) for e in each])
+            if np.ndim(arr):    # else a constant of the block, like src_exp = 0
+                assert np.size(arr) == want.size
+                want = want.reshape(np.shape(arr))
+            assert_allclose(arr, want, rtol=1e-13, atol=0, err_msg=f"{name} #{i}")
+
+    # a point on a Fresnel root (of the left plate's TM denominator) is named
+    Q = 5.0
+    root = _fresnel_tm_root(geom.left, Q, -0.05 + 1.22j)
+    pts = rng.permutation(np.array([0.3 + 0.1j, root, 0.2j, 1.1 - 0.4j]))
+    with pytest.raises(SingularityError, match="Fresnel denominator") as err:
+        build(geom, pts, Q)
+    assert err.value.point == root and f"s={root}" in str(err.value)
