@@ -169,7 +169,7 @@ def _fresnel_coeffs(eps, q, qn, s):
     scale = np.abs(q) + np.abs(qn)
     bad = (np.abs(den_te) <= 1e-14 * scale) | (np.abs(den_tm) <= 1e-14 * scale)
     if np.any(bad):
-        pt = np.broadcast_to(s, np.shape(bad))[bad].flat[0] if np.ndim(s) else s
+        pt = _first_bad(s, bad)
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
     r_te = (q - qn) / den_te
     r_tm = (eps * q - qn) / den_tm

@@ -11,7 +11,8 @@ radiation terms, whose integral grows without bound with the frequency
 ceiling, never enter.  The (omega, Q) integral is done with a vectorized
 adaptive Gauss-Kronrod rule, split into propagating (Q < omega) and
 evanescent (Q > omega) sectors.  The module also holds the equilibrium
-oracle, the imaginary-frequency sum.
+oracle, the imaginary-frequency sum; it imports scipy.integrate on first
+use, so the steady path runs without loading scipy.
 
 This module builds no symbolic Green block: the blocks of
 :mod:`.em_green` and their stress contraction
@@ -39,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, Material, _coth, _fourier_s,
@@ -725,6 +725,8 @@ def _eps_imag_axis(side, xi):
 
 def _matsubara_inner(geom, xi):
     """kappa-integral of the round-trip sum at one imaginary frequency."""
+    from scipy import integrate
+
     l = geom.gap
     e1 = _eps_imag_axis(geom.left, xi)
     e2 = _eps_imag_axis(geom.right, xi)
@@ -774,6 +776,8 @@ def equilibrium_matsubara(geom, T):
         raise DomainError(f"temperature must be >= 0, got {T}")
     l = geom.gap
     if T == 0.0:
+        from scipy import integrate
+
         val, _ = integrate.quad(lambda xi: _matsubara_inner(geom, xi), 0.0, math.inf,
                                 limit=200)
         return -val / (2.0 * math.pi ** 2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from neqlifshitz.em_green import plate_eps, qz
 from neqlifshitz.material import BathModel, Material
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -50,3 +51,17 @@ def lossy_materials(min_gamma=0.01, kinds=("ohmic", "ohmic_lorentz_cutoff")):
 
 def frequencies(lo=1e-3, hi=50.0):
     return st.floats(lo, hi)
+
+
+def fresnel_tm_root(side, Q, s):
+    """A root of the TM Fresnel denominator eps(s) q + qn, by Newton from s."""
+    def den(x):
+        eps = plate_eps(side, x)
+        return eps * qz(1.0, x, Q) + qz(eps, x, Q)
+
+    for _ in range(40):
+        step = den(s) * 2e-6 / (den(s + 1e-6) - den(s - 1e-6))
+        s -= step
+        if abs(step) <= 1e-15 * abs(s):
+            return s
+    raise AssertionError("Newton did not converge on the Fresnel root")

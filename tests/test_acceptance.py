@@ -243,7 +243,7 @@ def test_criterion_8_symmetry_and_decay():
     _report(8, "symmetry and decay", ok,
             f"mirror-swap rel dev {swap_dev:.2e} (tol 1e-10); |P| "
             f"decreasing over l in [1, 10] with fitted exponent "
-            f"{-slope:.2f} (>= 3) at T=1")
+            f"{-slope:.10f} (>= 3) at T=1")
 
 
 def test_criterion_9_cmd_verify_reproducibility():

@@ -20,8 +20,10 @@ from neqlifshitz.em_green import (
     plate_eps,
     qz,
 )
-from neqlifshitz.errors import DomainError
+from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, Material
+
+from conftest import fresnel_tm_root
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
 LOSSY2 = Material(omega0=1.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.3))
@@ -122,6 +124,21 @@ def test_fresnel_boundary_conditions():
     c_gap = curl_rows(gap_blk, zb + eps_edge)
     c_plate = curl_rows(plate_blk, zb - eps_edge)
     assert_allclose(c_plate[:2], c_gap[:2], rtol=2e-6, atol=1e-9)
+
+
+def test_fresnel_names_the_point_where_a_denominator_vanishes():
+    # a root of LOSSY's TM denominator eps(s) q + qn, alone (as a numpy
+    # scalar) and among other Laplace points
+    Q = 5.0
+    root = fresnel_tm_root(LOSSY, Q, -0.05 + 1.22j)
+    with pytest.raises(SingularityError, match="Fresnel denominator") as err:
+        fresnel(LOSSY, np.complex128(root), Q)
+    assert type(err.value.point) is complex and err.value.point == root
+    pts = np.array([0.3 + 0.1j, 0.2j, root, 1.1 - 0.4j])
+    for s in (pts, pts[:, None]):
+        with pytest.raises(SingularityError, match="Fresnel denominator") as err:
+            fresnel(LOSSY, s, Q)
+        assert err.value.point == root and f"s={root}" in str(err.value)
 
 
 def test_dmu_values():

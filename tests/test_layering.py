@@ -2,15 +2,31 @@
 bath integral and its quadrature; the symbolic Green-block layer (block
 builders, stress contraction, transient integrands) lives beside the
 analytic-structure study in ``spectral``, which needs nothing from
-``pressure``."""
+``pressure``.  The heavy dependencies load only where they are used:
+scipy.integrate for the Matsubara oracle, mpmath for the Talbot
+inversion."""
 
 import ast
 import inspect
+import json
+import subprocess
+import sys
+from pathlib import Path
 
 from neqlifshitz import pressure, spectral
 
 BLOCK_LAYER = ("green_gap_from_plate", "ic_z_block", "theta_contract",
                "assemble_dof_integrand", "assemble_ic_integrand")
+REPO = Path(__file__).resolve().parents[1]
+HEAVY = ("scipy.integrate", "mpmath")
+
+
+def _fresh_python(code):
+    """Run ``code`` in a new interpreter; its last stdout line as JSON."""
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def test_pressure_binds_no_block_layer_name():
@@ -29,3 +45,50 @@ def test_spectral_binds_nothing_from_pressure():
             assert (node.module or "").rsplit(".", 1)[-1] != "pressure"
         elif isinstance(node, ast.Import):
             assert all(not a.name.endswith("pressure") for a in node.names)
+
+
+def test_steady_commands_load_neither_scipy_integrate_nor_mpmath(tmp_path):
+    cfg = REPO / "configs" / "default.cfg"
+    code = f"""
+import json, sys
+from neqlifshitz import cli
+codes = [cli.main([cmd, "--config", {str(cfg)!r},
+                   "--out", {str(tmp_path)!r} + "/" + cmd])
+         for cmd in ("pressure", "epsilon", "poles")]
+print(json.dumps([codes, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    codes, loaded = _fresh_python(code)
+    assert codes == [0, 0, 0]
+    assert loaded == []
+
+
+ORACLE_INPUTS = """
+from neqlifshitz.em_green import Geometry
+from neqlifshitz.material import BathModel, Material
+mat = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
+geom = Geometry(gap=1.0, left=mat, right=mat)
+t = [0.0, 0.5, 2.0]
+"""
+
+
+def test_oracle_and_inversion_import_their_dependencies_on_first_use():
+    # a fresh interpreter calls the Matsubara oracle and the Talbot
+    # inversion first; each loads its dependency then, and both return
+    # the values of the same calls made here
+    code = ORACLE_INPUTS + f"""
+import json, sys
+from neqlifshitz.pressure import equilibrium_matsubara
+from neqlifshitz.spectral import invert_laplace_qbm
+seen = [[m for m in {HEAVY!r} if m in sys.modules]]
+p = equilibrium_matsubara(geom, 1.0)
+seen.append([m for m in {HEAVY!r} if m in sys.modules])
+k = invert_laplace_qbm(mat, t).tolist()
+seen.append([m for m in {HEAVY!r} if m in sys.modules])
+print(json.dumps([p, k, seen]))
+"""
+    p, k, seen = _fresh_python(code)
+    assert seen == [[], ["scipy.integrate"], list(HEAVY)]
+    scope = {}
+    exec(ORACLE_INPUTS, scope)
+    assert p == pressure.equilibrium_matsubara(scope["geom"], 1.0)
+    assert k == spectral.invert_laplace_qbm(scope["mat"], scope["t"]).tolist()

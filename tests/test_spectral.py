@@ -19,6 +19,8 @@ from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
                                   modified_mode_check, plate_mode_roots, qbm_char_poly,
                                   scan_dmu_imaginary_axis, winding_count)
 
+from conftest import fresnel_tm_root
+
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
 LOSSY2 = Material(omega0=1.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.3))
 CUTOFF = Material(omega0=1.0, lambda0=1.0,
@@ -641,20 +643,6 @@ _POINT_BUILDS = {
 }
 
 
-def _fresnel_tm_root(side, Q, s):
-    """A root of the TM Fresnel denominator eps(s) q + qn, by Newton from s."""
-    def den(x):
-        eps = em_green.plate_eps(side, x)
-        return eps * em_green.qz(1.0, x, Q) + em_green.qz(eps, x, Q)
-
-    for _ in range(40):
-        step = den(s) * 2e-6 / (den(s + 1e-6) - den(s - 1e-6))
-        s -= step
-        if abs(step) <= 1e-15 * abs(s):
-            return s
-    raise AssertionError("Newton did not converge on the Fresnel root")
-
-
 @pytest.mark.parametrize("name", sorted(_POINT_BUILDS))
 def test_point_array_builds_match_scalar_builds(name):
     # one build on an array of Laplace points equals the scalar builds
@@ -684,7 +672,7 @@ def test_point_array_builds_match_scalar_builds(name):
 
     # a point on a Fresnel root (of the left plate's TM denominator) is named
     Q = 5.0
-    root = _fresnel_tm_root(geom.left, Q, -0.05 + 1.22j)
+    root = fresnel_tm_root(geom.left, Q, -0.05 + 1.22j)
     pts = rng.permutation(np.array([0.3 + 0.1j, root, 0.2j, 1.1 - 0.4j]))
     with pytest.raises(SingularityError, match="Fresnel denominator") as err:
         build(geom, pts, Q)
