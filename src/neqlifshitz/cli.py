@@ -4,48 +4,12 @@ Configuration grammar
 ---------------------
 Line-oriented ``section.key = value`` pairs; blank lines and ``#``
 comments are ignored.  Values are parsed as bool (``true``/``false``),
-int, float or string, in that order.  ``_SCHEMA`` states every key's
-type, default and range; this list repeats it.  A float key takes an
-int, a str key reads any value as text, and every number must be finite.
-Material and BathModel check the material ranges, PressureOptions the
-options ranges.  ``table:PATH`` is relative to the config file::
-
-    geometry
-      l             float  required           > 0
-      left, right   str    required           material name or table:PATH
-      T_L, T_R      float  0.0                >= 0
-    material.<name>
-      omega0, mass  float  1.0                > 0
-      lambda0       float  1.0                >= 0
-      bath          str    ohmic              none | ohmic | ohmic_lorentz_cutoff
-      gamma         float  0.1 (0 if none)    >= 0, and 0 if bath = none
-      cutoff        float  inf                > 0 for ohmic_lorentz_cutoff
-    sweep (optional; without it the geometry is evaluated at one point)
-      variable      str    required           l | T_L | T_R
-      start, stop   float  required           > 0
-      points        int    required           >= 1
-      spacing       str    linear             linear | log
-    options
-      rel_tol       float  1e-4               (0, 1e-2]
-      omega_max     float  automatic          > 0
-      thermal_only  bool   false
-      subtract_infinite_separation
-                    bool   true               true (always subtracted)
-    output
-      path          str    stdout             (--out overrides it)
-    units
-      si_scale_hz   float  unset              > 0 Hz; adds SI columns (m, Pa)
-    epsilon
-      material      str    geometry.left      material name or table:PATH
-      omega_min     float  -10.0              < epsilon.omega_max
-      omega_max     float  10.0
-      points        int    401                >= 2
-    poles
-      material      str    geometry.left      material name
-    verify
-      samples       int    12                 >= 1
-      seed          int    0                  >= 0
-      T_eq          float  T_L or T_R or 0.5  >= 0
+int, float or string, in that order.  ``_SCHEMA`` below states every
+key's type, default and range, and the configuration table of the README
+is its user copy.  A float key takes an int, a str key reads any value
+as text, and every number must be finite.  Material and BathModel check
+the material ranges, PressureOptions the options ranges.
+``table:PATH`` is relative to the config file.
 
 All quantities are in natural units (hbar = c = kB = 1).  Every CSV
 starts with ``#`` header comments embedding the tool version and the
@@ -632,14 +596,20 @@ def _build_parser():
         "verify": "run the analytic-structure property suite",
         "compare-eq": "steady pressure vs the imaginary-frequency sum",
     }
+    rel_tol_help = {
+        "pressure": "override options.rel_tol",
+        "verify": "override options.rel_tol",
+        "compare-eq": "match threshold (default 1e-3); the quadrature keeps "
+                      "options.rel_tol",
+    }
     for name, help_text in commands.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="configuration file")
         p.add_argument("--out", default=None,
                        help="write CSV/report here instead of stdout")
-        p.add_argument("--rel-tol", type=float, default=None,
-                       help="override options.rel_tol (for compare-eq: the "
-                            "match threshold, default 1e-3)")
+        if name in rel_tol_help:
+            p.add_argument("--rel-tol", type=float, default=None,
+                           help=rel_tol_help[name])
     return parser
 
 

@@ -342,59 +342,6 @@ def _source_vecs(eps, q, qn, s, Q, qv, updown, num):
     return te, tm
 
 
-def _emission_parts(geom, plate, s, Q, phase_sign, _fresnel=None):
-    """Shared geometry/Fresnel data of the gap-from-plate blocks."""
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(qz(1.0, s, Q))
-    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
-    f_own, f_other = (f_left, f_right) if plate == "L" else (f_right, f_left)
-    eps, qn = f_own[3], f_own[4]
-    qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
-                                              phase_sign=phase_sign, q=q)
-    updown = +1 if plate == "L" else -1
-    src_te, src_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * qn)
-    if plate == "L":
-        direct_vecs = {"TE": e_te, "TM": e_tm_up}
-        refl_vecs = {"TE": e_te, "TM": e_tm_dn}
-        direct_exp, refl_exp, src_exp = -q, +q, +qn
-    else:
-        direct_vecs = {"TE": e_te, "TM": e_tm_dn}
-        refl_vecs = {"TE": e_te, "TM": e_tm_up}
-        direct_exp, refl_exp, src_exp = +q, -q, -qn
-    return dict(Q=Q, q=q, qn=qn, f_own=f_own, f_other=f_other,
-                src_te=src_te, src_tm=src_tm, direct_vecs=direct_vecs,
-                refl_vecs=refl_vecs, direct_exp=direct_exp, refl_exp=refl_exp,
-                src_exp=src_exp)
-
-
-def _emission_terms(geom, plate, p):
-    """Assemble the direct/reflected GreenTerms from _emission_parts data."""
-    q, qn = p["q"], p["qn"]
-    ex = np.exp(-q * geom.gap)               # one full gap crossing
-    d_te = 1.0 - p["f_own"][0] * p["f_other"][0] * ex * ex
-    d_tm = 1.0 - p["f_own"][1] * p["f_other"][1] * ex * ex
-    decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
-    decay_far = decay_near * ex              # after one far-plate bounce
-    terms = []
-    for pol, dvec, rvec, svec, d_pol, r_far in (
-            ("TE", p["direct_vecs"]["TE"], p["refl_vecs"]["TE"], p["src_te"],
-             d_te, p["f_other"][0]),
-            ("TM", p["direct_vecs"]["TM"], p["refl_vecs"]["TM"], p["src_tm"],
-             d_tm, p["f_other"][1])):
-        pref = -1.0 / (2.0 * qn * d_pol)
-        terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
-                               field_vec=dvec, src_vec=svec,
-                               scalar=pref * decay_near + 0j,
-                               exp_z=p["direct_exp"] + 0j, src_exp=p["src_exp"],
-                               z_ref=geom.boundary(plate)))
-        terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
-                               field_vec=rvec, src_vec=svec,
-                               scalar=pref * r_far * decay_far + 0j,
-                               exp_z=p["refl_exp"] + 0j, src_exp=p["src_exp"],
-                               z_ref=geom.boundary(plate)))
-    return tuple(terms)
-
-
 def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     """Green block: field point in the gap, source point inside one plate.
 
@@ -412,9 +359,41 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     ``_fresnel`` is the private `_plate_fresnel` pair at the same
     (s, Q), for builders that already hold it.
     """
-    p = _emission_parts(geom, plate, s, Q, phase_sign, _fresnel)
-    terms = _emission_terms(geom, plate, p)
-    return GreenBlock(terms=terms, s=_block_s(s), Q=p["Q"], qhat=XHAT,
+    Q = np.asarray(Q, dtype=float)
+    q = np.asarray(qz(1.0, s, Q))
+    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
+    f_own, f_other = (f_left, f_right) if plate == "L" else (f_right, f_left)
+    eps, qn = f_own[3], f_own[4]
+    qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
+                                              phase_sign=phase_sign, q=q)
+    updown = +1 if plate == "L" else -1
+    src_te, src_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * qn)
+    if plate == "L":
+        direct_tm, refl_tm = e_tm_up, e_tm_dn
+        direct_exp, refl_exp, src_exp = -q, +q, +qn
+    else:
+        direct_tm, refl_tm = e_tm_dn, e_tm_up
+        direct_exp, refl_exp, src_exp = +q, -q, -qn
+    ex = np.exp(-q * geom.gap)               # one full gap crossing
+    decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
+    decay_far = decay_near * ex              # after one far-plate bounce
+    z_ref = geom.boundary(plate)
+    terms = []
+    for i, pol, dvec, rvec, svec in ((0, "TE", e_te, e_te, src_te),
+                                     (1, "TM", direct_tm, refl_tm, src_tm)):
+        r_far = f_other[i]
+        pref = -1.0 / (2.0 * qn * (1.0 - f_own[i] * r_far * ex * ex))
+        terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
+                               field_vec=dvec, src_vec=svec,
+                               scalar=pref * decay_near + 0j,
+                               exp_z=direct_exp + 0j, src_exp=src_exp,
+                               z_ref=z_ref))
+        terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
+                               field_vec=rvec, src_vec=svec,
+                               scalar=pref * r_far * decay_far + 0j,
+                               exp_z=refl_exp + 0j, src_exp=src_exp,
+                               z_ref=z_ref))
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
                       phase_sign=phase_sign, geom=geom)
 
 

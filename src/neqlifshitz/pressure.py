@@ -210,11 +210,14 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
 
 
 def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
-    """Steady bath-pressure integrand at one (omega, Q) point (or a batch).
+    """Bath-pressure channel map summed at one (omega, Q) point (or a batch).
 
     The sum over plates, polarizations and sectors of the channel map; real
-    by construction.  ``use_fdr=False`` switches every Material plate to the
-    noise-kernel evaluation path (a cross-check; identical by the
+    by construction.  The default ``kernel="full"`` is the map with the
+    detached-plates baseline still in it, so it is not what
+    `steady_pressure` integrates: that is ``kernel="difference"`` (see
+    `_bath_channels`).  ``use_fdr=False`` switches every Material plate to
+    the noise-kernel evaluation path (a cross-check; identical by the
     fluctuation-dissipation identity).
     """
     ch = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr)
@@ -522,8 +525,9 @@ def _inner_q_edges_evan(geom, omega):
 _INNER_FLOOR = 1e-3
 
 
-def _inner_q_integral(geom, omegas, kernel, thermal_only, rel_tol, floor_scale):
-    """Q-integrals of the channel map at an array of frequencies, in lockstep.
+def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
+    """Q-integrals of the difference channel map at an array of frequencies,
+    in lockstep.
 
     Propagating sector via Q = omega sin(theta) (removes the edge cusp),
     evanescent tail via the decay variable q = sqrt(Q^2 - omega^2) mapped
@@ -542,10 +546,7 @@ def _inner_q_integral(geom, omegas, kernel, thermal_only, rel_tol, floor_scale):
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
     todo = [("propagating", i, w) for i, w in enumerate(omegas.tolist()) if w > 0.0]
-    if kernel != "baseline":
-        todo += [("evanescent", i, w) for i, w in enumerate(omegas.tolist())]
-    if not todo:
-        return {k: np.zeros(n) for k in BREAKDOWN_KEYS}, np.zeros(n)
+    todo += [("evanescent", i, w) for i, w in enumerate(omegas.tolist())]
     segments = [(_inner_q_edges_prop if sector == "propagating" else _inner_q_edges_evan)
                 (geom, w) for sector, _, w in todo]
     labels = [f"{sector} Q integral at omega={w:.4g}" for sector, _, w in todo]
@@ -565,7 +566,8 @@ def _inner_q_integral(geom, omegas, kernel, thermal_only, rel_tol, floor_scale):
             Qe = np.hypot(w[ev], qs)
             Qs[ev] = Qe
             jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
-        ch = _bath_channels(geom, w, Qs, kernel=kernel, thermal_only=thermal_only)
+        ch = _bath_channels(geom, w, Qs, kernel="difference",
+                            thermal_only=thermal_only)
         return {k: v * jac for k, v in ch.items()}
 
     def floor(totals):
@@ -629,18 +631,24 @@ def _omega_edges(geom, omega_max):
     return sorted(marks)
 
 
-def _steady(geom, opts, kernel):
-    """Outer frequency integral of the inner Q integrals, plus the tail.
+def steady_pressure(geom, opts=None):
+    """Distance-dependent steady-state pressure carried by the plate baths.
 
-    The outer rule runs at rel_tol/2 (a one-segment `_adaptive_gk`); its
-    integrand hands the frequency nodes of each round, ``_OMEGA_GROUP`` at a
-    time, to `_inner_q_integral`, which runs their Q integrals in lockstep
-    at rel_tol/4 with the floor described there, fed by the largest inner
-    integral finished so far.  The inner error estimates ride along as the
-    "_inner" channel and enter ``err``.  kernel is "difference" (the
-    product, see `steady_pressure`) or "baseline" (the detached-plates
-    pressure itself, which the blackbody calibration integrates).
+    Integrates the bath emission channels minus their detached-plates
+    baseline over (omega, Q) with nested adaptive Gauss-Kronrod panels
+    (negative = attraction).  The baseline, the l-independent radiation
+    pressure on each interface, is subtracted inside the integrand: it
+    carries no information about the gap, and with the zero-point emission
+    included its integral grows as omega_max^4.
+
+    The outer frequency rule runs at rel_tol/2 (a one-segment
+    `_adaptive_gk`); its integrand hands the frequency nodes of each round,
+    ``_OMEGA_GROUP`` at a time, to `_inner_q_integral`, which runs their Q
+    integrals in lockstep at rel_tol/4 with the floor described there, fed
+    by the largest inner integral finished so far.  The inner error
+    estimates ride along as the "_inner" channel and enter ``err``.
     """
+    opts = opts or PressureOptions()
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")
@@ -653,7 +661,7 @@ def _steady(geom, opts, kernel):
         out["_inner"] = np.empty(ws.shape)
         for c in range(0, len(ws), _OMEGA_GROUP):
             group = slice(c, c + _OMEGA_GROUP)
-            ch, e = _inner_q_integral(geom, ws[group], kernel, opts.thermal_only,
+            ch, e = _inner_q_integral(geom, ws[group], opts.thermal_only,
                                       inner_tol, state["scale"])
             mag = np.abs(sum(ch[k] for k in BREAKDOWN_KEYS))
             state["scale"] = max(state["scale"], float(mag.max()))
@@ -670,7 +678,7 @@ def _steady(geom, opts, kernel):
     outer_err = float(outer_err[0])
 
     half = math.pi / (2.0 * geom.gap)
-    if kernel == "difference" and omega_max + 2.0 * half <= _table_cap(geom):
+    if omega_max + 2.0 * half <= _table_cap(geom):
         # Past the material scales the subtracted integrand is dominated by
         # a decaying cavity round-trip oscillation cos(2 omega l + phi):
         # truncating at omega_max leaves a conditionally convergent tail of
@@ -694,19 +702,6 @@ def _steady(geom, opts, kernel):
     err = outer_err + abs(totals.pop("_inner"))
     return PressureResult(value=math.fsum(totals.values()), err=float(err),
                           breakdown=totals, omega_max_used=float(omega_max))
-
-
-def steady_pressure(geom, opts=None):
-    """Distance-dependent steady-state pressure carried by the plate baths.
-
-    Integrates the bath emission channels minus their detached-plates
-    baseline over (omega, Q) with nested adaptive Gauss-Kronrod panels
-    (negative = attraction).  The baseline, the l-independent radiation
-    pressure on each interface, is subtracted inside the integrand: it
-    carries no information about the gap, and with the zero-point emission
-    included its integral grows as omega_max^4.
-    """
-    return _steady(geom, opts or PressureOptions(), "difference")
 
 
 # ---------------------------------------------------------------------------

@@ -45,10 +45,45 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .material import EpsilonTable, Material, _coth, qbm_green
 
 METHOD_ANALYTIC = "analytic_quadratic"
-METHOD_WINDING = "contour_winding"
 METHOD_NEWTON = "newton_polish"
 
 _RE_TOL = 1e-12
+
+# Numerical settings of the toolkit, read when the functions run.
+
+#: Points per rectangle edge of the argument-principle count before the
+#: sampling doubles.
+WINDING_POINTS = 800
+#: A minimum of |D_mu| at or below this on the imaginary axis is a
+#: property violation.
+DMU_FLOOR = 1e-3
+#: Talbot contour nodes at small t; the count grows with t.
+TALBOT_NODES = 64
+#: Richardson start radius of the modified-mode check, in units of
+#: max(omega_k, 1).
+MODE_RADIUS = 3e-5
+#: Normalized size below which the mode's numerator and denominator
+#: count as zero.
+MODE_TOL_ZERO = 1e-8
+#: Largest cross-direction spread of the mode limit, relative to the
+#: tensor scale.
+MODE_TOL_LIMIT = 1e-6
+#: Origin classification rings: radii RING_R0, RING_R0/RING_SHRINK, ...
+#: (RING_COUNT of them), RING_POINTS angles each.
+RING_R0 = 1e-2
+RING_SHRINK = 4.0
+RING_COUNT = 4
+RING_POINTS = 8
+#: Largest distance of a fitted log-log slope from the integer order.
+SLOPE_TOL = 0.25
+#: The fixed partner point of the origin reports' ring samples.
+ORIGIN_PROBE = 0.31 + 0.23j
+#: Radius and points per variable of the origin reports' Laurent torus.
+TORUS_RADIUS = 5e-3
+TORUS_POINTS = 12
+#: Largest relative net divergent Laurent coefficient that counts as
+#: cancelled.
+CANCEL_TOL = 1e-5
 
 _PLATES = ("L", "R")
 _POLS = ("TE", "TM")
@@ -299,7 +334,7 @@ def _causal_flags(roots):
     return causal, marginal
 
 
-def winding_count(coeffs, re_lo, re_hi, im_lo, im_hi, n_per_edge=800):
+def winding_count(coeffs, re_lo, re_hi, im_lo, im_hi):
     """Argument-principle root count of a polynomial inside a rectangle.
 
     Phase increments along the boundary are accumulated edge by edge;
@@ -310,7 +345,7 @@ def winding_count(coeffs, re_lo, re_hi, im_lo, im_hi, n_per_edge=800):
     corners = [complex(re_lo, im_lo), complex(re_hi, im_lo),
                complex(re_hi, im_hi), complex(re_lo, im_hi),
                complex(re_lo, im_lo)]
-    n = int(n_per_edge)
+    n = WINDING_POINTS
     for _ in range(5):
         pts = np.concatenate([
             np.linspace(corners[i], corners[i + 1], n, endpoint=False)
@@ -505,12 +540,12 @@ def _pair_vertical(points, rtol=1e-9):
 # imaginary-axis scan of the multiple-reflection denominator
 
 
-def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid, floor=1e-3):
+def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
     """Minimum of |D_mu| along s = i*omega over a real frequency grid.
 
     The grid must be sorted, straddle zero and resolve the gap
     round-trip phase (spacing <= pi/(8 l)).  A minimum at or below
-    ``floor`` is recorded as a property violation in the result, not
+    ``DMU_FLOOR`` is recorded as a property violation in the result, not
     raised; isolated grid points landing on a response pole of a
     lossless material are skipped and counted.
     """
@@ -540,8 +575,8 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid, floor=1e-3):
             raise
     i0 = int(np.nanargmin(vals))
     min_abs = float(vals[i0])
-    return DmuScan(min_abs=min_abs, argmin=float(grid[i0]), floor=float(floor),
-                   violation=bool(min_abs <= floor), pol=pol, Q=float(Q),
+    return DmuScan(min_abs=min_abs, argmin=float(grid[i0]), floor=DMU_FLOOR,
+                   violation=bool(min_abs <= DMU_FLOOR), pol=pol, Q=float(Q),
                    n_points=int(grid.size), n_skipped=skipped)
 
 
@@ -549,18 +584,18 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid, floor=1e-3):
 # modified-mode removability
 
 
-def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
-                        tol_limit=1e-6):
+def modified_mode_check(geom, Q, kz):
     """Verify that s = +-i*sqrt(Q^2 + kz^2) is removable, not a pole.
 
     At each sign the vanishing gap denominator q_z -+ i kz and its
     matching two-term numerator are evaluated exactly at the root (both
-    must be zero to ``tol_zero`` after normalization).  The limit of
-    the source-integrated tensor is then extrapolated with two
-    Richardson levels (radii r, r/2, r/4) along four approach
-    directions confined to Re(s) >= 0 — the root sits on the gap
-    branch cut, so left-half approaches would change sheet — and must
-    agree across directions to ``tol_limit`` of the tensor scale.
+    must be zero to ``MODE_TOL_ZERO`` after normalization).  The limit
+    of the source-integrated tensor is then extrapolated with two
+    Richardson levels (radii r, r/2, r/4 with r = MODE_RADIUS *
+    max(omega_k, 1)) along four approach directions confined to
+    Re(s) >= 0 — the root sits on the gap branch cut, so left-half
+    approaches would change sheet — and must agree across directions to
+    ``MODE_TOL_LIMIT`` of the tensor scale.
     Disagreement yields ``removable=False`` with the data.  The 24
     approach points (2 signs x 4 directions x 3 radii) share one
     `ic_z_block` build.
@@ -575,7 +610,7 @@ def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
     wk = math.hypot(Q, kz)
     z = geom.z_field
     length = geom.gap
-    r0 = (3e-5 if radius is None else float(radius)) * max(wk, 1.0)
+    r0 = MODE_RADIUS * max(wk, 1.0)
     sign = np.array([+1.0, -1.0])
     s_star = 1j * wk * sign
     q = qz(1.0, s_star, Q)
@@ -601,8 +636,8 @@ def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
     worst = np.max(np.abs(extrap - mean[:, None]), axis=(-3, -2, -1)) / scale
     spread = float(np.max(worst))
     limit_trace = complex(np.trace(mean[0]))
-    removable = (num_zero <= tol_zero and den_zero <= tol_zero
-                 and spread <= tol_limit)
+    removable = (num_zero <= MODE_TOL_ZERO and den_zero <= MODE_TOL_ZERO
+                 and spread <= MODE_TOL_LIMIT)
     return ModifiedModeCheck(num_zero=num_zero, den_zero=den_zero,
                              lhopital_limit=limit_trace, removable=removable,
                              spread=spread, omega_k=wk)
@@ -615,7 +650,7 @@ def modified_mode_check(geom, Q, kz, radius=None, tol_zero=1e-8,
 _TALBOT_CACHE = {}
 
 
-def _talbot_fixtures(n_nodes, dps):
+def _talbot_fixtures(n_eff, dps):
     """Contour geometry for the fixed cot-shaped contour, cached per dps.
 
     ``base[k]`` is s_k/r and ``weight[k] = 1 + i*sigma_k`` the
@@ -626,13 +661,13 @@ def _talbot_fixtures(n_nodes, dps):
     """
     import mpmath as mp
 
-    key = (n_nodes, dps)
+    key = (n_eff, dps)
     fx = _TALBOT_CACHE.get(key)
     if fx is None:
         base, weight, expo_weight = [], [], []
-        rt = mp.mpf(2 * n_nodes) / 5
-        for k in range(1, n_nodes):
-            th = mp.pi * k / n_nodes
+        rt = mp.mpf(2 * n_eff) / 5
+        for k in range(1, n_eff):
+            th = mp.pi * k / n_eff
             ct = mp.cot(th)
             b = th * (ct + 1j)
             w = 1 + 1j * (th + (th * ct - 1) * ct)
@@ -662,17 +697,17 @@ def _mp_response(mat):
     return lambda s: 1 / (s * s + g * s + w2)
 
 
-def _min_node_gap(n_nodes, r, poles):
-    th = np.pi * np.arange(1, n_nodes) / n_nodes
+def _min_node_gap(n_eff, r, poles):
+    th = np.pi * np.arange(1, n_eff) / n_eff
     nodes = np.concatenate([[r + 0.0j], r * th * (1.0 / np.tan(th) + 1j)])
     return min(float(np.min(np.abs(nodes - p))) / (1.0 + abs(p))
                for p in poles)
 
 
-def _talbot_point(mat, t, n_nodes, r_floor, poles):
+def _talbot_point(mat, t, r_floor, poles):
     import mpmath as mp
 
-    n_eff = max(n_nodes, int(math.ceil(2.5 * t * r_floor)))
+    n_eff = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
     r_canon = 2.0 * n_eff / (5.0 * t)
     r = r_canon
     for _ in range(8):
@@ -702,10 +737,10 @@ def _talbot_point(mat, t, n_nodes, r_floor, poles):
         return float(total * rm / n_eff)
 
 
-def invert_laplace_qbm(mat, t_grid, n_nodes=64):
+def invert_laplace_qbm(mat, t_grid):
     """Time-domain oscillator kernel by fixed-contour Laplace inversion.
 
-    The cot-shaped contour uses ``n_nodes`` points with the canonical
+    The cot-shaped contour uses ``TALBOT_NODES`` points with the canonical
     radius 2M/(5t); the node count grows with t so the contour keeps
     enclosing the response poles, and the summation runs in arbitrary
     precision sized to the node count (the node weights grow like
@@ -728,7 +763,7 @@ def invert_laplace_qbm(mat, t_grid, n_nodes=64):
     out = np.empty(flat.shape)
     for i, ti in enumerate(flat):
         out[i] = 0.0 if ti == 0.0 else _talbot_point(
-            mat, float(ti), int(n_nodes), r_floor, poles)
+            mat, float(ti), r_floor, poles)
     return out.reshape(t.shape)
 
 
@@ -1068,7 +1103,7 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
 # origin classification of the transient integrands
 
 
-def _order_from_samples(vals, radii, angles, slope_tol=0.25):
+def _order_from_samples(vals, radii, angles):
     """Classify pole order from |f| decay across shrinking radii."""
     vals = np.asarray(vals, dtype=complex)
     mags = np.median(np.abs(vals), axis=1)
@@ -1081,27 +1116,26 @@ def _order_from_samples(vals, radii, angles, slope_tol=0.25):
     order_f = -p_hat
     order = max(0, int(round(order_f)))
     if order == 0:
-        resolved = order_f <= slope_tol
+        resolved = order_f <= SLOPE_TOL
     else:
-        resolved = abs(order_f - order) <= slope_tol
+        resolved = abs(order_f - order) <= SLOPE_TOL
     coeff = complex(np.mean(vals[-1] * (radii[-1] * np.exp(1j * angles)) ** order))
     return OriginOrder(order=order, coeff=coeff, slope=p_hat, resolved=bool(resolved))
 
 
-def classify_origin_order(f, r0=1e-2, shrink=4.0, n_radii=4, n_theta=8,
-                          slope_tol=0.25):
+def classify_origin_order(f):
     """Pole order of ``f`` at s = 0 by shrinking-radius evaluation.
 
-    Samples |f| on rings r0, r0/shrink, ... (angles offset from the
-    axes), fits the log-log growth rate and rounds it to the pole
-    order; the leading Laurent coefficient is the angular mean of
-    s^order f(s) on the smallest ring.  ``resolved`` is False when the
-    fitted slope is not near an integer — the caller decides whether
-    that is an error.
+    Samples |f| on the rings RING_R0, RING_R0/RING_SHRINK, ... (angles
+    offset from the axes), fits the log-log growth rate and rounds it to
+    the pole order; the leading Laurent coefficient is the angular mean
+    of s^order f(s) on the smallest ring.  ``resolved`` is False when the
+    fitted slope is not within SLOPE_TOL of an integer — the caller
+    decides whether that is an error.
     """
-    radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
+    radii, angles, pts = _ring_samples()
     vals = np.array([complex(f(s)) for s in pts.flat]).reshape(pts.shape)
-    return _order_from_samples(vals, radii, angles, slope_tol)
+    return _order_from_samples(vals, radii, angles)
 
 
 def expected_dof_origin_orders(pol, bracket, piece):
@@ -1131,52 +1165,51 @@ def expected_ic_origin_orders(pol, piece):
     return (0, 0)
 
 
-def _ring_samples(r0, shrink, n_radii, n_theta):
-    """Radii, angles and the (n_radii, n_theta) array of ring points."""
-    radii = np.array([r0 * shrink ** (-j) for j in range(n_radii)])
-    angles = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
+def _ring_samples():
+    """Radii, angles and the (RING_COUNT, RING_POINTS) array of ring points."""
+    radii = np.array([RING_R0 * RING_SHRINK ** (-j) for j in range(RING_COUNT)])
+    angles = 2.0 * np.pi * (np.arange(RING_POINTS) + 0.5) / RING_POINTS
     return radii, angles, radii[:, None] * np.exp(1j * angles)
 
 
-def _classify_parts(half, pair, probe, r0=1e-2, shrink=4.0, n_radii=4,
-                    n_theta=8, slope_tol=0.25):
+def _classify_parts(half, pair):
     """Classify every part of a two-variable integrand in each variable.
 
     ``half(s, phase_sign)`` builds one variable's factor on an array of
     Laplace points (+1 for s1, -1 for s2) and ``pair(h1, h2)`` returns
     the parts dict of two halves broadcast against each other.  Per
-    variable the rings are one half and the probe another, and one pair
-    step gives every part on every ring point.
+    variable the rings are one half and ORIGIN_PROBE another, and one
+    pair step gives every part on every ring point.
     """
-    radii, angles, pts = _ring_samples(r0, shrink, n_radii, n_theta)
-    rows = (pair(half(pts, +1), half(probe, -1)),
-            pair(half(probe, +1), half(pts, -1)))
+    radii, angles, pts = _ring_samples()
+    rows = (pair(half(pts, +1), half(ORIGIN_PROBE, -1)),
+            pair(half(ORIGIN_PROBE, +1), half(pts, -1)))
     orders = {}
     for var, parts in enumerate(rows):
         for key, vals in parts.items():
             orders.setdefault(key, [None, None])[var] = _order_from_samples(
-                vals, radii, angles, slope_tol)
+                vals, radii, angles)
     return orders
 
 
 _DIVERGENT_ORDERS = ((-2, -2), (-2, -1), (-1, -2))
 
 
-def _torus_tables(half, pair, keys, radius, n_theta):
-    """Every part of the integrand on the torus |s1| = |s2| = radius.
+def _torus_tables(half, pair, keys):
+    """Every part of the integrand on the torus |s1| = |s2| = TORUS_RADIUS.
 
-    Returns the ring of n_theta points and, per part, the (s1, s2) table
-    over it: the ring is built once per variable, as a column of s1 and
-    a row of s2, and one pair step fills every table.
+    Returns the ring of TORUS_POINTS points and, per part, the (s1, s2)
+    table over it: the ring is built once per variable, as a column of
+    s1 and a row of s2, and one pair step fills every table.
     """
-    ang = 2.0 * np.pi * (np.arange(n_theta) + 0.5) / n_theta
-    ring = radius * np.exp(1j * ang)
+    n = TORUS_POINTS
+    ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    ring = TORUS_RADIUS * np.exp(1j * ang)
     parts = pair(half(ring[:, None], +1), half(ring[None, :], -1))
-    return ring, {key: np.broadcast_to(parts[key], (n_theta, n_theta))
-                  for key in keys}
+    return ring, {key: np.broadcast_to(parts[key], (n, n)) for key in keys}
 
 
-def _origin_tables(half, pair, keys, radius, n_theta):
+def _origin_tables(half, pair, keys):
     """Torus Laurent tables for every part, plus the integrand scale.
 
     Returns per-part coefficients c_mn for the four time-relevant
@@ -1184,7 +1217,7 @@ def _origin_tables(half, pair, keys, radius, n_theta):
     which calibrates how large a coefficient of each order *could* be
     given the observed integrand size.
     """
-    ring, tabs = _torus_tables(half, pair, keys, radius, n_theta)
+    ring, tabs = _torus_tables(half, pair, keys)
     weights = {mn: np.outer(ring ** (-mn[0]), ring ** (-mn[1]))
                for mn in _DIVERGENT_ORDERS + ((-1, -1),)}
     coeffs = {key: {mn: complex(np.mean(tabs[key] * w))
@@ -1193,24 +1226,24 @@ def _origin_tables(half, pair, keys, radius, n_theta):
     return coeffs, f_scale
 
 
-def _cancellation_record(coeffs, keys, cancel_tol, f_scale, radius):
+def _cancellation_record(coeffs, keys, f_scale):
     """Absence of time-growing Laurent content across a group of parts.
 
     A coefficient of order (m, n) belonging to a genuine pole of the
-    observed integrand size f_scale would be ~ f_scale * radius^(m+n),
-    so each net coefficient is compared against the larger of that
-    reference and the summed per-part magnitudes (the latter catches
-    large contributions cancelling between parts).  The first-order
+    observed integrand size f_scale would be ~ f_scale * r^(m+n) with
+    r = TORUS_RADIUS, so each net coefficient is compared against the
+    larger of that reference and the summed per-part magnitudes (the
+    latter catches large contributions cancelling between parts); it
+    vanishes when the ratio is at most CANCEL_TOL.  The first-order
     double residue is reported as the discarded switch-on term, with
     its strength on the same scale (~1 for a genuine pole, ~0 for
     none).
 
-    At the default torus radius 5e-3 the ``rel`` values of about 1e-17
-    to 1e-13 (every coefficient of the initial-field report, c22 of the
-    oscillator one) are rounding noise, not measured residuals: the
-    parts cancel down to the rounding floor of their sums, and two
-    roundings of the same blocks (scalar and array builds) move those
-    values by up to 6x.  They show that the divergent content cancels to
+    At TORUS_RADIUS = 5e-3 the ``rel`` values of about 1e-17 to 1e-13
+    (every coefficient of the initial-field report, c22 of the oscillator
+    one) are rounding noise, not measured residuals: the parts cancel
+    down to the rounding floor of their sums, and two roundings of the
+    same blocks (scalar and array builds) move those values by up to 6x.  They show that the divergent content cancels to
     that floor, not how small it is below it.
     """
     record = {}
@@ -1218,9 +1251,9 @@ def _cancellation_record(coeffs, keys, cancel_tol, f_scale, radius):
     for mn in _DIVERGENT_ORDERS:
         total = sum(coeffs[key][mn] for key in keys)
         parts_scale = sum(abs(coeffs[key][mn]) for key in keys)
-        ref = max(parts_scale, f_scale * radius ** (-mn[0] - mn[1]))
+        ref = max(parts_scale, f_scale * TORUS_RADIUS ** (-mn[0] - mn[1]))
         rel = abs(total) / ref if ref > 0.0 else 0.0
-        vanishes = rel <= cancel_tol
+        vanishes = rel <= CANCEL_TOL
         ok = ok and vanishes
         record[f"c{-mn[0]}{-mn[1]}"] = {
             "total": [total.real, total.imag],
@@ -1229,7 +1262,7 @@ def _cancellation_record(coeffs, keys, cancel_tol, f_scale, radius):
             "vanishes": vanishes,
         }
     switch_on = sum(coeffs[key][(-1, -1)] for key in keys)
-    ref11 = f_scale * radius ** 2
+    ref11 = f_scale * TORUS_RADIUS ** 2
     record["switch_on"] = {
         "residue": [switch_on.real, switch_on.imag],
         "strength": abs(switch_on) / ref11 if ref11 > 0.0 else 0.0,
@@ -1240,7 +1273,7 @@ def _cancellation_record(coeffs, keys, cancel_tol, f_scale, radius):
     return record, ok
 
 
-def _origin_report(half, pair, expected, probe, radius, n_theta):
+def _origin_report(half, pair, expected):
     """Classification and torus tables shared by the two origin reports.
 
     ``half``/``pair`` are the integrand's per-variable factor and pair
@@ -1250,7 +1283,7 @@ def _origin_report(half, pair, expected, probe, radius, n_theta):
     (parts report keyed "|"-joined, whether every part matches, sorted
     part keys, per-part Laurent coefficients, integrand scale).
     """
-    orders = _classify_parts(half, pair, probe)
+    orders = _classify_parts(half, pair)
     parts_report = {}
     all_match = True
     for key, (o1, o2) in sorted(orders.items()):
@@ -1264,12 +1297,11 @@ def _origin_report(half, pair, expected, probe, radius, n_theta):
             "matches": match,
         }
     keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(half, pair, keys, radius, n_theta)
+    coeffs, f_scale = _origin_tables(half, pair, keys)
     return parts_report, all_match, keys, coeffs, f_scale
 
 
-def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
-                      cancel_tol=1e-5):
+def dof_origin_report(geom, Q):
     """Origin taxonomy of the oscillator-transient integrand at one Q.
 
     Classifies every (plate, pol, bracket, piece) part in each Laplace
@@ -1278,6 +1310,9 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
     cancel across the plate's parts, and records the surviving
     first-order double residue as the discarded switch-on term.  The
     returned dict is JSON-ready; ``"taxonomy_ok"`` summarizes it.
+    ``"steady_after_discard"`` is 0.0 by the discard rule, not a measured
+    value: once the switch-on residue is discarded, the rule leaves no
+    time-independent term.
 
     The integrand is sampled at 208 (s1, s2) pairs (two rings of 32
     points against the probe, a 12 x 12 torus) but its Green blocks are
@@ -1288,22 +1323,21 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
         lambda h1, h2: _dof_pair(geom, h1, h2),
-        lambda key: expected_dof_origin_orders(*key[1:]), probe, radius, n_theta)
+        lambda key: expected_dof_origin_orders(*key[1:]))
     plates_report = {}
     cancel_ok = True
     for plate in ("L", "R"):
         plate_keys = [k for k in keys if k[0] == plate]
         if not plate_keys:
             continue
-        record, ok = _cancellation_record(coeffs, plate_keys, cancel_tol,
-                                          f_scale, radius)
+        record, ok = _cancellation_record(coeffs, plate_keys, f_scale)
         cancel_ok = cancel_ok and ok
         plates_report[plate] = record
     return {
         "kind": "dof_origin",
         "Q": float(Q),
-        "probe": [probe.real, probe.imag],
-        "radius": radius,
+        "probe": [ORIGIN_PROBE.real, ORIGIN_PROBE.imag],
+        "radius": TORUS_RADIUS,
         "scale": f_scale,
         "parts": parts_report,
         "plates": plates_report,
@@ -1312,27 +1346,26 @@ def dof_origin_report(geom, Q, probe=0.31 + 0.23j, radius=5e-3, n_theta=12,
     }
 
 
-def ic_origin_report(geom, k, beta_em=math.inf, probe=0.31 + 0.23j,
-                     radius=5e-3, n_theta=12, cancel_tol=1e-5):
+def ic_origin_report(geom, k, beta_em=math.inf):
     """Origin taxonomy of the initial-field integrand at one wavevector.
 
     Same structure as the oscillator-transient report with parts keyed
     (pol, piece); the candidate modes away from the origin are covered
     separately by `modified_mode_check`.  As there, the Green blocks
     (`ic_z_block`) are built on arrays of Laplace points: 6 builds and 3
-    pair steps for the 208 sampled pairs.
+    pair steps for the 208 sampled pairs.  ``"steady_after_discard"`` is
+    0.0 by the discard rule, not a measured value.
     """
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _ic_half(geom, k, s, phase_sign),
         lambda h1, h2: _ic_pair(k, h1, h2, beta_em=beta_em),
-        lambda key: expected_ic_origin_orders(*key), probe, radius, n_theta)
-    record, cancel_ok = _cancellation_record(coeffs, keys, cancel_tol,
-                                             f_scale, radius)
+        lambda key: expected_ic_origin_orders(*key))
+    record, cancel_ok = _cancellation_record(coeffs, keys, f_scale)
     return {
         "kind": "ic_origin",
         "k": [float(k[0]), float(k[1]), float(k[2])],
-        "probe": [probe.real, probe.imag],
-        "radius": radius,
+        "probe": [ORIGIN_PROBE.real, ORIGIN_PROBE.imag],
+        "radius": TORUS_RADIUS,
         "scale": f_scale,
         "parts": parts_report,
         "total": record,

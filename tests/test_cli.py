@@ -1,10 +1,12 @@
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from neqlifshitz.cli import load_config, main, parse_entries
+from neqlifshitz.cli import _SCHEMA, _build_parser, load_config, main, parse_entries
 from neqlifshitz.errors import ConfigError
 
 BASE = """
@@ -406,6 +408,36 @@ def test_compare_eq_rel_tol_is_only_the_match_threshold(tmp_path, capsys):
     _, loose = read_csv(captured.out)
     assert loose[0][2:4] == plain[0][2:4]
     assert "tolerance 0.05" in captured.err
+
+
+def test_readme_config_table_lists_the_schema_keys():
+    # the README table is the user copy of _SCHEMA: the same keys, no more
+    lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = lines.index("| key | type | default | range |") + 2
+    listed = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        listed += re.findall(r"`([^`]+)`", line.split("|")[1])
+    want = [f"material.<name>.{key}" if section == "material" else f"{section}.{key}"
+            for section, keys in _SCHEMA.items() for key in keys]
+    assert sorted(listed) == sorted(want)
+
+
+@pytest.mark.parametrize("command", ["epsilon", "poles"])
+def test_rel_tol_is_refused_where_nothing_reads_it(tmp_path, capsys, command):
+    # a flag the command would ignore is a usage error (exit 2), not a no-op
+    cfg = write_cfg(tmp_path, BASE)
+    with pytest.raises(SystemExit) as info:
+        main([command, "--config", cfg, "--rel-tol", "1e-3"])
+    assert info.value.code == 2
+    assert "--rel-tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["pressure", "verify", "compare-eq"])
+def test_rel_tol_is_accepted_where_it_is_read(command):
+    args = _build_parser().parse_args([command, "--config", "x.cfg", "--rel-tol", "1e-3"])
+    assert args.rel_tol == 1e-3
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
 from neqlifshitz import pressure as pr
 from neqlifshitz import spectral
@@ -482,12 +483,23 @@ def test_bath_channels_frequency_batch_still_detects_trapped_modes():
 
 def test_thermal_detached_baseline_is_blackbody():
     # the l-independent thermal part of the detached-plates pressure is the
-    # blackbody radiation pressure pi^2 T^4 / 45 pushing the plates apart
+    # blackbody radiation pressure pi^2 T^4 / 45 pushing the plates apart.
+    # The baseline map lives in the propagating sector Q = omega sin(theta);
+    # it is integrated here with scipy quad in omega and a fixed
+    # Gauss-Legendre rule in theta, off the steady integrator it calibrates
     T = 1.0
     geom = equal_t_geom(gap=1.0, T=T)
-    opts = PressureOptions(rel_tol=1e-5, omega_max=24.0, thermal_only=True)
-    base = pr._steady(geom, opts, "baseline")
-    assert_allclose(base.value, math.pi ** 2 * T ** 4 / 45.0, rtol=1e-4)
+    x, wx = np.polynomial.legendre.leggauss(64)
+    theta = 0.25 * math.pi * (x + 1.0)
+    weight = 0.25 * math.pi * wx * np.cos(theta)    # dQ = omega cos(theta) dtheta
+
+    def over_theta(w):
+        ch = pr._bath_channels(geom, w, w * np.sin(theta), kernel="baseline",
+                               thermal_only=True)
+        return w * float(np.sum(sum(ch.values()) * weight))
+
+    base, _ = quad(over_theta, 0.0, 24.0, points=[0.5, 1.0, 1.5, 2.0, 3.0], limit=200)
+    assert_allclose(base, math.pi ** 2 * T ** 4 / 45.0, rtol=1e-4)
 
 
 def test_equal_temperature_matches_matsubara():
@@ -519,6 +531,26 @@ def test_nonequilibrium_pressure_is_linear_in_each_occupation():
                          - steady_pressure(identical_plates(1.0, t_left, 0.6), opts).value)
     assert shift[1.0] != 0.0
     assert abs(shift[1.0] - shift[0.2]) <= 1e-6 * abs(shift[1.0])
+
+
+def test_thermal_only_is_pressure_minus_zero_temperature_pressure():
+    # P is linear in each plate's occupation and coth = 1 + (coth - 1), so the
+    # thermal-only pressure at (T_L, T_R) is P(T_L, T_R) - P(0, 0); the plates
+    # are those of configs/default.cfg
+    def geom(t_left, t_right):
+        def plate(omega0, lambda0, gamma, T):
+            return Material(omega0=omega0, lambda0=lambda0,
+                            bath=BathModel(kind="ohmic", gamma=gamma),
+                            beta_bath=1.0 / T if T > 0.0 else math.inf)
+        return Geometry(gap=1.0, left=plate(1.0, 1.0, 0.1, t_left),
+                        right=plate(1.3, 0.8, 0.2, t_right))
+
+    opts = PressureOptions(rel_tol=1e-4)
+    full = steady_pressure(geom(1.0, 0.5), opts)
+    cold = steady_pressure(geom(0.0, 0.0), opts)
+    thermal = steady_pressure(geom(1.0, 0.5), replace(opts, thermal_only=True))
+    assert thermal.value != 0.0
+    assert abs(thermal.value - (full.value - cold.value)) <= full.err + cold.err + thermal.err
 
 
 def test_matsubara_oracle_shape():
@@ -671,8 +703,7 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
 
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
-        pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), "full",
-                             False, 1e-6, 0.0)
+        pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), False, 1e-6, 0.0)
 
 
 def test_inner_integrals_do_not_depend_on_frequency_order():
@@ -680,9 +711,8 @@ def test_inner_integrals_do_not_depend_on_frequency_order():
     # from the order in which its frequencies are listed
     geom = warm_geom()
     ws = np.array([0.2, 0.9, 1.3, 2.6, 5.0, 11.0])
-    ch, err = pr._inner_q_integral(geom, ws, "difference", False, 2.5e-5, 0.0)
-    rev, err_rev = pr._inner_q_integral(geom, ws[::-1], "difference", False,
-                                        2.5e-5, 0.0)
+    ch, err = pr._inner_q_integral(geom, ws, False, 2.5e-5, 0.0)
+    rev, err_rev = pr._inner_q_integral(geom, ws[::-1], False, 2.5e-5, 0.0)
     for key in BREAKDOWN_KEYS:
         assert_allclose(rev[key][::-1], ch[key], rtol=1e-14, atol=0.0)
     assert_allclose(err_rev[::-1], err, rtol=1e-14, atol=0.0)

@@ -424,8 +424,8 @@ def test_laurent_2d_extracts_torus_coefficients():
     def pair(s1, s2):
         return {key: f(s1, s2) for key, f in parts.items()}
 
-    radius, n_theta = 5e-3, 12
-    coeffs, scale = spectral._origin_tables(half, pair, ["a", "b"], radius, n_theta)
+    radius, n_theta = spectral.TORUS_RADIUS, spectral.TORUS_POINTS
+    coeffs, scale = spectral._origin_tables(half, pair, ["a", "b"])
     for key, orders in want.items():
         assert set(coeffs[key]) == set(orders)
         for mn, c in orders.items():
@@ -523,7 +523,9 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
     ic_calls.clear()
-    ic_origin_report(geom, k, n_theta=16)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "TORUS_POINTS", 16)
+        ic_origin_report(geom, k)
     assert len(ic_calls) == n_ic
 
     dof_calls = _count_calls(monkeypatch, spectral, "green_gap_from_plate")
@@ -537,7 +539,9 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         for key, tab in tabs.items():
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
     dof_calls.clear()
-    dof_origin_report(geom, Q, n_theta=16)
+    with monkeypatch.context() as m:
+        m.setattr(spectral, "TORUS_POINTS", 16)
+        dof_origin_report(geom, Q)
     assert len(dof_calls) == n_dof
 
 
