@@ -48,8 +48,7 @@ def main(argv=None):
     for t_left in temps:
         left = plate(args.omega0, args.lambda0, args.gamma, float(t_left))
         res = steady_pressure(Geometry(gap=args.gap, left=left, right=right), opts)
-        from_left = sum(v for (p, _, _), v in zip(res.breakdown.keys(),
-                                                  res.breakdown.values()) if p == "L")
+        from_left = sum(v for (p, _, _), v in res.breakdown.items() if p == "L")
         from_right = res.value - from_left
         rows.append((float(t_left), res.value, res.err, from_left, from_right))
 

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, spectral
 from .em_green import Geometry
 from .errors import ConfigError, DomainError, NeqLifshitzError
 from .material import (BathModel, Material, fdr_epsilon_identity,
@@ -480,16 +480,12 @@ def _verify_properties(cfg, args):
 
     try:
         grid = np.linspace(-20.0, 20.0, 4001)
-        worst = math.inf
-        arg = None
-        for Q in (0.377, 0.733, 1.191, 2.413):
-            for pol in ("TE", "TM"):
-                scan = scan_dmu_imaginary_axis(geom, pol, Q, grid)
-                if scan.min_abs < worst:
-                    worst = scan.min_abs
-                    arg = {"Q": Q, "pol": pol, "omega": scan.argmin}
-        record("dmu_floor", worst > 1e-3, worst,
-               {"floor": 1e-3, "worst_case": arg},
+        worst = min((scan_dmu_imaginary_axis(geom, pol, Q, grid)
+                     for Q in (0.377, 0.733, 1.191, 2.413) for pol in ("TE", "TM")),
+                    key=lambda scan: scan.min_abs)
+        record("dmu_floor", not worst.violation, worst.min_abs,
+               {"floor": spectral.DMU_FLOOR,
+                "worst_case": {"Q": worst.Q, "pol": worst.pol, "omega": worst.argmin}},
                explanation="multiple-reflection denominator approaches zero "
                            "on the imaginary axis")
     except NeqLifshitzError as exc:

@@ -27,7 +27,8 @@ of ``_PANEL_CHUNK`` panels, so memory stays bounded however many panels
 a round holds.  Each segment keeps its own error test, panel budget and
 ConvergenceError; its absolute floor is ``_INNER_FLOOR * rel_tol`` times
 the largest inner integral among the frequencies already finished and the
-running estimates of its own lockstep call.
+running estimates of its own lockstep call.  The eight channels travel
+through the quadrature as the rows of one array, in BREAKDOWN_KEYS order.
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -107,13 +108,13 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
 
     omega is one frequency or an array of them broadcast against Q (the
     inner Q integrals of many frequencies run through one call).  Returns
-    a dict over BREAKDOWN_KEYS of real arrays of the broadcast shape.  The
-    values include the full measure (the Q of Q dQ and ``_MEASURE``), so
-    the pressure is the plain (omega, Q) double integral of their sum over
-    channels.  Factors of omega alone (each plate's permittivity and
-    emission weight, |s_eff|^2) are evaluated once per distinct frequency
-    of the call and gathered per point; points at omega = 0 carry no
-    emission and read 0.
+    a real array of shape (8,) + the broadcast shape, one row per channel
+    in BREAKDOWN_KEYS order.  The values include the full measure (the Q
+    of Q dQ and ``_MEASURE``), so the pressure is the plain (omega, Q)
+    double integral of the sum of the rows.  Factors of omega alone (each
+    plate's permittivity and emission weight, |s_eff|^2) are evaluated
+    once per distinct frequency of the call and gathered per point; points
+    at omega = 0 carry no emission and read 0.
 
     Each channel is the closed-form zz stress of the field that plate a
     emits into the gap in one polarization, reflected by the partner plate
@@ -147,7 +148,8 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
         raise DomainError(f"unknown kernel {kernel!r}")
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                np.asarray(Q, dtype=float))
-    out = {k: np.zeros(Q.shape) for k in BREAKDOWN_KEYS}
+    out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
+    grid = out.reshape((len(_PLATES), len(_POLS), len(_SECTORS)) + Q.shape)
     live = w != 0.0
     if not live.any():
         return out
@@ -161,17 +163,17 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     light = q == 0.0    # Q = omega: |q|^2 and D vanish together
     on_light = bool(light.any())
     trip = np.exp(-2.0 * q * geom.gap)
-    media = {}      # plate -> (eps, qn), eps evaluated once per frequency
-    coeffs = {}
-    for p in _PLATES:
-        eps = np.asarray(plate_eps(geom.side(p), s_u))[at]
+    sides = (geom.left, geom.right)     # in _PLATES order
+    media, coeffs = [], []      # per plate: (eps, qn) and the Fresnel coefficients
+    for side in sides:
+        eps = np.asarray(plate_eps(side, s_u))[at]
         qn = qz(eps, s, Q)
-        media[p] = (eps, qn)
-        coeffs[p] = _fresnel_coeffs(eps, q, qn, s)
+        media.append((eps, qn))
+        coeffs.append(_fresnel_coeffs(eps, q, qn, s))
     s_eff2 = (np.abs(_s_eff(s_u)) ** 2)[at]
 
-    for a, b in (("L", "R"), ("R", "L")):
-        weight = _emission_weight(geom.side(a), w_u, use_fdr=use_fdr,
+    for a, b in ((0, 1), (1, 0)):
+        weight = _emission_weight(sides[a], w_u, use_fdr=use_fdr,
                                   thermal_only=thermal_only)[at]
         emit = weight != 0.0    # pref = 0 there, also where Re qn = 0
         if not emit.any():
@@ -180,11 +182,11 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
         qn2 = np.abs(qn) ** 2
         pref = PRESSURE_SIGN * _MEASURE * weight * Q \
             / np.where(emit, 8.0 * qn.real * qn2, 1.0)
-        src = {"TE": np.abs(coeffs[a][2]) ** 2,
-               "TM": 4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2)}
+        src = (np.abs(coeffs[a][2]) ** 2,       # TE, TM as in _POLS
+               4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
         for i, pol in enumerate(_POLS):
             ra, rb = coeffs[a][i], coeffs[b][i]
-            g = pref * src[pol] * q2
+            g = pref * src[i] * q2
             d2 = np.abs(1.0 - ra * rb * trip) ** 2
             cavity = 1.0 / (np.where(light, 1.0, d2) if on_light else d2)
             prop_cavity = cavity
@@ -196,16 +198,16 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
                                            "lossless mode", point=s[trapped][0])
                 locked = 1.0 / np.where(prop, lock, 1.0)
                 prop_cavity = locked if kernel == "baseline" else cavity - locked
-            out[(a, pol, "propagating")][live] = np.where(
+            grid[a, i, 0, ...][live] = np.where(    # "...": a view, also for scalar Q
                 prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
             if kernel != "baseline":
                 evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
                 if on_light:
                     eps_b, qn_b = media[b]
                     n_a, n_b = (qn, qn_b) if pol == "TE" else (qn / eps, qn_b / eps_b)
-                    lim = pref * src[pol] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
+                    lim = pref * src[i] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
                     evan = np.where(light, lim, evan)
-                out[(a, pol, "evanescent")][live] = evan
+                grid[a, i, 1, ...][live] = evan
     return out
 
 
@@ -220,8 +222,7 @@ def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
     the noise-kernel evaluation path (a cross-check; identical by the
     fluctuation-dissipation identity).
     """
-    ch = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr)
-    total = sum(ch.values())
+    total = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr).sum(axis=0)
     return float(total) if total.ndim == 0 else total
 
 
@@ -283,14 +284,16 @@ _OMEGA_GROUP = 60
 
 
 def _eval_panels(f, lo, hi, seg):
-    """Evaluate a channel-valued integrand on a batch of panels.
+    """Evaluate a row-valued integrand on a batch of panels.
 
-    f maps (flat node array, segment index of each node) to a dict of
-    equal-shape arrays; keys starting with "_" ride along (integrated) but
-    do not drive the error estimate.  The panels go to f in chunks of
+    f maps (flat node array, segment index of each node) to a pair
+    (main, ride) of arrays with one row per integrated quantity and one
+    column per node: the sum of the main rows drives the error estimate,
+    the ride rows are only integrated.  The panels go to f in chunks of
     ``_PANEL_CHUNK``, each reduced to its per-panel integrals and errors
     before the next, so memory does not grow with the batch.  Returns
-    (per-panel channel integrals, per-panel error estimates).
+    ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
+    error estimates).
 
     The error estimate is the QUADPACK rescaling of |K15 - G7|: a panel
     whose nodes show large variation about the mean (resasc) is never
@@ -300,7 +303,7 @@ def _eval_panels(f, lo, hi, seg):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = len(lo)
-    ints = {}
+    ints = None
     err = np.empty(n)
     for c in range(0, n, _PANEL_CHUNK):
         part = slice(c, min(c + _PANEL_CHUNK, n))
@@ -308,15 +311,12 @@ def _eval_panels(f, lo, hi, seg):
         mid = 0.5 * (lo[part] + hi[part])
         half = 0.5 * (hi[part] - lo[part])
         xs = (mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()
-        vals = f(xs, np.repeat(seg[part], 15))
-        total = 0.0
-        for key, v in vals.items():
-            v = np.asarray(v).reshape(m, 15)
-            if key not in ints:
-                ints[key] = np.empty(n)
-            ints[key][part] = (v * _GK_WK).sum(axis=1) * half
-            if not (isinstance(key, str) and key.startswith("_")):
-                total = total + v
+        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs, np.repeat(seg[part], 15))]
+        if ints is None:
+            ints = [np.empty((len(v), n)) for v in rows]
+        for out, v in zip(ints, rows):
+            out[:, part] = (v * _GK_WK).sum(axis=2) * half
+        total = rows[0].sum(axis=0)
         k15 = (total * _GK_WK).sum(axis=1) * half
         g7 = (total * _GK_WG).sum(axis=1) * half
         raw = np.abs(k15 - g7)
@@ -331,30 +331,39 @@ def _eval_panels(f, lo, hi, seg):
     return ints, err
 
 
+def _segment_sums(seg, rows, nseg):
+    """np.bincount(seg, row, nseg) for every row of ``rows``, in one call."""
+    k = len(rows)
+    flat = (np.arange(k)[:, None] * nseg + seg).ravel()
+    return np.bincount(flat, weights=rows.ravel(), minlength=k * nseg).reshape(k, nseg)
+
+
 def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels):
     """Globally adaptive vectorized Gauss-Kronrod over independent segments.
 
     Each segment is one integral, given by its seed panel edges and named
     by its entry in ``labels``; f(x, seg) evaluates the integrand at nodes
-    x of segments seg.  The segments run in lockstep: every round
+    x of segments seg and returns the pair (main, ride) described in
+    `_eval_panels`.  The segments run in lockstep: every round
     evaluates the panels being split in all segments with one
     `_eval_panels` call (which feeds f fixed-size chunks, so memory stays
     bounded), but each segment follows the QUADPACK K15/G7 rule
     (Piessens et al., 1983) exactly as if it ran alone:
 
     * it has converged, for good, once its summed error estimate is at most
-      rel_tol * max(|I_j|, floor), I_j its summed main channels;
+      rel_tol * max(|I_j|, floor), I_j its summed main rows;
     * otherwise it splits its worst 32 panels whose error exceeds
       room = rel_tol * max(|I_j|, floor) / (2 * its panel count), or its
       worst panel when none does;
     * it raises ConvergenceError, naming its label and worst subinterval,
       when it reaches ``max_panels`` panels unconverged.
 
-    ``abs_floor`` is a number or a callable mapping the current per-segment
-    totals I to the floor (the inner Q integrals use the latter, see
-    `_inner_q_integral`).  A single integral, such as the outer frequency
-    integral or a tail slice, is the one-segment case.
-    Returns ({channel: per-segment totals}, per-segment error estimates).
+    The ride rows never enter these decisions.  ``abs_floor`` is a number
+    or a callable mapping the current per-segment totals I to the floor
+    (the inner Q integrals use the latter, see `_inner_q_integral`).  A
+    single integral, such as the outer frequency integral or a tail slice,
+    is the one-segment case.  Returns ((main, ride) per-segment totals,
+    shaped (rows, segments), per-segment error estimates).
     """
     nseg = len(segments)
     lo, hi, seg = [], [], []
@@ -366,14 +375,10 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         hi += edges[1:]
         seg += [j] * (len(edges) - 1)
     lo, hi, seg = np.array(lo), np.array(hi), np.array(seg, dtype=np.intp)
-    ch, err = _eval_panels(f, lo, hi, seg)
+    (main, ride), err = _eval_panels(f, lo, hi, seg)
     done = np.zeros(nseg, dtype=bool)
     while True:
-        total = 0.0
-        for key, v in ch.items():
-            if not (isinstance(key, str) and key.startswith("_")):
-                total = total + v
-        sums = np.bincount(seg, weights=total, minlength=nseg)
+        sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
         bad = np.bincount(seg, weights=err, minlength=nseg)
         floor = abs_floor(sums) if callable(abs_floor) else abs_floor
         target = rel_tol * np.maximum(np.abs(sums), floor)
@@ -406,16 +411,16 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
         new_seg = np.concatenate([seg[pick], seg[pick]])
-        nch, nerr = _eval_panels(f, new_lo, new_hi, new_seg)
+        (new_main, new_ride), nerr = _eval_panels(f, new_lo, new_hi, new_seg)
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         seg = np.concatenate([seg[keep], new_seg])
         err = np.concatenate([err[keep], nerr])
-        ch = {k: np.concatenate([v[keep], nch[k]]) for k, v in ch.items()}
-    totals = {k: np.bincount(seg, weights=v, minlength=nseg) for k, v in ch.items()}
-    return totals, bad
+        main = np.concatenate([main[:, keep], new_main], axis=1)
+        ride = np.concatenate([ride[:, keep], new_ride], axis=1)
+    return (_segment_sums(seg, main, nseg), _segment_sums(seg, ride, nseg)), bad
 
 
 # ---------------------------------------------------------------------------
@@ -449,8 +454,11 @@ class PressureResult:
     """Value, error estimate and channel breakdown of one pressure run.
 
     value is the sum of the eight breakdown entries (plate x polarization
-    x sector); err combines the outer and accumulated inner quadrature
-    estimates; omega_max_used records the resolved frequency ceiling.
+    x sector); omega_max_used records the resolved frequency ceiling.  err
+    is the sum of the outer estimate on [0, omega_max], the estimates of
+    the two tail slices, 0.5 |resid| (resid the summed channels of both
+    slices) and |integrated inner|, the inner Q errors integrated over
+    omega with the channels' weights.
     """
 
     value: float
@@ -541,7 +549,8 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     running estimates of this call, so it does not depend on the order in
     which the frequencies of one call are listed.
 
-    Returns ({channel: per-frequency integrals}, per-frequency errors).
+    Returns (channel integrals shaped (8, n_omega) in BREAKDOWN_KEYS
+    order, per-frequency errors).
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
@@ -568,17 +577,15 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
             jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
         ch = _bath_channels(geom, w, Qs, kernel="difference",
                             thermal_only=thermal_only)
-        return {k: v * jac for k, v in ch.items()}
+        return ch * jac, np.empty((0, x.size))
 
     def floor(totals):
         running = np.abs(np.bincount(owner, weights=totals, minlength=n)).max()
         return _INNER_FLOOR * rel_tol * max(floor_scale, running)
 
-    got, err = _adaptive_gk(f, segments, rel_tol, abs_floor=floor,
-                            max_panels=512, labels=labels)
-    totals = {k: np.bincount(owner, weights=got[k], minlength=n)
-              for k in BREAKDOWN_KEYS}
-    return totals, np.bincount(owner, weights=err, minlength=n)
+    (got, _), err = _adaptive_gk(f, segments, rel_tol, abs_floor=floor,
+                                 max_panels=512, labels=labels)
+    return _segment_sums(owner, got, n), np.bincount(owner, weights=err, minlength=n)
 
 
 def _surface_band_marks(side, omega_max):
@@ -645,8 +652,10 @@ def steady_pressure(geom, opts=None):
     `_adaptive_gk`); its integrand hands the frequency nodes of each round,
     ``_OMEGA_GROUP`` at a time, to `_inner_q_integral`, which runs their Q
     integrals in lockstep at rel_tol/4 with the floor described there, fed
-    by the largest inner integral finished so far.  The inner error
-    estimates ride along as the "_inner" channel and enter ``err``.
+    by the largest inner integral finished so far.  The outer integrand
+    returns the pair (channels, inner errors): the channel rows drive the
+    outer error test, the inner-error row rides along, integrated with the
+    same nodes and tail weights, and enters ``err`` (see `PressureResult`).
     """
     opts = opts or PressureOptions()
     if not (geom.left.has_loss or geom.right.has_loss):
@@ -657,26 +666,24 @@ def steady_pressure(geom, opts=None):
     state = {"scale": 0.0}      # largest |inner integral| finished so far
 
     def f_out(ws, seg):
-        out = {k: np.empty(ws.shape) for k in BREAKDOWN_KEYS}
-        out["_inner"] = np.empty(ws.shape)
+        main, inner = np.empty((len(BREAKDOWN_KEYS), ws.size)), np.empty((1, ws.size))
         for c in range(0, len(ws), _OMEGA_GROUP):
             group = slice(c, c + _OMEGA_GROUP)
-            ch, e = _inner_q_integral(geom, ws[group], opts.thermal_only,
-                                      inner_tol, state["scale"])
-            mag = np.abs(sum(ch[k] for k in BREAKDOWN_KEYS))
-            state["scale"] = max(state["scale"], float(mag.max()))
-            for k in BREAKDOWN_KEYS:
-                out[k][group] = ch[k]
-            out["_inner"][group] = e
-        return out
+            main[:, group], inner[0, group] = _inner_q_integral(
+                geom, ws[group], opts.thermal_only, inner_tol, state["scale"])
+            mag = float(np.abs(main[:, group].sum(axis=0)).max())
+            state["scale"] = max(state["scale"], mag)
+        return main, inner
 
-    floor = 1e-14 / geom.gap ** 4
-    got, outer_err = _adaptive_gk(
-        f_out, [_omega_edges(geom, omega_max)], opts.rel_tol / 2.0,
-        abs_floor=floor, max_panels=1024, labels=["frequency integral"])
-    totals = {k: float(v[0]) for k, v in got.items()}
-    outer_err = float(outer_err[0])
+    def integrate(edges, max_panels, label):
+        """The 8 channel integrals over the edges' span, then the integrated
+        inner error; and the outer error estimate."""
+        (main, inner), e = _adaptive_gk(f_out, [edges], opts.rel_tol / 2.0,
+                                        abs_floor=1e-14 / geom.gap ** 4,
+                                        max_panels=max_panels, labels=[label])
+        return np.append(main, inner), float(e[0])
 
+    totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")
     half = math.pi / (2.0 * geom.gap)
     if omega_max + 2.0 * half <= _table_cap(geom):
         # Past the material scales the subtracted integrand is dominated by
@@ -686,22 +693,15 @@ def steady_pressure(geom, opts=None):
         # next two half-period endpoints (Euler weights 3/4 and 1/4 on the
         # half-period slices) cancels that tail through its first two
         # orders.
-        slices = []
-        for j in (0, 1):
-            sl, e = _adaptive_gk(
-                f_out, [[omega_max + j * half, omega_max + (j + 1) * half]],
-                opts.rel_tol / 2.0, abs_floor=floor, max_panels=64,
-                labels=["frequency tail slice"])
-            outer_err += float(e[0])
-            slices.append({k: float(v[0]) for k, v in sl.items()})
-        for k in list(totals):
-            totals[k] = totals[k] + 0.75 * slices[0][k] + 0.25 * slices[1][k]
-        resid = sum(slices[0][k] + slices[1][k] for k in BREAKDOWN_KEYS)
-        outer_err += 0.5 * abs(resid)
+        (s0, e0), (s1, e1) = [integrate([omega_max + j * half, omega_max + (j + 1) * half],
+                                        64, "frequency tail slice") for j in (0, 1)]
+        totals = totals + 0.75 * s0 + 0.25 * s1
+        outer_err = outer_err + e0 + e1 + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
 
-    err = outer_err + abs(totals.pop("_inner"))
-    return PressureResult(value=math.fsum(totals.values()), err=float(err),
-                          breakdown=totals, omega_max_used=float(omega_max))
+    channels = totals[:-1]
+    return PressureResult(value=math.fsum(channels), err=float(outer_err + abs(totals[-1])),
+                          breakdown=dict(zip(BREAKDOWN_KEYS, channels.tolist())),
+                          omega_max_used=float(omega_max))
 
 
 # ---------------------------------------------------------------------------

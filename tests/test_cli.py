@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neqlifshitz import spectral
 from neqlifshitz.cli import _SCHEMA, _build_parser, load_config, main, parse_entries
 from neqlifshitz.errors import ConfigError
 
@@ -373,6 +374,20 @@ def test_verify_trivial_pass_for_decoupled_plates(tmp_path, capsys):
     assert code == 0 and doc["all_pass"] is True
     by_name = {p["name"]: p for p in doc["properties"]}
     assert by_name["equal_t_reduction"]["detail"]["steady"] == 0.0
+
+
+def test_verify_dmu_floor_reads_the_spectral_floor(monkeypatch, capsys):
+    # the record's verdict and floor come from spectral.DMU_FLOOR: raised
+    # above the default config's worst |D_mu| (about 0.17) the check fails
+    # and reports the raised floor
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg")
+    monkeypatch.setattr(spectral, "DMU_FLOOR", 0.5)
+    code = main(["verify", "--config", cfg])
+    doc = json.loads(capsys.readouterr().out)
+    rec = {p["name"]: p for p in doc["properties"]}["dmu_floor"]
+    assert code == 1 and rec["pass"] is False
+    assert rec["detail"]["floor"] == 0.5 and rec["margin"] < 0.5
+    assert "denominator" in rec["explanation"]
 
 
 def test_compare_eq_requires_equal_temperatures(tmp_path, capsys):

@@ -92,3 +92,15 @@ print(json.dumps([p, k, seen]))
     exec(ORACLE_INPUTS, scope)
     assert p == pressure.equilibrium_matsubara(scope["geom"], 1.0)
     assert k == spectral.invert_laplace_qbm(scope["mat"], scope["t"]).tolist()
+
+
+def test_quadrature_signatures_read_by_the_benchmark_tracer():
+    # perfbench/tracing.py reads these positionally: the panels of a batch
+    # from _eval_panels' lo, the points of an integrand call from
+    # _bath_channels' Q
+    positional = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    for fn, head in ((pressure._eval_panels, ["f", "lo", "hi", "seg"]),
+                     (pressure._bath_channels, ["geom", "omega", "Q"])):
+        params = list(inspect.signature(fn).parameters.values())[:len(head)]
+        assert [p.name for p in params] == head
+        assert all(p.kind in positional for p in params)

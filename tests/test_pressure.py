@@ -276,7 +276,7 @@ def test_bath_channels_continuous_across_the_light_line():
     geom = warm_geom()
     for w in (0.3, 1.0, 2.7):
         Qs = w * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
-        ch = pr._bath_channels(geom, w, Qs)
+        ch = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(geom, w, Qs)))
         for plate, pol in ((p, m) for p in ("L", "R") for m in ("TE", "TM")):
             v = ch[(plate, pol, "propagating")] + ch[(plate, pol, "evanescent")]
             assert np.all(np.isfinite(v)) and v[1] != 0.0
@@ -314,25 +314,39 @@ def test_bath_integrand_batch_matches_scalar():
 
 
 def test_channel_breakdown_structure():
-    geom = warm_geom()
-    ch = pr._bath_channels(geom, 1.2, np.array([0.5, 3.0]))
-    assert set(ch) == set(BREAKDOWN_KEYS)
-    # sector masks: propagating channels vanish for Q > omega and vice versa
-    for (plate, pol, sector), v in ch.items():
-        if sector == "propagating":
-            assert v[1] == 0.0
-        else:
-            assert v[0] == 0.0
+    # one row per channel in BREAKDOWN_KEYS order, summed by bath_integrand;
+    # sector masks: propagating rows vanish for Q > omega and vice versa
+    Qs = np.array([0.5, 3.0])
+    ch = pr._bath_channels(warm_geom(), 1.2, Qs)
+    assert ch.shape == (len(BREAKDOWN_KEYS),) + Qs.shape
+    assert np.array_equal(bath_integrand(warm_geom(), 1.2, Qs), ch.sum(axis=0))
+    for (plate, pol, sector), v in zip(BREAKDOWN_KEYS, ch):
+        live = 0 if sector == "propagating" else 1
+        assert v[1 - live] == 0.0 and v[live] != 0.0
+    # a decoupled plate (lambda0 = 0) emits nothing, so exactly its four rows
+    # read 0; the other plate's propagating rows do not (its evanescent rows
+    # vanish too, the vacuum partner reflects nothing)
+    warm = warm_geom().left
+    mute = Material(omega0=1.5, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.3),
+                    beta_bath=2.0)
+    for geom, silent in ((Geometry(gap=1.0, left=warm, right=mute), "R"),
+                         (Geometry(gap=1.0, left=mute, right=warm), "L")):
+        ch = pr._bath_channels(geom, 1.2, Qs)
+        for (plate, pol, sector), v in zip(BREAKDOWN_KEYS, ch):
+            if plate == silent:
+                assert np.all(v == 0.0)
+            elif sector == "propagating":
+                assert v[0] != 0.0
 
 
 def test_baseline_kernel_is_propagating_only():
     geom = warm_geom()
     Qs = np.array([0.3, 0.8, 1.1, 2.5])
     ch = pr._bath_channels(geom, 1.0, Qs, kernel="baseline")
-    for (plate, pol, sector), v in ch.items():
+    for (plate, pol, sector), v in zip(BREAKDOWN_KEYS, ch):
         if sector == "evanescent":
             assert np.all(v == 0.0)
-    total = sum(v for (p, m, s), v in ch.items() if s == "propagating")
+    total = sum(v for (p, m, s), v in zip(BREAKDOWN_KEYS, ch) if s == "propagating")
     assert np.all(np.isfinite(total.real))
     assert np.any(total.real != 0.0)
 
@@ -375,8 +389,8 @@ def test_closed_form_channels_match_symbolic_contraction(z_field):
         got = pr._bath_channels(geom, w, Q, kernel="full")
         want = symbolic_channels(geom, w, Q)
         scale = max(np.max(np.abs(v)) for v in want.values())
-        for key in BREAKDOWN_KEYS:
-            assert np.max(np.abs(got[key] - want[key].real)) <= 1e-12 * scale, (w, key)
+        for key, v in zip(BREAKDOWN_KEYS, got):
+            assert np.max(np.abs(v - want[key].real)) <= 1e-12 * scale, (w, key)
 
 
 def test_locked_cavity_is_the_phase_average():
@@ -390,10 +404,10 @@ def test_locked_cavity_is_the_phase_average():
         gaps = geom.gap + (math.pi / kz) * np.arange(256) / 256
         base = pr._bath_channels(geom, w, Q, kernel="baseline")
         runs = [symbolic_channels(replace(geom, gap=g), w, Q) for g in gaps]
-        for key in BREAKDOWN_KEYS:
+        for key, v in zip(BREAKDOWN_KEYS, base):
             if key[2] == "propagating":
                 avg = np.mean([complex(r[key]).real for r in runs])
-                assert_allclose(float(base[key]), avg, rtol=1e-12)
+                assert_allclose(float(v), avg, rtol=1e-12)
 
 
 def test_difference_kernel_additivity_and_evanescent_decay():
@@ -402,7 +416,7 @@ def test_difference_kernel_additivity_and_evanescent_decay():
     # zero there, and the full kernel loses its round trips)
     w, Q = 1.3, 0.5
     raw = bath_integrand(warm_geom(gap=2.0), w, Q, kernel="full")
-    base = sum(pr._bath_channels(warm_geom(gap=2.0), w, Q, kernel="baseline").values())
+    base = pr._bath_channels(warm_geom(gap=2.0), w, Q, kernel="baseline").sum(axis=0)
     diff = bath_integrand(warm_geom(gap=2.0), w, Q, kernel="difference")
     assert_allclose(raw.real, (base + diff).real, rtol=1e-12)
     w_e, Q_e = 1.0, 1.4
@@ -428,14 +442,14 @@ def test_bath_channels_frequency_array_matches_scalar_calls(kernel):
     flat = pr._bath_channels(geom, np.repeat(ws, x.size)[perm], Q.ravel()[perm],
                              kernel=kernel)
     grid = pr._bath_channels(geom, ws[:, None], Q, kernel=kernel)
-    for key in BREAKDOWN_KEYS:
-        stacked = np.stack([w[key] for w in want])
-        assert grid[key].shape == Q.shape
-        assert_allclose(grid[key], stacked, rtol=1e-14, atol=0.0)
-        assert_allclose(flat[key], stacked.ravel()[perm], rtol=1e-14, atol=0.0)
-        assert np.all(stacked[ws == 0.0] == 0.0)
+    stacked = np.stack(want, axis=1)
+    assert grid.shape == (len(BREAKDOWN_KEYS),) + Q.shape
+    assert_allclose(grid, stacked, rtol=1e-14, atol=0.0)
+    assert_allclose(flat, stacked.reshape(len(BREAKDOWN_KEYS), -1)[:, perm],
+                    rtol=1e-14, atol=0.0)
+    assert np.all(stacked[:, ws == 0.0] == 0.0)
     if kernel != "baseline":    # the light line is in the evanescent sector
-        on_line = sum(w[key][3] for w in want for key in BREAKDOWN_KEYS)
+        on_line = stacked[:, :, 3].sum()
         assert np.isfinite(on_line) and on_line != 0.0
 
 
@@ -452,11 +466,12 @@ def test_bath_channels_frequency_batch_with_a_partly_lossless_plate():
     grid_ch = pr._bath_channels(geom, ws[:, None], Q)
     for i, w in enumerate(ws):
         want = pr._bath_channels(geom, float(w), Q[i])
-        for key in BREAKDOWN_KEYS:
-            assert_allclose(grid_ch[key][i], want[key], rtol=1e-14, atol=0.0)
+        assert_allclose(grid_ch[:, i], want, rtol=1e-14, atol=0.0)
+        for key, v in zip(BREAKDOWN_KEYS, grid_ch[:, i]):
             if key[0] == "L" and w < 1.0:
-                assert np.all(grid_ch[key][i] == 0.0)
-    assert np.all(grid_ch[("L", "TE", "propagating")][ws > 1.0, :2] != 0.0)
+                assert np.all(v == 0.0)
+    lte_prop = BREAKDOWN_KEYS.index(("L", "TE", "propagating"))
+    assert np.all(grid_ch[lte_prop][ws > 1.0, :2] != 0.0)
 
 
 def test_bath_channels_frequency_batch_still_detects_trapped_modes():
@@ -496,7 +511,7 @@ def test_thermal_detached_baseline_is_blackbody():
     def over_theta(w):
         ch = pr._bath_channels(geom, w, w * np.sin(theta), kernel="baseline",
                                thermal_only=True)
-        return w * float(np.sum(sum(ch.values()) * weight))
+        return w * float(np.sum(ch.sum(axis=0) * weight))
 
     base, _ = quad(over_theta, 0.0, 24.0, points=[0.5, 1.0, 1.5, 2.0, 3.0], limit=200)
     assert_allclose(base, math.pi ** 2 * T ** 4 / 45.0, rtol=1e-4)
@@ -585,8 +600,8 @@ def test_mirror_swap_invariance_of_integrand():
     geom = warm_geom(gap=0.8, t_left=1.0, t_right=0.2)
     sw = Geometry(gap=geom.gap, left=geom.right, right=geom.left)
     for w, Q in ((0.9, 0.4), (2.1, 3.3)):
-        a = pr._bath_channels(geom, w, Q)
-        b = pr._bath_channels(sw, w, Q)
+        a = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(geom, w, Q)))
+        b = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(sw, w, Q)))
         for (plate, pol, sector) in BREAKDOWN_KEYS:
             other = ("R" if plate == "L" else "L", pol, sector)
             assert_allclose(a[(plate, pol, sector)], b[other], rtol=1e-12)
@@ -645,9 +660,10 @@ KNOWN = {
 }
 
 
-def segment_integrand(names, seen=None):
-    """Channel-valued f(x, seg) evaluating KNOWN[names[seg]] per node;
-    ``seen`` collects the nodes each segment was evaluated at."""
+def segment_integrand(names, seen, ride):
+    """f(x, seg) -> (main, ride), one row each: main evaluates
+    KNOWN[names[seg]] per node, ride(x, main) rides along; ``seen``
+    collects the nodes each segment was evaluated at."""
     def f(x, seg):
         out = np.empty_like(x)
         for j, name in enumerate(names):
@@ -655,25 +671,40 @@ def segment_integrand(names, seen=None):
             out[here] = KNOWN[name][0](x[here])
             if seen is not None:
                 seen.setdefault(j, []).append(x[here])
-        return {"main": out, "_ride": 2.0 * out}
+        return out[None], ride(x, out)[None]
     return f
 
 
-def run_segments(names, rel_tol=1e-9, seen=None, **kw):
-    return pr._adaptive_gk(segment_integrand(names, seen), [KNOWN[n][1] for n in names],
-                           rel_tol, labels=list(names), **kw)
+def run_segments(names, rel_tol=1e-9, seen=None, ride=lambda x, main: 2.0 * main, **kw):
+    return pr._adaptive_gk(segment_integrand(names, seen, ride),
+                           [KNOWN[n][1] for n in names], rel_tol, labels=list(names), **kw)
 
 
 def test_segmented_rule_meets_each_segments_own_tolerance():
     names = ("smooth", "lorentzian", "oscillatory", "smooth")
     rel_tol = 1e-9
-    totals, err = run_segments(names, rel_tol)
+    (main, ride), err = run_segments(names, rel_tol)
     assert err.shape == (len(names),)
-    assert_allclose(totals["_ride"], 2.0 * totals["main"], rtol=1e-15)
+    assert main.shape == ride.shape == (1, len(names))
+    assert_allclose(ride, 2.0 * main, rtol=1e-15)
     for j, name in enumerate(names):
         exact = KNOWN[name][2]
-        assert abs(totals["main"][j] - exact) <= err[j], name
-        assert err[j] <= rel_tol * abs(totals["main"][j]), name
+        assert abs(main[0, j] - exact) <= err[j], name
+        assert err[j] <= rel_tol * abs(main[0, j]), name
+
+
+def test_ride_rows_never_drive_refinement():
+    # a ride row too rough for any panel budget changes nothing about the
+    # main row: the same nodes, values and errors as with a smooth ride row
+    names = ("smooth", "lorentzian", "oscillatory")
+    seen, seen_rough = {}, {}
+    (main, _), err = run_segments(names, seen=seen)
+    (main_r, ride_r), err_r = run_segments(names, seen=seen_rough,
+                                           ride=lambda x, m: np.sin(1e6 * x))
+    assert np.array_equal(main_r, main) and np.array_equal(err_r, err)
+    for j in range(len(names)):
+        assert np.array_equal(np.concatenate(seen_rough[j]), np.concatenate(seen[j]))
+    assert np.all(np.isfinite(ride_r))
 
 
 def test_segmented_rule_segments_are_independent():
@@ -682,11 +713,11 @@ def test_segmented_rule_segments_are_independent():
     # runs beside it
     names = ("lorentzian", "oscillatory", "smooth", "lorentzian", "oscillatory")
     seen = {}
-    together, err = run_segments(names, seen=seen, abs_floor=0.0)
+    (together, _), err = run_segments(names, seen=seen, abs_floor=0.0)
     for j, name in enumerate(names):
         seen1 = {}
-        alone, err1 = run_segments((name,), seen=seen1, abs_floor=0.0)
-        assert_allclose(together["main"][j], alone["main"][0], rtol=1e-14, atol=0.0)
+        (alone, _), err1 = run_segments((name,), seen=seen1, abs_floor=0.0)
+        assert_allclose(together[0, j], alone[0, 0], rtol=1e-14, atol=0.0)
         assert_allclose(err[j], err1[0], rtol=1e-14, atol=0.0)
         assert np.array_equal(np.concatenate(seen[j]), np.concatenate(seen1[0])), name
 
@@ -699,7 +730,7 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
         w = np.broadcast_to(omega, np.shape(Q))
         bad = (w == 2.5) & ((Q < w) if sector == "propagating" else (Q > w))
         v = np.exp(-Q) + np.where(bad, np.sin(1e6 * Q), 0.0)
-        return {k: v for k in BREAKDOWN_KEYS}
+        return np.tile(v, (len(BREAKDOWN_KEYS), 1))
 
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
@@ -713,8 +744,8 @@ def test_inner_integrals_do_not_depend_on_frequency_order():
     ws = np.array([0.2, 0.9, 1.3, 2.6, 5.0, 11.0])
     ch, err = pr._inner_q_integral(geom, ws, False, 2.5e-5, 0.0)
     rev, err_rev = pr._inner_q_integral(geom, ws[::-1], False, 2.5e-5, 0.0)
-    for key in BREAKDOWN_KEYS:
-        assert_allclose(rev[key][::-1], ch[key], rtol=1e-14, atol=0.0)
+    assert ch.shape == (len(BREAKDOWN_KEYS), len(ws))
+    assert_allclose(rev[:, ::-1], ch, rtol=1e-14, atol=0.0)
     assert_allclose(err_rev[::-1], err, rtol=1e-14, atol=0.0)
 
 
@@ -783,8 +814,8 @@ def test_ic_integrand_occupation_weight():
 def test_mirror_swap_property(w, x):
     # mirroring the cavity exchanges the two dissimilar plates' channels
     geom = warm_geom(z_field=0.21)
-    a = pr._bath_channels(geom, w, x * w)
-    b = pr._bath_channels(geom.swapped(), w, x * w)
+    a = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(geom, w, x * w)))
+    b = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(geom.swapped(), w, x * w)))
     scale = max(abs(float(v)) for v in a.values())
     for (plate, pol, sector), v in a.items():
         other = ("R" if plate == "L" else "L", pol, sector)
