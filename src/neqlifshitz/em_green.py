@@ -164,15 +164,16 @@ def _fresnel_coeffs(eps, q, qn, s):
     `fresnel` when a denominator vanishes (s may be an array of Laplace
     points broadcast against q; the error names the first bad one).
     """
+    eq = eps * q
     den_te = q + qn
-    den_tm = eps * q + qn
+    den_tm = eq + qn
     scale = np.abs(q) + np.abs(qn)
     bad = (np.abs(den_te) <= 1e-14 * scale) | (np.abs(den_tm) <= 1e-14 * scale)
     if np.any(bad):
         pt = _first_bad(s, bad)
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
     r_te = (q - qn) / den_te
-    r_tm = (eps * q - qn) / den_tm
+    r_tm = (eq - qn) / den_tm
     t_te = 2.0 * qn / den_te
     return r_te, r_tm, t_te
 

@@ -29,6 +29,10 @@ ConvergenceError; its absolute floor is ``_INNER_FLOOR * rel_tol`` times
 the largest inner integral among the frequencies already finished and the
 running estimates of its own lockstep call.  The eight channels travel
 through the quadrature as the rows of one array, in BREAKDOWN_KEYS order.
+The factors of the frequency alone (permittivities, emission weights) are
+evaluated once per lockstep call, and each integrand call evaluates its
+propagating and evanescent points apart, each with its own closed form
+and the vacuum wavenumber in real arithmetic.
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -46,7 +50,7 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, Material, _coth, _fourier_s,
                        bath_dissipation_fourier, permittivity,
                        permittivity_fourier, qbm_green)
-from .em_green import _fresnel_coeffs, _s_eff, plate_eps, qz
+from .em_green import _fresnel_coeffs, _s_eff, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -103,7 +107,37 @@ def _emission_weight(side, omega, use_fdr=True, thermal_only=False):
     return float(out) if out.ndim == 0 else out
 
 
-def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False):
+def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
+    """Factors of the channel map that depend on the frequency alone.
+
+    w is an array of positive frequencies.  Returns a dict of arrays over
+    w: the Laplace points s = -i w, w^2, |s_eff|^2 and, per plate in
+    _PLATES order, the permittivity eps, eps s^2 and the emission weight
+    of `_emission_weight`.  `_bath_channels` gathers them per point.
+    """
+    s = -1j * w
+    sides = (geom.left, geom.right)
+    eps = tuple(np.asarray(plate_eps(side, s)) for side in sides)
+    return {"s": s, "w2": w * w, "s_eff2": np.abs(_s_eff(s)) ** 2, "eps": eps,
+            "es2": tuple(e * s * s for e in eps),
+            "weight": tuple(_emission_weight(side, w, use_fdr=use_fdr,
+                                             thermal_only=thermal_only)
+                            for side in sides)}
+
+
+def _axis_qz(es2, Q2):
+    """`qz` at s = -i w, w > 0, from eps s^2 and Q^2, point by point: the
+    principal root, and -i sqrt(-x) on the lossless branch x < 0."""
+    x = es2 + Q2
+    out = np.sqrt(x)
+    neg = (x.imag == 0.0) & (x.real < 0.0)
+    if neg.any():
+        out[neg] = -1j * np.sqrt(-x.real[neg])
+    return out
+
+
+def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False,
+                   factors=None):
     """Per-channel bath integrand on a batch of (omega, Q) points.
 
     omega is one frequency or an array of them broadcast against Q (the
@@ -111,10 +145,16 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     a real array of shape (8,) + the broadcast shape, one row per channel
     in BREAKDOWN_KEYS order.  The values include the full measure (the Q
     of Q dQ and ``_MEASURE``), so the pressure is the plain (omega, Q)
-    double integral of the sum of the rows.  Factors of omega alone (each
-    plate's permittivity and emission weight, |s_eff|^2) are evaluated
-    once per distinct frequency of the call and gathered per point; points
-    at omega = 0 carry no emission and read 0.
+    double integral of the sum of the rows.  Points at omega = 0 carry no
+    emission and read 0; negative frequencies are refused.
+
+    The factors of omega alone come from `_frequency_factors`.  ``factors``
+    is the pair (its dict, the row of each point's frequency in it, shaped
+    like the flattened points), as `_inner_q_integral` passes it once per
+    call; it then rules over use_fdr and thermal_only.  Without it they
+    are evaluated at the distinct nonzero frequencies of the call.  The
+    propagating (Q < omega) and evanescent points are evaluated apart,
+    each sector with its own closed form only (`_sector_channels`).
 
     Each channel is the closed-form zz stress of the field that plate a
     emits into the gap in one polarization, reflected by the partner plate
@@ -149,32 +189,65 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                np.asarray(Q, dtype=float))
     out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
-    grid = out.reshape((len(_PLATES), len(_POLS), len(_SECTORS)) + Q.shape)
+    if np.any(w < 0.0):
+        raise DomainError("the channel map needs frequencies omega >= 0")
+    w, Q, rows = w.ravel(), Q.ravel(), out.reshape(len(BREAKDOWN_KEYS), -1)
     live = w != 0.0
     if not live.any():
         return out
-    w, Q = w[live], Q[live]
-    w_u, at = np.unique(w, return_inverse=True)     # distinct frequencies
-    s_u = -1j * w_u
-    s = s_u[at]
-    prop = Q < w
-    q = qz(1.0, s, Q)
-    q2 = np.abs(q) ** 2
-    light = q == 0.0    # Q = omega: |q|^2 and D vanish together
+    if factors is None:
+        w_u, at = np.unique(w, return_inverse=True)
+        zero = int(w_u[0] == 0.0)       # omega = 0 takes no row
+        factors = (_frequency_factors(geom, w_u[zero:], use_fdr=use_fdr,
+                                      thermal_only=thermal_only), at - zero)
+    fac, at = factors
+    prop = live & (Q < w)
+    sectors = [(0, prop)]
+    if kernel != "baseline":    # the baseline has no evanescent part
+        sectors.append((1, live & ~prop))
+    for sector, mask in sectors:
+        idx = np.flatnonzero(mask)
+        if idx.size:
+            rows[sector::2][:, idx] = _sector_channels(
+                geom, fac, at[idx], Q[idx], sector == 0, kernel)
+    return out
+
+
+def _sector_channels(geom, fac, at, Q, propagating, kernel):
+    """The four channels of one sector (rows in plate x polarization order)
+    at points that all lie in it, each point's frequency at row ``at`` of
+    the `_frequency_factors` dict ``fac``; see `_bath_channels`.
+
+    On the real axis the vacuum wavenumber is real arithmetic: q =
+    -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
+    phase in the propagating sector, q = sqrt(Q^2 - omega^2) in the
+    evanescent one.  Both equal `qz` and `np.exp` bit for bit.
+    """
+    Q2 = Q * Q
+    if propagating:
+        k = np.sqrt(fac["w2"][at] - Q2)
+        q = -1j * k
+        phase = 2.0 * k * geom.gap
+        trip = np.cos(phase) + 1j * np.sin(phase)
+    else:
+        k = np.sqrt(Q2 - fac["w2"][at])
+        q = k + 0j
+        trip = np.exp(-2.0 * q * geom.gap)      # a real exp is 1 ulp off
+    q2 = k * k
+    light = k == 0.0    # Q = omega: |q|^2 and D vanish together
     on_light = bool(light.any())
-    trip = np.exp(-2.0 * q * geom.gap)
-    sides = (geom.left, geom.right)     # in _PLATES order
+    s = fac["s"][at]
     media, coeffs = [], []      # per plate: (eps, qn) and the Fresnel coefficients
-    for side in sides:
-        eps = np.asarray(plate_eps(side, s_u))[at]
-        qn = qz(eps, s, Q)
+    for a in range(len(_PLATES)):
+        eps = fac["eps"][a][at]
+        qn = _axis_qz(fac["es2"][a][at], Q2)
         media.append((eps, qn))
         coeffs.append(_fresnel_coeffs(eps, q, qn, s))
-    s_eff2 = (np.abs(_s_eff(s_u)) ** 2)[at]
+    s_eff2 = fac["s_eff2"][at]
 
+    out = np.zeros((len(_PLATES), len(_POLS), len(Q)))
     for a, b in ((0, 1), (1, 0)):
-        weight = _emission_weight(sides[a], w_u, use_fdr=use_fdr,
-                                  thermal_only=thermal_only)[at]
+        weight = fac["weight"][a][at]
         emit = weight != 0.0    # pref = 0 there, also where Re qn = 0
         if not emit.any():
             continue
@@ -183,32 +256,34 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
         pref = PRESSURE_SIGN * _MEASURE * weight * Q \
             / np.where(emit, 8.0 * qn.real * qn2, 1.0)
         src = (np.abs(coeffs[a][2]) ** 2,       # TE, TM as in _POLS
-               4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
+               4.0 * qn2 * (Q2 + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
         for i, pol in enumerate(_POLS):
             ra, rb = coeffs[a][i], coeffs[b][i]
             g = pref * src[i] * q2
-            d2 = np.abs(1.0 - ra * rb * trip) ** 2
-            cavity = 1.0 / (np.where(light, 1.0, d2) if on_light else d2)
-            prop_cavity = cavity
-            if kernel != "full":
-                lock = 1.0 - np.abs(ra * rb) ** 2
-                trapped = prop & emit & (np.abs(lock) < 1e-13)
-                if np.any(trapped):
-                    raise SingularityError("detached-plates cavity weight hits a trapped "
-                                           "lossless mode", point=s[trapped][0])
-                locked = 1.0 / np.where(prop, lock, 1.0)
-                prop_cavity = locked if kernel == "baseline" else cavity - locked
-            grid[a, i, 0, ...][live] = np.where(    # "...": a view, also for scalar Q
-                prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
-            if kernel != "baseline":
-                evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
+            if kernel != "baseline":    # no evanescent point gets here with "baseline"
+                d2 = np.abs(1.0 - ra * rb * trip) ** 2
+                cavity = 1.0 / (np.where(light, 1.0, d2) if on_light else d2)
+            if propagating:
+                if kernel == "full":
+                    prop_cavity = cavity
+                else:
+                    lock = 1.0 - np.abs(ra * rb) ** 2
+                    trapped = emit & (np.abs(lock) < 1e-13)
+                    if np.any(trapped):
+                        raise SingularityError("detached-plates cavity weight hits a "
+                                               "trapped lossless mode", point=s[trapped][0])
+                    locked = 1.0 / lock
+                    prop_cavity = locked if kernel == "baseline" else cavity - locked
+                out[a, i] = 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity
+            else:
+                evan = -4.0 * g * (rb * trip).real * cavity
                 if on_light:
                     eps_b, qn_b = media[b]
                     n_a, n_b = (qn, qn_b) if pol == "TE" else (qn / eps, qn_b / eps_b)
                     lim = pref * src[i] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
                     evan = np.where(light, lim, evan)
-                grid[a, i, 1, ...][live] = evan
-    return out
+                out[a, i] = evan
+    return out.reshape(len(_PLATES) * len(_POLS), -1)
 
 
 def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
@@ -475,23 +550,13 @@ class PressureResult:
         return cells
 
 
-def _table_cap(geom):
-    """Highest frequency that every dispersive tabulated plate covers
-    (inf when no plate is one)."""
-    cap = math.inf
-    for side in (geom.left, geom.right):
-        if isinstance(side, EpsilonTable) and not side.is_dispersionless:
-            cap = min(cap, float(side.omega[-1]))
-    return cap
-
-
 def _auto_omega_max(geom):
     """Frequency ceiling from the material, thermal and cavity scales.
 
     The ceiling only has to clear the dissipation hump and leave the
     oscillatory tail in its asymptotic decay; the endpoint-averaged tail
-    treatment in the frequency integral removes the truncation residue.
-    It never exceeds the tabulated plates' range (`_table_cap`).
+    treatment in the frequency integral cancels the first two orders of
+    the truncation residue and leaves about 1e-6 of the result.
     """
     cands = [18.0, 4.0 / geom.gap]
     for side in (geom.left, geom.right):
@@ -499,7 +564,7 @@ def _auto_omega_max(geom):
             cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
             if math.isfinite(side.beta_bath):
                 cands.append(8.0 / side.beta_bath)
-    return min(max(cands), _table_cap(geom))
+    return max(cands)
 
 
 def _inner_q_edges_prop(geom, omega):
@@ -549,6 +614,11 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     running estimates of this call, so it does not depend on the order in
     which the frequencies of one call are listed.
 
+    The factors of omega alone (`_frequency_factors`) are evaluated once
+    per call, not once per round, and every node finds its frequency's row
+    through its segment's owner.  The substitution takes sin and cos only
+    at propagating nodes.
+
     Returns (channel integrals shaped (8, n_omega) in BREAKDOWN_KEYS
     order, per-frequency errors).
     """
@@ -563,20 +633,26 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     evan = np.array([sector == "evanescent" for sector, _, _ in todo])
     w_seg = omegas[owner]
     decay = np.maximum(w_seg, 0.5 / geom.gap)
+    live = omegas != 0.0
+    factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
+    row = (np.cumsum(live) - 1)[owner]      # each segment's row of the factors
 
     def f(x, seg):
         w = w_seg[seg]
         ev = evan[seg]
-        Qs = w * np.sin(x)
-        jac = w * np.cos(x)
+        Qs, jac = np.empty_like(x), np.empty_like(x)
+        pr = ~ev
+        if pr.any():
+            wp, tp = w[pr], x[pr]
+            Qs[pr] = wp * np.sin(tp)
+            jac[pr] = wp * np.cos(tp)
         if ev.any():
             sc, ts = decay[seg[ev]], x[ev]
             qs = sc * ts / (1.0 - ts)
             Qe = np.hypot(w[ev], qs)
             Qs[ev] = Qe
             jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
-        ch = _bath_channels(geom, w, Qs, kernel="difference",
-                            thermal_only=thermal_only)
+        ch = _bath_channels(geom, w, Qs, kernel="difference", factors=(factors, row[seg]))
         return ch * jac, np.empty((0, x.size))
 
     def floor(totals):
@@ -605,11 +681,6 @@ def _surface_band_marks(side, omega_max):
         width = max(side.bath.gamma, 1e-3)
         offsets = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
         marks = [base + c * width for c in offsets]
-    elif isinstance(side, EpsilonTable) and not side.is_dispersionless:
-        re_p1 = side.eps.real + 1.0
-        for i in np.nonzero(np.diff(np.sign(re_p1)))[0]:
-            a, b = float(side.omega[i]), float(side.omega[i + 1])
-            marks += [a, 0.5 * (a + b), b]
     return [m for m in marks if 0.0 < m < omega_max]
 
 
@@ -656,8 +727,18 @@ def steady_pressure(geom, opts=None):
     returns the pair (channels, inner errors): the channel rows drive the
     outer error test, the inner-error row rides along, integrated with the
     same nodes and tail weights, and enters ``err`` (see `PressureResult`).
+
+    A dispersive `EpsilonTable` plate is refused with a DomainError: the
+    frequency integral starts at omega = 0, below the table's first row.
     """
     opts = opts or PressureOptions()
+    for name, side in (("left", geom.left), ("right", geom.right)):
+        if isinstance(side, EpsilonTable) and not side.is_dispersionless:
+            raise DomainError(
+                f"{name} plate: its dispersive permittivity table covers "
+                f"[{side.omega[0]:g}, {side.omega[-1]:g}], but the steady frequency "
+                "integral starts at omega = 0; only dispersionless tables run the "
+                "steady pressure")
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")
@@ -684,19 +765,17 @@ def steady_pressure(geom, opts=None):
         return np.append(main, inner), float(e[0])
 
     totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")
+    # Past the material scales the subtracted integrand is dominated by a
+    # decaying cavity round-trip oscillation cos(2 omega l + phi):
+    # truncating at omega_max leaves a conditionally convergent tail of
+    # size ~amplitude/(2l).  Averaging the partial integral over the next
+    # two half-period endpoints (Euler weights 3/4 and 1/4 on the
+    # half-period slices) cancels that tail through its first two orders.
     half = math.pi / (2.0 * geom.gap)
-    if omega_max + 2.0 * half <= _table_cap(geom):
-        # Past the material scales the subtracted integrand is dominated by
-        # a decaying cavity round-trip oscillation cos(2 omega l + phi):
-        # truncating at omega_max leaves a conditionally convergent tail of
-        # size ~amplitude/(2l).  Averaging the partial integral over the
-        # next two half-period endpoints (Euler weights 3/4 and 1/4 on the
-        # half-period slices) cancels that tail through its first two
-        # orders.
-        (s0, e0), (s1, e1) = [integrate([omega_max + j * half, omega_max + (j + 1) * half],
-                                        64, "frequency tail slice") for j in (0, 1)]
-        totals = totals + 0.75 * s0 + 0.25 * s1
-        outer_err = outer_err + e0 + e1 + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
+    (s0, e0), (s1, e1) = [integrate([omega_max + j * half, omega_max + (j + 1) * half],
+                                    64, "frequency tail slice") for j in (0, 1)]
+    totals = totals + 0.75 * s0 + 0.25 * s1
+    outer_err = outer_err + e0 + e1 + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
 
     channels = totals[:-1]
     return PressureResult(value=math.fsum(channels), err=float(outer_err + abs(totals[-1])),

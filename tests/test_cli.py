@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neqlifshitz import spectral
+from neqlifshitz import pressure, spectral
 from neqlifshitz.cli import _SCHEMA, _build_parser, load_config, main, parse_entries
 from neqlifshitz.errors import ConfigError
 
@@ -256,6 +256,25 @@ def test_pressure_without_loss_is_numerical_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "numerical failure" in err and "dissipative" in err
+
+
+def test_pressure_refuses_a_dispersive_table_up_front(tmp_path, capsys, monkeypatch):
+    # the frequency integral starts at omega = 0, below a table's first
+    # row: the plate is refused before the integrand runs, with the range
+    def never(*args, **kwargs):
+        raise AssertionError("the steady integrand ran")
+
+    monkeypatch.setattr(pressure, "_bath_channels", never)
+    omega = np.geomspace(1e-6, 40.0, 80)
+    (tmp_path / "eps.csv").write_text("".join(
+        f"{w:.17g},{2.0 + 1.0 / (1.0 + w * w):.17g},{0.3 * w / (1.0 + w * w):.17g}\n"
+        for w in omega))
+    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    code = main(["pressure", "--config", write_cfg(tmp_path, text)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "numerical failure in pressure: left plate" in err
+    assert "covers [1e-06, 40]" in err and "starts at omega = 0" in err
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from scipy.integrate import quad
 
 from neqlifshitz import pressure as pr
 from neqlifshitz import spectral
-from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT,
-                                  green_gap_from_plate, ic_z_block)
+from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT, _fresnel_coeffs,
+                                  _s_eff, green_gap_from_plate, ic_z_block, plate_eps, qz)
 from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions, bath_integrand,
@@ -489,6 +489,88 @@ def test_bath_channels_frequency_batch_still_detects_trapped_modes():
         pr._bath_channels(geom, ws, Q, kernel="baseline")
     assert info.value.point == -1.2j
     pr._bath_channels(geom, ws, Q, kernel="full")
+
+
+def per_node_channels(geom, omega, Q, kernel, thermal_only):
+    """The channel map evaluated point by point with the general rules:
+    `qz` for every wavenumber, `np.exp` for the round-trip factor, both
+    sectors' closed forms at every point and masks to pick one."""
+    w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(Q, dtype=float))
+    out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
+    grid = out.reshape((2, 2, 2) + Q.shape)
+    live = w != 0.0
+    w, Q = w[live], Q[live]
+    s = -1j * w
+    prop = Q < w
+    q = qz(1.0, s, Q)
+    q2 = np.abs(q) ** 2
+    light = q == 0.0
+    trip = np.exp(-2.0 * q * geom.gap)
+    sides = (geom.left, geom.right)
+    media, coeffs = [], []
+    for side in sides:
+        eps = np.asarray(plate_eps(side, s))
+        qn = qz(eps, s, Q)
+        media.append((eps, qn))
+        coeffs.append(_fresnel_coeffs(eps, q, qn, s))
+    s_eff2 = np.abs(_s_eff(s)) ** 2
+    for a, b in ((0, 1), (1, 0)):
+        weight = pr._emission_weight(sides[a], w, thermal_only=thermal_only)
+        emit = weight != 0.0
+        eps, qn = media[a]
+        qn2 = np.abs(qn) ** 2
+        pref = pr.PRESSURE_SIGN * pr._MEASURE * weight * Q \
+            / np.where(emit, 8.0 * qn.real * qn2, 1.0)
+        src = (np.abs(coeffs[a][2]) ** 2,
+               4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
+        for i in range(2):
+            ra, rb = coeffs[a][i], coeffs[b][i]
+            g = pref * src[i] * q2
+            cavity = 1.0 / np.where(light, 1.0, np.abs(1.0 - ra * rb * trip) ** 2)
+            locked = 1.0 / np.where(prop, 1.0 - np.abs(ra * rb) ** 2, 1.0)
+            prop_cavity = {"full": cavity, "baseline": locked,
+                           "difference": cavity - locked}[kernel]
+            grid[a, i, 0, ...][live] = np.where(
+                prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
+            if kernel != "baseline":
+                eps_b, qn_b = media[b]
+                n_a, n_b = (qn, qn_b) if i == 0 else (qn / eps, qn_b / eps_b)
+                lim = pref * src[i] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
+                evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
+                grid[a, i, 1, ...][live] = np.where(light, lim, evan)
+    return out
+
+
+@pytest.mark.parametrize("thermal_only", [False, True])
+@pytest.mark.parametrize("kernel", ["full", "baseline", "difference"])
+def test_sector_split_matches_the_per_node_rules(kernel, thermal_only):
+    # each sector on its own, with the vacuum wavenumber and the round-trip
+    # factor in real arithmetic, gives the same bits as the general rules;
+    # the batch holds both sectors, points on the light line, omega = 0 and
+    # a lossless (gamma = 0) partner plate.  The factors-once path of the
+    # inner rule (frequencies in call order, each point's row given) gives
+    # the same arrays as a fresh call
+    glassy = Material(omega0=1.3, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.0),
+                      beta_bath=2.0)
+    geom = Geometry(gap=0.9, left=warm_geom().left, right=glassy)
+    rng = np.random.default_rng(13)
+    ws = np.array([2.7, 0.4, 6.5, 1.0, 0.0])
+    x = np.concatenate([[0.0, 0.3, 0.999, 1.0, 1.2, 3.0], rng.uniform(0.0, 4.0, 40)])
+    Q = np.where(ws[:, None] > 0.0, ws[:, None] * x, x)
+    perm = rng.permutation(Q.size)
+    w_nodes, Q_nodes = np.repeat(ws, x.size)[perm], Q.ravel()[perm]
+    got = pr._bath_channels(geom, w_nodes, Q_nodes, kernel=kernel, thermal_only=thermal_only)
+    want = per_node_channels(geom, w_nodes, Q_nodes, kernel, thermal_only)
+    assert np.array_equal(got, want)
+    assert np.all(got[:, w_nodes == 0.0] == 0.0)
+    assert np.any(got[:, (w_nodes > 0.0) & (Q_nodes == w_nodes)] != 0.0) == (kernel != "baseline")
+
+    live = w_nodes != 0.0
+    factors = pr._frequency_factors(geom, ws[:-1], thermal_only=thermal_only)
+    row = np.repeat(np.arange(len(ws)), x.size)[perm][live]
+    lockstep = pr._bath_channels(geom, w_nodes[live], Q_nodes[live], kernel=kernel,
+                                 factors=(factors, row))
+    assert np.array_equal(lockstep, got[:, live])
 
 
 # ---------------------------------------------------------------------------
