@@ -152,30 +152,52 @@ def fresnel(side, s, Q):
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
     t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / (eps * q + qn)
-    return _fresnel_coeffs(eps, q, qn, s) + (t_tm,)
+    return _fresnel_coeffs(eps, q, qn, s)[:3] + (t_tm,)
 
 
-def _fresnel_coeffs(eps, q, qn, s):
-    """(r_TE, r_TM, t_TE) of `fresnel` from a plate's permittivity and the
-    two z-wavenumbers.
+def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None):
+    """(r_TE, r_TM, t_TE, |eps q + qn|) of `fresnel` from a plate's
+    permittivity and the two z-wavenumbers.
 
     The bare t_TM is left out: the assembled source vectors cancel its
-    sqrt(eps) (see `_source_vecs`).  Raises the same SingularityError as
-    `fresnel` when a denominator vanishes (s may be an array of Laplace
-    points broadcast against q; the error names the first bad one).
+    sqrt(eps) (see `_source_vecs`); the TM denominator's modulus comes
+    along for the steady integrand's TM source.  Raises the same
+    SingularityError as `fresnel` when a denominator vanishes (s may be an
+    array of Laplace points broadcast against q; the error names the first
+    bad one).
+
+    With a workspace ``work`` (the steady integrand's, see
+    `pressure._Workspace`; q and qn then 1-d arrays of one length) every
+    array is written into its buffers: the four results into those keyed
+    by ``tag``, so each plate keeps its own until the next call with the
+    same tag.
     """
-    eq = eps * q
-    den_te = q + qn
-    den_tm = eq + qn
-    scale = np.abs(q) + np.abs(qn)
-    bad = (np.abs(den_te) <= 1e-14 * scale) | (np.abs(den_tm) <= 1e-14 * scale)
+    out = dict.fromkeys(("eq", "den_te", "den_tm", "r_te", "r_tm", "t_te", "scale", "abs",
+                         "abs_tm", "bad", "bad_tm"))     # None: a fresh array
+    if work is not None:
+        n = len(q)
+        out.update(zip(("eq", "den_te", "den_tm"),
+                       work.take("fresnel.complex", 3 * n, complex).reshape(3, n)))
+        out.update(zip(("r_te", "r_tm", "t_te"),
+                       work.take(("fresnel.coeffs", tag), 3 * n, complex).reshape(3, n)))
+        out.update(zip(("scale", "abs"), work.take("fresnel.real", 2 * n).reshape(2, n)))
+        out["abs_tm"] = work.take(("fresnel.abs_tm", tag), n)
+        out.update(zip(("bad", "bad_tm"), work.take("fresnel.flags", 2 * n, bool).reshape(2, n)))
+    eq = np.multiply(eps, q, out=out["eq"])
+    den_te = np.add(q, qn, out=out["den_te"])
+    den_tm = np.add(eq, qn, out=out["den_tm"])
+    scale = np.add(np.abs(q, out=out["scale"]), np.abs(qn, out=out["abs"]), out=out["scale"])
+    scale = np.multiply(1e-14, scale, out=out["scale"])
+    bad = np.less_equal(np.abs(den_te, out=out["abs"]), scale, out=out["bad"])
+    abs_tm = np.abs(den_tm, out=out["abs_tm"])
+    bad = np.logical_or(bad, np.less_equal(abs_tm, scale, out=out["bad_tm"]), out=out["bad"])
     if np.any(bad):
         pt = _first_bad(s, bad)
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
-    r_te = (q - qn) / den_te
-    r_tm = (eq - qn) / den_tm
-    t_te = 2.0 * qn / den_te
-    return r_te, r_tm, t_te
+    r_te = np.divide(np.subtract(q, qn, out=out["r_te"]), den_te, out=out["r_te"])
+    r_tm = np.divide(np.subtract(eq, qn, out=out["r_tm"]), den_tm, out=out["r_tm"])
+    t_te = np.divide(np.multiply(2.0, qn, out=out["t_te"]), den_te, out=out["t_te"])
+    return r_te, r_tm, t_te, abs_tm
 
 
 def _plate_fresnel(geom, s, Q, _fresnel=None):
@@ -193,7 +215,7 @@ def _plate_fresnel(geom, s, Q, _fresnel=None):
     for side in (geom.left, geom.right):
         eps = plate_eps(side, s)
         qn = np.asarray(qz(eps, s, Q))
-        pair.append(_fresnel_coeffs(eps, q, qn, s) + (eps, qn))
+        pair.append(_fresnel_coeffs(eps, q, qn, s)[:3] + (eps, qn))
     return tuple(pair)
 
 

@@ -34,6 +34,18 @@ evaluated once per lockstep call, and each integrand call evaluates its
 propagating and evanescent points apart, each with its own closed form
 and the vacuum wavenumber in real arithmetic.
 
+Each `steady_pressure` call owns one `_Workspace` and hands it through
+every `_inner_q_integral` lockstep call to the rule (`_adaptive_gk`,
+`_eval_panels`), the node mapping and the channel map (`_bath_channels`,
+`_sector_channels`, `.em_green._fresnel_coeffs`).  Every per-node array
+of a chunk is written into one of its reused buffers with ``out=``
+ufuncs, in the same operation order as fresh arrays, so a chunk
+allocates nothing of its size and the heap is not trimmed and faulted
+back in between chunks.  Rows taken from a workspace are valid until the
+next call with the same workspace; a call made without one (as every
+caller outside the quadrature does) makes a fresh one, so what it
+returns is its caller's alone.
+
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
 power.  Negative values mean attraction.
@@ -125,19 +137,39 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
                             for side in sides)}
 
 
-def _axis_qz(es2, Q2):
-    """`qz` at s = -i w, w > 0, from eps s^2 and Q^2, point by point: the
-    principal root, and -i sqrt(-x) on the lossless branch x < 0."""
-    x = es2 + Q2
-    out = np.sqrt(x)
+def _axis_qz(x, out):
+    """`qz` at s = -i w, w > 0, from x = eps s^2 + Q^2, point by point,
+    into ``out``: the principal root, and -i sqrt(-x) on the lossless
+    branch x < 0."""
+    np.sqrt(x, out=out)
     neg = (x.imag == 0.0) & (x.real < 0.0)
     if neg.any():
         out[neg] = -1j * np.sqrt(-x.real[neg])
     return out
 
 
+class _Workspace:
+    """Reused per-node buffers of the steady integrand (see the module
+    docstring for who owns one).
+
+    ``take(key, n, dtype)`` returns the first n elements of the 1-d buffer
+    named ``key`` (one dtype per key), grown when a call needs more; the
+    contents are whatever its last user left.  An array taken from a
+    workspace is valid until the next take of the same key.
+    """
+
+    def __init__(self):
+        self._bufs = {}
+
+    def take(self, key, n, dtype=float):
+        buf = self._bufs.get(key)
+        if buf is None or len(buf) < n:
+            buf = self._bufs[key] = np.empty(n, dtype)
+        return buf[:n]
+
+
 def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False,
-                   factors=None):
+                   factors=None, work=None):
     """Per-channel bath integrand on a batch of (omega, Q) points.
 
     omega is one frequency or an array of them broadcast against Q (the
@@ -155,6 +187,12 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     are evaluated at the distinct nonzero frequencies of the call.  The
     propagating (Q < omega) and evanescent points are evaluated apart,
     each sector with its own closed form only (`_sector_channels`).
+
+    ``work`` is the `_Workspace` of the steady pass that owns this call;
+    every per-point array, the returned rows included, lives in its
+    buffers, so the rows are valid until the next call with the same
+    workspace.  Without one (`bath_integrand`, tests) the call makes a
+    fresh workspace, and what it returns is its caller's alone.
 
     Each channel is the closed-form zz stress of the field that plate a
     emits into the gap in one polarization, reflected by the partner plate
@@ -188,11 +226,15 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
         raise DomainError(f"unknown kernel {kernel!r}")
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                np.asarray(Q, dtype=float))
-    out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
     if np.any(w < 0.0):
         raise DomainError("the channel map needs frequencies omega >= 0")
-    w, Q, rows = w.ravel(), Q.ravel(), out.reshape(len(BREAKDOWN_KEYS), -1)
-    live = w != 0.0
+    if work is None:
+        work = _Workspace()
+    n_rows, n = len(BREAKDOWN_KEYS), Q.size
+    out = work.take("bath.rows", n_rows * n).reshape((n_rows,) + Q.shape)
+    out.fill(0.0)
+    w, Q, rows = w.ravel(), Q.ravel(), out.reshape(n_rows, -1)
+    live = np.not_equal(w, 0.0, out=work.take("bath.live", n, bool))
     if not live.any():
         return out
     if factors is None:
@@ -201,19 +243,24 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
         factors = (_frequency_factors(geom, w_u[zero:], use_fdr=use_fdr,
                                       thermal_only=thermal_only), at - zero)
     fac, at = factors
-    prop = live & (Q < w)
+    prop = np.less(Q, w, out=work.take("bath.prop", n, bool))
+    prop &= live
     sectors = [(0, prop)]
     if kernel != "baseline":    # the baseline has no evanescent part
-        sectors.append((1, live & ~prop))
+        evan = np.logical_not(prop, out=work.take("bath.evan", n, bool))
+        evan &= live
+        sectors.append((1, evan))
     for sector, mask in sectors:
         idx = np.flatnonzero(mask)
         if idx.size:
-            rows[sector::2][:, idx] = _sector_channels(
-                geom, fac, at[idx], Q[idx], sector == 0, kernel)
+            at_s = at.take(idx, out=work.take("bath.at", idx.size, np.intp), mode="clip")
+            Q_s = Q.take(idx, out=work.take("bath.Q", idx.size), mode="clip")
+            rows[sector::2][:, idx] = _sector_channels(geom, fac, at_s, Q_s, sector == 0,
+                                                       kernel, work)
     return out
 
 
-def _sector_channels(geom, fac, at, Q, propagating, kernel):
+def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
     """The four channels of one sector (rows in plate x polarization order)
     at points that all lie in it, each point's frequency at row ``at`` of
     the `_frequency_factors` dict ``fac``; see `_bath_channels`.
@@ -222,68 +269,100 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel):
     -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
     phase in the propagating sector, q = sqrt(Q^2 - omega^2) in the
     evanescent one.  Both equal `qz` and `np.exp` bit for bit.
-    """
-    Q2 = Q * Q
-    if propagating:
-        k = np.sqrt(fac["w2"][at] - Q2)
-        q = -1j * k
-        phase = 2.0 * k * geom.gap
-        trip = np.cos(phase) + 1j * np.sin(phase)
-    else:
-        k = np.sqrt(Q2 - fac["w2"][at])
-        q = k + 0j
-        trip = np.exp(-2.0 * q * geom.gap)      # a real exp is 1 ulp off
-    q2 = k * k
-    light = k == 0.0    # Q = omega: |q|^2 and D vanish together
-    on_light = bool(light.any())
-    s = fac["s"][at]
-    media, coeffs = [], []      # per plate: (eps, qn) and the Fresnel coefficients
-    for a in range(len(_PLATES)):
-        eps = fac["eps"][a][at]
-        qn = _axis_qz(fac["es2"][a][at], Q2)
-        media.append((eps, qn))
-        coeffs.append(_fresnel_coeffs(eps, q, qn, s))
-    s_eff2 = fac["s_eff2"][at]
 
-    out = np.zeros((len(_PLATES), len(_POLS), len(Q)))
+    Every per-point array, the returned rows included, is a row of a slab
+    of the workspace ``work`` (complex, real, flags); a row whose array is
+    dead is lent to a later one where the comments say so.
+    """
+    n = len(Q)
+    q, trip, s, eps, x, qn_l, qn_r = work.take("sector.complex", 7 * n, complex).reshape(7, n)
+    Q2, k, q2, s_eff2, pref, qn2, den, src_te, src_tm, tmp, g, cavity, lock = \
+        work.take("sector.real", 13 * n).reshape(13, n)
+    light, emit, trapped = work.take("sector.flags", 3 * n, bool).reshape(3, n)
+    out = work.take("sector.rows", len(_PLATES) * len(_POLS) * n).reshape(
+        len(_PLATES), len(_POLS), n)
+
+    def gather(table, into):
+        return table.take(at, out=into, mode="clip")
+
+    np.multiply(Q, Q, out=Q2)
+    gather(fac["w2"], k)
+    if propagating:
+        np.sqrt(np.subtract(k, Q2, out=k), out=k)
+        np.multiply(-1j, k, out=q)
+        phase, cos = tmp, g     # lent until the channel loop
+        np.multiply(np.multiply(2.0, k, out=phase), geom.gap, out=phase)
+        np.cos(phase, out=cos)
+        np.add(cos, np.multiply(1j, np.sin(phase, out=phase), out=trip), out=trip)
+    else:
+        np.sqrt(np.subtract(Q2, k, out=k), out=k)
+        np.add(k, 0j, out=q)
+        np.multiply(np.multiply(-2.0, q, out=trip), geom.gap, out=trip)
+        np.exp(trip, out=trip)      # a real exp is 1 ulp off
+    np.multiply(k, k, out=q2)
+    np.equal(k, 0.0, out=light)     # Q = omega: |q|^2 and D vanish together
+    on_light = bool(light.any())
+    gather(fac["s"], s)
+    qn, coeffs = (qn_l, qn_r), []   # per plate: (r_TE, r_TM, t_TE, |eps q + qn|)
+    for a in range(len(_PLATES)):
+        gather(fac["eps"][a], eps)
+        _axis_qz(np.add(gather(fac["es2"][a], x), Q2, out=x), qn[a])
+        coeffs.append(_fresnel_coeffs(eps, q, qn[a], s, work, a))
+    gather(fac["s_eff2"], s_eff2)
+    rr, c = eps, x      # lent: eps and x are dead after the Fresnel step
+
     for a, b in ((0, 1), (1, 0)):
-        weight = fac["weight"][a][at]
-        emit = weight != 0.0    # pref = 0 there, also where Re qn = 0
+        gather(fac["weight"][a], pref)      # the emission weight, then G / |u|^2
+        np.not_equal(pref, 0.0, out=emit)   # G = 0 there, also where Re qn = 0
         if not emit.any():
+            out[a] = 0.0
             continue
-        eps, qn = media[a]
-        qn2 = np.abs(qn) ** 2
-        pref = PRESSURE_SIGN * _MEASURE * weight * Q \
-            / np.where(emit, 8.0 * qn.real * qn2, 1.0)
-        src = (np.abs(coeffs[a][2]) ** 2,       # TE, TM as in _POLS
-               4.0 * qn2 * (Q2 + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
-        for i, pol in enumerate(_POLS):
+        np.square(np.abs(qn[a], out=qn2), out=qn2)
+        np.multiply(np.multiply(PRESSURE_SIGN * _MEASURE, pref, out=pref), Q, out=pref)
+        np.multiply(np.multiply(8.0, qn[a].real, out=den), qn2, out=den)
+        if not emit.all():
+            np.copyto(den, 1.0, where=~emit)
+        np.divide(pref, den, out=pref)
+        np.square(np.abs(coeffs[a][2], out=src_te), out=src_te)       # TE, TM as in _POLS
+        np.multiply(np.multiply(4.0, qn2, out=src_tm), np.add(Q2, qn2, out=tmp), out=src_tm)
+        np.divide(src_tm, np.multiply(np.square(coeffs[a][3], out=tmp), s_eff2, out=tmp),
+                  out=src_tm)
+        for i, (pol, src) in enumerate(zip(_POLS, (src_te, src_tm))):
             ra, rb = coeffs[a][i], coeffs[b][i]
-            g = pref * src[i] * q2
+            row = out[a, i]
+            np.multiply(np.multiply(pref, src, out=g), q2, out=g)
+            np.multiply(ra, rb, out=rr)
             if kernel != "baseline":    # no evanescent point gets here with "baseline"
-                d2 = np.abs(1.0 - ra * rb * trip) ** 2
-                cavity = 1.0 / (np.where(light, 1.0, d2) if on_light else d2)
+                np.subtract(1.0, np.multiply(rr, trip, out=c), out=c)
+                np.square(np.abs(c, out=cavity), out=cavity)
+                if on_light:
+                    np.copyto(cavity, 1.0, where=light)
+                np.divide(1.0, cavity, out=cavity)
             if propagating:
                 if kernel == "full":
                     prop_cavity = cavity
                 else:
-                    lock = 1.0 - np.abs(ra * rb) ** 2
-                    trapped = emit & (np.abs(lock) < 1e-13)
-                    if np.any(trapped):
+                    np.subtract(1.0, np.square(np.abs(rr, out=lock), out=lock), out=lock)
+                    np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
+                    if np.logical_and(emit, trapped, out=trapped).any():
                         raise SingularityError("detached-plates cavity weight hits a "
                                                "trapped lossless mode", point=s[trapped][0])
-                    locked = 1.0 / lock
-                    prop_cavity = locked if kernel == "baseline" else cavity - locked
-                out[a, i] = 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity
+                    locked = np.divide(1.0, lock, out=lock)
+                    prop_cavity = locked if kernel == "baseline" else \
+                        np.subtract(cavity, locked, out=cavity)
+                bounce = np.add(1.0, np.square(np.abs(rb, out=tmp), out=tmp), out=tmp)
+                np.multiply(np.multiply(np.multiply(2.0, g, out=row), bounce, out=row),
+                            prop_cavity, out=row)
             else:
-                evan = -4.0 * g * (rb * trip).real * cavity
+                re_trip = np.multiply(rb, trip, out=c).real
+                np.multiply(np.multiply(np.multiply(-4.0, g, out=row), re_trip, out=row),
+                            cavity, out=row)
                 if on_light:
-                    eps_b, qn_b = media[b]
-                    n_a, n_b = (qn, qn_b) if pol == "TE" else (qn / eps, qn_b / eps_b)
-                    lim = pref * src[i] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
-                    evan = np.where(light, lim, evan)
-                out[a, i] = evan
-    return out.reshape(len(_PLATES) * len(_POLS), -1)
+                    eps_a, eps_b = fac["eps"][a][at], fac["eps"][b][at]
+                    n_a, n_b = (qn[a], qn[b]) if pol == "TE" else (qn[a] / eps_a, qn[b] / eps_b)
+                    lim = pref * src / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
+                    np.copyto(row, lim, where=light)
+    return out.reshape(len(_PLATES) * len(_POLS), n)
 
 
 def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
@@ -358,7 +437,7 @@ _PANEL_CHUNK = 256
 _OMEGA_GROUP = 60
 
 
-def _eval_panels(f, lo, hi, seg):
+def _eval_panels(f, lo, hi, seg, work=None):
     """Evaluate a row-valued integrand on a batch of panels.
 
     f maps (flat node array, segment index of each node) to a pair
@@ -370,11 +449,19 @@ def _eval_panels(f, lo, hi, seg):
     ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
     error estimates).
 
+    The per-node arrays of a chunk (the nodes handed to f and the weighted
+    products) live in the `_Workspace` ``work``: the steady pass's, handed
+    down by `_inner_q_integral` through `_adaptive_gk`, or a fresh one for
+    this call.  f may return rows that live in the same workspace; they
+    are consumed before the next chunk.
+
     The error estimate is the QUADPACK rescaling of |K15 - G7|: a panel
     whose nodes show large variation about the mean (resasc) is never
     trusted just because the two rules happen to agree, which is what a
     narrow resonance straddled by a single panel produces.
     """
+    if work is None:
+        work = _Workspace()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = len(lo)
@@ -385,19 +472,25 @@ def _eval_panels(f, lo, hi, seg):
         m = part.stop - part.start
         mid = 0.5 * (lo[part] + hi[part])
         half = 0.5 * (hi[part] - lo[part])
-        xs = (mid[:, None] + half[:, None] * _GK_X[None, :]).ravel()
-        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs, np.repeat(seg[part], 15))]
+        xs = work.take("gk.x", m * 15).reshape(m, 15)
+        np.add(mid[:, None], np.multiply(half[:, None], _GK_X, out=xs), out=xs)
+        segs = work.take("gk.seg", m * 15, np.intp).reshape(m, 15)
+        segs[...] = seg[part, None]
+        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs.ravel(), segs.ravel())]
         if ints is None:
             ints = [np.empty((len(v), n)) for v in rows]
         for out, v in zip(ints, rows):
-            out[:, part] = (v * _GK_WK).sum(axis=2) * half
-        total = rows[0].sum(axis=0)
-        k15 = (total * _GK_WK).sum(axis=1) * half
-        g7 = (total * _GK_WG).sum(axis=1) * half
+            weighted = np.multiply(v, _GK_WK, out=work.take("gk.prod", v.size).reshape(v.shape))
+            out[:, part] = weighted.sum(axis=2) * half
+        total = np.sum(rows[0], axis=0, out=work.take("gk.total", m * 15).reshape(m, 15))
+        tmp = work.take("gk.tmp", m * 15).reshape(m, 15)
+        k15 = np.multiply(total, _GK_WK, out=tmp).sum(axis=1) * half
+        g7 = np.multiply(total, _GK_WG, out=tmp).sum(axis=1) * half
         raw = np.abs(k15 - g7)
         mean = k15 / (2.0 * half)
-        resasc = (np.abs(total - mean[:, None]) * _GK_WK).sum(axis=1) * half
-        resabs = (np.abs(total) * _GK_WK).sum(axis=1) * half
+        dev = np.abs(np.subtract(total, mean[:, None], out=tmp), out=tmp)
+        resasc = np.multiply(dev, _GK_WK, out=tmp).sum(axis=1) * half
+        resabs = np.multiply(np.abs(total, out=tmp), _GK_WK, out=tmp).sum(axis=1) * half
         safe = np.maximum(resasc, 1e-300)
         e = np.where((resasc > 0.0) & (raw > 0.0),
                      resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
@@ -413,12 +506,15 @@ def _segment_sums(seg, rows, nseg):
     return np.bincount(flat, weights=rows.ravel(), minlength=k * nseg).reshape(k, nseg)
 
 
-def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels):
+def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels,
+                 work=None):
     """Globally adaptive vectorized Gauss-Kronrod over independent segments.
 
-    Each segment is one integral, given by its seed panel edges and named
-    by its entry in ``labels``; f(x, seg) evaluates the integrand at nodes
-    x of segments seg and returns the pair (main, ride) described in
+    Each segment is one integral, given by one row of seed panel edges in
+    ``segments`` (a 2-d array; a row's edges may come in any order and
+    repeat, and NaN pads a row shorter than the longest) and named by its
+    entry in ``labels``; f(x, seg) evaluates the integrand at nodes x of
+    segments seg and returns the pair (main, ride) described in
     `_eval_panels`.  The segments run in lockstep: every round
     evaluates the panels being split in all segments with one
     `_eval_panels` call (which feeds f fixed-size chunks, so memory stays
@@ -437,20 +533,22 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     or a callable mapping the current per-segment totals I to the floor
     (the inner Q integrals use the latter, see `_inner_q_integral`).  A
     single integral, such as the outer frequency integral or a tail slice,
-    is the one-segment case.  Returns ((main, ride) per-segment totals,
-    shaped (rows, segments), per-segment error estimates).
+    is the one-segment case.  ``work`` is the `_Workspace` handed to every
+    `_eval_panels` call (see there).  Returns ((main, ride) per-segment
+    totals, shaped (rows, segments), per-segment error estimates).
     """
-    nseg = len(segments)
-    lo, hi, seg = [], [], []
-    for j, edges in enumerate(segments):
-        edges = sorted({float(e) for e in edges})
-        if len(edges) < 2:
-            raise DomainError(f"{labels[j]}: need at least two panel edges")
-        lo += edges[:-1]
-        hi += edges[1:]
-        seg += [j] * (len(edges) - 1)
-    lo, hi, seg = np.array(lo), np.array(hi), np.array(seg, dtype=np.intp)
-    (main, ride), err = _eval_panels(f, lo, hi, seg)
+    marks = np.sort(np.asarray(segments, dtype=float), axis=1)     # NaN sorts last
+    nseg = len(marks)
+    new = ~np.isnan(marks)
+    new[:, 1:] &= marks[:, 1:] != marks[:, :-1]
+    few = np.flatnonzero(new.sum(axis=1) < 2)
+    if few.size:
+        raise DomainError(f"{labels[few[0]]}: need at least two panel edges")
+    owner, col = np.nonzero(new)
+    edges = marks[owner, col]
+    inner = owner[1:] == owner[:-1]     # consecutive edges of one segment
+    lo, hi, seg = edges[:-1][inner], edges[1:][inner], owner[:-1][inner]
+    (main, ride), err = _eval_panels(f, lo, hi, seg, work=work)
     done = np.zeros(nseg, dtype=bool)
     while True:
         sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
@@ -486,7 +584,7 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
         new_seg = np.concatenate([seg[pick], seg[pick]])
-        (new_main, new_ride), nerr = _eval_panels(f, new_lo, new_hi, new_seg)
+        (new_main, new_ride), nerr = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
@@ -567,30 +665,42 @@ def _auto_omega_max(geom):
     return max(cands)
 
 
-def _inner_q_edges_prop(geom, omega):
-    """theta-substitution edges for the propagating sector Q = omega sin(theta)."""
-    marks = {0.0, math.pi / 2}
-    # resolve the round-trip oscillation exp(2 i kappa l), kappa = omega cos(theta)
-    n_osc = int(min(28, max(6, round(2.0 * omega * geom.gap / math.pi))))
-    marks.update(math.pi / 2 * i / n_osc for i in range(1, n_osc))
-    for side in (geom.left, geom.right):
-        if isinstance(side, Material):
-            for kappa in (side.lambda0, side.omega0):
-                if 0.0 < kappa < omega:
-                    marks.add(math.acos(kappa / omega))
-    return sorted(marks)
+def _inner_q_seeds(geom, omegas):
+    """Seed edges of the inner Q integrals of an array of frequencies.
 
+    One row per segment, the propagating sector of every positive
+    frequency first, then the evanescent sector of every frequency, as a
+    NaN-padded 2-d array for `_adaptive_gk`.
 
-def _inner_q_edges_evan(geom, omega):
-    """Seed edges of the evanescent sector in its decay variable t in [0, 1)."""
+    * propagating, in theta with Q = omega sin(theta): 0, pi/2, the
+      round-trip oscillation exp(2 i kappa l), kappa = omega cos(theta), in
+      round(2 omega l / pi) steps (at least 6, at most 28), and
+      acos(kappa/omega) for each material kappa (lambda0, omega0) below
+      omega;
+    * evanescent, in the decay variable t in [0, 1) with q = scale t/(1 - t)
+      and scale = max(omega, 1/(2 l)): the cap 320/l and the scales 1/(4 l)
+      .. 4/l, omega and 2 omega below it.
+    """
     l = geom.gap
-    scale = max(omega, 0.5 / l)
+    w_p = omegas[omegas > 0.0][:, None]
+    n_osc = np.clip(np.rint(2.0 * w_p * l / math.pi), 6, 28)
+    i = np.arange(1, 28)
+    theta = np.where(i < n_osc, math.pi / 2 * i / n_osc, np.nan)
+    kappa = np.array([kappa for side in (geom.left, geom.right) if isinstance(side, Material)
+                      for kappa in (side.lambda0, side.omega0)], dtype=float)
+    below = (kappa > 0.0) & (kappa < w_p)
+    acos = np.full(below.shape, np.nan)     # math.acos: the marks' floats as ever
+    acos[below] = [math.acos(r) for r in (kappa / w_p)[below].tolist()]
+    prop = np.hstack([np.tile([0.0, math.pi / 2], (len(w_p), 1)), theta, acos])
+
+    scale = np.maximum(omegas, 0.5 / l)[:, None]
     q_cap = 320.0 / l
-    marks = {0.0, q_cap / (scale + q_cap)}
-    for q in (0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l, omega, 2 * omega):
-        if 0.0 < q < q_cap:
-            marks.add(q / (scale + q))
-    return sorted(marks)
+    qs = np.hstack([np.tile([0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l], (len(omegas), 1)),
+                    omegas[:, None], 2 * omegas[:, None]])
+    evan = np.hstack([np.zeros_like(scale), q_cap / (scale + q_cap),
+                      np.where((qs > 0.0) & (qs < q_cap), qs / (scale + qs), np.nan)])
+    pad = prop.shape[1] - evan.shape[1]
+    return np.vstack([prop, np.pad(evan, ((0, 0), (0, pad)), constant_values=np.nan)])
 
 
 #: The inner integrals' absolute floor is this fraction of rel_tol times
@@ -598,15 +708,16 @@ def _inner_q_edges_evan(geom, omega):
 _INNER_FLOOR = 1e-3
 
 
-def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
+def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
     """Q-integrals of the difference channel map at an array of frequencies,
     in lockstep.
 
     Propagating sector via Q = omega sin(theta) (removes the edge cusp),
     evanescent tail via the decay variable q = sqrt(Q^2 - omega^2) mapped
-    to t in [0, 1) with scale max(omega, 1/(2 l)).  Both sectors of every
-    frequency are independent segments of one `_adaptive_gk` call, so each
-    round evaluates every panel still being split with one integrand call
+    to t in [0, 1) with scale max(omega, 1/(2 l)); `_inner_q_seeds` gives
+    the seed edges.  Both sectors of every frequency are independent
+    segments of one `_adaptive_gk` call, so each round evaluates every
+    panel still being split with one integrand call
     per chunk, while each sector keeps its own error test, panel budget and
     ConvergenceError.  The absolute floor of every segment is
     ``_INNER_FLOOR * rel_tol`` times the largest |inner integral| among
@@ -617,20 +728,23 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     The factors of omega alone (`_frequency_factors`) are evaluated once
     per call, not once per round, and every node finds its frequency's row
     through its segment's owner.  The substitution takes sin and cos only
-    at propagating nodes.
+    at propagating nodes.  ``work`` is the `_Workspace` of the steady pass
+    (a fresh one without it): the rule's chunks, the node mapping and the
+    channel map all write into it, and the integrand's rows, Jacobian
+    applied in place, are valid until its next chunk.
 
     Returns (channel integrals shaped (8, n_omega) in BREAKDOWN_KEYS
     order, per-frequency errors).
     """
+    if work is None:
+        work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
-    todo = [("propagating", i, w) for i, w in enumerate(omegas.tolist()) if w > 0.0]
-    todo += [("evanescent", i, w) for i, w in enumerate(omegas.tolist())]
-    segments = [(_inner_q_edges_prop if sector == "propagating" else _inner_q_edges_evan)
-                (geom, w) for sector, _, w in todo]
-    labels = [f"{sector} Q integral at omega={w:.4g}" for sector, _, w in todo]
-    owner = np.array([i for _, i, _ in todo], dtype=np.intp)
-    evan = np.array([sector == "evanescent" for sector, _, _ in todo])
+    pos = np.flatnonzero(omegas > 0.0)
+    owner = np.concatenate([pos, np.arange(n)])
+    evan = np.arange(len(owner)) >= len(pos)
+    labels = [f"{'evanescent' if e else 'propagating'} Q integral at omega={w:.4g}"
+              for e, w in zip(evan.tolist(), omegas[owner].tolist())]
     w_seg = omegas[owner]
     decay = np.maximum(w_seg, 0.5 / geom.gap)
     live = omegas != 0.0
@@ -638,29 +752,37 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     row = (np.cumsum(live) - 1)[owner]      # each segment's row of the factors
 
     def f(x, seg):
-        w = w_seg[seg]
-        ev = evan[seg]
-        Qs, jac = np.empty_like(x), np.empty_like(x)
-        pr = ~ev
-        if pr.any():
-            wp, tp = w[pr], x[pr]
-            Qs[pr] = wp * np.sin(tp)
-            jac[pr] = wp * np.cos(tp)
-        if ev.any():
-            sc, ts = decay[seg[ev]], x[ev]
-            qs = sc * ts / (1.0 - ts)
-            Qe = np.hypot(w[ev], qs)
-            Qs[ev] = Qe
-            jac[ev] = (qs / np.maximum(Qe, 1e-300)) * sc / (1.0 - ts) ** 2
-        ch = _bath_channels(geom, w, Qs, kernel="difference", factors=(factors, row[seg]))
-        return ch * jac, np.empty((0, x.size))
+        m = x.size
+        w, Qs, jac, node_decay = work.take("node.real", 4 * m).reshape(4, m)
+        ev = evan.take(seg, out=work.take("node.evan", m, bool), mode="clip")
+        at = row.take(seg, out=work.take("node.row", m, np.intp), mode="clip")
+        w_seg.take(seg, out=w, mode="clip")
+        ip, ie = np.flatnonzero(~ev), np.flatnonzero(ev)
+        if ip.size:
+            wp, tp, v = work.take("node.prop", 3 * ip.size).reshape(3, ip.size)
+            w.take(ip, out=wp, mode="clip")
+            x.take(ip, out=tp, mode="clip")
+            Qs[ip] = np.multiply(wp, np.sin(tp, out=v), out=v)
+            jac[ip] = np.multiply(wp, np.cos(tp, out=v), out=v)
+        if ie.size:
+            sc, ts, rest, qs, Qe, d = work.take("node.evan_real", 6 * ie.size).reshape(6, ie.size)
+            decay.take(seg, out=node_decay, mode="clip").take(ie, out=sc, mode="clip")
+            x.take(ie, out=ts, mode="clip")
+            np.subtract(1.0, ts, out=rest)
+            np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
+            Qs[ie] = np.hypot(w.take(ie, out=Qe, mode="clip"), qs, out=Qe)
+            np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
+            jac[ie] = np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=d)
+        ch = _bath_channels(geom, w, Qs, kernel="difference", factors=(factors, at), work=work)
+        ch *= jac
+        return ch, np.empty((0, m))
 
     def floor(totals):
         running = np.abs(np.bincount(owner, weights=totals, minlength=n)).max()
         return _INNER_FLOOR * rel_tol * max(floor_scale, running)
 
-    (got, _), err = _adaptive_gk(f, segments, rel_tol, abs_floor=floor,
-                                 max_panels=512, labels=labels)
+    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas), rel_tol, abs_floor=floor,
+                                 max_panels=512, labels=labels, work=work)
     return _segment_sums(owner, got, n), np.bincount(owner, weights=err, minlength=n)
 
 
@@ -745,13 +867,14 @@ def steady_pressure(geom, opts=None):
     omega_max = opts.omega_max if opts.omega_max is not None else _auto_omega_max(geom)
     inner_tol = opts.rel_tol / 4.0
     state = {"scale": 0.0}      # largest |inner integral| finished so far
+    work = _Workspace()         # the inner rules' per-node buffers, for the whole pass
 
     def f_out(ws, seg):
         main, inner = np.empty((len(BREAKDOWN_KEYS), ws.size)), np.empty((1, ws.size))
         for c in range(0, len(ws), _OMEGA_GROUP):
             group = slice(c, c + _OMEGA_GROUP)
             main[:, group], inner[0, group] = _inner_q_integral(
-                geom, ws[group], opts.thermal_only, inner_tol, state["scale"])
+                geom, ws[group], opts.thermal_only, inner_tol, state["scale"], work)
             mag = float(np.abs(main[:, group].sum(axis=0)).max())
             state["scale"] = max(state["scale"], mag)
         return main, inner
