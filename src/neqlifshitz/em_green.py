@@ -155,25 +155,27 @@ def fresnel(side, s, Q):
     return _fresnel_coeffs(eps, q, qn, s)[:3] + (t_tm,)
 
 
-def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None):
-    """(r_TE, r_TM, t_TE, |eps q + qn|) of `fresnel` from a plate's
+def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
+    """(r_TE, r_TM, t_TE, |eps q + qn|, |qn|) of `fresnel` from a plate's
     permittivity and the two z-wavenumbers.
 
     The bare t_TM is left out: the assembled source vectors cancel its
-    sqrt(eps) (see `_source_vecs`); the TM denominator's modulus comes
-    along for the steady integrand's TM source.  Raises the same
+    sqrt(eps) (see `_source_vecs`); the moduli of the TM denominator and
+    of qn, both needed for the singularity test, come along for the
+    steady integrand's sources.  ``abs_q`` is |q| when the caller already
+    has it (the same q serves both plates).  Raises the same
     SingularityError as `fresnel` when a denominator vanishes (s may be an
     array of Laplace points broadcast against q; the error names the first
     bad one).
 
     With a workspace ``work`` (the steady integrand's, see
     `pressure._Workspace`; q and qn then 1-d arrays of one length) every
-    array is written into its buffers: the four results into those keyed
+    array is written into its buffers: the five results into those keyed
     by ``tag``, so each plate keeps its own until the next call with the
     same tag.
     """
     out = dict.fromkeys(("eq", "den_te", "den_tm", "r_te", "r_tm", "t_te", "scale", "abs",
-                         "abs_tm", "bad", "bad_tm"))     # None: a fresh array
+                         "abs_qn", "abs_tm", "bad", "bad_tm"))     # None: a fresh array
     if work is not None:
         n = len(q)
         out.update(zip(("eq", "den_te", "den_tm"),
@@ -181,13 +183,16 @@ def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None):
         out.update(zip(("r_te", "r_tm", "t_te"),
                        work.take(("fresnel.coeffs", tag), 3 * n, complex).reshape(3, n)))
         out.update(zip(("scale", "abs"), work.take("fresnel.real", 2 * n).reshape(2, n)))
-        out["abs_tm"] = work.take(("fresnel.abs_tm", tag), n)
+        out.update(zip(("abs_qn", "abs_tm"),
+                       work.take(("fresnel.moduli", tag), 2 * n).reshape(2, n)))
         out.update(zip(("bad", "bad_tm"), work.take("fresnel.flags", 2 * n, bool).reshape(2, n)))
     eq = np.multiply(eps, q, out=out["eq"])
     den_te = np.add(q, qn, out=out["den_te"])
     den_tm = np.add(eq, qn, out=out["den_tm"])
-    scale = np.add(np.abs(q, out=out["scale"]), np.abs(qn, out=out["abs"]), out=out["scale"])
-    scale = np.multiply(1e-14, scale, out=out["scale"])
+    if abs_q is None:
+        abs_q = np.abs(q, out=out["scale"])
+    abs_qn = np.abs(qn, out=out["abs_qn"])
+    scale = np.multiply(1e-14, np.add(abs_q, abs_qn, out=out["scale"]), out=out["scale"])
     bad = np.less_equal(np.abs(den_te, out=out["abs"]), scale, out=out["bad"])
     abs_tm = np.abs(den_tm, out=out["abs_tm"])
     bad = np.logical_or(bad, np.less_equal(abs_tm, scale, out=out["bad_tm"]), out=out["bad"])
@@ -197,7 +202,7 @@ def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None):
     r_te = np.divide(np.subtract(q, qn, out=out["r_te"]), den_te, out=out["r_te"])
     r_tm = np.divide(np.subtract(eq, qn, out=out["r_tm"]), den_tm, out=out["r_tm"])
     t_te = np.divide(np.multiply(2.0, qn, out=out["t_te"]), den_te, out=out["t_te"])
-    return r_te, r_tm, t_te, abs_tm
+    return r_te, r_tm, t_te, abs_tm, abs_qn
 
 
 def _plate_fresnel(geom, s, Q, _fresnel=None):

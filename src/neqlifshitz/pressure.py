@@ -268,7 +268,8 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
     On the real axis the vacuum wavenumber is real arithmetic: q =
     -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
     phase in the propagating sector, q = sqrt(Q^2 - omega^2) in the
-    evanescent one.  Both equal `qz` and `np.exp` bit for bit.
+    evanescent one.  Both equal `qz` and `np.exp` bit for bit, and the
+    real root k is |q| exactly, so the Fresnel step takes it as is.
 
     Every per-point array, the returned rows included, is a row of a slab
     of the workspace ``work`` (complex, real, flags); a row whose array is
@@ -303,11 +304,11 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
     np.equal(k, 0.0, out=light)     # Q = omega: |q|^2 and D vanish together
     on_light = bool(light.any())
     gather(fac["s"], s)
-    qn, coeffs = (qn_l, qn_r), []   # per plate: (r_TE, r_TM, t_TE, |eps q + qn|)
+    qn, coeffs = (qn_l, qn_r), []   # per plate: (r_TE, r_TM, t_TE, |eps q + qn|, |qn|)
     for a in range(len(_PLATES)):
         gather(fac["eps"][a], eps)
         _axis_qz(np.add(gather(fac["es2"][a], x), Q2, out=x), qn[a])
-        coeffs.append(_fresnel_coeffs(eps, q, qn[a], s, work, a))
+        coeffs.append(_fresnel_coeffs(eps, q, qn[a], s, work, a, abs_q=k))
     gather(fac["s_eff2"], s_eff2)
     rr, c = eps, x      # lent: eps and x are dead after the Fresnel step
 
@@ -317,7 +318,7 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
         if not emit.any():
             out[a] = 0.0
             continue
-        np.square(np.abs(qn[a], out=qn2), out=qn2)
+        np.square(coeffs[a][4], out=qn2)
         np.multiply(np.multiply(PRESSURE_SIGN * _MEASURE, pref, out=pref), Q, out=pref)
         np.multiply(np.multiply(8.0, qn[a].real, out=den), qn2, out=den)
         if not emit.all():
@@ -512,14 +513,15 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
 
     Each segment is one integral, given by one row of seed panel edges in
     ``segments`` (a 2-d array; a row's edges may come in any order and
-    repeat, and NaN pads a row shorter than the longest) and named by its
-    entry in ``labels``; f(x, seg) evaluates the integrand at nodes x of
-    segments seg and returns the pair (main, ride) described in
-    `_eval_panels`.  The segments run in lockstep: every round
-    evaluates the panels being split in all segments with one
-    `_eval_panels` call (which feeds f fixed-size chunks, so memory stays
-    bounded), but each segment follows the QUADPACK K15/G7 rule
-    (Piessens et al., 1983) exactly as if it ran alone:
+    repeat, and NaN pads a row shorter than the longest) and named by
+    ``labels(j)``, j its row (called only to word an error); f(x, seg)
+    evaluates the integrand at nodes x of segments seg and returns the
+    pair (main, ride) described in `_eval_panels`.  The segments run in
+    lockstep: every round evaluates the panels being split in all
+    segments with one `_eval_panels` call (which feeds f fixed-size
+    chunks, so memory stays bounded), but each segment follows the
+    QUADPACK K15/G7 rule (Piessens et al., 1983) exactly as if it ran
+    alone:
 
     * it has converged, for good, once its summed error estimate is at most
       rel_tol * max(|I_j|, floor), I_j its summed main rows;
@@ -543,7 +545,7 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     new[:, 1:] &= marks[:, 1:] != marks[:, :-1]
     few = np.flatnonzero(new.sum(axis=1) < 2)
     if few.size:
-        raise DomainError(f"{labels[few[0]]}: need at least two panel edges")
+        raise DomainError(f"{labels(few[0])}: need at least two panel edges")
     owner, col = np.nonzero(new)
     edges = marks[owner, col]
     inner = owner[1:] == owner[:-1]     # consecutive edges of one segment
@@ -565,7 +567,7 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
             mine = np.flatnonzero(seg == j)
             i = mine[np.argmax(err[mine])]
             raise ConvergenceError(
-                f"{labels[j]} did not converge: {count[j]} panels, residual "
+                f"{labels(j)} did not converge: {count[j]} panels, residual "
                 f"{bad[j]:.3e} vs target {target[j]:.3e}; worst subinterval "
                 f"[{lo[i]:.6g}, {hi[i]:.6g}] with error {err[i]:.3e}")
         # per open segment, split every panel still carrying a meaningful
@@ -743,13 +745,14 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     pos = np.flatnonzero(omegas > 0.0)
     owner = np.concatenate([pos, np.arange(n)])
     evan = np.arange(len(owner)) >= len(pos)
-    labels = [f"{'evanescent' if e else 'propagating'} Q integral at omega={w:.4g}"
-              for e, w in zip(evan.tolist(), omegas[owner].tolist())]
     w_seg = omegas[owner]
     decay = np.maximum(w_seg, 0.5 / geom.gap)
     live = omegas != 0.0
     factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
     row = (np.cumsum(live) - 1)[owner]      # each segment's row of the factors
+
+    def label(j):
+        return f"{'evanescent' if evan[j] else 'propagating'} Q integral at omega={w_seg[j]:.4g}"
 
     def f(x, seg):
         m = x.size
@@ -782,7 +785,7 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
         return _INNER_FLOOR * rel_tol * max(floor_scale, running)
 
     (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas), rel_tol, abs_floor=floor,
-                                 max_panels=512, labels=labels, work=work)
+                                 max_panels=512, labels=label, work=work)
     return _segment_sums(owner, got, n), np.bincount(owner, weights=err, minlength=n)
 
 
@@ -884,7 +887,7 @@ def steady_pressure(geom, opts=None):
         inner error; and the outer error estimate."""
         (main, inner), e = _adaptive_gk(f_out, [edges], opts.rel_tol / 2.0,
                                         abs_floor=1e-14 / geom.gap ** 4,
-                                        max_panels=max_panels, labels=[label])
+                                        max_panels=max_panels, labels=lambda j: label)
         return np.append(main, inner), float(e[0])
 
     totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")

@@ -648,53 +648,70 @@ def modified_mode_check(geom, Q, kz):
 
 
 _TALBOT_CACHE = {}
+#: Bits the fixed-point node sum carries beyond the working precision.
+_TALBOT_GUARD = 32
+
+
+def _fixed(z, bits):
+    """(re, im) integers nearest to z * 2**bits, for an mpmath number z
+    at the working precision."""
+    import mpmath as mp
+
+    return (int(mp.nint(mp.ldexp(mp.re(z), bits))),
+            int(mp.nint(mp.ldexp(mp.im(z), bits))))
+
+
+def _fixed_float(x, bits):
+    """floor(x * 2**bits) for a float x, exact for x above 2**(52 - bits)."""
+    num, den = x.as_integer_ratio()
+    return (num << bits) // den
 
 
 def _talbot_fixtures(n_eff, dps):
-    """Contour geometry for the fixed cot-shaped contour, cached per dps.
+    """Nodes and canonical factors of the fixed cot-shaped contour, cached
+    per (n_eff, dps).
 
-    ``base[k]`` is s_k/r and ``weight[k] = 1 + i*sigma_k`` the
-    quadrature factor.  Whenever r keeps its canonical value 2M/(5t) the
-    time factor of node k is exp((2M/5) base[k]) and that of the node
-    s = r is ``expo0`` = exp(2M/5); ``expo_weight[k]`` caches the
-    canonical node factor exp((2M/5) base[k]) * weight[k].
+    Node k = 0 .. n_eff - 1 sits at s_k = r * base_k: base_0 = 1 (the
+    node s = r, quadrature weight w_0 = 1/2) and base_k = theta_k (cot
+    theta_k + i), theta_k = pi k / n_eff, with w_k = 1 + i sigma_k.  At
+    the canonical radius r = 2M/(5t) the time factor exp(t s_k) is
+    exp((2M/5) base_k), so the node factor exp(t s_k) w_k is a constant.
+    All of it is computed once in mpmath at ``dps`` digits (the first call
+    imports mpmath).  The bases and canonical factors are kept as (re, im)
+    Python integers scaled by 2**bits, bits the working precision plus
+    ``_TALBOT_GUARD``, for the fixed-point sum of `_talbot_point`; the
+    mpmath bases and weights are kept for `_talbot_rescaled`.  Returns
+    (bits, base, factor, base_mp, weight_mp).
     """
-    import mpmath as mp
-
-    key = (n_eff, dps)
-    fx = _TALBOT_CACHE.get(key)
+    fx = _TALBOT_CACHE.get((n_eff, dps))
     if fx is None:
-        base, weight, expo_weight = [], [], []
-        rt = mp.mpf(2 * n_eff) / 5
-        for k in range(1, n_eff):
-            th = mp.pi * k / n_eff
-            ct = mp.cot(th)
-            b = th * (ct + 1j)
-            w = 1 + 1j * (th + (th * ct - 1) * ct)
-            base.append(b)
-            weight.append(w)
-            expo_weight.append(mp.e ** (rt * b) * w)
-        fx = (base, weight, mp.e ** rt, expo_weight)
-        _TALBOT_CACHE[key] = fx
+        import mpmath as mp
+
+        with mp.workdps(dps):
+            bits = mp.mp.prec + _TALBOT_GUARD
+            rt = mp.mpf(2 * n_eff) / 5
+            base, weight = [mp.mpf(1)], [mp.mpf(0.5)]
+            for k in range(1, n_eff):
+                th = mp.pi * k / n_eff
+                ct = mp.cot(th)
+                base.append(th * (ct + 1j))
+                weight.append(1 + 1j * (th + (th * ct - 1) * ct))
+            fx = (bits, [_fixed(b, bits) for b in base],
+                  [_fixed(mp.e ** (rt * b) * w, bits) for b, w in zip(base, weight)],
+                  base, weight)
+        _TALBOT_CACHE[(n_eff, dps)] = fx
     return fx
 
 
-def _mp_response(mat):
-    """Oscillator kernel transform in arbitrary precision, as a function of s.
-
-    The material constants are converted once, at the working precision
-    in force when this is called.
-    """
+def _talbot_rescaled(fx, dps, r, t):
+    """The node factors exp(t s_k) w_k, as fixed-point pairs, at a radius
+    r moved off the canonical one (``fx`` from `_talbot_fixtures`)."""
     import mpmath as mp
 
-    w2 = mp.mpf(mat.omega0) ** 2
-    bath = mat.bath
-    if bath.kind == "ohmic_lorentz_cutoff":
-        lam = mp.mpf(bath.cutoff)
-        g = mp.mpf(bath.gamma)
-        return lambda s: (s + lam) / ((s * s + w2) * (s + lam) + g * lam * s)
-    g = mp.mpf(bath.gamma) if bath.kind == "ohmic" else mp.mpf(0)
-    return lambda s: 1 / (s * s + g * s + w2)
+    bits, _, _, base, weight = fx
+    with mp.workdps(dps):
+        rm, tm = mp.mpf(r), mp.mpf(t)
+        return [_fixed(mp.e ** (tm * (rm * b)) * w, bits) for b, w in zip(base, weight)]
 
 
 def _min_node_gap(n_eff, r, poles):
@@ -705,8 +722,16 @@ def _min_node_gap(n_eff, r, poles):
 
 
 def _talbot_point(mat, t, r_floor, poles):
-    import mpmath as mp
+    """G(t) = (r/M) sum_k Re(f_k F(s_k)), f_k = exp(t s_k) w_k the node
+    factors of `_talbot_fixtures` and F = N/D the kernel transform:
+    (s + L) / ((s^2 + omega0^2)(s + L) + gamma L s) for the cutoff bath,
+    1 / (s^2 + gamma s + omega0^2) otherwise (gamma = 0 without a bath).
 
+    The sum runs in Python integers scaled by 2**bits: s_k = r base_k
+    from the exact ratio of the float r, each term Re(f N conj(D)) / |D|^2
+    with one floor division, and the result one correctly rounded
+    true division.  Only a rescaled radius needs mpmath, for its factors.
+    """
     n_eff = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
     r_canon = 2.0 * n_eff / (5.0 * t)
     r = r_canon
@@ -719,22 +744,36 @@ def _talbot_point(mat, t, r_floor, poles):
             "inversion contour cannot avoid a response pole",
             point=min(poles, key=lambda p: abs(p)))
     dps = max(35, 25 + int(0.2 * n_eff))
-    with mp.workdps(dps):
-        base, weight, expo0, expo_weight = _talbot_fixtures(n_eff, dps)
-        response = _mp_response(mat)
-        rm = mp.mpf(r)
-        tm = mp.mpf(t)
-        canonical = (r == r_canon)
-        total = mp.mpf(0.5) * response(rm) * \
-            (expo0 if canonical else mp.e ** (rm * tm))
-        total = mp.re(total)
-        for k in range(n_eff - 1):
-            s = rm * base[k]
-            if canonical:
-                total += mp.re(expo_weight[k] * response(s))
-            else:
-                total += mp.re(mp.e ** (tm * s) * response(s) * weight[k])
-        return float(total * rm / n_eff)
+    fx = _talbot_fixtures(n_eff, dps)
+    bits, base, factor = fx[:3]
+    if r != r_canon:
+        factor = _talbot_rescaled(fx, dps, r, t)
+    num, den = r.as_integer_ratio()     # r = num / 2**e exactly
+    e = den.bit_length() - 1
+    bath = mat.bath
+    w0 = _fixed_float(mat.omega0, bits)
+    w2 = (w0 * w0) >> bits
+    g = _fixed_float(bath.gamma, bits)
+    cutoff = bath.kind == "ohmic_lorentz_cutoff"
+    if cutoff:
+        lam = _fixed_float(bath.cutoff, bits)
+        gl = (g * lam) >> bits
+    total = 0
+    for (br, bi), (fr, fi) in zip(base, factor):
+        if not (fr or fi):      # far down the left tail the factor is below 2**-bits
+            continue
+        sr, si = (num * br) >> e, (num * bi) >> e
+        if cutoff:      # N = s + L, D = (s^2 + w2) N + g L s
+            nr = sr + lam
+            ar, ai = ((sr * sr - si * si) >> bits) + w2, (sr * si) >> (bits - 1)
+            dr = (ar * nr - ai * si + gl * sr) >> bits
+            di = (ar * si + ai * nr + gl * si) >> bits
+            fr, fi = (fr * nr - fi * si) >> bits, (fr * si + fi * nr) >> bits
+        else:           # N = 1, D = s^2 + g s + w2
+            dr = ((sr * sr - si * si + g * sr) >> bits) + w2
+            di = (2 * sr * si + g * si) >> bits
+        total += ((fr * dr + fi * di) << bits) // (dr * dr + di * di)
+    return total * num / ((n_eff * den) << bits)
 
 
 def invert_laplace_qbm(mat, t_grid):
@@ -742,9 +781,12 @@ def invert_laplace_qbm(mat, t_grid):
 
     The cot-shaped contour uses ``TALBOT_NODES`` points with the canonical
     radius 2M/(5t); the node count grows with t so the contour keeps
-    enclosing the response poles, and the summation runs in arbitrary
-    precision sized to the node count (the node weights grow like
-    e^(2M/5), which double precision cannot cancel).  t = 0 returns the
+    enclosing the response poles.  The node weights grow like e^(2M/5),
+    which double precision cannot cancel, so the node sum runs in
+    fixed-point Python integers 32 bits finer than a working precision
+    sized to the node count.  Its nodes and factors come from mpmath
+    (imported on first use), once per node count and once per point off
+    the canonical radius.  t = 0 returns the
     exact boundary value 0 of the retarded kernel.  A contour node
     landing on a pole triggers automatic radius re-scaling and raises
     only if the contour cannot be freed.

@@ -862,7 +862,7 @@ def segment_integrand(names, seen, ride):
 
 def run_segments(names, rel_tol=1e-9, seen=None, ride=lambda x, main: 2.0 * main, **kw):
     return pr._adaptive_gk(segment_integrand(names, seen, ride),
-                           [KNOWN[n][1] for n in names], rel_tol, labels=list(names), **kw)
+                           [KNOWN[n][1] for n in names], rel_tol, labels=names.__getitem__, **kw)
 
 
 def test_segmented_rule_meets_each_segments_own_tolerance():

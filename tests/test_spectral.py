@@ -197,6 +197,74 @@ def test_inversion_rejects_bad_grids():
         invert_laplace_qbm(LOSSY, [1.0, 0.5])
 
 
+def mp_talbot(mat, t, stretch=1.0):
+    """G(t) as the contour sum of `invert_laplace_qbm` evaluated node by
+    node in mpmath: the same nodes s_k = r base_k, radius (the canonical
+    one times ``stretch``) and working precision, each term
+    exp(t s_k) w_k F(s_k) one mpmath number, one rounding to a float at
+    the end.  At the canonical radius t s_k is (2M/5) base_k exactly."""
+    import mpmath as mp
+
+    poles = [s for s, _, _ in find_qbm_poles(mat).roots]
+    r_floor = (2.4 / math.pi) * max(abs(p.imag) for p in poles)
+    n = max(spectral.TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
+    r = 2.0 * n / (5.0 * t) * stretch
+    with mp.workdps(max(35, 25 + int(0.2 * n))):
+        w2, g = mp.mpf(mat.omega0) ** 2, mp.mpf(mat.bath.gamma)
+        if mat.bath.kind == "ohmic_lorentz_cutoff":
+            lam = mp.mpf(mat.bath.cutoff)
+            F = lambda s: (s + lam) / ((s * s + w2) * (s + lam) + g * lam * s)  # noqa: E731
+        else:
+            F = lambda s: 1 / (s * s + g * s + w2)  # noqa: E731
+        rm = mp.mpf(r)
+        if stretch == 1.0:
+            expo = lambda b: mp.exp(mp.mpf(2 * n) / 5 * b)  # noqa: E731
+        else:
+            expo = lambda b: mp.exp(mp.mpf(t) * (rm * b))  # noqa: E731
+        total = mp.re(mp.mpf(0.5) * F(rm) * expo(mp.mpf(1)))
+        for k in range(1, n):
+            th = mp.pi * k / n
+            ct = mp.cot(th)
+            b = th * (ct + 1j)
+            total += mp.re(expo(b) * F(rm * b) * (1 + 1j * (th + (th * ct - 1) * ct)))
+        return float(total * rm / n)
+
+
+@pytest.mark.parametrize("mat, t", [(LOSSY2, 3.7), (CUTOFF, 300.0),
+                                    (MARGINAL, 0.5 * math.pi / 1.3)],
+                         ids=["canonical", "cutoff-long-time", "marginal"])
+def test_fixed_point_node_sum_matches_mpmath(monkeypatch, mat, t):
+    # the integer node sum returns the very float that the same contour
+    # sum gives in mpmath, also with n_eff > TALBOT_NODES (cutoff at t = 300)
+    real_gap, seen = spectral._min_node_gap, []
+    monkeypatch.setattr(spectral, "_min_node_gap",
+                        lambda n_eff, r, poles: seen.append(n_eff) or real_gap(n_eff, r, poles))
+    got = invert_laplace_qbm(mat, [t])[0]
+    assert len(seen) == 1       # the canonical radius
+    assert (seen[0] > spectral.TALBOT_NODES) == (mat is CUTOFF)
+    assert got == mp_talbot(mat, t)
+
+
+def test_inversion_rescaled_radius(monkeypatch):
+    # a contour node on a pole moves the radius off the canonical one (by
+    # 1.0917 per try): refuse the canonical radius once per point
+    real_gap, seen = spectral._min_node_gap, []
+
+    def refuse_first(n_eff, r, poles):
+        seen.append(r)
+        return 0.0 if len(seen) == 1 else real_gap(n_eff, r, poles)
+
+    monkeypatch.setattr(spectral, "_min_node_gap", refuse_first)
+    w1 = math.sqrt(1.0 - 0.05 ** 2)
+    for t in (0.7, 3.0, 12.0):
+        seen.clear()
+        got = invert_laplace_qbm(LOSSY, [t])[0]
+        r = 2.0 * spectral.TALBOT_NODES / (5.0 * t)
+        assert seen == [r, r * 1.0917]
+        assert got == mp_talbot(LOSSY, t, stretch=1.0917)
+        assert abs(got - math.exp(-0.05 * t) * math.sin(w1 * t) / w1) <= 1e-6
+
+
 # ---------------------------------------------------------------------------
 # plate-mode roots and branch cuts
 # ---------------------------------------------------------------------------
