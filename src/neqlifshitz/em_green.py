@@ -84,21 +84,14 @@ def plate_eps(side, s):
     """Permittivity of one plate at the Laplace point s.
 
     Materials evaluate their oscillator response (marginal, gamma = 0
-    materials get the retarded eta shift); dispersionless tables extend to
-    any s, dispersive tables only supply Fourier boundary values s = -i w.
-    Raw numbers pass through as a fixed permittivity (oracle use).
+    materials get the retarded eta shift); a table is one constant at
+    every s.  Raw numbers pass through as a fixed permittivity (oracle use).
     """
     if isinstance(side, (int, float, complex)):
         return complex(side)
-    s_arr = np.asarray(s, dtype=complex)
     if isinstance(side, EpsilonTable):
-        if side.is_dispersionless:
-            return side.eps_laplace(s)
-        scale = np.maximum(np.abs(s_arr), 1.0)
-        if np.any(np.abs(s_arr.real) > 1e-6 * scale):
-            raise DomainError(
-                "dispersive epsilon tables only provide boundary values at s = -i*omega")
-        return side.eps_fourier(np.asarray(1j * s_arr).real)
+        return side.eps_laplace(s)
+    s_arr = np.asarray(s, dtype=complex)
     if not (side.bath.gamma > 0):
         s_arr = s_arr + ETA_REL * np.maximum(np.abs(s_arr), 1.0)
     return permittivity(side, s_arr if s_arr.ndim else complex(s_arr))

@@ -7,7 +7,7 @@ class NeqLifshitzError(Exception):
 
 class DomainError(NeqLifshitzError, ValueError):
     """Input outside the physically admissible domain (non-convergent
-    exponents, negative temperatures, table range exceeded, ...)."""
+    exponents, negative temperatures, disagreeing table rows, ...)."""
 
 
 class SingularityError(NeqLifshitzError, ArithmeticError):

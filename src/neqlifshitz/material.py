@@ -234,12 +234,16 @@ def fdr_epsilon_identity(mat, omega):
 
 @dataclass(frozen=True)
 class EpsilonTable:
-    """Tabulated retarded permittivity on a positive frequency grid.
+    """A plate of one constant retarded permittivity, given as a table.
 
-    Interpolation is log-frequency linear on Re and Im separately;
-    negative frequencies use the Hermitian extension
-    eps_bar(-w) = conj(eps_bar(w)).  ``beta_bath`` is the temperature
-    weight used when the table stands in for a plate.
+    Every row must carry the same eps.  A frequency-dependent table
+    determines eps neither below its first row, where the steady
+    frequency integral starts, nor off the real axis, where the Matsubara
+    sum, the plate-mode roots and the Green blocks need it, so it is
+    refused here.  Negative frequencies use the Hermitian extension
+    eps_bar(-w) = conj(eps_bar(w)), and eps_bar(0) is real.
+    ``beta_bath`` is the temperature weight used when the table stands
+    in for a plate.
     """
 
     omega: np.ndarray
@@ -253,49 +257,34 @@ class EpsilonTable:
         object.__setattr__(self, "eps", ep)
         if om.ndim != 1 or om.size < 1 or ep.shape != om.shape:
             raise DomainError("table needs matching 1-d omega and eps arrays")
+        if not (np.all(np.isfinite(om)) and np.all(np.isfinite(ep))):
+            raise DomainError("table values must be finite")
         if np.any(om <= 0) or np.any(np.diff(om) <= 0):
             raise DomainError("table frequencies must be positive and strictly increasing")
         if np.any(np.imag(ep) < 0):
             raise DomainError("table permittivity must have Im eps >= 0 (passivity)")
+        if np.any(ep != ep[0]):
+            k = int(np.argmax(ep != ep[0]))
+            raise DomainError(
+                f"table rows disagree: eps({om[k]:g}) = {ep[k]:g} but "
+                f"eps({om[0]:g}) = {ep[0]:g}; a table plate is one constant permittivity")
         if not self.beta_bath > 0:
             raise DomainError(f"beta_bath must be > 0, got {self.beta_bath}")
 
     @property
     def has_loss(self):
-        return bool(np.any(np.imag(self.eps) > 0))
-
-    @property
-    def is_dispersionless(self):
-        return self.omega.size == 1 or bool(np.all(self.eps == self.eps[0]))
+        return bool(self.eps[0].imag > 0)
 
     def eps_fourier(self, omega):
-        """Interpolated eps_bar(omega); DomainError outside the covered range."""
-        w = np.asarray(omega, dtype=float)
-        scalar = w.ndim == 0
-        w = np.atleast_1d(w)
-        out = np.empty(w.shape, dtype=complex)
-        aw = np.abs(w)
-        if self.is_dispersionless:
-            out[:] = self.eps[0]
-        else:
-            if np.any((aw < self.omega[0]) | (aw > self.omega[-1])):
-                bad = aw[(aw < self.omega[0]) | (aw > self.omega[-1])][0]
-                raise DomainError(
-                    f"frequency {bad:g} outside table range [{self.omega[0]:g}, {self.omega[-1]:g}]")
-            lg = np.log(aw)
-            lt = np.log(self.omega)
-            out.real = np.interp(lg, lt, self.eps.real)
-            out.imag = np.interp(lg, lt, self.eps.imag)
-        out[w < 0] = np.conj(out[w < 0])
-        out[w == 0] = complex(self.eps[0].real, 0.0) if self.is_dispersionless else out[w == 0]
-        return complex(out[0]) if scalar else out
+        """eps_bar(omega): the constant, its conjugate at omega < 0."""
+        w = np.atleast_1d(np.asarray(omega, dtype=float))
+        out = np.full(w.shape, self.eps[0])
+        out[w < 0] = np.conj(self.eps[0])
+        out[w == 0] = self.eps[0].real
+        return complex(out[0]) if np.ndim(omega) == 0 else out
 
     def eps_laplace(self, s):
-        """eps(s) off the real-frequency axis; only dispersionless tables
-        extend unambiguously (constant), anything else would need a
-        Kramers-Kronig transform the table does not determine."""
-        if not self.is_dispersionless:
-            raise DomainError("only a dispersionless table extends off the Fourier axis")
+        """eps(s) at any Laplace point: the constant."""
         return complex(self.eps[0]) + 0.0 * np.asarray(s, dtype=complex)
 
 
@@ -325,9 +314,3 @@ def load_epsilon_table(text, beta_bath=math.inf):
         raise ConfigError("table is empty")
     arr = np.array(rows, dtype=float)
     return EpsilonTable(omega=arr[:, 0], eps=arr[:, 1] + 1j * arr[:, 2], beta_bath=beta_bath)
-
-
-def material_table(mat, omega_grid):
-    """Sample a Material into an EpsilonTable on ``omega_grid`` (round-trip helper)."""
-    eps = np.array([permittivity_fourier(mat, w) for w in np.asarray(omega_grid, dtype=float)])
-    return EpsilonTable(omega=np.asarray(omega_grid, dtype=float), eps=eps, beta_bath=mat.beta_bath)

@@ -852,18 +852,8 @@ def steady_pressure(geom, opts=None):
     returns the pair (channels, inner errors): the channel rows drive the
     outer error test, the inner-error row rides along, integrated with the
     same nodes and tail weights, and enters ``err`` (see `PressureResult`).
-
-    A dispersive `EpsilonTable` plate is refused with a DomainError: the
-    frequency integral starts at omega = 0, below the table's first row.
     """
     opts = opts or PressureOptions()
-    for name, side in (("left", geom.left), ("right", geom.right)):
-        if isinstance(side, EpsilonTable) and not side.is_dispersionless:
-            raise DomainError(
-                f"{name} plate: its dispersive permittivity table covers "
-                f"[{side.omega[0]:g}, {side.omega[-1]:g}], but the steady frequency "
-                "integral starts at omega = 0; only dispersionless tables run the "
-                "steady pressure")
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")

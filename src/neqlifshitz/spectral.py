@@ -450,9 +450,6 @@ def plate_mode_roots(side, Q, kz=0.0):
     """
     big_c = float(Q) ** 2 + float(kz) ** 2
     if isinstance(side, EpsilonTable):
-        if not side.is_dispersionless:
-            raise DomainError("plate-mode roots need an analytic permittivity;"
-                              " a dispersive table has no off-axis continuation")
         eps0 = complex(side.eps[0])
         if eps0 == 0:
             raise DomainError("zero permittivity has no plate modes")
@@ -667,27 +664,26 @@ def _fixed_float(x, bits):
     return (num << bits) // den
 
 
-def _talbot_fixtures(n_eff, dps):
+def _talbot_fixtures(n_eff):
     """Nodes and canonical factors of the fixed cot-shaped contour, cached
-    per (n_eff, dps).
+    per node count.
 
     Node k = 0 .. n_eff - 1 sits at s_k = r * base_k: base_0 = 1 (the
     node s = r, quadrature weight w_0 = 1/2) and base_k = theta_k (cot
     theta_k + i), theta_k = pi k / n_eff, with w_k = 1 + i sigma_k.  At
     the canonical radius r = 2M/(5t) the time factor exp(t s_k) is
     exp((2M/5) base_k), so the node factor exp(t s_k) w_k is a constant.
-    All of it is computed once in mpmath at ``dps`` digits (the first call
-    imports mpmath).  The bases and canonical factors are kept as (re, im)
-    Python integers scaled by 2**bits, bits the working precision plus
-    ``_TALBOT_GUARD``, for the fixed-point sum of `_talbot_point`; the
-    mpmath bases and weights are kept for `_talbot_rescaled`.  Returns
-    (bits, base, factor, base_mp, weight_mp).
+    All of it is computed once in mpmath at max(35, 25 + int(0.2 n_eff))
+    digits (the first call imports mpmath).  The bases and canonical
+    factors are kept as (re, im) Python integers scaled by 2**bits, bits
+    the working precision plus ``_TALBOT_GUARD``, for the fixed-point sum
+    of `_talbot_point`.  Returns (bits, base, factor).
     """
-    fx = _TALBOT_CACHE.get((n_eff, dps))
+    fx = _TALBOT_CACHE.get(n_eff)
     if fx is None:
         import mpmath as mp
 
-        with mp.workdps(dps):
+        with mp.workdps(max(35, 25 + int(0.2 * n_eff))):
             bits = mp.mp.prec + _TALBOT_GUARD
             rt = mp.mpf(2 * n_eff) / 5
             base, weight = [mp.mpf(1)], [mp.mpf(0.5)]
@@ -697,26 +693,24 @@ def _talbot_fixtures(n_eff, dps):
                 base.append(th * (ct + 1j))
                 weight.append(1 + 1j * (th + (th * ct - 1) * ct))
             fx = (bits, [_fixed(b, bits) for b in base],
-                  [_fixed(mp.e ** (rt * b) * w, bits) for b, w in zip(base, weight)],
-                  base, weight)
-        _TALBOT_CACHE[(n_eff, dps)] = fx
+                  [_fixed(mp.e ** (rt * b) * w, bits) for b, w in zip(base, weight)])
+        _TALBOT_CACHE[n_eff] = fx
     return fx
 
 
-def _talbot_rescaled(fx, dps, r, t):
-    """The node factors exp(t s_k) w_k, as fixed-point pairs, at a radius
-    r moved off the canonical one (``fx`` from `_talbot_fixtures`)."""
-    import mpmath as mp
-
-    bits, _, _, base, weight = fx
-    with mp.workdps(dps):
-        rm, tm = mp.mpf(r), mp.mpf(t)
-        return [_fixed(mp.e ** (tm * (rm * b)) * w, bits) for b, w in zip(base, weight)]
+_NODE_ANGLES = {}
 
 
 def _min_node_gap(n_eff, r, poles):
-    th = np.pi * np.arange(1, n_eff) / n_eff
-    nodes = np.concatenate([[r + 0.0j], r * th * (1.0 / np.tan(th) + 1j)])
+    """Smallest distance of a contour node at radius r from a pole,
+    relative to 1 + |pole|.  The node angles theta_k and cot theta_k + i
+    are cached per node count."""
+    angles = _NODE_ANGLES.get(n_eff)
+    if angles is None:
+        th = np.pi * np.arange(1, n_eff) / n_eff
+        angles = _NODE_ANGLES[n_eff] = (th, 1.0 / np.tan(th) + 1j)
+    th, cot_i = angles
+    nodes = np.concatenate([[r + 0.0j], r * th * cot_i])
     return min(float(np.min(np.abs(nodes - p))) / (1.0 + abs(p))
                for p in poles)
 
@@ -730,24 +724,19 @@ def _talbot_point(mat, t, r_floor, poles):
     The sum runs in Python integers scaled by 2**bits: s_k = r base_k
     from the exact ratio of the float r, each term Re(f N conj(D)) / |D|^2
     with one floor division, and the result one correctly rounded
-    true division.  Only a rescaled radius needs mpmath, for its factors.
+    true division.  A node within 1e-6 of a pole moves the sum to the
+    next node count, with its own canonical radius 2M/(5t) and nodes.
     """
-    n_eff = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
-    r_canon = 2.0 * n_eff / (5.0 * t)
-    r = r_canon
-    for _ in range(8):
+    n_min = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
+    for n_eff in range(n_min, n_min + 8):
+        r = 2.0 * n_eff / (5.0 * t)
         if _min_node_gap(n_eff, r, poles) > 1e-6:
             break
-        r *= 1.0917
     else:
         raise SingularityError(
             "inversion contour cannot avoid a response pole",
             point=min(poles, key=lambda p: abs(p)))
-    dps = max(35, 25 + int(0.2 * n_eff))
-    fx = _talbot_fixtures(n_eff, dps)
-    bits, base, factor = fx[:3]
-    if r != r_canon:
-        factor = _talbot_rescaled(fx, dps, r, t)
+    bits, base, factor = _talbot_fixtures(n_eff)
     num, den = r.as_integer_ratio()     # r = num / 2**e exactly
     e = den.bit_length() - 1
     bath = mat.bath
@@ -785,11 +774,11 @@ def invert_laplace_qbm(mat, t_grid):
     which double precision cannot cancel, so the node sum runs in
     fixed-point Python integers 32 bits finer than a working precision
     sized to the node count.  Its nodes and factors come from mpmath
-    (imported on first use), once per node count and once per point off
-    the canonical radius.  t = 0 returns the
+    (imported on first use), once per node count.  t = 0 returns the
     exact boundary value 0 of the retarded kernel.  A contour node
-    landing on a pole triggers automatic radius re-scaling and raises
-    only if the contour cannot be freed.
+    landing on a pole moves the point to the next node count, whose
+    canonical contour has other nodes; the inversion raises only if
+    eight node counts in a row fail.
     """
     t = np.asarray(t_grid, dtype=float)
     flat = t.ravel()

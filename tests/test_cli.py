@@ -185,7 +185,7 @@ def test_load_config_resolves_table_relative_to_config(tmp_path):
     text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
     cfg = load_config(write_cfg(tmp_path, text))
     assert cfg.left == "table:eps.csv"
-    assert cfg.tables[cfg.left].is_dispersionless
+    assert cfg.tables[cfg.left].eps_laplace(0.7) == 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -258,23 +258,45 @@ def test_pressure_without_loss_is_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in err and "dissipative" in err
 
 
-def test_pressure_refuses_a_dispersive_table_up_front(tmp_path, capsys, monkeypatch):
-    # the frequency integral starts at omega = 0, below a table's first
-    # row: the plate is refused before the integrand runs, with the range
-    def never(*args, **kwargs):
-        raise AssertionError("the steady integrand ran")
-
-    monkeypatch.setattr(pressure, "_bath_channels", never)
+def write_dispersive_table(tmp_path, text):
+    """A table whose rows disagree (a Lorentz-like eps on 80 frequencies),
+    named by geometry.left in ``text``; returns the config path and the
+    config line of that key."""
     omega = np.geomspace(1e-6, 40.0, 80)
     (tmp_path / "eps.csv").write_text("".join(
         f"{w:.17g},{2.0 + 1.0 / (1.0 + w * w):.17g},{0.3 * w / (1.0 + w * w):.17g}\n"
         for w in omega))
-    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
-    code = main(["pressure", "--config", write_cfg(tmp_path, text)])
+    text = text.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    lineno = text.splitlines().index("geometry.left = table:eps.csv") + 1
+    return write_cfg(tmp_path, text), lineno
+
+
+def test_pressure_refuses_a_dispersive_table_up_front(tmp_path, capsys, monkeypatch):
+    # a table plate is one constant permittivity: a table whose rows
+    # disagree is a configuration error, refused before the integrand runs
+    def never(*args, **kwargs):
+        raise AssertionError("the steady integrand ran")
+
+    monkeypatch.setattr(pressure, "_bath_channels", never)
+    cfg, lineno = write_dispersive_table(tmp_path, BASE)
+    code = main(["pressure", "--config", cfg])
     err = capsys.readouterr().err
-    assert code == 3
-    assert "numerical failure in pressure: left plate" in err
-    assert "covers [1e-06, 40]" in err and "starts at omega = 0" in err
+    assert code == 2
+    assert f"config error: line {lineno}: table " in err
+    assert "rows disagree" in err
+
+
+@pytest.mark.parametrize("command", ["pressure", "verify", "compare-eq", "epsilon"])
+def test_every_command_refuses_a_dispersive_table_at_load(tmp_path, capsys, command):
+    # at equal temperatures compare-eq would run too; the table is refused
+    # at load, naming its file, on the config line of the key that names it
+    text = BASE.replace("geometry.T_R = 0.3", "geometry.T_R = 0.9")
+    cfg, lineno = write_dispersive_table(tmp_path, text)
+    code = main([command, "--config", cfg])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"config error: line {lineno}: table ")
+    assert f"{tmp_path.resolve() / 'eps.csv'}: table rows disagree" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +429,21 @@ def test_verify_dmu_floor_reads_the_spectral_floor(monkeypatch, capsys):
     assert code == 1 and rec["pass"] is False
     assert rec["detail"]["floor"] == 0.5 and rec["margin"] < 0.5
     assert "denominator" in rec["explanation"]
+
+
+def test_verify_modified_modes_reads_the_spectral_limit(monkeypatch, capsys):
+    # the record's verdict and limit come from spectral.MODE_TOL_LIMIT:
+    # lowered below the default config's worst spread (about 1.8e-8) the
+    # check fails and reports the lowered limit
+    cfg = str(Path(__file__).resolve().parents[1] / "configs" / "default.cfg")
+    monkeypatch.setattr(spectral, "MODE_TOL_LIMIT", 1e-9)
+    code = main(["verify", "--config", cfg])
+    doc = json.loads(capsys.readouterr().out)
+    rec = {p["name"]: p for p in doc["properties"]}["modified_modes"]
+    assert code == 1 and rec["pass"] is False
+    assert rec["detail"]["limit"] == 1e-9
+    assert rec["margin"] == rec["detail"]["max_spread"] > 1e-9
+    assert "removability" in rec["explanation"]
 
 
 def test_compare_eq_requires_equal_temperatures(tmp_path, capsys):

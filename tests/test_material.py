@@ -14,7 +14,6 @@ from neqlifshitz.material import (
     bath_dissipation_fourier,
     fdr_epsilon_identity,
     load_epsilon_table,
-    material_table,
     noise_fourier,
     permittivity,
     permittivity_fourier,
@@ -168,19 +167,22 @@ def test_material_validation():
 
 TABLE_TEXT = """\
 # omega  re_eps  im_eps
-0.1, 2.50, 0.010
-1.0, 2.00, 0.100
-10 1.20 0.020   # whitespace separation also fine
+0.1, 2.50, 0.100
+1.0, 2.50, 0.100
+10 2.50 0.100   # whitespace separation also fine
 """
 
 
 def test_load_table():
     t = load_epsilon_table(TABLE_TEXT, beta_bath=4.0)
-    assert t.omega.shape == (3,)
-    assert t.has_loss and not t.is_dispersionless
-    assert_allclose(t.eps_fourier(1.0), 2.0 + 0.1j)
-    # Hermitian extension
-    assert_allclose(t.eps_fourier(-1.0), 2.0 - 0.1j)
+    assert t.omega.shape == (3,) and t.beta_bath == 4.0
+    assert t.has_loss
+    # one constant at every frequency, inside the rows' range or not
+    assert t.eps_fourier(1.0) == 2.5 + 0.1j
+    assert t.eps_fourier(50.0) == 2.5 + 0.1j
+    # Hermitian extension, real at omega = 0
+    assert_allclose(t.eps_fourier(np.array([-1.0, 0.0, 3.0])), [2.5 - 0.1j, 2.5, 2.5 + 0.1j],
+                    rtol=0, atol=0)
 
 
 def test_load_table_errors():
@@ -196,31 +198,22 @@ def test_load_table_errors():
         load_epsilon_table("1 2 -0.5\n")  # active medium rejected
     with pytest.raises(DomainError):
         load_epsilon_table("2 2 0\n1 2 0\n")  # non-monotone grid
+    with pytest.raises(DomainError, match="finite"):
+        load_epsilon_table("1 nan 0\n")
 
 
-def test_table_out_of_range():
-    t = load_epsilon_table(TABLE_TEXT)
-    with pytest.raises(DomainError):
-        t.eps_fourier(50.0)
-    with pytest.raises(DomainError):
-        t.eps_laplace(1.0 + 1.0j)  # dispersive table has no off-axis extension
+def test_table_refuses_disagreeing_rows():
+    # a frequency-dependent table has no continuation off the real axis:
+    # it is refused when it is built, by the constructor and by the loader
+    with pytest.raises(DomainError, match=r"rows disagree: eps\(2\) = 3\+0\.1j but eps\(1\)"):
+        EpsilonTable(omega=np.array([1.0, 2.0]), eps=np.array([4.0 + 0.1j, 3.0 + 0.1j]))
+    with pytest.raises(DomainError, match="one constant permittivity"):
+        load_epsilon_table("0.1, 2.5, 0.0\n1.0, 2.5, 0.0\n10, 2.5, 1e-3\n")
 
 
 def test_dispersionless_table():
     t = EpsilonTable(omega=np.array([1.0]), eps=np.array([1e4 + 0.0j]))
-    assert t.is_dispersionless and not t.has_loss
+    assert not t.has_loss
     assert t.eps_fourier(123.0) == 1e4
     assert t.eps_laplace(0.3 + 2j) == 1e4
-
-
-def test_material_roundtrip(lorentz_ohmic):
-    grid = np.geomspace(0.05, 20.0, 400)
-    t = material_table(lorentz_ohmic, grid)
-    # exact at the nodes
-    assert_allclose(t.eps_fourier(grid[::7]), permittivity_fourier(lorentz_ohmic, grid[::7]),
-                    rtol=1e-13)
-    # between nodes the error is interpolation-limited; use a broad resonance
-    broad = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1.0))
-    tb = material_table(broad, grid)
-    mid = np.sqrt(grid[:-1] * grid[1:])[::5]
-    assert_allclose(tb.eps_fourier(mid), permittivity_fourier(broad, mid), rtol=5e-4, atol=5e-4)
+    assert np.all(t.eps_laplace(np.array([0.5, 1j, -2.0 + 3j])) == 1e4)

@@ -43,6 +43,15 @@ def equal_t_geom(gap=1.0, T=1.0):
     return identical_plates(gap, T, T)
 
 
+def default_plates(gap, t_left, t_right):
+    """The plates of configs/default.cfg at temperatures (T_L, T_R)."""
+    def plate(omega0, lambda0, gamma, T):
+        return Material(omega0=omega0, lambda0=lambda0, bath=BathModel(kind="ohmic", gamma=gamma),
+                        beta_bath=1.0 / T if T > 0.0 else math.inf)
+    return Geometry(gap=gap, left=plate(1.0, 1.0, 0.1, t_left),
+                    right=plate(1.3, 0.8, 0.2, t_right))
+
+
 # ---------------------------------------------------------------------------
 # the stress contraction against a finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -454,25 +463,33 @@ def test_bath_channels_frequency_array_matches_scalar_calls(kernel):
         assert np.isfinite(on_line) and on_line != 0.0
 
 
-def test_bath_channels_frequency_batch_with_a_partly_lossless_plate():
-    # a table plate without loss below omega = 1 emits nothing there (its
-    # weight is 0 and, in the propagating sector, so is Re qn); in a batch
-    # that mixes both kinds of frequency its channels still read exactly 0
-    grid = np.geomspace(0.05, 20.0, 40)
-    table = EpsilonTable(omega=grid, eps=3.0 + np.where(grid < 1.0, 0.0, 0.5j),
-                         beta_bath=1.0)
-    geom = Geometry(gap=1.0, left=table, right=warm_geom().right)
-    ws = np.array([0.3, 2.0, 0.6, 5.0])
+def partly_emitting_geom(gap=0.9):
+    """A cold lossy plate (T = 0.05: coth(omega/2T) - 1 is exactly 0 above
+    omega = 2) facing a lossless constant table, which never emits."""
+    cold = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1),
+                    beta_bath=20.0)
+    table = EpsilonTable(omega=np.array([1.0]), eps=np.array([3.0 + 0.0j]), beta_bath=1.0)
+    return Geometry(gap=gap, left=cold, right=table)
+
+
+def test_bath_channels_frequency_batch_with_a_partly_emitting_plate():
+    # under thermal_only the cold plate emits nothing above omega = 2,
+    # where coth(omega/2T) - 1 is exactly 0 (`_coth` returns 1 past
+    # x = 20), and its lossless constant-table partner emits nothing at
+    # all; in a batch that mixes both kinds of frequency each plate's
+    # channels still read exactly 0 where it does not emit
+    geom = partly_emitting_geom(gap=1.0)
+    ws = np.array([0.3, 2.5, 0.6, 5.0])
     Q = ws[:, None] * np.array([0.2, 0.9, 1.4])
-    grid_ch = pr._bath_channels(geom, ws[:, None], Q)
+    grid_ch = pr._bath_channels(geom, ws[:, None], Q, thermal_only=True)
     for i, w in enumerate(ws):
-        want = pr._bath_channels(geom, float(w), Q[i])
+        want = pr._bath_channels(geom, float(w), Q[i], thermal_only=True)
         assert_allclose(grid_ch[:, i], want, rtol=1e-14, atol=0.0)
         for key, v in zip(BREAKDOWN_KEYS, grid_ch[:, i]):
-            if key[0] == "L" and w < 1.0:
+            if key[0] == "R" or w > 2.0:
                 assert np.all(v == 0.0)
     lte_prop = BREAKDOWN_KEYS.index(("L", "TE", "propagating"))
-    assert np.all(grid_ch[lte_prop][ws > 1.0, :2] != 0.0)
+    assert np.all(grid_ch[lte_prop][ws < 2.0, :2] != 0.0)
 
 
 def test_bath_channels_frequency_batch_still_detects_trapped_modes():
@@ -576,19 +593,12 @@ def test_sector_split_matches_the_per_node_rules(kernel, thermal_only):
 
 def workspace_batch(n, rng):
     """n nodes of both sectors over five frequencies, every fifth on the
-    light line Q = omega; the lossless table of `partly_lossless_geom`
-    emits nothing at the two lowest."""
+    light line Q = omega; under thermal_only the cold plate of
+    `partly_emitting_geom` emits nothing at the two highest."""
     w = rng.choice(np.array([0.3, 0.7, 1.6, 2.5, 6.0]), n)
     x = rng.uniform(0.0, 3.0, n)
     x[::5] = 1.0
     return w, w * x
-
-
-def partly_lossless_geom():
-    grid = np.geomspace(0.05, 20.0, 40)
-    table = EpsilonTable(omega=grid, eps=3.0 + np.where(grid < 1.0, 0.0, 0.5j),
-                         beta_bath=1.0)
-    return Geometry(gap=0.9, left=table, right=warm_geom().right)
 
 
 @pytest.mark.parametrize("thermal_only", [False, True])
@@ -596,9 +606,10 @@ def partly_lossless_geom():
 def test_one_workspace_serves_every_chunk_size(kernel, thermal_only):
     # one workspace at 3840 points (a full chunk), then 7, then 5000 (it
     # grows): every call equals a fresh one bit for bit, with light-line
-    # points and weight-0 lanes of a partly lossless plate in each batch
+    # points and weight-0 lanes in each batch, of a plate that never emits
+    # and, under thermal_only, of one that emits at some frequencies only
     # (a RuntimeWarning there would fail the test)
-    geom = partly_lossless_geom()
+    geom = partly_emitting_geom()
     rng = np.random.default_rng(21)
     work = pr._Workspace()
     for n in (15 * pr._PANEL_CHUNK, 7, 5000):
@@ -733,22 +744,31 @@ def test_nonequilibrium_pressure_is_linear_in_each_occupation():
     assert abs(shift[1.0] - shift[0.2]) <= 1e-6 * abs(shift[1.0])
 
 
+@pytest.mark.parametrize("gap, t_left, t_right", [(1.0, 1.0, 0.5), (0.7, 2.0, 0.2),
+                                                  (2.0, 1.0, 0.3)])
+def test_plate_exchange_identity_for_dissimilar_plates(gap, t_left, t_right):
+    # P is linear in each plate's occupation, so exchanging the two
+    # temperatures and adding gives P(T_L, T_R) + P(T_R, T_L) =
+    # P_eq(T_L) + P_eq(T_R), each P_eq the imaginary-frequency sum of the
+    # same dissimilar pair at one temperature.  The deviation, 1.3e-6 to
+    # 3.6e-6 of |P(T_L, T_R)| + |P(T_R, T_L)| at these points, is the
+    # residue of the Euler tail past omega_max; the reported errors sum
+    # to 3.6e-5 to 1.1e-4 of it.  The identity is blind to the part of P
+    # that is odd under the exchange.
+    opts = PressureOptions(rel_tol=1e-4)
+    there = steady_pressure(default_plates(gap, t_left, t_right), opts)
+    back = steady_pressure(default_plates(gap, t_right, t_left), opts)
+    eq = sum(equilibrium_matsubara(default_plates(gap, T, T), T) for T in (t_left, t_right))
+    assert abs(there.value + back.value - eq) <= there.err + back.err
+
+
 def test_thermal_only_is_pressure_minus_zero_temperature_pressure():
     # P is linear in each plate's occupation and coth = 1 + (coth - 1), so the
-    # thermal-only pressure at (T_L, T_R) is P(T_L, T_R) - P(0, 0); the plates
-    # are those of configs/default.cfg
-    def geom(t_left, t_right):
-        def plate(omega0, lambda0, gamma, T):
-            return Material(omega0=omega0, lambda0=lambda0,
-                            bath=BathModel(kind="ohmic", gamma=gamma),
-                            beta_bath=1.0 / T if T > 0.0 else math.inf)
-        return Geometry(gap=1.0, left=plate(1.0, 1.0, 0.1, t_left),
-                        right=plate(1.3, 0.8, 0.2, t_right))
-
+    # thermal-only pressure at (T_L, T_R) is P(T_L, T_R) - P(0, 0)
     opts = PressureOptions(rel_tol=1e-4)
-    full = steady_pressure(geom(1.0, 0.5), opts)
-    cold = steady_pressure(geom(0.0, 0.0), opts)
-    thermal = steady_pressure(geom(1.0, 0.5), replace(opts, thermal_only=True))
+    full = steady_pressure(default_plates(1.0, 1.0, 0.5), opts)
+    cold = steady_pressure(default_plates(1.0, 0.0, 0.0), opts)
+    thermal = steady_pressure(default_plates(1.0, 1.0, 0.5), replace(opts, thermal_only=True))
     assert thermal.value != 0.0
     assert abs(thermal.value - (full.value - cold.value)) <= full.err + cold.err + thermal.err
 

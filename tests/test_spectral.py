@@ -197,18 +197,19 @@ def test_inversion_rejects_bad_grids():
         invert_laplace_qbm(LOSSY, [1.0, 0.5])
 
 
-def mp_talbot(mat, t, stretch=1.0):
+def mp_talbot(mat, t, n=None):
     """G(t) as the contour sum of `invert_laplace_qbm` evaluated node by
-    node in mpmath: the same nodes s_k = r base_k, radius (the canonical
-    one times ``stretch``) and working precision, each term
-    exp(t s_k) w_k F(s_k) one mpmath number, one rounding to a float at
-    the end.  At the canonical radius t s_k is (2M/5) base_k exactly."""
+    node in mpmath: the same node count (the first one tried unless n is
+    given), canonical radius r = 2n/(5t), nodes s_k = r base_k and working
+    precision, each term exp((2n/5) base_k) w_k F(s_k) one mpmath number,
+    one rounding to a float at the end."""
     import mpmath as mp
 
     poles = [s for s, _, _ in find_qbm_poles(mat).roots]
     r_floor = (2.4 / math.pi) * max(abs(p.imag) for p in poles)
-    n = max(spectral.TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
-    r = 2.0 * n / (5.0 * t) * stretch
+    if n is None:
+        n = max(spectral.TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
+    r = 2.0 * n / (5.0 * t)
     with mp.workdps(max(35, 25 + int(0.2 * n))):
         w2, g = mp.mpf(mat.omega0) ** 2, mp.mpf(mat.bath.gamma)
         if mat.bath.kind == "ohmic_lorentz_cutoff":
@@ -217,10 +218,7 @@ def mp_talbot(mat, t, stretch=1.0):
         else:
             F = lambda s: 1 / (s * s + g * s + w2)  # noqa: E731
         rm = mp.mpf(r)
-        if stretch == 1.0:
-            expo = lambda b: mp.exp(mp.mpf(2 * n) / 5 * b)  # noqa: E731
-        else:
-            expo = lambda b: mp.exp(mp.mpf(t) * (rm * b))  # noqa: E731
+        expo = lambda b: mp.exp(mp.mpf(2 * n) / 5 * b)  # noqa: E731
         total = mp.re(mp.mpf(0.5) * F(rm) * expo(mp.mpf(1)))
         for k in range(1, n):
             th = mp.pi * k / n
@@ -240,29 +238,49 @@ def test_fixed_point_node_sum_matches_mpmath(monkeypatch, mat, t):
     monkeypatch.setattr(spectral, "_min_node_gap",
                         lambda n_eff, r, poles: seen.append(n_eff) or real_gap(n_eff, r, poles))
     got = invert_laplace_qbm(mat, [t])[0]
-    assert len(seen) == 1       # the canonical radius
+    assert len(seen) == 1       # the first node count
     assert (seen[0] > spectral.TALBOT_NODES) == (mat is CUTOFF)
     assert got == mp_talbot(mat, t)
 
 
 def test_inversion_rescaled_radius(monkeypatch):
-    # a contour node on a pole moves the radius off the canonical one (by
-    # 1.0917 per try): refuse the canonical radius once per point
+    # a contour node on a pole moves the point to the next node count, with
+    # its own canonical radius 2M/(5t): refuse the first count once per point
     real_gap, seen = spectral._min_node_gap, []
 
     def refuse_first(n_eff, r, poles):
-        seen.append(r)
+        seen.append((n_eff, r))
         return 0.0 if len(seen) == 1 else real_gap(n_eff, r, poles)
 
     monkeypatch.setattr(spectral, "_min_node_gap", refuse_first)
     w1 = math.sqrt(1.0 - 0.05 ** 2)
+    n = spectral.TALBOT_NODES
     for t in (0.7, 3.0, 12.0):
         seen.clear()
         got = invert_laplace_qbm(LOSSY, [t])[0]
-        r = 2.0 * spectral.TALBOT_NODES / (5.0 * t)
-        assert seen == [r, r * 1.0917]
-        assert got == mp_talbot(LOSSY, t, stretch=1.0917)
+        assert seen == [(n, 2.0 * n / (5.0 * t)), (n + 1, 2.0 * (n + 1) / (5.0 * t))]
+        assert got == mp_talbot(LOSSY, t, n=n + 1)
         assert abs(got - math.exp(-0.05 * t) * math.sin(w1 * t) / w1) <= 1e-6
+
+
+def test_inversion_raises_when_no_node_count_avoids_the_poles(monkeypatch):
+    seen = []
+    monkeypatch.setattr(spectral, "_min_node_gap",
+                        lambda n_eff, r, poles: seen.append(n_eff) or 0.0)
+    with pytest.raises(SingularityError, match="cannot avoid a response pole"):
+        invert_laplace_qbm(LOSSY, [1.0])
+    assert seen == list(range(spectral.TALBOT_NODES, spectral.TALBOT_NODES + 8))
+
+
+def test_min_node_gap_matches_the_contour_nodes():
+    # the cached node angles give the nodes r theta_k (cot theta_k + i)
+    # and the node r, for every node count and radius asked
+    poles = [-0.05 + 0.9987j, -0.05 - 0.9987j]
+    for n_eff, r in ((64, 9.1), (65, 0.37), (64, 2.0)):
+        th = np.pi * np.arange(1, n_eff) / n_eff
+        nodes = np.concatenate([[r + 0.0j], r * th * (1.0 / np.tan(th) + 1j)])
+        want = min(float(np.min(np.abs(nodes - p))) / (1.0 + abs(p)) for p in poles)
+        assert spectral._min_node_gap(n_eff, r, poles) == want
 
 
 # ---------------------------------------------------------------------------
@@ -284,10 +302,6 @@ def test_plate_roots_dispersionless_table():
     rep = plate_mode_roots(table, 2.0)
     got = sorted((s for s, _, _ in rep.roots), key=lambda z: z.imag)
     assert_allclose(got[1], 1j, atol=1e-14)
-    dispersive = EpsilonTable(omega=np.array([1.0, 2.0]),
-                              eps=np.array([4.0 + 0.1j, 3.0 + 0.1j]))
-    with pytest.raises(DomainError):
-        plate_mode_roots(dispersive, 2.0)
 
 
 def test_plate_roots_lossy_left_half_plane():
