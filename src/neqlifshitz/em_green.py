@@ -7,16 +7,20 @@ transform in the transverse plane every block is a finite sum of terms
     scalar * exp(exp_z * z) * exp(src_exp * (z_src - z_ref)) * f ⊗ u
 
 over polarizations mu in {TE, TM}, which is kept symbolic (GreenTerm /
-GreenBlock) so that z-derivatives act exactly term by term.  The stress
-contraction of two blocks (`spectral.theta_contract`) and the transient
-integrands built on it live in :mod:`.spectral`; the steady pressure
-(:mod:`.pressure`) uses only the Fresnel coefficients and wavenumbers of
-this module.
+GreenBlock) so that z-derivatives act exactly term by term.  The plates
+are isotropic, so every block lies at transverse wavevector
+phase_sign*Q*xhat.  Each build evaluates its optics once, in one private
+record (`_optics`: the gap wavenumber and, per plate, the permittivity,
+wavenumber and Fresnel coefficients at (s, Q)), and every term reads
+from it.  The stress contraction of two blocks (`spectral.theta_contract`)
+and the transient integrands built on it live in :mod:`.spectral`; the
+steady pressure (:mod:`.pressure`) uses only the Fresnel coefficients and
+wavenumbers of this module.
 
 Conventions: q_z = sqrt(eps(s) s^2 + Q^2) with the principal branch and a
 retarded shift s -> s + eta realizing boundary values from Re s > 0;
-polarization vectors e_TE = Qhat x zhat and
-e_TM[+-] = (Q zhat -+ i q_z Qhat) / (sqrt(eps) i s), where [+] propagates
+with qv = phase_sign*xhat, polarization vectors e_TE = qv x zhat and
+e_TM[+-] = (Q zhat -+ i q_z qv) / (sqrt(eps) i s), where [+] propagates
 toward +z.  In every transmitted term the sqrt(eps) of e_TM cancels
 against the one in t^TM; the assembled source vectors below use the
 cancelled form and are single-valued across the sqrt(eps) cut.
@@ -35,6 +39,7 @@ ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
 
 _PLATES = ("L", "R")
+_POLS = ("TE", "TM")
 
 
 @dataclass(frozen=True)
@@ -198,23 +203,21 @@ def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
     return r_te, r_tm, t_te, abs_tm, abs_qn
 
 
-def _plate_fresnel(geom, s, Q, _fresnel=None):
-    """Per plate (left, right), (r_TE, r_TM, t_TE, eps, qn) at (s, Q).
+def _optics(geom, s, Q):
+    """The optics record (q, plates) that one block build shares: the gap
+    z-wavenumber q and plates[plate] = (eps, qn, (r_TE, r_TM)) per plate.
 
-    Each plate's permittivity and z-wavenumber ride along with its Fresnel
-    coefficients, so the block builders never evaluate them again.
-    ``_fresnel`` is the pair a caller already computed for this same
-    (geom, s, Q); it is returned as is.
+    qz runs once for the gap, and plate_eps, qz and `_fresnel_coeffs` once
+    per plate.  A Fresnel denominator root raises SingularityError naming
+    the first such point of s.
     """
-    if _fresnel is not None:
-        return _fresnel
     q = np.asarray(qz(1.0, s, Q))
-    pair = []
-    for side in (geom.left, geom.right):
-        eps = plate_eps(side, s)
+    plates = {}
+    for plate in _PLATES:
+        eps = plate_eps(geom.side(plate), s)
         qn = np.asarray(qz(eps, s, Q))
-        pair.append(_fresnel_coeffs(eps, q, qn, s)[:3] + (eps, qn))
-    return tuple(pair)
+        plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[:2])
+    return q, plates
 
 
 def _block_s(s):
@@ -227,18 +230,20 @@ def _first_bad(s, bad):
     return np.broadcast_to(s, np.shape(bad))[bad].flat[0] if np.ndim(s) else complex(s)
 
 
-def dmu(geom, s, Q, pol, _fresnel=None):
+def dmu(geom, s, Q, pol):
     """Multiple-reflection denominator D_mu = 1 - r1 r2 exp(-2 q_z l).
 
-    ``_fresnel`` is the private `_plate_fresnel` pair at the same (s, Q),
-    for block builders that already hold it.
+    A pol other than "TE" or "TM" raises DomainError.
     """
-    i = 0 if pol == "TE" else 1
-    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
-    r1 = f_left[i]
-    r2 = f_right[i]
-    q = np.asarray(qz(1.0, s, Q))
-    return 1.0 - r1 * r2 * np.exp(-2.0 * q * geom.gap)
+    if pol not in _POLS:
+        raise DomainError(f"pol must be 'TE' or 'TM', got {pol!r}")
+    return _dmu(geom, _optics(geom, s, Q), _POLS.index(pol))
+
+
+def _dmu(geom, optics, i):
+    """D_mu of `dmu` from an optics record, for polarization index i."""
+    q, plates = optics
+    return 1.0 - plates["L"][2][i] * plates["R"][2][i] * np.exp(-2.0 * q * geom.gap)
 
 
 # ---------------------------------------------------------------------------
@@ -269,14 +274,14 @@ class GreenTerm:
 
 @dataclass(frozen=True)
 class GreenBlock:
-    """Sum-of-exponentials Green-tensor block at fixed (s, Q, qhat).
+    """Sum-of-exponentials Green-tensor block at fixed (s, Q).
 
     ``s`` is one complex Laplace point or an array of them; an array
     broadcasts against Q, and every term's arrays carry the broadcast
     shape of the two (plus the vector axis for field and source vectors).
 
     ``phase_sign`` records whether the block lives at transverse wavevector
-    +Q*qhat or -Q*qhat (the sign enters the polarization vectors and the
+    +Q*xhat or -Q*xhat (the sign enters the polarization vectors and the
     transverse derivatives of the stress contraction).  ``delta_scalar``
     carries the symbolic -zz*delta(z - z_src)/s^2 bulk term, never
     evaluated at coincidence.
@@ -285,7 +290,6 @@ class GreenBlock:
     terms: tuple
     s: complex                    # or ndarray of Laplace points
     Q: np.ndarray
-    qhat: np.ndarray
     phase_sign: int
     geom: Geometry
     z_src: float = None
@@ -329,41 +333,86 @@ class GreenBlock:
         return out
 
 
-def _gap_vectors(s, Q, qhat, phase_sign, q=None):
-    """Vacuum polarization vectors of a block at wavevector phase_sign*Q*qhat.
+def _gap_vectors(s, Q, q, phase_sign):
+    """Vacuum polarization vectors of a block at wavevector
+    phase_sign*Q*xhat, from the gap wavenumber q: per polarization the
+    (up, down) pair of `_POLS` order, (e_TE, e_TE) and (e_TM[+], e_TM[-]).
 
     s (one point or an array) broadcasts against Q; the vectors are shaped
     broadcast(s, Q) + (3,).
     """
-    qv = phase_sign * np.asarray(qhat, dtype=float)
-    Q = np.asarray(Q, dtype=float)
-    if q is None:
-        q = np.asarray(qz(1.0, s, Q))
-    e_te = np.broadcast_to(np.cross(qv, ZHAT), q.shape + (3,))
+    e_te = np.broadcast_to(np.array([0.0, -phase_sign, 0.0]), q.shape + (3,))  # qv x zhat
     scale = np.asarray(1.0 / (1j * _s_eff(s)))[..., None]
     qz_part = np.multiply.outer(Q, ZHAT) * scale
-    qv_part = np.multiply.outer(q, qv) * (1j * scale)
-    return qv, e_te, qz_part - qv_part, qz_part + qv_part
+    qv_part = np.multiply.outer(q, phase_sign * XHAT) * (1j * scale)
+    return (e_te, e_te), (qz_part - qv_part, qz_part + qv_part)
 
 
-def _source_vecs(eps, q, qn, s, Q, qv, updown, num):
+def _source_vecs(eps, q, qn, s, Q, phase_sign, updown, num):
     """Assembled t^mu * e_mu^(n)[updown] of one plate, sqrt(eps) cancelled.
 
     eps, q and qn are the plate's permittivity and the gap and plate
-    z-wavenumbers at (s, Q), s one point or an array broadcast against Q.  num is the numerator of the transmission
-    coefficient: 2 qn for plate->gap, 2 q for gap->plate.
+    z-wavenumbers at (s, Q), s one point or an array broadcast against Q.
+    num is the numerator of the transmission coefficient: 2 qn for
+    plate->gap, 2 q for gap->plate.  With qv = phase_sign*xhat,
 
         TE: num/(q + qn) * (qv x zhat)
         TM: num (Q zhat - updown*i*qn*qv) / ((eps q + qn) (i s))
     """
-    te = (num / (q + qn))[..., None] * np.cross(qv, ZHAT)
+    te = (num / (q + qn))[..., None] * np.array([0.0, -phase_sign, 0.0])
     tm = (np.multiply.outer(np.asarray(Q, dtype=float), ZHAT)
-          - updown * 1j * np.multiply.outer(qn, qv)) \
+          - updown * 1j * np.multiply.outer(qn, phase_sign * XHAT)) \
         * (num / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
     return te, tm
 
 
-def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
+def _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign):
+    """The direct and reflected terms per polarization of a from-plate
+    block (see `green_gap_from_plate`), from the build's optics record
+    and gap vectors."""
+    q, plates = optics
+    eps, qn, r_own = plates[plate]
+    r_far = plates["R" if plate == "L" else "L"][2]
+    updown = +1 if plate == "L" else -1
+    src = _source_vecs(eps, q, qn, s, Q, phase_sign, updown, 2.0 * qn)
+    if plate == "L":
+        direct_exp, refl_exp, src_exp = -q, +q, +qn
+    else:
+        direct_exp, refl_exp, src_exp = +q, -q, -qn
+    ex = np.exp(-q * geom.gap)               # one full gap crossing
+    decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
+    decay_far = decay_near * ex              # after one far-plate bounce
+    z_ref = geom.boundary(plate)
+    terms = []
+    for i, (pol, (up, dn)) in enumerate(zip(_POLS, vectors)):
+        dvec, rvec = (up, dn) if plate == "L" else (dn, up)
+        pref = -1.0 / (2.0 * qn * (1.0 - r_own[i] * r_far[i] * ex * ex))
+        terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
+                               field_vec=dvec, src_vec=src[i],
+                               scalar=pref * decay_near + 0j,
+                               exp_z=direct_exp + 0j, src_exp=src_exp,
+                               z_ref=z_ref))
+        terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
+                               field_vec=rvec, src_vec=src[i],
+                               scalar=pref * r_far[i] * decay_far + 0j,
+                               exp_z=refl_exp + 0j, src_exp=src_exp,
+                               z_ref=z_ref))
+    return terms
+
+
+def _from_plate_blocks(geom, plates, s, Q, phase_sign):
+    """{plate: from-plate block} for the named plates, all built from one
+    optics record and one set of gap vectors."""
+    Q = np.asarray(Q, dtype=float)
+    optics = _optics(geom, s, Q)
+    vectors = _gap_vectors(s, Q, optics[0], phase_sign)
+    return {plate: GreenBlock(terms=tuple(_from_plate_terms(geom, plate, s, Q, optics,
+                                                            vectors, phase_sign)),
+                              s=_block_s(s), Q=Q, phase_sign=phase_sign, geom=geom)
+            for plate in plates}
+
+
+def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1):
     """Green block: field point in the gap, source point inside one plate.
 
     Two terms per polarization: the transmitted wave runs straight to the
@@ -376,101 +425,65 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1, _fresnel=None):
     plate-source integrals; the steady pressure uses the closed form they
     contract to (see the pressure module), and the tests check one
     against the other.
-    s may be one Laplace point or an array broadcast against Q.
-    ``_fresnel`` is the private `_plate_fresnel` pair at the same
-    (s, Q), for builders that already hold it.
+    s may be one Laplace point or an array broadcast against Q.  A plate
+    other than "L" or "R" raises DomainError.
     """
-    Q = np.asarray(Q, dtype=float)
-    q = np.asarray(qz(1.0, s, Q))
-    f_left, f_right = _plate_fresnel(geom, s, Q, _fresnel)
-    f_own, f_other = (f_left, f_right) if plate == "L" else (f_right, f_left)
-    eps, qn = f_own[3], f_own[4]
-    qv, e_te, e_tm_up, e_tm_dn = _gap_vectors(s, Q, qhat=XHAT,
-                                              phase_sign=phase_sign, q=q)
-    updown = +1 if plate == "L" else -1
-    src_te, src_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * qn)
-    if plate == "L":
-        direct_tm, refl_tm = e_tm_up, e_tm_dn
-        direct_exp, refl_exp, src_exp = -q, +q, +qn
-    else:
-        direct_tm, refl_tm = e_tm_dn, e_tm_up
-        direct_exp, refl_exp, src_exp = +q, -q, -qn
-    ex = np.exp(-q * geom.gap)               # one full gap crossing
-    decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
-    decay_far = decay_near * ex              # after one far-plate bounce
-    z_ref = geom.boundary(plate)
-    terms = []
-    for i, pol, dvec, rvec, svec in ((0, "TE", e_te, e_te, src_te),
-                                     (1, "TM", direct_tm, refl_tm, src_tm)):
-        r_far = f_other[i]
-        pref = -1.0 / (2.0 * qn * (1.0 - f_own[i] * r_far * ex * ex))
-        terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
-                               field_vec=dvec, src_vec=svec,
-                               scalar=pref * decay_near + 0j,
-                               exp_z=direct_exp + 0j, src_exp=src_exp,
-                               z_ref=z_ref))
-        terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
-                               field_vec=rvec, src_vec=svec,
-                               scalar=pref * r_far * decay_far + 0j,
-                               exp_z=refl_exp + 0j, src_exp=src_exp,
-                               z_ref=z_ref))
-    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
-                      phase_sign=phase_sign, geom=geom)
+    geom.side(plate)
+    return _from_plate_blocks(geom, (plate,), s, Q, phase_sign)[plate]
 
 
-def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1, _fresnel=None):
+def _scattered_terms(geom, optics, i, up, dn):
+    """The scattered terms S1..S4 of polarization index i of a gap-source
+    block, from the build's optics record and that polarization's gap
+    vectors: the four once-or-more reflected paths, each resummed by
+    1/D_mu, with the source exponents kept symbolic."""
+    q, plates = optics
+    l, pol = geom.gap, _POLS[i]
+    pref = -1.0 / (2.0 * q)
+    r1, r2, d = plates["L"][2][i], plates["R"][2][i], _dmu(geom, optics, i)
+    rr = r1 * r2 / d
+    # S1: up at z after r2 then r1 round trips;  S2: down-source, r1, up
+    # S3: up-source, r2, down;                   S4: down after r1 then r2
+    return [GreenTerm(pol=pol, plate="gap", tag="S1", field_vec=up, src_vec=up,
+                      scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
+                      exp_z=-q + 0j, src_exp=+q),
+            GreenTerm(pol=pol, plate="gap", tag="S2", field_vec=up, src_vec=dn,
+                      scalar=pref * r1 / d * np.exp(-q * l) + 0j,
+                      exp_z=-q + 0j, src_exp=-q),
+            GreenTerm(pol=pol, plate="gap", tag="S3", field_vec=dn, src_vec=up,
+                      scalar=pref * r2 / d * np.exp(-q * l) + 0j,
+                      exp_z=+q + 0j, src_exp=+q),
+            GreenTerm(pol=pol, plate="gap", tag="S4", field_vec=dn, src_vec=dn,
+                      scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
+                      exp_z=+q + 0j, src_exp=-q)]
+
+
+def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):
     """Green block: both points in the gap (bulk + scattered pieces).
 
     Bulk: the free two-sided decay plus the symbolic
     -zz*delta(z-z')/s^2 term (flagged, never evaluated).  Scattered: the
     four once-or-more reflected paths, each resummed by 1/D_mu.
     s may be one Laplace point or an array broadcast against Q.
-    ``_fresnel`` is the private `_plate_fresnel` pair at the same
-    (s, Q), for builders that already hold it.
     """
     Q = np.asarray(Q, dtype=float)
     l = geom.gap
     if not (-l / 2 < z_src < l / 2):
         raise DomainError(f"source height {z_src} outside the gap")
-    q = np.asarray(qz(1.0, s, Q))
-    qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
-    pair = _plate_fresnel(geom, s, Q, _fresnel)
-    r1 = pair[0][:2]
-    r2 = pair[1][:2]
-    d = {"TE": dmu(geom, s, Q, "TE", _fresnel=pair),
-         "TM": dmu(geom, s, Q, "TM", _fresnel=pair)}
+    optics = _optics(geom, s, Q)
+    q = optics[0]
     pref = -1.0 / (2.0 * q)
 
     terms = []
-    for ipol, pol in enumerate(("TE", "TM")):
-        up = e_te if pol == "TE" else e_up
-        dn = e_te if pol == "TE" else e_dn
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="bulk+",
+    for i, (up, dn) in enumerate(_gap_vectors(s, Q, q, phase_sign)):
+        terms.append(GreenTerm(pol=_POLS[i], plate="gap", tag="bulk+",
                                field_vec=up, src_vec=up, scalar=pref + 0j,
                                exp_z=-q + 0j, src_exp=+q, step="z>zs"))
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="bulk-",
+        terms.append(GreenTerm(pol=_POLS[i], plate="gap", tag="bulk-",
                                field_vec=dn, src_vec=dn, scalar=pref + 0j,
                                exp_z=+q + 0j, src_exp=-q, step="z<zs"))
-        rr = r1[ipol] * r2[ipol] / d[pol]
-        # S1: up at z after r2 then r1 round trips;  S2: down-source, r1, up
-        # S3: up-source, r2, down;                   S4: down after r1 then r2
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="S1",
-                               field_vec=up, src_vec=up,
-                               scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
-                               exp_z=-q + 0j, src_exp=+q))
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="S2",
-                               field_vec=up, src_vec=dn,
-                               scalar=pref * r1[ipol] / d[pol] * np.exp(-q * l) + 0j,
-                               exp_z=-q + 0j, src_exp=-q))
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="S3",
-                               field_vec=dn, src_vec=up,
-                               scalar=pref * r2[ipol] / d[pol] * np.exp(-q * l) + 0j,
-                               exp_z=+q + 0j, src_exp=+q))
-        terms.append(GreenTerm(pol=pol, plate="gap", tag="S4",
-                               field_vec=dn, src_vec=dn,
-                               scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
-                               exp_z=+q + 0j, src_exp=-q))
-    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
+        terms += _scattered_terms(geom, optics, i, up, dn)
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q,
                       phase_sign=phase_sign, geom=geom, z_src=z_src,
                       has_delta=True, delta_scalar=-1.0 / _s_eff(s) ** 2)
 
@@ -481,45 +494,39 @@ def green_plate_from_gap(geom, plate, s, Q, z_src, phase_sign=+1):
     Reciprocal partner of green_gap_from_plate (used to check
     G^{ij}(x,x') = G^{ji}(x',x)): the source's down/up waves reach the
     interface directly or via the far plate, then transmit into the plate
-    with the gap-side coefficient.
+    with the gap-side coefficient.  s may be one Laplace point or an
+    array broadcast against Q.  A plate other than "L" or "R" raises
+    DomainError.
     """
+    geom.side(plate)
     Q = np.asarray(Q, dtype=float)
     l = geom.gap
     if not (-l / 2 < z_src < l / 2):
         raise DomainError(f"source height {z_src} outside the gap")
-    q = np.asarray(qz(1.0, s, Q))
-    pair = _plate_fresnel(geom, s, Q)
-    own, other = (pair[0], pair[1]) if plate == "L" else (pair[1], pair[0])
-    eps, qn = own[3], own[4]
-    qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
-    r_other = other[:2]
-    d = {"TE": dmu(geom, s, Q, "TE", _fresnel=pair),
-         "TM": dmu(geom, s, Q, "TM", _fresnel=pair)}
+    optics = _optics(geom, s, Q)
+    q, plates = optics
+    eps, qn, _ = plates[plate]
+    r_far = plates["R" if plate == "L" else "L"][2]
     updown = -1 if plate == "L" else +1
-    fld_te, fld_tm = _source_vecs(eps, q, qn, s, Q, qv, updown, 2.0 * q)
-
+    fld = _source_vecs(eps, q, qn, s, Q, phase_sign, updown, 2.0 * q)
     if plate == "L":
-        fld_exp = +qn
-        near_src, far_src = {"TE": e_te, "TM": e_dn}, {"TE": e_te, "TM": e_up}
-        near_exp, far_exp = -q, +q
+        fld_exp, near_exp, far_exp = +qn, -q, +q
     else:
-        fld_exp = -qn
-        near_src, far_src = {"TE": e_te, "TM": e_up}, {"TE": e_te, "TM": e_dn}
-        near_exp, far_exp = +q, -q
+        fld_exp, near_exp, far_exp = -qn, +q, -q
 
     terms = []
-    for ipol, pol in enumerate(("TE", "TM")):
-        fvec = fld_te if pol == "TE" else fld_tm
-        pref = -np.exp(qn * l / 2) / (2.0 * q * d[pol])
+    for i, (pol, (up, dn)) in enumerate(zip(_POLS, _gap_vectors(s, Q, q, phase_sign))):
+        near_src, far_src = (dn, up) if plate == "L" else (up, dn)
+        pref = -np.exp(qn * l / 2) / (2.0 * q * _dmu(geom, optics, i))
         terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
-                               field_vec=fvec, src_vec=near_src[pol],
+                               field_vec=fld[i], src_vec=near_src,
                                scalar=pref * np.exp(-q * l / 2) + 0j,
                                exp_z=fld_exp + 0j, src_exp=near_exp + 0j))
         terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
-                               field_vec=fvec, src_vec=far_src[pol],
-                               scalar=pref * r_other[ipol] * np.exp(-3.0 * q * l / 2) + 0j,
+                               field_vec=fld[i], src_vec=far_src,
+                               scalar=pref * r_far[i] * np.exp(-3.0 * q * l / 2) + 0j,
                                exp_z=fld_exp + 0j, src_exp=far_exp + 0j))
-    return GreenBlock(terms=tuple(terms), s=complex(s), Q=Q, qhat=XHAT,
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q,
                       phase_sign=phase_sign, geom=geom, z_src=z_src)
 
 
@@ -541,15 +548,15 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     """Symbolic form of the plane-wave-weighted source integral.
 
     Returns a GreenBlock whose terms represent
-    int dz' G^{jb}(z1, z', phase_sign*Q*qhat, s) exp(i phase_sign*kz*z'),
+    int dz' G^{jb}(z1, z', phase_sign*Q*xhat, s) exp(i phase_sign*kz*z'),
     with src_exp = 0 (the source coordinate is integrated out) and the
     closed-form gap/plate denominators folded into the scalars.  The
     sign of the exponent kz follows phase_sign so that the partner block
     of a pressure contraction is obtained with phase_sign = -1.
 
-    The two plates' Fresnel coefficients, permittivities and
-    z-wavenumbers are evaluated once per build and shared by every
-    sub-block.  s may be an array of Laplace points broadcast against Q:
+    One optics record (`_optics`) and one set of gap vectors serve every
+    term, and only the scattered terms the integral keeps are built.
+    s may be an array of Laplace points broadcast against Q:
     one build then covers them all, and a point on a plate or gap
     denominator root raises a SingularityError naming the first such
     point.
@@ -557,16 +564,15 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     Q = np.asarray(Q, dtype=float)
     kz_eff = phase_sign * kz
     l = geom.gap
-    q = np.asarray(qz(1.0, s, Q))
-    qv, e_te, e_up, e_dn = _gap_vectors(s, Q, qhat=XHAT, phase_sign=phase_sign)
-    pair = _plate_fresnel(geom, s, Q)
+    optics = _optics(geom, s, Q)
+    q, plates = optics
+    vectors = _gap_vectors(s, Q, q, phase_sign)
 
     terms = []
     # --- source in the plates: boundary value / (qn -+ i kz)
-    for (plate, sgn), optics in zip((("L", +1), ("R", -1)), pair):
-        blk = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign,
-                                   _fresnel=pair)
-        qn = optics[4]
+    for plate, sgn in (("L", +1), ("R", -1)):
+        plate_terms = _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign)
+        qn = plates[plate][1]
         den = qn + sgn * 1j * kz_eff
         bad = np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))
         if np.any(bad):
@@ -575,7 +581,7 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                 f"plate source integral hits a root of qn {'+' if sgn>0 else '-'} i kz"
                 f" at s={pt}", point=pt)
         factor = np.exp(-sgn * 1j * kz_eff * l / 2) / den
-        for t in blk.terms:
+        for t in plate_terms:
             terms.append(replace(t, scalar=t.scalar * factor, src_exp=0.0, z_ref=0.0))
 
     # --- source in the gap: bulk two-sided pieces
@@ -588,7 +594,7 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
             raise SingularityError(
                 f"gap source integral hits the modified-mode root in {name} at s={pt}",
                 point=pt)
-    for pol, up, dn in (("TE", e_te, e_te), ("TM", e_up, e_dn)):
+    for pol, (up, dn) in zip(_POLS, vectors):
         terms.append(GreenTerm(pol=pol, plate="gap", tag="bulk+",
                                field_vec=up, src_vec=up,
                                scalar=-1.0 / (2.0 * q * cp) + 0j,
@@ -613,17 +619,15 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                            exp_z=1j * kz_eff + 0.0 * q))
 
     # --- source in the gap: scattered pieces, entire functions of kz
-    sc = green_gap_bulk_scattered(geom, s, Q, z_src=0.0, phase_sign=phase_sign,
-                                  _fresnel=pair)
+    scattered = [t for i, (up, dn) in enumerate(vectors)
+                 for t in _scattered_terms(geom, optics, i, up, dn)]
     f_up = _finite_exp_integral(+q + 1j * kz_eff, l)    # src_exp = +q terms
     f_dn = _finite_exp_integral(-q + 1j * kz_eff, l)    # src_exp = -q terms
-    for t in sc.terms:
-        if not t.tag.startswith("S"):
-            continue
+    for t in scattered:
         fac = f_up if t.tag in ("S1", "S3") else f_dn
         terms.append(replace(t, scalar=t.scalar * fac, src_exp=0.0))
 
-    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q, qhat=XHAT,
+    return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q,
                       phase_sign=phase_sign, geom=geom)
 
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em_green import (_block_s, _plate_fresnel, dmu, green_gap_from_plate,
-                       ic_z_block, ic_z_integral, qz)
+from .em_green import (_PLATES, _POLS, _block_s, _from_plate_blocks, dmu, ic_z_block,
+                       ic_z_integral, qz)
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import EpsilonTable, Material, _coth, qbm_green
 
@@ -84,9 +84,6 @@ TORUS_POINTS = 12
 #: Largest relative net divergent Laurent coefficient that counts as
 #: cancelled.
 CANCEL_TOL = 1e-5
-
-_PLATES = ("L", "R")
-_POLS = ("TE", "TM")
 
 
 # ----------------------------------------------------------------------
@@ -836,9 +833,10 @@ def _coincidence(block):
         F = sum_t scalar_t e^{exp_z z} f_t (x) u_t
         C = sum_t scalar_t e^{exp_z z} (curl f_t) (x) u_t,
 
-    where the curl of the plane-wave factor takes transverse derivatives
-    as +-i*Q*qhat on the block's parallel phase and z-derivatives as the
-    term's exp_z.  F and C are shaped broadcast(block.s, Q) + (3, 3).
+    where the curl of the plane-wave factor takes the transverse
+    derivative as +-i*Q*xhat on the block's parallel phase (the y
+    derivative is zero) and z-derivatives as the term's exp_z.  F and C
+    are shaped broadcast(block.s, Q) + (3, 3).
     ``rep`` is the block's first term, which carries the source of every
     term: either all terms are source-integrated (src_exp = 0, as in an
     ``ic_z_block``) or all share one (plate, z_ref, src_exp) (as in a
@@ -848,8 +846,7 @@ def _coincidence(block):
     Q = np.asarray(block.Q, dtype=float)
     z = block.geom.z_field
     phase = 1j * block.phase_sign
-    kx = (phase * float(block.qhat[0])) * Q
-    ky = (phase * float(block.qhat[1])) * Q
+    kx = phase * Q
     rep = block.terms[0] if block.terms else None
     integrated = all(np.all(np.asarray(t.src_exp) == 0) for t in block.terms)
     shape = np.broadcast_shapes(np.shape(block.s), Q.shape) + (3, 3)
@@ -866,8 +863,8 @@ def _coincidence(block):
         f = np.asarray(t.field_vec)
         fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
         ez = np.asarray(t.exp_z, dtype=complex)
-        curl = np.stack(np.broadcast_arrays(ky * fz - ez * fy, ez * fx - kx * fz,
-                                            kx * fy - ky * fx), axis=-1)
+        curl = np.stack(np.broadcast_arrays(-(ez * fy), ez * fx - kx * fz, kx * fy),
+                        axis=-1)
         scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
         su = np.asarray(scal)[..., None] * np.asarray(t.src_vec)
         F = F + f[..., :, None] * su[..., None, :]
@@ -905,7 +902,7 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
                      + eps^{irs} eps^{jlm} d_{r,1} d_{l,2})
 
     with Lambda = diag(1,1,-1): transverse derivatives act as
-    +-i*Q*qhat on each block's parallel phase, z-derivatives as the stored
+    +-i*Q*xhat on each block's parallel phase, z-derivatives as the stored
     exponents, and the two field points coincide at the geometry's
     ``z_field``.  The source indices are contracted with ``source_weight``
     (identity when None) and pending plate-source exponentials are
@@ -920,7 +917,7 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
     Parameters
     ----------
     block1, block2 : GreenBlock
-        Must share Q, qhat and field geometry; block2 is conventionally the
+        Must share Q and field geometry; block2 is conventionally the
         opposite-phase partner.  Each block's terms must all be
         source-integrated or share one (plate, z_ref, src_exp).
     s1, s2 : complex
@@ -942,8 +939,6 @@ def theta_contract(block1, block2, s1, s2, source_weight=None, split=False):
                 "coincidence; use the source-integrated form instead")
     if not np.array_equal(np.asarray(block1.Q), np.asarray(block2.Q)):
         raise DomainError("contracted blocks must share the transverse wavenumber Q")
-    if not np.allclose(block1.qhat, block2.qhat):
-        raise DomainError("contracted blocks must share the transverse direction")
     g1, g2 = block1.geom, block2.geom
     if g1.gap != g2.gap or g1.z_field != g2.z_field:
         raise DomainError("contracted blocks must share the field geometry")
@@ -987,20 +982,18 @@ def _dof_half(geom, Q, s, phase_sign):
     Returns (s, {plate: (s^2 G(s) - 1, s G(s), {pol: coincidence data})})
     over the coupled Material plates; phase_sign is +1 for the s1 factor
     and -1 for its s2 partner.  s is one Laplace point or an array of
-    them, broadcast against Q.  The plates' Fresnel data are evaluated
-    once and shared by both plates' blocks.
+    them, broadcast against Q.  Both plates' blocks come from one optics
+    record and one set of gap vectors.
     """
     s = _block_s(s)
     for side in (geom.left, geom.right):
         if not isinstance(side, Material):
             raise DomainError("oscillator integrands need Material plates")
     coupled = [p for p in _PLATES if geom.side(p).lambda0 != 0.0]
-    pair = _plate_fresnel(geom, s, Q) if coupled else None
+    blocks = _from_plate_blocks(geom, coupled, s, Q, phase_sign) if coupled else {}
     plates = {}
-    for plate in coupled:
+    for plate, block in blocks.items():
         g = qbm_green(geom.side(plate), s)
-        block = green_gap_from_plate(geom, plate, s, Q, phase_sign=phase_sign,
-                                     _fresnel=pair)
         plates[plate] = (s * s * g - 1.0, s * g,
                          {pol: _coincidence(block.filtered(pol)) for pol in _POLS})
     return s, plates

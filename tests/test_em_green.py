@@ -22,6 +22,7 @@ from neqlifshitz.em_green import (
 )
 from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, Material
+from neqlifshitz.spectral import scan_dmu_imaginary_axis
 
 from conftest import fresnel_tm_root
 
@@ -56,7 +57,7 @@ def curl_rows(block, z, z_src=None):
             w = 1.0 if ((z > z_src) == (t.step == "z>zs")) and z != z_src else 0.0
         if w == 0.0:
             continue
-        kappa = 1j * block.phase_sign * block.Q * block.qhat + t.exp_z * ZHAT
+        kappa = 1j * block.phase_sign * block.Q * XHAT + t.exp_z * ZHAT
         amp = t.scalar * np.exp(t.exp_z * z)
         if z_src is not None and not np.all(t.src_exp == 0.0):
             amp = amp * np.exp(t.src_exp * (z_src - t.z_ref))
@@ -165,7 +166,7 @@ def test_tm_sqrt_cut_cancellation():
 
     def tm_source(eps):
         qn = np.asarray(qz(eps, s, Q))
-        return em_green._source_vecs(eps, q, qn, s, Q, XHAT, +1, 2.0 * qn)[1]
+        return em_green._source_vecs(eps, q, qn, s, Q, +1, +1, 2.0 * qn)[1]
 
     tm_above, tm_below = tm_source(above), tm_source(below)
     assert np.max(np.abs(tm_above - tm_below)) < 1e-10
@@ -330,44 +331,6 @@ def test_ic_conjugation():
     assert_allclose(a, np.conj(b), rtol=1e-9, atol=1e-13)
 
 
-def test_ic_z_block_evaluates_each_plate_fresnel_once(monkeypatch):
-    # one build needs the two plates' coefficients, permittivities and
-    # z-wavenumbers once each; its from-plate, scattered and D_mu sub-builds
-    # share them, and the terms are the same bits as a build whose sub-builds
-    # each evaluate their own
-    geom = geom_pair(z_field=0.13)
-    s, Q, kz = 0.4 - 0.9j, np.array([0.3, 0.7, 1.9]), 1.3
-    pairs, eps_calls = [], []
-    plate_fresnel, counted_eps = em_green._plate_fresnel, em_green.plate_eps
-
-    def spy_pair(geom_, s_, Q_, _fresnel=None):
-        if _fresnel is None:
-            pairs.append(geom_)
-        return plate_fresnel(geom_, s_, Q_, _fresnel)
-
-    def spy_eps(side, s_):
-        eps_calls.append(side)
-        return counted_eps(side, s_)
-
-    monkeypatch.setattr(em_green, "_plate_fresnel", spy_pair)
-    monkeypatch.setattr(em_green, "plate_eps", spy_eps)
-    shared = ic_z_block(geom, s, Q, kz, phase_sign=-1)
-    assert len(pairs) <= 1
-    assert len(eps_calls) <= 2
-    assert {id(side) for side in eps_calls} == {id(geom.left), id(geom.right)}
-
-    def unshared(geom_, s_, Q_, _fresnel=None):
-        return plate_fresnel(geom_, s_, Q_)
-
-    monkeypatch.setattr(em_green, "_plate_fresnel", unshared)
-    alone = ic_z_block(geom, s, Q, kz, phase_sign=-1)
-    assert len(shared.terms) == len(alone.terms)
-    for a, b in zip(shared.terms, alone.terms):
-        assert (a.pol, a.plate, a.tag) == (b.pol, b.plate, b.tag)
-        for name in ("scalar", "exp_z", "field_vec", "src_vec"):
-            assert np.array_equal(getattr(a, name), getattr(b, name)), (a.tag, name)
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -383,6 +346,24 @@ def test_geometry_validation():
     g = geom_pair()
     sw = g.swapped()
     assert sw.left is g.right and sw.right is g.left and sw.z_field == -g.z_field
+
+
+def test_unknown_pol_or_plate_raises():
+    # a polarization other than "TE"/"TM" and a plate other than "L"/"R"
+    # are refused, not read as TM or as the right plate
+    geom = geom_pair()
+    s, Q = 0.3 - 0.8j, 0.6
+    grid = np.linspace(-1.0, 1.0, 41)
+    for pol in ("XX", "te", None):
+        with pytest.raises(DomainError, match="pol must be 'TE' or 'TM'"):
+            dmu(geom, s, Q, pol)
+        with pytest.raises(DomainError, match="pol must be 'TE' or 'TM'"):
+            scan_dmu_imaginary_axis(geom, pol, Q, grid)
+    for plate in ("M", "r", None):
+        with pytest.raises(DomainError, match="plate must be 'L' or 'R'"):
+            green_gap_from_plate(geom, plate, s, Q)
+        with pytest.raises(DomainError, match="plate must be 'L' or 'R'"):
+            green_plate_from_gap(geom, plate, s, Q, z_src=0.1)
 
 
 def test_bad_plate_and_source():

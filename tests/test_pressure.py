@@ -64,7 +64,7 @@ def plane_wave_block(geom, field, src, scalar, exp_z, phase_sign, Q,
                      src_vec=np.asarray(src, dtype=complex),
                      scalar=complex(scalar), exp_z=complex(exp_z),
                      src_exp=src_exp, z_ref=z_ref)
-    return GreenBlock(terms=(term,), s=-1j, Q=np.asarray(float(Q)), qhat=XHAT,
+    return GreenBlock(terms=(term,), s=-1j, Q=np.asarray(float(Q)),
                       phase_sign=phase_sign, geom=geom)
 
 
@@ -80,7 +80,7 @@ def pairwise_contract(block1, block2, s1, s2, source_weight=None):
 
     def term_data(block):
         phase = 1j * block.phase_sign
-        hx, hy = float(block.qhat[0]), float(block.qhat[1])
+        hx, hy = float(XHAT[0]), float(XHAT[1])
         rows = []
         for t in block.terms:
             f = np.asarray(t.field_vec)

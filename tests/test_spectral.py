@@ -610,11 +610,13 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         ic_origin_report(geom, k)
     assert len(ic_calls) == n_ic
 
-    dof_calls = _count_calls(monkeypatch, spectral, "green_gap_from_plate")
+    # one optics record per half, holding a block per coupled plate
+    dof_calls = _count_calls(monkeypatch, spectral, "_from_plate_blocks")
     tables.clear()
     dof_origin_report(geom, Q)
     n_dof = len(dof_calls)
-    assert 0 < n_dof <= 12
+    assert 0 < n_dof <= 6
+    assert sum(len(args[1]) for args in dof_calls) <= 12
     (ring, tabs), = tables
     for a, b in ((0, 0), (2, 9), (10, 4)):
         _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
@@ -673,17 +675,47 @@ def test_transient_blocks_reduce_to_one_source_factor(monkeypatch, kind):
     assert len(factors) == len(blocks) // 2
 
 
+def _count_optics(monkeypatch):
+    return {name: _count_calls(monkeypatch, em_green, name)
+            for name in ("qz", "plate_eps", "_fresnel_coeffs")}
+
+
+def _assert_one_optics_evaluation(geom, calls):
+    # the gap wavenumber once, then each plate's permittivity, wavenumber
+    # and Fresnel coefficients once
+    assert [args[0] for args in calls["plate_eps"]] == [geom.left, geom.right]
+    assert len(calls["qz"]) == 3 and calls["qz"][0][0] == 1.0
+    assert len(calls["_fresnel_coeffs"]) == 2
+
+
+_OPTICS_BUILDS = {
+    "from_plate_L": lambda g, s, Q: green_gap_from_plate(g, "L", s, Q),
+    "from_plate_R": lambda g, s, Q: green_gap_from_plate(g, "R", s, Q, phase_sign=-1),
+    "bulk_scattered": lambda g, s, Q: em_green.green_gap_bulk_scattered(g, s, Q, z_src=0.2),
+    "plate_from_gap": lambda g, s, Q: em_green.green_plate_from_gap(g, "L", s, Q, z_src=0.2),
+    "ic_z_block": lambda g, s, Q: em_green.ic_z_block(g, s, Q, 1.3, -1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_OPTICS_BUILDS))
+def test_block_build_evaluates_its_optics_once(monkeypatch, name):
+    # every sub-block and D_mu of one build reads the build's one
+    # evaluation of the optics
+    geom = warm_geom(z_field=0.13)
+    calls = _count_optics(monkeypatch)
+    _OPTICS_BUILDS[name](geom, 0.2 - 0.9j, np.array([0.3, 0.7, 1.9]))
+    _assert_one_optics_evaluation(geom, calls)
+
+
 def test_dof_half_evaluates_each_plate_fresnel_once(monkeypatch):
     # both plates' blocks of one Laplace point share one evaluation of the
-    # two plates' Fresnel data, and give the same bits as separate builds
+    # optics, and give the same bits as separate builds
     geom = warm_geom(z_field=0.13)
     Q, s = np.array([0.3, 0.7, 1.9]), 0.2 - 0.9j
-    eps_calls = _count_calls(monkeypatch, em_green, "plate_eps")
-    coeff_calls = _count_calls(monkeypatch, em_green, "_fresnel_coeffs")
+    calls = _count_optics(monkeypatch)
     _, plates = spectral._dof_half(geom, Q, s, -1)
+    _assert_one_optics_evaluation(geom, calls)
     assert set(plates) == {"L", "R"}
-    assert len(eps_calls) == 2
-    assert len(coeff_calls) == 2
     for plate, (_, _, co) in plates.items():
         alone = green_gap_from_plate(geom, plate, s, Q, phase_sign=-1)
         for pol in ("TE", "TM"):
@@ -722,6 +754,8 @@ _POINT_BUILDS = {
         green_gap_from_plate(g, "L", s, Q, phase_sign=-1)),
     "from_plate_R": lambda g, s, Q: _term_arrays(green_gap_from_plate(g, "R", s, Q)),
     "bulk_scattered": _bulk_scattered_arrays,
+    "plate_from_gap": lambda g, s, Q: _term_arrays(
+        em_green.green_plate_from_gap(g, "R", s, Q, z_src=0.2, phase_sign=-1)),
     "ic_z_block": lambda g, s, Q: _term_arrays(em_green.ic_z_block(g, s, Q, 1.1, -1)),
     "ic_z_integral": lambda g, s, Q: [em_green.ic_z_integral(g, s, Q, 1.1)],
     "dof_half": _dof_half_arrays,
