@@ -518,9 +518,13 @@ def _verify_properties(cfg, args):
 
     t_eq = cfg.values["verify.T_eq"]
     geom_eq = geometry_for(cfg, t_left=t_eq, t_right=t_eq)
-    lossy = any(getattr(side, "has_loss", False)
-                for side in (geom_eq.left, geom_eq.right))
-    if not lossy:
+    sides = (geom_eq.left, geom_eq.right)
+    if not all(isinstance(side, Material) for side in sides):
+        record("equal_t_reduction", True, math.nan,
+               {"skipped": "a table plate: the steady pressure needs oscillator "
+                           "plates"})
+        return records
+    if not any(side.has_loss for side in sides):
         if not coupled:
             record("equal_t_reduction", True, 0.0,
                    {"T": t_eq, "steady": 0.0, "matsubara": 0.0,

@@ -234,16 +234,17 @@ def fdr_epsilon_identity(mat, omega):
 
 @dataclass(frozen=True)
 class EpsilonTable:
-    """A plate of one constant retarded permittivity, given as a table.
+    """A plate of one constant real permittivity, given as a table.
 
-    Every row must carry the same eps.  A frequency-dependent table
-    determines eps neither below its first row, where the steady
-    frequency integral starts, nor off the real axis, where the Matsubara
-    sum, the plate-mode roots and the Green blocks need it, so it is
-    refused here.  Negative frequencies use the Hermitian extension
-    eps_bar(-w) = conj(eps_bar(w)), and eps_bar(0) is real.
-    ``beta_bath`` is the temperature weight used when the table stands
-    in for a plate.
+    Every row must carry the same eps, and it must be real.  A
+    frequency-dependent table determines eps neither below its first row
+    nor off the real axis, where the Matsubara sum, the plate-mode roots
+    and the Green blocks need it; a constant complex eps has no causal
+    continuation at all (the Matsubara sum would read only its real part,
+    and eps(s) could not be both one constant at s = +-i w and Hermitian
+    in w).  Both are refused here.  The constant is eps at every Laplace
+    point and every real frequency.  ``beta_bath`` is the temperature
+    weight used when the table stands in for a plate.
     """
 
     omega: np.ndarray
@@ -261,27 +262,23 @@ class EpsilonTable:
             raise DomainError("table values must be finite")
         if np.any(om <= 0) or np.any(np.diff(om) <= 0):
             raise DomainError("table frequencies must be positive and strictly increasing")
-        if np.any(np.imag(ep) < 0):
-            raise DomainError("table permittivity must have Im eps >= 0 (passivity)")
         if np.any(ep != ep[0]):
             k = int(np.argmax(ep != ep[0]))
             raise DomainError(
                 f"table rows disagree: eps({om[k]:g}) = {ep[k]:g} but "
                 f"eps({om[0]:g}) = {ep[0]:g}; a table plate is one constant permittivity")
+        if ep[0].imag != 0.0:
+            raise DomainError(
+                f"table permittivity must be real, got eps = {ep[0]:g}: a constant "
+                f"complex eps has no causal continuation")
         if not self.beta_bath > 0:
             raise DomainError(f"beta_bath must be > 0, got {self.beta_bath}")
 
-    @property
-    def has_loss(self):
-        return bool(self.eps[0].imag > 0)
-
     def eps_fourier(self, omega):
-        """eps_bar(omega): the constant, its conjugate at omega < 0."""
-        w = np.atleast_1d(np.asarray(omega, dtype=float))
-        out = np.full(w.shape, self.eps[0])
-        out[w < 0] = np.conj(self.eps[0])
-        out[w == 0] = self.eps[0].real
-        return complex(out[0]) if np.ndim(omega) == 0 else out
+        """eps_bar(omega): the constant."""
+        if np.ndim(omega) == 0:
+            return complex(self.eps[0])
+        return np.full(np.shape(omega), self.eps[0])
 
     def eps_laplace(self, s):
         """eps(s) at any Laplace point: the constant."""

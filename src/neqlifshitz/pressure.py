@@ -4,8 +4,9 @@ The long-time pressure is carried entirely by the plate baths: each plate
 emits into the gap with weight omega^2 * coth(beta omega/2) * Im eps(omega)
 (equivalently, pre-identity, via its bath noise kernel), and the zz stress
 of the emitted field is the closed-form non-equilibrium Lifshitz integrand
-of the two plates' Fresnel coefficients.  The product is the
-distance-dependent pressure: the integrand is the channel map minus its
+of the two plates' Fresnel coefficients (Antezza et al., PRA 77, 022901
+(2008)).  The product is the distance-dependent pressure, and the
+integrand computes only that one map: the emission channels minus their
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
 ceiling, never enter.  The (omega, Q) integral is done with a vectorized
@@ -29,10 +30,11 @@ ConvergenceError; its absolute floor is ``_INNER_FLOOR * rel_tol`` times
 the largest inner integral among the frequencies already finished and the
 running estimates of its own lockstep call.  The eight channels travel
 through the quadrature as the rows of one array, in BREAKDOWN_KEYS order.
-The factors of the frequency alone (permittivities, emission weights) are
-evaluated once per lockstep call, and each integrand call evaluates its
-propagating and evanescent points apart, each with its own closed form
-and the vacuum wavenumber in real arithmetic.
+The factors of the frequency alone (permittivities, and the emission
+weights read off them) are evaluated once per lockstep call, and each
+integrand call evaluates its propagating and evanescent points apart,
+each with its own closed form and the vacuum wavenumber in real
+arithmetic.
 
 Each `steady_pressure` call owns one `_Workspace` and hands it through
 every `_inner_q_integral` lockstep call to the rule (`_adaptive_gk`,
@@ -59,9 +61,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .material import (EpsilonTable, Material, _coth, _fourier_s,
-                       bath_dissipation_fourier, permittivity,
-                       permittivity_fourier, qbm_green)
+from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
+                       permittivity, qbm_green)
 from .em_green import _fresnel_coeffs, _s_eff, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
@@ -87,54 +88,45 @@ BREAKDOWN_KEYS = tuple((p, m, s) for p in _PLATES for m in _POLS for s in _SECTO
 # ---------------------------------------------------------------------------
 
 
-def _emission_weight(side, omega, use_fdr=True, thermal_only=False):
-    """Per-plate emission weight omega^2 * occupation * Im eps(omega).
-
-    The default path reads the dissipation off the retarded permittivity
-    and weights it with coth(beta omega/2); the ``use_fdr=False`` path
-    rebuilds the same number from the bath noise kernel and the oscillator
-    response (only available for Material plates).  ``thermal_only``
-    replaces coth by coth - 1 (pure occupation part, vanishing at T = 0).
-    Elementwise for an array of frequencies (a float for a scalar one);
-    omega = 0 carries no emission.
-    """
-    if isinstance(side, EpsilonTable) and not use_fdr:
-        raise DomainError("tabulated plates only support the permittivity path")
-    w = np.asarray(omega, dtype=float)
-    out = np.zeros(w.shape)
-    live = w != 0.0
-    if live.any():
-        w = w[live]
-        beta = side.beta_bath
-        occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
-        if thermal_only:
-            occ = occ - 1.0
-        if use_fdr:
-            out[live] = w * w * occ * np.imag(permittivity_fourier(side, w))
-        elif side.lambda0 != 0.0:
-            imd = np.imag(bath_dissipation_fourier(side.bath, w))
-            sround = _fourier_s(side, w)
-            gg = np.real(qbm_green(side, sround) * qbm_green(side, np.conj(sround)))
-            out[live] = 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
-    return float(out) if out.ndim == 0 else out
-
-
 def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """Factors of the channel map that depend on the frequency alone.
 
     w is an array of positive frequencies.  Returns a dict of arrays over
     w: the Laplace points s = -i w, w^2, |s_eff|^2 and, per plate in
-    _PLATES order, the permittivity eps, eps s^2 and the emission weight
-    of `_emission_weight`.  `_bath_channels` gathers them per point.
+    _PLATES order, the permittivity eps = eps(s), eps s^2 and the emission
+    weight w^2 * occupation * Im eps.  `_bath_channels` gathers them per
+    point.
+
+    The occupation is coth(beta w/2), or coth - 1 (the pure occupation
+    part, vanishing at T = 0) under ``thermal_only``.  The weight reads
+    Im eps off the permittivity above; ``use_fdr=False`` rebuilds it from
+    the bath noise kernel and the oscillator response instead (the same
+    number by the fluctuation-dissipation identity; Material plates only).
     """
     s = -1j * w
-    sides = (geom.left, geom.right)
-    eps = tuple(np.asarray(plate_eps(side, s)) for side in sides)
-    return {"s": s, "w2": w * w, "s_eff2": np.abs(_s_eff(s)) ** 2, "eps": eps,
-            "es2": tuple(e * s * s for e in eps),
-            "weight": tuple(_emission_weight(side, w, use_fdr=use_fdr,
-                                             thermal_only=thermal_only)
-                            for side in sides)}
+    w2 = w * w
+    eps, weight = [], []
+    for side in (geom.left, geom.right):
+        e = np.asarray(plate_eps(side, s))
+        beta = side.beta_bath
+        occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
+        if thermal_only:
+            occ = occ - 1.0
+        if use_fdr:
+            wt = w2 * occ * np.imag(e)
+        elif isinstance(side, EpsilonTable):
+            raise DomainError("tabulated plates only support the permittivity path")
+        elif side.lambda0 != 0.0:
+            imd = np.imag(bath_dissipation_fourier(side.bath, w))
+            sround = _fourier_s(side, w)
+            gg = np.real(qbm_green(side, sround) * qbm_green(side, np.conj(sround)))
+            wt = 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
+        else:
+            wt = np.zeros(w.shape)
+        eps.append(e)
+        weight.append(wt)
+    return {"s": s, "w2": w2, "s_eff2": np.abs(_s_eff(s)) ** 2, "eps": tuple(eps),
+            "es2": tuple(e * s * s for e in eps), "weight": tuple(weight)}
 
 
 def _axis_qz(x, out):
@@ -168,9 +160,11 @@ class _Workspace:
         return buf[:n]
 
 
-def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=False,
-                   factors=None, work=None):
-    """Per-channel bath integrand on a batch of (omega, Q) points.
+def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=None,
+                   work=None):
+    """Per-channel bath integrand on a batch of (omega, Q) points: the
+    emission channel map minus its detached-plates baseline, the map that
+    `steady_pressure` integrates.
 
     omega is one frequency or an array of them broadcast against Q (the
     inner Q integrals of many frequencies run through one call).  Returns
@@ -199,7 +193,7 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     b (Antezza et al., PRA 77, 022901 (2008)).  At s = -i omega, with
     q = qz(1, s, Q), qn = qz(eps_a, s, Q) and D = 1 - r_a r_b exp(-2 q l),
 
-        propagating:  G * 2|q|^2 (1 + |r_b|^2) / |D|^2
+        propagating:  G * 2|q|^2 (1 + |r_b|^2) (1/|D|^2 - 1/(1 - |r_a r_b|^2))
         evanescent:   G * (-4|q|^2) Re(r_b exp(-2 q l)) / |D|^2
         G = PRESSURE_SIGN * _MEASURE * w_a(omega) * Q |u|^2 / (8 Re(qn) |qn|^2)
 
@@ -210,20 +204,17 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
     qn/eps (TM), and the evanescent channel takes its limit
     G / |l + 1/n_a + 1/n_b|^2 instead of 0 * inf.
-    The symbolic contraction of :func:`.spectral.theta_contract` over
-    :func:`.em_green.green_gap_from_plate` blocks gives the same numbers
-    term by term; the tests use it as the oracle.
-
-    kernel = "full" | "baseline" | "difference".  The baseline replaces
-    1/|D|^2 by its round-trip phase average 1/(1 - |r_a r_b|^2), the
-    detached-plates (l -> infinity) limit, and lives purely in the
-    propagating sector (evanescent emission does not survive that limit);
-    "difference" is full minus baseline and is what `steady_pressure`
-    integrates.  The "full" map is finite point by point, but with the
-    zero-point emission included its integral grows as omega_max^4.
+    The subtracted 1/(1 - |r_a r_b|^2) is the round-trip phase average
+    of 1/|D|^2, the detached-plates (l -> infinity) baseline; it lives in
+    the propagating sector only (evanescent emission does not survive that
+    limit), and a trapped lossless mode (|r_a r_b| = 1 at an emitting
+    point) makes it singular: SingularityError.  Without the subtraction
+    the map, zero-point emission included, would integrate to a value
+    growing as omega_max^4.  The tests check the unsubtracted map and the
+    baseline against the symbolic contraction of
+    :func:`.spectral.theta_contract`, the phase average and the blackbody
+    pressure.
     """
-    if kernel not in ("full", "baseline", "difference"):
-        raise DomainError(f"unknown kernel {kernel!r}")
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
                                np.asarray(Q, dtype=float))
     if np.any(w < 0.0):
@@ -245,22 +236,18 @@ def _bath_channels(geom, omega, Q, kernel="full", use_fdr=True, thermal_only=Fal
     fac, at = factors
     prop = np.less(Q, w, out=work.take("bath.prop", n, bool))
     prop &= live
-    sectors = [(0, prop)]
-    if kernel != "baseline":    # the baseline has no evanescent part
-        evan = np.logical_not(prop, out=work.take("bath.evan", n, bool))
-        evan &= live
-        sectors.append((1, evan))
-    for sector, mask in sectors:
+    evan = np.logical_not(prop, out=work.take("bath.evan", n, bool))
+    evan &= live
+    for sector, mask in enumerate((prop, evan)):
         idx = np.flatnonzero(mask)
         if idx.size:
             at_s = at.take(idx, out=work.take("bath.at", idx.size, np.intp), mode="clip")
             Q_s = Q.take(idx, out=work.take("bath.Q", idx.size), mode="clip")
-            rows[sector::2][:, idx] = _sector_channels(geom, fac, at_s, Q_s, sector == 0,
-                                                       kernel, work)
+            rows[sector::2][:, idx] = _sector_channels(geom, fac, at_s, Q_s, sector == 0, work)
     return out
 
 
-def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
+def _sector_channels(geom, fac, at, Q, propagating, work):
     """The four channels of one sector (rows in plate x polarization order)
     at points that all lie in it, each point's frequency at row ``at`` of
     the `_frequency_factors` dict ``fac``; see `_bath_channels`.
@@ -333,27 +320,21 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
             row = out[a, i]
             np.multiply(np.multiply(pref, src, out=g), q2, out=g)
             np.multiply(ra, rb, out=rr)
-            if kernel != "baseline":    # no evanescent point gets here with "baseline"
-                np.subtract(1.0, np.multiply(rr, trip, out=c), out=c)
-                np.square(np.abs(c, out=cavity), out=cavity)
-                if on_light:
-                    np.copyto(cavity, 1.0, where=light)
-                np.divide(1.0, cavity, out=cavity)
+            np.subtract(1.0, np.multiply(rr, trip, out=c), out=c)
+            np.square(np.abs(c, out=cavity), out=cavity)
+            if on_light:
+                np.copyto(cavity, 1.0, where=light)
+            np.divide(1.0, cavity, out=cavity)
             if propagating:
-                if kernel == "full":
-                    prop_cavity = cavity
-                else:
-                    np.subtract(1.0, np.square(np.abs(rr, out=lock), out=lock), out=lock)
-                    np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
-                    if np.logical_and(emit, trapped, out=trapped).any():
-                        raise SingularityError("detached-plates cavity weight hits a "
-                                               "trapped lossless mode", point=s[trapped][0])
-                    locked = np.divide(1.0, lock, out=lock)
-                    prop_cavity = locked if kernel == "baseline" else \
-                        np.subtract(cavity, locked, out=cavity)
+                np.subtract(1.0, np.square(np.abs(rr, out=lock), out=lock), out=lock)
+                np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
+                if np.logical_and(emit, trapped, out=trapped).any():
+                    raise SingularityError("detached-plates cavity weight hits a "
+                                           "trapped lossless mode", point=s[trapped][0])
+                np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
                 bounce = np.add(1.0, np.square(np.abs(rb, out=tmp), out=tmp), out=tmp)
                 np.multiply(np.multiply(np.multiply(2.0, g, out=row), bounce, out=row),
-                            prop_cavity, out=row)
+                            cavity, out=row)
             else:
                 re_trip = np.multiply(rb, trip, out=c).real
                 np.multiply(np.multiply(np.multiply(-4.0, g, out=row), re_trip, out=row),
@@ -366,18 +347,16 @@ def _sector_channels(geom, fac, at, Q, propagating, kernel, work):
     return out.reshape(len(_PLATES) * len(_POLS), n)
 
 
-def bath_integrand(geom, omega, Q, use_fdr=True, kernel="full"):
-    """Bath-pressure channel map summed at one (omega, Q) point (or a batch).
+def bath_integrand(geom, omega, Q, use_fdr=True):
+    """Bath-pressure integrand summed at one (omega, Q) point (or a batch).
 
-    The sum over plates, polarizations and sectors of the channel map; real
-    by construction.  The default ``kernel="full"`` is the map with the
-    detached-plates baseline still in it, so it is not what
-    `steady_pressure` integrates: that is ``kernel="difference"`` (see
-    `_bath_channels`).  ``use_fdr=False`` switches every Material plate to
-    the noise-kernel evaluation path (a cross-check; identical by the
-    fluctuation-dissipation identity).
+    The sum over plates, polarizations and sectors of the channel map of
+    `_bath_channels`, baseline subtracted: the integrand of
+    `steady_pressure`, real by construction.  ``use_fdr=False`` switches
+    every Material plate to the noise-kernel evaluation path (a
+    cross-check; identical by the fluctuation-dissipation identity).
     """
-    total = _bath_channels(geom, omega, Q, kernel=kernel, use_fdr=use_fdr).sum(axis=0)
+    total = _bath_channels(geom, omega, Q, use_fdr=use_fdr).sum(axis=0)
     return float(total) if total.ndim == 0 else total
 
 
@@ -660,10 +639,9 @@ def _auto_omega_max(geom):
     """
     cands = [18.0, 4.0 / geom.gap]
     for side in (geom.left, geom.right):
-        if isinstance(side, Material):
-            cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
-            if math.isfinite(side.beta_bath):
-                cands.append(8.0 / side.beta_bath)
+        cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
+        if math.isfinite(side.beta_bath):
+            cands.append(8.0 / side.beta_bath)
     return max(cands)
 
 
@@ -688,7 +666,7 @@ def _inner_q_seeds(geom, omegas):
     n_osc = np.clip(np.rint(2.0 * w_p * l / math.pi), 6, 28)
     i = np.arange(1, 28)
     theta = np.where(i < n_osc, math.pi / 2 * i / n_osc, np.nan)
-    kappa = np.array([kappa for side in (geom.left, geom.right) if isinstance(side, Material)
+    kappa = np.array([kappa for side in (geom.left, geom.right)
                       for kappa in (side.lambda0, side.omega0)], dtype=float)
     below = (kappa > 0.0) & (kappa < w_p)
     acos = np.full(below.shape, np.nan)     # math.acos: the marks' floats as ever
@@ -776,7 +754,7 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
             Qs[ie] = np.hypot(w.take(ie, out=Qe, mode="clip"), qs, out=Qe)
             np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
             jac[ie] = np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=d)
-        ch = _bath_channels(geom, w, Qs, kernel="difference", factors=(factors, at), work=work)
+        ch = _bath_channels(geom, w, Qs, factors=(factors, at), work=work)
         ch *= jac
         return ch, np.empty((0, m))
 
@@ -798,32 +776,28 @@ def _surface_band_marks(side, omega_max):
     its own edges, otherwise a single Gauss-Kronrod panel can straddle it
     with a deceptively small error estimate.
     """
-    marks = []
-    if isinstance(side, Material):
-        if side.lambda0 <= 0.0:
-            return marks
-        base = math.hypot(side.omega0, side.lambda0 / math.sqrt(2.0))
-        width = max(side.bath.gamma, 1e-3)
-        offsets = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
-        marks = [base + c * width for c in offsets]
-    return [m for m in marks if 0.0 < m < omega_max]
+    if side.lambda0 <= 0.0:
+        return []
+    base = math.hypot(side.omega0, side.lambda0 / math.sqrt(2.0))
+    width = max(side.bath.gamma, 1e-3)
+    offsets = (-4.0, -2.0, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 2.0, 4.0)
+    return [m for m in (base + c * width for c in offsets) if 0.0 < m < omega_max]
 
 
 def _omega_edges(geom, omega_max):
     marks = {0.0, omega_max}
     for side in (geom.left, geom.right):
         marks.update(_surface_band_marks(side, omega_max))
-        if isinstance(side, Material):
-            for m in (0.25 * side.omega0, 0.5 * side.omega0, side.omega0,
-                      1.5 * side.omega0, 2.0 * side.omega0, 3.0 * side.omega0,
-                      side.omega0 + side.lambda0):
+        for m in (0.25 * side.omega0, 0.5 * side.omega0, side.omega0,
+                  1.5 * side.omega0, 2.0 * side.omega0, 3.0 * side.omega0,
+                  side.omega0 + side.lambda0):
+            if 0.0 < m < omega_max:
+                marks.add(m)
+        if math.isfinite(side.beta_bath):
+            t = 1.0 / side.beta_bath
+            for m in (0.5 * t, t, 3.0 * t, 8.0 * t):
                 if 0.0 < m < omega_max:
                     marks.add(m)
-            if math.isfinite(side.beta_bath):
-                t = 1.0 / side.beta_bath
-                for m in (0.5 * t, t, 3.0 * t, 8.0 * t):
-                    if 0.0 < m < omega_max:
-                        marks.add(m)
     # seed the cavity oscillation scale pi/(2l) up to a cap; adaptivity
     # refines past it
     step = math.pi / (2.0 * geom.gap)
@@ -852,8 +826,17 @@ def steady_pressure(geom, opts=None):
     returns the pair (channels, inner errors): the channel rows drive the
     outer error test, the inner-error row rides along, integrated with the
     same nodes and tail weights, and enters ``err`` (see `PressureResult`).
+
+    Both plates must be `Material` oscillators, at least one of them
+    lossy (DomainError otherwise): a table plate, one constant real
+    permittivity, emits nothing where the lossless limit of an oscillator
+    plate keeps its emission, and would give a wrong pressure.
     """
     opts = opts or PressureOptions()
+    if isinstance(geom.left, EpsilonTable) or isinstance(geom.right, EpsilonTable):
+        raise DomainError("steady pressure needs oscillator plates: a table plate is "
+                          "one constant real permittivity and emits nothing, where "
+                          "the lossless limit of an oscillator plate still does")
     if not (geom.left.has_loss or geom.right.has_loss):
         raise DomainError("steady pressure needs at least one dissipative plate "
                           "(Im eps > 0 somewhere)")

@@ -4,12 +4,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from neqlifshitz.em_green import plate_eps, qz
 from neqlifshitz.material import BathModel, Material
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# The property tests draw the same examples on every run and every machine:
+# derandomized, with no example database to replay.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def pytest_configure(config):
@@ -29,6 +35,21 @@ def lorentz_ohmic():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260815)
+
+
+def rand_lossy(rng):
+    """A random dissipative material (ohmic or cutoff bath) drawn from a
+    numpy Generator: acceptance criterion 7's generator."""
+    kind = ("ohmic", "ohmic_lorentz_cutoff")[rng.integers(2)]
+    if kind == "ohmic":
+        bath = BathModel(kind="ohmic", gamma=float(rng.uniform(0.05, 0.8)))
+    else:
+        bath = BathModel(kind="ohmic_lorentz_cutoff",
+                         gamma=float(rng.uniform(0.05, 0.8)),
+                         cutoff=float(rng.uniform(10.0, 80.0)))
+    return Material(omega0=float(rng.uniform(0.5, 2.5)),
+                    lambda0=float(rng.uniform(0.4, 1.5)), bath=bath,
+                    beta_bath=float(rng.uniform(0.5, 5.0)))
 
 
 def lossy_materials(min_gamma=0.01, kinds=("ohmic", "ohmic_lorentz_cutoff")):

@@ -27,6 +27,8 @@ from neqlifshitz.spectral import (dof_origin_report, find_qbm_poles,
                                   modified_mode_check,
                                   scan_dmu_imaginary_axis)
 
+from conftest import rand_lossy
+
 REPO = Path(__file__).resolve().parents[1]
 
 
@@ -34,19 +36,6 @@ def _report(num, label, ok, detail):
     verdict = "PASS" if ok else "FAIL"
     print(f"[{verdict}] criterion {num} ({label}): {detail}")
     assert ok, f"criterion {num} ({label}): {detail}"
-
-
-def rand_lossy(rng):
-    kind = ("ohmic", "ohmic_lorentz_cutoff")[rng.integers(2)]
-    if kind == "ohmic":
-        bath = BathModel(kind="ohmic", gamma=float(rng.uniform(0.05, 0.8)))
-    else:
-        bath = BathModel(kind="ohmic_lorentz_cutoff",
-                         gamma=float(rng.uniform(0.05, 0.8)),
-                         cutoff=float(rng.uniform(10.0, 80.0)))
-    return Material(omega0=float(rng.uniform(0.5, 2.5)),
-                    lambda0=float(rng.uniform(0.4, 1.5)), bath=bath,
-                    beta_bath=float(rng.uniform(0.5, 5.0)))
 
 
 def lorentz_ohmic(omega0, lambda0, gamma, T):

@@ -345,11 +345,40 @@ def test_epsilon_from_table_material(tmp_path, capsys):
 
 def test_epsilon_table_outside_geometry(tmp_path, capsys):
     # a table named only by epsilon.material is loaded too
-    (tmp_path / "eps.csv").write_text("0.5,3.0,0.1\n2.0,3.0,0.1\n")
+    (tmp_path / "eps.csv").write_text("0.5,3.0,0.0\n2.0,3.0,0.0\n")
     text = BASE + "epsilon.material = table:eps.csv\nepsilon.omega_min = 1.0\n"
     assert main(["epsilon", "--config", write_cfg(tmp_path, text)]) == 0
     _, rows = read_csv(capsys.readouterr().out)
-    assert all(float(r[1]) == 3.0 and float(r[2]) == 0.1 for r in rows)
+    assert all(float(r[1]) == 3.0 and float(r[2]) == 0.0 for r in rows)
+
+
+def test_complex_table_is_refused_at_load(tmp_path, capsys):
+    # a constant complex eps has no causal continuation: a config error
+    # (exit 2) on the line of the key that names the table
+    (tmp_path / "eps.csv").write_text("0.5,4.0,0.5\n2.0,4.0,0.5\n")
+    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    lineno = text.splitlines().index("geometry.left = table:eps.csv") + 1
+    code = main(["epsilon", "--config", write_cfg(tmp_path, text)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"config error: line {lineno}: table ")
+    assert "table permittivity must be real" in captured.err
+
+
+def test_table_plate_leaves_the_steady_engine(tmp_path, capsys):
+    # a real table plate feeds epsilon and the Matsubara sum, but the steady
+    # pressure refuses it (exit 3), and verify records the equal-temperature
+    # reduction as skipped instead of failing
+    (tmp_path / "eps.csv").write_text("1.0,1.5,0.0\n")
+    text = BASE.replace("geometry.left = hot", "geometry.left = table:eps.csv")
+    cfg = write_cfg(tmp_path, text)
+    assert main(["pressure", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure in pressure" in err and "table plate" in err
+    assert main(["verify", "--config", cfg]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    rec = {r["name"]: r for r in doc["properties"]}["equal_t_reduction"]
+    assert rec["pass"] and "table plate" in rec["detail"]["skipped"]
 
 
 def test_poles_json_causal(tmp_path, capsys):

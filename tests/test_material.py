@@ -167,22 +167,20 @@ def test_material_validation():
 
 TABLE_TEXT = """\
 # omega  re_eps  im_eps
-0.1, 2.50, 0.100
-1.0, 2.50, 0.100
-10 2.50 0.100   # whitespace separation also fine
+0.1, 2.50, 0.0
+1.0, 2.50, 0.0
+10 2.50 0   # whitespace separation also fine
 """
 
 
 def test_load_table():
     t = load_epsilon_table(TABLE_TEXT, beta_bath=4.0)
     assert t.omega.shape == (3,) and t.beta_bath == 4.0
-    assert t.has_loss
-    # one constant at every frequency, inside the rows' range or not
-    assert t.eps_fourier(1.0) == 2.5 + 0.1j
-    assert t.eps_fourier(50.0) == 2.5 + 0.1j
-    # Hermitian extension, real at omega = 0
-    assert_allclose(t.eps_fourier(np.array([-1.0, 0.0, 3.0])), [2.5 - 0.1j, 2.5, 2.5 + 0.1j],
-                    rtol=0, atol=0)
+    # one real constant at every frequency, inside the rows' range or not,
+    # negative and zero included
+    assert t.eps_fourier(1.0) == 2.5
+    assert t.eps_fourier(50.0) == 2.5
+    assert np.array_equal(t.eps_fourier(np.array([-1.0, 0.0, 3.0])), [2.5, 2.5, 2.5])
 
 
 def test_load_table_errors():
@@ -211,9 +209,21 @@ def test_table_refuses_disagreeing_rows():
         load_epsilon_table("0.1, 2.5, 0.0\n1.0, 2.5, 0.0\n10, 2.5, 1e-3\n")
 
 
+def test_table_refuses_a_complex_permittivity():
+    # a constant complex eps has no causal continuation (the Matsubara sum
+    # would read its real part only): refused by the constructor and the
+    # loader, whatever the sign of Im eps; a rows-disagree error comes first
+    for eps in (4.0 + 0.5j, 4.0 + 0.01j, 2.0 - 0.5j):
+        with pytest.raises(DomainError, match="must be real"):
+            EpsilonTable(omega=np.array([1.0]), eps=np.array([eps]))
+    with pytest.raises(DomainError, match="must be real"):
+        load_epsilon_table("0.5, 3.0, 0.1\n2.0, 3.0, 0.1\n")
+    with pytest.raises(DomainError, match="rows disagree"):
+        load_epsilon_table("0.5, 3.0, 0.1\n2.0, 3.0, 0.2\n")
+
+
 def test_dispersionless_table():
     t = EpsilonTable(omega=np.array([1.0]), eps=np.array([1e4 + 0.0j]))
-    assert not t.has_loss
     assert t.eps_fourier(123.0) == 1e4
     assert t.eps_laplace(0.3 + 2j) == 1e4
     assert np.all(t.eps_laplace(np.array([0.5, 1j, -2.0 + 3j])) == 1e4)

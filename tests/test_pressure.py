@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from conftest import rand_lossy
 from neqlifshitz import pressure as pr
 from neqlifshitz import spectral
 from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT, _fresnel_coeffs,
                                   _s_eff, green_gap_from_plate, ic_z_block, plate_eps, qz)
 from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
-from neqlifshitz.material import BathModel, EpsilonTable, Material
+from neqlifshitz.material import (BathModel, EpsilonTable, Material, _coth,
+                                  permittivity_fourier)
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions, bath_integrand,
                                   equilibrium_matsubara, steady_pressure)
 from neqlifshitz.spectral import (assemble_dof_integrand, assemble_ic_integrand,
@@ -282,11 +284,14 @@ def test_transverse_projector_properties():
 def test_bath_channels_continuous_across_the_light_line():
     # at Q = omega exactly q = 0, and the channels' |q|^2 factor and the
     # cavity denominator D vanish together; the channel map takes their
-    # limit, not 0 * inf
+    # limit, not 0 * inf.  The subtracted baseline (per-node reference,
+    # zero from the light line on) is added back: it falls to 0 there like
+    # |q|, a kink of relative size 1e-4 at 1e-9 from the line
     geom = warm_geom()
     for w in (0.3, 1.0, 2.7):
         Qs = w * np.array([1.0 - 1e-9, 1.0, 1.0 + 1e-9])
-        ch = dict(zip(BREAKDOWN_KEYS, pr._bath_channels(geom, w, Qs)))
+        full = pr._bath_channels(geom, w, Qs) + per_node_channels(geom, w, Qs, "baseline", False)
+        ch = dict(zip(BREAKDOWN_KEYS, full))
         for plate, pol in ((p, m) for p in ("L", "R") for m in ("TE", "TM")):
             v = ch[(plate, pol, "propagating")] + ch[(plate, pol, "evanescent")]
             assert np.all(np.isfinite(v)) and v[1] != 0.0
@@ -334,14 +339,17 @@ def test_channel_breakdown_structure():
         live = 0 if sector == "propagating" else 1
         assert v[1 - live] == 0.0 and v[live] != 0.0
     # a decoupled plate (lambda0 = 0) emits nothing, so exactly its four rows
-    # read 0; the other plate's propagating rows do not (its evanescent rows
-    # vanish too, the vacuum partner reflects nothing)
+    # of the unsubtracted (per-node reference) map read 0; the other plate's
+    # propagating rows do not (its evanescent rows vanish too, the vacuum
+    # partner reflects nothing).  Nothing is reflected back, so nothing
+    # depends on the gap: every row of the subtracted map reads 0
     warm = warm_geom().left
     mute = Material(omega0=1.5, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.3),
                     beta_bath=2.0)
     for geom, silent in ((Geometry(gap=1.0, left=warm, right=mute), "R"),
                          (Geometry(gap=1.0, left=mute, right=warm), "L")):
-        ch = pr._bath_channels(geom, 1.2, Qs)
+        assert np.all(pr._bath_channels(geom, 1.2, Qs) == 0.0)
+        ch = per_node_channels(geom, 1.2, Qs, "full", False)
         for (plate, pol, sector), v in zip(BREAKDOWN_KEYS, ch):
             if plate == silent:
                 assert np.all(v == 0.0)
@@ -350,15 +358,28 @@ def test_channel_breakdown_structure():
 
 
 def test_baseline_kernel_is_propagating_only():
+    # the detached-plates baseline that the production map subtracts, here
+    # from the per-node reference
     geom = warm_geom()
     Qs = np.array([0.3, 0.8, 1.1, 2.5])
-    ch = pr._bath_channels(geom, 1.0, Qs, kernel="baseline")
+    ch = per_node_channels(geom, 1.0, Qs, "baseline", False)
     for (plate, pol, sector), v in zip(BREAKDOWN_KEYS, ch):
         if sector == "evanescent":
             assert np.all(v == 0.0)
     total = sum(v for (p, m, s), v in zip(BREAKDOWN_KEYS, ch) if s == "propagating")
     assert np.all(np.isfinite(total.real))
     assert np.any(total.real != 0.0)
+
+
+def emission_weight(side, omega, thermal_only=False):
+    """Per-plate emission weight omega^2 * occupation * Im eps at omega > 0,
+    with the permittivity from `permittivity_fourier`."""
+    w = np.asarray(omega, dtype=float)
+    beta = side.beta_bath
+    occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
+    if thermal_only:
+        occ = occ - 1.0
+    return w * w * occ * np.imag(permittivity_fourier(side, w))
 
 
 def symbolic_channels(geom, omega, Q):
@@ -373,7 +394,7 @@ def symbolic_channels(geom, omega, Q):
     prop = Q < omega
     out = {}
     for plate in ("L", "R"):
-        weight = pr._emission_weight(geom.side(plate), omega)
+        weight = emission_weight(geom.side(plate), omega)
         b1 = green_gap_from_plate(geom, plate, s1, Q, +1)
         b2 = green_gap_from_plate(geom, plate, s2, Q, -1)
         for pol in ("TE", "TM"):
@@ -388,7 +409,10 @@ def symbolic_channels(geom, omega, Q):
 def test_closed_form_channels_match_symbolic_contraction(z_field):
     # the closed form never reads the field height; the symbolic side does,
     # term by term, so agreement at three heights (centred and off-centre)
-    # shows the stress is z-independent.  One cutoff-bath plate, both sectors
+    # shows the stress is z-independent.  One cutoff-bath plate, both
+    # sectors.  The full map is the per-node reference's; the production
+    # map equals that reference's difference map bit for bit
+    # (test_sector_split_matches_the_per_node_rules)
     cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
                       bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
     geom = Geometry(gap=0.9, left=warm_geom().left, right=cutoff, z_field=z_field)
@@ -396,7 +420,7 @@ def test_closed_form_channels_match_symbolic_contraction(z_field):
     for _ in range(80):
         w = float(rng.uniform(0.05, 8.0))
         Q = w * np.concatenate([rng.uniform(0.0, 1.0, 8), rng.uniform(1.0, 4.0, 8)])
-        got = pr._bath_channels(geom, w, Q, kernel="full")
+        got = per_node_channels(geom, w, Q, "full", False)
         want = symbolic_channels(geom, w, Q)
         scale = max(np.max(np.abs(v)) for v in want.values())
         for key, v in zip(BREAKDOWN_KEYS, got):
@@ -404,15 +428,15 @@ def test_closed_form_channels_match_symbolic_contraction(z_field):
 
 
 def test_locked_cavity_is_the_phase_average():
-    # the baseline kernel's cavity weight 1/(1 - |r_a r_b|^2) is the average
-    # of the full propagating channel over one round-trip period pi/k_z of
-    # the gap
+    # the baseline kernel's cavity weight 1/(1 - |r_a r_b|^2), here the
+    # per-node reference's, is the average of the full propagating channel
+    # over one round-trip period pi/k_z of the gap
     geom = warm_geom()
     w = 1.7
     for Q in (0.4, 1.2):
         kz = math.sqrt(w * w - Q * Q)
         gaps = geom.gap + (math.pi / kz) * np.arange(256) / 256
-        base = pr._bath_channels(geom, w, Q, kernel="baseline")
+        base = per_node_channels(geom, w, Q, "baseline", False)
         runs = [symbolic_channels(replace(geom, gap=g), w, Q) for g in gaps]
         for key, v in zip(BREAKDOWN_KEYS, base):
             if key[2] == "propagating":
@@ -421,22 +445,23 @@ def test_locked_cavity_is_the_phase_average():
 
 
 def test_difference_kernel_additivity_and_evanescent_decay():
-    # full = baseline + difference pointwise; in the evanescent sector the
-    # subtracted integrand dies exponentially with the gap (the baseline is
-    # zero there, and the full kernel loses its round trips)
+    # full = baseline + difference pointwise, the full and baseline maps
+    # the per-node reference's and the difference the production
+    # integrand; in the evanescent sector the subtracted integrand dies
+    # exponentially with the gap (the baseline is zero there, and the full
+    # kernel loses its round trips)
     w, Q = 1.3, 0.5
-    raw = bath_integrand(warm_geom(gap=2.0), w, Q, kernel="full")
-    base = pr._bath_channels(warm_geom(gap=2.0), w, Q, kernel="baseline").sum(axis=0)
-    diff = bath_integrand(warm_geom(gap=2.0), w, Q, kernel="difference")
+    raw = per_node_channels(warm_geom(gap=2.0), w, Q, "full", False).sum(axis=0)
+    base = per_node_channels(warm_geom(gap=2.0), w, Q, "baseline", False).sum(axis=0)
+    diff = bath_integrand(warm_geom(gap=2.0), w, Q)
     assert_allclose(raw.real, (base + diff).real, rtol=1e-12)
     w_e, Q_e = 1.0, 1.4
-    near = bath_integrand(warm_geom(gap=0.5), w_e, Q_e, kernel="difference")
-    far = bath_integrand(warm_geom(gap=8.0), w_e, Q_e, kernel="difference")
+    near = bath_integrand(warm_geom(gap=0.5), w_e, Q_e)
+    far = bath_integrand(warm_geom(gap=8.0), w_e, Q_e)
     assert abs(far) <= 1e-5 * abs(near)
 
 
-@pytest.mark.parametrize("kernel", ["full", "baseline", "difference"])
-def test_bath_channels_frequency_array_matches_scalar_calls(kernel):
+def test_bath_channels_frequency_array_matches_scalar_calls():
     # a frequency array broadcast against Q gives, point for point, the
     # per-frequency calls; rows cover omega = 0, Q = 0, both sides of the
     # light line and the light line itself, in a shuffled batch
@@ -447,20 +472,18 @@ def test_bath_channels_frequency_array_matches_scalar_calls(kernel):
     ws = np.concatenate([[0.0, 1.0], rng.uniform(0.05, 8.0, 9), [0.0]])
     x = np.array([0.0, 0.3, 1.0 - 1e-9, 1.0, 1.0 + 1e-9, 1.7, 4.0])
     Q = np.where(ws[:, None] > 0.0, ws[:, None] * x, np.linspace(0.0, 3.0, x.size))
-    want = [pr._bath_channels(geom, float(w), Q[i], kernel=kernel) for i, w in enumerate(ws)]
+    want = [pr._bath_channels(geom, float(w), Q[i]) for i, w in enumerate(ws)]
     perm = rng.permutation(Q.size)
-    flat = pr._bath_channels(geom, np.repeat(ws, x.size)[perm], Q.ravel()[perm],
-                             kernel=kernel)
-    grid = pr._bath_channels(geom, ws[:, None], Q, kernel=kernel)
+    flat = pr._bath_channels(geom, np.repeat(ws, x.size)[perm], Q.ravel()[perm])
+    grid = pr._bath_channels(geom, ws[:, None], Q)
     stacked = np.stack(want, axis=1)
     assert grid.shape == (len(BREAKDOWN_KEYS),) + Q.shape
     assert_allclose(grid, stacked, rtol=1e-14, atol=0.0)
     assert_allclose(flat, stacked.reshape(len(BREAKDOWN_KEYS), -1)[:, perm],
                     rtol=1e-14, atol=0.0)
     assert np.all(stacked[:, ws == 0.0] == 0.0)
-    if kernel != "baseline":    # the light line is in the evanescent sector
-        on_line = stacked[:, :, 3].sum()
-        assert np.isfinite(on_line) and on_line != 0.0
+    on_line = stacked[:, :, 3].sum()    # the light line is in the evanescent sector
+    assert np.isfinite(on_line) and on_line != 0.0
 
 
 def partly_emitting_geom(gap=0.9):
@@ -495,24 +518,27 @@ def test_bath_channels_frequency_batch_with_a_partly_emitting_plate():
 def test_bath_channels_frequency_batch_still_detects_trapped_modes():
     # with a nearly lossless plate pair, Re eps < 0 between omega0 and
     # sqrt(omega0^2 + lambda0^2) makes |r_a r_b| = 1 to 1e-15: the detached
-    # baseline is singular there, and a batch that holds one such point
-    # must raise like the scalar call does
+    # baseline the map subtracts is singular there, and a batch that holds
+    # one such point must raise like the scalar call does
     glassy = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1e-15))
     geom = Geometry(gap=1.0, left=glassy, right=glassy)
     ws, Q = np.array([0.5, 1.2, 2.0]), np.array([0.3, 0.3, 0.3])
-    pr._bath_channels(geom, 0.5, 0.3, kernel="baseline")
+    pr._bath_channels(geom, 0.5, 0.3)
     with pytest.raises(SingularityError):
-        pr._bath_channels(geom, 1.2, 0.3, kernel="baseline")
+        pr._bath_channels(geom, 1.2, 0.3)
     with pytest.raises(SingularityError) as info:
-        pr._bath_channels(geom, ws, Q, kernel="baseline")
+        pr._bath_channels(geom, ws, Q)
     assert info.value.point == -1.2j
-    pr._bath_channels(geom, ws, Q, kernel="full")
 
 
 def per_node_channels(geom, omega, Q, kernel, thermal_only):
     """The channel map evaluated point by point with the general rules:
     `qz` for every wavenumber, `np.exp` for the round-trip factor, both
-    sectors' closed forms at every point and masks to pick one."""
+    sectors' closed forms at every point and masks to pick one.
+
+    kernel = "difference" is the map the production integrand computes;
+    "full" (the unsubtracted map) and "baseline" (its detached-plates
+    limit, propagating only) are the oracles' side of it."""
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(Q, dtype=float))
     out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
     grid = out.reshape((2, 2, 2) + Q.shape)
@@ -533,7 +559,7 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
         coeffs.append(_fresnel_coeffs(eps, q, qn, s))
     s_eff2 = np.abs(_s_eff(s)) ** 2
     for a, b in ((0, 1), (1, 0)):
-        weight = pr._emission_weight(sides[a], w, thermal_only=thermal_only)
+        weight = emission_weight(sides[a], w, thermal_only=thermal_only)
         emit = weight != 0.0
         eps, qn = media[a]
         qn2 = np.abs(qn) ** 2
@@ -560,8 +586,7 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
 
 
 @pytest.mark.parametrize("thermal_only", [False, True])
-@pytest.mark.parametrize("kernel", ["full", "baseline", "difference"])
-def test_sector_split_matches_the_per_node_rules(kernel, thermal_only):
+def test_sector_split_matches_the_per_node_rules(thermal_only):
     # each sector on its own, with the vacuum wavenumber and the round-trip
     # factor in real arithmetic, gives the same bits as the general rules;
     # the batch holds both sectors, points on the light line, omega = 0 and
@@ -577,17 +602,16 @@ def test_sector_split_matches_the_per_node_rules(kernel, thermal_only):
     Q = np.where(ws[:, None] > 0.0, ws[:, None] * x, x)
     perm = rng.permutation(Q.size)
     w_nodes, Q_nodes = np.repeat(ws, x.size)[perm], Q.ravel()[perm]
-    got = pr._bath_channels(geom, w_nodes, Q_nodes, kernel=kernel, thermal_only=thermal_only)
-    want = per_node_channels(geom, w_nodes, Q_nodes, kernel, thermal_only)
+    got = pr._bath_channels(geom, w_nodes, Q_nodes, thermal_only=thermal_only)
+    want = per_node_channels(geom, w_nodes, Q_nodes, "difference", thermal_only)
     assert np.array_equal(got, want)
     assert np.all(got[:, w_nodes == 0.0] == 0.0)
-    assert np.any(got[:, (w_nodes > 0.0) & (Q_nodes == w_nodes)] != 0.0) == (kernel != "baseline")
+    assert np.any(got[:, (w_nodes > 0.0) & (Q_nodes == w_nodes)] != 0.0)
 
     live = w_nodes != 0.0
     factors = pr._frequency_factors(geom, ws[:-1], thermal_only=thermal_only)
     row = np.repeat(np.arange(len(ws)), x.size)[perm][live]
-    lockstep = pr._bath_channels(geom, w_nodes[live], Q_nodes[live], kernel=kernel,
-                                 factors=(factors, row))
+    lockstep = pr._bath_channels(geom, w_nodes[live], Q_nodes[live], factors=(factors, row))
     assert np.array_equal(lockstep, got[:, live])
 
 
@@ -602,8 +626,7 @@ def workspace_batch(n, rng):
 
 
 @pytest.mark.parametrize("thermal_only", [False, True])
-@pytest.mark.parametrize("kernel", ["full", "baseline", "difference"])
-def test_one_workspace_serves_every_chunk_size(kernel, thermal_only):
+def test_one_workspace_serves_every_chunk_size(thermal_only):
     # one workspace at 3840 points (a full chunk), then 7, then 5000 (it
     # grows): every call equals a fresh one bit for bit, with light-line
     # points and weight-0 lanes in each batch, of a plate that never emits
@@ -614,9 +637,8 @@ def test_one_workspace_serves_every_chunk_size(kernel, thermal_only):
     work = pr._Workspace()
     for n in (15 * pr._PANEL_CHUNK, 7, 5000):
         w, Q = workspace_batch(n, rng)
-        got = pr._bath_channels(geom, w, Q, kernel=kernel, thermal_only=thermal_only,
-                                work=work)
-        want = pr._bath_channels(geom, w, Q, kernel=kernel, thermal_only=thermal_only)
+        got = pr._bath_channels(geom, w, Q, thermal_only=thermal_only, work=work)
+        want = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
         assert got.shape == want.shape == (len(BREAKDOWN_KEYS), n)
         assert np.array_equal(got, want)
         assert np.any(got != 0.0)
@@ -631,22 +653,22 @@ def test_workspace_survives_the_integrands_singularity_errors():
     glassy = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1e-15))
     mirror = EpsilonTable(omega=np.array([1.0]), eps=np.array([-2.0 + 0j]))
     ws = np.array([0.5, 1.2, 2.0])
-    cases = ((Geometry(gap=1.0, left=glassy, right=glassy), ws, np.full(3, 0.3), "baseline",
+    cases = ((Geometry(gap=1.0, left=glassy, right=glassy), ws, np.full(3, 0.3),
               "trapped lossless mode"),
              (Geometry(gap=1.0, left=warm_geom().left, right=mirror), ws, ws * math.sqrt(2.0),
-              "full", "Fresnel denominator"))
+              "Fresnel denominator"))
     w, Q = workspace_batch(15 * pr._PANEL_CHUNK, np.random.default_rng(8))
     work = pr._Workspace()
-    pr._bath_channels(warm_geom(), w, Q, kernel="difference", work=work)
-    for geom, bad_w, bad_Q, kernel, match in cases:
+    pr._bath_channels(warm_geom(), w, Q, work=work)
+    for geom, bad_w, bad_Q, match in cases:
         points = []
         for kw in ({"work": work}, {}):
             with pytest.raises(SingularityError, match=match) as info:
-                pr._bath_channels(geom, bad_w, bad_Q, kernel=kernel, **kw)
+                pr._bath_channels(geom, bad_w, bad_Q, **kw)
             points.append(info.value.point)
         assert points[0] == points[1]
-        got = pr._bath_channels(warm_geom(), w, Q, kernel="difference", work=work)
-        assert np.array_equal(got, pr._bath_channels(warm_geom(), w, Q, kernel="difference"))
+        got = pr._bath_channels(warm_geom(), w, Q, work=work)
+        assert np.array_equal(got, pr._bath_channels(warm_geom(), w, Q))
 
 
 def test_calls_without_a_workspace_return_their_own_arrays():
@@ -675,8 +697,7 @@ def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
     row = rng.integers(0, len(ws), n)
     w = ws[row]
     Q = w * rng.uniform(0.0, 3.0, n)
-    kw = {"kernel": "difference", "factors": (pr._frequency_factors(warm_geom(), ws), row),
-          "work": pr._Workspace()}
+    kw = {"factors": (pr._frequency_factors(warm_geom(), ws), row), "work": pr._Workspace()}
     pr._bath_channels(warm_geom(), w, Q, **kw)      # warm the workspace
     tracemalloc.start()
     try:
@@ -695,7 +716,8 @@ def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
 def test_thermal_detached_baseline_is_blackbody():
     # the l-independent thermal part of the detached-plates pressure is the
     # blackbody radiation pressure pi^2 T^4 / 45 pushing the plates apart.
-    # The baseline map lives in the propagating sector Q = omega sin(theta);
+    # The baseline map (the per-node reference's; the production map
+    # subtracts it) lives in the propagating sector Q = omega sin(theta);
     # it is integrated here with scipy quad in omega and a fixed
     # Gauss-Legendre rule in theta, off the steady integrator it calibrates
     T = 1.0
@@ -705,8 +727,7 @@ def test_thermal_detached_baseline_is_blackbody():
     weight = 0.25 * math.pi * wx * np.cos(theta)    # dQ = omega cos(theta) dtheta
 
     def over_theta(w):
-        ch = pr._bath_channels(geom, w, w * np.sin(theta), kernel="baseline",
-                               thermal_only=True)
+        ch = per_node_channels(geom, w, w * np.sin(theta), "baseline", True)
         return w * float(np.sum(ch.sum(axis=0) * weight))
 
     base, _ = quad(over_theta, 0.0, 24.0, points=[0.5, 1.0, 1.5, 2.0, 3.0], limit=200)
@@ -773,6 +794,21 @@ def test_thermal_only_is_pressure_minus_zero_temperature_pressure():
     assert abs(thermal.value - (full.value - cold.value)) <= full.err + cold.err + thermal.err
 
 
+def test_err_bounds_the_true_error_over_random_plates():
+    # the reported err bounds the distance to the imaginary-frequency sum
+    # at equal temperatures, for random lossy plate pairs (acceptance
+    # criterion 7's generator), gaps and temperatures
+    rng = np.random.default_rng(18)
+    opts = PressureOptions(rel_tol=1e-3)
+    for _ in range(6):
+        gap, T = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.1, 2.0))
+        left, right = (replace(rand_lossy(rng), beta_bath=1.0 / T) for _ in range(2))
+        geom = Geometry(gap=gap, left=left, right=right)
+        res = steady_pressure(geom, opts)
+        eq = equilibrium_matsubara(geom, T)
+        assert abs(res.value - eq) <= res.err, (geom, res.value, eq, res.err)
+
+
 def test_matsubara_oracle_shape():
     geom = equal_t_geom(gap=1.0, T=1.0)
     p1 = equilibrium_matsubara(geom, 1.0)
@@ -831,10 +867,27 @@ def test_steady_pressure_result_contract():
 
 
 def test_steady_pressure_requires_dissipation():
-    shiny = EpsilonTable(omega=np.array([1.0]), eps=np.array([4.0 + 0.0j]))
-    geom = Geometry(gap=1.0, left=shiny, right=shiny)
-    with pytest.raises(DomainError):
-        steady_pressure(geom)
+    glassy = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="none", gamma=0.0))
+    mute = Material(omega0=1.0, lambda0=0.0)
+    for geom in (Geometry(gap=1.0, left=glassy, right=glassy),
+                 Geometry(gap=1.0, left=glassy, right=mute)):
+        with pytest.raises(DomainError, match="dissipative"):
+            steady_pressure(geom)
+
+
+@pytest.mark.parametrize("left_table", [False, True])
+def test_steady_pressure_refuses_table_plates(left_table):
+    # a lossless constant table emits nothing, while the lossless limit of
+    # an oscillator plate keeps its emission: facing the default lossy
+    # plate, an eps = 1.5 table would give +0.125 against the Matsubara
+    # -0.0027.  So a table plate is refused, on either side, before the
+    # integrand runs
+    lossy = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1),
+                     beta_bath=1.0)
+    table = EpsilonTable(omega=np.array([1.0]), eps=np.array([1.5 + 0.0j]), beta_bath=1.0)
+    left, right = (table, lossy) if left_table else (lossy, table)
+    with pytest.raises(DomainError, match="table plate"):
+        steady_pressure(Geometry(gap=1.0, left=left, right=right))
 
 
 def test_pressure_options_validation():
@@ -977,7 +1030,7 @@ def test_dof_integrand_decoupled_and_type_errors():
     mute = Material(omega0=1.0, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.1))
     geom = Geometry(gap=1.0, left=mute, right=mute)
     assert assemble_dof_integrand(geom, 0.5, 0.3 - 1j, 0.2 + 1j) == 0.0
-    table = EpsilonTable(omega=np.array([1.0]), eps=np.array([2.0 + 1.0j]))
+    table = EpsilonTable(omega=np.array([1.0]), eps=np.array([2.0 + 0.0j]))
     geom2 = Geometry(gap=1.0, left=table, right=LOSSY)
     with pytest.raises(DomainError):
         assemble_dof_integrand(geom2, 0.5, 0.3 - 1j, 0.2 + 1j)
@@ -1030,11 +1083,12 @@ def test_mirror_swap_property(w, x):
 @settings(max_examples=15, deadline=None)
 @given(w=st.floats(0.02, 10.0))
 def test_emission_weight_positivity(w):
-    for side in (LOSSY, LOSSY2):
-        full = pr._emission_weight(side, w)
-        thermal = pr._emission_weight(side, w, thermal_only=True)
-        assert full >= 0.0
-        assert 0.0 <= thermal <= full + 1e-300
+    geom = warm_geom()
+    full = pr._frequency_factors(geom, np.array([w]))["weight"]
+    thermal = pr._frequency_factors(geom, np.array([w]), thermal_only=True)["weight"]
+    for a in range(2):
+        assert full[a][0] >= 0.0
+        assert 0.0 <= thermal[a][0] <= full[a][0] + 1e-300
 
 
 @settings(max_examples=8, deadline=None)
