@@ -11,9 +11,15 @@ detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
 ceiling, never enter.  The (omega, Q) integral is done with a vectorized
 adaptive Gauss-Kronrod rule, split into propagating (Q < omega) and
-evanescent (Q > omega) sectors.  The module also holds the equilibrium
-oracle, the imaginary-frequency sum; it imports scipy.integrate on first
-use, so the steady path runs without loading scipy.
+evanescent (Q > omega) sectors, up to a real-axis ceiling omega_max.  Past
+it, where the emission is the mean occupation times the Lifshitz function
+H (identical plates up to their temperatures, or one bath temperature),
+the tail closes on the line omega_max + i y, built from the permittivity
+and Fresnel coefficients continued off the axis; otherwise it stays on the
+real axis.  The module also holds the equilibrium oracle, the
+imaginary-frequency sum; it imports scipy.integrate on first use, so the
+steady path runs without loading scipy, and the contour tail is never
+built from it.
 
 This module builds no symbolic Green block: the blocks of
 :mod:`.em_green` and their stress contraction
@@ -46,7 +52,9 @@ allocates nothing of its size and the heap is not trimmed and faulted
 back in between chunks.  Rows taken from a workspace are valid until the
 next call with the same workspace; a call made without one (as every
 caller outside the quadrature does) makes a fresh one, so what it
-returns is its caller's alone.
+returns is its caller's alone.  The contour tail runs its rules and node
+mapping in the same workspace; its integrand, about a tenth of the
+points, allocates fresh arrays.
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -56,14 +64,14 @@ power.  Negative values mean attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
                        permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _s_eff, plate_eps
+from .em_green import _fresnel_coeffs, _s_eff, plate_eps, qz
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -607,18 +615,26 @@ class PressureOptions:
 class PressureResult:
     """Value, error estimate and channel breakdown of one pressure run.
 
-    value is the sum of the eight breakdown entries (plate x polarization
-    x sector); omega_max_used records the resolved frequency ceiling.  err
-    is the sum of the outer estimate on [0, omega_max], the estimates of
-    the two tail slices, 0.5 |resid| (resid the summed channels of both
-    slices) and |integrated inner|, the inner Q errors integrated over
-    omega with the channels' weights.
+    breakdown holds the eight real-axis channels (plate x polarization x
+    sector) integrated over [0, omega_max_used], the resolved real-axis
+    ceiling; tail is the part past it, and value = fsum(breakdown) + tail
+    (to rounding).  The tail is the contour integral up omega_max_used +
+    i y where the plates' emission continues off the real axis (see
+    `steady_pressure`), else the Euler-weighted real-axis slices.
+
+    err is the sum of the outer estimate on [0, omega_max_used],
+    |integrated inner| (the inner Q errors integrated over omega with the
+    channels' weights) and the tail's estimate: on the contour, its outer
+    estimate plus its integrated inner errors; on the real axis, the
+    estimates of the two slices plus 0.5 |resid|, resid the summed
+    channels of both slices.
     """
 
     value: float
     err: float
     breakdown: dict
     omega_max_used: float = 0.0
+    tail: float = 0.0
 
     def csv_row(self, gap, t_left, t_right):
         """Flat CSV row: l, T_L, T_R, value, err, 8 channels, and a constant
@@ -630,13 +646,23 @@ class PressureResult:
 
 
 def _auto_omega_max(geom):
-    """Frequency ceiling from the material, thermal and cavity scales.
+    """Real-axis frequency ceiling from the material, thermal and gap scales.
 
-    The ceiling only has to clear the dissipation hump and leave the
-    oscillatory tail in its asymptotic decay; the endpoint-averaged tail
-    treatment in the frequency integral cancels the first two orders of
-    the truncation residue and leaves about 1e-6 of the result.
+    Where the tail closes on the contour (`_closes_on_contour`) any
+    ceiling gives the same integral, so it is set by cost:
+    max(2 (omega0 + lambda0), 4 T, 4/l) over both plates keeps the
+    resonance bands and the thermal hump on the real axis and starts the
+    contour where its occupation varies by at most exp(-4) up the line.
+    Elsewhere the Euler slices need the oscillatory cavity tail in its
+    asymptotic decay: max(18, 4/l, 4 omega0 + 6 lambda0, 8 T).
     """
+    if _closes_on_contour(geom):
+        cands = [4.0 / geom.gap]
+        for side in (geom.left, geom.right):
+            cands.append(2.0 * (side.omega0 + side.lambda0))
+            if math.isfinite(side.beta_bath):
+                cands.append(4.0 / side.beta_bath)
+        return max(cands)
     cands = [18.0, 4.0 / geom.gap]
     for side in (geom.left, geom.right):
         cands.append(4.0 * side.omega0 + 6.0 * side.lambda0)
@@ -688,6 +714,39 @@ def _inner_q_seeds(geom, omegas):
 _INNER_FLOOR = 1e-3
 
 
+def _q_nodes(x, seg, evan, w_seg, decay, work):
+    """The inner rules' node mapping: nodes x of segments seg to Q.
+
+    ``evan``, ``w_seg`` and ``decay`` are per segment: its sector, its
+    (real) frequency omega and its decay scale.  Propagating nodes are
+    theta with Q = omega sin(theta); evanescent ones are t in [0, 1) with
+    sqrt(Q^2 - omega^2) = decay t/(1 - t).  Returns the arrays (omega, Q,
+    dQ/dx) over the nodes, rows of the `_Workspace` ``work`` valid until
+    its next call.
+    """
+    m = x.size
+    w, Qs, jac, node_decay = work.take("node.real", 4 * m).reshape(4, m)
+    ev = evan.take(seg, out=work.take("node.evan", m, bool), mode="clip")
+    w_seg.take(seg, out=w, mode="clip")
+    ip, ie = np.flatnonzero(~ev), np.flatnonzero(ev)
+    if ip.size:
+        wp, tp, v = work.take("node.prop", 3 * ip.size).reshape(3, ip.size)
+        w.take(ip, out=wp, mode="clip")
+        x.take(ip, out=tp, mode="clip")
+        Qs[ip] = np.multiply(wp, np.sin(tp, out=v), out=v)
+        jac[ip] = np.multiply(wp, np.cos(tp, out=v), out=v)
+    if ie.size:
+        sc, ts, rest, qs, Qe, d = work.take("node.evan_real", 6 * ie.size).reshape(6, ie.size)
+        decay.take(seg, out=node_decay, mode="clip").take(ie, out=sc, mode="clip")
+        x.take(ie, out=ts, mode="clip")
+        np.subtract(1.0, ts, out=rest)
+        np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
+        Qs[ie] = np.hypot(w.take(ie, out=Qe, mode="clip"), qs, out=Qe)
+        np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
+        jac[ie] = np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=d)
+    return w, Qs, jac
+
+
 def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
     """Q-integrals of the difference channel map at an array of frequencies,
     in lockstep.
@@ -733,30 +792,11 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
         return f"{'evanescent' if evan[j] else 'propagating'} Q integral at omega={w_seg[j]:.4g}"
 
     def f(x, seg):
-        m = x.size
-        w, Qs, jac, node_decay = work.take("node.real", 4 * m).reshape(4, m)
-        ev = evan.take(seg, out=work.take("node.evan", m, bool), mode="clip")
-        at = row.take(seg, out=work.take("node.row", m, np.intp), mode="clip")
-        w_seg.take(seg, out=w, mode="clip")
-        ip, ie = np.flatnonzero(~ev), np.flatnonzero(ev)
-        if ip.size:
-            wp, tp, v = work.take("node.prop", 3 * ip.size).reshape(3, ip.size)
-            w.take(ip, out=wp, mode="clip")
-            x.take(ip, out=tp, mode="clip")
-            Qs[ip] = np.multiply(wp, np.sin(tp, out=v), out=v)
-            jac[ip] = np.multiply(wp, np.cos(tp, out=v), out=v)
-        if ie.size:
-            sc, ts, rest, qs, Qe, d = work.take("node.evan_real", 6 * ie.size).reshape(6, ie.size)
-            decay.take(seg, out=node_decay, mode="clip").take(ie, out=sc, mode="clip")
-            x.take(ie, out=ts, mode="clip")
-            np.subtract(1.0, ts, out=rest)
-            np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
-            Qs[ie] = np.hypot(w.take(ie, out=Qe, mode="clip"), qs, out=Qe)
-            np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
-            jac[ie] = np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=d)
+        w, Qs, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
+        at = row.take(seg, out=work.take("node.row", x.size, np.intp), mode="clip")
         ch = _bath_channels(geom, w, Qs, factors=(factors, at), work=work)
         ch *= jac
-        return ch, np.empty((0, m))
+        return ch, np.empty((0, x.size))
 
     def floor(totals):
         running = np.abs(np.bincount(owner, weights=totals, minlength=n)).max()
@@ -765,6 +805,141 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas), rel_tol, abs_floor=floor,
                                  max_panels=512, labels=label, work=work)
     return _segment_sums(owner, got, n), np.bincount(owner, weights=err, minlength=n)
+
+
+# ---------------------------------------------------------------------------
+# the frequency tail on a contour
+# ---------------------------------------------------------------------------
+
+
+def _closes_on_contour(geom):
+    """Whether the tail past the real-axis ceiling closes on the contour.
+
+    With c = coth(beta omega/2) per plate, c_bar = (c_L + c_R)/2 and
+    dc = (c_L - c_R)/2, the Q-integrated emission is c_bar (K_L + K_R) +
+    dc (K_L - K_R), K_a plate a's kernel without its occupation.  Only the
+    c_bar part is analytic in the upper half omega-plane off the imaginary
+    axis; the dc part vanishes identically when the plates are the same
+    material apart from their temperatures (K_L = K_R) or share one bath
+    temperature (dc = 0).
+    """
+    left, right = geom.left, geom.right
+    return (left.beta_bath == right.beta_bath
+            or replace(left, beta_bath=right.beta_bath, beta_dof=right.beta_dof) == right)
+
+
+def _mean_occupation(geom, omega, thermal_only):
+    """c_bar = (coth(beta_L omega/2) + coth(beta_R omega/2))/2 at complex
+    frequencies with Re omega > 0, or the mean of coth - 1 under
+    ``thermal_only``.  Written through e = exp(-beta omega), |e| < 1, so
+    it cannot overflow; a plate at T = 0 adds 1 (0 under thermal_only).
+    """
+    total = np.zeros(np.shape(omega), complex)
+    for side in (geom.left, geom.right):
+        if math.isfinite(side.beta_bath):
+            e = np.exp(-side.beta_bath * omega)
+            total += (2.0 * e if thermal_only else 1.0 + e) / (1.0 - e)
+        elif not thermal_only:
+            total += 1.0
+    return 0.5 * total
+
+
+def _contour_integrand(geom, omega, Q):
+    """h(omega, Q) = Q q sum_mu x_mu / (1 - x_mu), the Q integrand of H.
+
+    At s = -i omega (omega complex, Im omega >= 0, broadcast against Q),
+    q = qz(1, s, Q) and x_mu = r_mu,L r_mu,R exp(-2 q l), the round trip
+    of polarization mu.  H(s) = int_0^inf h dQ is the Lifshitz function of
+    the T = 0 imaginary-frequency integral, continued to complex s; its
+    boundary value at real omega gives the equal-occupation real-axis
+    emission, sum over channels of `_bath_channels` integrated over Q =
+    -c_bar Im H(-i omega) / (2 pi^2) (the fluctuation-dissipation form of
+    Antezza et al., PRA 77, 022901 (2008)).
+    """
+    s = -1j * np.asarray(omega, dtype=complex)
+    q = qz(1.0, s, Q)
+    coeffs = []
+    for side in (geom.left, geom.right):
+        eps = plate_eps(side, s)
+        coeffs.append(_fresnel_coeffs(eps, q, qz(eps, s, Q), s)[:2])
+    trip = np.exp(-2.0 * geom.gap * q)
+    total = 0.0
+    for r_l, r_r in zip(*coeffs):
+        x = r_l * r_r * trip
+        total = total + x / (1.0 - x)
+    return Q * q * total
+
+
+def _contour_q_integral(geom, omegas, weights, rel_tol, floor, work=None):
+    """Q integrals of Im(weight h(omega, Q)) at complex frequencies, in
+    lockstep (see `_contour_integrand` for h).
+
+    omegas have Re omega > 0; the weight of each folds in its path
+    direction, occupation and outer Jacobian.  The rule and its node
+    mapping are those of `_inner_q_integral`, split at Q = Re omega: both
+    sectors of every frequency are segments of one `_adaptive_gk` call at
+    ``rel_tol`` with the absolute floor ``floor``.  Returns (integrals,
+    errors), one per frequency.
+    """
+    if work is None:
+        work = _Workspace()
+    omegas = np.asarray(omegas, dtype=complex)
+    weights = np.asarray(weights, dtype=complex)
+    n = len(omegas)
+    owner = np.tile(np.arange(n), 2)
+    evan = np.arange(2 * n) >= n
+    w_seg = omegas.real[owner]
+    decay = np.maximum(w_seg, 0.5 / geom.gap)
+
+    def label(j):
+        return f"contour Q integral at omega={omegas[owner[j]]:.4g}"
+
+    def f(x, seg):
+        _, Q, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
+        at = owner[seg]
+        return np.imag(weights[at] * jac * _contour_integrand(geom, omegas[at], Q))[None], \
+            np.empty((0, x.size))
+
+    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas.real), rel_tol,
+                                 abs_floor=floor, max_panels=512, labels=label, work=work)
+    return (np.bincount(owner, weights=got[0], minlength=n),
+            np.bincount(owner, weights=err, minlength=n))
+
+
+def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
+    """The frequency integral past omega_c, closed on the line omega_c + i y.
+
+    c_bar H is analytic for Re omega > 0 and Im omega >= 0 (the poles of
+    coth lie on the imaginary axis, those of H in the lower half-plane),
+    and decays like exp(-2 y l) up the line, so
+
+        P_tail = -(1/2 pi^2) Re int_0^inf dy c_bar(omega_c + i y) H(y - i omega_c)
+
+    with y = u/(l (1 - u)), u in [0, 1).  The outer rule in u and the Q
+    integrals of each round's nodes (`_contour_q_integral`, up to
+    ``_OMEGA_GROUP`` at a time) all run at ``rel_tol`` with the absolute
+    floor ``scale``, |P| of the real-axis part: the u-integral of the
+    floor is ``scale`` itself.  Returns (P_tail, its error estimate: the
+    outer estimate plus the integrated inner errors).
+    """
+    l = geom.gap
+
+    def f(u, seg):
+        rest = 1.0 - u
+        omega = omega_c + 1j * (u / (l * rest))
+        weights = (-1j / (2.0 * math.pi ** 2 * l)) * _mean_occupation(geom, omega, thermal_only) \
+            / (rest * rest)
+        main, inner = np.empty((1, u.size)), np.empty((1, u.size))
+        for c in range(0, u.size, _OMEGA_GROUP):
+            group = slice(c, c + _OMEGA_GROUP)
+            main[0, group], inner[0, group] = _contour_q_integral(
+                geom, omega[group], weights[group], rel_tol, scale, work)
+        return main, inner
+
+    marks = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]     # y l = 1/4 .. 4
+    (main, inner), e = _adaptive_gk(f, [marks], rel_tol, abs_floor=scale,
+                                    labels=lambda j: "contour tail", work=work)
+    return float(main[0, 0]), float(e[0] + abs(inner[0, 0]))
 
 
 def _surface_band_marks(side, omega_max):
@@ -818,14 +993,22 @@ def steady_pressure(geom, opts=None):
     carries no information about the gap, and with the zero-point emission
     included its integral grows as omega_max^4.
 
-    The outer frequency rule runs at rel_tol/2 (a one-segment
-    `_adaptive_gk`); its integrand hands the frequency nodes of each round,
-    ``_OMEGA_GROUP`` at a time, to `_inner_q_integral`, which runs their Q
-    integrals in lockstep at rel_tol/4 with the floor described there, fed
-    by the largest inner integral finished so far.  The outer integrand
-    returns the pair (channels, inner errors): the channel rows drive the
-    outer error test, the inner-error row rides along, integrated with the
-    same nodes and tail weights, and enters ``err`` (see `PressureResult`).
+    The outer frequency rule on [0, omega_max] runs at rel_tol/2 (a
+    one-segment `_adaptive_gk`); its integrand hands the frequency nodes of
+    each round, ``_OMEGA_GROUP`` at a time, to `_inner_q_integral`, which
+    runs their Q integrals in lockstep at rel_tol/4 with the floor
+    described there, fed by the largest inner integral finished so far.
+    The outer integrand returns the pair (channels, inner errors): the
+    channel rows drive the outer error test, the inner-error row rides
+    along, integrated with the same nodes, and enters ``err`` (see
+    `PressureResult`).
+
+    Past omega_max, identical plates (up to their temperatures) and plates
+    at one bath temperature close the tail on the line omega_max + i y
+    (`_contour_tail`, at rel_tol/4 with |P| of the real-axis part as its
+    floor), where it decays like exp(-2 y l).  Dissimilar plates at
+    T_L != T_R keep the real-axis ceiling of 18 and the Euler slices,
+    whose residue is about 1e-6 of the result.
 
     Both plates must be `Material` oscillators, at least one of them
     lossy (DomainError otherwise): a table plate, one constant real
@@ -864,22 +1047,34 @@ def steady_pressure(geom, opts=None):
         return np.append(main, inner), float(e[0])
 
     totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")
-    # Past the material scales the subtracted integrand is dominated by a
-    # decaying cavity round-trip oscillation cos(2 omega l + phi):
-    # truncating at omega_max leaves a conditionally convergent tail of
-    # size ~amplitude/(2l).  Averaging the partial integral over the next
-    # two half-period endpoints (Euler weights 3/4 and 1/4 on the
-    # half-period slices) cancels that tail through its first two orders.
+    channels = totals[:-1]
+    breakdown = dict(zip(BREAKDOWN_KEYS, channels.tolist()))
+    if _closes_on_contour(geom):
+        main = math.fsum(channels)
+        tail, tail_err = _contour_tail(geom, omega_max, opts.rel_tol / 4.0, opts.thermal_only,
+                                       abs(main), work)
+        return PressureResult(value=main + tail,
+                              err=float(outer_err + abs(totals[-1]) + tail_err),
+                              breakdown=breakdown, omega_max_used=float(omega_max), tail=tail)
+    # Dissimilar plates at T_L != T_R: the (coth_L - coth_R) part of the
+    # emission does not continue off the real axis, and splitting it off
+    # needs per-plate kernels with the occupation factored out.  The tail
+    # stays on the real axis: past the material scales the subtracted
+    # integrand is dominated by a decaying cavity round-trip oscillation
+    # cos(2 omega l + phi), and averaging the partial integral over the
+    # next two half-period endpoints (Euler weights 3/4 and 1/4 on the
+    # half-period slices) cancels its first two orders, leaving about 1e-6
+    # of the result.  The default configuration takes this branch, and
+    # perfbench/reference.json was made by it; moving it waits for that
+    # split and a regenerated reference.
     half = math.pi / (2.0 * geom.gap)
     (s0, e0), (s1, e1) = [integrate([omega_max + j * half, omega_max + (j + 1) * half],
                                     64, "frequency tail slice") for j in (0, 1)]
-    totals = totals + 0.75 * s0 + 0.25 * s1
+    full = totals + 0.75 * s0 + 0.25 * s1
     outer_err = outer_err + e0 + e1 + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
-
-    channels = totals[:-1]
-    return PressureResult(value=math.fsum(channels), err=float(outer_err + abs(totals[-1])),
-                          breakdown=dict(zip(BREAKDOWN_KEYS, channels.tolist())),
-                          omega_max_used=float(omega_max))
+    return PressureResult(value=math.fsum(full[:-1]), err=float(outer_err + abs(full[-1])),
+                          breakdown=breakdown, omega_max_used=float(omega_max),
+                          tail=math.fsum(0.75 * s0[:-1] + 0.25 * s1[:-1]))
 
 
 # ---------------------------------------------------------------------------

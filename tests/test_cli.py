@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from neqlifshitz import pressure, spectral
-from neqlifshitz.cli import _SCHEMA, _build_parser, load_config, main, parse_entries
+from neqlifshitz.cli import (_SCHEMA, _build_parser, _pressure_options, geometry_for,
+                             load_config, main, parse_entries)
 from neqlifshitz.errors import ConfigError
 
 BASE = """
@@ -206,8 +207,12 @@ def test_pressure_single_point_csv(tmp_path, capsys):
     row = [float(x) for x in rows[0]]
     assert row[0] == 1.2 and row[1] == 0.9 and row[2] == 0.3
     assert row[-1] == 1.0
-    # channels sum to the reported value
-    assert math.isclose(sum(row[5:13]), row[3], rel_tol=0, abs_tol=1e-12)
+    # the channel cells cover [0, omega_max]; with the tail past it they
+    # sum to the reported value
+    cfg = load_config(write_cfg(tmp_path, BASE))
+    res = pressure.steady_pressure(geometry_for(cfg), _pressure_options(cfg))
+    assert row[3] == res.value and row[5:13] == [res.breakdown[k] for k in pressure.BREAKDOWN_KEYS]
+    assert math.isclose(sum(row[5:13]) + res.tail, row[3], rel_tol=0, abs_tol=1e-12)
 
 
 def test_pressure_sweep_decays_with_separation(tmp_path, capsys):

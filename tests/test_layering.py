@@ -104,3 +104,38 @@ def test_quadrature_signatures_read_by_the_benchmark_tracer():
         params = list(inspect.signature(fn).parameters.values())[:len(head)]
         assert [p.name for p in params] == head
         assert all(p.kind in positional for p in params)
+
+
+def _reachable(module, start):
+    """Names of ``module``'s top-level functions that ``start`` reaches
+    through the names its body (and theirs, transitively) reads."""
+    defs = {node.name: node for node in ast.parse(inspect.getsource(module)).body
+            if isinstance(node, ast.FunctionDef)}
+    seen, todo = set(), [start]
+    while todo:
+        name = todo.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        todo.extend(node.id for node in ast.walk(defs[name]) if isinstance(node, ast.Name))
+    return seen
+
+
+def test_contour_tail_is_built_apart_from_the_matsubara_oracle():
+    # the tail is checked against the imaginary-frequency sum, so it must
+    # not be made of it
+    reached = _reachable(pressure, "_contour_tail")
+    assert {"_contour_q_integral", "_contour_integrand", "_mean_occupation"} <= reached
+    assert not reached & {"_matsubara_inner", "equilibrium_matsubara", "_eps_imag_axis"}
+
+
+def test_contour_path_loads_neither_scipy_integrate_nor_mpmath():
+    code = ORACLE_INPUTS + f"""
+import json, sys
+from neqlifshitz.pressure import PressureOptions, steady_pressure
+res = steady_pressure(geom, PressureOptions(rel_tol=1e-3))
+print(json.dumps([res.tail, [m for m in {HEAVY!r} if m in sys.modules]]))
+"""
+    tail, loaded = _fresh_python(code)
+    assert tail != 0.0
+    assert loaded == []
