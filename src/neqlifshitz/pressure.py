@@ -9,42 +9,35 @@ of the two plates' Fresnel coefficients (Antezza et al., PRA 77, 022901
 integrand computes only that one map: the emission channels minus their
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
-ceiling, never enter.  The (omega, Q) integral is done with a vectorized
-adaptive Gauss-Kronrod rule, split into propagating (Q < omega) and
-evanescent (Q > omega) sectors, up to a real-axis ceiling omega_max.  Past
+ceiling, never enter.
+
+The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
+serve the real axis and the tail alike.  The outer frequency rule
+(`_frequency_rule`) hands the nodes of each round, up to ``_OMEGA_GROUP``
+at a time, to the lockstep Q driver (`_q_integrals`): the propagating (Q <
+Re omega) and evanescent sectors of every frequency are independent
+segments of one adaptive rule, each with its own error test, panel budget
+and ConvergenceError, and each round evaluates all panels being split with
+one integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
+bounded.  Up to the real-axis ceiling omega_max the Q integrand is the
+eight channels (`_inner_q_integral`; rows in BREAKDOWN_KEYS order), with
+the factors of the frequency alone evaluated once per lockstep call.  Past
 it, where the emission is the mean occupation times the Lifshitz function
 H (identical plates up to their temperatures, or one bath temperature),
-the tail closes on the line omega_max + i y, built from the permittivity
-and Fresnel coefficients continued off the axis; otherwise it stays on the
-real axis.  The module also holds the equilibrium oracle, the
-imaginary-frequency sum; it imports scipy.integrate on first use, so the
-steady path runs without loading scipy, and the contour tail is never
-built from it.
+the tail closes on the line omega_max + i y (`_contour_tail`), its
+integrand read off the optics record of :mod:`.em_green` continued off the
+axis; otherwise two Euler-weighted real-axis slices close it.
 
-This module builds no symbolic Green block: the blocks of
-:mod:`.em_green` and their stress contraction
-(:func:`.spectral.theta_contract`) serve the transient study in
+The module also holds the equilibrium oracle, the imaginary-frequency sum;
+it imports scipy.integrate on first use, so the steady path runs without
+loading scipy, and the contour tail is never built from it.  It builds no
+symbolic Green block: the blocks of :mod:`.em_green` and their stress
+contraction (:func:`.spectral.theta_contract`) serve the transient study in
 :mod:`.spectral`, and in the tests the oracle of the closed form.
 
-The inner Q integrals of the frequency nodes of one outer round run in
-lockstep, up to ``_OMEGA_GROUP`` frequencies at a time: both sectors of
-every frequency are independent segments of one adaptive rule, and each
-round evaluates all panels being split with one integrand call per chunk
-of ``_PANEL_CHUNK`` panels, so memory stays bounded however many panels
-a round holds.  Each segment keeps its own error test, panel budget and
-ConvergenceError; its absolute floor is ``_INNER_FLOOR * rel_tol`` times
-the largest inner integral among the frequencies already finished and the
-running estimates of its own lockstep call.  The eight channels travel
-through the quadrature as the rows of one array, in BREAKDOWN_KEYS order.
-The factors of the frequency alone (permittivities, and the emission
-weights read off them) are evaluated once per lockstep call, and each
-integrand call evaluates its propagating and evanescent points apart,
-each with its own closed form and the vacuum wavenumber in real
-arithmetic.
-
 Each `steady_pressure` call owns one `_Workspace` and hands it through
-every `_inner_q_integral` lockstep call to the rule (`_adaptive_gk`,
-`_eval_panels`), the node mapping and the channel map (`_bath_channels`,
+every lockstep call to the inner rules (`_adaptive_gk`, `_eval_panels`),
+the node mapping and the channel map (`_bath_channels`,
 `_sector_channels`, `.em_green._fresnel_coeffs`).  Every per-node array
 of a chunk is written into one of its reused buffers with ``out=``
 ufuncs, in the same operation order as fresh arrays, so a chunk
@@ -52,9 +45,9 @@ allocates nothing of its size and the heap is not trimmed and faulted
 back in between chunks.  Rows taken from a workspace are valid until the
 next call with the same workspace; a call made without one (as every
 caller outside the quadrature does) makes a fresh one, so what it
-returns is its caller's alone.  The contour tail runs its rules and node
-mapping in the same workspace; its integrand, about a tenth of the
-points, allocates fresh arrays.
+returns is its caller's alone.  The outer rules take none, since their
+nodes must outlive the inner rules' chunks; the contour integrand, about
+a tenth of the points, allocates fresh arrays.
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -71,7 +64,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
                        permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _s_eff, plate_eps, qz
+from .em_green import _fresnel_coeffs, _optics, _s_eff, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -747,36 +740,20 @@ def _q_nodes(x, seg, evan, w_seg, decay, work):
     return w, Qs, jac
 
 
-def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
-    """Q-integrals of the difference channel map at an array of frequencies,
-    in lockstep.
+def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
+    """The lockstep Q driver: both sectors of every real frequency in
+    ``omegas`` are independent segments of one `_adaptive_gk` call (seed
+    edges `_inner_q_seeds`, nodes `_q_nodes`, at most 512 panels each), so
+    each round evaluates every panel still being split with one integrand
+    call per chunk, while each sector keeps its own error test, panel
+    budget and ConvergenceError, named by ``label(i, sector)``.
 
-    Propagating sector via Q = omega sin(theta) (removes the edge cusp),
-    evanescent tail via the decay variable q = sqrt(Q^2 - omega^2) mapped
-    to t in [0, 1) with scale max(omega, 1/(2 l)); `_inner_q_seeds` gives
-    the seed edges.  Both sectors of every frequency are independent
-    segments of one `_adaptive_gk` call, so each round evaluates every
-    panel still being split with one integrand call
-    per chunk, while each sector keeps its own error test, panel budget and
-    ConvergenceError.  The absolute floor of every segment is
-    ``_INNER_FLOOR * rel_tol`` times the largest |inner integral| among
-    ``floor_scale`` (that of the frequencies already finished) and the
-    running estimates of this call, so it does not depend on the order in
-    which the frequencies of one call are listed.
-
-    The factors of omega alone (`_frequency_factors`) are evaluated once
-    per call, not once per round, and every node finds its frequency's row
-    through its segment's owner.  The substitution takes sin and cos only
-    at propagating nodes.  ``work`` is the `_Workspace` of the steady pass
-    (a fresh one without it): the rule's chunks, the node mapping and the
-    channel map all write into it, and the integrand's rows, Jacobian
-    applied in place, are valid until its next chunk.
-
-    Returns (channel integrals shaped (8, n_omega) in BREAKDOWN_KEYS
-    order, per-frequency errors).
+    ``rows(w, Q, jac, at)`` gives the integrand rows at nodes of frequency
+    w = omegas[at], Q and dQ/dx, rows of ``work`` (see `_q_nodes`);
+    ``floor`` is the absolute floor, a number or a callable of the
+    per-frequency running totals.  Returns (integrals shaped (rows,
+    n_omega), per-frequency errors).
     """
-    if work is None:
-        work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
     pos = np.flatnonzero(omegas > 0.0)
@@ -784,27 +761,76 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     evan = np.arange(len(owner)) >= len(pos)
     w_seg = omegas[owner]
     decay = np.maximum(w_seg, 0.5 / geom.gap)
-    live = omegas != 0.0
-    factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
-    row = (np.cumsum(live) - 1)[owner]      # each segment's row of the factors
-
-    def label(j):
-        return f"{'evanescent' if evan[j] else 'propagating'} Q integral at omega={w_seg[j]:.4g}"
 
     def f(x, seg):
-        w, Qs, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
-        at = row.take(seg, out=work.take("node.row", x.size, np.intp), mode="clip")
-        ch = _bath_channels(geom, w, Qs, factors=(factors, at), work=work)
-        ch *= jac
-        return ch, np.empty((0, x.size))
+        w, Q, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
+        at = owner.take(seg, out=work.take("node.at", x.size, np.intp), mode="clip")
+        return rows(w, Q, jac, at), np.empty((0, x.size))
 
-    def floor(totals):
-        running = np.abs(np.bincount(owner, weights=totals, minlength=n)).max()
-        return _INNER_FLOOR * rel_tol * max(floor_scale, running)
+    def abs_floor(totals):
+        return floor(np.bincount(owner, weights=totals, minlength=n))
 
-    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas), rel_tol, abs_floor=floor,
-                                 max_panels=512, labels=label, work=work)
+    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas), rel_tol,
+                                 abs_floor=abs_floor if callable(floor) else floor,
+                                 max_panels=512, work=work,
+                                 labels=lambda j: label(owner[j], _SECTORS[int(evan[j])]))
     return _segment_sums(owner, got, n), np.bincount(owner, weights=err, minlength=n)
+
+
+def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
+    """Q-integrals of the difference channel map at an array of frequencies,
+    in lockstep (`_q_integrals`): (channel integrals shaped (8, n_omega) in
+    BREAKDOWN_KEYS order, per-frequency errors).
+
+    The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
+    times the largest |inner integral| among ``floor_scale`` (that of the
+    frequencies already finished) and the running estimates of this call,
+    so it does not depend on the order in which the frequencies of one
+    call are listed.  The factors of omega alone (`_frequency_factors`)
+    are evaluated once per call.  ``work`` is the `_Workspace` of the
+    steady pass (a fresh one without it); the channel rows, Jacobian
+    applied in place, live in it until its next chunk.
+    """
+    if work is None:
+        work = _Workspace()
+    omegas = np.asarray(omegas, dtype=float)
+    live = omegas != 0.0
+    factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
+    row = np.cumsum(live) - 1       # each frequency's row of the factors
+
+    def rows(w, Q, jac, at):
+        at = row.take(at, out=work.take("node.row", at.size, np.intp), mode="clip")
+        ch = _bath_channels(geom, w, Q, factors=(factors, at), work=work)
+        ch *= jac
+        return ch
+
+    def floor(running):
+        return _INNER_FLOOR * rel_tol * max(floor_scale, np.abs(running).max())
+
+    return _q_integrals(geom, omegas, rows, rel_tol, floor,
+                        lambda i, sector: f"{sector} Q integral at omega={omegas[i]:.4g}", work)
+
+
+def _frequency_rule(nodes, edges, n_rows, rel_tol, floor, max_panels, label):
+    """The outer frequency rule: one `_adaptive_gk` segment seeded with
+    ``edges``, whose nodes go to ``nodes`` up to ``_OMEGA_GROUP`` at a time.
+
+    nodes(x) returns (rows shaped (n_rows, len(x)), the inner errors at
+    x); the rows drive the error test, the inner errors ride along.  The
+    rule takes no workspace (see the module docstring).  Returns (the
+    n_rows integrals then the integrated inner error, as one array; the
+    outer error estimate).
+    """
+    def f(x, seg):
+        main, inner = np.empty((n_rows, x.size)), np.empty((1, x.size))
+        for c in range(0, x.size, _OMEGA_GROUP):
+            group = slice(c, c + _OMEGA_GROUP)
+            main[:, group], inner[0, group] = nodes(x[group])
+        return main, inner
+
+    (main, inner), e = _adaptive_gk(f, [edges], rel_tol, abs_floor=floor,
+                                    max_panels=max_panels, labels=lambda j: label)
+    return np.append(main, inner), float(e[0])
 
 
 # ---------------------------------------------------------------------------
@@ -856,15 +882,10 @@ def _contour_integrand(geom, omega, Q):
     -c_bar Im H(-i omega) / (2 pi^2) (the fluctuation-dissipation form of
     Antezza et al., PRA 77, 022901 (2008)).
     """
-    s = -1j * np.asarray(omega, dtype=complex)
-    q = qz(1.0, s, Q)
-    coeffs = []
-    for side in (geom.left, geom.right):
-        eps = plate_eps(side, s)
-        coeffs.append(_fresnel_coeffs(eps, q, qz(eps, s, Q), s)[:2])
+    q, plates = _optics(geom, -1j * np.asarray(omega, dtype=complex), Q)
     trip = np.exp(-2.0 * geom.gap * q)
     total = 0.0
-    for r_l, r_r in zip(*coeffs):
+    for r_l, r_r in zip(plates["L"][2], plates["R"][2]):
         x = r_l * r_r * trip
         total = total + x / (1.0 - x)
     return Q * q * total
@@ -875,35 +896,23 @@ def _contour_q_integral(geom, omegas, weights, rel_tol, floor, work=None):
     lockstep (see `_contour_integrand` for h).
 
     omegas have Re omega > 0; the weight of each folds in its path
-    direction, occupation and outer Jacobian.  The rule and its node
-    mapping are those of `_inner_q_integral`, split at Q = Re omega: both
-    sectors of every frequency are segments of one `_adaptive_gk` call at
-    ``rel_tol`` with the absolute floor ``floor``.  Returns (integrals,
-    errors), one per frequency.
+    direction, occupation and outer Jacobian.  The driver `_q_integrals`
+    runs both sectors, split at Q = Re omega, at ``rel_tol`` with the
+    constant absolute floor ``floor``.  Returns (integrals, errors), one
+    per frequency.
     """
     if work is None:
         work = _Workspace()
     omegas = np.asarray(omegas, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
-    n = len(omegas)
-    owner = np.tile(np.arange(n), 2)
-    evan = np.arange(2 * n) >= n
-    w_seg = omegas.real[owner]
-    decay = np.maximum(w_seg, 0.5 / geom.gap)
 
-    def label(j):
-        return f"contour Q integral at omega={omegas[owner[j]]:.4g}"
+    def rows(w, Q, jac, at):
+        return np.imag(weights[at] * jac * _contour_integrand(geom, omegas[at], Q))[None]
 
-    def f(x, seg):
-        _, Q, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
-        at = owner[seg]
-        return np.imag(weights[at] * jac * _contour_integrand(geom, omegas[at], Q))[None], \
-            np.empty((0, x.size))
-
-    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas.real), rel_tol,
-                                 abs_floor=floor, max_panels=512, labels=label, work=work)
-    return (np.bincount(owner, weights=got[0], minlength=n),
-            np.bincount(owner, weights=err, minlength=n))
+    got, err = _q_integrals(geom, omegas.real, rows, rel_tol, floor,
+                            lambda i, sector: f"contour Q integral at omega={omegas[i]:.4g}",
+                            work)
+    return got[0], err
 
 
 def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
@@ -915,31 +924,26 @@ def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
 
         P_tail = -(1/2 pi^2) Re int_0^inf dy c_bar(omega_c + i y) H(y - i omega_c)
 
-    with y = u/(l (1 - u)), u in [0, 1).  The outer rule in u and the Q
-    integrals of each round's nodes (`_contour_q_integral`, up to
-    ``_OMEGA_GROUP`` at a time) all run at ``rel_tol`` with the absolute
+    with y = u/(l (1 - u)), u in [0, 1).  The outer rule in u
+    (`_frequency_rule`) and the Q integrals of its nodes
+    (`_contour_q_integral`) all run at ``rel_tol`` with the absolute
     floor ``scale``, |P| of the real-axis part: the u-integral of the
     floor is ``scale`` itself.  Returns (P_tail, its error estimate: the
     outer estimate plus the integrated inner errors).
     """
     l = geom.gap
 
-    def f(u, seg):
+    def nodes(u):
         rest = 1.0 - u
         omega = omega_c + 1j * (u / (l * rest))
         weights = (-1j / (2.0 * math.pi ** 2 * l)) * _mean_occupation(geom, omega, thermal_only) \
             / (rest * rest)
-        main, inner = np.empty((1, u.size)), np.empty((1, u.size))
-        for c in range(0, u.size, _OMEGA_GROUP):
-            group = slice(c, c + _OMEGA_GROUP)
-            main[0, group], inner[0, group] = _contour_q_integral(
-                geom, omega[group], weights[group], rel_tol, scale, work)
-        return main, inner
+        got, err = _contour_q_integral(geom, omega, weights, rel_tol, scale, work)
+        return got[None], err
 
     marks = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]     # y l = 1/4 .. 4
-    (main, inner), e = _adaptive_gk(f, [marks], rel_tol, abs_floor=scale,
-                                    labels=lambda j: "contour tail", work=work)
-    return float(main[0, 0]), float(e[0] + abs(inner[0, 0]))
+    (tail, inner), e = _frequency_rule(nodes, marks, 1, rel_tol, scale, 1024, "contour tail")
+    return float(tail), float(e + abs(inner))
 
 
 def _surface_band_marks(side, omega_max):
@@ -993,15 +997,11 @@ def steady_pressure(geom, opts=None):
     carries no information about the gap, and with the zero-point emission
     included its integral grows as omega_max^4.
 
-    The outer frequency rule on [0, omega_max] runs at rel_tol/2 (a
-    one-segment `_adaptive_gk`); its integrand hands the frequency nodes of
-    each round, ``_OMEGA_GROUP`` at a time, to `_inner_q_integral`, which
-    runs their Q integrals in lockstep at rel_tol/4 with the floor
-    described there, fed by the largest inner integral finished so far.
-    The outer integrand returns the pair (channels, inner errors): the
-    channel rows drive the outer error test, the inner-error row rides
-    along, integrated with the same nodes, and enters ``err`` (see
-    `PressureResult`).
+    The outer frequency rule on [0, omega_max] (`_frequency_rule`) runs at
+    rel_tol/2 and hands its nodes to `_inner_q_integral` at rel_tol/4,
+    with the floor described there, fed by the largest inner integral
+    finished so far; the channel rows drive the outer error test, and the
+    integrated inner errors enter ``err`` (see `PressureResult`).
 
     Past omega_max, identical plates (up to their temperatures) and plates
     at one bath temperature close the tail on the line omega_max + i y
@@ -1028,23 +1028,15 @@ def steady_pressure(geom, opts=None):
     state = {"scale": 0.0}      # largest |inner integral| finished so far
     work = _Workspace()         # the inner rules' per-node buffers, for the whole pass
 
-    def f_out(ws, seg):
-        main, inner = np.empty((len(BREAKDOWN_KEYS), ws.size)), np.empty((1, ws.size))
-        for c in range(0, len(ws), _OMEGA_GROUP):
-            group = slice(c, c + _OMEGA_GROUP)
-            main[:, group], inner[0, group] = _inner_q_integral(
-                geom, ws[group], opts.thermal_only, inner_tol, state["scale"], work)
-            mag = float(np.abs(main[:, group].sum(axis=0)).max())
-            state["scale"] = max(state["scale"], mag)
+    def nodes(ws):
+        main, inner = _inner_q_integral(geom, ws, opts.thermal_only, inner_tol, state["scale"],
+                                        work)
+        state["scale"] = max(state["scale"], float(np.abs(main.sum(axis=0)).max()))
         return main, inner
 
     def integrate(edges, max_panels, label):
-        """The 8 channel integrals over the edges' span, then the integrated
-        inner error; and the outer error estimate."""
-        (main, inner), e = _adaptive_gk(f_out, [edges], opts.rel_tol / 2.0,
-                                        abs_floor=1e-14 / geom.gap ** 4,
-                                        max_panels=max_panels, labels=lambda j: label)
-        return np.append(main, inner), float(e[0])
+        return _frequency_rule(nodes, edges, len(BREAKDOWN_KEYS), opts.rel_tol / 2.0,
+                               1e-14 / geom.gap ** 4, max_panels, label)
 
     totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")
     channels = totals[:-1]
