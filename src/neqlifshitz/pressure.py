@@ -428,7 +428,7 @@ def _eval_panels(f, lo, hi, seg, work=None):
     ``_PANEL_CHUNK``, each reduced to its per-panel integrals and errors
     before the next, so memory does not grow with the batch.  Returns
     ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
-    error estimates).
+    error estimates, per-panel rounding floors 50 eps resabs).
 
     The per-node arrays of a chunk (the nodes handed to f and the weighted
     products) live in the `_Workspace` ``work``: the steady pass's, handed
@@ -447,7 +447,7 @@ def _eval_panels(f, lo, hi, seg, work=None):
     hi = np.asarray(hi, dtype=float)
     n = len(lo)
     ints = None
-    err = np.empty(n)
+    err, rnd = np.empty(n), np.empty(n)
     for c in range(0, n, _PANEL_CHUNK):
         part = slice(c, min(c + _PANEL_CHUNK, n))
         m = part.stop - part.start
@@ -476,8 +476,9 @@ def _eval_panels(f, lo, hi, seg, work=None):
         e = np.where((resasc > 0.0) & (raw > 0.0),
                      resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
                      raw)
-        err[part] = np.maximum(e, 50.0 * np.finfo(float).eps * resabs)
-    return ints, err
+        rnd[part] = 50.0 * np.finfo(float).eps * resabs
+        err[part] = np.maximum(e, rnd[part])
+    return ints, err, rnd
 
 
 def _segment_sums(seg, rows, nseg):
@@ -504,7 +505,9 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     alone:
 
     * it has converged, for good, once its summed error estimate is at most
-      rel_tol * max(|I_j|, floor), I_j its summed main rows;
+      rel_tol * max(|I_j|, floor), I_j its summed main rows, or at most
+      twice its panels' summed rounding floors (QUADPACK's roundoff stop),
+      and keeps that estimate as its error;
     * otherwise it splits its worst 32 panels whose error exceeds
       room = rel_tol * max(|I_j|, floor) / (2 * its panel count), or its
       worst panel when none does;
@@ -530,14 +533,14 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     edges = marks[owner, col]
     inner = owner[1:] == owner[:-1]     # consecutive edges of one segment
     lo, hi, seg = edges[:-1][inner], edges[1:][inner], owner[:-1][inner]
-    (main, ride), err = _eval_panels(f, lo, hi, seg, work=work)
+    (main, ride), err, rnd = _eval_panels(f, lo, hi, seg, work=work)
     done = np.zeros(nseg, dtype=bool)
     while True:
         sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
         bad = np.bincount(seg, weights=err, minlength=nseg)
         floor = abs_floor(sums) if callable(abs_floor) else abs_floor
         target = rel_tol * np.maximum(np.abs(sums), floor)
-        done |= bad <= target
+        done |= (bad <= target) | (bad <= 2.0 * np.bincount(seg, weights=rnd, minlength=nseg))
         if done.all():
             break
         count = np.bincount(seg, minlength=nseg)
@@ -566,13 +569,14 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
         new_seg = np.concatenate([seg[pick], seg[pick]])
-        (new_main, new_ride), nerr = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
+        (new_main, new_ride), nerr, nrnd = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
         keep = np.ones(len(lo), dtype=bool)
         keep[pick] = False
         lo = np.concatenate([lo[keep], new_lo])
         hi = np.concatenate([hi[keep], new_hi])
         seg = np.concatenate([seg[keep], new_seg])
         err = np.concatenate([err[keep], nerr])
+        rnd = np.concatenate([rnd[keep], nrnd])
         main = np.concatenate([main[:, keep], new_main], axis=1)
         ride = np.concatenate([ride[:, keep], new_ride], axis=1)
     return (_segment_sums(seg, main, nseg), _segment_sums(seg, ride, nseg)), bad

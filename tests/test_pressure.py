@@ -1070,6 +1070,29 @@ def test_segmented_rule_segments_are_independent():
         assert np.array_equal(np.concatenate(seen[j]), np.concatenate(seen1[0])), name
 
 
+def test_segment_stops_at_its_rounding_floor():
+    # a target below rounding (50 eps of each panel's integral of |f|) can
+    # never be met; each segment stops once its residual is at most twice
+    # its rounding floors and reports that residual, which still bounds
+    # the true error
+    names = ("smooth", "lorentzian", "oscillatory")
+    (main, _), err = run_segments(names, rel_tol=1e-17)
+    for j, name in enumerate(names):
+        assert 0.0 < err[j] < 1e-13, name
+        assert abs(main[0, j] - KNOWN[name][2]) <= err[j], name
+
+
+def test_tight_tolerances_stop_at_the_roundoff_level():
+    # on the sweep-far plates these calls used to bisect a stalled sector
+    # to its panel budget and raise ConvergenceError
+    geom = identical_plates(2.0, 1.0, 0.3)
+    ch, err = pr._inner_q_integral(geom, np.array([0.5, 1.3, 2.9, 6.0]), False, 1e-12, 0.0)
+    assert np.all(np.isfinite(ch)) and np.all(err > 0.0)
+    tight = steady_pressure(geom, PressureOptions(rel_tol=1e-9))
+    loose = steady_pressure(geom, PressureOptions(rel_tol=1e-8))
+    assert abs(tight.value - loose.value) <= tight.err
+
+
 @pytest.mark.parametrize("sector", ["propagating", "evanescent"])
 def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector):
     # a channel map that stays rough on one sector of one frequency exhausts
