@@ -3,7 +3,10 @@
 
 Holds the geometry and the right plate temperature fixed while T_L runs
 over a linear grid, emitting the steady pressure and the per-plate
-channel sums.  The scan crosses T_L = T_R, where the result must agree
+channel sums.  The channel sums ``from_left`` and ``from_right`` cover
+the real axis [0, omega_max]; ``tail`` is the part past the ceiling
+``omega_max``, so from_left + from_right + tail is the pressure.  The
+scan crosses T_L = T_R, where the result must agree
 with the equilibrium value, so the printed column ``delta_eq`` (pressure
 minus the value at the closest-to-equal point) shows how the imbalance
 pushes the force away from the Lifshitz point.
@@ -48,16 +51,17 @@ def main(argv=None):
     for t_left in temps:
         left = plate(args.omega0, args.lambda0, args.gamma, float(t_left))
         res = steady_pressure(Geometry(gap=args.gap, left=left, right=right), opts)
-        from_left = sum(v for (p, _, _), v in res.breakdown.items() if p == "L")
-        from_right = res.value - from_left
-        rows.append((float(t_left), res.value, res.err, from_left, from_right))
+        from_left, from_right = (sum(v for (p, _, _), v in res.breakdown.items() if p == side)
+                                 for side in ("L", "R"))
+        rows.append((float(t_left), res.value, res.err, from_left, from_right, res.tail,
+                     res.omega_max_used))
 
     i_eq = int(np.argmin(np.abs(temps - args.t_right)))
     p_eq = rows[i_eq][1]
-    lines = ["T_L,pressure,err,from_left,from_right,delta_eq"]
-    for t_left, value, err, from_left, from_right in rows:
+    lines = ["T_L,pressure,err,from_left,from_right,tail,omega_max,delta_eq"]
+    for t_left, value, err, from_left, from_right, tail, omega_max in rows:
         lines.append(f"{t_left!r},{value!r},{err!r},{from_left!r},"
-                     f"{from_right!r},{value - p_eq!r}")
+                     f"{from_right!r},{tail!r},{omega_max!r},{value - p_eq!r}")
     text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w") as fh:

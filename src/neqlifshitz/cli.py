@@ -479,7 +479,8 @@ def _verify_properties(cfg, args):
                explanation="bath noise and permittivity dissipation disagree")
 
     try:
-        grid = np.linspace(-20.0, 20.0, 4001)
+        # spacing at most pi/(8 l), as the scan requires, at any gap
+        grid = np.linspace(-20.0, 20.0, max(4001, math.ceil(320.0 * geom.gap / math.pi) + 1))
         worst = min((scan_dmu_imaginary_axis(geom, pol, Q, grid)
                      for Q in (0.377, 0.733, 1.191, 2.413) for pol in ("TE", "TM")),
                     key=lambda scan: scan.min_abs)

@@ -647,14 +647,16 @@ def _auto_omega_max(geom):
 
     Where the tail closes on the contour (`_closes_on_contour`) any
     ceiling gives the same integral, so it is set by cost:
-    max(2 (omega0 + lambda0), 4 T, 4/l) over both plates keeps the
-    resonance bands and the thermal hump on the real axis and starts the
-    contour where its occupation varies by at most exp(-4) up the line.
+    max(2 (omega0 + lambda0), 4 T) over both plates keeps the resonance
+    bands and the thermal hump on the real axis and starts the contour
+    where its occupation varies by at most exp(-4) up the line.  The gap
+    sets no term: a 4/l term cost 10-41% more real-axis points at l = 0.3
+    and 0.5 and gained no accuracy (measured against the Matsubara sum).
     Elsewhere the Euler slices need the oscillatory cavity tail in its
     asymptotic decay: max(18, 4/l, 4 omega0 + 6 lambda0, 8 T).
     """
     if _closes_on_contour(geom):
-        cands = [4.0 / geom.gap]
+        cands = []
         for side in (geom.left, geom.right):
             cands.append(2.0 * (side.omega0 + side.lambda0))
             if math.isfinite(side.beta_bath):

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from neqlifshitz import pressure, spectral
+from neqlifshitz import cli, pressure, spectral
 from neqlifshitz.cli import (_SCHEMA, _build_parser, _pressure_options, geometry_for,
                              load_config, main, parse_entries)
 from neqlifshitz.errors import ConfigError
@@ -463,6 +463,19 @@ def test_verify_dmu_floor_reads_the_spectral_floor(monkeypatch, capsys):
     assert code == 1 and rec["pass"] is False
     assert rec["detail"]["floor"] == 0.5 and rec["margin"] < 0.5
     assert "denominator" in rec["explanation"]
+
+
+def test_verify_scans_dmu_at_large_gaps(tmp_path, monkeypatch, capsys):
+    # past l = 39.3 a fixed grid of 4001 points is coarser than the scan's
+    # pi/(8 l) and the record would pass as skipped; the grid grows with
+    # the gap.  The equal-temperature point is stubbed: at l = 50 it alone
+    # takes seconds
+    monkeypatch.setattr(cli, "_equilibrium_deviation", lambda geom, T, opts: (1.0, 1.0, 0.0))
+    text = BASE.replace("geometry.l = 1.2", "geometry.l = 50.0") + "verify.samples = 1\n"
+    main(["verify", "--config", write_cfg(tmp_path, text)])
+    rec = {p["name"]: p for p in json.loads(capsys.readouterr().out)["properties"]}["dmu_floor"]
+    assert "skipped" not in rec["detail"]
+    assert rec["pass"] is True and math.isfinite(rec["margin"])
 
 
 def test_verify_modified_modes_reads_the_spectral_limit(monkeypatch, capsys):

@@ -848,7 +848,7 @@ def test_contour_tail_lands_on_the_matsubara_half_sum():
 
 
 #: Largest share |tail| / |value| on acceptance criterion 1's six points.
-#: Measured: 2.1e-3 and 5e-4 at l = 0.5, 1.7e-2 and 3.2e-3 at l = 1, 0.35
+#: Measured: 2.0e-2 and 5.0e-3 at l = 0.5, 1.7e-2 and 3.2e-3 at l = 1, 0.35
 #: and 5.2e-2 at l = 2 (T = 0.1 and 1); the share swings with the cavity
 #: phase at the ceiling, the deviation from Matsubara does not.
 _TAIL_SHARE_BOUND = 0.4
@@ -861,6 +861,17 @@ def test_criterion_1_points_stay_mostly_on_the_real_axis():
         for T in (0.1, 1.0):
             res = steady_pressure(equal_t_geom(gap, T), PressureOptions(rel_tol=3e-4))
             assert abs(res.tail) < _TAIL_SHARE_BOUND * abs(res.value), (gap, T, res.tail)
+
+
+def test_contour_ceiling_is_not_set_by_the_gap():
+    # any ceiling gives the same contour integral, so a small gap does not
+    # raise it: l = 0.3 starts the contour at 2 (omega0 + lambda0) = 4, and
+    # the former ceiling 4/l lands on the same value within the error
+    geom = equal_t_geom(0.3, 0.1)
+    res = steady_pressure(geom, PressureOptions(rel_tol=1e-3))
+    assert res.omega_max_used == 4.0
+    wide = steady_pressure(geom, PressureOptions(rel_tol=1e-3, omega_max=4.0 / 0.3))
+    assert abs(wide.value - res.value) <= res.err
 
 
 def test_thermal_only_on_the_contour():

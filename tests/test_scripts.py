@@ -41,8 +41,10 @@ def test_temperature_scan_script(tmp_path):
                       "--points", "2")
     assert [float(r["T_L"]) for r in rows] == pytest.approx([0.5, 0.9])
     for r in rows:
-        assert float(r["from_left"]) + float(r["from_right"]) == pytest.approx(
-            float(r["pressure"]), rel=1e-12)
+        # the channel sums cover [0, omega_max]; the tail past it is its own column
+        assert float(r["tail"]) != 0.0
+        assert float(r["from_left"]) + float(r["from_right"]) + float(r["tail"]) == \
+            pytest.approx(float(r["pressure"]), rel=1e-12)
     # T_L = 0.5 is the equilibrium point of the default T_R = 0.5
     assert float(rows[0]["delta_eq"]) == 0.0
     assert float(rows[1]["delta_eq"]) == pytest.approx(
