@@ -754,9 +754,9 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
     call per chunk, while each sector keeps its own error test, panel
     budget and ConvergenceError, named by ``label(i, sector)``.
 
-    ``rows(w, Q, jac, at)`` gives the integrand rows at nodes of frequency
-    w = omegas[at], Q and dQ/dx, rows of ``work`` (see `_q_nodes`);
-    ``floor`` is the absolute floor, a number or a callable of the
+    ``rows(w, Q, jac, at)`` gives the integrand rows at the nodes from
+    their frequency w = omegas[at], Q and dQ/dx (arrays in ``work``, see
+    `_q_nodes`); ``floor`` is the absolute floor, a number or a callable of the
     per-frequency running totals.  Returns (integrals shaped (rows,
     n_omega), per-frequency errors).
     """
@@ -805,8 +805,8 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     row = np.cumsum(live) - 1       # each frequency's row of the factors
 
     def rows(w, Q, jac, at):
-        at = row.take(at, out=work.take("node.row", at.size, np.intp), mode="clip")
-        ch = _bath_channels(geom, w, Q, factors=(factors, at), work=work)
+        fac_row = row.take(at, out=work.take("node.row", at.size, np.intp), mode="clip")
+        ch = _bath_channels(geom, w, Q, factors=(factors, fac_row), work=work)
         ch *= jac
         return ch
 
