@@ -473,8 +473,10 @@ def _eval_panels(f, lo, hi, seg, work=None):
         resasc = np.multiply(dev, _GK_WK, out=tmp).sum(axis=1) * half
         resabs = np.multiply(np.abs(total, out=tmp), _GK_WK, out=tmp).sum(axis=1) * half
         safe = np.maximum(resasc, 1e-300)
+        # min(1, x)**1.5 == min(1, x**1.5), and the clamped ratio cannot
+        # overflow when resasc is tiny
         e = np.where((resasc > 0.0) & (raw > 0.0),
-                     resasc * np.minimum(1.0, (200.0 * raw / safe) ** 1.5),
+                     resasc * (np.minimum(200.0 * raw, safe) / safe) ** 1.5,
                      raw)
         rnd[part] = 50.0 * np.finfo(float).eps * resabs
         err[part] = np.maximum(e, rnd[part])

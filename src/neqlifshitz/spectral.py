@@ -1022,10 +1022,10 @@ def _dof_pair(geom, half1, half2):
 def _point_parts(pieces, shape):
     """Parts of a pair step on one-point halves, shaped like Q.
 
-    The halves of a scalar (s1, s2) are built on one-point arrays so that
-    they round exactly as the array builds of the origin reports do (the
-    scalar block path rounds differently, which shows in parts that
-    cancel at small |s|).
+    The halves of a scalar (s1, s2) are built on one-point arrays, so
+    they round exactly as the origin reports' array builds, the probe's
+    included (the scalar block path rounds differently, which shows in
+    parts that cancel at small |s|).
     """
     return {key: np.reshape(v, shape)[()] for key, v in pieces.items()}
 
@@ -1127,24 +1127,32 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
 # origin classification of the transient integrands
 
 
-def _order_from_samples(vals, radii, angles):
-    """Classify pole order from |f| decay across shrinking radii."""
-    vals = np.asarray(vals, dtype=complex)
-    mags = np.median(np.abs(vals), axis=1)
-    if np.all(mags < 1e-280):
-        return OriginOrder(order=0, coeff=0.0j, slope=math.inf, resolved=True)
-    if np.any(mags < 1e-280):
-        return OriginOrder(order=0, coeff=0.0j, slope=math.nan, resolved=False)
-    slopes = np.diff(np.log(mags)) / np.diff(np.log(radii))
-    p_hat = float(np.mean(slopes[-2:]))
-    order_f = -p_hat
-    order = max(0, int(round(order_f)))
-    if order == 0:
-        resolved = order_f <= SLOPE_TOL
-    else:
-        resolved = abs(order_f - order) <= SLOPE_TOL
-    coeff = complex(np.mean(vals[-1] * (radii[-1] * np.exp(1j * angles)) ** order))
-    return OriginOrder(order=order, coeff=coeff, slope=p_hat, resolved=bool(resolved))
+def _classify_samples(vals, radii, angles):
+    """Pole orders at s = 0 of a stack of functions from their ring samples.
+
+    ``vals`` holds each function on the rings of `_ring_samples`, shaped
+    (functions, RING_COUNT, RING_POINTS).  The order is the rounded
+    log-log decay rate of the median |f| over the last three rings, and
+    the coefficient the angular mean of s^order f(s) on the smallest
+    ring.  A function that vanishes on every ring is regular (order 0,
+    slope inf); one that vanishes on some rings only is unresolved.
+    Returns the arrays (order, coeff, slope, resolved), one entry per
+    function.
+    """
+    mags = np.median(np.abs(vals), axis=-1)
+    tiny = mags < 1e-280
+    slopes = np.diff(np.log(np.where(tiny, 1.0, mags))) / np.diff(np.log(radii))
+    slope = np.mean(slopes[:, -2:], axis=-1)
+    order = np.maximum(0, np.rint(-slope)).astype(int)
+    resolved = np.where(order == 0, -slope <= SLOPE_TOL,
+                        np.abs(-slope - order) <= SLOPE_TOL)
+    coeff = np.mean(vals[:, -1] * (radii[-1] * np.exp(1j * angles)) ** order[:, None],
+                    axis=-1)
+    vanishing, zero = tiny.any(axis=-1), tiny.all(axis=-1)
+    order[vanishing] = 0
+    coeff[vanishing] = 0.0
+    slope = np.where(zero, math.inf, np.where(vanishing, math.nan, slope))
+    return order, coeff, slope, np.where(vanishing, zero, resolved)
 
 
 def classify_origin_order(f):
@@ -1155,11 +1163,12 @@ def classify_origin_order(f):
     the pole order; the leading Laurent coefficient is the angular mean
     of s^order f(s) on the smallest ring.  ``resolved`` is False when the
     fitted slope is not within SLOPE_TOL of an integer — the caller
-    decides whether that is an error.
+    decides whether that is an error.  This is the one-function case of
+    the classifier the origin reports run on all their parts at once.
     """
     radii, angles, pts = _ring_samples()
-    vals = np.array([complex(f(s)) for s in pts.flat]).reshape(pts.shape)
-    return _order_from_samples(vals, radii, angles)
+    vals = np.array([complex(f(s)) for s in pts.flat]).reshape((1,) + pts.shape)
+    return OriginOrder(*(a[0].item() for a in _classify_samples(vals, radii, angles)))
 
 
 def expected_dof_origin_orders(pol, bracket, piece):
@@ -1196,62 +1205,28 @@ def _ring_samples():
     return radii, angles, radii[:, None] * np.exp(1j * angles)
 
 
-def _classify_parts(half, pair):
-    """Classify every part of a two-variable integrand in each variable.
-
-    ``half(s, phase_sign)`` builds one variable's factor on an array of
-    Laplace points (+1 for s1, -1 for s2) and ``pair(h1, h2)`` returns
-    the parts dict of two halves broadcast against each other.  Per
-    variable the rings are one half and ORIGIN_PROBE another, and one
-    pair step gives every part on every ring point.
-    """
-    radii, angles, pts = _ring_samples()
-    rows = (pair(half(pts, +1), half(ORIGIN_PROBE, -1)),
-            pair(half(ORIGIN_PROBE, +1), half(pts, -1)))
-    orders = {}
-    for var, parts in enumerate(rows):
-        for key, vals in parts.items():
-            orders.setdefault(key, [None, None])[var] = _order_from_samples(
-                vals, radii, angles)
-    return orders
-
-
 _DIVERGENT_ORDERS = ((-2, -2), (-2, -1), (-1, -2))
 
 
-def _torus_tables(half, pair, keys):
-    """Every part of the integrand on the torus |s1| = |s2| = TORUS_RADIUS.
+def _laurent_coefficients(ring, tables):
+    """Torus Laurent coefficients of a stack of two-variable functions.
 
-    Returns the ring of TORUS_POINTS points and, per part, the (s1, s2)
-    table over it: the ring is built once per variable, as a column of
-    s1 and a row of s2, and one pair step fills every table.
+    ``tables`` holds each function on ring x ring, shaped (functions, n,
+    n), ring the TORUS_POINTS points of |s| = TORUS_RADIUS.  Returns, per
+    order (m, n) of the four time-relevant ones, the coefficients c_mn
+    of every function, and the median over the torus of the summed
+    magnitudes, which calibrates how large a coefficient of each order
+    *could* be given the observed integrand size.
     """
-    n = TORUS_POINTS
-    ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
-    ring = TORUS_RADIUS * np.exp(1j * ang)
-    parts = pair(half(ring[:, None], +1), half(ring[None, :], -1))
-    return ring, {key: np.broadcast_to(parts[key], (n, n)) for key in keys}
+    coeffs = {mn: np.mean(tables * np.outer(ring ** (-mn[0]), ring ** (-mn[1])),
+                          axis=(-2, -1))
+              for mn in _DIVERGENT_ORDERS + ((-1, -1),)}
+    return coeffs, float(np.median(sum(np.abs(tables))))
 
 
-def _origin_tables(half, pair, keys):
-    """Torus Laurent tables for every part, plus the integrand scale.
-
-    Returns per-part coefficients c_mn for the four time-relevant
-    orders and the median of the summed part magnitudes on the torus,
-    which calibrates how large a coefficient of each order *could* be
-    given the observed integrand size.
-    """
-    ring, tabs = _torus_tables(half, pair, keys)
-    weights = {mn: np.outer(ring ** (-mn[0]), ring ** (-mn[1]))
-               for mn in _DIVERGENT_ORDERS + ((-1, -1),)}
-    coeffs = {key: {mn: complex(np.mean(tabs[key] * w))
-                    for mn, w in weights.items()} for key in keys}
-    f_scale = float(np.median(sum(np.abs(tabs[key]) for key in keys)))
-    return coeffs, f_scale
-
-
-def _cancellation_record(coeffs, keys, f_scale):
-    """Absence of time-growing Laurent content across a group of parts.
+def _cancellation_record(coeffs, rows, f_scale):
+    """Absence of time-growing Laurent content across the group ``rows``
+    of the parts whose Laurent coefficients `_laurent_coefficients` gave.
 
     A coefficient of order (m, n) belonging to a genuine pole of the
     observed integrand size f_scale would be ~ f_scale * r^(m+n) with
@@ -1266,15 +1241,17 @@ def _cancellation_record(coeffs, keys, f_scale):
     At TORUS_RADIUS = 5e-3 the ``rel`` values of about 1e-17 to 1e-13
     (every coefficient of the initial-field report, c22 of the oscillator
     one) are rounding noise, not measured residuals: the parts cancel
-    down to the rounding floor of their sums, and two roundings of the
-    same blocks (scalar and array builds) move those values by up to 6x.  They show that the divergent content cancels to
-    that floor, not how small it is below it.
+    down to the rounding floor of their sums, and building the same
+    blocks through `em_green`'s scalar path instead of on arrays moves
+    those values by up to 6x.  They show that the divergent content
+    cancels to that floor, not how small it is below it.
     """
     record = {}
     ok = True
     for mn in _DIVERGENT_ORDERS:
-        total = sum(coeffs[key][mn] for key in keys)
-        parts_scale = sum(abs(coeffs[key][mn]) for key in keys)
+        group = coeffs[mn][rows].tolist()
+        total = sum(group)
+        parts_scale = sum(abs(c) for c in group)
         ref = max(parts_scale, f_scale * TORUS_RADIUS ** (-mn[0] - mn[1]))
         rel = abs(total) / ref if ref > 0.0 else 0.0
         vanishes = rel <= CANCEL_TOL
@@ -1285,7 +1262,7 @@ def _cancellation_record(coeffs, keys, f_scale):
             "rel": rel,
             "vanishes": vanishes,
         }
-    switch_on = sum(coeffs[key][(-1, -1)] for key in keys)
+    switch_on = sum(coeffs[(-1, -1)][rows].tolist())
     ref11 = f_scale * TORUS_RADIUS ** 2
     record["switch_on"] = {
         "residue": [switch_on.real, switch_on.imag],
@@ -1298,30 +1275,48 @@ def _cancellation_record(coeffs, keys, f_scale):
 
 
 def _origin_report(half, pair, expected):
-    """Classification and torus tables shared by the two origin reports.
+    """Classification and Laurent coefficients shared by the two origin reports.
 
-    ``half``/``pair`` are the integrand's per-variable factor and pair
-    step (see `_classify_parts`), ``expected(key)`` the expected
-    per-variable orders of the part ``key``.  Classifies every part in
-    each Laplace variable and tabulates every part on the torus.  Returns
-    (parts report keyed "|"-joined, whether every part matches, sorted
-    part keys, per-part Laurent coefficients, integrand scale).
+    ``half(s, phase_sign)`` builds one Laplace variable's factor of the
+    integrand on an array of points (+1 for s1, -1 for s2), ``pair(h1,
+    h2)`` returns the parts dict of two halves broadcast against each
+    other, and ``expected(key)`` the expected per-variable orders of the
+    part ``key``.  Each variable's half is built once, on the 45 points a
+    report reads (the RING_COUNT x RING_POINTS ring points, ORIGIN_PROBE
+    and the TORUS_POINTS torus ring), as a column of s1 and a row of s2,
+    and one pair step tabulates every part on every pair of them.  Each
+    part's ring samples against the probe, in either variable, and its
+    torus table are read out of that table; all parts are classified as
+    one stack.  Returns (parts report keyed "|"-joined, whether every
+    part matches, sorted part keys, Laurent coefficients per order with
+    one entry per part, integrand scale).
     """
-    orders = _classify_parts(half, pair)
+    radii, angles, ring = _ring_samples()
+    n = TORUS_POINTS
+    ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+    torus = TORUS_RADIUS * np.exp(1j * ang)
+    pts = np.concatenate([ring.ravel(), [ORIGIN_PROBE], torus])
+    parts = pair(half(pts[:, None], +1), half(pts[None, :], -1))
+    keys = sorted(parts)
+    m = pts.size    # (parts, m, m), also for a report without parts
+    table = np.reshape([np.broadcast_to(parts[key], (m, m)) for key in keys], (-1, m, m))
+    p = ring.size       # the probe's index
+    samples = np.stack([table[:, :p, p], table[:, p, :p]]).reshape((-1,) + ring.shape)
+    order, _, slope, resolved = (a.reshape(2, -1).T.tolist() for a in
+                                 _classify_samples(samples, radii, angles))
     parts_report = {}
     all_match = True
-    for key, (o1, o2) in sorted(orders.items()):
+    for key, o, sl, ok in zip(keys, order, slope, resolved):
         want = expected(key)
-        match = (o1.order, o2.order) == want and o1.resolved and o2.resolved
+        match = tuple(o) == want and all(ok)
         all_match = all_match and match
         parts_report["|".join(key)] = {
-            "order": [o1.order, o2.order],
-            "slope": [o1.slope, o2.slope],
+            "order": o,
+            "slope": sl,
             "expected": list(want),
             "matches": match,
         }
-    keys = sorted(orders)
-    coeffs, f_scale = _origin_tables(half, pair, keys)
+    coeffs, f_scale = _laurent_coefficients(torus, table[:, p + 1:, p + 1:])
     return parts_report, all_match, keys, coeffs, f_scale
 
 
@@ -1338,11 +1333,12 @@ def dof_origin_report(geom, Q):
     value: once the switch-on residue is discarded, the rule leaves no
     time-independent term.
 
-    The integrand is sampled at 208 (s1, s2) pairs (two rings of 32
-    points against the probe, a 12 x 12 torus) but its Green blocks are
-    built on arrays of Laplace points: 6 per-variable halves (ring,
-    probe and torus ring, per phase), each holding one
-    `green_gap_from_plate` block per coupled plate, and 3 pair steps.
+    The report reads the integrand at 208 (s1, s2) pairs (two rings of
+    32 points against the probe, a 12 x 12 torus).  Its Green blocks are
+    built once per Laplace variable, on one array of the 45 points those
+    pairs use: 2 per-variable halves, each holding one
+    `green_gap_from_plate` block per coupled plate from one optics
+    record, and one pair step that contracts them.
     """
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
@@ -1351,10 +1347,10 @@ def dof_origin_report(geom, Q):
     plates_report = {}
     cancel_ok = True
     for plate in ("L", "R"):
-        plate_keys = [k for k in keys if k[0] == plate]
-        if not plate_keys:
+        rows = [i for i, key in enumerate(keys) if key[0] == plate]
+        if not rows:
             continue
-        record, ok = _cancellation_record(coeffs, plate_keys, f_scale)
+        record, ok = _cancellation_record(coeffs, rows, f_scale)
         cancel_ok = cancel_ok and ok
         plates_report[plate] = record
     return {
@@ -1376,15 +1372,16 @@ def ic_origin_report(geom, k, beta_em=math.inf):
     Same structure as the oscillator-transient report with parts keyed
     (pol, piece); the candidate modes away from the origin are covered
     separately by `modified_mode_check`.  As there, the Green blocks
-    (`ic_z_block`) are built on arrays of Laplace points: 6 builds and 3
-    pair steps for the 208 sampled pairs.  ``"steady_after_discard"`` is
-    0.0 by the discard rule, not a measured value.
+    (`ic_z_block`) are built once per Laplace variable on the 45 points
+    the 208 sampled pairs use: 2 builds and one pair step.
+    ``"steady_after_discard"`` is 0.0 by the discard rule, not a measured
+    value.
     """
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _ic_half(geom, k, s, phase_sign),
         lambda h1, h2: _ic_pair(k, h1, h2, beta_em=beta_em),
         lambda key: expected_ic_origin_orders(*key))
-    record, cancel_ok = _cancellation_record(coeffs, keys, f_scale)
+    record, cancel_ok = _cancellation_record(coeffs, slice(None), f_scale)
     return {
         "kind": "ic_origin",
         "k": [float(k[0]), float(k[1]), float(k[2])],

@@ -874,6 +874,17 @@ def test_contour_ceiling_is_not_set_by_the_gap():
     assert abs(wide.value - res.value) <= res.err
 
 
+@pytest.mark.parametrize("gap", [1.78, 3.16])
+def test_low_contour_ceiling_raises_no_overflow(gap):
+    # a contour starting at omega = 2 meets Q panels whose node spread
+    # (resasc) is tiny but positive; the Kronrod error rescaling used to
+    # overflow there, which the RuntimeWarning filter turns into a failure
+    geom = equal_t_geom(gap, 1.0)
+    res = steady_pressure(geom, PressureOptions(rel_tol=1e-2, omega_max=2.0))
+    assert res.omega_max_used == 2.0
+    assert abs(res.value - equilibrium_matsubara(geom, 1.0)) <= res.err
+
+
 def test_thermal_only_on_the_contour():
     # coth = 1 + (coth - 1) holds on the complex line too: thermal-only at
     # (T_L, T_R) is P(T_L, T_R) - P(0, 0), both on the contour path (c_bar

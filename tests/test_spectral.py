@@ -489,8 +489,9 @@ def test_classifier_on_synthetic_laurent():
 
 
 def test_laurent_2d_extracts_torus_coefficients():
-    # the origin reports' torus tables on a synthetic two-part Laurent
-    # series: per part, the four orders the reports read
+    # the origin reports' classification and torus coefficients on a
+    # synthetic two-part Laurent series: per part, the four orders the
+    # reports read, and a second-order pole in each variable
     parts = {
         "a": lambda s1, s2: 0.3 / (s1 * s2) + 2.0 / (s1 ** 2 * s2 ** 2) + 0.7 / s1 + 5.0,
         "b": lambda s1, s2: (1.5 - 0.5j) / (s1 ** 2 * s2) - 0.4 / (s1 * s2 ** 2) + s2,
@@ -507,14 +508,19 @@ def test_laurent_2d_extracts_torus_coefficients():
         return {key: f(s1, s2) for key, f in parts.items()}
 
     radius, n_theta = spectral.TORUS_RADIUS, spectral.TORUS_POINTS
-    coeffs, scale = spectral._origin_tables(half, pair, ["a", "b"])
-    for key, orders in want.items():
-        assert set(coeffs[key]) == set(orders)
-        for mn, c in orders.items():
-            assert_allclose(coeffs[key][mn], c, atol=1e-10, err_msg=f"{key} {mn}")
-    # the ring is built once per variable, as a column of s1 and a row of s2
+    report, all_match, keys, coeffs, scale = spectral._origin_report(
+        half, pair, lambda key: (2, 2))
+    assert keys == ["a", "b"] and all_match
+    assert [report[key]["order"] for key in keys] == [[2, 2], [2, 2]]
+    for i, key in enumerate(keys):
+        assert set(coeffs) == set(want[key])
+        for mn, c in want[key].items():
+            assert_allclose(coeffs[mn][i], c, atol=1e-10, err_msg=f"{key} {mn}")
+    # every point is built once per variable, as a column of s1 and a row
+    # of s2: the rings, the probe and the torus
+    n_pts = spectral.RING_COUNT * spectral.RING_POINTS + 1 + n_theta
     assert sorted(ph for _, ph in built) == [-1, +1]
-    assert {np.shape(s) for s, _ in built} == {(n_theta, 1), (1, n_theta)}
+    assert {np.shape(s) for s, _ in built} == {(n_pts, 1), (1, n_pts)}
     ring = radius * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
     s1, s2 = np.meshgrid(ring, ring, indexing="ij")
     assert_allclose(scale, np.median(sum(np.abs(f(s1, s2)) for f in parts.values())),
@@ -573,69 +579,79 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
-def _spy_torus_tables(monkeypatch):
-    seen = []
-    original = spectral._torus_tables
-
-    def spy(*args, **kwargs):
-        out = original(*args, **kwargs)
-        seen.append(out)
-        return out
-
-    monkeypatch.setattr(spectral, "_torus_tables", spy)
-    return seen
-
-
 def test_origin_reports_build_each_block_once_per_point(monkeypatch):
-    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per phase
-    # (32 ring points, the probe and 12 torus points), built as 3 arrays
-    # per phase whatever the torus size
+    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per
+    # variable (32 ring points, the probe and 12 torus points), built as
+    # one array per variable whatever the torus size
     geom = warm_geom(z_field=0.13)
     Q = 0.7
     k = np.array([0.4, 0.3, 1.1])
 
     ic_calls = _count_calls(monkeypatch, spectral, "ic_z_block")
-    tables = _spy_torus_tables(monkeypatch)
+    tables = _count_calls(monkeypatch, spectral, "_laurent_coefficients")
     ic_origin_report(geom, k)
-    n_ic = len(ic_calls)
-    assert 0 < n_ic <= 6
+    assert len(ic_calls) == 2
     (ring, tabs), = tables
     for a, b in ((0, 0), (3, 7), (11, 5)):
         _, want = spectral.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
-        for key, tab in tabs.items():
+        for tab, key in zip(tabs, sorted(want), strict=True):
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
     ic_calls.clear()
     with monkeypatch.context() as m:
         m.setattr(spectral, "TORUS_POINTS", 16)
         ic_origin_report(geom, k)
-    assert len(ic_calls) == n_ic
+    assert len(ic_calls) == 2
 
-    # one optics record per half, holding a block per coupled plate
+    # one optics record per variable, holding a block per coupled plate
     dof_calls = _count_calls(monkeypatch, spectral, "_from_plate_blocks")
     tables.clear()
     dof_origin_report(geom, Q)
-    n_dof = len(dof_calls)
-    assert 0 < n_dof <= 6
-    assert sum(len(args[1]) for args in dof_calls) <= 12
+    assert len(dof_calls) == 2
+    assert [len(args[1]) for args in dof_calls] == [2, 2]
     (ring, tabs), = tables
     for a, b in ((0, 0), (2, 9), (10, 4)):
         _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
-        for key, tab in tabs.items():
+        for tab, key in zip(tabs, sorted(want), strict=True):
             assert_allclose(tab[a, b], want[key], rtol=1e-12)
     dof_calls.clear()
     with monkeypatch.context() as m:
         m.setattr(spectral, "TORUS_POINTS", 16)
         dof_origin_report(geom, Q)
-    assert len(dof_calls) == n_dof
+    assert len(dof_calls) == 2
+
+
+@pytest.mark.parametrize("kind", ["dof", "ic"])
+def test_origin_classification_samples_match_the_integrands(monkeypatch, kind):
+    # every ring sample a report classifies is its integrand at (ring
+    # point, probe) for s1 and at (probe, ring point) for s2, as the
+    # public integrand evaluates it
+    geom = warm_geom(z_field=0.13)
+    if kind == "dof":
+        report, integrand, arg = dof_origin_report, spectral.assemble_dof_integrand, 0.7
+    else:
+        report, integrand, arg = (ic_origin_report, spectral.assemble_ic_integrand,
+                                  np.array([0.4, 0.3, 1.1]))
+    stacks = _count_calls(monkeypatch, spectral, "_classify_samples")
+    report(geom, arg)
+    (samples, _, _), = stacks
+    _, _, ring = spectral._ring_samples()
+    probe = spectral.ORIGIN_PROBE
+    n_parts = len(samples) // 2
+    for idx, s in np.ndenumerate(ring):
+        for var, (s1, s2) in enumerate(((s, probe), (probe, s))):
+            _, want = integrand(geom, arg, s1, s2, parts=True)
+            got = samples[var * n_parts:(var + 1) * n_parts, idx[0], idx[1]]
+            assert_allclose(got, [want[key] for key in sorted(want)], rtol=1e-12,
+                            err_msg=f"variable {var + 1} at {s}")
 
 
 def test_ic_origin_report_makes_one_trace_pair_per_polarization(monkeypatch):
     # each contracted pair of halves costs one source factor and one trace
-    # pair: 3 pair steps (the rings against the probe in each variable, the
-    # torus) x 2 polarizations cover the 208 sampled (s1, s2) pairs
+    # pair: one pair step x 2 polarizations covers the 208 sampled (s1, s2)
+    # pairs
     factors = _count_calls(monkeypatch, spectral, "_source_factor")
     ic_origin_report(warm_geom(), np.array([0.4, 0.3, 1.1]))
-    assert len(factors) == 6
+    assert len(factors) == 2
 
 
 @pytest.mark.parametrize("kind", ["dof", "ic"])
