@@ -11,11 +11,11 @@ GreenBlock) so that z-derivatives act exactly term by term.  The plates
 are isotropic, so every block lies at transverse wavevector
 phase_sign*Q*xhat.  Each build evaluates its optics once, in one private
 record (`_optics`: the gap wavenumber and, per plate, the permittivity,
-wavenumber and Fresnel coefficients at (s, Q)), and every term reads
-from it.  The stress contraction of two blocks (`spectral.theta_contract`)
-and the transient integrands built on it live in :mod:`.spectral`; the
-steady pressure (:mod:`.pressure`) uses only the Fresnel coefficients and
-wavenumbers of this module.
+wavenumber and Fresnel coefficients at (s, Q), evaluated once per plate
+material), and every term reads from it.  The stress contraction of two
+blocks (`spectral.theta_contract`) and the transient integrands built on
+it live in :mod:`.spectral`; the steady pressure (:mod:`.pressure`) uses
+only the Fresnel coefficients and wavenumbers of this module.
 
 Conventions: q_z = sqrt(eps(s) s^2 + Q^2) with the principal branch and a
 retarded shift s -> s + eta realizing boundary values from Re s > 0;
@@ -149,40 +149,42 @@ def fresnel(side, s, Q):
     eps = plate_eps(side, s)
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
+    r_te, r_tm = _fresnel_coeffs(eps, q, qn, s)[:2]
+    t_te = 2.0 * qn / (q + qn)
     t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / (eps * q + qn)
-    return _fresnel_coeffs(eps, q, qn, s)[:3] + (t_tm,)
+    return r_te, r_tm, t_te, t_tm
 
 
 def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
-    """(r_TE, r_TM, t_TE, |eps q + qn|, |qn|) of `fresnel` from a plate's
-    permittivity and the two z-wavenumbers.
+    """(r_TE, r_TM, |q + qn|, |eps q + qn|, |qn|) of `fresnel` from a
+    plate's permittivity and the two z-wavenumbers.
 
-    The bare t_TM is left out: the assembled source vectors cancel its
-    sqrt(eps) (see `_source_vecs`); the moduli of the TM denominator and
-    of qn, both needed for the singularity test, come along for the
-    steady integrand's sources.  ``abs_q`` is |q| when the caller already
-    has it (the same q serves both plates).  Raises the same
-    SingularityError as `fresnel` when a denominator vanishes (s may be an
-    array of Laplace points broadcast against q; the error names the first
-    bad one).
+    The transmission coefficients are left out: the assembled source
+    vectors cancel the sqrt(eps) of t_TM (see `_source_vecs`), and the
+    steady integrand needs only the moduli of the two denominators and of
+    qn, which the singularity test forms anyway.  ``abs_q`` is |q| when
+    the caller already has it (the same q serves both plates).  Raises
+    the same SingularityError as `fresnel` when a denominator vanishes (s
+    may be an array of Laplace points broadcast against q; the error
+    names the first bad one).
 
     With a workspace ``work`` (the steady integrand's, see
     `pressure._Workspace`; q and qn then 1-d arrays of one length) every
     array is written into its buffers: the five results into those keyed
-    by ``tag``, so each plate keeps its own until the next call with the
-    same tag.
+    by ``tag``, so each plate material keeps its own until the next call
+    with the same tag.
     """
-    out = dict.fromkeys(("eq", "den_te", "den_tm", "r_te", "r_tm", "t_te", "scale", "abs",
+    out = dict.fromkeys(("eq", "den_te", "den_tm", "r_te", "r_tm", "scale", "abs_te",
                          "abs_qn", "abs_tm", "bad", "bad_tm"))     # None: a fresh array
     if work is not None:
         n = len(q)
         out.update(zip(("eq", "den_te", "den_tm"),
                        work.take("fresnel.complex", 3 * n, complex).reshape(3, n)))
-        out.update(zip(("r_te", "r_tm", "t_te"),
-                       work.take(("fresnel.coeffs", tag), 3 * n, complex).reshape(3, n)))
-        out.update(zip(("scale", "abs"), work.take("fresnel.real", 2 * n).reshape(2, n)))
-        out.update(zip(("abs_qn", "abs_tm"),
-                       work.take(("fresnel.moduli", tag), 2 * n).reshape(2, n)))
+        out.update(zip(("r_te", "r_tm"),
+                       work.take(("fresnel.coeffs", tag), 2 * n, complex).reshape(2, n)))
+        out["scale"] = work.take("fresnel.real", n)
+        out.update(zip(("abs_te", "abs_qn", "abs_tm"),
+                       work.take(("fresnel.moduli", tag), 3 * n).reshape(3, n)))
         out.update(zip(("bad", "bad_tm"), work.take("fresnel.flags", 2 * n, bool).reshape(2, n)))
     eq = np.multiply(eps, q, out=out["eq"])
     den_te = np.add(q, qn, out=out["den_te"])
@@ -191,7 +193,8 @@ def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
         abs_q = np.abs(q, out=out["scale"])
     abs_qn = np.abs(qn, out=out["abs_qn"])
     scale = np.multiply(1e-14, np.add(abs_q, abs_qn, out=out["scale"]), out=out["scale"])
-    bad = np.less_equal(np.abs(den_te, out=out["abs"]), scale, out=out["bad"])
+    abs_te = np.abs(den_te, out=out["abs_te"])
+    bad = np.less_equal(abs_te, scale, out=out["bad"])
     abs_tm = np.abs(den_tm, out=out["abs_tm"])
     bad = np.logical_or(bad, np.less_equal(abs_tm, scale, out=out["bad_tm"]), out=out["bad"])
     if np.any(bad):
@@ -199,8 +202,23 @@ def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
     r_te = np.divide(np.subtract(q, qn, out=out["r_te"]), den_te, out=out["r_te"])
     r_tm = np.divide(np.subtract(eq, qn, out=out["r_tm"]), den_tm, out=out["r_tm"])
-    t_te = np.divide(np.multiply(2.0, qn, out=out["t_te"]), den_te, out=out["t_te"])
-    return r_te, r_tm, t_te, abs_tm, abs_qn
+    return r_te, r_tm, abs_te, abs_tm, abs_qn
+
+
+def _same_material(geom):
+    """Whether the two plates are one material, up to their temperatures.
+
+    Then every optical quantity of plate R (permittivity, wavenumber,
+    Fresnel coefficients, emission kernel) equals plate L's bit for bit,
+    and the steady integrand and `_optics` evaluate it once.  A table
+    plate counts as the same only when both plates are one object: a
+    table has no ``beta_dof``, and the arrays of a multi-row table make
+    dataclass ``==`` ambiguous.
+    """
+    left, right = geom.left, geom.right
+    if isinstance(left, EpsilonTable) or isinstance(right, EpsilonTable):
+        return left is right
+    return replace(left, beta_bath=right.beta_bath, beta_dof=right.beta_dof) == right
 
 
 def _optics(geom, s, Q):
@@ -208,12 +226,16 @@ def _optics(geom, s, Q):
     z-wavenumber q and plates[plate] = (eps, qn, (r_TE, r_TM)) per plate.
 
     qz runs once for the gap, and plate_eps, qz and `_fresnel_coeffs` once
-    per plate.  A Fresnel denominator root raises SingularityError naming
-    the first such point of s.
+    per plate material: plates of one material (`_same_material`) share
+    plate L's record.  A Fresnel denominator root raises SingularityError
+    naming the first such point of s.
     """
     q = np.asarray(qz(1.0, s, Q))
     plates = {}
     for plate in _PLATES:
+        if plate == "R" and _same_material(geom):
+            plates["R"] = plates["L"]
+            continue
         eps = plate_eps(geom.side(plate), s)
         qn = np.asarray(qz(eps, s, Q))
         plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[:2])

@@ -9,7 +9,9 @@ of the two plates' Fresnel coefficients (Antezza et al., PRA 77, 022901
 integrand computes only that one map: the emission channels minus their
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
-ceiling, never enter.
+ceiling, never enter.  Each channel is a plate's weight times a kernel
+of the two materials and the gap alone, so plates of one material at two
+temperatures evaluate their optics and kernels once per point.
 
 The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
@@ -21,12 +23,13 @@ and ConvergenceError, and each round evaluates all panels being split with
 one integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
 bounded.  Up to the real-axis ceiling omega_max the Q integrand is the
 eight channels (`_inner_q_integral`; rows in BREAKDOWN_KEYS order), with
-the factors of the frequency alone evaluated once per lockstep call.  Past
-it, where the emission is the mean occupation times the Lifshitz function
-H (identical plates up to their temperatures, or one bath temperature),
-the tail closes on the line omega_max + i y (`_contour_tail`), its
-integrand read off the optics record of :mod:`.em_green` continued off the
-axis; otherwise two Euler-weighted real-axis slices close it.
+the factors of the frequency alone (permittivities and emission weights)
+evaluated once per lockstep call.  Past it, where the emission is the
+mean occupation times the Lifshitz function H (identical plates up to
+their temperatures, or one bath temperature), the tail closes on the
+line omega_max + i y (`_contour_tail`), its integrand read off the
+optics record of :mod:`.em_green` continued off the axis; otherwise two
+Euler-weighted real-axis slices close it.
 
 The module also holds the equilibrium oracle, the imaginary-frequency sum;
 it imports scipy.integrate on first use, so the steady path runs without
@@ -57,14 +60,14 @@ power.  Negative values mean attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
                        permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _optics, _s_eff, plate_eps
+from .em_green import _fresnel_coeffs, _optics, _s_eff, _same_material, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -95,8 +98,10 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     w is an array of positive frequencies.  Returns a dict of arrays over
     w: the Laplace points s = -i w, w^2, |s_eff|^2 and, per plate in
     _PLATES order, the permittivity eps = eps(s), eps s^2 and the emission
-    weight w^2 * occupation * Im eps.  `_bath_channels` gathers them per
-    point.
+    weight w^2 * occupation * Im eps; ``kernel_of`` names each plate's
+    kernel, (0, 0) when the plates are one material (`_same_material`,
+    whose permittivity is then evaluated once), else (0, 1).
+    `_bath_channels` gathers them per point.
 
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
@@ -106,9 +111,10 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """
     s = -1j * w
     w2 = w * w
+    kernel_of = (0, 0) if _same_material(geom) else (0, 1)
     eps, weight = [], []
-    for side in (geom.left, geom.right):
-        e = np.asarray(plate_eps(side, s))
+    for side, k in zip((geom.left, geom.right), kernel_of):
+        e = eps[k] if k < len(eps) else np.asarray(plate_eps(side, s))
         beta = side.beta_bath
         occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
         if thermal_only:
@@ -127,7 +133,8 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
         eps.append(e)
         weight.append(wt)
     return {"s": s, "w2": w2, "s_eff2": np.abs(_s_eff(s)) ** 2, "eps": tuple(eps),
-            "es2": tuple(e * s * s for e in eps), "weight": tuple(weight)}
+            "es2": tuple(e * s * s for e in eps), "weight": tuple(weight),
+            "kernel_of": kernel_of}
 
 
 def _axis_qz(x, out):
@@ -189,27 +196,34 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     workspace.  Without one (`bath_integrand`, tests) the call makes a
     fresh workspace, and what it returns is its caller's alone.
 
-    Each channel is the closed-form zz stress of the field that plate a
-    emits into the gap in one polarization, reflected by the partner plate
-    b (Antezza et al., PRA 77, 022901 (2008)).  At s = -i omega, with
-    q = qz(1, s, Q), qn = qz(eps_a, s, Q) and D = 1 - r_a r_b exp(-2 q l),
+    Each channel is plate a's emission weight w_a(omega) times a kernel
+    K_a, the closed-form zz stress of the field that plate a emits into
+    the gap in one polarization, reflected by the partner plate b
+    (Antezza et al., PRA 77, 022901 (2008)).  At s = -i omega, with
+    q = qz(1, s, Q), qn = qz(eps_a, s, Q) and D = 1 - r_L r_R exp(-2 q l),
 
-        propagating:  G * 2|q|^2 (1 + |r_b|^2) (1/|D|^2 - 1/(1 - |r_a r_b|^2))
-        evanescent:   G * (-4|q|^2) Re(r_b exp(-2 q l)) / |D|^2
-        G = PRESSURE_SIGN * _MEASURE * w_a(omega) * Q |u|^2 / (8 Re(qn) |qn|^2)
+        channel = w_a(omega) * K_a(omega, Q)
+        propagating:  K_a = G * 2|q|^2 (1 + |r_b|^2) (1/|D|^2 - 1/(1 - |r_L|^2 |r_R|^2))
+        evanescent:   K_a = G * (-4|q|^2) Re(r_b exp(-2 q l)) / |D|^2
+        G_TE = C Q / (2 Re(qn) |q + qn|^2)
+        G_TM = C Q (Q^2 + |qn|^2) / (2 Re(qn) |eps_a q + qn|^2 |s_eff|^2)
 
-    where w_a is the emission weight, |u_TE|^2 = |t_TE,a|^2 and
-    |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2) are the
-    squared plate-source vectors and 1/(2 Re qn) is their depth integral.
-    On the light line Q = omega, q = 0 and r_a = r_b = -1, so |q|^2 and D
+    where C = PRESSURE_SIGN * _MEASURE.  G is Q |u|^2 / (8 Re(qn) |qn|^2)
+    with |qn|^2 cancelled: |u_TE|^2 = |t_TE,a|^2 = 4|qn|^2 / |q + qn|^2
+    and |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2)
+    are the squared plate-source vectors and 1/(2 Re qn) is their depth
+    integral.  The kernel depends on the two materials and the gap only,
+    so plates of one material (`_same_material`, at any two temperatures)
+    share it, and the cavity factor 1/|D|^2 serves both emitters.
+    On the light line Q = omega, q = 0 and r_L = r_R = -1, so |q|^2 and D
     vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
-    qn/eps (TM), and the evanescent channel takes its limit
+    qn/eps (TM), and the evanescent kernel takes its limit
     G / |l + 1/n_a + 1/n_b|^2 instead of 0 * inf.
-    The subtracted 1/(1 - |r_a r_b|^2) is the round-trip phase average
+    The subtracted 1/(1 - |r_L|^2 |r_R|^2) is the round-trip phase average
     of 1/|D|^2, the detached-plates (l -> infinity) baseline; it lives in
     the propagating sector only (evanescent emission does not survive that
-    limit), and a trapped lossless mode (|r_a r_b| = 1 at an emitting
-    point) makes it singular: SingularityError.  Without the subtraction
+    limit), and a trapped lossless mode (|r_L r_R| = 1 where a plate
+    emits) makes it singular: SingularityError.  Without the subtraction
     the map, zero-point emission included, would integrate to a value
     growing as omega_max^4.  The tests check the unsubtracted map and the
     baseline against the symbolic contraction of
@@ -259,15 +273,28 @@ def _sector_channels(geom, fac, at, Q, propagating, work):
     evanescent one.  Both equal `qz` and `np.exp` bit for bit, and the
     real root k is |q| exactly, so the Fresnel step takes it as is.
 
+    Each row is the emission weight times a kernel.  The Fresnel step and
+    the kernels run once per plate material (``fac["kernel_of"]``), each
+    polarization's cavity factor once for both emitters, and |r|^2 once
+    per material and polarization.  The sector's constant (2 or -4) is
+    folded into the prefactor G: a power of two, so every row keeps the
+    bits of the formula as written.  A row is exactly 0 where its plate
+    does not emit.
+
     Every per-point array, the returned rows included, is a row of a slab
-    of the workspace ``work`` (complex, real, flags); a row whose array is
-    dead is lent to a later one where the comments say so.
+    of the workspace ``work``; a row whose array is dead is lent to a
+    later one where the comments say so.
     """
     n = len(Q)
-    q, trip, s, eps, x, qn_l, qn_r = work.take("sector.complex", 7 * n, complex).reshape(7, n)
-    Q2, k, q2, s_eff2, pref, qn2, den, src_te, src_tm, tmp, g, cavity, lock = \
-        work.take("sector.real", 13 * n).reshape(13, n)
-    light, emit, trapped = work.take("sector.flags", 3 * n, bool).reshape(3, n)
+    kernel_of = fac["kernel_of"]
+    n_mat = kernel_of[1] + 1
+    q, trip, s, eps, x, c = work.take("sector.complex", 6 * n, complex).reshape(6, n)
+    qn = work.take("sector.qn", n_mat * n, complex).reshape(n_mat, n)
+    Q2, k, q2, s_eff2, h, den, tmp, cavity, lock = work.take("sector.real", 9 * n).reshape(9, n)
+    weight = work.take("sector.weight", 2 * n).reshape(2, n)
+    base = work.take("sector.base", n_mat * 2 * n).reshape(n_mat, 2, n)    # G |q|^2 per pol
+    r2 = work.take("sector.r2", n_mat * n).reshape(n_mat, n)
+    light, trapped, emitting, *emit = work.take("sector.flags", 5 * n, bool).reshape(5, n)
     out = work.take("sector.rows", len(_PLATES) * len(_POLS) * n).reshape(
         len(_PLATES), len(_POLS), n)
 
@@ -279,7 +306,7 @@ def _sector_channels(geom, fac, at, Q, propagating, work):
     if propagating:
         np.sqrt(np.subtract(k, Q2, out=k), out=k)
         np.multiply(-1j, k, out=q)
-        phase, cos = tmp, g     # lent until the channel loop
+        phase, cos = tmp, cavity    # lent until the cavity step
         np.multiply(np.multiply(2.0, k, out=phase), geom.gap, out=phase)
         np.cos(phase, out=cos)
         np.add(cos, np.multiply(1j, np.sin(phase, out=phase), out=trip), out=trip)
@@ -292,59 +319,88 @@ def _sector_channels(geom, fac, at, Q, propagating, work):
     np.equal(k, 0.0, out=light)     # Q = omega: |q|^2 and D vanish together
     on_light = bool(light.any())
     gather(fac["s"], s)
-    qn, coeffs = (qn_l, qn_r), []   # per plate: (r_TE, r_TM, t_TE, |eps q + qn|, |qn|)
-    for a in range(len(_PLATES)):
-        gather(fac["eps"][a], eps)
-        _axis_qz(np.add(gather(fac["es2"][a], x), Q2, out=x), qn[a])
-        coeffs.append(_fresnel_coeffs(eps, q, qn[a], s, work, a, abs_q=k))
-    gather(fac["s_eff2"], s_eff2)
-    rr, c = eps, x      # lent: eps and x are dead after the Fresnel step
+    coeffs = []                     # per material: (r_TE, r_TM, |q + qn|, |eps q + qn|, |qn|)
+    for m in range(n_mat):
+        gather(fac["eps"][m], eps)
+        _axis_qz(np.add(gather(fac["es2"][m], x), Q2, out=x), qn[m])
+        coeffs.append(_fresnel_coeffs(eps, q, qn[m], s, work, m, abs_q=k))
 
-    for a, b in ((0, 1), (1, 0)):
-        gather(fac["weight"][a], pref)      # the emission weight, then G / |u|^2
-        np.not_equal(pref, 0.0, out=emit)   # G = 0 there, also where Re qn = 0
-        if not emit.any():
-            out[a] = 0.0
-            continue
-        np.square(coeffs[a][4], out=qn2)
-        np.multiply(np.multiply(PRESSURE_SIGN * _MEASURE, pref, out=pref), Q, out=pref)
-        np.multiply(np.multiply(8.0, qn[a].real, out=den), qn2, out=den)
-        if not emit.all():
-            np.copyto(den, 1.0, where=~emit)
-        np.divide(pref, den, out=pref)
-        np.square(np.abs(coeffs[a][2], out=src_te), out=src_te)       # TE, TM as in _POLS
-        np.multiply(np.multiply(4.0, qn2, out=src_tm), np.add(Q2, qn2, out=tmp), out=src_tm)
-        np.divide(src_tm, np.multiply(np.square(coeffs[a][3], out=tmp), s_eff2, out=tmp),
-                  out=src_tm)
-        for i, (pol, src) in enumerate(zip(_POLS, (src_te, src_tm))):
-            ra, rb = coeffs[a][i], coeffs[b][i]
+    emits = []
+    for a in range(len(_PLATES)):
+        np.not_equal(gather(fac["weight"][a], weight[a]), 0.0, out=emit[a])
+        emits.append(bool(emit[a].any()))
+    if not any(emits):
+        out.fill(0.0)
+        return out.reshape(len(_PLATES) * len(_POLS), n)
+    np.logical_or(emit[0], emit[1], out=emitting)
+    # a kernel is needed where a plate of its material emits; G = 0 there
+    # also where Re qn = 0 (no loss, no weight), so den is 1 elsewhere
+    live = [emitting] if n_mat == 1 else emit
+    needed = {kernel_of[a] for a in range(len(_PLATES)) if emits[a]}
+
+    # G = C Q / (2 Re qn |q + qn|^2) (TE) and C Q (Q^2 + |qn|^2) /
+    # (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), C the measure and the
+    # sector's constant; the light-line limit reads G before |q|^2
+    gather(fac["s_eff2"], s_eff2)
+    np.multiply(PRESSURE_SIGN * _MEASURE * (2.0 if propagating else -4.0), Q, out=h)
+    g_light = {}
+    for m in needed:
+        abs_te, abs_tm, abs_qn = coeffs[m][2:]
+        g_te, g_tm = base[m]
+        np.multiply(2.0, qn[m].real, out=den)
+        if not live[m].all():
+            np.copyto(den, 1.0, where=~live[m])
+        np.divide(h, np.multiply(den, np.square(abs_te, out=g_te), out=g_te), out=g_te)
+        np.multiply(h, np.add(Q2, np.square(abs_qn, out=g_tm), out=g_tm), out=g_tm)
+        np.multiply(np.multiply(den, np.square(abs_tm, out=tmp), out=tmp), s_eff2, out=tmp)
+        np.divide(g_tm, tmp, out=g_tm)
+        if on_light and not propagating:
+            g_light[m] = base[m][:, light] * -0.25      # exact: undoes the -4
+        np.multiply(base[m], q2, out=base[m])
+
+    for i, pol in enumerate(_POLS):
+        r_mat = [coeffs[m][i] for m in range(n_mat)]
+        r_l, r_r = r_mat[kernel_of[0]], r_mat[kernel_of[1]]
+        np.multiply(np.multiply(r_l, r_r, out=c), trip, out=c)
+        np.subtract(1.0, c, out=c)
+        np.square(np.abs(c, out=cavity), out=cavity)
+        if on_light:
+            np.copyto(cavity, 1.0, where=light)
+        np.divide(1.0, cavity, out=cavity)
+        if propagating:
+            for m in range(n_mat):
+                np.square(np.abs(r_mat[m], out=r2[m]), out=r2[m])
+            np.subtract(1.0, np.multiply(r2[kernel_of[0]], r2[kernel_of[1]], out=lock), out=lock)
+            np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
+            if np.logical_and(emitting, trapped, out=trapped).any():
+                raise SingularityError("detached-plates cavity weight hits a "
+                                       "trapped lossless mode", point=s[trapped][0])
+            np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
+        for a, b in ((0, 1), (1, 0)):
+            m = kernel_of[a]
+            if m != a or m not in needed:
+                continue            # plate L's kernel serves, or no plate emits with it
             row = out[a, i]
-            np.multiply(np.multiply(pref, src, out=g), q2, out=g)
-            np.multiply(ra, rb, out=rr)
-            np.subtract(1.0, np.multiply(rr, trip, out=c), out=c)
-            np.square(np.abs(c, out=cavity), out=cavity)
-            if on_light:
-                np.copyto(cavity, 1.0, where=light)
-            np.divide(1.0, cavity, out=cavity)
             if propagating:
-                np.subtract(1.0, np.square(np.abs(rr, out=lock), out=lock), out=lock)
-                np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
-                if np.logical_and(emit, trapped, out=trapped).any():
-                    raise SingularityError("detached-plates cavity weight hits a "
-                                           "trapped lossless mode", point=s[trapped][0])
-                np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
-                bounce = np.add(1.0, np.square(np.abs(rb, out=tmp), out=tmp), out=tmp)
-                np.multiply(np.multiply(np.multiply(2.0, g, out=row), bounce, out=row),
-                            cavity, out=row)
-            else:
-                re_trip = np.multiply(rb, trip, out=c).real
-                np.multiply(np.multiply(np.multiply(-4.0, g, out=row), re_trip, out=row),
-                            cavity, out=row)
-                if on_light:
-                    eps_a, eps_b = fac["eps"][a][at], fac["eps"][b][at]
-                    n_a, n_b = (qn[a], qn[b]) if pol == "TE" else (qn[a] / eps_a, qn[b] / eps_b)
-                    lim = pref * src / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
-                    np.copyto(row, lim, where=light)
+                bounce = np.add(1.0, r2[kernel_of[b]], out=tmp)
+                np.multiply(np.multiply(base[m][i], bounce, out=row), cavity, out=row)
+                continue
+            re_trip = np.multiply(r_mat[kernel_of[b]], trip, out=c).real
+            np.multiply(np.multiply(base[m][i], re_trip, out=row), cavity, out=row)
+            if on_light:
+                qn_a, qn_b = qn[m][light], qn[kernel_of[b]][light]
+                if pol == "TM":
+                    qn_a = qn_a / fac["eps"][m][at[light]]
+                    qn_b = qn_b / fac["eps"][kernel_of[b]][at[light]]
+                row[light] = g_light[m][i] / np.abs(geom.gap + 1.0 / qn_a + 1.0 / qn_b) ** 2
+        for a in reversed(range(len(_PLATES))):     # R first: it may read L's kernel
+            row = out[a, i]
+            if not emits[a]:
+                row.fill(0.0)
+                continue
+            np.multiply(weight[a], out[0, i] if kernel_of[a] == 0 else row, out=row)
+            if not emit[a].all():
+                np.copyto(row, 0.0, where=~emit[a])
     return out.reshape(len(_PLATES) * len(_POLS), n)
 
 
@@ -414,8 +470,11 @@ _GK_WG[1::2] = [
 #: Panels per integrand call in `_eval_panels` (15 nodes each).
 _PANEL_CHUNK = 256
 
-#: Most frequencies whose inner Q integrals run in one lockstep call.
-_OMEGA_GROUP = 60
+#: Most frequencies whose inner Q integrals run in one lockstep call.  The
+#: adaptive state of a call grows with it: 40 passes of configs/default.cfg
+#: in one process peaked at 34.9, 35.7 and 36.5 MB RSS with 60, 120 and
+#: 180, and 180 was only 2-3% faster than 120 on identical plates.
+_OMEGA_GROUP = 120
 
 
 def _eval_panels(f, lo, hi, seg, work=None):
@@ -430,8 +489,8 @@ def _eval_panels(f, lo, hi, seg, work=None):
     ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
     error estimates, per-panel rounding floors 50 eps resabs).
 
-    The per-node arrays of a chunk (the nodes handed to f and the weighted
-    products) live in the `_Workspace` ``work``: the steady pass's, handed
+    The per-node arrays of a chunk (the nodes handed to f, their summed
+    main rows and its deviations) live in the `_Workspace` ``work``: the steady pass's, handed
     down by `_inner_q_integral` through `_adaptive_gk`, or a fresh one for
     this call.  f may return rows that live in the same workspace; they
     are consumed before the next chunk.
@@ -440,6 +499,11 @@ def _eval_panels(f, lo, hi, seg, work=None):
     whose nodes show large variation about the mean (resasc) is never
     trusted just because the two rules happen to agree, which is what a
     narrow resonance straddled by a single panel produces.
+
+    Every weighted sum over a panel's 15 nodes is one `np.einsum`
+    reduction, which sums each panel in the same order whatever else is
+    in its chunk: a panel gets the same integral, error and rounding
+    floor bit for bit alone or in a batch (a BLAS ``matmul`` does not).
     """
     if work is None:
         work = _Workspace()
@@ -461,17 +525,16 @@ def _eval_panels(f, lo, hi, seg, work=None):
         if ints is None:
             ints = [np.empty((len(v), n)) for v in rows]
         for out, v in zip(ints, rows):
-            weighted = np.multiply(v, _GK_WK, out=work.take("gk.prod", v.size).reshape(v.shape))
-            out[:, part] = weighted.sum(axis=2) * half
+            out[:, part] = np.einsum("rmk,k->rm", v, _GK_WK) * half
         total = np.sum(rows[0], axis=0, out=work.take("gk.total", m * 15).reshape(m, 15))
         tmp = work.take("gk.tmp", m * 15).reshape(m, 15)
-        k15 = np.multiply(total, _GK_WK, out=tmp).sum(axis=1) * half
-        g7 = np.multiply(total, _GK_WG, out=tmp).sum(axis=1) * half
+        k15 = np.einsum("mk,k->m", total, _GK_WK) * half
+        g7 = np.einsum("mk,k->m", total, _GK_WG) * half
         raw = np.abs(k15 - g7)
         mean = k15 / (2.0 * half)
         dev = np.abs(np.subtract(total, mean[:, None], out=tmp), out=tmp)
-        resasc = np.multiply(dev, _GK_WK, out=tmp).sum(axis=1) * half
-        resabs = np.multiply(np.abs(total, out=tmp), _GK_WK, out=tmp).sum(axis=1) * half
+        resasc = np.einsum("mk,k->m", dev, _GK_WK) * half
+        resabs = np.einsum("mk,k->m", np.abs(total, out=tmp), _GK_WK) * half
         safe = np.maximum(resasc, 1e-300)
         # min(1, x)**1.5 == min(1, x**1.5), and the clamped ratio cannot
         # overflow when resasc is tiny
@@ -857,9 +920,7 @@ def _closes_on_contour(geom):
     material apart from their temperatures (K_L = K_R) or share one bath
     temperature (dc = 0).
     """
-    left, right = geom.left, geom.right
-    return (left.beta_bath == right.beta_bath
-            or replace(left, beta_bath=right.beta_bath, beta_dof=right.beta_dof) == right)
+    return geom.left.beta_bath == geom.right.beta_bath or _same_material(geom)
 
 
 def _mean_occupation(geom, omega, thermal_only):

@@ -538,6 +538,12 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
     `qz` for every wavenumber, `np.exp` for the round-trip factor, both
     sectors' closed forms at every point and masks to pick one.
 
+    Each row is plate a's emission weight times its kernel, with
+    G = C Q / (2 Re qn |q + qn|^2) (TE) or C Q (Q^2 + |qn|^2) /
+    (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), the round trip r_L r_R (in
+    L, R order) and the locked baseline 1 - |r_L|^2 |r_R|^2, both shared
+    by the two emitters; a row is 0 where its plate does not emit.
+
     kernel = "difference" is the map the production integrand computes;
     "full" (the unsubtracted map) and "baseline" (its detached-plates
     limit, propagating only) are the oracles' side of it."""
@@ -560,30 +566,29 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
         media.append((eps, qn))
         coeffs.append(_fresnel_coeffs(eps, q, qn, s))
     s_eff2 = np.abs(_s_eff(s)) ** 2
-    for a, b in ((0, 1), (1, 0)):
-        weight = emission_weight(sides[a], w, thermal_only=thermal_only)
-        emit = weight != 0.0
-        eps, qn = media[a]
-        qn2 = np.abs(qn) ** 2
-        pref = pr.PRESSURE_SIGN * pr._MEASURE * weight * Q \
-            / np.where(emit, 8.0 * qn.real * qn2, 1.0)
-        src = (np.abs(coeffs[a][2]) ** 2,
-               4.0 * qn2 * (Q * Q + qn2) / (np.abs(eps * q + qn) ** 2 * s_eff2))
-        for i in range(2):
-            ra, rb = coeffs[a][i], coeffs[b][i]
-            g = pref * src[i] * q2
-            cavity = 1.0 / np.where(light, 1.0, np.abs(1.0 - ra * rb * trip) ** 2)
-            locked = 1.0 / np.where(prop, 1.0 - np.abs(ra * rb) ** 2, 1.0)
-            prop_cavity = {"full": cavity, "baseline": locked,
-                           "difference": cavity - locked}[kernel]
-            grid[a, i, 0, ...][live] = np.where(
-                prop, 2.0 * g * (1.0 + np.abs(rb) ** 2) * prop_cavity, 0.0)
+    C = pr.PRESSURE_SIGN * pr._MEASURE
+    for i in range(2):
+        r_l, r_r = coeffs[0][i], coeffs[1][i]
+        cavity = 1.0 / np.where(light, 1.0, np.abs(1.0 - r_l * r_r * trip) ** 2)
+        locked = 1.0 / np.where(prop, 1.0 - np.abs(r_l) ** 2 * np.abs(r_r) ** 2, 1.0)
+        prop_cavity = {"full": cavity, "baseline": locked, "difference": cavity - locked}[kernel]
+        for a, b in ((0, 1), (1, 0)):
+            weight = emission_weight(sides[a], w, thermal_only=thermal_only)
+            emit = weight != 0.0
+            eps, qn = media[a]
+            abs_te, abs_tm, abs_qn = coeffs[a][2:]
+            den = np.where(emit, 2.0 * qn.real, 1.0)
+            G = (C * Q / (den * abs_te ** 2),
+                 C * Q * (Q * Q + abs_qn ** 2) / (den * abs_tm ** 2 * s_eff2))[i]
+            rb = coeffs[b][i]
+            prop_k = 2.0 * G * q2 * (1.0 + np.abs(rb) ** 2) * prop_cavity
+            grid[a, i, 0, ...][live] = np.where(prop & emit, weight * prop_k, 0.0)
             if kernel != "baseline":
                 eps_b, qn_b = media[b]
                 n_a, n_b = (qn, qn_b) if i == 0 else (qn / eps, qn_b / eps_b)
-                lim = pref * src[i] / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
-                evan = np.where(prop, 0.0, -4.0 * g * (rb * trip).real * cavity)
-                grid[a, i, 1, ...][live] = np.where(light, lim, evan)
+                lim = G / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
+                evan_k = np.where(light, lim, -4.0 * G * q2 * (rb * trip).real * cavity)
+                grid[a, i, 1, ...][live] = np.where(~prop & emit, weight * evan_k, 0.0)
     return out
 
 
@@ -615,6 +620,55 @@ def test_sector_split_matches_the_per_node_rules(thermal_only):
     row = np.repeat(np.arange(len(ws)), x.size)[perm][live]
     lockstep = pr._bath_channels(geom, w_nodes[live], Q_nodes[live], factors=(factors, row))
     assert np.array_equal(lockstep, got[:, live])
+
+
+def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
+    # identical plates at two temperatures run one Fresnel step per sector,
+    # and their rows are bit for bit those of the two-material path (forced
+    # by declaring the plates different).  The batch holds both sectors and
+    # the light line; under thermal_only the cold plate emits below
+    # omega = 2 only, so its rows read 0 at the higher frequencies
+    geom = identical_plates(0.9, 1.0, 0.05)
+    rng = np.random.default_rng(29)
+    ws = np.array([0.3, 1.1, 2.5, 6.0])
+    x = np.concatenate([[0.0, 0.5, 1.0, 1.5], rng.uniform(0.0, 3.0, 30)])
+    w, Q = np.repeat(ws, x.size), (ws[:, None] * x).ravel()
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(args)
+        return _fresnel_coeffs(*args, **kw)
+
+    monkeypatch.setattr(pr, "_fresnel_coeffs", spy)
+    for thermal_only in (False, True):
+        calls.clear()
+        shared = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
+        assert len(calls) == 2
+        with monkeypatch.context() as m:
+            m.setattr(pr, "_same_material", lambda geom: False)
+            calls.clear()
+            apart = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
+            assert len(calls) == 4
+        assert shared.tobytes() == apart.tobytes()
+        assert np.any(shared[:4] != 0.0)
+        cold = shared[4:, w > 2.0]
+        assert np.all(cold == 0.0) if thermal_only else np.any(cold != 0.0)
+
+
+def test_table_pairs_take_the_two_material_path():
+    # two tables count as one material only when they are one object, so a
+    # pair of equal multi-row tables at two temperatures neither crashes
+    # the sameness test nor closes on the contour
+    omega = np.array([0.5, 1.0, 2.0])
+    rows = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=1.0)
+    twin = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=0.5)
+    assert not pr._closes_on_contour(Geometry(gap=1.0, left=rows, right=twin))
+    assert pr._frequency_factors(Geometry(gap=1.0, left=rows, right=rows),
+                                 np.array([1.0]))["kernel_of"] == (0, 0)
+    for left, right in ((rows, twin), (warm_geom().left, rows), (rows, warm_geom().left)):
+        ch = pr._bath_channels(Geometry(gap=1.0, left=left, right=right), 1.2,
+                               np.array([0.5, 2.0]))
+        assert np.all(np.isfinite(ch))
 
 
 def workspace_batch(n, rng):
@@ -1090,6 +1144,29 @@ def test_segmented_rule_segments_are_independent():
         assert_allclose(together[0, j], alone[0, 0], rtol=1e-14, atol=0.0)
         assert_allclose(err[j], err1[0], rtol=1e-14, atol=0.0)
         assert np.array_equal(np.concatenate(seen[j]), np.concatenate(seen1[0])), name
+
+
+def test_panel_reductions_do_not_depend_on_the_batch():
+    # every panel's integrals, error and rounding floor are the same bits
+    # whether it is evaluated alone or inside a full chunk of panels (a
+    # BLAS matmul reduction is not: it sums a batch in blocks)
+    rng = np.random.default_rng(31)
+    n = pr._PANEL_CHUNK
+    lo = rng.uniform(0.0, 10.0, n)
+    hi = lo + rng.uniform(1e-3, 2.0, n)
+    seg = np.arange(n)
+    scale = np.exp(rng.uniform(-20.0, 20.0, n))
+
+    def f(x, s):
+        wave = scale[s] * np.cos(3.0 * x + s)
+        return np.stack([wave, np.exp(-x) * s, wave * x * x]), (np.sin(x) * scale[s])[None]
+
+    (main, ride), err, rnd = pr._eval_panels(f, lo, hi, seg)
+    for j in range(n):
+        part = slice(j, j + 1)
+        (main1, ride1), err1, rnd1 = pr._eval_panels(f, lo[part], hi[part], seg[part])
+        assert np.array_equal(main1[:, 0], main[:, j]) and np.array_equal(ride1[:, 0], ride[:, j])
+        assert err1[0] == err[j] and rnd1[0] == rnd[j]
 
 
 def test_segment_stops_at_its_rounding_floor():
