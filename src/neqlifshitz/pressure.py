@@ -15,16 +15,19 @@ temperatures evaluate their optics and kernels once per point.
 
 The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
-(`_frequency_rule`) hands the nodes of each round, up to ``_OMEGA_GROUP``
-at a time, to the lockstep Q driver (`_q_integrals`): the propagating (Q <
-Re omega) and evanescent sectors of every frequency are independent
-segments of one adaptive rule, each with its own error test, panel budget
-and ConvergenceError, and each round evaluates all panels being split with
-one integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
-bounded.  Up to the real-axis ceiling omega_max the Q integrand is the
-eight channels (`_inner_q_integral`; rows in BREAKDOWN_KEYS order), with
-the factors of the frequency alone (permittivities and emission weights)
-evaluated once per lockstep call.  Past it, where the emission is the
+(`_frequency_rule`) hands all the nodes of each round to one call of the
+lockstep Q driver (`_q_integrals`): the propagating (Q < Re omega) and
+evanescent sectors of every frequency are independent segments of one
+adaptive rule, each with its own error test, panel budget and
+ConvergenceError, and each retires, its totals stored, in the round it
+converges.  Each round evaluates all panels being split with one
+integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
+bounded; a chunk holds one propagating run of nodes then one evanescent
+run, which the node and channel maps read as slices.  Up to the
+real-axis ceiling omega_max the Q integrand is the eight channels
+(`_inner_q_integral`; rows in BREAKDOWN_KEYS order), with the factors of
+the frequency alone (permittivities and emission weights) evaluated once
+per lockstep call.  Past it, where the emission is the
 mean occupation times the Lifshitz function H (identical plates up to
 their temperatures, or one bath temperature), the tail closes on the
 line omega_max + i y (`_contour_tail`), its integrand read off the
@@ -188,7 +191,12 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     call; it then rules over use_fdr and thermal_only.  Without it they
     are evaluated at the distinct nonzero frequencies of the call.  The
     propagating (Q < omega) and evanescent points are evaluated apart,
-    each sector with its own closed form only (`_sector_channels`).
+    each sector with its own closed form only (`_sector_channels`); a
+    sector whose points form one contiguous run, as in the inner rules'
+    chunks, is read and written as a slice, any other is gathered and
+    scattered by index.  The test is per point, so a point of a
+    propagating run that lands on the light line takes the evanescent
+    form.
 
     ``work`` is the `_Workspace` of the steady pass that owns this call;
     every per-point array, the returned rows included, lives in its
@@ -254,12 +262,24 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     evan = np.logical_not(prop, out=work.take("bath.evan", n, bool))
     evan &= live
     for sector, mask in enumerate((prop, evan)):
-        idx = np.flatnonzero(mask)
-        if idx.size:
-            at_s = at.take(idx, out=work.take("bath.at", idx.size, np.intp), mode="clip")
-            Q_s = Q.take(idx, out=work.take("bath.Q", idx.size), mode="clip")
-            rows[sector::2][:, idx] = _sector_channels(geom, fac, at_s, Q_s, sector == 0, work)
+        sel = _run(mask)
+        if sel is None:
+            sel = np.flatnonzero(mask)
+            at_s = at.take(sel, out=work.take("bath.at", sel.size, np.intp), mode="clip")
+            Q_s = Q.take(sel, out=work.take("bath.Q", sel.size), mode="clip")
+        else:
+            at_s, Q_s = at[sel], Q[sel]
+        if Q_s.size:
+            rows[sector::2][:, sel] = _sector_channels(geom, fac, at_s, Q_s, sector == 0, work)
     return out
+
+
+def _run(mask):
+    """The True entries of a boolean array as a slice when they form one
+    contiguous run (or there are none), else None."""
+    k = int(np.count_nonzero(mask))
+    start = int(np.argmax(mask)) if k else 0
+    return slice(start, start + k) if mask[start:start + k].all() else None
 
 
 def _sector_channels(geom, fac, at, Q, propagating, work):
@@ -470,12 +490,6 @@ _GK_WG[1::2] = [
 #: Panels per integrand call in `_eval_panels` (15 nodes each).
 _PANEL_CHUNK = 256
 
-#: Most frequencies whose inner Q integrals run in one lockstep call.  The
-#: adaptive state of a call grows with it: 40 passes of configs/default.cfg
-#: in one process peaked at 34.9, 35.7 and 36.5 MB RSS with 60, 120 and
-#: 180, and 180 was only 2-3% faster than 120 on identical plates.
-_OMEGA_GROUP = 120
-
 
 def _eval_panels(f, lo, hi, seg, work=None):
     """Evaluate a row-valued integrand on a batch of panels.
@@ -487,7 +501,13 @@ def _eval_panels(f, lo, hi, seg, work=None):
     ``_PANEL_CHUNK``, each reduced to its per-panel integrals and errors
     before the next, so memory does not grow with the batch.  Returns
     ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
-    error estimates, per-panel rounding floors 50 eps resabs).
+    error estimates, per-panel rounding floors 50 eps resabs), in the
+    order of the batch.
+
+    The panels go to f in a stable order by segment, so a chunk holds
+    its segments' nodes in segment order: the inner rules number the
+    propagating sectors first (`_q_integrals`), so each of their chunks
+    is one propagating run of nodes followed by one evanescent run.
 
     The per-node arrays of a chunk (the nodes handed to f, their summed
     main rows and its deviations) live in the `_Workspace` ``work``: the steady pass's, handed
@@ -510,11 +530,12 @@ def _eval_panels(f, lo, hi, seg, work=None):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = len(lo)
+    order = np.argsort(seg, kind="stable")
     ints = None
     err, rnd = np.empty(n), np.empty(n)
     for c in range(0, n, _PANEL_CHUNK):
-        part = slice(c, min(c + _PANEL_CHUNK, n))
-        m = part.stop - part.start
+        part = order[c:c + _PANEL_CHUNK]
+        m = len(part)
         mid = 0.5 * (lo[part] + hi[part])
         half = 0.5 * (hi[part] - lo[part])
         xs = work.take("gk.x", m * 15).reshape(m, 15)
@@ -547,10 +568,27 @@ def _eval_panels(f, lo, hi, seg, work=None):
 
 
 def _segment_sums(seg, rows, nseg):
-    """np.bincount(seg, row, nseg) for every row of ``rows``, in one call."""
-    k = len(rows)
-    flat = (np.arange(k)[:, None] * nseg + seg).ravel()
-    return np.bincount(flat, weights=rows.ravel(), minlength=k * nseg).reshape(k, nseg)
+    """np.bincount(seg, row, nseg) for every row of ``rows`` (an array or
+    an iterable of rows), shaped (rows, nseg): each bin is summed in index
+    order, so a segment's sums depend only on the order of its own
+    panels."""
+    return np.array([np.bincount(seg, weights=row, minlength=nseg)
+                     for row in rows]).reshape(-1, nseg)
+
+
+def _seed_panels(segments, labels):
+    """The seed panels (lo, hi, seg) of `_adaptive_gk`'s segment rows, in
+    row order and, within a row, in ascending order of the edges."""
+    marks = np.sort(np.asarray(segments, dtype=float), axis=1)     # NaN sorts last
+    new = ~np.isnan(marks)
+    new[:, 1:] &= marks[:, 1:] != marks[:, :-1]
+    few = np.flatnonzero(new.sum(axis=1) < 2)
+    if few.size:
+        raise DomainError(f"{labels(few[0])}: need at least two panel edges")
+    owner, col = np.nonzero(new)
+    edges = marks[owner, col]
+    inner = owner[1:] == owner[:-1]     # consecutive edges of one segment
+    return edges[:-1][inner], edges[1:][inner], owner[:-1][inner]
 
 
 def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels,
@@ -579,33 +617,43 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     * it raises ConvergenceError, naming its label and worst subinterval,
       when it reaches ``max_panels`` panels unconverged.
 
+    A segment retires in the round it converges: its totals and error are
+    stored, each summed over its panels in their array order, and its
+    panels leave the arrays before the next evaluation.  The panels of
+    the open segments keep their relative order (kept panels, then the
+    left and the right halves of the split ones), so every sum, error and
+    decision has the bits it would have if no segment retired.
+
     The ride rows never enter these decisions.  ``abs_floor`` is a number
-    or a callable mapping the current per-segment totals I to the floor
-    (the inner Q integrals use the latter, see `_inner_q_integral`).  A
-    single integral, such as the outer frequency integral or a tail slice,
-    is the one-segment case.  ``work`` is the `_Workspace` handed to every
-    `_eval_panels` call (see there).  Returns ((main, ride) per-segment
-    totals, shaped (rows, segments), per-segment error estimates).
+    or a callable mapping the current per-segment totals I (those of
+    retired segments included) to the floor (the inner Q integrals use
+    the latter, see `_inner_q_integral`).  A single integral, such as the
+    outer frequency integral or a tail slice, is the one-segment case.
+    ``work`` is the `_Workspace` handed to every `_eval_panels` call (see
+    there).  Returns ((main, ride) per-segment totals, shaped (rows,
+    segments), per-segment error estimates).
     """
-    marks = np.sort(np.asarray(segments, dtype=float), axis=1)     # NaN sorts last
-    nseg = len(marks)
-    new = ~np.isnan(marks)
-    new[:, 1:] &= marks[:, 1:] != marks[:, :-1]
-    few = np.flatnonzero(new.sum(axis=1) < 2)
-    if few.size:
-        raise DomainError(f"{labels(few[0])}: need at least two panel edges")
-    owner, col = np.nonzero(new)
-    edges = marks[owner, col]
-    inner = owner[1:] == owner[:-1]     # consecutive edges of one segment
-    lo, hi, seg = edges[:-1][inner], edges[1:][inner], owner[:-1][inner]
+    lo, hi, seg = _seed_panels(segments, labels)
+    nseg = len(segments)
+    del segments                # frees a caller's temporary seed rows before round 0
     (main, ride), err, rnd = _eval_panels(f, lo, hi, seg, work=work)
+    totals = [np.zeros((len(main), nseg)), np.zeros((len(ride), nseg))]
+    sums, bad = np.zeros(nseg), np.zeros(nseg)
     done = np.zeros(nseg, dtype=bool)
     while True:
-        sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
-        bad = np.bincount(seg, weights=err, minlength=nseg)
+        open_sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
+        open_bad = np.bincount(seg, weights=err, minlength=nseg)
+        sums = np.where(done, sums, open_sums)
+        bad = np.where(done, bad, open_bad)
         floor = abs_floor(sums) if callable(abs_floor) else abs_floor
         target = rel_tol * np.maximum(np.abs(sums), floor)
-        done |= (bad <= target) | (bad <= 2.0 * np.bincount(seg, weights=rnd, minlength=nseg))
+        ends = ~done & ((bad <= target)
+                        | (bad <= 2.0 * np.bincount(seg, weights=rnd, minlength=nseg)))
+        if ends.any():
+            gone = ends[seg]
+            for total, rows in zip(totals, (main, ride)):
+                total[:, ends] = _segment_sums(seg[gone], (r[gone] for r in rows), nseg)[:, ends]
+            done |= ends
         if done.all():
             break
         count = np.bincount(seg, minlength=nseg)
@@ -620,12 +668,12 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
                 f"[{lo[i]:.6g}, {hi[i]:.6g}] with error {err[i]:.3e}")
         # per open segment, split every panel still carrying a meaningful
         # share of its budget: rank its panels by error, worst first
-        room = target / (2.0 * count)
-        open_ = np.flatnonzero(~done[seg])
+        keep = ~done[seg]
+        open_ = np.flatnonzero(keep)
         order = open_[np.lexsort((-err[open_], seg[open_]))]
         owner = seg[order]
         rank = np.arange(len(order)) - np.searchsorted(owner, owner)
-        pick = (rank < 32) & (err[order] > room[owner])
+        pick = (rank < 32) & (err[order] > target[owner] / (2.0 * count[owner]))
         lone = np.ones(nseg, dtype=bool)
         lone[owner[pick]] = False
         pick |= (rank == 0) & lone[owner]
@@ -634,17 +682,18 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
         new_seg = np.concatenate([seg[pick], seg[pick]])
+        keep[pick] = False      # the retired segments' panels and the split ones leave
+        lo, hi, seg, err, rnd = lo[keep], hi[keep], seg[keep], err[keep], rnd[keep]
+        main, ride = main[:, keep], ride[:, keep]
         (new_main, new_ride), nerr, nrnd = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
-        keep = np.ones(len(lo), dtype=bool)
-        keep[pick] = False
-        lo = np.concatenate([lo[keep], new_lo])
-        hi = np.concatenate([hi[keep], new_hi])
-        seg = np.concatenate([seg[keep], new_seg])
-        err = np.concatenate([err[keep], nerr])
-        rnd = np.concatenate([rnd[keep], nrnd])
-        main = np.concatenate([main[:, keep], new_main], axis=1)
-        ride = np.concatenate([ride[:, keep], new_ride], axis=1)
-    return (_segment_sums(seg, main, nseg), _segment_sums(seg, ride, nseg)), bad
+        lo = np.concatenate([lo, new_lo])
+        hi = np.concatenate([hi, new_hi])
+        seg = np.concatenate([seg, new_seg])
+        err = np.concatenate([err, nerr])
+        rnd = np.concatenate([rnd, nrnd])
+        main = np.concatenate([main, new_main], axis=1)
+        ride = np.concatenate([ride, new_ride], axis=1)
+    return tuple(totals), bad
 
 
 # ---------------------------------------------------------------------------
@@ -778,36 +827,37 @@ def _inner_q_seeds(geom, omegas):
 _INNER_FLOOR = 1e-3
 
 
-def _q_nodes(x, seg, evan, w_seg, decay, work):
+def _q_nodes(x, seg, n_prop, w_seg, decay, work):
     """The inner rules' node mapping: nodes x of segments seg to Q.
 
-    ``evan``, ``w_seg`` and ``decay`` are per segment: its sector, its
-    (real) frequency omega and its decay scale.  Propagating nodes are
-    theta with Q = omega sin(theta); evanescent ones are t in [0, 1) with
-    sqrt(Q^2 - omega^2) = decay t/(1 - t).  Returns the arrays (omega, Q,
-    dQ/dx) over the nodes, rows of the `_Workspace` ``work`` valid until
-    its next call.
+    ``w_seg`` and ``decay`` are per segment: its (real) frequency omega
+    and its decay scale.  Segments below ``n_prop`` are propagating, and
+    their nodes must come first (`_eval_panels` orders each chunk so): x
+    is theta with Q = omega sin(theta) there; the evanescent nodes after
+    them are t in [0, 1) with sqrt(Q^2 - omega^2) = decay t/(1 - t).
+    Returns the arrays (omega, Q, dQ/dx) over the nodes, rows of the
+    `_Workspace` ``work`` valid until its next call.
     """
     m = x.size
-    w, Qs, jac, node_decay = work.take("node.real", 4 * m).reshape(4, m)
-    ev = evan.take(seg, out=work.take("node.evan", m, bool), mode="clip")
+    w, Qs, jac = work.take("node.real", 3 * m).reshape(3, m)
     w_seg.take(seg, out=w, mode="clip")
-    ip, ie = np.flatnonzero(~ev), np.flatnonzero(ev)
-    if ip.size:
-        wp, tp, v = work.take("node.prop", 3 * ip.size).reshape(3, ip.size)
-        w.take(ip, out=wp, mode="clip")
-        x.take(ip, out=tp, mode="clip")
-        Qs[ip] = np.multiply(wp, np.sin(tp, out=v), out=v)
-        jac[ip] = np.multiply(wp, np.cos(tp, out=v), out=v)
-    if ie.size:
-        sc, ts, rest, qs, Qe, d = work.take("node.evan_real", 6 * ie.size).reshape(6, ie.size)
-        decay.take(seg, out=node_decay, mode="clip").take(ie, out=sc, mode="clip")
-        x.take(ie, out=ts, mode="clip")
+    lead = _run(np.less(seg, n_prop, out=work.take("node.lead", m, bool)))
+    if lead is None or lead.start:
+        raise ValueError("the propagating nodes must lead the chunk (see _eval_panels)")
+    k = lead.stop
+    if k:
+        wp, tp, v = w[:k], x[:k], work.take("node.prop", k)
+        np.multiply(wp, np.sin(tp, out=v), out=Qs[:k])
+        np.multiply(wp, np.cos(tp, out=v), out=jac[:k])
+    if k < m:
+        sc, rest, qs, d = work.take("node.evan", 4 * (m - k)).reshape(4, m - k)
+        ts, Qe = x[k:], Qs[k:]
+        decay.take(seg[k:], out=sc, mode="clip")
         np.subtract(1.0, ts, out=rest)
         np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
-        Qs[ie] = np.hypot(w.take(ie, out=Qe, mode="clip"), qs, out=Qe)
+        np.hypot(w[k:], qs, out=Qe)
         np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
-        jac[ie] = np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=d)
+        np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=jac[k:])
     return w, Qs, jac
 
 
@@ -817,7 +867,10 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
     edges `_inner_q_seeds`, nodes `_q_nodes`, at most 512 panels each), so
     each round evaluates every panel still being split with one integrand
     call per chunk, while each sector keeps its own error test, panel
-    budget and ConvergenceError, named by ``label(i, sector)``.
+    budget and ConvergenceError, named by ``label(i, sector)``.  The
+    propagating segments come first, so each chunk (`_eval_panels`) is
+    one propagating run of nodes followed by one evanescent run, and the
+    node map and the channel map read each run as a slice.
 
     ``rows(w, Q, jac, at)`` gives the integrand rows at the nodes from
     their frequency w = omegas[at], Q and dQ/dx (arrays in ``work``, see
@@ -834,7 +887,7 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
     decay = np.maximum(w_seg, 0.5 / geom.gap)
 
     def f(x, seg):
-        w, Q, jac = _q_nodes(x, seg, evan, w_seg, decay, work)
+        w, Q, jac = _q_nodes(x, seg, len(pos), w_seg, decay, work)
         at = owner.take(seg, out=work.take("node.at", x.size, np.intp), mode="clip")
         return rows(w, Q, jac, at), np.empty((0, x.size))
 
@@ -882,9 +935,11 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
                         lambda i, sector: f"{sector} Q integral at omega={omegas[i]:.4g}", work)
 
 
-def _frequency_rule(nodes, edges, n_rows, rel_tol, floor, max_panels, label):
+def _frequency_rule(nodes, edges, rel_tol, floor, max_panels, label):
     """The outer frequency rule: one `_adaptive_gk` segment seeded with
-    ``edges``, whose nodes go to ``nodes`` up to ``_OMEGA_GROUP`` at a time.
+    ``edges``, whose nodes go to ``nodes`` as `_eval_panels` chunks them.
+    A round of this rule (its seeds, or at most 64 split halves) fits one
+    chunk, so each round makes one ``nodes`` call: one lockstep Q call.
 
     nodes(x) returns (rows shaped (n_rows, len(x)), the inner errors at
     x); the rows drive the error test, the inner errors ride along.  The
@@ -893,11 +948,8 @@ def _frequency_rule(nodes, edges, n_rows, rel_tol, floor, max_panels, label):
     outer error estimate).
     """
     def f(x, seg):
-        main, inner = np.empty((n_rows, x.size)), np.empty((1, x.size))
-        for c in range(0, x.size, _OMEGA_GROUP):
-            group = slice(c, c + _OMEGA_GROUP)
-            main[:, group], inner[0, group] = nodes(x[group])
-        return main, inner
+        main, inner = nodes(x)
+        return main, inner[None]
 
     (main, inner), e = _adaptive_gk(f, [edges], rel_tol, abs_floor=floor,
                                     max_panels=max_panels, labels=lambda j: label)
@@ -1011,7 +1063,7 @@ def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
         return got[None], err
 
     marks = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]     # y l = 1/4 .. 4
-    (tail, inner), e = _frequency_rule(nodes, marks, 1, rel_tol, scale, 1024, "contour tail")
+    (tail, inner), e = _frequency_rule(nodes, marks, rel_tol, scale, 1024, "contour tail")
     return float(tail), float(e + abs(inner))
 
 
@@ -1104,8 +1156,8 @@ def steady_pressure(geom, opts=None):
         return main, inner
 
     def integrate(edges, max_panels, label):
-        return _frequency_rule(nodes, edges, len(BREAKDOWN_KEYS), opts.rel_tol / 2.0,
-                               1e-14 / geom.gap ** 4, max_panels, label)
+        return _frequency_rule(nodes, edges, opts.rel_tol / 2.0, 1e-14 / geom.gap ** 4,
+                               max_panels, label)
 
     totals, outer_err = integrate(_omega_edges(geom, omega_max), 1024, "frequency integral")
     channels = totals[:-1]

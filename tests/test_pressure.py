@@ -622,6 +622,34 @@ def test_sector_split_matches_the_per_node_rules(thermal_only):
     assert np.array_equal(lockstep, got[:, live])
 
 
+def test_sector_runs_match_the_per_node_rules():
+    # the inner rules hand the channel map one propagating run of nodes
+    # followed by one evanescent run.  A theta node so close to pi/2 that
+    # sin(theta) rounds to 1 lands on the light line inside the propagating
+    # run: it keeps the evanescent closed form (its light-line limit), as
+    # the per-node rules give it, and the runs around it stay exact
+    geom = default_plates(1.0, 1.0, 0.5)
+    ws = np.array([0.4, 1.3, 2.9])
+    theta = np.append(np.linspace(0.05, 1.5, 9), 0.5 * math.pi - 1e-9)
+    t = np.linspace(0.02, 0.97, 11)
+    w_p, w_e = np.repeat(ws, theta.size), np.repeat(ws, t.size)
+    Q_p = w_p * np.tile(np.sin(theta), ws.size)
+    decay = np.maximum(w_e, 0.5 / geom.gap)
+    Q_e = np.hypot(w_e, decay * np.tile(t / (1.0 - t), ws.size))
+    row = np.concatenate([np.repeat(np.arange(ws.size), theta.size),
+                          np.repeat(np.arange(ws.size), t.size)])
+    w, Q = np.concatenate([w_p, w_e]), np.concatenate([Q_p, Q_e])
+    on_light = np.flatnonzero(Q == w)
+    assert on_light.tolist() == [theta.size * (i + 1) - 1 for i in range(ws.size)]
+    factors = (pr._frequency_factors(geom, ws), row)
+    got = pr._bath_channels(geom, w, Q, factors=factors)
+    assert np.array_equal(got, per_node_channels(geom, w, Q, "difference", False))
+    assert np.all(got[0::2, on_light] == 0.0) and np.all(got[1::2, on_light] != 0.0)
+    clean = np.setdiff1d(np.arange(w.size), on_light)   # two clean runs
+    got = pr._bath_channels(geom, w[clean], Q[clean], factors=(factors[0], row[clean]))
+    assert np.array_equal(got, per_node_channels(geom, w[clean], Q[clean], "difference", False))
+
+
 def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
     # identical plates at two temperatures run one Fresnel step per sector,
     # and their rows are bit for bit those of the two-material path (forced
@@ -749,7 +777,7 @@ _CHUNK_PEAK_BOUND = 200_000
 def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
     rng = np.random.default_rng(5)
     n = 15 * pr._PANEL_CHUNK
-    ws = np.sort(rng.uniform(0.05, 20.0, pr._OMEGA_GROUP))
+    ws = np.sort(rng.uniform(0.05, 20.0, 120))
     row = rng.integers(0, len(ws), n)
     w = ws[row]
     Q = w * rng.uniform(0.0, 3.0, n)
@@ -762,6 +790,26 @@ def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
     finally:
         tracemalloc.stop()
     assert peak < _CHUNK_PEAK_BOUND, f"{peak} bytes for {n} points"
+
+
+#: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
+#: the default configuration's plates.  Measured with numpy 2.4: 4.48 MB,
+#: about 2.5 MB of it the pass's workspace; 4.87 MB when the inner rules'
+#: seed rows stayed alive through a lockstep call, 5.28 MB when the
+#: per-segment sums built one flat index over all rows.
+_PASS_PEAK_BOUND = 4_700_000
+
+
+def test_steady_pass_keeps_no_lockstep_temporaries_alive():
+    geom, opts = default_plates(1.0, 1.0, 0.5), PressureOptions(rel_tol=1e-4)
+    steady_pressure(geom, opts)     # warm the imports and the caches
+    tracemalloc.start()
+    try:
+        steady_pressure(geom, opts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < _PASS_PEAK_BOUND, f"{peak} bytes"
 
 
 # ---------------------------------------------------------------------------
@@ -1146,6 +1194,45 @@ def test_segmented_rule_segments_are_independent():
         assert np.array_equal(np.concatenate(seen[j]), np.concatenate(seen1[0])), name
 
 
+def test_retired_segments_keep_the_bits_of_a_non_retiring_run(monkeypatch):
+    # segments that converge in different rounds retire with totals and
+    # errors summed over their panels in array order.  The reference keeps
+    # every panel to the end, as a rule without retirement does (each
+    # round drops the split panels and appends their left then right
+    # halves), and sums the survivors with np.bincount: the same bytes
+    batches = []
+    real = pr._eval_panels
+
+    def spy(f, lo, hi, seg, **kw):
+        got = real(f, lo, hi, seg, **kw)
+        batches.append((np.array(lo), np.array(seg), got))
+        return got
+
+    monkeypatch.setattr(pr, "_eval_panels", spy)
+    names = ("smooth", "lorentzian", "oscillatory", "smooth", "lorentzian")
+    (main, ride), err = run_segments(names, rel_tol=1e-12, ride=lambda x, m: m * np.sin(x))
+
+    lo, seg, ((m_rows, r_rows), e, _) = batches[0]
+    for new_lo, new_seg, ((new_m, new_r), new_e, _) in batches[1:]:
+        half = len(new_lo) // 2
+        split = set(zip(new_seg[:half].tolist(), new_lo[:half].tolist()))
+        keep = np.array([(s, x) not in split for s, x in zip(seg.tolist(), lo.tolist())])
+        lo, seg = np.concatenate([lo[keep], new_lo]), np.concatenate([seg[keep], new_seg])
+        m_rows = np.concatenate([m_rows[:, keep], new_m], axis=1)
+        r_rows = np.concatenate([r_rows[:, keep], new_r], axis=1)
+        e = np.concatenate([e[keep], new_e])
+
+    def sums(rows):
+        return np.array([np.bincount(seg, weights=r, minlength=len(names)) for r in rows])
+
+    assert main.tobytes() == sums(m_rows).tobytes()
+    assert ride.tobytes() == sums(r_rows).tobytes()
+    assert err.tobytes() == np.bincount(seg, weights=e, minlength=len(names)).tobytes()
+    last_split = [max(i for i, (_, s, _) in enumerate(batches) if j in s)
+                  for j in range(len(names))]
+    assert len(set(last_split)) >= 3, last_split
+
+
 def test_panel_reductions_do_not_depend_on_the_batch():
     # every panel's integrals, error and rounding floor are the same bits
     # whether it is evaluated alone or inside a full chunk of panels (a
@@ -1205,6 +1292,23 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
         pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), False, 1e-6, 0.0)
+
+
+@pytest.mark.parametrize("geom, rel_tol", [(identical_plates(2.0, 1.0, 0.3), 2e-3),
+                                           (default_plates(1.0, 1.0, 0.5), 1e-4)],
+                         ids=["sweep-far", "default"])
+def test_chunks_that_straddle_sectors_give_the_same_bits(monkeypatch, geom, rel_tol):
+    # chunks of 7 panels cut the propagating and evanescent runs of every
+    # round at many places; every chunk's nodes still take their own
+    # sector's closed form, so the pass gives the same bits
+    def hexes():
+        res = steady_pressure(geom, PressureOptions(rel_tol=rel_tol))
+        return [float(v).hex() for v in (res.value, res.err, res.tail,
+                                          *(res.breakdown[k] for k in BREAKDOWN_KEYS))]
+
+    want = hexes()
+    monkeypatch.setattr(pr, "_PANEL_CHUNK", 7)
+    assert hexes() == want
 
 
 def test_inner_integrals_do_not_depend_on_frequency_order():

@@ -49,3 +49,15 @@ def test_temperature_scan_script(tmp_path):
     assert float(rows[0]["delta_eq"]) == 0.0
     assert float(rows[1]["delta_eq"]) == pytest.approx(
         float(rows[1]["pressure"]) - float(rows[0]["pressure"]), rel=1e-12)
+
+
+def test_steady_fingerprints_script(capsys):
+    assert load_script("steady_fingerprints").main(["--case", "sweep-far"]) == 0
+    name, points, *numbers = capsys.readouterr().out.split()
+    assert name == "sweep-far"
+    real, contour = (int(n) for n in points.removeprefix("points=").split("+"))
+    assert real > 0 and contour > 0
+    value, err, tail, omega_max, *channels = (float.fromhex(n) for n in numbers)
+    assert len(channels) == 8
+    assert value < 0.0 < err and omega_max == 4.0
+    assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
