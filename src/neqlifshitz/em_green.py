@@ -388,10 +388,12 @@ def _source_vecs(eps, q, qn, s, Q, phase_sign, updown, num):
     return te, tm
 
 
-def _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign):
+def _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign, factor=None):
     """The direct and reflected terms per polarization of a from-plate
     block (see `green_gap_from_plate`), from the build's optics record
-    and gap vectors."""
+    and gap vectors.  With ``factor``, the plate-source integral of
+    `ic_z_block`, the terms come source-integrated: each scalar times
+    ``factor``, with src_exp = 0 and z_ref = 0."""
     q, plates = optics
     eps, qn, r_own = plates[plate]
     r_far = plates["R" if plate == "L" else "L"][2]
@@ -401,24 +403,27 @@ def _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign):
         direct_exp, refl_exp, src_exp = -q, +q, +qn
     else:
         direct_exp, refl_exp, src_exp = +q, -q, -qn
+    z_ref = geom.boundary(plate)
+    if factor is not None:
+        src_exp = z_ref = 0.0
     ex = np.exp(-q * geom.gap)               # one full gap crossing
     decay_near = np.exp(-q * geom.gap / 2)   # boundary -> mid-gap offset
     decay_far = decay_near * ex              # after one far-plate bounce
-    z_ref = geom.boundary(plate)
     terms = []
     for i, (pol, (up, dn)) in enumerate(zip(_POLS, vectors)):
         dvec, rvec = (up, dn) if plate == "L" else (dn, up)
         pref = -1.0 / (2.0 * qn * (1.0 - r_own[i] * r_far[i] * ex * ex))
+        scalars = pref * decay_near + 0j, pref * r_far[i] * decay_far + 0j
+        if factor is not None:
+            scalars = tuple(sc * factor for sc in scalars)
         terms.append(GreenTerm(pol=pol, plate=plate, tag="direct",
                                field_vec=dvec, src_vec=src[i],
-                               scalar=pref * decay_near + 0j,
-                               exp_z=direct_exp + 0j, src_exp=src_exp,
-                               z_ref=z_ref))
+                               scalar=scalars[0], exp_z=direct_exp + 0j,
+                               src_exp=src_exp, z_ref=z_ref))
         terms.append(GreenTerm(pol=pol, plate=plate, tag="reflected",
                                field_vec=rvec, src_vec=src[i],
-                               scalar=pref * r_far[i] * decay_far + 0j,
-                               exp_z=refl_exp + 0j, src_exp=src_exp,
-                               z_ref=z_ref))
+                               scalar=scalars[1], exp_z=refl_exp + 0j,
+                               src_exp=src_exp, z_ref=z_ref))
     return terms
 
 
@@ -454,11 +459,14 @@ def green_gap_from_plate(geom, plate, s, Q, phase_sign=+1):
     return _from_plate_blocks(geom, (plate,), s, Q, phase_sign)[plate]
 
 
-def _scattered_terms(geom, optics, i, up, dn):
+def _scattered_terms(geom, optics, i, up, dn, integrals=None):
     """The scattered terms S1..S4 of polarization index i of a gap-source
     block, from the build's optics record and that polarization's gap
     vectors: the four once-or-more reflected paths, each resummed by
-    1/D_mu, with the source exponents kept symbolic."""
+    1/D_mu, with the source exponents kept symbolic.  With ``integrals``,
+    the gap-source integrals (f_up, f_dn) of `ic_z_block` for the src_exp
+    = +q and -q terms, the terms come source-integrated: each scalar times
+    its integral, with src_exp = 0."""
     q, plates = optics
     l, pol = geom.gap, _POLS[i]
     pref = -1.0 / (2.0 * q)
@@ -466,18 +474,22 @@ def _scattered_terms(geom, optics, i, up, dn):
     rr = r1 * r2 / d
     # S1: up at z after r2 then r1 round trips;  S2: down-source, r1, up
     # S3: up-source, r2, down;                   S4: down after r1 then r2
+    s1 = s4 = pref * rr * np.exp(-2.0 * q * l) + 0j
+    s2 = pref * r1 / d * np.exp(-q * l) + 0j
+    s3 = pref * r2 / d * np.exp(-q * l) + 0j
+    e_up, e_dn = +q, -q
+    if integrals is not None:
+        f_up, f_dn = integrals
+        s1, s2, s3, s4 = s1 * f_up, s2 * f_dn, s3 * f_up, s4 * f_dn
+        e_up = e_dn = 0.0
     return [GreenTerm(pol=pol, plate="gap", tag="S1", field_vec=up, src_vec=up,
-                      scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
-                      exp_z=-q + 0j, src_exp=+q),
+                      scalar=s1, exp_z=-q + 0j, src_exp=e_up),
             GreenTerm(pol=pol, plate="gap", tag="S2", field_vec=up, src_vec=dn,
-                      scalar=pref * r1 / d * np.exp(-q * l) + 0j,
-                      exp_z=-q + 0j, src_exp=-q),
+                      scalar=s2, exp_z=-q + 0j, src_exp=e_dn),
             GreenTerm(pol=pol, plate="gap", tag="S3", field_vec=dn, src_vec=up,
-                      scalar=pref * r2 / d * np.exp(-q * l) + 0j,
-                      exp_z=+q + 0j, src_exp=+q),
+                      scalar=s3, exp_z=+q + 0j, src_exp=e_up),
             GreenTerm(pol=pol, plate="gap", tag="S4", field_vec=dn, src_vec=dn,
-                      scalar=pref * rr * np.exp(-2.0 * q * l) + 0j,
-                      exp_z=+q + 0j, src_exp=-q)]
+                      scalar=s4, exp_z=+q + 0j, src_exp=e_dn)]
 
 
 def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):
@@ -577,7 +589,9 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     of a pressure contraction is obtained with phase_sign = -1.
 
     One optics record (`_optics`) and one set of gap vectors serve every
-    term, and only the scattered terms the integral keeps are built.
+    term, and each term is built source-integrated in one step: the plate
+    and scattered term builders fold the source integrals into their
+    scalars.
     s may be an array of Laplace points broadcast against Q:
     one build then covers them all, and a point on a plate or gap
     denominator root raises a SingularityError naming the first such
@@ -593,7 +607,6 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     terms = []
     # --- source in the plates: boundary value / (qn -+ i kz)
     for plate, sgn in (("L", +1), ("R", -1)):
-        plate_terms = _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign)
         qn = plates[plate][1]
         den = qn + sgn * 1j * kz_eff
         bad = np.abs(den) <= 1e-13 * (np.abs(qn) + abs(kz))
@@ -603,8 +616,7 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                 f"plate source integral hits a root of qn {'+' if sgn>0 else '-'} i kz"
                 f" at s={pt}", point=pt)
         factor = np.exp(-sgn * 1j * kz_eff * l / 2) / den
-        for t in plate_terms:
-            terms.append(replace(t, scalar=t.scalar * factor, src_exp=0.0, z_ref=0.0))
+        terms += _from_plate_terms(geom, plate, s, Q, optics, vectors, phase_sign, factor)
 
     # --- source in the gap: bulk two-sided pieces
     cp = q + 1j * kz_eff          # denominator of the z' < z branch
@@ -641,13 +653,10 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
                            exp_z=1j * kz_eff + 0.0 * q))
 
     # --- source in the gap: scattered pieces, entire functions of kz
-    scattered = [t for i, (up, dn) in enumerate(vectors)
-                 for t in _scattered_terms(geom, optics, i, up, dn)]
-    f_up = _finite_exp_integral(+q + 1j * kz_eff, l)    # src_exp = +q terms
-    f_dn = _finite_exp_integral(-q + 1j * kz_eff, l)    # src_exp = -q terms
-    for t in scattered:
-        fac = f_up if t.tag in ("S1", "S3") else f_dn
-        terms.append(replace(t, scalar=t.scalar * fac, src_exp=0.0))
+    integrals = (_finite_exp_integral(+q + 1j * kz_eff, l),    # src_exp = +q terms
+                 _finite_exp_integral(-q + 1j * kz_eff, l))    # src_exp = -q terms
+    for i, (up, dn) in enumerate(vectors):
+        terms += _scattered_terms(geom, optics, i, up, dn, integrals)
 
     return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q,
                       phase_sign=phase_sign, geom=geom)

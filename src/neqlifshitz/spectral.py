@@ -253,27 +253,38 @@ def _response_numerator_poly(mat):
     return np.array([1.0])
 
 
+def _horner(coeffs, x):
+    """The polynomial ``coeffs`` (highest power first) at x, by Horner's
+    rule in Python arithmetic: the same operations, in the same order, as
+    ``np.polyval`` on a scalar."""
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def _newton_polish(coeffs, roots, max_iter=48):
     """Polish companion-matrix roots on the polynomial itself."""
-    deriv = np.polyder(coeffs)
-    mags = np.abs(np.asarray(coeffs))
+    coeffs = [float(c) for c in coeffs]
+    deriv = [float(c) for c in np.polyder(coeffs)]
+    mags = [abs(c) for c in coeffs]
     out = []
     for s0 in np.atleast_1d(roots):
         s = complex(s0)
         for _ in range(max_iter):
-            p = np.polyval(coeffs, s)
-            scale = np.polyval(mags, abs(s)) + 1e-300
+            p = _horner(coeffs, s)
+            scale = _horner(mags, abs(s)) + 1e-300
             if abs(p) <= 1e-14 * scale:
                 break
-            dp = np.polyval(deriv, s)
+            dp = _horner(deriv, s)
             if dp == 0:
                 break
             step = p / dp
             s -= step
             if abs(step) <= 1e-16 * (1.0 + abs(s)):
                 break
-        p = np.polyval(coeffs, s)
-        scale = np.polyval(mags, abs(s)) + 1e-300
+        p = _horner(coeffs, s)
+        scale = _horner(mags, abs(s)) + 1e-300
         # multiple roots flatten the residual floor to ~eps**(order/…);
         # accept those, reject genuine stagnation far from a root
         if abs(p) > 1e-9 * scale:
@@ -433,6 +444,14 @@ def find_qbm_poles(mat):
 # plate-mode roots and branch inventory
 
 
+def _transverse_q(Q):
+    """A transverse wavenumber as a float; DomainError unless finite and >= 0."""
+    Q = float(Q)
+    if not 0.0 <= Q < math.inf:
+        raise DomainError(f"Q must be finite and >= 0, got {Q}")
+    return Q
+
+
 def plate_mode_roots(side, Q, kz=0.0):
     """Roots of eps(s) s^2 + Q^2 + kz^2 = 0, cleared of denominators.
 
@@ -492,9 +511,7 @@ def branch_inventory(geom, Q):
     the radicand also changes sign.  Endpoints are paired into vertical
     segments (conjugate pairs; leftover real points pair consecutively).
     """
-    Q = float(Q)
-    if Q < 0:
-        raise DomainError("Q must be >= 0")
+    Q = _transverse_q(Q)
     cuts = [("gap_sqrt", (complex(0.0, Q), complex(0.0, -Q)))]
     for plate in ("L", "R"):
         side = geom.side(plate)
@@ -537,13 +554,17 @@ def _pair_vertical(points, rtol=1e-9):
 def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
     """Minimum of |D_mu| along s = i*omega over a real frequency grid.
 
-    The grid must be sorted, straddle zero and resolve the gap
-    round-trip phase (spacing <= pi/(8 l)).  A minimum at or below
+    The grid must be finite, sorted, straddle zero and resolve the gap
+    round-trip phase (spacing <= pi/(8 l)), and Q finite and >= 0
+    (DomainError otherwise).  A minimum at or below
     ``DMU_FLOOR`` is recorded as a property violation in the result, not
     raised; isolated grid points landing on a response pole of a
     lossless material are skipped and counted.
     """
+    Q = _transverse_q(Q)
     grid = np.asarray(omega_grid, dtype=float).ravel()
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("omega_grid must be finite")
     if grid.size < 2:
         raise DomainError("scan needs at least two frequencies")
     if np.any(np.diff(grid) <= 0):
@@ -570,7 +591,7 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
     i0 = int(np.nanargmin(vals))
     min_abs = float(vals[i0])
     return DmuScan(min_abs=min_abs, argmin=float(grid[i0]), floor=DMU_FLOOR,
-                   violation=bool(min_abs <= DMU_FLOOR), pol=pol, Q=float(Q),
+                   violation=bool(min_abs <= DMU_FLOOR), pol=pol, Q=Q,
                    n_points=int(grid.size), n_skipped=skipped)
 
 
@@ -592,12 +613,13 @@ def modified_mode_check(geom, Q, kz):
     ``MODE_TOL_LIMIT`` of the tensor scale.
     Disagreement yields ``removable=False`` with the data.  The 24
     approach points (2 signs x 4 directions x 3 radii) share one
-    `ic_z_block` build.
+    `ic_z_block` build.  Q must be finite and >= 0, and kz finite and
+    nonzero (DomainError).
     """
-    Q = float(Q)
+    Q = _transverse_q(Q)
     kz = float(kz)
-    if Q < 0.0:
-        raise DomainError("Q must be >= 0")
+    if not math.isfinite(kz):
+        raise DomainError(f"kz must be finite, got {kz}")
     if kz == 0.0:
         raise DomainError("kz = 0 puts the candidate mode on the gap branch "
                           "point +-iQ; the check needs omega_k > Q")
@@ -669,12 +691,16 @@ def _talbot_fixtures(n_eff):
     node s = r, quadrature weight w_0 = 1/2) and base_k = theta_k (cot
     theta_k + i), theta_k = pi k / n_eff, with w_k = 1 + i sigma_k.  At
     the canonical radius r = 2M/(5t) the time factor exp(t s_k) is
-    exp((2M/5) base_k), so the node factor exp(t s_k) w_k is a constant.
-    All of it is computed once in mpmath at max(35, 25 + int(0.2 n_eff))
-    digits (the first call imports mpmath).  The bases and canonical
-    factors are kept as (re, im) Python integers scaled by 2**bits, bits
-    the working precision plus ``_TALBOT_GUARD``, for the fixed-point sum
-    of `_talbot_point`.  Returns (bits, base, factor).
+    exp((2M/5) base_k), so the node factor f_k = exp(t s_k) w_k is a
+    constant.  All of it is computed once in mpmath at max(35, 25 +
+    int(0.2 n_eff)) digits (the first call imports mpmath).  Per node,
+    b = base_k, b^2, b^3, f = f_k and f b are taken from those mpmath
+    values and kept as (re, im) Python integers scaled by 2**bits, bits
+    the working precision plus ``_TALBOT_GUARD``: `_talbot_point` forms
+    the kernel's polynomials in s = r b from them.  Nodes whose factor
+    rounds to zero (far down the left tail it is below 2**-bits) are
+    dropped here.  Returns (bits, nodes), one flat 10-tuple (b, b^2, b^3,
+    f, f b) per kept node.
     """
     fx = _TALBOT_CACHE.get(n_eff)
     if fx is None:
@@ -689,8 +715,13 @@ def _talbot_fixtures(n_eff):
                 ct = mp.cot(th)
                 base.append(th * (ct + 1j))
                 weight.append(1 + 1j * (th + (th * ct - 1) * ct))
-            fx = (bits, [_fixed(b, bits) for b in base],
-                  [_fixed(mp.e ** (rt * b) * w, bits) for b, w in zip(base, weight)])
+            nodes = []
+            for b, w in zip(base, weight):
+                f = mp.e ** (rt * b) * w
+                if _fixed(f, bits) != (0, 0):
+                    nodes.append(tuple(x for v in (b, b * b, b * b * b, f, f * b)
+                                       for x in _fixed(v, bits)))
+            fx = (bits, nodes)
         _TALBOT_CACHE[n_eff] = fx
     return fx
 
@@ -718,11 +749,15 @@ def _talbot_point(mat, t, r_floor, poles):
     (s + L) / ((s^2 + omega0^2)(s + L) + gamma L s) for the cutoff bath,
     1 / (s^2 + gamma s + omega0^2) otherwise (gamma = 0 without a bath).
 
-    The sum runs in Python integers scaled by 2**bits: s_k = r base_k
-    from the exact ratio of the float r, each term Re(f N conj(D)) / |D|^2
-    with one floor division, and the result one correctly rounded
-    true division.  A node within 1e-6 of a pole moves the sum to the
-    next node count, with its own canonical radius 2M/(5t) and nodes.
+    The sum runs in Python integers scaled by 2**bits.  At s = r b, D and
+    f N are polynomials in r whose coefficients are per-t scalars (r, r^2,
+    r^3, gamma r, L r^2, (omega0^2 + gamma L) r, from the exact ratio of
+    the float r) times the per-node powers b, b^2, b^3, f and f b of
+    `_talbot_fixtures`: 8 integer products per node for the ohmic kernel,
+    14 for the cutoff one.  Each term Re(f N conj(D)) / |D|^2 takes one
+    floor division, and the result one correctly rounded true division.
+    A node within 1e-6 of a pole moves the sum to the next node count,
+    with its own canonical radius 2M/(5t) and nodes.
     """
     n_min = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
     for n_eff in range(n_min, n_min + 8):
@@ -733,32 +768,33 @@ def _talbot_point(mat, t, r_floor, poles):
         raise SingularityError(
             "inversion contour cannot avoid a response pole",
             point=min(poles, key=lambda p: abs(p)))
-    bits, base, factor = _talbot_fixtures(n_eff)
+    bits, nodes = _talbot_fixtures(n_eff)
     num, den = r.as_integer_ratio()     # r = num / 2**e exactly
     e = den.bit_length() - 1
+    r1, r2, r3 = ((num ** j << bits) >> (j * e) for j in (1, 2, 3))
     bath = mat.bath
     w0 = _fixed_float(mat.omega0, bits)
     w2 = (w0 * w0) >> bits
     g = _fixed_float(bath.gamma, bits)
-    cutoff = bath.kind == "ohmic_lorentz_cutoff"
-    if cutoff:
-        lam = _fixed_float(bath.cutoff, bits)
-        gl = (g * lam) >> bits
     total = 0
-    for (br, bi), (fr, fi) in zip(base, factor):
-        if not (fr or fi):      # far down the left tail the factor is below 2**-bits
-            continue
-        sr, si = (num * br) >> e, (num * bi) >> e
-        if cutoff:      # N = s + L, D = (s^2 + w2) N + g L s
-            nr = sr + lam
-            ar, ai = ((sr * sr - si * si) >> bits) + w2, (sr * si) >> (bits - 1)
-            dr = (ar * nr - ai * si + gl * sr) >> bits
-            di = (ar * si + ai * nr + gl * si) >> bits
-            fr, fi = (fr * nr - fi * si) >> bits, (fr * si + fi * nr) >> bits
-        else:           # N = 1, D = s^2 + g s + w2
-            dr = ((sr * sr - si * si + g * sr) >> bits) + w2
-            di = (2 * sr * si + g * si) >> bits
-        total += ((fr * dr + fi * di) << bits) // (dr * dr + di * di)
+    if bath.kind == "ohmic_lorentz_cutoff":
+        # N = r b + L, D = r^3 b^3 + L r^2 b^2 + (w2 + g L) r b + L w2
+        lam = _fixed_float(bath.cutoff, bits)
+        lr2 = (lam * r2) >> bits
+        wr = ((w2 + ((g * lam) >> bits)) * num) >> e
+        lw2 = (lam * w2) >> bits
+        for br, bi, b2r, b2i, b3r, b3i, fr, fi, fbr, fbi in nodes:
+            dr = ((r3 * b3r + lr2 * b2r + wr * br) >> bits) + lw2
+            di = (r3 * b3i + lr2 * b2i + wr * bi) >> bits
+            nr, ni = (r1 * fbr + lam * fr) >> bits, (r1 * fbi + lam * fi) >> bits
+            total += ((nr * dr + ni * di) << bits) // (dr * dr + di * di)
+    else:
+        # N = 1, D = r^2 b^2 + g r b + w2
+        gr = (g * num) >> e
+        for br, bi, b2r, b2i, _, _, fr, fi, _, _ in nodes:
+            dr = ((r2 * b2r + gr * br) >> bits) + w2
+            di = (r2 * b2i + gr * bi) >> bits
+            total += ((fr * dr + fi * di) << bits) // (dr * dr + di * di)
     return total * num / ((n_eff * den) << bits)
 
 
@@ -775,12 +811,15 @@ def invert_laplace_qbm(mat, t_grid):
     exact boundary value 0 of the retarded kernel.  A contour node
     landing on a pole moves the point to the next node count, whose
     canonical contour has other nodes; the inversion raises only if
-    eight node counts in a row fail.
+    eight node counts in a row fail.  The grid must be finite, >= 0 and
+    sorted ascending (DomainError).
     """
     t = np.asarray(t_grid, dtype=float)
     flat = t.ravel()
     if flat.size == 0:
         return np.zeros(t.shape)
+    if not np.all(np.isfinite(flat)):
+        raise DomainError("t_grid must be finite")
     if np.any(flat < 0.0):
         raise DomainError("the retarded kernel needs t >= 0")
     if np.any(np.diff(flat) < 0.0):
@@ -799,23 +838,25 @@ def invert_laplace_qbm(mat, t_grid):
 # stress contraction of two Green blocks
 
 
-def _source_factor(t1, t2):
-    """Pairwise source-side z' integral of two terms.
+def _source_factor(src1, src2):
+    """Pairwise source-side z' integral of two blocks' terms, from the
+    source data (plate, z_ref, src_exp) `_coincidence` returns.
 
     Terms with src_exp = 0 are already source-integrated and contribute 1;
     plate-referenced exponential pairs integrate over their half-space to
     1/(qn(s1) + qn(s2)), converging toward the respective infinity.
     """
-    e = np.asarray(t1.src_exp, dtype=complex) + np.asarray(t2.src_exp, dtype=complex)
+    (plate, z_ref1, exp1), (_, z_ref2, exp2) = src1, src2
+    e = np.asarray(exp1, dtype=complex) + np.asarray(exp2, dtype=complex)
     if np.all(e == 0):
         return 1.0
-    if t1.z_ref != t2.z_ref:
+    if z_ref1 != z_ref2:
         raise DomainError("paired source terms must share the reference height")
-    if t1.plate == "L":
+    if plate == "L":
         if np.any(e.real <= 0):
             raise DomainError("left-plate source integral diverges: Re(qn1+qn2) <= 0")
         return 1.0 / e
-    if t1.plate == "R":
+    if plate == "R":
         if np.any(e.real >= 0):
             raise DomainError("right-plate source integral diverges: Re(qn1+qn2) <= 0")
         return -1.0 / e
@@ -826,7 +867,7 @@ _LAMBDA = np.array([1.0, 1.0, -1.0])
 
 
 def _coincidence(block):
-    """Source term and coincidence tensors (rep, F, C) of one block.
+    """Source data and coincidence tensors (src, F, C) of one block.
 
     With z = the geometry's ``z_field``,
 
@@ -836,23 +877,26 @@ def _coincidence(block):
     where the curl of the plane-wave factor takes the transverse
     derivative as +-i*Q*xhat on the block's parallel phase (the y
     derivative is zero) and z-derivatives as the term's exp_z.  F and C
-    are shaped broadcast(block.s, Q) + (3, 3).
-    ``rep`` is the block's first term, which carries the source of every
-    term: either all terms are source-integrated (src_exp = 0, as in an
-    ``ic_z_block``) or all share one (plate, z_ref, src_exp) (as in a
-    from-plate block); any other block raises DomainError.  It is None
-    for a block without terms.
+    are shaped broadcast(block.s, Q) + (3, 3).  The terms' field and
+    source vectors, scalars and exp_z are stacked once on a leading term
+    axis, and each tensor is one outer product summed over that axis,
+    which adds the terms in block order, as a term-by-term sum does.
+    ``src`` = (plate, z_ref, src_exp) of the block's first term is the
+    source of every term: either all terms are source-integrated (src_exp
+    = 0, as in an ``ic_z_block``) or all share one (plate, z_ref,
+    src_exp) (as in a from-plate block); any other block raises
+    DomainError.  It is None for a block without terms, whose tensors
+    are zero.
     """
     Q = np.asarray(block.Q, dtype=float)
-    z = block.geom.z_field
-    phase = 1j * block.phase_sign
-    kx = phase * Q
-    rep = block.terms[0] if block.terms else None
-    integrated = all(np.all(np.asarray(t.src_exp) == 0) for t in block.terms)
-    shape = np.broadcast_shapes(np.shape(block.s), Q.shape) + (3, 3)
-    F = np.zeros(shape, dtype=complex)
-    C = np.zeros(shape, dtype=complex)
-    for t in block.terms:
+    shape = np.broadcast_shapes(np.shape(block.s), Q.shape)
+    terms = block.terms
+    if not terms:
+        return None, np.zeros(shape + (3, 3), dtype=complex), \
+            np.zeros(shape + (3, 3), dtype=complex)
+    rep = terms[0]
+    integrated = all(np.all(np.asarray(t.src_exp) == 0) for t in terms)
+    for t in terms:
         if t.step:
             raise DomainError("step-gated bulk terms are not defined at coincidence")
         if not (integrated or (t.plate == rep.plate and t.z_ref == rep.z_ref
@@ -860,16 +904,26 @@ def _coincidence(block):
                                     or np.array_equal(t.src_exp, rep.src_exp)))):
             raise DomainError("a contracted block's terms must all be source-integrated "
                               "or share one plate, reference height and source exponent")
-        f = np.asarray(t.field_vec)
-        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
-        ez = np.asarray(t.exp_z, dtype=complex)
-        curl = np.stack(np.broadcast_arrays(-(ez * fy), ez * fx - kx * fz, kx * fy),
-                        axis=-1)
-        scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
-        su = np.asarray(scal)[..., None] * np.asarray(t.src_vec)
-        F = F + f[..., :, None] * su[..., None, :]
-        C = C + curl[..., :, None] * su[..., None, :]
-    return rep, F, C
+    z = block.geom.z_field
+    kx = 1j * block.phase_sign * Q
+
+    def stack(values, tail=()):
+        want = shape + tail
+        return np.array([v if np.shape(v) == want else np.broadcast_to(v, want)
+                         for v in values])
+
+    f = stack([t.field_vec for t in terms], (3,))
+    u = stack([t.src_vec for t in terms], (3,))
+    ez = stack([t.exp_z for t in terms]).astype(complex, copy=False)
+    scal = stack([t.scalar for t in terms])
+    if z != 0.0:
+        scal = scal * np.exp(ez * z)
+    su = scal[..., None] * u
+    fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+    curl = np.stack((-(ez * fy), ez * fx - kx * fz, kx * fy), axis=-1)
+    F = (f[..., :, None] * su[..., None, :]).sum(axis=0)
+    C = (curl[..., :, None] * su[..., None, :]).sum(axis=0)
+    return (rep.plate, rep.z_ref, rep.src_exp), F, C
 
 
 def _contract(co1, co2, s1, s2, source_weight=None):
@@ -879,15 +933,15 @@ def _contract(co1, co2, s1, s2, source_weight=None):
     the blocks' source factor sf, so it is sf * sum_i Lambda_i
     (X1 W X2^T)_ii with X = F (electric, times s1 s2) or X = C
     (magnetic): one source factor and one trace pair per block pair.
-    Coincidence data and Laplace points built on arrays broadcast
-    against each other, so one call contracts every pair of two halves
-    shaped, say, (n, 1) and (1, m).
+    Coincidence data and Laplace points broadcast against each other
+    elementwise: the origin reports hand it two halves gathered onto the
+    208 (s1, s2) pairs they read, so one call contracts all of them.
     """
-    (t1, F1, C1), (t2, F2, C2) = co1, co2
+    (src1, F1, C1), (src2, F2, C2) = co1, co2
     if source_weight is not None:
         F1 = F1 @ source_weight
         C1 = C1 @ source_weight
-    sf = 1.0 if t1 is None or t2 is None else _source_factor(t1, t2)
+    sf = 1.0 if src1 is None or src2 is None else _source_factor(src1, src2)
     elec = sf * ((_LAMBDA[:, None] * F1) * F2).sum(axis=(-2, -1))
     mag = sf * ((_LAMBDA[:, None] * C1) * C2).sum(axis=(-2, -1))
     return s1 * s2 * elec, mag
@@ -972,8 +1026,9 @@ def transverse_projector(k):
 # (the Green blocks' coincidence data plus the s-only prefactors) and a
 # pair step returning the parts.  A half takes one Laplace point or an
 # array of them, and the pair step broadcasts two halves against each
-# other, so a caller sampling many (s1, s2) pairs builds each variable's
-# blocks once per point set and contracts them in one step.
+# other elementwise, so a caller sampling many (s1, s2) pairs builds each
+# variable's blocks once per point set, gathers both halves onto the
+# pairs it reads (`_take`) and contracts them in one step.
 
 
 def _dof_half(geom, Q, s, phase_sign):
@@ -1062,6 +1117,8 @@ def _ic_wavevector(k):
     k = np.asarray(k, dtype=float)
     if k.shape != (3,):
         raise DomainError("k must be a 3-vector")
+    if not np.all(np.isfinite(k)):
+        raise DomainError(f"k must be finite, got {k.tolist()}")
     wk = float(np.linalg.norm(k))
     if wk == 0.0:
         raise DomainError("the zero wavevector carries no initial mode")
@@ -1274,34 +1331,49 @@ def _cancellation_record(coeffs, rows, f_scale):
     return record, ok
 
 
+def _take(half, idx):
+    """A half (nested tuples and dicts of per-point arrays and constants)
+    at the points ``idx`` of its leading axis; constants pass through."""
+    if isinstance(half, dict):
+        return {key: _take(v, idx) for key, v in half.items()}
+    if isinstance(half, tuple):
+        return tuple(_take(v, idx) for v in half)
+    return half[idx] if np.ndim(half) else half
+
+
 def _origin_report(half, pair, expected):
     """Classification and Laurent coefficients shared by the two origin reports.
 
     ``half(s, phase_sign)`` builds one Laplace variable's factor of the
-    integrand on an array of points (+1 for s1, -1 for s2), ``pair(h1,
+    integrand on a 1-d array of points (+1 for s1, -1 for s2), ``pair(h1,
     h2)`` returns the parts dict of two halves broadcast against each
     other, and ``expected(key)`` the expected per-variable orders of the
-    part ``key``.  Each variable's half is built once, on the 45 points a
-    report reads (the RING_COUNT x RING_POINTS ring points, ORIGIN_PROBE
-    and the TORUS_POINTS torus ring), as a column of s1 and a row of s2,
-    and one pair step tabulates every part on every pair of them.  Each
-    part's ring samples against the probe, in either variable, and its
-    torus table are read out of that table; all parts are classified as
-    one stack.  Returns (parts report keyed "|"-joined, whether every
-    part matches, sorted part keys, Laurent coefficients per order with
-    one entry per part, integrand scale).
+    part ``key``.  A report reads the integrand at 208 (s1, s2) pairs:
+    each of the RING_COUNT x RING_POINTS ring points against ORIGIN_PROBE
+    in either variable, and the TORUS_POINTS x TORUS_POINTS torus.  Each
+    variable's half is built once, on one flat array of the 45 points
+    those pairs use, then gathered onto the pairs by an index array per
+    variable, and one pair step evaluates every part on the 208 pairs
+    only.  Each part's ring samples and torus table are read out of that
+    step; all parts are classified as one stack.  Returns (parts report
+    keyed "|"-joined, whether every part matches, sorted part keys,
+    Laurent coefficients per order with one entry per part, integrand
+    scale).
     """
     radii, angles, ring = _ring_samples()
     n = TORUS_POINTS
     ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
     torus = TORUS_RADIUS * np.exp(1j * ang)
     pts = np.concatenate([ring.ravel(), [ORIGIN_PROBE], torus])
-    parts = pair(half(pts[:, None], +1), half(pts[None, :], -1))
-    keys = sorted(parts)
-    m = pts.size    # (parts, m, m), also for a report without parts
-    table = np.reshape([np.broadcast_to(parts[key], (m, m)) for key in keys], (-1, m, m))
     p = ring.size       # the probe's index
-    samples = np.stack([table[:, :p, p], table[:, p, :p]]).reshape((-1,) + ring.shape)
+    on_ring, at_probe, on_torus = np.arange(p), np.full(p, p), np.arange(p + 1, pts.size)
+    idx1 = np.concatenate([on_ring, at_probe, np.repeat(on_torus, n)])
+    idx2 = np.concatenate([at_probe, on_ring, np.tile(on_torus, n)])
+    parts = pair(_take(half(pts, +1), idx1), _take(half(pts, -1), idx2))
+    keys = sorted(parts)
+    m = idx1.size   # (parts, m), also for a report without parts
+    table = np.reshape([np.broadcast_to(parts[key], (m,)) for key in keys], (-1, m))
+    samples = table[:, :2 * p].reshape(-1, 2, p).swapaxes(0, 1).reshape((-1,) + ring.shape)
     order, _, slope, resolved = (a.reshape(2, -1).T.tolist() for a in
                                  _classify_samples(samples, radii, angles))
     parts_report = {}
@@ -1316,7 +1388,7 @@ def _origin_report(half, pair, expected):
             "expected": list(want),
             "matches": match,
         }
-    coeffs, f_scale = _laurent_coefficients(torus, table[:, p + 1:, p + 1:])
+    coeffs, f_scale = _laurent_coefficients(torus, table[:, 2 * p:].reshape(-1, n, n))
     return parts_report, all_match, keys, coeffs, f_scale
 
 
@@ -1338,8 +1410,11 @@ def dof_origin_report(geom, Q):
     built once per Laplace variable, on one array of the 45 points those
     pairs use: 2 per-variable halves, each holding one
     `green_gap_from_plate` block per coupled plate from one optics
-    record, and one pair step that contracts them.
+    record.  Both halves, with their brackets s^2 G - 1 and s G and their
+    source exponents, are gathered onto the 208 pairs, and one pair step
+    contracts them there.  Q must be finite and >= 0 (DomainError).
     """
+    Q = _transverse_q(Q)
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
         lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
         lambda h1, h2: _dof_pair(geom, h1, h2),
@@ -1355,7 +1430,7 @@ def dof_origin_report(geom, Q):
         plates_report[plate] = record
     return {
         "kind": "dof_origin",
-        "Q": float(Q),
+        "Q": Q,
         "probe": [ORIGIN_PROBE.real, ORIGIN_PROBE.imag],
         "radius": TORUS_RADIUS,
         "scale": f_scale,
@@ -1373,7 +1448,9 @@ def ic_origin_report(geom, k, beta_em=math.inf):
     (pol, piece); the candidate modes away from the origin are covered
     separately by `modified_mode_check`.  As there, the Green blocks
     (`ic_z_block`) are built once per Laplace variable on the 45 points
-    the 208 sampled pairs use: 2 builds and one pair step.
+    the 208 sampled pairs use, and one pair step contracts the two halves
+    gathered onto those pairs: 2 builds and 208 contracted pairs.  Every
+    component of k must be finite (DomainError).
     ``"steady_after_discard"`` is 0.0 by the discard rule, not a measured
     value.
     """

@@ -105,7 +105,8 @@ def pairwise_contract(block1, block2, s1, s2, source_weight=None):
             u2 = np.asarray(t2.src_vec)
             w = np.eye(3) if source_weight is None else np.asarray(source_weight)
             usrc = np.einsum("...i,ij,...j->...", u1, w, u2)
-            amp = sc1 * sc2 * spectral._source_factor(t1, t2) * usrc
+            amp = sc1 * sc2 * spectral._source_factor((t1.plate, t1.z_ref, t1.src_exp),
+                                                      (t2.plate, t2.z_ref, t2.src_exp)) * usrc
             elec += amp * s1s2 * (f1[0] * f2[0] + f1[1] * f2[1] - f1[2] * f2[2])
             mag += amp * (c1[0] * c2[0] + c1[1] * c2[1] - c1[2] * c2[2])
     return elec, mag

@@ -61,3 +61,19 @@ def test_steady_fingerprints_script(capsys):
     assert len(channels) == 8
     assert value < 0.0 < err and omega_max == 4.0
     assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
+
+
+def test_analytic_fingerprints_script(capsys):
+    script = load_script("analytic_fingerprints")
+    assert script.main(["--case", "criterion-7-0", "--case", "criterion-4"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    name, *numbers = first.split()
+    values = [float.fromhex(n) for n in numbers]
+    assert name == "criterion-7-0"
+    # the last number is the initial-field report's taxonomy_ok
+    assert values[-1] == 1.0
+    # criterion 4: 50 materials, the kernel on 10 + 5 times each
+    name, *numbers = second.split()
+    assert name == "criterion-4" and len(numbers) == 50 * 15
+    # the same bits on a second run
+    assert script.fingerprint("criterion-7-0", script.cases(1)["criterion-7-0"]) == first

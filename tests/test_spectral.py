@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from neqlifshitz import em_green, spectral
-from neqlifshitz.em_green import Geometry, green_gap_from_plate
+from neqlifshitz.em_green import Geometry, GreenBlock, green_gap_from_plate
 from neqlifshitz.errors import DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
@@ -228,18 +229,22 @@ def mp_talbot(mat, t, n=None):
         return float(total * rm / n)
 
 
-@pytest.mark.parametrize("mat, t", [(LOSSY2, 3.7), (CUTOFF, 300.0),
-                                    (MARGINAL, 0.5 * math.pi / 1.3)],
-                         ids=["canonical", "cutoff-long-time", "marginal"])
-def test_fixed_point_node_sum_matches_mpmath(monkeypatch, mat, t):
-    # the integer node sum returns the very float that the same contour
-    # sum gives in mpmath, also with n_eff > TALBOT_NODES (cutoff at t = 300)
+@pytest.mark.parametrize("mat, t, beyond", [
+    (LOSSY2, 3.7, False), (CUTOFF, 300.0, True), (MARGINAL, 0.5 * math.pi / 1.3, False),
+    (LOSSY, 0.3, False), (LOSSY, 7.0, False), (LOSSY, 60.0, True),
+    (CUTOFF, 0.2, False), (CUTOFF, 5.0, False), (CUTOFF, 45.0, True)],
+    ids=["canonical", "cutoff-long-time", "marginal", "ohmic-short", "ohmic-mid",
+         "ohmic-long", "cutoff-short", "cutoff-mid", "cutoff-long"])
+def test_fixed_point_node_sum_matches_mpmath(monkeypatch, mat, t, beyond):
+    # the integer node sum, polynomials in r over per-node powers of the
+    # contour base, returns the very float that the same contour sum gives
+    # in mpmath node by node, also with n_eff > TALBOT_NODES (``beyond``)
     real_gap, seen = spectral._min_node_gap, []
     monkeypatch.setattr(spectral, "_min_node_gap",
                         lambda n_eff, r, poles: seen.append(n_eff) or real_gap(n_eff, r, poles))
     got = invert_laplace_qbm(mat, [t])[0]
     assert len(seen) == 1       # the first node count
-    assert (seen[0] > spectral.TALBOT_NODES) == (mat is CUTOFF)
+    assert (seen[0] > spectral.TALBOT_NODES) == beyond
     assert got == mp_talbot(mat, t)
 
 
@@ -516,11 +521,11 @@ def test_laurent_2d_extracts_torus_coefficients():
         assert set(coeffs) == set(want[key])
         for mn, c in want[key].items():
             assert_allclose(coeffs[mn][i], c, atol=1e-10, err_msg=f"{key} {mn}")
-    # every point is built once per variable, as a column of s1 and a row
-    # of s2: the rings, the probe and the torus
+    # every point is built once per variable, as one flat array of the
+    # rings, the probe and the torus
     n_pts = spectral.RING_COUNT * spectral.RING_POINTS + 1 + n_theta
     assert sorted(ph for _, ph in built) == [-1, +1]
-    assert {np.shape(s) for s, _ in built} == {(n_pts, 1), (1, n_pts)}
+    assert {np.shape(s) for s, _ in built} == {(n_pts,)}
     ring = radius * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
     s1, s2 = np.meshgrid(ring, ring, indexing="ij")
     assert_allclose(scale, np.median(sum(np.abs(f(s1, s2)) for f in parts.values())),
@@ -654,6 +659,23 @@ def test_ic_origin_report_makes_one_trace_pair_per_polarization(monkeypatch):
     assert len(factors) == 2
 
 
+def test_origin_reports_contract_only_the_pairs_they_read(monkeypatch):
+    # each report gathers both halves onto the 208 (s1, s2) pairs it reads
+    # (32 ring x probe, 32 probe x ring, 12 x 12 torus) and contracts those
+    # alone, not the 45 x 45 product of its points
+    geom = warm_geom(z_field=0.13)
+    pairs = spectral.RING_COUNT * spectral.RING_POINTS * 2 + spectral.TORUS_POINTS ** 2
+    assert pairs == 208
+    for report, arg, n_calls in ((dof_origin_report, 0.7, 4),    # plates x pols
+                                 (ic_origin_report, np.array([0.4, 0.3, 1.1]), 2)):
+        calls = _count_calls(monkeypatch, spectral, "_contract")
+        report(geom, arg)
+        assert len(calls) == n_calls
+        for (_, F1, C1), (_, F2, C2), s1, s2, *_ in calls:
+            assert np.shape(s1) == np.shape(s2) == (pairs,)
+            assert F1.shape == F2.shape == C1.shape == C2.shape == (pairs, 3, 3)
+
+
 @pytest.mark.parametrize("kind", ["dof", "ic"])
 def test_transient_blocks_reduce_to_one_source_factor(monkeypatch, kind):
     # every block either integrand contracts is one polarization with one
@@ -689,6 +711,71 @@ def test_transient_blocks_reduce_to_one_source_factor(monkeypatch, kind):
             assert {t.plate for t in b.terms} == {"L", "R", "gap"}
             assert all(np.all(np.asarray(t.src_exp) == 0) for t in b.terms)
     assert len(factors) == len(blocks) // 2
+
+
+def loop_coincidence(block):
+    """Reference (src, F, C) of `spectral._coincidence`, one term at a time
+    into zero-initialized tensors."""
+    Q = np.asarray(block.Q, dtype=float)
+    z = block.geom.z_field
+    kx = 1j * block.phase_sign * Q
+    shape = np.broadcast_shapes(np.shape(block.s), Q.shape) + (3, 3)
+    F = np.zeros(shape, dtype=complex)
+    C = np.zeros(shape, dtype=complex)
+    for t in block.terms:
+        f = np.asarray(t.field_vec)
+        fx, fy, fz = f[..., 0], f[..., 1], f[..., 2]
+        ez = np.asarray(t.exp_z, dtype=complex)
+        curl = np.stack(np.broadcast_arrays(-(ez * fy), ez * fx - kx * fz, kx * fy),
+                        axis=-1)
+        scal = t.scalar if z == 0.0 else t.scalar * np.exp(ez * z)
+        su = np.asarray(scal)[..., None] * np.asarray(t.src_vec)
+        F = F + f[..., :, None] * su[..., None, :]
+        C = C + curl[..., :, None] * su[..., None, :]
+    rep = block.terms[0] if block.terms else None
+    return (None if rep is None else (rep.plate, rep.z_ref, rep.src_exp)), F, C
+
+
+def test_stacked_coincidence_matches_the_term_loop():
+    # the terms stacked on one axis and summed over it add in block order,
+    # so F and C equal the term-by-term sum exactly on blocks built on
+    # arrays (of Laplace points or of Q), as every transient integrand
+    # builds them.  A block at one scalar (s, Q) is the loop's exception:
+    # there its arithmetic runs on numpy scalars, whose complex product
+    # can round apart from the array loops' by an ulp
+    s = np.array([0.2 - 0.9j, 0.1 + 1.3j, 0.005j, 0.31 + 0.23j, 0.004 - 0.003j])
+    blocks = []
+    for z_field in (0.0, 0.13):
+        geom = warm_geom(z_field=z_field)
+        for ps in (+1, -1):
+            for pts, Q in ((s, 0.7), (s[:, None], np.array([0.3, 0.7, 1.9])),
+                           (0.2 - 0.9j, np.array([0.3, 0.7])), (0.2 - 0.9j, 0.7)):
+                blocks += [green_gap_from_plate(geom, plate, pts, Q, ps) for plate in "LR"]
+                blocks.append(em_green.ic_z_block(geom, pts, Q, 1.1, ps))
+    empty = GreenBlock(terms=(), s=s, Q=np.asarray(0.7), phase_sign=+1, geom=warm_geom())
+    for block in blocks + [empty]:
+        for part in (block, block.filtered("TE"), block.filtered("TM")):
+            got, want = spectral._coincidence(part), loop_coincidence(part)
+            if np.ndim(part.s) or np.ndim(part.Q):
+                assert np.array_equal(got[1], want[1]) and np.array_equal(got[2], want[2])
+            else:
+                assert_allclose(got[1], want[1], rtol=1e-15, atol=1e-15 * np.abs(want[1]).max())
+                assert_allclose(got[2], want[2], rtol=1e-15, atol=1e-15 * np.abs(want[2]).max())
+            if want[0] is None:
+                assert got[0] is None
+            else:
+                assert got[0][:2] == want[0][:2] and np.array_equal(got[0][2], want[0][2])
+    assert spectral._coincidence(empty)[1].shape == (5, 3, 3)
+
+    # a step-gated term, and terms with two pending sources, are refused
+    plate_block = blocks[0]
+    step = replace(plate_block, terms=(replace(plate_block.terms[0], step="z>zs"),))
+    with pytest.raises(DomainError, match="step-gated"):
+        spectral._coincidence(step)
+    right = green_gap_from_plate(warm_geom(), "R", s, 0.7)
+    mixed = replace(plate_block, terms=plate_block.terms + right.terms[:1])
+    with pytest.raises(DomainError, match="share one plate"):
+        spectral._coincidence(mixed)
 
 
 def _count_optics(monkeypatch):
@@ -813,3 +900,48 @@ def test_point_array_builds_match_scalar_builds(name):
     with pytest.raises(SingularityError, match="Fresnel denominator") as err:
         build(geom, pts, Q)
     assert err.value.point == root and f"s={root}" in str(err.value)
+
+
+# ---------------------------------------------------------------------------
+# typed errors for bad inputs
+# ---------------------------------------------------------------------------
+
+
+def test_inversion_refuses_non_finite_times():
+    for bad in ([0.5, math.nan], [0.5, math.inf]):
+        with pytest.raises(DomainError, match="t_grid must be finite"):
+            invert_laplace_qbm(LOSSY, bad)
+
+
+def test_scan_refuses_non_finite_grid_and_q():
+    geom = warm_geom()
+    grid = np.linspace(-20.0, 20.0, 4001)
+    with_nan = grid.copy()
+    with_nan[17] = math.nan
+    with pytest.raises(DomainError, match="omega_grid must be finite"):
+        scan_dmu_imaginary_axis(geom, "TE", 0.5, with_nan)
+    for Q in (math.nan, math.inf, -0.5):
+        with pytest.raises(DomainError, match="Q must be finite and >= 0"):
+            scan_dmu_imaginary_axis(geom, "TE", Q, grid)
+
+
+def test_modified_mode_check_refuses_non_finite_q_and_kz():
+    geom = warm_geom()
+    for Q, kz in ((math.nan, 1.1), (math.inf, 1.1), (0.7, math.nan), (0.7, -math.inf)):
+        with pytest.raises(DomainError, match="must be finite"):
+            modified_mode_check(geom, Q, kz)
+
+
+def test_dof_origin_report_refuses_bad_q():
+    for Q in (math.nan, math.inf, -0.7):
+        with pytest.raises(DomainError, match="Q must be finite and >= 0"):
+            dof_origin_report(warm_geom(), Q)
+
+
+def test_ic_origin_report_refuses_non_finite_k():
+    for bad in (math.nan, math.inf, -math.inf):
+        for i in range(3):
+            k = np.array([0.4, 0.3, 1.1])
+            k[i] = bad
+            with pytest.raises(DomainError, match="k must be finite"):
+                ic_origin_report(warm_geom(), k)
