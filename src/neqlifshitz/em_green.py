@@ -28,6 +28,7 @@ cancelled form and are single-valued across the sqrt(eps) cut.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -62,8 +63,8 @@ class Geometry:
     z_field: float = 0.0
 
     def __post_init__(self):
-        if not self.gap > 0:
-            raise DomainError(f"gap must be > 0, got {self.gap}")
+        if not 0 < self.gap < math.inf:
+            raise DomainError(f"gap must be > 0 and finite, got {self.gap}")
         if not (-self.gap / 2 < self.z_field < self.gap / 2):
             raise DomainError(
                 f"z_field = {self.z_field} not inside the gap (-{self.gap/2}, {self.gap/2})")
@@ -149,60 +150,54 @@ def fresnel(side, s, Q):
     eps = plate_eps(side, s)
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
-    r_te, r_tm = _fresnel_coeffs(eps, q, qn, s)[:2]
+    r_te, r_tm = _fresnel_coeffs(eps, q, qn, s)[0]
     t_te = 2.0 * qn / (q + qn)
     t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / (eps * q + qn)
     return r_te, r_tm, t_te, t_tm
 
 
-def _fresnel_coeffs(eps, q, qn, s, work=None, tag=None, abs_q=None):
-    """(r_TE, r_TM, |q + qn|, |eps q + qn|, |qn|) of `fresnel` from a
-    plate's permittivity and the two z-wavenumbers.
+def _fresnel_coeffs(eps, q, qn, s, abs_q=None, out=None):
+    """(r, |den|, |qn|) of `fresnel` from a plate's permittivity and the
+    two z-wavenumbers, the two polarizations stacked on a leading axis:
+    r = (r_TE, r_TM) and |den| = (|q + qn|, |eps q + qn|).
 
     The transmission coefficients are left out: the assembled source
     vectors cancel the sqrt(eps) of t_TM (see `_source_vecs`), and the
     steady integrand needs only the moduli of the two denominators and of
-    qn, which the singularity test forms anyway.  ``abs_q`` is |q| when
-    the caller already has it (the same q serves both plates).  Raises
-    the same SingularityError as `fresnel` when a denominator vanishes (s
-    may be an array of Laplace points broadcast against q; the error
-    names the first bad one).
+    qn, which the singularity test forms anyway.  eps, q and qn broadcast
+    against each other, so eps and qn may carry a leading axis of plate
+    materials over one shared q; ``abs_q`` is |q| when the caller already
+    has it.  Raises the same SingularityError as `fresnel` when a
+    denominator vanishes (s broadcasts against the points; the error
+    names the first bad one, in the order of the broadcast points).
 
-    With a workspace ``work`` (the steady integrand's, see
-    `pressure._Workspace`; q and qn then 1-d arrays of one length) every
-    array is written into its buffers: the five results into those keyed
-    by ``tag``, so each plate material keeps its own until the next call
-    with the same tag.
+    ``out`` holds the buffers of the steady integrand's workspace form
+    (see `pressure._channel_kernel`): (r, den, |den|, |qn|, scale, bad),
+    the first three and ``bad`` shaped (2,) + the broadcast shape, the
+    others the broadcast shape; r, |den| and |qn| are returned in them.
+    Without it every array is fresh.
     """
-    out = dict.fromkeys(("eq", "den_te", "den_tm", "r_te", "r_tm", "scale", "abs_te",
-                         "abs_qn", "abs_tm", "bad", "bad_tm"))     # None: a fresh array
-    if work is not None:
-        n = len(q)
-        out.update(zip(("eq", "den_te", "den_tm"),
-                       work.take("fresnel.complex", 3 * n, complex).reshape(3, n)))
-        out.update(zip(("r_te", "r_tm"),
-                       work.take(("fresnel.coeffs", tag), 2 * n, complex).reshape(2, n)))
-        out["scale"] = work.take("fresnel.real", n)
-        out.update(zip(("abs_te", "abs_qn", "abs_tm"),
-                       work.take(("fresnel.moduli", tag), 3 * n).reshape(3, n)))
-        out.update(zip(("bad", "bad_tm"), work.take("fresnel.flags", 2 * n, bool).reshape(2, n)))
-    eq = np.multiply(eps, q, out=out["eq"])
-    den_te = np.add(q, qn, out=out["den_te"])
-    den_tm = np.add(eq, qn, out=out["den_tm"])
+    if out is None:
+        shape = np.broadcast_shapes(np.shape(eps), np.shape(q), np.shape(qn))
+        out = (np.empty((2,) + shape, complex), np.empty((2,) + shape, complex),
+               np.empty((2,) + shape), np.empty(shape), np.empty(shape),
+               np.empty((2,) + shape, bool))
+    r, den, abs_den, abs_qn, scale, bad = out
+    eq = np.multiply(eps, q, out=r[1, ...])     # eps q, until r_TM replaces it
+    np.add(q, qn, out=den[0, ...])
+    np.add(eq, qn, out=den[1, ...])
     if abs_q is None:
-        abs_q = np.abs(q, out=out["scale"])
-    abs_qn = np.abs(qn, out=out["abs_qn"])
-    scale = np.multiply(1e-14, np.add(abs_q, abs_qn, out=out["scale"]), out=out["scale"])
-    abs_te = np.abs(den_te, out=out["abs_te"])
-    bad = np.less_equal(abs_te, scale, out=out["bad"])
-    abs_tm = np.abs(den_tm, out=out["abs_tm"])
-    bad = np.logical_or(bad, np.less_equal(abs_tm, scale, out=out["bad_tm"]), out=out["bad"])
-    if np.any(bad):
-        pt = _first_bad(s, bad)
+        abs_q = np.abs(q, out=scale)
+    np.abs(qn, out=abs_qn)
+    np.multiply(1e-14, np.add(abs_q, abs_qn, out=scale), out=scale)
+    np.abs(den, out=abs_den)
+    if np.count_nonzero(np.less_equal(abs_den, scale, out=bad)):
+        pt = _first_bad(s, bad[0] | bad[1])
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
-    r_te = np.divide(np.subtract(q, qn, out=out["r_te"]), den_te, out=out["r_te"])
-    r_tm = np.divide(np.subtract(eq, qn, out=out["r_tm"]), den_tm, out=out["r_tm"])
-    return r_te, r_tm, abs_te, abs_tm, abs_qn
+    np.subtract(eq, qn, out=eq)
+    np.subtract(q, qn, out=r[0, ...])
+    np.divide(r, den, out=r)
+    return r, abs_den, abs_qn
 
 
 def _same_material(geom):
@@ -223,7 +218,8 @@ def _same_material(geom):
 
 def _optics(geom, s, Q):
     """The optics record (q, plates) that one block build shares: the gap
-    z-wavenumber q and plates[plate] = (eps, qn, (r_TE, r_TM)) per plate.
+    z-wavenumber q and plates[plate] = (eps, qn, r) per plate, r the
+    Fresnel coefficients (r_TE, r_TM) stacked on a leading axis.
 
     qz runs once for the gap, and plate_eps, qz and `_fresnel_coeffs` once
     per plate material: plates of one material (`_same_material`) share
@@ -238,7 +234,7 @@ def _optics(geom, s, Q):
             continue
         eps = plate_eps(geom.side(plate), s)
         qn = np.asarray(qz(eps, s, Q))
-        plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[:2])
+        plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[0])
     return q, plates
 
 

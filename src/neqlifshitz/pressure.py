@@ -22,17 +22,22 @@ adaptive rule, each with its own error test, panel budget and
 ConvergenceError, and each retires, its totals stored, in the round it
 converges.  Each round evaluates all panels being split with one
 integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
-bounded; a chunk holds one propagating run of nodes then one evanescent
-run, which the node and channel maps read as slices.  Up to the
-real-axis ceiling omega_max the Q integrand is the eight channels
-(`_inner_q_integral`; rows in BREAKDOWN_KEYS order), with the factors of
-the frequency alone (permittivities and emission weights) evaluated once
-per lockstep call.  Past it, where the emission is the
-mean occupation times the Lifshitz function H (identical plates up to
-their temperatures, or one bath temperature), the tail closes on the
-line omega_max + i y (`_contour_tail`), its integrand read off the
-optics record of :mod:`.em_green` continued off the axis; otherwise two
-Euler-weighted real-axis slices close it.
+bounded.  A chunk's nodes come shaped (panels, 15), one propagating run
+of panels then one evanescent run, which the node and channel maps read
+as slices; whatever depends on a panel's frequency alone (the frequency
+itself, its decay scale and contour weight, and its row of the
+`_frequency_factors` tables, evaluated once per lockstep call) is read
+once per panel and broadcast over its nodes.  Up to the real-axis
+ceiling omega_max the Q integrand is the eight channels
+(`_inner_q_integral`; rows in BREAKDOWN_KEYS order), one kernel for the
+engine and the public per-point map alike (`_bath_channels`, a point
+being a panel of one node), with the two polarizations and the two
+plate materials stacked so that each step is one ufunc call.  Past it,
+where the emission is the mean occupation times the Lifshitz function H
+(identical plates up to their temperatures, or one bath temperature),
+the tail closes on the line omega_max + i y (`_contour_tail`), its
+integrand read off the optics record of :mod:`.em_green` continued off
+the axis; otherwise two Euler-weighted real-axis slices close it.
 
 The module also holds the equilibrium oracle, the imaginary-frequency sum;
 it imports scipy.integrate on first use, so the steady path runs without
@@ -44,16 +49,19 @@ contraction (:func:`.spectral.theta_contract`) serve the transient study in
 Each `steady_pressure` call owns one `_Workspace` and hands it through
 every lockstep call to the inner rules (`_adaptive_gk`, `_eval_panels`),
 the node mapping and the channel map (`_bath_channels`,
-`_sector_channels`, `.em_green._fresnel_coeffs`).  Every per-node array
+`_channel_kernel`, `.em_green._fresnel_coeffs`).  Every per-node array
 of a chunk is written into one of its reused buffers with ``out=``
 ufuncs, in the same operation order as fresh arrays, so a chunk
 allocates nothing of its size and the heap is not trimmed and faulted
-back in between chunks.  Rows taken from a workspace are valid until the
-next call with the same workspace; a call made without one (as every
-caller outside the quadrature does) makes a fresh one, so what it
-returns is its caller's alone.  The outer rules take none, since their
-nodes must outlive the inner rules' chunks; the contour integrand, about
-a tenth of the points, allocates fresh arrays.
+back in between chunks; the channel kernel cuts its arrays out of one
+buffer per dtype.  Rows taken from a workspace are valid until the next
+call with the same workspace; a call made without one (as every caller
+outside the quadrature does) makes a fresh one, so what it returns is
+its caller's alone.  The outer rules take none, since their nodes must
+outlive the inner rules' chunks; the contour integrand, about a tenth
+of the points, allocates fresh arrays.
+The hot path checks nothing the engine guarantees: the public entries
+refuse bad points (DomainError), the engine's own nodes skip the test.
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -98,13 +106,15 @@ BREAKDOWN_KEYS = tuple((p, m, s) for p in _PLATES for m in _POLS for s in _SECTO
 def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """Factors of the channel map that depend on the frequency alone.
 
-    w is an array of positive frequencies.  Returns a dict of arrays over
-    w: the Laplace points s = -i w, w^2, |s_eff|^2 and, per plate in
-    _PLATES order, the permittivity eps = eps(s), eps s^2 and the emission
-    weight w^2 * occupation * Im eps; ``kernel_of`` names each plate's
-    kernel, (0, 0) when the plates are one material (`_same_material`,
-    whose permittivity is then evaluated once), else (0, 1).
-    `_bath_channels` gathers them per point.
+    w is an array of positive frequencies.  Returns a dict of two tables
+    with one column per frequency, which the channel map gathers once per
+    group of nodes (`_group_factors`): ``complex`` stacks the Laplace
+    points s = -i w, the permittivity eps = eps(s) of each plate material
+    and eps s^2 of each; ``real`` stacks w^2, |s_eff|^2 and, per plate in
+    _PLATES order, the emission weight w^2 * occupation * Im eps, also
+    viewed as ``weight``.  ``kernel_of`` names each plate's material:
+    (0, 0) when the plates are one material (`_same_material`, whose
+    permittivity is then evaluated once), else (0, 1).
 
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
@@ -135,20 +145,31 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
             wt = np.zeros(w.shape)
         eps.append(e)
         weight.append(wt)
-    return {"s": s, "w2": w2, "s_eff2": np.abs(_s_eff(s)) ** 2, "eps": tuple(eps),
-            "es2": tuple(e * s * s for e in eps), "weight": tuple(weight),
-            "kernel_of": kernel_of}
+    n_mat = kernel_of[1] + 1
+    cplx = np.empty((1 + 2 * n_mat, len(w)), complex)
+    real = np.empty((2 + len(_PLATES), len(w)))
+    cplx[0] = s
+    for m in range(n_mat):
+        cplx[1 + m] = eps[m]
+        cplx[1 + n_mat + m] = eps[m] * s * s
+    real[0] = w2
+    real[1] = np.abs(_s_eff(s)) ** 2
+    real[2:] = weight
+    return {"complex": cplx, "real": real, "weight": real[2:], "kernel_of": kernel_of}
 
 
-def _axis_qz(x, out):
-    """`qz` at s = -i w, w > 0, from x = eps s^2 + Q^2, point by point,
-    into ``out``: the principal root, and -i sqrt(-x) on the lossless
-    branch x < 0."""
-    np.sqrt(x, out=out)
-    neg = (x.imag == 0.0) & (x.real < 0.0)
-    if neg.any():
-        out[neg] = -1j * np.sqrt(-x.real[neg])
-    return out
+def _axis_qz(x, neg):
+    """`qz` at s = -i w, w > 0, from x = eps s^2 + Q^2, point by point and
+    in place: the principal root, and -i sqrt(-x) on the lossless branch
+    x < 0.  ``neg`` is a boolean buffer shaped like x."""
+    if np.count_nonzero(np.equal(x.imag, 0.0, out=neg)):
+        neg &= x.real < 0.0
+        lossless = x.real[neg]
+        np.sqrt(x, out=x)
+        x[neg] = -1j * np.sqrt(-lossless)
+    else:
+        np.sqrt(x, out=x)
+    return x
 
 
 class _Workspace:
@@ -183,20 +204,19 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     in BREAKDOWN_KEYS order.  The values include the full measure (the Q
     of Q dQ and ``_MEASURE``), so the pressure is the plain (omega, Q)
     double integral of the sum of the rows.  Points at omega = 0 carry no
-    emission and read 0; negative frequencies are refused.
+    emission and read 0; a negative, NaN or infinite omega, or a NaN,
+    infinite or negative Q, raises DomainError.
 
-    The factors of omega alone come from `_frequency_factors`.  ``factors``
-    is the pair (its dict, the row of each point's frequency in it, shaped
-    like the flattened points), as `_inner_q_integral` passes it once per
-    call; it then rules over use_fdr and thermal_only.  Without it they
-    are evaluated at the distinct nonzero frequencies of the call.  The
-    propagating (Q < omega) and evanescent points are evaluated apart,
-    each sector with its own closed form only (`_sector_channels`); a
-    sector whose points form one contiguous run, as in the inner rules'
-    chunks, is read and written as a slice, any other is gathered and
-    scattered by index.  The test is per point, so a point of a
-    propagating run that lands on the light line takes the evanescent
-    form.
+    The points are evaluated in groups that share one frequency
+    (`_channel_rows`).  Called with its points alone, each point is a
+    group of one node: the factors of omega alone (`_frequency_factors`)
+    are evaluated at the distinct nonzero frequencies of the call.
+    ``factors`` is the pair (that dict, the row of each group's frequency
+    in it), as `_inner_q_integral` passes it once per lockstep call; it
+    then rules over use_fdr and thermal_only, and the points are taken as
+    they come, unchecked: a 2-d Q is (groups, nodes) with omega a
+    (groups, 1) column, as the inner rules' panels of 15 nodes; a 1-d Q
+    is one node per group.
 
     ``work`` is the `_Workspace` of the steady pass that owns this call;
     every per-point array, the returned rows included, lives in its
@@ -238,40 +258,95 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     :func:`.spectral.theta_contract`, the phase average and the blackbody
     pressure.
     """
-    w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float),
-                               np.asarray(Q, dtype=float))
-    if np.any(w < 0.0):
-        raise DomainError("the channel map needs frequencies omega >= 0")
     if work is None:
         work = _Workspace()
-    n_rows, n = len(BREAKDOWN_KEYS), Q.size
-    out = work.take("bath.rows", n_rows * n).reshape((n_rows,) + Q.shape)
-    out.fill(0.0)
-    w, Q, rows = w.ravel(), Q.ravel(), out.reshape(n_rows, -1)
-    live = np.not_equal(w, 0.0, out=work.take("bath.live", n, bool))
-    if not live.any():
-        return out
-    if factors is None:
-        w_u, at = np.unique(w, return_inverse=True)
-        zero = int(w_u[0] == 0.0)       # omega = 0 takes no row
-        factors = (_frequency_factors(geom, w_u[zero:], use_fdr=use_fdr,
-                                      thermal_only=thermal_only), at - zero)
+    if factors is not None:
+        w, Q = np.asarray(omega, dtype=float), np.asarray(Q, dtype=float)
+        if Q.ndim == 2:
+            return _channel_rows(geom, factors, w, Q, work)
+        return _channel_rows(geom, factors, np.broadcast_to(w, Q.shape).reshape(-1, 1),
+                             Q.reshape(-1, 1), work).reshape((-1,) + Q.shape)
+    w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(Q, dtype=float))
+    for name, v in (("omega", w), ("Q", Q)):
+        bad = ~(v >= 0.0) | (v == math.inf)       # NaN fails v >= 0
+        if bad.any():
+            raise DomainError(f"the channel map needs finite {name} >= 0, "
+                              f"got {name}={v[bad].flat[0]}")
+    if not w.any():
+        return np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
+    w_u, at = np.unique(w, return_inverse=True)
+    zero = int(w_u[0] == 0.0)       # omega = 0 takes no row
+    factors = (_frequency_factors(geom, w_u[zero:], use_fdr=use_fdr, thermal_only=thermal_only),
+               at.ravel() - zero)
+    rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)
+    return rows.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
+
+
+def _channel_rows(geom, factors, w, Q, work):
+    """The channel rows of `_bath_channels` at groups of nodes: Q shaped
+    (groups, nodes), w the (groups, 1) column of their frequencies and
+    ``factors`` the pair (the `_frequency_factors` dict, each group's row
+    in it).  Returns the rows shaped (8, groups, nodes), C ordered, in
+    ``work``.
+
+    A group lies in one sector when all its nodes do: propagating (Q <
+    omega) or evanescent.  Each sector's groups take its closed form
+    alone, through one gather of the factor tables (`_group_factors`)
+    and one call of `_channel_kernel`.  The inner rules' chunks, one
+    propagating run of panels then one evanescent run at nonzero
+    frequencies, are evaluated in place, a slice per sector.  A chunk
+    with a group that straddles the sectors, a light-line straggler
+    Q = omega of a propagating panel, goes down to one node per group,
+    where each node takes its own sector's form: the straggler the
+    evanescent one.  One node per group (the public map), each sector's
+    live points are gathered, evaluated and scattered back; points at
+    omega = 0 read 0.
+    """
     fac, at = factors
-    prop = np.less(Q, w, out=work.take("bath.prop", n, bool))
-    prop &= live
-    evan = np.logical_not(prop, out=work.take("bath.evan", n, bool))
-    evan &= live
-    for sector, mask in enumerate((prop, evan)):
-        sel = _run(mask)
-        if sel is None:
-            sel = np.flatnonzero(mask)
-            at_s = at.take(sel, out=work.take("bath.at", sel.size, np.intp), mode="clip")
-            Q_s = Q.take(sel, out=work.take("bath.Q", sel.size), mode="clip")
-        else:
-            at_s, Q_s = at[sel], Q[sel]
-        if Q_s.size:
-            rows[sector::2][:, sel] = _sector_channels(geom, fac, at_s, Q_s, sector == 0, work)
-    return out
+    g, p = Q.shape
+    prop = np.less(Q, w, out=work.take("bath.prop", g * p, bool).reshape(g, p))
+    k = int(np.count_nonzero(prop[:, 0]))
+    rows = work.take("bath.rows", len(BREAKDOWN_KEYS) * g * p).reshape(
+        len(_PLATES), len(_POLS), len(_SECTORS), g, p)
+    if np.count_nonzero(w) == g and np.count_nonzero(prop[:k]) == k * p == np.count_nonzero(prop):
+        for sector, run in enumerate((slice(0, k), slice(k, g))):
+            if run.start < run.stop:
+                _channel_kernel(geom, _group_factors(fac, at[run], work), Q[run], sector == 0,
+                                work, rows[:, :, sector, run])
+                rows[:, :, 1 - sector, run] = 0.0
+        return rows.reshape(len(BREAKDOWN_KEYS), g, p)
+    if p > 1:
+        return _channel_rows(geom, (fac, np.repeat(at, p)),
+                             np.broadcast_to(w, Q.shape).reshape(-1, 1), Q.reshape(-1, 1),
+                             work).reshape(-1, g, p)
+    rows.fill(0.0)
+    live = np.not_equal(w[:, 0], 0.0, out=work.take("bath.live", g, bool))
+    lead = np.logical_and(prop[:, 0], live, out=prop[:, 0])
+    trail = work.take("bath.trail", g, bool)
+    np.logical_and(np.logical_not(lead, out=trail), live, out=trail)
+    for sector, mask in enumerate((lead, trail)):
+        pick = np.flatnonzero(mask)
+        if pick.size:
+            n = pick.size
+            out = work.take("bath.picked", len(BREAKDOWN_KEYS) // 2 * n).reshape(
+                len(_PLATES), len(_POLS), n, 1)
+            _channel_kernel(geom, _group_factors(fac, at.take(pick, out=work.take(
+                                "bath.at", n, np.intp)), work),
+                            Q.take(pick, axis=0, out=work.take("bath.Q", n).reshape(n, 1)),
+                            sector == 0, work, out)
+            rows[:, :, sector, pick] = out
+    return rows.reshape(len(BREAKDOWN_KEYS), g, p)
+
+
+def _group_factors(fac, at, work):
+    """The `_frequency_factors` tables gathered at the groups' rows ``at``,
+    one column per group (in ``work``), and ``kernel_of``: the ``tables``
+    argument of `_channel_kernel`."""
+    n = len(at)
+    return (*(tab.take(at, axis=1, mode="clip",
+                       out=work.take(("bath.factors", tab.dtype.char), len(tab) * n,
+                                     tab.dtype).reshape(-1, n))
+              for tab in (fac["complex"], fac["real"])), fac["kernel_of"])
 
 
 def _run(mask):
@@ -279,13 +354,17 @@ def _run(mask):
     contiguous run (or there are none), else None."""
     k = int(np.count_nonzero(mask))
     start = int(np.argmax(mask)) if k else 0
-    return slice(start, start + k) if mask[start:start + k].all() else None
+    return slice(start, start + k) if np.count_nonzero(mask[start:start + k]) == k else None
 
 
-def _sector_channels(geom, fac, at, Q, propagating, work):
-    """The four channels of one sector (rows in plate x polarization order)
-    at points that all lie in it, each point's frequency at row ``at`` of
-    the `_frequency_factors` dict ``fac``; see `_bath_channels`.
+def _channel_kernel(geom, tables, Q, propagating, work, out):
+    """The four channels of one sector (plate x polarization) at groups of
+    nodes that all lie in it, written into ``out``, shaped (2, 2) + Q's
+    (groups, nodes) shape; see `_bath_channels`.
+
+    ``tables`` is (complex, real, kernel_of): the `_frequency_factors`
+    tables with one column per group, each factor read as a (groups, 1)
+    column broadcast over the group's nodes.
 
     On the real axis the vacuum wavenumber is real arithmetic: q =
     -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
@@ -293,135 +372,116 @@ def _sector_channels(geom, fac, at, Q, propagating, work):
     evanescent one.  Both equal `qz` and `np.exp` bit for bit, and the
     real root k is |q| exactly, so the Fresnel step takes it as is.
 
-    Each row is the emission weight times a kernel.  The Fresnel step and
-    the kernels run once per plate material (``fac["kernel_of"]``), each
-    polarization's cavity factor once for both emitters, and |r|^2 once
-    per material and polarization.  The sector's constant (2 or -4) is
-    folded into the prefactor G: a power of two, so every row keeps the
-    bits of the formula as written.  A row is exactly 0 where its plate
-    does not emit.
+    Each row is the emission weight times a kernel.  The two
+    polarizations, and for dissimilar plates the two plate materials
+    (``kernel_of``), are stacked on leading axes, so the plate
+    wavenumber, the Fresnel step (`.em_green._fresnel_coeffs`), G, the
+    cavity factor, the locked baseline, the trapped-mode test and the
+    rows are one ufunc call each over (n_mat, n), (2, n) or (2, n_mat, n)
+    points, in the operation order of the formulas per point.  The
+    sector's constant (2 or -4) is folded into the prefactor G: a power
+    of two, so every row keeps the bits of the formula as written.  A row
+    is exactly 0 where its plate does not emit.
 
-    Every per-point array, the returned rows included, is a row of a slab
-    of the workspace ``work``; a row whose array is dead is lent to a
-    later one where the comments say so.
+    Every per-node array is a plane of one buffer per dtype in the
+    workspace ``work``; an array that is dead is lent to a later one where
+    the comments say so.
     """
-    n = len(Q)
-    kernel_of = fac["kernel_of"]
+    cplx, real, kernel_of = tables
     n_mat = kernel_of[1] + 1
-    q, trip, s, eps, x, c = work.take("sector.complex", 6 * n, complex).reshape(6, n)
-    qn = work.take("sector.qn", n_mat * n, complex).reshape(n_mat, n)
-    Q2, k, q2, s_eff2, h, den, tmp, cavity, lock = work.take("sector.real", 9 * n).reshape(9, n)
-    weight = work.take("sector.weight", 2 * n).reshape(2, n)
-    base = work.take("sector.base", n_mat * 2 * n).reshape(n_mat, 2, n)    # G |q|^2 per pol
-    r2 = work.take("sector.r2", n_mat * n).reshape(n_mat, n)
-    light, trapped, emitting, *emit = work.take("sector.flags", 5 * n, bool).reshape(5, n)
-    out = work.take("sector.rows", len(_PLATES) * len(_POLS) * n).reshape(
-        len(_PLATES), len(_POLS), n)
-
-    def gather(table, into):
-        return table.take(at, out=into, mode="clip")
+    g, p = Q.shape
+    s, eps, es2 = cplx[0, :, None], cplx[1:1 + n_mat, :, None], cplx[1 + n_mat:, :, None]
+    w2, s_eff2, weight = real[0, :, None], real[1, :, None], real[2:, :, None]
+    # one buffer per dtype, cut into (groups, nodes) planes
+    c = work.take("kernel.complex", (2 + 5 * n_mat) * g * p, complex).reshape(-1, g, p)
+    f = work.take("kernel.real", (10 + 8 * n_mat) * g * p).reshape(-1, g, p)
+    b = work.take("kernel.bool", (3 + 3 * n_mat) * g * p, bool).reshape(-1, g, p)
+    q, trip, qn = c[0], c[1], c[2:2 + n_mat]
+    r, den = c[2 + n_mat:].reshape(2, 2, n_mat, g, p)
+    Q2, k, q2, h = f[:4]
+    cavity, lock, tmp = f[4:10].reshape(3, 2, g, p)
+    abs_qn, scale, dd, num = f[10:10 + 4 * n_mat].reshape(4, n_mat, g, p)
+    base, r2 = f[10 + 4 * n_mat:].reshape(2, 2, n_mat, g, p)
+    light, trapped, neg, bad = b[0], b[1:3], b[3:3 + n_mat], b[3 + n_mat:].reshape(2, n_mat, g, p)
+    emit = work.take("kernel.emit", 3 * g, bool).reshape(3, g, 1)
+    emit, emitting = emit[:2], emit[2]
 
     np.multiply(Q, Q, out=Q2)
-    gather(fac["w2"], k)
     if propagating:
-        np.sqrt(np.subtract(k, Q2, out=k), out=k)
+        np.sqrt(np.subtract(w2, Q2, out=k), out=k)
         np.multiply(-1j, k, out=q)
-        phase, cos = tmp, cavity    # lent until the cavity step
+        phase, cos = cavity         # lent until the cavity step
         np.multiply(np.multiply(2.0, k, out=phase), geom.gap, out=phase)
         np.cos(phase, out=cos)
         np.add(cos, np.multiply(1j, np.sin(phase, out=phase), out=trip), out=trip)
     else:
-        np.sqrt(np.subtract(Q2, k, out=k), out=k)
+        np.sqrt(np.subtract(Q2, w2, out=k), out=k)
         np.add(k, 0j, out=q)
         np.multiply(np.multiply(-2.0, q, out=trip), geom.gap, out=trip)
         np.exp(trip, out=trip)      # a real exp is 1 ulp off
     np.multiply(k, k, out=q2)
-    np.equal(k, 0.0, out=light)     # Q = omega: |q|^2 and D vanish together
-    on_light = bool(light.any())
-    gather(fac["s"], s)
-    coeffs = []                     # per material: (r_TE, r_TM, |q + qn|, |eps q + qn|, |qn|)
-    for m in range(n_mat):
-        gather(fac["eps"][m], eps)
-        _axis_qz(np.add(gather(fac["es2"][m], x), Q2, out=x), qn[m])
-        coeffs.append(_fresnel_coeffs(eps, q, qn[m], s, work, m, abs_q=k))
+    # Q = omega: |q|^2 and D vanish together
+    on_light = np.count_nonzero(np.equal(k, 0.0, out=light)) > 0
+    _axis_qz(np.add(es2, Q2, out=qn), neg)
+    _fresnel_coeffs(eps, q, qn, s, abs_q=k, out=(r, den, base, abs_qn, scale, bad))
 
-    emits = []
-    for a in range(len(_PLATES)):
-        np.not_equal(gather(fac["weight"][a], weight[a]), 0.0, out=emit[a])
-        emits.append(bool(emit[a].any()))
-    if not any(emits):
+    np.not_equal(weight, 0.0, out=emit)
+    if not np.count_nonzero(emit):
         out.fill(0.0)
-        return out.reshape(len(_PLATES) * len(_POLS), n)
+        return out
     np.logical_or(emit[0], emit[1], out=emitting)
+    if propagating:                 # the locked baseline 1 - |r_L|^2 |r_R|^2
+        np.square(np.abs(r, out=r2), out=r2)
+        np.subtract(1.0, np.multiply(r2[:, kernel_of[0]], r2[:, kernel_of[1]], out=lock), out=lock)
+        np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
+        if np.count_nonzero(np.logical_and(trapped, emitting, out=trapped)):
+            raise SingularityError("detached-plates cavity weight hits a trapped lossless mode",
+                                   point=np.broadcast_to(s, trapped.shape)[trapped][0])
     # a kernel is needed where a plate of its material emits; G = 0 there
-    # also where Re qn = 0 (no loss, no weight), so den is 1 elsewhere
-    live = [emitting] if n_mat == 1 else emit
-    needed = {kernel_of[a] for a in range(len(_PLATES)) if emits[a]}
+    # also where Re qn = 0 (no loss, no weight), so 2 Re qn is 1 elsewhere
+    live = emitting[None] if n_mat == 1 else emit
 
     # G = C Q / (2 Re qn |q + qn|^2) (TE) and C Q (Q^2 + |qn|^2) /
     # (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), C the measure and the
     # sector's constant; the light-line limit reads G before |q|^2
-    gather(fac["s_eff2"], s_eff2)
     np.multiply(PRESSURE_SIGN * _MEASURE * (2.0 if propagating else -4.0), Q, out=h)
-    g_light = {}
-    for m in needed:
-        abs_te, abs_tm, abs_qn = coeffs[m][2:]
-        g_te, g_tm = base[m]
-        np.multiply(2.0, qn[m].real, out=den)
-        if not live[m].all():
-            np.copyto(den, 1.0, where=~live[m])
-        np.divide(h, np.multiply(den, np.square(abs_te, out=g_te), out=g_te), out=g_te)
-        np.multiply(h, np.add(Q2, np.square(abs_qn, out=g_tm), out=g_tm), out=g_tm)
-        np.multiply(np.multiply(den, np.square(abs_tm, out=tmp), out=tmp), s_eff2, out=tmp)
-        np.divide(g_tm, tmp, out=g_tm)
-        if on_light and not propagating:
-            g_light[m] = base[m][:, light] * -0.25      # exact: undoes the -4
-        np.multiply(base[m], q2, out=base[m])
+    np.multiply(2.0, qn.real, out=dd)
+    if np.count_nonzero(live) < live.size:
+        np.copyto(dd, 1.0, where=~live)
+    np.multiply(dd, np.square(base, out=base), out=base)     # base: |den|, then G |q|^2
+    np.multiply(base[1], s_eff2, out=base[1])
+    np.multiply(h, np.add(Q2, np.square(abs_qn, out=num), out=num), out=num)
+    np.divide(h, base[0], out=base[0])
+    np.divide(num, base[1], out=base[1])
+    if on_light and not propagating:
+        g_light = base[:, :, light] * -0.25        # exact: undoes the -4
+    np.multiply(base, q2, out=base)
 
-    for i, pol in enumerate(_POLS):
-        r_mat = [coeffs[m][i] for m in range(n_mat)]
-        r_l, r_r = r_mat[kernel_of[0]], r_mat[kernel_of[1]]
-        np.multiply(np.multiply(r_l, r_r, out=c), trip, out=c)
-        np.subtract(1.0, c, out=c)
-        np.square(np.abs(c, out=cavity), out=cavity)
-        if on_light:
-            np.copyto(cavity, 1.0, where=light)
-        np.divide(1.0, cavity, out=cavity)
-        if propagating:
-            for m in range(n_mat):
-                np.square(np.abs(r_mat[m], out=r2[m]), out=r2[m])
-            np.subtract(1.0, np.multiply(r2[kernel_of[0]], r2[kernel_of[1]], out=lock), out=lock)
-            np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
-            if np.logical_and(emitting, trapped, out=trapped).any():
-                raise SingularityError("detached-plates cavity weight hits a "
-                                       "trapped lossless mode", point=s[trapped][0])
-            np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
-        for a, b in ((0, 1), (1, 0)):
-            m = kernel_of[a]
-            if m != a or m not in needed:
-                continue            # plate L's kernel serves, or no plate emits with it
-            row = out[a, i]
-            if propagating:
-                bounce = np.add(1.0, r2[kernel_of[b]], out=tmp)
-                np.multiply(np.multiply(base[m][i], bounce, out=row), cavity, out=row)
-                continue
-            re_trip = np.multiply(r_mat[kernel_of[b]], trip, out=c).real
-            np.multiply(np.multiply(base[m][i], re_trip, out=row), cavity, out=row)
-            if on_light:
-                qn_a, qn_b = qn[m][light], qn[kernel_of[b]][light]
-                if pol == "TM":
-                    qn_a = qn_a / fac["eps"][m][at[light]]
-                    qn_b = qn_b / fac["eps"][kernel_of[b]][at[light]]
-                row[light] = g_light[m][i] / np.abs(geom.gap + 1.0 / qn_a + 1.0 / qn_b) ** 2
-        for a in reversed(range(len(_PLATES))):     # R first: it may read L's kernel
-            row = out[a, i]
-            if not emits[a]:
-                row.fill(0.0)
-                continue
-            np.multiply(weight[a], out[0, i] if kernel_of[a] == 0 else row, out=row)
-            if not emit[a].all():
-                np.copyto(row, 0.0, where=~emit[a])
-    return out.reshape(len(_PLATES) * len(_POLS), n)
+    c = den[:, 0]                   # the Fresnel denominators are spent: lent to D
+    np.multiply(np.multiply(r[:, kernel_of[0]], r[:, kernel_of[1]], out=c), trip, out=c)
+    np.subtract(1.0, c, out=c)
+    np.square(np.abs(c, out=cavity), out=cavity)
+    if on_light:
+        np.copyto(cavity, 1.0, where=light)
+    np.divide(1.0, cavity, out=cavity)
+    if propagating:
+        np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
+        partner = np.add(1.0, r2, out=r2)                   # 1 + |r_b|^2
+    else:
+        partner = np.multiply(r, trip, out=den).real        # Re(r_b exp(-2 q l))
+    # the partner of material m is material n_mat - 1 - m: each plate's
+    # partner when the materials differ, the one material when they do not
+    np.multiply(base, partner[:, ::-1], out=base)
+    np.multiply(base, cavity[:, None], out=base)
+    if on_light and not propagating:        # one polarization at a time: small temporaries
+        qn_l = qn[:, light]
+        for i in range(len(_POLS)):         # n = qn (TE) or qn / eps (TM)
+            inv = 1.0 / (qn_l / np.broadcast_to(eps, qn.shape)[:, light] if i else qn_l)
+            base[i][:, light] = g_light[i] / np.abs(geom.gap + inv + inv[::-1]) ** 2
+    np.multiply(weight[:, None], base.swapaxes(0, 1), out=out)
+    if np.count_nonzero(emit) < emit.size:
+        np.copyto(out, 0.0, where=~emit[:, None])
+    return out
 
 
 def bath_integrand(geom, omega, Q, use_fdr=True):
@@ -490,30 +550,33 @@ _GK_WG[1::2] = [
 #: Panels per integrand call in `_eval_panels` (15 nodes each).
 _PANEL_CHUNK = 256
 
-
 def _eval_panels(f, lo, hi, seg, work=None):
     """Evaluate a row-valued integrand on a batch of panels.
 
-    f maps (flat node array, segment index of each node) to a pair
-    (main, ride) of arrays with one row per integrated quantity and one
-    column per node: the sum of the main rows drives the error estimate,
-    the ride rows are only integrated.  The panels go to f in chunks of
-    ``_PANEL_CHUNK``, each reduced to its per-panel integrals and errors
-    before the next, so memory does not grow with the batch.  Returns
+    f maps (the nodes, shaped (panels, 15), one row per panel; the
+    segment index of each panel, one per panel) to a pair (main, ride) of
+    arrays with one row per integrated quantity over the nodes, shaped
+    (rows, panels, 15) or (rows, panels * 15): the sum of the main rows
+    drives the error estimate, the ride rows are only integrated.  A
+    panel's nodes share its segment, so f reads whatever depends on the
+    segment alone once per panel and broadcasts it over the panel's 15
+    nodes.  The panels go to f in chunks of ``_PANEL_CHUNK``, each
+    reduced to its per-panel integrals and errors before the next, so
+    memory does not grow with the batch.  Returns
     ((main, ride) per-panel integrals, shaped (rows, panels), per-panel
     error estimates, per-panel rounding floors 50 eps resabs), in the
     order of the batch.
 
     The panels go to f in a stable order by segment, so a chunk holds
-    its segments' nodes in segment order: the inner rules number the
+    its segments' panels in segment order: the inner rules number the
     propagating sectors first (`_q_integrals`), so each of their chunks
-    is one propagating run of nodes followed by one evanescent run.
+    is one propagating run of panels followed by one evanescent run.
 
     The per-node arrays of a chunk (the nodes handed to f, their summed
-    main rows and its deviations) live in the `_Workspace` ``work``: the steady pass's, handed
-    down by `_inner_q_integral` through `_adaptive_gk`, or a fresh one for
-    this call.  f may return rows that live in the same workspace; they
-    are consumed before the next chunk.
+    main rows and its deviations) live in the `_Workspace` ``work``: the
+    steady pass's, handed down by `_inner_q_integral` through
+    `_adaptive_gk`, or a fresh one for this call.  f may return rows that
+    live in the same workspace; they are consumed before the next chunk.
 
     The error estimate is the QUADPACK rescaling of |K15 - G7|: a panel
     whose nodes show large variation about the mean (resasc) is never
@@ -536,34 +599,33 @@ def _eval_panels(f, lo, hi, seg, work=None):
     for c in range(0, n, _PANEL_CHUNK):
         part = order[c:c + _PANEL_CHUNK]
         m = len(part)
-        mid = 0.5 * (lo[part] + hi[part])
-        half = 0.5 * (hi[part] - lo[part])
+        lo_p, hi_p = lo[part], hi[part]
+        half = 0.5 * (hi_p - lo_p)
+        mid = np.multiply(0.5, np.add(lo_p, hi_p, out=lo_p), out=lo_p)
         xs = work.take("gk.x", m * 15).reshape(m, 15)
         np.add(mid[:, None], np.multiply(half[:, None], _GK_X, out=xs), out=xs)
-        segs = work.take("gk.seg", m * 15, np.intp).reshape(m, 15)
-        segs[...] = seg[part, None]
-        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs.ravel(), segs.ravel())]
+        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs, seg[part])]
         if ints is None:
             ints = [np.empty((len(v), n)) for v in rows]
         for out, v in zip(ints, rows):
-            out[:, part] = np.einsum("rmk,k->rm", v, _GK_WK) * half
+            if len(v):
+                out[:, part] = np.einsum("rmk,k->rm", v, _GK_WK) * half
         total = np.sum(rows[0], axis=0, out=work.take("gk.total", m * 15).reshape(m, 15))
         tmp = work.take("gk.tmp", m * 15).reshape(m, 15)
-        k15 = np.einsum("mk,k->m", total, _GK_WK) * half
-        g7 = np.einsum("mk,k->m", total, _GK_WG) * half
-        raw = np.abs(k15 - g7)
-        mean = k15 / (2.0 * half)
-        dev = np.abs(np.subtract(total, mean[:, None], out=tmp), out=tmp)
-        resasc = np.einsum("mk,k->m", dev, _GK_WK) * half
-        resabs = np.einsum("mk,k->m", np.abs(total, out=tmp), _GK_WK) * half
-        safe = np.maximum(resasc, 1e-300)
+        k15, g7, resasc, resabs = work.take("gk.sums", 4 * m).reshape(4, m)
+        np.multiply(np.einsum("mk,k->m", total, _GK_WK), half, out=k15)
+        np.multiply(np.einsum("mk,k->m", total, _GK_WG), half, out=g7)
+        dev = np.abs(np.subtract(total, (k15 / (2.0 * half))[:, None], out=tmp), out=tmp)
+        np.multiply(np.einsum("mk,k->m", dev, _GK_WK), half, out=resasc)
+        np.multiply(np.einsum("mk,k->m", np.abs(total, out=tmp), _GK_WK), half, out=resabs)
+        raw = np.abs(np.subtract(k15, g7, out=k15), out=k15)
+        safe = np.maximum(resasc, 1e-300, out=g7)
         # min(1, x)**1.5 == min(1, x**1.5), and the clamped ratio cannot
         # overflow when resasc is tiny
         e = np.where((resasc > 0.0) & (raw > 0.0),
-                     resasc * (np.minimum(200.0 * raw, safe) / safe) ** 1.5,
-                     raw)
-        rnd[part] = 50.0 * np.finfo(float).eps * resabs
-        err[part] = np.maximum(e, rnd[part])
+                     resasc * (np.minimum(200.0 * raw, safe) / safe) ** 1.5, raw)
+        rnd[part] = np.multiply(50.0 * np.finfo(float).eps, resabs, out=resabs)
+        err[part] = np.maximum(e, resabs, out=e)
     return ints, err, rnd
 
 
@@ -666,18 +728,19 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
                 f"{labels(j)} did not converge: {count[j]} panels, residual "
                 f"{bad[j]:.3e} vs target {target[j]:.3e}; worst subinterval "
                 f"[{lo[i]:.6g}, {hi[i]:.6g}] with error {err[i]:.3e}")
-        # per open segment, split every panel still carrying a meaningful
-        # share of its budget: rank its panels by error, worst first
+        # per open segment, split its worst 32 panels still carrying a
+        # meaningful share of its budget, or its worst panel when none
+        # does: rank those panels (all of a segment's in the second case)
+        # by error, worst first, ties in panel order
         keep = ~done[seg]
-        open_ = np.flatnonzero(keep)
-        order = open_[np.lexsort((-err[open_], seg[open_]))]
+        big = keep & (err > target[seg] / (2.0 * count[seg]))
+        lone = ~done
+        lone[seg[big]] = False
+        ranked = np.flatnonzero(big | lone[seg])
+        order = ranked[np.lexsort((-err[ranked], seg[ranked]))]
         owner = seg[order]
         rank = np.arange(len(order)) - np.searchsorted(owner, owner)
-        pick = (rank < 32) & (err[order] > target[owner] / (2.0 * count[owner]))
-        lone = np.ones(nseg, dtype=bool)
-        lone[owner[pick]] = False
-        pick |= (rank == 0) & lone[owner]
-        pick = order[pick]
+        pick = order[((rank < 32) & big[order]) | (rank == 0)]
         mids = 0.5 * (lo[pick] + hi[pick])
         new_lo = np.concatenate([lo[pick], mids])
         new_hi = np.concatenate([mids, hi[pick]])
@@ -828,34 +891,40 @@ _INNER_FLOOR = 1e-3
 
 
 def _q_nodes(x, seg, n_prop, w_seg, decay, work):
-    """The inner rules' node mapping: nodes x of segments seg to Q.
+    """The inner rules' node mapping: nodes x, shaped (panels, 15), of
+    panels of segments seg to Q.
 
     ``w_seg`` and ``decay`` are per segment: its (real) frequency omega
-    and its decay scale.  Segments below ``n_prop`` are propagating, and
-    their nodes must come first (`_eval_panels` orders each chunk so): x
-    is theta with Q = omega sin(theta) there; the evanescent nodes after
-    them are t in [0, 1) with sqrt(Q^2 - omega^2) = decay t/(1 - t).
-    Returns the arrays (omega, Q, dQ/dx) over the nodes, rows of the
-    `_Workspace` ``work`` valid until its next call.
+    and its decay scale, each read once per panel.  Segments below
+    ``n_prop`` are propagating, and their panels must come first
+    (`_eval_panels` orders each chunk so): x is theta with Q = omega
+    sin(theta) there; the evanescent nodes after them are t in [0, 1)
+    with sqrt(Q^2 - omega^2) = decay t/(1 - t).  Returns (omega, the
+    (panels, 1) column of the panels' frequencies, then Q and dQ/dx over
+    the nodes), rows of the `_Workspace` ``work`` valid until its next
+    call.  The node arithmetic runs on plain arrays: each panel's
+    frequency and decay scale are spread over its nodes once.
     """
-    m = x.size
-    w, Qs, jac = work.take("node.real", 3 * m).reshape(3, m)
-    w_seg.take(seg, out=w, mode="clip")
+    m, p = x.shape
+    w = w_seg.take(seg, out=work.take("node.w", m), mode="clip")[:, None]
     lead = _run(np.less(seg, n_prop, out=work.take("node.lead", m, bool)))
     if lead is None or lead.start:
-        raise ValueError("the propagating nodes must lead the chunk (see _eval_panels)")
+        raise ValueError("the propagating panels must lead the chunk (see _eval_panels)")
     k = lead.stop
+    wn, Qs, jac = work.take("node.real", 3 * m * p).reshape(3, m, p)
+    np.copyto(wn, w)
     if k:
-        wp, tp, v = w[:k], x[:k], work.take("node.prop", k)
+        wp, tp, v = wn[:k], x[:k], work.take("node.prop", k * p).reshape(k, p)
         np.multiply(wp, np.sin(tp, out=v), out=Qs[:k])
         np.multiply(wp, np.cos(tp, out=v), out=jac[:k])
     if k < m:
-        sc, rest, qs, d = work.take("node.evan", 4 * (m - k)).reshape(4, m - k)
+        sc, rest, qs, d = work.take("node.evan", 4 * (m - k) * p).reshape(4, m - k, p)
+        np.copyto(sc, decay.take(seg[k:], out=work.take("node.decay", m - k),
+                                 mode="clip")[:, None])
         ts, Qe = x[k:], Qs[k:]
-        decay.take(seg[k:], out=sc, mode="clip")
         np.subtract(1.0, ts, out=rest)
         np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
-        np.hypot(w[k:], qs, out=Qe)
+        np.hypot(wn[k:], qs, out=Qe)
         np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
         np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=jac[k:])
     return w, Qs, jac
@@ -869,14 +938,15 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
     call per chunk, while each sector keeps its own error test, panel
     budget and ConvergenceError, named by ``label(i, sector)``.  The
     propagating segments come first, so each chunk (`_eval_panels`) is
-    one propagating run of nodes followed by one evanescent run, and the
+    one propagating run of panels followed by one evanescent run, and the
     node map and the channel map read each run as a slice.
 
     ``rows(w, Q, jac, at)`` gives the integrand rows at the nodes from
-    their frequency w = omegas[at], Q and dQ/dx (arrays in ``work``, see
-    `_q_nodes`); ``floor`` is the absolute floor, a number or a callable of the
-    per-frequency running totals.  Returns (integrals shaped (rows,
-    n_omega), per-frequency errors).
+    the (panels, 1) column of their frequencies w = omegas[at], at one
+    index per panel, and Q and dQ/dx shaped (panels, 15) (arrays in
+    ``work``, see `_q_nodes`); ``floor`` is the absolute floor, a number
+    or a callable of the per-frequency running totals.  Returns
+    (integrals shaped (rows, n_omega), per-frequency errors).
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
@@ -888,8 +958,8 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work):
 
     def f(x, seg):
         w, Q, jac = _q_nodes(x, seg, len(pos), w_seg, decay, work)
-        at = owner.take(seg, out=work.take("node.at", x.size, np.intp), mode="clip")
-        return rows(w, Q, jac, at), np.empty((0, x.size))
+        at = owner.take(seg, out=work.take("node.at", len(seg), np.intp), mode="clip")
+        return rows(w, Q, jac, at), np.empty((0,) + x.shape)
 
     def abs_floor(totals):
         return floor(np.bincount(owner, weights=totals, minlength=n))
@@ -911,9 +981,10 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     frequencies already finished) and the running estimates of this call,
     so it does not depend on the order in which the frequencies of one
     call are listed.  The factors of omega alone (`_frequency_factors`)
-    are evaluated once per call.  ``work`` is the `_Workspace` of the
-    steady pass (a fresh one without it); the channel rows, Jacobian
-    applied in place, live in it until its next chunk.
+    are evaluated once per call, and each panel hands the channel map its
+    row of them.  ``work`` is the `_Workspace` of the steady pass (a
+    fresh one without it); the channel rows, Jacobian applied in place,
+    live in it until its next chunk.
     """
     if work is None:
         work = _Workspace()
@@ -923,7 +994,7 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     row = np.cumsum(live) - 1       # each frequency's row of the factors
 
     def rows(w, Q, jac, at):
-        fac_row = row.take(at, out=work.take("node.row", at.size, np.intp), mode="clip")
+        fac_row = row.take(at, out=work.take("node.row", len(at), np.intp), mode="clip")
         ch = _bath_channels(geom, w, Q, factors=(factors, fac_row), work=work)
         ch *= jac
         return ch
@@ -948,7 +1019,7 @@ def _frequency_rule(nodes, edges, rel_tol, floor, max_panels, label):
     outer error estimate).
     """
     def f(x, seg):
-        main, inner = nodes(x)
+        main, inner = nodes(x.ravel())
         return main, inner[None]
 
     (main, inner), e = _adaptive_gk(f, [edges], rel_tol, abs_floor=floor,
@@ -1028,7 +1099,8 @@ def _contour_q_integral(geom, omegas, weights, rel_tol, floor, work=None):
     weights = np.asarray(weights, dtype=complex)
 
     def rows(w, Q, jac, at):
-        return np.imag(weights[at] * jac * _contour_integrand(geom, omegas[at], Q))[None]
+        weight, omega = weights[at][:, None], omegas[at][:, None]     # once per panel
+        return np.imag(weight * jac * _contour_integrand(geom, omega, Q))[None]
 
     got, err = _q_integrals(geom, omegas.real, rows, rel_tol, floor,
                             lambda i, sector: f"contour Q integral at omega={omegas[i]:.4g}",
@@ -1251,10 +1323,10 @@ def equilibrium_matsubara(geom, T):
     xi_j = 2 pi j T, primed sum halving j = 0 (where only the TM round
     trip survives, summed in closed form); T = 0 falls back to the
     continuous integral.  Negative (attractive) for identical passive
-    plates.
+    plates.  A negative, NaN or infinite T raises DomainError.
     """
-    if T < 0:
-        raise DomainError(f"temperature must be >= 0, got {T}")
+    if not 0 <= T < math.inf:       # a NaN term would reset the settle counter forever
+        raise DomainError(f"temperature must be >= 0 and finite, got {T}")
     l = geom.gap
     if T == 0.0:
         from scipy import integrate

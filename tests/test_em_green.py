@@ -380,6 +380,9 @@ def test_ic_conjugation():
 def test_geometry_validation():
     with pytest.raises(DomainError):
         Geometry(gap=-1.0)
+    for gap in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="gap must be > 0 and finite"):
+            Geometry(gap=gap)
     with pytest.raises(DomainError):
         Geometry(gap=1.0, z_field=0.7)
     with pytest.raises(DomainError):

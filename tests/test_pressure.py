@@ -565,7 +565,8 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
         eps = np.asarray(plate_eps(side, s))
         qn = qz(eps, s, Q)
         media.append((eps, qn))
-        coeffs.append(_fresnel_coeffs(eps, q, qn, s))
+        r, abs_den, abs_qn = _fresnel_coeffs(eps, q, qn, s)
+        coeffs.append((*r, *abs_den, abs_qn))
     s_eff2 = np.abs(_s_eff(s)) ** 2
     C = pr.PRESSURE_SIGN * pr._MEASURE
     for i in range(2):
@@ -654,7 +655,8 @@ def test_sector_runs_match_the_per_node_rules():
 def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
     # identical plates at two temperatures run one Fresnel step per sector,
     # and their rows are bit for bit those of the two-material path (forced
-    # by declaring the plates different).  The batch holds both sectors and
+    # by declaring the plates different), which stacks both materials into
+    # one Fresnel call per sector as well.  The batch holds both sectors and
     # the light line; under thermal_only the cold plate emits below
     # omega = 2 only, so its rows read 0 at the higher frequencies
     geom = identical_plates(0.9, 1.0, 0.05)
@@ -677,7 +679,8 @@ def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
             m.setattr(pr, "_same_material", lambda geom: False)
             calls.clear()
             apart = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
-            assert len(calls) == 4
+            assert len(calls) == 2
+            assert all(np.shape(args[2])[0] == 2 for args in calls)     # qn of both materials
         assert shared.tobytes() == apart.tobytes()
         assert np.any(shared[:4] != 0.0)
         cold = shared[4:, w > 2.0]
@@ -767,11 +770,89 @@ def test_calls_without_a_workspace_return_their_own_arrays():
     assert np.array_equal(a, keep)
 
 
+def engine_panels(rng, n_prop, n_evan, straggler=False):
+    """The nodes of one inner-rule chunk: n_prop propagating then n_evan
+    evanescent panels over five frequencies, as (frequencies, x shaped
+    (panels, 15), each panel's segment, each segment's frequency index).
+    With ``straggler``, one propagating node sits at theta = pi/2 - 1e-9,
+    where sin(theta) rounds to 1: Q = omega."""
+    ws = np.array([0.3, 0.9, 1.7, 2.6, 6.0])
+    seg = np.concatenate([np.sort(rng.integers(0, len(ws), n_prop)),
+                          len(ws) + np.sort(rng.integers(0, len(ws), n_evan))])
+    x = np.concatenate([rng.uniform(0.0, 0.5 * math.pi, (n_prop, 15)),
+                        rng.uniform(0.0, 0.99, (n_evan, 15))])
+    if straggler:
+        x[7, 11] = 0.5 * math.pi - 1e-9
+    return ws, x, seg, np.concatenate([np.arange(len(ws))] * 2)
+
+
+def engine_rows(geom, panels, factors, work):
+    """The channel rows of a chunk as `_inner_q_integral` makes them: the
+    nodes through `_q_nodes` ((panels, 1) omega, (panels, 15) Q and
+    dQ/dx), `_bath_channels` with each panel's row of ``factors``, then
+    dQ/dx in place.  Returns (rows, omega, Q, dQ/dx)."""
+    ws, x, seg, owner = panels
+    w_seg = ws[owner]
+    w, Q, jac = pr._q_nodes(x, seg, len(ws), w_seg, np.maximum(w_seg, 0.5 / geom.gap), work)
+    rows = pr._bath_channels(geom, w, Q, factors=(factors, owner[seg]), work=work)
+    rows *= jac
+    return rows, w, Q, jac
+
+
+@pytest.mark.parametrize("thermal_only", [False, True])
+@pytest.mark.parametrize("straggler", [False, True])
+@pytest.mark.parametrize("plates", ["dissimilar", "identical"])
+def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, thermal_only):
+    # the engine hands the channel map its nodes per panel, each panel's
+    # frequency factors once and dQ/dx to fold in; its rows are the public
+    # one-node-per-point map times dQ/dx bit for bit, for a chunk of both
+    # sectors, with and without a light-line straggler (which sends the
+    # chunk down to one node per group), for one and two plate materials.
+    # Without a straggler the chunk makes one stacked Fresnel call per
+    # sector, both materials on its leading axis
+    geom = default_plates(0.9, 1.0, 0.05) if plates == "dissimilar" else \
+        identical_plates(0.9, 1.0, 0.05)
+    calls = []
+
+    def spy(*args, **kw):
+        calls.append(np.shape(args[2]))
+        return _fresnel_coeffs(*args, **kw)
+
+    monkeypatch.setattr(pr, "_fresnel_coeffs", spy)
+    panels = engine_panels(np.random.default_rng(37), 40, 30, straggler)
+    factors = pr._frequency_factors(geom, panels[0], thermal_only=thermal_only)
+    rows, w, Q, jac = engine_rows(geom, panels, factors, pr._Workspace())
+    w = np.broadcast_to(w, Q.shape)
+    assert np.count_nonzero(Q == w) == int(straggler)
+    if not straggler:
+        n_mat = 2 if plates == "dissimilar" else 1
+        assert calls == [(n_mat, 40, 15), (n_mat, 30, 15)]
+    want = pr._bath_channels(geom, w, Q, thermal_only=thermal_only) * jac
+    assert rows.shape == (len(BREAKDOWN_KEYS),) + Q.shape
+    assert rows.tobytes() == want.tobytes()
+    assert np.all(rows[1::2, :40][:, Q[:40] < w[:40]] == 0.0)     # propagating panels
+    assert np.all(rows[0::2, 40:] == 0.0)                          # evanescent panels
+
+
+@pytest.mark.parametrize("omega, Q", [(math.nan, 0.5), (1.0, -0.5), (math.inf, 0.5),
+                                      (1.0, math.inf), (1.0, math.nan), (-1.0, 0.5),
+                                      (np.array([1.0, 2.0]), np.array([0.5, -math.inf]))])
+def test_channel_map_refuses_bad_points(omega, Q):
+    # NaN used to come back with RuntimeWarnings, a negative Q as a number,
+    # an infinite Q as a Fresnel SingularityError
+    for call in (bath_integrand, pr._bath_channels):
+        with pytest.raises(DomainError, match="channel map needs finite"):
+            call(warm_geom(), omega, Q)
+
+
 #: Bound on the tracemalloc peak of one full-chunk `_bath_channels` call on
-#: a warmed workspace.  Measured with numpy 2.4 on the batch below: 64.6 kB
-#: with the workspace (the sector index arrays and small masks), 1.32 MB
-#: when every per-point array was a fresh temporary (1.96 MB, 512 B per
-#: point, on an all-propagating chunk of the default pass).
+#: a warmed workspace.  Measured with numpy 2.4 on the chunks below:
+#: 149 kB with one node per group and 162 kB with the engine's (panels,
+#: 15) layout, mostly numpy's iterator buffers for broadcast operands
+#: (64.6 kB before the kernel stacked its polarizations and materials),
+#: the rest sector index arrays and small masks; 1.32 MB when every
+#: per-point array was a fresh temporary (1.96 MB, 512 B per point, on an
+#: all-propagating chunk of the default pass).
 _CHUNK_PEAK_BOUND = 200_000
 
 
@@ -791,6 +872,23 @@ def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
     finally:
         tracemalloc.stop()
     assert peak < _CHUNK_PEAK_BOUND, f"{peak} bytes for {n} points"
+
+
+def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_engine_chunk():
+    # the layout the inner rules hand over: a full chunk of (panels, 15)
+    # nodes from `_q_nodes`, one frequency row per panel, dQ/dx in place
+    geom = warm_geom()
+    panels = engine_panels(np.random.default_rng(5), 150, pr._PANEL_CHUNK - 150)
+    factors, work = pr._frequency_factors(geom, panels[0]), pr._Workspace()
+    engine_rows(geom, panels, factors, work)        # warm the workspace
+    tracemalloc.start()
+    try:
+        rows = engine_rows(geom, panels, factors, work)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (len(BREAKDOWN_KEYS), pr._PANEL_CHUNK, 15)
+    assert peak < _CHUNK_PEAK_BOUND, f"{peak} bytes for {rows[0].size} points"
 
 
 #: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
@@ -1033,6 +1131,14 @@ def test_matsubara_oracle_shape():
     assert abs(p_far) < abs(p1)
 
 
+@pytest.mark.parametrize("T", [math.nan, math.inf, -0.5])
+def test_matsubara_oracle_refuses_bad_temperatures(T):
+    # a NaN term used to reset the settle counter, so the sum ran on toward
+    # 200,000 quad calls; T = inf returned -inf
+    with pytest.raises(DomainError, match="temperature must be >= 0 and finite"):
+        equilibrium_matsubara(equal_t_geom(gap=1.0, T=1.0), T)
+
+
 def test_ideal_mirror_limit_brackets_lifshitz():
     # dispersionless near-mirror plates approach -pi^2/(240 l^4), from below
     # in |eps|; the deviation shrinks monotonically with growing eps
@@ -1246,6 +1352,7 @@ def test_panel_reductions_do_not_depend_on_the_batch():
     scale = np.exp(rng.uniform(-20.0, 20.0, n))
 
     def f(x, s):
+        s = s[:, None]          # one segment per panel, broadcast over its 15 nodes
         wave = scale[s] * np.cos(3.0 * x + s)
         return np.stack([wave, np.exp(-x) * s, wave * x * x]), (np.sin(x) * scale[s])[None]
 
@@ -1288,7 +1395,7 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
         w = np.broadcast_to(omega, np.shape(Q))
         bad = (w == 2.5) & ((Q < w) if sector == "propagating" else (Q > w))
         v = np.exp(-Q) + np.where(bad, np.sin(1e6 * Q), 0.0)
-        return np.tile(v, (len(BREAKDOWN_KEYS), 1))
+        return np.stack([v] * len(BREAKDOWN_KEYS))
 
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
