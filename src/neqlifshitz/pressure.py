@@ -699,11 +699,16 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     nseg = len(segments)
     del segments                # frees a caller's temporary seed rows before round 0
     (main, ride), err, rnd = _eval_panels(f, lo, hi, seg, work=work)
+    # each panel's main-row sum is taken once, over the batch that
+    # evaluated it, as numpy sums a batch: rows in sequence for two or more
+    # panels, as one reduction for a one-panel seed, whose sum serves
+    # round 0 alone
+    psum = main.sum(axis=0)
     totals = [np.zeros((len(main), nseg)), np.zeros((len(ride), nseg))]
     sums, bad = np.zeros(nseg), np.zeros(nseg)
     done = np.zeros(nseg, dtype=bool)
     while True:
-        open_sums = np.bincount(seg, weights=main.sum(axis=0), minlength=nseg)
+        open_sums = np.bincount(seg, weights=psum, minlength=nseg)
         open_bad = np.bincount(seg, weights=err, minlength=nseg)
         sums = np.where(done, sums, open_sums)
         bad = np.where(done, bad, open_bad)
@@ -747,13 +752,14 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         new_seg = np.concatenate([seg[pick], seg[pick]])
         keep[pick] = False      # the retired segments' panels and the split ones leave
         lo, hi, seg, err, rnd = lo[keep], hi[keep], seg[keep], err[keep], rnd[keep]
-        main, ride = main[:, keep], ride[:, keep]
+        main, ride, psum = main[:, keep], ride[:, keep], psum[keep]
         (new_main, new_ride), nerr, nrnd = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
         lo = np.concatenate([lo, new_lo])
         hi = np.concatenate([hi, new_hi])
         seg = np.concatenate([seg, new_seg])
         err = np.concatenate([err, nerr])
         rnd = np.concatenate([rnd, nrnd])
+        psum = np.concatenate([psum, new_main.sum(axis=0)])
         main = np.concatenate([main, new_main], axis=1)
         ride = np.concatenate([ride, new_ride], axis=1)
     return tuple(totals), bad
