@@ -4,7 +4,10 @@
 Prints one line per case of a fixed list: the float.hex of every number
 the case returns and the integrand points it evaluated, as real-axis +
 contour points (counted by wrapping ``pressure._bath_channels``, the size
-of its Q, and ``pressure._contour_integrand``).  A `steady_pressure` case
+of its Q, and ``pressure._contour_integrand``); a case whose plates are
+one material also evaluates the line k_z = omega + i y of the
+propagating sector, and its line gets a ``line=`` column of those points
+(``pressure._line_integrand``, the size of its y).  A `steady_pressure` case
 returns value, err, tail, omega_max_used and the eight channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
@@ -83,6 +86,8 @@ CASES = {
     "omega-max-8-contour": _steady(identical(1.0, 1.0, 0.5), rel_tol=1e-3, omega_max=8.0),
     "omega-max-8-euler": _steady(dissimilar(1.0, 1.0, 0.5), rel_tol=1e-3, omega_max=8.0),
     "default-config": default_config,
+    "surface-band-gamma-1e-2": _steady(Geometry(gap=1.0, left=plate(1.0, 1.0, 1e-2, 1.0),
+                                                right=plate(1.0, 1.0, 1e-2, 0.3)), rel_tol=1e-3),
     **{f"criterion-8-l{g:.4g}": _steady(identical(float(g), 1.0, 1.0), rel_tol=2e-3)
        for g in np.geomspace(1.0, 10.0, 5)},
     "inner-q": _lockstep(pressure._inner_q_integral, dissimilar(1.0, 1.0, 0.5), OMEGAS, False,
@@ -98,7 +103,7 @@ def _hex(values):
 
 def fingerprint(name):
     """The case's line: its name, its numbers in float.hex and its points."""
-    points = {"_bath_channels": 0, "_contour_integrand": 0}
+    points = {"_bath_channels": 0, "_contour_integrand": 0, "_line_integrand": 0}
     originals = {key: getattr(pressure, key) for key in points}
 
     def counting(key, sizes):
@@ -109,12 +114,15 @@ def fingerprint(name):
 
     pressure._bath_channels = counting("_bath_channels", lambda a: (a[2],))
     pressure._contour_integrand = counting("_contour_integrand", lambda a: (a[1], a[2]))
+    pressure._line_integrand = counting("_line_integrand", lambda a: (a[3],))
     try:
         numbers = CASES[name]()
     finally:
         for key, fn in originals.items():
             setattr(pressure, key, fn)
     counts = f"{points['_bath_channels']}+{points['_contour_integrand']}"
+    if points["_line_integrand"]:
+        counts += f" line={points['_line_integrand']}"
     return f"{name} points={counts} {_hex(numbers)}"
 
 

@@ -59,6 +59,10 @@ WINDING_POINTS = 800
 DMU_FLOOR = 1e-3
 #: Talbot contour nodes at small t; the count grows with t.
 TALBOT_NODES = 64
+#: Most Talbot contour nodes one point may take: a longer time raises
+#: ConvergenceError instead of building ever larger fixtures (one point of
+#: 954 nodes takes about 0.55 s; the tests reach 572, at t = 300).
+TALBOT_MAX_NODES = 1024
 #: Richardson start radius of the modified-mode check, in units of
 #: max(omega_k, 1).
 MODE_RADIUS = 3e-5
@@ -743,6 +747,18 @@ def _min_node_gap(n_eff, r, poles):
                for p in poles)
 
 
+def _talbot_node_count(t, r_floor, shift=0):
+    """The node count of the contour at time t > 0, ``shift`` counts past
+    the first one: max(TALBOT_NODES, ceil(2.5 t r_floor)) + shift, or
+    ConvergenceError (naming t and the count) past TALBOT_MAX_NODES."""
+    n_eff = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor))) + shift
+    if n_eff > TALBOT_MAX_NODES:
+        raise ConvergenceError(
+            f"Talbot inversion at t={t:.6g} needs {n_eff} contour nodes, more than "
+            f"TALBOT_MAX_NODES = {TALBOT_MAX_NODES}")
+    return n_eff
+
+
 def _talbot_point(mat, t, r_floor, poles):
     """G(t) = (r/M) sum_k Re(f_k F(s_k)), f_k = exp(t s_k) w_k the node
     factors of `_talbot_fixtures` and F = N/D the kernel transform:
@@ -757,10 +773,11 @@ def _talbot_point(mat, t, r_floor, poles):
     14 for the cutoff one.  Each term Re(f N conj(D)) / |D|^2 takes one
     floor division, and the result one correctly rounded true division.
     A node within 1e-6 of a pole moves the sum to the next node count,
-    with its own canonical radius 2M/(5t) and nodes.
+    with its own canonical radius 2M/(5t) and nodes; no count may pass
+    ``TALBOT_MAX_NODES`` (`_talbot_node_count`).
     """
-    n_min = max(TALBOT_NODES, int(math.ceil(2.5 * t * r_floor)))
-    for n_eff in range(n_min, n_min + 8):
+    for shift in range(8):
+        n_eff = _talbot_node_count(t, r_floor, shift)
         r = 2.0 * n_eff / (5.0 * t)
         if _min_node_gap(n_eff, r, poles) > 1e-6:
             break
@@ -811,8 +828,10 @@ def invert_laplace_qbm(mat, t_grid):
     exact boundary value 0 of the retarded kernel.  A contour node
     landing on a pole moves the point to the next node count, whose
     canonical contour has other nodes; the inversion raises only if
-    eight node counts in a row fail.  The grid must be finite, >= 0 and
-    sorted ascending (DomainError).
+    eight node counts in a row fail.  A point whose node count would
+    exceed ``TALBOT_MAX_NODES`` raises ConvergenceError, before any
+    point of the grid is computed when it is the last.  The grid must be
+    finite, >= 0 and sorted ascending (DomainError).
     """
     t = np.asarray(t_grid, dtype=float)
     flat = t.ravel()
@@ -827,6 +846,7 @@ def invert_laplace_qbm(mat, t_grid):
     poles = [s0 for s0, _, _ in find_qbm_poles(mat).roots]
     im_max = max(abs(p.imag) for p in poles)
     r_floor = (2.4 / math.pi) * im_max
+    _talbot_node_count(float(flat[-1]), r_floor)     # the longest time fails first
     out = np.empty(flat.shape)
     for i, ti in enumerate(flat):
         out[i] = 0.0 if ti == 0.0 else _talbot_point(

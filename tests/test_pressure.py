@@ -1034,7 +1034,7 @@ def test_contour_integrand_meets_the_real_axis_channels(geom):
 def test_contour_tail_lands_on_the_matsubara_half_sum():
     # identical plates far from equilibrium (the sweep-far point): the
     # Euler slices past omega = 18 left +7.9e-6 here; the contour tail
-    # from omega = 4 lands at -3.5e-8
+    # from omega = 4 lands at +1.5e-9
     geom = identical_plates(2.0, 1.0, 0.3)
     res = steady_pressure(geom, PressureOptions(rel_tol=2e-3))
     half = 0.5 * (equilibrium_matsubara(equal_t_geom(2.0, 1.0), 1.0)
@@ -1164,6 +1164,137 @@ def test_mirror_swap_invariance_of_integrand():
         for (plate, pol, sector) in BREAKDOWN_KEYS:
             other = ("R" if plate == "L" else "L", pol, sector)
             assert_allclose(a[(plate, pol, sector)], b[other], rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# identical plates: the propagating Q integral on the line k_z = omega + i y
+# ---------------------------------------------------------------------------
+
+
+def ohmic_pair(omega0, lambda0, gamma, gap, t_left=1.0, t_right=0.3):
+    """Plates of one ohmic material at temperatures (T_L, T_R)."""
+    def plate(T):
+        return Material(omega0=omega0, lambda0=lambda0,
+                        bath=BathModel(kind="ohmic", gamma=gamma), beta_bath=1.0 / T)
+    return Geometry(gap=gap, left=plate(t_left), right=plate(t_right))
+
+
+def sector_sums(ch, sector):
+    """A sector's channels summed over the plates, per polarization."""
+    return np.array([sum(ch[BREAKDOWN_KEYS.index((plate, pol, sector))] for plate in ("L", "R"))
+                     for pol in ("TE", "TM")])
+
+
+#: Low-loss surface-band points (Re eps = -1) whose strip 0 < Re k_z <
+#: omega, Im k_z > 0 holds one TM zero of D_mu: gamma = 1e-2 and 1e-3 at
+#: l = 1 (zeros at 0.560 + 1.736i and 0.064 + 1.889i), and (omega0,
+#: lambda0) = (0.5, 2) at gamma = 0.1, whose zero 1.4959 + 0.3382i lies
+#: 0.004 from the line.
+SURFACE_BAND = [((1.0, 1.0, 1e-2, 1.0), 1.2247), ((1.0, 1.0, 1e-3, 1.0), 1.2247),
+                ((0.5, 2.0, 0.1, 1.0), 1.5)]
+
+
+def random_identical_plates(n):
+    rng = np.random.default_rng(26)
+    return [((float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0)),
+              float(10.0 ** rng.uniform(-1.5, 0.0)), float(rng.uniform(0.5, 5.0))),
+             np.sort(rng.uniform(0.1, 4.0, 4))) for _ in range(n)]
+
+
+@pytest.mark.parametrize("params, ws", random_identical_plates(3) + [
+    (params, [0.97 * w, w]) for params, w in SURFACE_BAND],
+    ids=["random-0", "random-1", "random-2", "gamma-1e-2", "gamma-1e-3", "strong-coupling"])
+def test_line_gives_the_theta_paths_propagating_integrals(params, ws):
+    # per polarization, line - evanescent - 2 pi i sum Res is the
+    # propagating integral of the real Q axis, within the inner tolerance;
+    # at the surface-band points with and without a zero in the strip
+    geom, ws, tol = ohmic_pair(*params), np.asarray(ws), 1e-9
+    line, _ = pr._line_q_integral(geom, ws, False, tol, 0.0)
+    theta, _ = pr._real_q_integral(geom, ws, False, tol, 0.0)
+    prop, evan = sector_sums(theta, "propagating"), sector_sums(theta, "evanescent")
+    assert np.all(np.abs(sector_sums(line, "propagating") - prop) <= tol * (np.abs(prop)
+                                                                           + np.abs(evan)))
+    assert_allclose(sector_sums(line, "evanescent"), evan, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("params, w", SURFACE_BAND, ids=["gamma-1e-2", "gamma-1e-3",
+                                                         "strong-coupling"])
+def test_line_without_the_residues_misses_the_surface_band(monkeypatch, params, w):
+    geom, ws = ohmic_pair(*params), np.array([w])
+    theta, _ = pr._real_q_integral(geom, ws, False, 1e-9, 0.0)
+    monkeypatch.setattr(pr, "_strip_residues", lambda geom, w, eps, peak: (
+        np.zeros((2, len(w)), complex), np.zeros(len(w))))
+    line, _ = pr._line_q_integral(geom, ws, False, 1e-9, 0.0)
+    prop = sector_sums(theta, "propagating")
+    miss = np.abs(sector_sums(line, "propagating") - prop)
+    assert miss[0] <= 1e-9 * abs(prop[0])       # TE has no zero in the strip
+    assert miss[1] > 0.5 * abs(prop[1])
+
+
+def test_line_rows_keep_each_plates_share():
+    # every channel of plate a is c_a / (2 c_bar) of the polarization's
+    # emission, c_a = coth(omega / 2 T_a), in both sectors
+    geom, ws = identical_plates(2.0, 1.0, 0.3), np.array([0.4, 1.1, 2.5])
+    ch, _ = pr._line_q_integral(geom, ws, False, 1e-8, 0.0)
+    ratio = _coth(0.5 * ws / 1.0) / _coth(0.5 * ws / 0.3)
+    for pol in ("TE", "TM"):
+        for sector in ("propagating", "evanescent"):
+            left = ch[BREAKDOWN_KEYS.index(("L", pol, sector))]
+            right = ch[BREAKDOWN_KEYS.index(("R", pol, sector))]
+            assert_allclose(left / right, ratio, rtol=1e-12)
+
+
+def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
+    # criterion 8's plates at rel_tol 2e-3: the line and evanescent points
+    # per real-axis frequency read 211, 196, 198 and 223 at l = 1, 3.16,
+    # 10 and 31.6; on the theta path they read 304, 478, 1214 and 3574
+    seen = {"points": 0, "frequencies": 0}
+    bath, line, inner = pr._bath_channels, pr._line_integrand, pr._inner_q_integral
+
+    def count_bath(geom, omega, Q, **kw):
+        seen["points"] += np.size(Q)
+        return bath(geom, omega, Q, **kw)
+
+    def count_line(geom, w, eps, y):
+        seen["points"] += np.size(y)
+        return line(geom, w, eps, y)
+
+    def count_inner(geom, omegas, *args):
+        seen["frequencies"] += len(omegas)
+        return inner(geom, omegas, *args)
+
+    monkeypatch.setattr(pr, "_bath_channels", count_bath)
+    monkeypatch.setattr(pr, "_line_integrand", count_line)
+    monkeypatch.setattr(pr, "_inner_q_integral", count_inner)
+    means = []
+    for gap in (1.0, 3.16, 10.0, 31.6):
+        seen.update(points=0, frequencies=0)
+        steady_pressure(equal_t_geom(gap, 1.0), PressureOptions(rel_tol=2e-3))
+        means.append(seen["points"] / seen["frequencies"])
+    assert max(means) <= 1.5 * min(means), means
+
+
+@pytest.mark.parametrize("gap, t_right", [(float(g), 1.0) for g in np.geomspace(1.0, 10.0, 5)]
+                         + [(2.0, 0.3)],
+                         ids=[f"criterion-8-l{g:.3g}" for g in np.geomspace(1.0, 10.0, 5)]
+                         + ["sweep-far"])
+def test_err_stays_within_the_tolerance_on_identical_plates(gap, t_right):
+    # err / (rel_tol |P|) reads 0.01, 0.01, 0.12, 0.59 and 0.08 at
+    # criterion 8's gaps and 0.42 on the sweep-far plates (it was 0.10 to
+    # 22.3 and 1.21 on the theta path)
+    res = steady_pressure(identical_plates(gap, 1.0, t_right), PressureOptions(rel_tol=2e-3))
+    assert 0.0 < res.err <= 2e-3 * abs(res.value)
+
+
+@pytest.mark.parametrize("geom", [default_plates(1.0, 1.0, 0.5), default_plates(1.0, 0.7, 0.7)],
+                         ids=["euler-tail", "contour-tail"])
+def test_dissimilar_pairs_never_take_the_line(monkeypatch, geom):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dissimilar pair reached the line")
+
+    monkeypatch.setattr(pr, "_line_integrand", refuse)
+    monkeypatch.setattr(pr, "_strip_residues", refuse)
+    assert steady_pressure(geom, PressureOptions(rel_tol=1e-3)).value < 0.0
 
 
 # ---------------------------------------------------------------------------

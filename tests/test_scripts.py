@@ -52,15 +52,23 @@ def test_temperature_scan_script(tmp_path):
 
 
 def test_steady_fingerprints_script(capsys):
-    assert load_script("steady_fingerprints").main(["--case", "sweep-far"]) == 0
-    name, points, *numbers = capsys.readouterr().out.split()
+    script = load_script("steady_fingerprints")
+    assert script.main(["--case", "sweep-far", "--case", "dissimilar-euler"]) == 0
+    identical, dissimilar = capsys.readouterr().out.splitlines()
+    name, points, line, *numbers = identical.split()
     assert name == "sweep-far"
     real, contour = (int(n) for n in points.removeprefix("points=").split("+"))
-    assert real > 0 and contour > 0
+    # plates of one material take the propagating sector on the line, whose
+    # points have a column of their own
+    assert real > 0 and contour > 0 and int(line.removeprefix("line=")) > 0
     value, err, tail, omega_max, *channels = (float.fromhex(n) for n in numbers)
     assert len(channels) == 8
     assert value < 0.0 < err and omega_max == 4.0
     assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
+    # a dissimilar pair evaluates no line and prints no line column
+    name, points, *numbers = dissimilar.split()
+    assert name == "dissimilar-euler" and points.startswith("points=")
+    assert len(numbers) == 12 and not any(n.startswith("line=") for n in numbers)
 
 
 def test_analytic_fingerprints_script(capsys):

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from numpy.testing import assert_allclose
 
 from neqlifshitz import em_green, spectral
 from neqlifshitz.em_green import Geometry, GreenBlock, green_gap_from_plate
-from neqlifshitz.errors import DomainError, SingularityError
+from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
                                   branch_inventory, classify_origin_order,
@@ -275,6 +276,25 @@ def test_inversion_raises_when_no_node_count_avoids_the_poles(monkeypatch):
     with pytest.raises(SingularityError, match="cannot avoid a response pole"):
         invert_laplace_qbm(LOSSY, [1.0])
     assert seen == list(range(spectral.TALBOT_NODES, spectral.TALBOT_NODES + 8))
+
+
+def test_inversion_refuses_node_counts_past_the_ceiling(monkeypatch):
+    # t = 2000 needs about 3,050 nodes on LOSSY: the grid is refused before
+    # any of its points is summed, and no fixtures are built
+    built, real = [], spectral._talbot_fixtures
+    monkeypatch.setattr(spectral, "_talbot_fixtures", lambda n: built.append(n) or real(n))
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match=r"t=2000 needs \d+ contour nodes"):
+        invert_laplace_qbm(LOSSY, [1.0, 2000.0])
+    assert time.perf_counter() - start < 1.0
+    assert built == []
+    # a point whose first count fits but whose pole-dodging shifts do not
+    r_floor = (2.4 / math.pi) * max(abs(s.imag) for s, _, _ in find_qbm_poles(LOSSY).roots)
+    t = (spectral.TALBOT_MAX_NODES - 3) / (2.5 * r_floor)
+    monkeypatch.setattr(spectral, "_min_node_gap", lambda n_eff, r, poles: 0.0)
+    with pytest.raises(ConvergenceError, match=f"needs {spectral.TALBOT_MAX_NODES + 1} contour"):
+        invert_laplace_qbm(LOSSY, [t])
+    assert built == []
 
 
 def test_min_node_gap_matches_the_contour_nodes():
