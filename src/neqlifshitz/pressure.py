@@ -693,7 +693,8 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     left and the right halves of the split ones), so every sum, error and
     decision has the bits it would have if no segment retired.
 
-    The ride rows never enter these decisions.  ``abs_floor`` is a number
+    rel_tol is a number or one per segment.  The ride rows never enter
+    these decisions.  ``abs_floor`` is a number
     or a callable mapping the current per-segment totals I (those of
     retired segments included) to the floor (the inner Q integrals use
     the latter, see `_inner_q_integral`).  A single integral, such as the
@@ -903,10 +904,9 @@ def _inner_q_seeds(geom, omegas, line=False):
                     omegas[:, None], 2 * omegas[:, None]])
     evan = np.hstack([np.zeros_like(scale), q_cap / (scale + q_cap),
                       np.where((qs > 0.0) & (qs < q_cap), qs / (scale + qs), np.nan)])
-    pad = prop.shape[1] - evan.shape[1]
-    if pad < 0:
-        prop = np.pad(prop, ((0, 0), (0, -pad)), constant_values=np.nan)
-    return np.vstack([prop, np.pad(evan, ((0, 0), (0, max(pad, 0))), constant_values=np.nan)])
+    width = max(prop.shape[1], evan.shape[1])
+    return np.vstack([np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=np.nan)
+                      for rows in (prop, evan)])
 
 
 #: The inner integrals' absolute floor is this fraction of rel_tol times
@@ -973,7 +973,8 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work, line=False):
     one propagating run of panels followed by one evanescent run, and the
     node map and the channel map read each run as a slice.  Under
     ``line`` the propagating segments run on the line k_z = omega + i y
-    instead of the real Q axis (see `_line_q_integral`).
+    instead of the real Q axis, at ``_LINE_TOL`` times rel_tol (see
+    `_line_q_integral`).
 
     ``rows(w, Q, jac, at, lead)`` gives the integrand rows at the nodes
     from the (panels, 1) column of their frequencies w = omegas[at], at
@@ -1003,7 +1004,7 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work, line=False):
     def abs_floor(totals):
         return floor(np.bincount(owner, weights=totals, minlength=n))
 
-    tol = np.where(evan, rel_tol, rel_tol * (_LINE_TOL if line else 1.0))
+    tol = np.where(evan, rel_tol, _LINE_TOL * rel_tol) if line else rel_tol
     (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, line), tol,
                                  abs_floor=abs_floor if callable(floor) else floor,
                                  max_panels=512, work=work,
@@ -1266,37 +1267,29 @@ def _box_winding(geom, w, eps, pol, boxes, turn):
 def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
     """The ``count`` zeros of D_mu (polarization i) inside ``box``, whose
     resolved boundary is ``boundary`` (points, N_mu and N_mu' there, see
-    `_box_winding`).  The power sums (1/2 pi i) sum_p p^j, the boundary
-    integrals of k^j N'/N by the trapezoid rule, give the zeros as the
-    roots of one polynomial (Newton's identities), which Newton on N with
-    the analytic N' polishes.  When the polished roots are not distinct,
-    inside the box and converged, the box is halved across its longer
-    side and each half with zeros searched alone; SingularityError when
-    the halves do not add up to ``count`` or the search goes 40 halvings
-    deep.  Returns (roots, the roots one Newton step before)."""
-    k, n, dn = boundary
-    f = dn / n
-    dk = np.roll(k, -1) - k
-    sums = [np.sum(0.5 * dk * (f * k ** j + np.roll(f * k ** j, -1))) / (2j * math.pi)
-            for j in range(1, count + 1)]
-    e = [1.0 + 0j]
-    for j in range(1, count + 1):       # Newton's identities: power sums to the polynomial
-        e.append(sum((-1) ** (m - 1) * e[j - m] * sums[m - 1] for m in range(1, j + 1)) / j)
-    roots = np.roots([(-1) ** j * e[j] for j in range(count + 1)]).astype(complex)
-    prev, step = roots, np.full(count, np.inf)
-    with np.errstate(all="ignore"):
-        for _ in range(60):
-            nn, dd = _strip_n(geom, w, eps, roots)
-            step = nn[i] / dd[i]
-            prev, roots = roots, roots - step
-            if not np.all(np.abs(step) > 1e-15 * np.abs(roots)):
-                break
+    `_box_winding`).  A box with one zero starts Newton on N, with the
+    analytic N', from the zero's first moment (1/2 pi i) times the
+    boundary integral of k N'/N (trapezoid rule).  A box with more
+    zeros, or whose Newton root is not converged and inside it, is halved
+    across its longer side and each half with zeros searched alone;
+    SingularityError when the halves do not add up to ``count`` or the
+    search goes 40 halvings deep.  Returns (roots, the roots one Newton
+    step before)."""
     x0, x1, y0, y1 = box
-    inside = (roots.real > x0) & (roots.real < x1) & (roots.imag > y0) & (roots.imag < y1)
-    apart = np.abs(roots[:, None] - roots[None, :]) + np.eye(count) * np.abs(roots)
-    if (np.all(inside) and np.all(apart > 1e-9 * np.abs(roots))
-            and np.all(np.abs(step) <= 1e-10 * np.abs(roots))):
-        return roots, prev
+    if count == 1:
+        k, n, dn = boundary
+        f = k * dn / n
+        root = np.sum(0.5 * (np.roll(k, -1) - k) * (f + np.roll(f, -1))) / (2j * math.pi)
+        prev, step = root, math.inf
+        with np.errstate(all="ignore"):
+            for _ in range(60):
+                nn, dd = _strip_n(geom, w, eps, root)
+                step = nn[i] / dd[i]
+                prev, root = root, root - step
+                if not abs(step) > 1e-15 * abs(root):
+                    break
+        if x0 < root.real < x1 and y0 < root.imag < y1 and abs(step) <= 1e-10 * abs(root):
+            return np.array([root]), np.array([prev])
     if depth >= 40:
         raise SingularityError(f"the strip at omega={w:.6g} counts {count} zeros of D_mu that "
                                "Newton cannot separate", point=complex(w))
@@ -1304,7 +1297,7 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
         halves = [(x0, 0.5 * (x0 + x1), y0, y1), (0.5 * (x0 + x1), x1, y0, y1)]
     else:
         halves = [(x0, x1, y0, 0.5 * (y0 + y1)), (x0, x1, 0.5 * (y0 + y1), y1)]
-    found, before, total = [], [], 0
+    found, before, total = [np.empty(0, complex)], [np.empty(0, complex)], 0
     for half, (winding, *rest) in zip(halves, _box_winding(
             geom, np.array([w, w]), np.array([eps, eps]), np.array([i, i]),
             np.array(halves).T, math.pi / 4)):
