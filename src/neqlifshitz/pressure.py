@@ -1097,8 +1097,25 @@ _STRIP_TOP_SAMPLES = 4
 #: sets the strip's top (`_strip_top`).
 _STRIP_TOP_DECAY = 10.0
 #: Initial samples per edge of the argument-principle count
-#: (`_box_winding`); a step whose phase turns by more than pi/4 is halved.
+#: (`_box_winding`); a step is halved while its phase turns by more than
+#: ``_COUNT_TURN``, or its length times |d log(N/k_z)/dk_z| does, down to
+#: ``_COUNT_MIN_STEP`` of the boundary's parameter (four per box).  The
+#: winding must come out within ``_WINDING_SLACK`` of an integer.
 _COUNT_SAMPLES = 32
+_COUNT_TURN = math.pi / 4
+_COUNT_MIN_STEP = 1e-12
+_WINDING_SLACK = 1e-6
+#: Fraction of its edges by which a box cuts off the corner k_z = 0, the
+#: zero that D_mu has for every pair.
+_CORNER_CUT = 1e-9
+#: Newton on a counted zero (`_box_zeros`) takes at most
+#: ``_NEWTON_STEPS`` steps, stopping once a step falls to 1e-15 of the
+#: root, and accepts the root when its last step is at most ``_ROOT_TOL``
+#: of it; a box whose root fails is halved, at most ``_MAX_HALVINGS``
+#: deep.
+_NEWTON_STEPS = 60
+_ROOT_TOL = 1e-10
+_MAX_HALVINGS = 40
 
 
 def _round_trips(geom, w, eps, k):
@@ -1196,10 +1213,10 @@ def _box_path(box, t):
     y1 at parameters t in [0, 4), counterclockwise from (x0, y0), with
     y = y0 + (y1 - y0) f^2 on the vertical edges (f the fraction of the
     edge, counted upwards).  A box with its corner at k_z = 0 has that
-    corner cut off by 1e-9 of its edges.  ``box`` holds x0, x1, y0, y1,
-    each broadcast against t."""
+    corner cut off by ``_CORNER_CUT`` of its edges.  ``box`` holds x0,
+    x1, y0, y1, each broadcast against t."""
     x0, x1, y0, y1 = box
-    cut = np.where((x0 == 0.0) & (y0 == 0.0), 1e-9, 0.0)
+    cut = np.where((x0 == 0.0) & (y0 == 0.0), _CORNER_CUT, 0.0)
     edge = np.floor(t)
     f = t - edge
     up, down = f * f, (1.0 - f) ** 2 * (1.0 - cut) + cut
@@ -1209,15 +1226,15 @@ def _box_path(box, t):
                                         x0 + 1j * (y0 + (y1 - y0) * down)])
 
 
-def _box_winding(geom, w, eps, pol, boxes, turn):
+def _box_winding(geom, w, eps, pol, boxes):
     """The winding of N_mu / k_z (`_strip_n`; the division removes the
     zero every pair has at the corner k_z = 0) along the boundaries of
     boxes, one per (frequency, polarization) pair: ``boxes`` is shaped
     (4, pairs).  Every boundary starts with ``_COUNT_SAMPLES`` steps per
     edge; then a step is halved while its phase turns by more than
-    ``turn`` or its length times the larger |d log(N/k_z)/dk_z| at its
-    ends exceeds ``turn`` (a zero within about a step of the boundary),
-    so a turn cannot alias.  All pairs refine at once, their samples in
+    ``_COUNT_TURN`` or its length times the larger |d log(N/k_z)/dk_z|
+    at its ends does (a zero within about a step of the boundary), so a
+    turn cannot alias.  All pairs refine at once, their samples in
     one flat array ordered by (pair, parameter).  Returns, per pair, (the
     winding number as a float, the boundary points, N_mu and N_mu'
     there); SingularityError when a step shrinks to rounding (a zero on
@@ -1243,12 +1260,12 @@ def _box_winding(geom, w, eps, pol, boxes, turn):
         slope = np.abs(dn / n - 1.0 / k)
         d = np.angle(g[nxt] / g)
         reach = np.maximum(slope, slope[nxt]) * np.abs(k[nxt] - k)
-        wide = np.flatnonzero((np.abs(d) > turn) | (reach > turn))
+        wide = np.flatnonzero((np.abs(d) > _COUNT_TURN) | (reach > _COUNT_TURN))
         if not wide.size:
             break
         ends = t[nxt]
         ends[last] = 4.0
-        if np.any(ends[wide] - t[wide] < 1e-12):
+        if np.any(ends[wide] - t[wide] < _COUNT_MIN_STEP):
             j = pair[wide[np.argmin(ends[wide] - t[wide])]]
             raise SingularityError("a zero of D_mu lies on the boundary of the strip "
                                    f"searched at omega={w[j]:.6g}", point=complex(w[j]))
@@ -1273,7 +1290,7 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
     zeros, or whose Newton root is not converged and inside it, is halved
     across its longer side and each half with zeros searched alone;
     SingularityError when the halves do not add up to ``count`` or the
-    search goes 40 halvings deep.  Returns (roots, the roots one Newton
+    search goes ``_MAX_HALVINGS`` deep.  Returns (roots, the roots one Newton
     step before)."""
     x0, x1, y0, y1 = box
     if count == 1:
@@ -1282,15 +1299,15 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
         root = np.sum(0.5 * (np.roll(k, -1) - k) * (f + np.roll(f, -1))) / (2j * math.pi)
         prev, step = root, math.inf
         with np.errstate(all="ignore"):
-            for _ in range(60):
+            for _ in range(_NEWTON_STEPS):
                 nn, dd = _strip_n(geom, w, eps, root)
                 step = nn[i] / dd[i]
                 prev, root = root, root - step
                 if not abs(step) > 1e-15 * abs(root):
                     break
-        if x0 < root.real < x1 and y0 < root.imag < y1 and abs(step) <= 1e-10 * abs(root):
+        if x0 < root.real < x1 and y0 < root.imag < y1 and abs(step) <= _ROOT_TOL * abs(root):
             return np.array([root]), np.array([prev])
-    if depth >= 40:
+    if depth >= _MAX_HALVINGS:
         raise SingularityError(f"the strip at omega={w:.6g} counts {count} zeros of D_mu that "
                                "Newton cannot separate", point=complex(w))
     if x1 - x0 >= y1 - y0:
@@ -1300,7 +1317,7 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
     found, before, total = [np.empty(0, complex)], [np.empty(0, complex)], 0
     for half, (winding, *rest) in zip(halves, _box_winding(
             geom, np.array([w, w]), np.array([eps, eps]), np.array([i, i]),
-            np.array(halves).T, math.pi / 4)):
+            np.array(halves).T)):
         c = int(round(winding))
         total += c
         if c > 0:
@@ -1333,9 +1350,9 @@ def _strip_residues(geom, w, eps, line_peak):
     pol, at = np.nonzero(_strip_may_hold_zeros(geom, w, eps, top, line_peak))
     boxes = np.array([np.zeros(len(at)), w[at], np.zeros(len(at)), top[at]])
     for i, j, box, (winding, *boundary) in zip(
-            pol, at, boxes.T, _box_winding(geom, w[at], eps[at], pol, boxes, math.pi / 4)):
+            pol, at, boxes.T, _box_winding(geom, w[at], eps[at], pol, boxes)):
         count = int(round(winding))
-        if count < 0 or abs(winding - count) > 1e-6:
+        if count < 0 or abs(winding - count) > _WINDING_SLACK:
             raise SingularityError(f"the zero count of D_mu reads {winding:.6g} at "
                                    f"omega={w[j]:.6g}", point=complex(w[j]))
         if count:

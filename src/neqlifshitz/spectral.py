@@ -828,10 +828,10 @@ def invert_laplace_qbm(mat, t_grid):
     exact boundary value 0 of the retarded kernel.  A contour node
     landing on a pole moves the point to the next node count, whose
     canonical contour has other nodes; the inversion raises only if
-    eight node counts in a row fail.  A point whose node count would
-    exceed ``TALBOT_MAX_NODES`` raises ConvergenceError, before any
-    point of the grid is computed when it is the last.  The grid must be
-    finite, >= 0 and sorted ascending (DomainError).
+    eight node counts in a row fail.  A time whose node count would
+    exceed ``TALBOT_MAX_NODES`` raises ConvergenceError; the grid's last,
+    longest time is checked before any point is summed.  The grid must
+    be finite, >= 0 and sorted ascending (DomainError).
     """
     t = np.asarray(t_grid, dtype=float)
     flat = t.ravel()
