@@ -1231,6 +1231,22 @@ def test_line_without_the_residues_misses_the_surface_band(monkeypatch, params, 
     assert miss[1] > 0.5 * abs(prop[1])
 
 
+def test_zero_on_the_counted_boundary_raises():
+    # the strip of the gamma = 1e-2 surface-band point holds one TM zero;
+    # a box whose right edge runs through it cannot be counted
+    params, w = SURFACE_BAND[0]
+    geom, ws = ohmic_pair(*params), np.array([w])
+    eps = np.array([complex(plate_eps(geom.left, -1j * w))])
+    top = pr._strip_top(geom, ws, eps)
+    strip = np.array([[0.0], ws, [0.0], top])
+    (winding, *boundary), = pr._box_winding(geom, ws, eps, np.array([1]), strip)
+    assert round(winding) == 1
+    (zero,), _ = pr._box_zeros(geom, w, eps[0], 1, tuple(strip[:, 0]), 1, boundary)
+    assert abs(zero - (0.5601643 + 1.7361740j)) < 1e-7
+    with pytest.raises(SingularityError, match="lies on the boundary"):
+        pr._box_winding(geom, ws, eps, np.array([1]), np.array([[0.0], [zero.real], [0.0], top]))
+
+
 def test_line_rows_keep_each_plates_share():
     # every channel of plate a is c_a / (2 c_bar) of the polarization's
     # emission, c_a = coth(omega / 2 T_a), in both sectors
