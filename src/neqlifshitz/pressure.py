@@ -1192,20 +1192,20 @@ def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
 
 def _strip_n(geom, w, eps, k):
     """N_mu = den^2 - num^2 exp(2 i k_z l) = den^2 D_mu, r_mu = num/den,
-    and dN_mu/dk_z at gap wavenumbers k, per polarization on a leading
-    axis: D_mu's zeros without r_TM's poles, and its analytic
+    dN_mu/dk_z and den at gap wavenumbers k, per polarization on a
+    leading axis: D_mu's zeros without r_TM's poles, and its analytic
     derivative."""
     q = -1j * k
     qn = np.sqrt((1.0 - eps) * (w * w) - k * k)
     e = np.exp((2j * geom.gap) * k)
     dqn = -k / qn
-    n = np.empty((len(_POLS),) + qn.shape, complex)
-    dn = np.empty_like(n)
+    n, dn, den = np.empty((3, len(_POLS)) + qn.shape, complex)
     for i, (a, da) in enumerate(((q, -1j), (eps * q, -1j * eps))):
-        num, den = a - qn, a + qn
-        n[i] = den * den - num * num * e
-        dn[i] = 2.0 * den * (da + dqn) - e * num * (2.0 * (da - dqn) + (2j * geom.gap) * num)
-    return n, dn
+        num = a - qn
+        den[i] = a + qn
+        n[i] = den[i] * den[i] - num * num * e
+        dn[i] = 2.0 * den[i] * (da + dqn) - e * num * (2.0 * (da - dqn) + (2j * geom.gap) * num)
+    return n, dn, den
 
 
 def _box_path(box, t):
@@ -1241,7 +1241,7 @@ def _box_winding(geom, w, eps, pol, boxes):
     the boundary)."""
     def sample(at, t):
         k = _box_path(boxes[:, at], t)
-        n, dn = _strip_n(geom, w[at], eps[at], k)
+        n, dn, _ = _strip_n(geom, w[at], eps[at], k)
         pick = np.arange(len(at))
         return k, n[pol[at], pick], dn[pol[at], pick]
 
@@ -1300,7 +1300,7 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
         prev, step = root, math.inf
         with np.errstate(all="ignore"):
             for _ in range(_NEWTON_STEPS):
-                nn, dd = _strip_n(geom, w, eps, root)
+                nn, dd, _ = _strip_n(geom, w, eps, root)
                 step = nn[i] / dd[i]
                 prev, root = root, root - step
                 if not abs(step) > 1e-15 * abs(root):
@@ -1358,9 +1358,8 @@ def _strip_residues(geom, w, eps, line_peak):
         if count:
             terms = []
             for p in _box_zeros(geom, w[j], eps[j], i, tuple(box), count, boundary):
-                den = -1j * p * (eps[j] if i else 1.0) + np.sqrt((1.0 - eps[j]) * w[j] ** 2 - p * p)
-                terms.append(np.sum(2.0 * math.pi * p * p * den * den
-                                    / _strip_n(geom, w[j], eps[j], p)[1][i]))
+                _, dn, den = _strip_n(geom, w[j], eps[j], p)
+                terms.append(np.sum(2.0 * math.pi * p * p * den[i] * den[i] / dn[i]))
             out[i, j] = terms[0]
             err[j] += abs(terms[0] - terms[1])
     return out, err
