@@ -1070,6 +1070,7 @@ def _inner_floor(rel_tol, floor_scale):
 
 
 def _inner_label(omegas):
+    """The inner rules' segment names for ConvergenceError."""
     return lambda i, sector: f"{sector} Q integral at omega={omegas[i]:.4g}"
 
 
