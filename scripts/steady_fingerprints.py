@@ -2,12 +2,14 @@
 """Bit-level fingerprints of the steady pressure engine.
 
 Prints one line per case of a fixed list: the float.hex of every number
-the case returns and the integrand points it evaluated, as real-axis +
+the case returns and the integrand points it evaluated, as channel-map +
 contour points (counted by wrapping ``pressure._bath_channels``, the size
-of its Q, and ``pressure._contour_integrand``); a case whose plates are
-one material also evaluates the line k_z = omega + i y of the
-propagating sector, and its line gets a ``line=`` column of those points
-(``pressure._line_integrand``, the size of its y).  A `steady_pressure` case
+of its Q, and ``pressure._contour_integrand``).  A case whose plates are
+one material evaluates no channel map: its real axis takes the line
+k_z = omega + i y of the propagating sector and the round-trip form of
+the evanescent one, and its line gets ``line=`` and ``evan=`` columns of
+those points (``pressure._line_integrand``, the size of its y, and
+``pressure._evanescent_integrand``, the size of its Q).  A `steady_pressure` case
 returns value, err, tail, omega_max_used and the eight channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
@@ -103,7 +105,8 @@ def _hex(values):
 
 def fingerprint(name):
     """The case's line: its name, its numbers in float.hex and its points."""
-    points = {"_bath_channels": 0, "_contour_integrand": 0, "_line_integrand": 0}
+    points = {"_bath_channels": 0, "_contour_integrand": 0, "_line_integrand": 0,
+              "_evanescent_integrand": 0}
     originals = {key: getattr(pressure, key) for key in points}
 
     def counting(key, sizes):
@@ -115,6 +118,7 @@ def fingerprint(name):
     pressure._bath_channels = counting("_bath_channels", lambda a: (a[2],))
     pressure._contour_integrand = counting("_contour_integrand", lambda a: (a[1], a[2]))
     pressure._line_integrand = counting("_line_integrand", lambda a: (a[3],))
+    pressure._evanescent_integrand = counting("_evanescent_integrand", lambda a: (a[3],))
     try:
         numbers = CASES[name]()
     finally:
@@ -122,7 +126,7 @@ def fingerprint(name):
             setattr(pressure, key, fn)
     counts = f"{points['_bath_channels']}+{points['_contour_integrand']}"
     if points["_line_integrand"]:
-        counts += f" line={points['_line_integrand']}"
+        counts += f" line={points['_line_integrand']} evan={points['_evanescent_integrand']}"
     return f"{name} points={counts} {_hex(numbers)}"
 
 

@@ -28,18 +28,21 @@ as slices; whatever depends on a panel's frequency alone (the frequency
 itself, its decay scale and contour weight, and its row of the
 `_frequency_factors` tables, evaluated once per lockstep call) is read
 once per panel and broadcast over its nodes.  Up to the real-axis
-ceiling omega_max the Q integrand is the eight channels
-(`_inner_q_integral`; rows in BREAKDOWN_KEYS order), one kernel for the
-engine and the public per-point map alike (`_bath_channels`, a point
-being a panel of one node), with the two polarizations and the two
-plate materials stacked so that each step is one ufunc call.  Plates of
-one material (`_same_material`) take the propagating sector off the
-real Q axis instead (`_line_q_integral`): with k_z = sqrt(omega^2 -
-Q^2) it closes on the line k_z = omega + i y, where the cavity round
-trip decays like exp(-2 y l) instead of oscillating, plus the residues
-at the zeros of D_mu between the line and the imaginary axis, so its
-cost per frequency does not grow with the gap; omega stays real.  Past
-it,
+ceiling omega_max the Q integrand of dissimilar plates is the eight
+channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
+for the engine and the public per-point map alike (`_bath_channels`, a
+point being a panel of one node), with the two polarizations and the
+two plate materials stacked so that each step is one ufunc call.
+Plates of one material (`_same_material`) integrate one row per
+polarization and sector instead, the round-trip sum of the Lifshitz
+function H weighted by both plates' occupations, and split the plates
+after integration (`_line_q_integral`); they never call the channel
+map.  Their propagating sector leaves the real Q axis: with k_z =
+sqrt(omega^2 - Q^2) it closes on the line k_z = omega + i y, where the
+cavity round trip decays like exp(-2 y l) instead of oscillating, plus
+the residues at the zeros of D_mu between the line and the imaginary
+axis, so its cost per frequency does not grow with the gap; omega
+stays real.  Past the ceiling,
 where the emission is the mean occupation times the Lifshitz function H
 (identical plates up to their temperatures, or one bath temperature),
 the tail closes on the line omega_max + i y (`_contour_tail`), its
@@ -65,8 +68,9 @@ buffer per dtype.  Rows taken from a workspace are valid until the next
 call with the same workspace; a call made without one (as every caller
 outside the quadrature does) makes a fresh one, so what it returns is
 its caller's alone.  The outer rules take none, since their nodes must
-outlive the inner rules' chunks; the contour and line integrands and the
-zero search of the line allocate fresh arrays.
+outlive the inner rules' chunks; the contour integrand, the round-trip
+rows of identical plates and the zero search of the line allocate fresh
+arrays.
 The hot path checks nothing the engine guarantees: the public entries
 refuse bad points (DomainError), the engine's own nodes skip the test.
 
@@ -203,7 +207,10 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
                    work=None):
     """Per-channel bath integrand on a batch of (omega, Q) points: the
     emission channel map minus its detached-plates baseline, the map that
-    `steady_pressure` integrates.
+    `steady_pressure` integrates for dissimilar plates (`_real_q_integral`).
+    Plates of one material integrate its sum over the plates in the
+    round-trip form instead (`_line_q_integral`); the map is their
+    pointwise reference.
 
     omega is one frequency or an array of them broadcast against Q (the
     inner Q integrals of many frequencies run through one call).  Returns
@@ -808,7 +815,12 @@ class PressureResult:
     ceiling; tail is the part past it, and value = fsum(breakdown) + tail
     (to rounding).  The tail is the contour integral up omega_max_used +
     i y where the plates' emission continues off the real axis (see
-    `steady_pressure`), else the Euler-weighted real-axis slices.
+    `steady_pressure`), else the Euler-weighted real-axis slices.  For
+    plates of one material the Q integrals run one row per polarization
+    and sector, both plates together, and each plate's channels are its
+    share c_a / (c_L + c_R) of them, c_a its occupation, taken after the
+    Q integration (`_line_q_integral`); other pairs integrate the eight
+    channels as they are.
 
     err is the sum of the outer estimate on [0, omega_max_used],
     |integrated inner| (the inner Q errors integrated over omega with the
@@ -1019,10 +1031,12 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     in lockstep (`_q_integrals`): (channel integrals shaped (8, n_omega) in
     BREAKDOWN_KEYS order, per-frequency errors).
 
-    Plates of one material (`_same_material`) take their propagating
-    sector from the line k_z = omega + i y (`_line_q_integral`), other
-    pairs both sectors on the real Q axis (`_real_q_integral`); both
-    rules are described there.
+    Plates of one material (`_same_material`) integrate the round-trip
+    sum per polarization and sector, the propagating sector on the line
+    k_z = omega + i y, and split the plates after integration
+    (`_line_q_integral`); other pairs integrate the channel map in both
+    sectors on the real Q axis (`_real_q_integral`).  Both rules are
+    described there.
     """
     rule = _line_q_integral if _same_material(geom) else _real_q_integral
     return rule(geom, omegas, thermal_only, rel_tol, floor_scale, work)
@@ -1101,8 +1115,12 @@ _STRIP_TOP_DECAY = 10.0
 #: (`_box_winding`); a step is halved while its phase turns by more than
 #: ``_COUNT_TURN``, or its length times |d log(N/k_z)/dk_z| does, down to
 #: ``_COUNT_MIN_STEP`` of the boundary's parameter (four per box).  The
-#: winding must come out within ``_WINDING_SLACK`` of an integer.
-_COUNT_SAMPLES = 32
+#: winding must come out within ``_WINDING_SLACK`` of an integer.  The
+#: halving puts the samples where the phase turns, so a coarse start costs
+#: rounds, not counts: the 44 flagged strips of the sweep-far plates (l =
+#: 2, T = 1 and 0.3, rel_tol 2e-3) take 1,877 boundary samples in 7
+#: rounds from 8, and 5,685 in 5 rounds from 32, for the same counts.
+_COUNT_SAMPLES = 8
 _COUNT_TURN = math.pi / 4
 _COUNT_MIN_STEP = 1e-12
 _WINDING_SLACK = 1e-6
@@ -1122,7 +1140,8 @@ _MAX_HALVINGS = 40
 def _round_trips(geom, w, eps, k):
     """x_mu = r_mu^2 exp(2 i k_z l) of plates of one material at gap
     wavenumbers k_z (broadcast against the frequencies w and
-    permittivities eps), per polarization on a leading axis (TE, TM).
+    permittivities eps), per polarization on a leading axis (TE, TM): what
+    the line, the evanescent rows and the zero test read.
 
     r_TE = (q - qn)/(q + qn) and r_TM = (eps q - qn)/(eps q + qn), with
     q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2): Im qn^2 = -Im eps w^2
@@ -1146,6 +1165,21 @@ def _line_integrand(geom, w, eps, y):
     k = w + 1j * y
     x = _round_trips(geom, w, eps, k)
     return np.imag(k * k * x / (1.0 - x)), np.abs(x).max(axis=-1)
+
+
+def _evanescent_integrand(geom, w, eps, Q):
+    """-kappa Q Im(x_mu / (1 - x_mu)) at k_z = i kappa, kappa = sqrt(Q^2 -
+    w^2), per polarization, shaped (2,) + Q's shape: the evanescent
+    integrand of `_line_q_integral` in Q.  kappa is the channel kernel's
+    real root; a node on the light line (kappa = 0, where dQ/dt = 0 too)
+    reads 0."""
+    kappa = np.sqrt(Q * Q - w * w)
+    x = _round_trips(geom, w, eps, 1j * kappa)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        g = (-kappa * Q) * np.imag(x / (1.0 - x))
+    if not kappa.all():
+        g[:, kappa == 0.0] = 0.0
+    return g
 
 
 def _strip_top(geom, w, eps):
@@ -1367,8 +1401,9 @@ def _strip_residues(geom, w, eps, line_peak):
 
 
 def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
-    """`_inner_q_integral` for plates of one material: the propagating
-    sector from the line k_z = omega + i y.
+    """`_inner_q_integral` for plates of one material: both sectors from
+    the round-trip sum, the propagating one on the line k_z = omega + i y,
+    and the plates split after integration.
 
     With h = Q q S, S = sum_mu x_mu / (1 - x_mu) the round-trip sum of
     `_contour_integrand`, the Q-integrated emission of polarization mu
@@ -1384,50 +1419,63 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     the residues at the zeros of D_mu in the strip 0 < Re k_z < omega,
     Im k_z > 0 (`_strip_residues`).  The line is one lockstep segment per
     frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`), beside
-    the evanescent segments of `_real_q_integral`; its rows are plate a's
-    weight w_a times C Im(k_z^2 x_mu / (1 - x_mu)) dy/du / (omega^2 Im
-    eps) (`_line_integrand`, C = PRESSURE_SIGN * _MEASURE), so each plate
-    keeps its exact share.  The evanescent integral cancels from the sum
-    of the two sectors, so a frequency's error is the line's estimate
-    plus the residues'.
+    the evanescent segments, seeded in t as in `_real_q_integral`, where
+    k_z = i kappa and h = Q kappa S.  The rows are one per polarization
+    and sector: C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du on
+    the line (`_line_integrand`) and times -kappa Q Im(x_mu / (1 - x_mu))
+    dQ/dt in the evanescent sector (`_evanescent_integrand`), C =
+    PRESSURE_SIGN * _MEASURE and c_a = w_a / (omega^2 Im eps) read off
+    the emission weight.  An evanescent row equals the sum over the
+    plates of `_bath_channels`' rows to rounding, so the adaptive rules
+    split the panels they split on the channel map.  After integration the propagating rows
+    take off the residues and the evanescent rows, and each plate takes
+    c_a / (c_L + c_R) of every row (0 where neither plate emits): the
+    channels come out in BREAKDOWN_KEYS order.  The evanescent integral
+    cancels from the sum of the two sectors, so a frequency's error is
+    the line's estimate plus the residues'.
     """
     if work is None:
         work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
     live = omegas != 0.0
     factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
-    row = np.cumsum(live) - 1
-    eps = factors["complex"][1]
     # per plate and live frequency: C w_a / (omega^2 Im eps) = C c_a
-    share = (PRESSURE_SIGN * _MEASURE) * factors["weight"] / (factors["real"][0] * eps.imag)
-    peak = np.zeros((len(_POLS), len(eps)))
+    share = (PRESSURE_SIGN * _MEASURE) * factors["weight"] / (
+        factors["real"][0] * factors["complex"][1].imag)
+    # per frequency, omega = 0 (no line, no emission) included
+    eps, both = np.ones(len(omegas), complex), np.zeros(len(omegas))
+    eps[live], both[live] = factors["complex"][1], share.sum(axis=0)
+    peak = np.zeros((len(_POLS), len(omegas)))
 
     def rows(w, Q, jac, at, lead):
-        fac_row = row.take(at, out=work.take("node.row", len(at), np.intp), mode="clip")
         m, p = Q.shape
-        out = work.take("line.rows", len(BREAKDOWN_KEYS) * m * p).reshape(
-            len(_PLATES), len(_POLS), len(_SECTORS), m, p)
-        if lead < m:
-            ch = _bath_channels(geom, w[lead:], Q[lead:], factors=(factors, fac_row[lead:]),
-                                work=work)
-            np.multiply(ch.reshape(out[..., lead:, :].shape), jac[lead:], out=out[..., lead:, :])
+        out = work.take("line.rows", len(_POLS) * len(_SECTORS) * m * p).reshape(
+            len(_POLS), len(_SECTORS), m, p)
+        e, c = eps[at][:, None], both[at][:, None]
         if lead:
-            mine = fac_row[:lead]
-            g, top = _line_integrand(geom, w[:lead], eps[mine][:, None], Q[:lead])
-            np.maximum.at(peak, (slice(None), mine), top)
+            g, top = _line_integrand(geom, w[:lead], e[:lead], Q[:lead])
+            np.maximum.at(peak, (slice(None), at[:lead]), top)
             g *= jac[:lead]
-            np.multiply(share[:, mine][:, None, :, None], g[None], out=out[:, :, 0, :lead])
-            out[:, :, 1, :lead] = 0.0
-        return out.reshape(len(BREAKDOWN_KEYS), m, p)
+            np.multiply(c[:lead], g, out=out[:, 0, :lead])
+            out[:, 1, :lead] = 0.0
+        if lead < m:
+            g = _evanescent_integrand(geom, w[lead:], e[lead:], Q[lead:])
+            g *= jac[lead:]
+            np.multiply(c[lead:], g, out=out[:, 1, lead:])
+            out[:, 0, lead:] = 0.0
+        return out.reshape(-1, m, p)
 
     got, err = _q_integrals(geom, omegas, rows, rel_tol, _inner_floor(rel_tol, floor_scale),
                             _inner_label(omegas), work, line=True)
-    res, res_err = _strip_residues(geom, omegas[live], eps, peak)
-    ch = got.reshape(len(_PLATES), len(_POLS), len(_SECTORS), len(omegas))
-    ch[:, :, 0, live] -= share[:, None] * res.imag[None] + ch[:, :, 1, live]
+    res, res_err = _strip_residues(geom, omegas[live], eps[live], peak[:, live])
+    got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
+    got[:, 0, live] -= both[live] * res.imag + got[:, 1, live]
+    split = np.zeros((len(_PLATES), len(omegas)))
+    split[:, live] = np.divide(share, both[live], out=np.zeros_like(share),
+                               where=both[live] != 0.0)
     err = err[0]
     err[live] += np.abs(share).sum(axis=0) * res_err
-    return got, err
+    return (split[:, None, None] * got).reshape(len(BREAKDOWN_KEYS), len(omegas)), err
 
 
 def _frequency_rule(nodes, edges, rel_tol, floor, max_panels, label):

@@ -1263,9 +1263,13 @@ def test_line_rows_keep_each_plates_share():
 def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
     # criterion 8's plates at rel_tol 2e-3: the line and evanescent points
     # per real-axis frequency read 211, 196, 198 and 223 at l = 1, 3.16,
-    # 10 and 31.6; on the theta path they read 304, 478, 1214 and 3574
+    # 10 and 31.6 (72, 62, 61 and 60 of them on the line); on the theta
+    # path they read 304, 478, 1214 and 3574.  The spies cover every
+    # integrand an inner rule may call, and the floor on the means fails
+    # if one of them goes uncounted
     seen = {"points": 0, "frequencies": 0}
     bath, line, inner = pr._bath_channels, pr._line_integrand, pr._inner_q_integral
+    evan = pr._evanescent_integrand
 
     def count_bath(geom, omega, Q, **kw):
         seen["points"] += np.size(Q)
@@ -1275,12 +1279,17 @@ def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
         seen["points"] += np.size(y)
         return line(geom, w, eps, y)
 
+    def count_evan(geom, w, eps, Q):
+        seen["points"] += np.size(Q)
+        return evan(geom, w, eps, Q)
+
     def count_inner(geom, omegas, *args):
         seen["frequencies"] += len(omegas)
         return inner(geom, omegas, *args)
 
     monkeypatch.setattr(pr, "_bath_channels", count_bath)
     monkeypatch.setattr(pr, "_line_integrand", count_line)
+    monkeypatch.setattr(pr, "_evanescent_integrand", count_evan)
     monkeypatch.setattr(pr, "_inner_q_integral", count_inner)
     means = []
     for gap in (1.0, 3.16, 10.0, 31.6):
@@ -1288,6 +1297,7 @@ def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
         steady_pressure(equal_t_geom(gap, 1.0), PressureOptions(rel_tol=2e-3))
         means.append(seen["points"] / seen["frequencies"])
     assert max(means) <= 1.5 * min(means), means
+    assert min(means) > 150.0, means
 
 
 @pytest.mark.parametrize("gap, t_right", [(float(g), 1.0) for g in np.geomspace(1.0, 10.0, 5)]
@@ -1311,6 +1321,62 @@ def test_dissimilar_pairs_never_take_the_line(monkeypatch, geom):
     monkeypatch.setattr(pr, "_line_integrand", refuse)
     monkeypatch.setattr(pr, "_strip_residues", refuse)
     assert steady_pressure(geom, PressureOptions(rel_tol=1e-3)).value < 0.0
+
+
+@pytest.mark.parametrize("params", [(1.0, 1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 2.0),
+                                    SURFACE_BAND[0][0]], ids=["l1", "l2", "gamma-1e-2"])
+def test_evanescent_rows_match_the_channel_map(params):
+    # C (c_L + c_R) times the round-trip row is the channel map's
+    # evanescent rows summed over the plates, per polarization, below and
+    # above omega0 and in the surface band (Re eps = -1 at 1.2247).  Next
+    # to the light line (1 - x_mu ~ 2 kappa L) and at large Q (q - qn
+    # cancels) both forms lose digits: there they differ by up to 2e-13,
+    # and each lies up to 1e-12 from a 40-digit evaluation
+    geom = ohmic_pair(*params)
+    kappa_l = np.array([0.1, 0.5, 1.0, 2.0, 4.0, 10.0])
+    for w in (0.5, 1.2247, 2.5):
+        edge = np.array([w * (1.0 + 1e-6), math.hypot(w, 30.0 / geom.gap)])
+        Q = np.concatenate([np.hypot(w, kappa_l / geom.gap), edge])
+        fac = pr._frequency_factors(geom, np.array([w]))
+        eps = fac["complex"][1, 0]
+        both = pr.PRESSURE_SIGN * pr._MEASURE * fac["weight"][:, 0].sum() / (w * w * eps.imag)
+        want = sector_sums(pr._bath_channels(geom, w, Q), "evanescent")
+        got = both * pr._evanescent_integrand(geom, w, eps, Q)
+        inner = slice(0, len(kappa_l))
+        assert_allclose(got[:, inner], want[:, inner], rtol=1e-13, atol=0.0)
+        assert_allclose(got[:, len(kappa_l):], want[:, len(kappa_l):], rtol=1e-12, atol=0.0)
+        # on the light line dQ/dt = 0 and the row reads 0, not 0 * inf
+        assert np.all(pr._evanescent_integrand(geom, w, eps, np.array([w])) == 0.0)
+
+
+@pytest.mark.parametrize("thermal_only", [False, True])
+def test_identical_plates_never_call_the_channel_map(monkeypatch, thermal_only):
+    # both sectors of identical plates come from the round trips, and the
+    # plate split is applied after integration
+    def refuse(*args, **kwargs):
+        raise AssertionError("identical plates reached the channel map")
+
+    monkeypatch.setattr(pr, "_bath_channels", refuse)
+    res = steady_pressure(identical_plates(2.0, 1.0, 0.3),
+                          PressureOptions(rel_tol=2e-3, thermal_only=thermal_only))
+    assert res.value < 0.0 and all(v != 0.0 for v in res.breakdown.values())
+
+
+def test_thermal_only_keeps_a_cold_plates_channels_exactly_zero():
+    # c_a / (c_L + c_R) is exactly 0 for a plate at T = 0 under
+    # thermal_only, and 0 rather than NaN where neither plate emits
+    def plates(t_left, t_right):
+        def plate(T):
+            return Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1),
+                            beta_bath=1.0 / T if T > 0.0 else math.inf)
+        return Geometry(gap=1.0, left=plate(t_left), right=plate(t_right))
+
+    opts = PressureOptions(rel_tol=1e-3, thermal_only=True)
+    res = steady_pressure(plates(1.0, 0.0), opts)
+    for (plate, pol, sector), v in res.breakdown.items():
+        assert (v == 0.0) == (plate == "R"), (plate, pol, sector, v)
+    ch, err = pr._line_q_integral(plates(0.0, 0.0), np.array([0.5, 1.3, 2.9]), True, 1e-6, 0.0)
+    assert np.all(ch == 0.0) and np.all(err == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,23 @@ def test_steady_fingerprints_script(capsys):
     script = load_script("steady_fingerprints")
     assert script.main(["--case", "sweep-far", "--case", "dissimilar-euler"]) == 0
     identical, dissimilar = capsys.readouterr().out.splitlines()
-    name, points, line, *numbers = identical.split()
+    name, points, line, evan, *numbers = identical.split()
     assert name == "sweep-far"
     real, contour = (int(n) for n in points.removeprefix("points=").split("+"))
-    # plates of one material take the propagating sector on the line, whose
-    # points have a column of their own
-    assert real > 0 and contour > 0 and int(line.removeprefix("line=")) > 0
+    # plates of one material take the propagating sector on the line and
+    # the evanescent one in its round-trip form, whose points have columns
+    # of their own: the channel map never runs
+    assert real == 0 and contour > 0
+    assert int(line.removeprefix("line=")) > 0 and int(evan.removeprefix("evan=")) > 0
     value, err, tail, omega_max, *channels = (float.fromhex(n) for n in numbers)
     assert len(channels) == 8
     assert value < 0.0 < err and omega_max == 4.0
     assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
-    # a dissimilar pair evaluates no line and prints no line column
+    # a dissimilar pair evaluates no line and prints no line or evan column
     name, points, *numbers = dissimilar.split()
     assert name == "dissimilar-euler" and points.startswith("points=")
-    assert len(numbers) == 12 and not any(n.startswith("line=") for n in numbers)
+    assert int(points.removeprefix("points=").split("+")[0]) > 0
+    assert len(numbers) == 12 and not any(n.startswith(("line=", "evan=")) for n in numbers)
 
 
 def test_analytic_fingerprints_script(capsys):
