@@ -4,12 +4,14 @@
 Prints one line per case of a fixed list: the float.hex of every number
 the case returns and the integrand points it evaluated, as channel-map +
 contour points (counted by wrapping ``pressure._bath_channels``, the size
-of its Q, and ``pressure._contour_integrand``).  A case whose plates are
-one material evaluates no channel map: its real axis takes the line
-k_z = omega + i y of the propagating sector and the round-trip form of
-the evanescent one, and its line gets ``line=`` and ``evan=`` columns of
-those points (``pressure._line_integrand``, the size of its y, and
-``pressure._evanescent_integrand``, the size of its Q).  A `steady_pressure` case
+of its Q, and ``pressure._line_integrand`` at the complex frequencies of
+``pressure._contour_line_integral``, the size of its y).  A case whose
+plates are one material evaluates no channel map: its real axis takes
+the line k_z = omega + i y of the propagating sector and the round-trip
+form of the evanescent one, and its line gets ``line=`` and ``evan=``
+columns of those points (``pressure._line_integrand`` at real
+frequencies, the size of its y, and ``pressure._evanescent_integrand``,
+the size of its Q).  A `steady_pressure` case
 returns value, err, tail, omega_max_used and the eight channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
@@ -94,7 +96,7 @@ CASES = {
        for g in np.geomspace(1.0, 10.0, 5)},
     "inner-q": _lockstep(pressure._inner_q_integral, dissimilar(1.0, 1.0, 0.5), OMEGAS, False,
                          1e-10, 0.0),
-    "contour-q": _lockstep(pressure._contour_q_integral, identical(1.0, 1.0, 0.5),
+    "contour-q": _lockstep(pressure._contour_line_integral, identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
 }
 
@@ -105,18 +107,20 @@ def _hex(values):
 
 def fingerprint(name):
     """The case's line: its name, its numbers in float.hex and its points."""
-    points = {"_bath_channels": 0, "_contour_integrand": 0, "_line_integrand": 0,
+    points = {"_bath_channels": 0, "contour": 0, "_line_integrand": 0,
               "_evanescent_integrand": 0}
-    originals = {key: getattr(pressure, key) for key in points}
+    wrapped = ("_bath_channels", "_line_integrand", "_evanescent_integrand")
+    originals = {key: getattr(pressure, key) for key in wrapped}
 
     def counting(key, sizes):
         def wrapper(*args, **kwargs):
-            points[key] += int(np.broadcast(*sizes(args)).size)
+            # the line at a complex frequency is the contour tail's
+            tally = "contour" if key == "_line_integrand" and np.iscomplexobj(args[1]) else key
+            points[tally] += int(np.broadcast(*sizes(args)).size)
             return originals[key](*args, **kwargs)
         return wrapper
 
     pressure._bath_channels = counting("_bath_channels", lambda a: (a[2],))
-    pressure._contour_integrand = counting("_contour_integrand", lambda a: (a[1], a[2]))
     pressure._line_integrand = counting("_line_integrand", lambda a: (a[3],))
     pressure._evanescent_integrand = counting("_evanescent_integrand", lambda a: (a[3],))
     try:
@@ -124,7 +128,7 @@ def fingerprint(name):
     finally:
         for key, fn in originals.items():
             setattr(pressure, key, fn)
-    counts = f"{points['_bath_channels']}+{points['_contour_integrand']}"
+    counts = f"{points['_bath_channels']}+{points['contour']}"
     if points["_line_integrand"]:
         counts += f" line={points['_line_integrand']} evan={points['_evanescent_integrand']}"
     return f"{name} points={counts} {_hex(numbers)}"

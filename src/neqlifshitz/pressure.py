@@ -42,12 +42,14 @@ sqrt(omega^2 - Q^2) it closes on the line k_z = omega + i y, where the
 cavity round trip decays like exp(-2 y l) instead of oscillating, plus
 the residues at the zeros of D_mu between the line and the imaginary
 axis, so its cost per frequency does not grow with the gap; omega
-stays real.  Past the ceiling,
-where the emission is the mean occupation times the Lifshitz function H
-(identical plates up to their temperatures, or one bath temperature),
-the tail closes on the line omega_max + i y (`_contour_tail`), its
-integrand read off the optics record of :mod:`.em_green` continued off
-the axis; otherwise two Euler-weighted real-axis slices close it.
+stays real.  Past the ceiling, where the emission is the mean occupation
+times the Lifshitz function H (identical plates up to their
+temperatures, or one bath temperature), the tail closes on the line
+omega_max + i y (`_contour_tail`), and each of its complex frequencies
+omega takes the real axis's rule: one segment on the line k_z = omega +
+i y and the residues of the zeros of D_mu between it and the real-Q
+path (`_contour_line_integral`), for both plates' Fresnel coefficients;
+otherwise two Euler-weighted real-axis slices close it.
 
 The module also holds the equilibrium oracle, the imaginary-frequency sum;
 it imports scipy.integrate on first use, so the steady path runs without
@@ -68,8 +70,8 @@ buffer per dtype.  Rows taken from a workspace are valid until the next
 call with the same workspace; a call made without one (as every caller
 outside the quadrature does) makes a fresh one, so what it returns is
 its caller's alone.  The outer rules take none, since their nodes must
-outlive the inner rules' chunks; the contour integrand, the round-trip
-rows of identical plates and the zero search of the line allocate fresh
+outlive the inner rules' chunks; the round-trip rows of identical
+plates, the contour tail's line and the zero search allocate fresh
 arrays.
 The hot path checks nothing the engine guarantees: the public entries
 refuse bad points (DomainError), the engine's own nodes skip the test.
@@ -89,7 +91,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
                        permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _optics, _s_eff, _same_material, plate_eps
+from .em_green import _fresnel_coeffs, _s_eff, _same_material, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -652,12 +654,26 @@ def _segment_sums(seg, rows, nseg):
                      for row in rows]).reshape(-1, nseg)
 
 
+#: Seed edges of one segment closer than this fraction of its span are one
+#: edge (`_seed_panels`).
+_SEED_MERGE = 1e-6
+
+
 def _seed_panels(segments, labels):
     """The seed panels (lo, hi, seg) of `_adaptive_gk`'s segment rows, in
-    row order and, within a row, in ascending order of the edges."""
+    row order and, within a row, in ascending order of the edges.
+
+    An edge within ``_SEED_MERGE`` of its row's span of the edge before
+    it, or of the row's last edge, is dropped, so marks that coincide up
+    to a perturbation of the inputs seed no sliver panel; the row's first
+    and last edges always stay."""
     marks = np.sort(np.asarray(segments, dtype=float), axis=1)     # NaN sorts last
+    last = np.nanmax(marks, axis=1)[:, None]
+    tol = _SEED_MERGE * (last - marks[:, :1])
     new = ~np.isnan(marks)
-    new[:, 1:] &= marks[:, 1:] != marks[:, :-1]
+    later = marks[:, 1:]
+    new[:, 1:] &= ((later - marks[:, :-1] > tol) & (last - later > tol)
+                   | (later == last) & (marks[:, :-1] != last))
     few = np.flatnonzero(new.sum(axis=1) < 2)
     if few.size:
         raise DomainError(f"{labels(few[0])}: need at least two panel edges")
@@ -825,7 +841,8 @@ class PressureResult:
     err is the sum of the outer estimate on [0, omega_max_used],
     |integrated inner| (the inner Q errors integrated over omega with the
     channels' weights) and the tail's estimate: on the contour, its outer
-    estimate plus its integrated inner errors; on the real axis, the
+    estimate plus its integrated inner errors, each the error of the line
+    k_z = omega + i y plus that of its residues; on the real axis, the
     estimates of the two slices plus 0.5 |resid|, resid the summed
     channels of both slices.  The inner error of a frequency sums its two
     sectors' estimates; for plates of one material, whose propagating
@@ -1102,14 +1119,15 @@ _LINE_MARKS = np.array([0.0, 0.5, 0.75, 0.9, 1.0])
 #: error reached 12 rel_tol |P| on criterion 8's plates (l = 10, rel_tol
 #: 2e-3); at 1/100 of it at most 0.6, for 11% more line points.
 _LINE_TOL = 0.01
-#: Samples of the strip's left edge k_z = i kappa in the zero test
-#: (`_strip_may_hold_zeros`), at kappa = u / (2 l (1 - u)) for u evenly
-#: spaced in (0, 1), those below the strip's top.
+#: Samples of the searched box's left edge k_z = i kappa in the zero test
+#: (`_strip_may_hold_zeros`), at kappa = Im omega + u / (2 l (1 - u)) for
+#: u evenly spaced in (0, 1), those below the box's top, and, at complex
+#: omega, of its bottom edge at k_z = u Re omega + i Im omega.
 _STRIP_EDGE_SAMPLES = 24
-#: Samples of the strip's top edge in the same test.
+#: Samples of the box's top edge in the same test.
 _STRIP_TOP_SAMPLES = 4
 #: Decay e^-x of the round trip above the asymptotic Fresnel bound that
-#: sets the strip's top (`_strip_top`).
+#: sets the box's top (`_strip_top`).
 _STRIP_TOP_DECAY = 10.0
 #: Initial samples per edge of the argument-principle count
 #: (`_box_winding`); a step is halved while its phase turns by more than
@@ -1138,33 +1156,41 @@ _MAX_HALVINGS = 40
 
 
 def _round_trips(geom, w, eps, k):
-    """x_mu = r_mu^2 exp(2 i k_z l) of plates of one material at gap
-    wavenumbers k_z (broadcast against the frequencies w and
-    permittivities eps), per polarization on a leading axis (TE, TM): what
-    the line, the evanescent rows and the zero test read.
+    """x_mu = r_mu,L r_mu,R exp(2 i k_z l) at gap wavenumbers k_z
+    (broadcast against the frequencies w and each permittivity), per
+    polarization on a leading axis (TE, TM): what the line, the
+    evanescent rows and the zero test read.  ``eps`` holds one
+    permittivity per plate material on its leading axis: plate L's alone
+    for plates of one material (`_same_material`), which take r_mu^2,
+    else (eps_L, eps_R).
 
     r_TE = (q - qn)/(q + qn) and r_TM = (eps q - qn)/(eps q + qn), with
-    q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2): Im qn^2 = -Im eps w^2
-    - 2 Re k_z Im k_z < 0 in the closed first quadrant (Im eps > 0), so
-    the principal root is analytic there."""
+    q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2) the principal root.
+    At real w, Im qn^2 = -Im eps w^2 - 2 Re k_z Im k_z < 0 in the closed
+    first quadrant (Im eps > 0), so the root is analytic there; at
+    complex w `_strip_residues` checks it."""
     q = -1j * k
-    qn = np.sqrt((1.0 - eps) * (w * w) - k * k)
     e = np.exp((2j * geom.gap) * k)
-    x = np.empty((len(_POLS),) + qn.shape, complex)
-    for i, a in enumerate((q, eps * q)):
-        r = (a - qn) / (a + qn)
-        np.multiply(r * r, e, out=x[i])
+    r = []
+    for ep in eps:
+        qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
+        r.append([(a - qn) / (a + qn) for a in (q, ep * q)])
+    x = np.empty((len(_POLS),) + np.broadcast_shapes(r[0][0].shape, e.shape), complex)
+    for i in range(len(_POLS)):
+        np.multiply(r[0][i] * r[-1][i], e, out=x[i])
     return x
 
 
 def _line_integrand(geom, w, eps, y):
-    """Im(k_z^2 x_mu / (1 - x_mu)) on the line k_z = w + i y, per
+    """k_z^2 x_mu / (1 - x_mu) on the line k_z = w + i y, per
     polarization, shaped (2,) + y's shape, and the largest |x_mu| of each
-    row of y (the panels' nodes), shaped (2, rows): the integrand of
-    `_line_q_integral` and its share of the zero test."""
+    row of y (the panels' nodes), shaped (2, rows): the integrand of the
+    line at real w (`_line_q_integral`, which takes its imaginary part)
+    and at complex w (`_contour_line_integral`), and its share of the
+    zero test."""
     k = w + 1j * y
     x = _round_trips(geom, w, eps, k)
-    return np.imag(k * k * x / (1.0 - x)), np.abs(x).max(axis=-1)
+    return k * k * x / (1.0 - x), np.abs(x).max(axis=-1)
 
 
 def _evanescent_integrand(geom, w, eps, Q):
@@ -1183,63 +1209,84 @@ def _evanescent_integrand(geom, w, eps, Q):
 
 
 def _strip_top(geom, w, eps):
-    """The top Y of the strip 0 < Re k_z < w, 0 < Im k_z < Y searched for
-    zeros of D_mu = 1 - x_mu, per frequency.
+    """The top Y of the box 0 < Re k_z < Re w, Im w < Im k_z < Y searched
+    for zeros of D_mu = 1 - x_mu, per frequency.
 
     Far from the origin r_TE -> 0 and r_TM -> (eps - 1)/(eps + 1); r_TM
-    has its pole at k_z^2 = w^2/(eps + 1), outside the strip, and qn
-    nears -i k_z once |k_z|^2 >> |1 - eps| w^2.  Past twice both scales
-    |x_mu| <~ 4 |(eps - 1)/(eps + 1)|^2 exp(-2 l Im k_z), so the top adds
-    the height where that falls to exp(-``_STRIP_TOP_DECAY``)."""
-    far = np.maximum(np.abs(w / np.sqrt(eps + 1.0)), w * np.sqrt(1.0 + np.abs(1.0 - eps)))
-    rho = np.abs((eps - 1.0) / (eps + 1.0))
-    return 2.0 * far + (np.log1p(4.0 * rho * rho) + _STRIP_TOP_DECAY) / (2.0 * geom.gap)
+    has its pole at k_z^2 = w^2/(eps + 1), and qn nears -i k_z once
+    |k_z|^2 >> |1 - eps| |w|^2.  Past twice both scales |x_mu| <~
+    4 |r_TM,L r_TM,R| exp(-2 l Im k_z), so the top adds the height where
+    that falls to exp(-``_STRIP_TOP_DECAY``).  It lies above 2 |w|, so
+    above the box's bottom."""
+    far = np.max([np.maximum(np.abs(w / np.sqrt(ep + 1.0)),
+                             np.abs(w) * np.sqrt(1.0 + np.abs(1.0 - ep))) for ep in eps], axis=0)
+    rho = [np.abs((ep - 1.0) / (ep + 1.0)) for ep in eps]
+    return 2.0 * far + (np.log1p(4.0 * rho[0] * rho[-1]) + _STRIP_TOP_DECAY) / (2.0 * geom.gap)
 
 
 def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
-    """Whether the strip of each frequency may hold a zero of D_mu, per
-    polarization: (2, n) booleans.
+    """Whether the box of each frequency w = a + i b, 0 < Re k_z < a,
+    b < Im k_z < top, may hold a zero of D_mu, per polarization: (2, n)
+    booleans.
 
     By Rouche's theorem D_mu = 1 - x_mu has no zero inside a contour on
-    which |x_mu| < 1.  On the real axis |x_mu| = |r_mu|^2 < 1 (passive
-    plates) save at the corner k_z = 0, where x_mu = 1: there x_mu ~ 1 -
-    2 q L_mu, L_mu = l + 2/n_mu with n = qn (TE) or qn/eps (TM) at
-    k_z = 0, so |x_mu| < 1 next to the corner when Re L_mu > 0.  The rest
-    of the boundary is sampled: ``line_peak``, the largest |x_mu| at the
-    line's quadrature nodes, ``_STRIP_EDGE_SAMPLES`` points of the left
-    edge k_z = i kappa, ``_STRIP_TOP_SAMPLES`` + 1 of the top edge, and
-    the points level with r_TM's pole, where |x_TM| peaks, and with the
-    branch point qn = 0, where guided waves of low-loss plates crowd.  A
-    frequency is flagged unless all of them stay below 1."""
+    which |x_mu| < 1.  At real w (b = 0) the bottom edge is the real axis,
+    where |x_mu| = |r_mu|^2 < 1 (passive plates) save at the corner k_z =
+    0, where x_mu = 1: there x_mu ~ 1 - 2 q L_mu, L_mu = l + 1/n_L + 1/n_R
+    with n = qn (TE) or qn/eps (TM) at k_z = 0, so |x_mu| < 1 next to the
+    corner when Re L_mu > 0.  The rest of the boundary is sampled:
+    ``line_peak``, the largest |x_mu| at the line's quadrature nodes,
+    ``_STRIP_EDGE_SAMPLES`` points of the left edge k_z = i kappa,
+    ``_STRIP_TOP_SAMPLES`` + 1 of the top edge, the points level with
+    r_TM's pole, where |x_TM| peaks, and with the branch point qn = 0,
+    where guided waves of low-loss plates crowd, and, when b > 0,
+    ``_STRIP_EDGE_SAMPLES`` points of the bottom edge.  A frequency is
+    flagged unless all of them stay below 1."""
     l = geom.gap
-    w, eps, top = w[:, None], eps[:, None], top[:, None]
+    a, b = w.real[:, None], w.imag[:, None]
+    w, eps, top = w[:, None], eps[:, :, None], top[:, None]
     u = np.arange(1, _STRIP_EDGE_SAMPLES + 1) / (_STRIP_EDGE_SAMPLES + 1.0)
-    kappa = np.minimum(u / (2.0 * l * (1.0 - u)), top)
-    level = np.minimum(np.abs(np.imag(np.hstack([w / np.sqrt(eps + 1.0),
-                                                  w * np.sqrt(1.0 - eps)]))), top)
+    kappa = np.minimum(b + u / (2.0 * l * (1.0 - u)), top)
+    level = np.clip(np.abs(np.imag(np.hstack([v for ep in eps for v in (
+        w / np.sqrt(ep + 1.0), w * np.sqrt(1.0 - ep))]))), b, top)
     t = np.arange(_STRIP_TOP_SAMPLES + 1) / _STRIP_TOP_SAMPLES
-    k = np.hstack([1j * kappa, t * w + 1j * top, 1j * level, w + 1j * level])
-    peak = np.maximum(np.abs(_round_trips(geom, w, eps, k)).max(axis=-1), line_peak)
-    qn0 = np.sqrt((1.0 - eps[:, 0]) * w[:, 0] ** 2)
-    corner = l + 2.0 * np.stack([1.0 / qn0, eps[:, 0] / qn0])
-    return (peak >= 1.0) | ~(corner.real > 0.0)
+    edges = [1j * kappa, t * a + 1j * top, 1j * level, a + 1j * level]
+    if b.any():
+        edges.append(u * a + 1j * b)
+    peak = np.maximum(np.abs(_round_trips(geom, w, eps, np.hstack(edges))).max(axis=-1),
+                      line_peak)
+    inv = []                        # 1/n per polarization, each material
+    for ep in eps:
+        qn0 = np.sqrt((1.0 - ep[:, 0]) * w[:, 0] ** 2)
+        inv.append(np.stack([1.0 / qn0, ep[:, 0] / qn0]))
+    corner = l + (inv[0] + inv[-1])
+    return (peak >= 1.0) | ((b[:, 0] == 0.0) & ~(corner.real > 0.0))
 
 
 def _strip_n(geom, w, eps, k):
-    """N_mu = den^2 - num^2 exp(2 i k_z l) = den^2 D_mu, r_mu = num/den,
-    dN_mu/dk_z and den at gap wavenumbers k, per polarization on a
-    leading axis: D_mu's zeros without r_TM's poles, and its analytic
+    """N_mu = den_L den_R - num_L num_R exp(2 i k_z l) = den_L den_R D_mu,
+    r_mu = num/den per plate, dN_mu/dk_z and den_L den_R at gap
+    wavenumbers k, per polarization on a leading axis (``eps`` as in
+    `_round_trips`): D_mu's zeros without r_TM's poles, and its analytic
     derivative."""
     q = -1j * k
-    qn = np.sqrt((1.0 - eps) * (w * w) - k * k)
     e = np.exp((2j * geom.gap) * k)
-    dqn = -k / qn
-    n, dn, den = np.empty((3, len(_POLS)) + qn.shape, complex)
-    for i, (a, da) in enumerate(((q, -1j), (eps * q, -1j * eps))):
-        num = a - qn
-        den[i] = a + qn
-        n[i] = den[i] * den[i] - num * num * e
-        dn[i] = 2.0 * den[i] * (da + dqn) - e * num * (2.0 * (da - dqn) + (2j * geom.gap) * num)
+    plates = []
+    for ep in eps:
+        qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
+        dqn = -k / qn
+        # per polarization: num, den and their derivatives
+        plates.append([(a - qn, a + qn, da - dqn, da + dqn)
+                       for a, da in ((q, -1j), (ep * q, -1j * ep))])
+    n, dn, den = np.empty((3, len(_POLS)) + plates[0][0][0].shape, complex)
+    for i in range(len(_POLS)):
+        (num_l, den_l, dnum_l, dden_l), (num_r, den_r, dnum_r, dden_r) = \
+            plates[0][i], plates[-1][i]
+        nn = num_l * num_r
+        den[i] = den_l * den_r
+        n[i] = den[i] - nn * e
+        dn[i] = dden_l * den_r + den_l * dden_r - e * (
+            dnum_l * num_r + num_l * dnum_r + (2j * geom.gap) * nn)
     return n, dn, den
 
 
@@ -1276,7 +1323,7 @@ def _box_winding(geom, w, eps, pol, boxes):
     the boundary)."""
     def sample(at, t):
         k = _box_path(boxes[:, at], t)
-        n, dn, _ = _strip_n(geom, w[at], eps[at], k)
+        n, dn, _ = _strip_n(geom, w[at], eps[:, at], k)
         pick = np.arange(len(at))
         return k, n[pol[at], pick], dn[pol[at], pick]
 
@@ -1351,7 +1398,7 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
         halves = [(x0, x1, y0, 0.5 * (y0 + y1)), (x0, x1, 0.5 * (y0 + y1), y1)]
     found, before, total = [np.empty(0, complex)], [np.empty(0, complex)], 0
     for half, (winding, *rest) in zip(halves, _box_winding(
-            geom, np.array([w, w]), np.array([eps, eps]), np.array([i, i]),
+            geom, np.array([w, w]), np.stack([eps, eps], axis=1), np.array([i, i]),
             np.array(halves).T)):
         c = int(round(winding))
         total += c
@@ -1367,34 +1414,60 @@ def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
 
 def _strip_residues(geom, w, eps, line_peak):
     """-2 pi i times the residues of i k_z^2 x_mu / (1 - x_mu) at the
-    zeros of D_mu in the strip, summed per polarization and frequency:
-    the complex (2, n) terms that the line integral misses, and one error
-    estimate per frequency, their change over the last Newton step.
+    zeros of D_mu between the real-Q path and the line, summed per
+    polarization and frequency: the complex (2, n) terms that the line
+    integral misses, and one error estimate per frequency, their change
+    over the last Newton step.
 
-    At a zero p of N = den^2 - num^2 e (`_strip_n`) the residue is
-    i p^2 den(p)^2 / N'(p), so each zero adds 2 pi p^2 den(p)^2 / N'(p).
-    Only the strips that `_strip_may_hold_zeros` flags are counted, by
-    the argument principle on their boundary (`_box_winding`, all
-    flagged pairs at once), and only those that count zeros are searched
-    (`_box_zeros`)."""
+    For w = a + i b, b >= 0, real Q runs k_z = sqrt(w^2 - Q^2) along
+    Re k_z Im k_z = a b from w up to i infinity, and the zeros that count
+    lie in R = {0 < Re k_z < a, Re k_z Im k_z > a b}; at real w, the strip
+    0 < Re k_z < w, Im k_z > 0.  They are searched in the box 0 < Re k_z
+    < a, b < Im k_z < top (`_strip_top`), which holds every zero of R,
+    and kept when they lie in R.  At a zero p of N = den_L den_R - num_L
+    num_R e (`_strip_n`) the residue is i p^2 den_L(p) den_R(p) / N'(p),
+    so each zero adds 2 pi p^2 den_L den_R / N'.  Only the boxes that
+    `_strip_may_hold_zeros` flags are counted, by the argument principle
+    on their boundary (`_box_winding`, all flagged pairs at once), and
+    only those that count zeros are searched (`_box_zeros`).
+
+    Moving the path over R needs qn = sqrt((1 - eps) w^2 - k_z^2) analytic
+    there and on the box.  With A = (1 - eps) w^2, the principal root's
+    cut runs, in the first quadrant, through the points k_z^2 = A + t,
+    t >= 0: where Im A > 0, the curve Re k_z Im k_z = Im A / 2 from
+    sqrt(A) to the right.  A frequency whose curve enters the half-strip
+    0 < Re k_z < a, Im k_z > b raises SingularityError; at real w, Im A =
+    -Im eps w^2 <= 0 and no curve exists."""
     out = np.zeros((len(_POLS), len(w)), complex)
     err = np.zeros(len(w))
     if not len(w):
         return out, err
+    a, b = w.real, w.imag
+    for ep in eps:
+        big_a = (1.0 - ep) * (w * w)
+        c = 0.5 * big_a.imag
+        x0 = np.sqrt(big_a).real
+        cut = (c > 0.0) & (x0 < a) & (x0 * b < c)
+        if cut.any():
+            j = int(np.argmax(cut))
+            raise SingularityError("the branch cut of the plate wavenumber crosses the zero "
+                                   f"search at omega={w[j]:.6g}", point=complex(w[j]))
     top = _strip_top(geom, w, eps)
     pol, at = np.nonzero(_strip_may_hold_zeros(geom, w, eps, top, line_peak))
-    boxes = np.array([np.zeros(len(at)), w[at], np.zeros(len(at)), top[at]])
+    boxes = np.array([np.zeros(len(at)), a[at], b[at], top[at]])
     for i, j, box, (winding, *boundary) in zip(
-            pol, at, boxes.T, _box_winding(geom, w[at], eps[at], pol, boxes)):
+            pol, at, boxes.T, _box_winding(geom, w[at], eps[:, at], pol, boxes)):
         count = int(round(winding))
         if count < 0 or abs(winding - count) > _WINDING_SLACK:
             raise SingularityError(f"the zero count of D_mu reads {winding:.6g} at "
                                    f"omega={w[j]:.6g}", point=complex(w[j]))
         if count:
+            roots, before = _box_zeros(geom, w[j], eps[:, j], i, tuple(box), count, boundary)
+            inside = roots.real * roots.imag > a[j] * b[j]
             terms = []
-            for p in _box_zeros(geom, w[j], eps[j], i, tuple(box), count, boundary):
-                _, dn, den = _strip_n(geom, w[j], eps[j], p)
-                terms.append(np.sum(2.0 * math.pi * p * p * den[i] * den[i] / dn[i]))
+            for p in (roots[inside], before[inside]):
+                _, dn, den = _strip_n(geom, w[j], eps[:, j], p)
+                terms.append(np.sum(2.0 * math.pi * p * p * den[i] / dn[i]))
             out[i, j] = terms[0]
             err[j] += abs(terms[0] - terms[1])
     return out, err
@@ -1405,11 +1478,11 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     the round-trip sum, the propagating one on the line k_z = omega + i y,
     and the plates split after integration.
 
-    With h = Q q S, S = sum_mu x_mu / (1 - x_mu) the round-trip sum of
-    `_contour_integrand`, the Q-integrated emission of polarization mu
-    in either sector is -c_bar Im H_mu / (2 pi^2), H_mu the integral of
-    its h (Antezza et al., PRA 77, 022901 (2008)), and plate a's share is
-    c_a / (2 c_bar), c_a its occupation.  In k_z = sqrt(omega^2 - Q^2),
+    With h = Q q S, q = -i k_z and S = sum_mu x_mu / (1 - x_mu) the
+    round-trip sum (`_round_trips`), the Q-integrated emission of
+    polarization mu in either sector is -c_bar Im H_mu / (2 pi^2), H_mu
+    the integral of its h (Antezza et al., PRA 77, 022901 (2008)), and
+    plate a's share is c_a / (2 c_bar), c_a its occupation.  In k_z = sqrt(omega^2 - Q^2),
     h dQ = i k_z^2 S dk_z: the propagating sector runs k_z from omega to
     0, the evanescent one from 0 up the imaginary axis.  Closing them on
     the line omega + i y, where the round trip decays like exp(-2 y l),
@@ -1417,7 +1490,8 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
         propagating = line - evanescent - 2 pi i sum Res,
 
     the residues at the zeros of D_mu in the strip 0 < Re k_z < omega,
-    Im k_z > 0 (`_strip_residues`).  The line is one lockstep segment per
+    Im k_z > 0 (`_strip_residues`, which serves the complex frequencies
+    of the contour tail alike, `_contour_line_integral`).  The line is one lockstep segment per
     frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`), beside
     the evanescent segments, seeded in t as in `_real_q_integral`, where
     k_z = i kappa and h = Q kappa S.  The rows are one per polarization
@@ -1443,23 +1517,24 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     share = (PRESSURE_SIGN * _MEASURE) * factors["weight"] / (
         factors["real"][0] * factors["complex"][1].imag)
     # per frequency, omega = 0 (no line, no emission) included
-    eps, both = np.ones(len(omegas), complex), np.zeros(len(omegas))
-    eps[live], both[live] = factors["complex"][1], share.sum(axis=0)
+    eps, both = np.ones((1, len(omegas)), complex), np.zeros(len(omegas))
+    eps[0, live], both[live] = factors["complex"][1], share.sum(axis=0)
     peak = np.zeros((len(_POLS), len(omegas)))
 
     def rows(w, Q, jac, at, lead):
         m, p = Q.shape
         out = work.take("line.rows", len(_POLS) * len(_SECTORS) * m * p).reshape(
             len(_POLS), len(_SECTORS), m, p)
-        e, c = eps[at][:, None], both[at][:, None]
+        e, c = eps[:, at, None], both[at][:, None]
         if lead:
-            g, top = _line_integrand(geom, w[:lead], e[:lead], Q[:lead])
+            g, top = _line_integrand(geom, w[:lead], e[:, :lead], Q[:lead])
             np.maximum.at(peak, (slice(None), at[:lead]), top)
+            g = g.imag
             g *= jac[:lead]
             np.multiply(c[:lead], g, out=out[:, 0, :lead])
             out[:, 1, :lead] = 0.0
         if lead < m:
-            g = _evanescent_integrand(geom, w[lead:], e[lead:], Q[lead:])
+            g = _evanescent_integrand(geom, w[lead:], e[:, lead:], Q[lead:])
             g *= jac[lead:]
             np.multiply(c[lead:], g, out=out[:, 1, lead:])
             out[:, 0, lead:] = 0.0
@@ -1467,7 +1542,7 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
 
     got, err = _q_integrals(geom, omegas, rows, rel_tol, _inner_floor(rel_tol, floor_scale),
                             _inner_label(omegas), work, line=True)
-    res, res_err = _strip_residues(geom, omegas[live], eps[live], peak[:, live])
+    res, res_err = _strip_residues(geom, omegas[live], eps[:, live], peak[:, live])
     got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
     got[:, 0, live] -= both[live] * res.imag + got[:, 1, live]
     split = np.zeros((len(_PLATES), len(omegas)))
@@ -1513,11 +1588,13 @@ def _closes_on_contour(geom):
     c_bar part is analytic in the upper half omega-plane off the imaginary
     axis; the dc part vanishes identically when the plates are the same
     material apart from their temperatures (K_L = K_R) or share one bath
-    temperature (dc = 0).  The first case alone also lets the propagating
-    Q integral leave the real axis at real omega (`_line_q_integral`):
-    there each plate's share c_a / (2 c_bar) of the analytic emission is
-    its whole emission, whereas the plate split of a dissimilar pair at
-    one temperature is not a function of H.
+    temperature (dc = 0).  In both cases the tail's Q integrals take the
+    line k_z = omega + i y (`_contour_line_integral`), which reads H
+    alone.  The first case alone also lets the propagating Q integral of
+    real omega leave the real axis (`_line_q_integral`): there each
+    plate's share c_a / (2 c_bar) of the analytic emission is its whole
+    emission, whereas the plate split of a dissimilar pair at one
+    temperature is not a function of H.
     """
     return geom.left.beta_bath == geom.right.beta_bath or _same_material(geom)
 
@@ -1538,67 +1615,70 @@ def _mean_occupation(geom, omega, thermal_only):
     return 0.5 * total
 
 
-def _contour_integrand(geom, omega, Q):
-    """h(omega, Q) = Q q sum_mu x_mu / (1 - x_mu), the Q integrand of H.
+def _contour_line_integral(geom, omegas, weights, rel_tol, floor):
+    """Im(weight H(omega)) at complex frequencies omega = a + i b, b >= 0,
+    in lockstep: the Q integrals of the contour tail.
 
-    At s = -i omega (omega complex, Im omega >= 0, broadcast against Q),
-    q = qz(1, s, Q) and x_mu = r_mu,L r_mu,R exp(-2 q l), the round trip
-    of polarization mu.  H(s) = int_0^inf h dQ is the Lifshitz function of
-    the T = 0 imaginary-frequency integral, continued to complex s; its
-    boundary value at real omega gives the equal-occupation real-axis
-    emission, sum over channels of `_bath_channels` integrated over Q =
-    -c_bar Im H(-i omega) / (2 pi^2) (the fluctuation-dissipation form of
-    Antezza et al., PRA 77, 022901 (2008)).
+    H(omega) = int_0^inf Q q S dQ over real Q, with q = -i k_z, k_z =
+    sqrt(omega^2 - Q^2) and S the round-trip sum (`_round_trips`), is the
+    Lifshitz function continued off the real axis (`_line_q_integral`
+    takes it at real omega).  In k_z, Q q S dQ = i k_z^2 S dk_z along the
+    hyperbola Re k_z Im k_z = a b from omega up to i infinity; closed on
+    the line k_z = omega + i y, where the round trip decays like
+    exp(-2 (b + y) l),
+
+        H = -int_0^inf k_z^2 S dy - 2 pi i sum Res,
+
+    the residues at the zeros of D_mu between the two paths
+    (`_strip_residues`).  The line is one lockstep segment per frequency,
+    in u with y = u / (2 l (1 - u)) from `_LINE_MARKS`, as on the real
+    axis, at ``_LINE_TOL`` times ``rel_tol`` with the constant absolute
+    floor ``floor``; its row is the sum over the polarizations of Im(-w
+    k_z^2 x_mu / (1 - x_mu) dy/du) (`_line_integrand`), w the weight, which
+    folds in the path direction, the occupation and the outer Jacobian.
+    Plates of one material read one permittivity, any other pair both.
+    Returns (integrals, errors), one per frequency: the error is the
+    line's estimate plus |weight| times the residues'.  The arrays are
+    fresh, no workspace.
     """
-    q, plates = _optics(geom, -1j * np.asarray(omega, dtype=complex), Q)
-    trip = np.exp(-2.0 * geom.gap * q)
-    total = 0.0
-    for r_l, r_r in zip(plates["L"][2], plates["R"][2]):
-        x = r_l * r_r * trip
-        total = total + x / (1.0 - x)
-    return Q * q * total
-
-
-def _contour_q_integral(geom, omegas, weights, rel_tol, floor, work=None):
-    """Q integrals of Im(weight h(omega, Q)) at complex frequencies, in
-    lockstep (see `_contour_integrand` for h).
-
-    omegas have Re omega > 0; the weight of each folds in its path
-    direction, occupation and outer Jacobian.  The driver `_q_integrals`
-    runs both sectors, split at Q = Re omega, at ``rel_tol`` with the
-    constant absolute floor ``floor``.  Returns (integrals, errors), one
-    per frequency.
-    """
-    if work is None:
-        work = _Workspace()
     omegas = np.asarray(omegas, dtype=complex)
     weights = np.asarray(weights, dtype=complex)
+    sides = (geom.left,) if _same_material(geom) else (geom.left, geom.right)
+    eps = np.array([plate_eps(side, -1j * omegas) for side in sides])
+    c = 0.5 / geom.gap
+    peak = np.zeros((len(_POLS), len(omegas)))
 
-    def rows(w, Q, jac, at, lead):
-        weight, omega = weights[at][:, None], omegas[at][:, None]     # once per panel
-        return np.imag(weight * jac * _contour_integrand(geom, omega, Q))[None]
+    def f(u, seg):
+        rest = 1.0 - u
+        g, top = _line_integrand(geom, omegas[seg, None], eps[:, seg, None], c * u / rest)
+        np.maximum.at(peak, (slice(None), seg), top)
+        jac = (-c * weights[seg, None]) / (rest * rest)
+        return np.imag(jac * (g[0] + g[1]))[None], np.empty((0,) + u.shape)
 
-    got, err = _q_integrals(geom, omegas.real, rows, rel_tol, floor,
-                            lambda i, sector: f"contour Q integral at omega={omegas[i]:.4g}",
-                            work)
-    return got[0], err[0] + err[1]
+    (got, _), err = _adaptive_gk(f, np.tile(_LINE_MARKS, (len(omegas), 1)),
+                                 _LINE_TOL * rel_tol, abs_floor=floor, max_panels=512,
+                                 labels=lambda j: f"contour line at omega={omegas[j]:.4g}")
+    res, res_err = _strip_residues(geom, omegas, eps, peak)
+    return got[0] + np.imag(weights * res.sum(axis=0)), err + np.abs(weights) * res_err
 
 
-def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
+def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale):
     """The frequency integral past omega_c, closed on the line omega_c + i y.
 
     c_bar H is analytic for Re omega > 0 and Im omega >= 0 (the poles of
     coth lie on the imaginary axis, those of H in the lower half-plane),
     and decays like exp(-2 y l) up the line, so
 
-        P_tail = -(1/2 pi^2) Re int_0^inf dy c_bar(omega_c + i y) H(y - i omega_c)
+        P_tail = -(1/2 pi^2) Re int_0^inf dy c_bar(omega_c + i y) H(omega_c + i y)
 
     with y = u/(l (1 - u)), u in [0, 1).  The outer rule in u
-    (`_frequency_rule`) and the Q integrals of its nodes
-    (`_contour_q_integral`) all run at ``rel_tol`` with the absolute
-    floor ``scale``, |P| of the real-axis part: the u-integral of the
-    floor is ``scale`` itself.  Returns (P_tail, its error estimate: the
-    outer estimate plus the integrated inner errors).
+    (`_frequency_rule`) runs at ``rel_tol`` and the Q integrals of its
+    nodes (`_contour_line_integral`: the line k_z = omega + i y and the
+    residues, the real axis's rule) at ``_LINE_TOL`` times it, all with
+    the absolute floor ``scale``, |P| of the real-axis part: the
+    u-integral of the floor is ``scale`` itself.  Returns (P_tail, its
+    error estimate: the outer estimate plus the integrated inner errors,
+    each the line's estimate plus the residues').
     """
     l = geom.gap
 
@@ -1607,7 +1687,7 @@ def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale, work=None):
         omega = omega_c + 1j * (u / (l * rest))
         weights = (-1j / (2.0 * math.pi ** 2 * l)) * _mean_occupation(geom, omega, thermal_only) \
             / (rest * rest)
-        got, err = _contour_q_integral(geom, omega, weights, rel_tol, scale, work)
+        got, err = _contour_line_integral(geom, omega, weights, rel_tol, scale)
         return got[None], err
 
     marks = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]     # y l = 1/4 .. 4
@@ -1675,7 +1755,9 @@ def steady_pressure(geom, opts=None):
     Past omega_max, identical plates (up to their temperatures) and plates
     at one bath temperature close the tail on the line omega_max + i y
     (`_contour_tail`, at rel_tol/4 with |P| of the real-axis part as its
-    floor), where it decays like exp(-2 y l).  Dissimilar plates at
+    floor), where it decays like exp(-2 y l); each of its frequencies
+    takes its Q integral on the line k_z = omega + i y with the residues
+    between that line and the real-Q path.  Dissimilar plates at
     T_L != T_R keep the real-axis ceiling of 18 and the Euler slices,
     whose residue is about 1e-6 of the result.
 
@@ -1683,8 +1765,9 @@ def steady_pressure(geom, opts=None):
     frequency's propagating Q integral on the line k_z = omega + i y
     with the strip's residues (`_line_q_integral`), at 1/100 of the inner
     tolerance (``_LINE_TOL``); other pairs take it on the real Q axis.
-    A zero of D_mu that the strip's boundary cannot resolve raises
-    SingularityError.
+    A zero of D_mu that the searched box's boundary cannot resolve, or a
+    branch cut of a plate wavenumber across the box of a tail frequency,
+    raises SingularityError.
 
     Both plates must be `Material` oscillators, at least one of them
     lossy (DomainError otherwise): a table plate, one constant real
@@ -1720,7 +1803,7 @@ def steady_pressure(geom, opts=None):
     if _closes_on_contour(geom):
         main = math.fsum(channels)
         tail, tail_err = _contour_tail(geom, omega_max, opts.rel_tol / 4.0, opts.thermal_only,
-                                       abs(main), work)
+                                       abs(main))
         return PressureResult(value=main + tail,
                               err=float(outer_err + abs(totals[-1]) + tail_err),
                               breakdown=breakdown, omega_max_used=float(omega_max), tail=tail)

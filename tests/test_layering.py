@@ -125,7 +125,8 @@ def test_contour_tail_is_built_apart_from_the_matsubara_oracle():
     # the tail is checked against the imaginary-frequency sum, so it must
     # not be made of it
     reached = _reachable(pressure, "_contour_tail")
-    assert {"_contour_q_integral", "_contour_integrand", "_mean_occupation"} <= reached
+    assert {"_contour_line_integral", "_line_integrand", "_strip_residues",
+            "_mean_occupation"} <= reached
     assert not reached & {"_matsubara_inner", "equilibrium_matsubara", "_eps_imag_axis"}
 
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import tracemalloc
 from dataclasses import replace
@@ -1017,35 +1018,121 @@ def test_err_bounds_the_true_error_over_random_plates():
 # ---------------------------------------------------------------------------
 
 
+def real_q_lifshitz(geom, omega):
+    """H(omega) = int_0^inf Q q S dQ over real Q by scipy quad, S the sum
+    over polarizations of x / (1 - x), x = r_L r_R exp(-2 q l): principal
+    roots q = sqrt(Q^2 - omega^2) and qn = sqrt(Q^2 - eps omega^2), no
+    eta shift."""
+    eps = [complex(plate_eps(side, -1j * omega)) for side in (geom.left, geom.right)]
+
+    def h(Q):
+        q = cmath.sqrt(Q * Q - omega * omega)
+        r = []
+        for e in eps:
+            qn = cmath.sqrt(Q * Q - e * omega * omega)
+            r.append(((q - qn) / (q + qn), (e * q - qn) / (e * q + qn)))
+        trip = cmath.exp(-2.0 * q * geom.gap)
+        return Q * q * sum(x / (1.0 - x) for x in (r[0][i] * r[1][i] * trip for i in (0, 1)))
+
+    edges = [0.0, omega.real, 2.0 * abs(omega) + 4.0 / geom.gap, math.inf]
+    total = 0j
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        re, im = (quad(lambda Q: part(h(Q)), lo, hi, epsabs=1e-15, epsrel=1e-13, limit=400)[0]
+                  for part in (np.real, np.imag))
+        total += re + 1j * im
+    return total
+
+
 @pytest.mark.parametrize("geom", [identical_plates(2.0, 1.0, 0.3),
                                   default_plates(1.0, 0.7, 0.7)],
                          ids=["identical", "dissimilar-equal-T"])
-def test_contour_integrand_meets_the_real_axis_channels(geom):
-    # at y = 0 the contour integrand's Q integral, -c_bar Im H(-i omega) /
-    # (2 pi^2), is the real-axis emission summed over the eight channels:
-    # this pins the tail's sign and normalisation without the Matsubara sum
+def test_contour_line_gives_the_real_q_integral(geom):
+    # the tail's Q integral, on the line k_z = omega + i y with the
+    # residues, is H of the real Q axis at complex omega: weight 1 reads
+    # Im H, weight i reads Re H
+    ws = np.array([4.0 + 0.3j, 1.3 + 0.05j, 2.5 + 2.0j])
+    h = np.array([real_q_lifshitz(geom, w) for w in ws])
+    got, _ = pr._contour_line_integral(geom, np.tile(ws, 2), np.repeat([1.0, 1j], len(ws)),
+                                       1e-10, 0.0)
+    assert_allclose(got, np.concatenate([h.imag, h.real]), rtol=0.0, atol=1e-10 * np.abs(h).max())
+    # at real omega it is the real-axis emission summed over the eight
+    # channels, -c_bar Im H / (2 pi^2): the tail's sign and normalisation
+    # without the Matsubara sum
     ws = np.array([0.5, 1.3, 2.9, 6.0])
     channels, _ = pr._inner_q_integral(geom, ws, False, 1e-10, 0.0)
     weights = -pr._mean_occupation(geom, ws.astype(complex), False) / (2.0 * math.pi ** 2)
-    contour, _ = pr._contour_q_integral(geom, ws, weights, 1e-10, 0.0)
+    contour, _ = pr._contour_line_integral(geom, ws, weights, 1e-10, 0.0)
     assert_allclose(contour, channels.sum(axis=0), rtol=1e-9, atol=0.0)
 
 
 def test_contour_tail_lands_on_the_matsubara_half_sum():
     # identical plates far from equilibrium (the sweep-far point): the
     # Euler slices past omega = 18 left +7.9e-6 here; the contour tail
-    # from omega = 4 lands at +1.5e-9
+    # from omega = 4 lands at +2.9e-10 (+1.5e-9 with the tail's Q integral
+    # on the real axis, whose eta shift moved it by 4.6e-13)
     geom = identical_plates(2.0, 1.0, 0.3)
     res = steady_pressure(geom, PressureOptions(rel_tol=2e-3))
     half = 0.5 * (equilibrium_matsubara(equal_t_geom(2.0, 1.0), 1.0)
                   + equilibrium_matsubara(equal_t_geom(2.0, 0.3), 0.3))
     assert res.omega_max_used == 4.0 and res.tail != 0.0
-    assert abs(res.value - half) <= 1e-6 * abs(half)
+    assert abs(res.value - half) <= 5e-10 * abs(half)
     # where the contour starts is immaterial: doubling the ceiling moves
     # the value by far less than its reported error
     wider = steady_pressure(geom, PressureOptions(rel_tol=2e-3, omega_max=8.0))
     assert wider.omega_max_used == 8.0
     assert abs(wider.value - res.value) < res.err
+
+
+@pytest.mark.parametrize("geom, rel_dev", [
+    (equal_t_geom(100.0, 1.0), 1e-9), (equal_t_geom(31.6, 1.0), 1e-9),
+    (default_plates(31.6, 1.0, 1.0), 1e-3)], ids=["identical-l100", "identical-l31.6",
+                                                  "dissimilar-l31.6"])
+def test_contour_tail_holds_at_large_gaps(geom, rel_dev):
+    # with the tail's Q integral on the real axis, l = 100 raised
+    # ConvergenceError in it and l = 31.6 read 7.0e-8 off Matsubara; on
+    # the line they read 3.0e-11 and 6.9e-12.  The dissimilar pair's real
+    # axis stays on the real Q axis, 5.0e-6 off, within its tolerance
+    res = steady_pressure(geom, PressureOptions(rel_tol=1e-3))
+    eq = equilibrium_matsubara(geom, 1.0)
+    assert res.tail != 0.0
+    assert abs(res.value - eq) <= rel_dev * abs(eq), (res.value, eq)
+
+
+@pytest.mark.parametrize("params, omega_max", [((1.0, 1.0, 0.1), 1.2), ((1.0, 1.0, 1e-2), 1.23)],
+                         ids=["lossy-1.2", "gamma-1e-2-1.23"])
+def test_contour_inside_the_surface_band(monkeypatch, params, omega_max):
+    # a ceiling inside the surface band (Re eps = -1 at 1.2247) starts the
+    # tail where D_mu may have zeros between the real-Q path and the line.
+    # The gamma = 0.1 plates have none there; on the gamma = 1e-2 plates
+    # the boxes of the tail's lowest frequencies hold TM zeros (e.g.
+    # 0.470 + 1.268i at omega = 1.23 + 8.6e-4 i), all on the line's side
+    # of that path, whose residues the value needs.  Either way it matches
+    # the default ceiling's
+    geom = ohmic_pair(*params, 1.0, 1.0, 1.0)
+    counted, box_zeros = [], pr._box_zeros
+
+    def spy(geom, w, *args):
+        roots = box_zeros(geom, w, *args)
+        if np.iscomplexobj(w):
+            counted.append(roots[0])
+        return roots
+
+    res = steady_pressure(geom, PressureOptions(rel_tol=1e-3))
+    monkeypatch.setattr(pr, "_box_zeros", spy)
+    low = steady_pressure(geom, PressureOptions(rel_tol=1e-3, omega_max=omega_max))
+    assert res.omega_max_used == 4.0 and low.omega_max_used == omega_max
+    assert abs(low.value - res.value) <= low.err
+    assert bool(counted) == (params[2] < 0.1)
+
+
+def test_contour_search_refuses_a_crossed_branch_cut():
+    # the tail's path moves only where qn's principal root is analytic; a
+    # permittivity whose cut enters the searched half-strip is refused
+    # (no passive plate seen so far has one: Im((1 - eps) omega^2) < 0
+    # up the lines)
+    geom, w = equal_t_geom(1.0, 1.0), np.array([1.0 + 0.1j])
+    with pytest.raises(SingularityError, match="branch cut"):
+        pr._strip_residues(geom, w, np.array([[1.0 - 2.0j]]), np.zeros((2, 1)))
 
 
 #: Largest share |tail| / |value| on acceptance criterion 1's six points.
@@ -1236,12 +1323,12 @@ def test_zero_on_the_counted_boundary_raises():
     # a box whose right edge runs through it cannot be counted
     params, w = SURFACE_BAND[0]
     geom, ws = ohmic_pair(*params), np.array([w])
-    eps = np.array([complex(plate_eps(geom.left, -1j * w))])
+    eps = np.array([[complex(plate_eps(geom.left, -1j * w))]])
     top = pr._strip_top(geom, ws, eps)
     strip = np.array([[0.0], ws, [0.0], top])
     (winding, *boundary), = pr._box_winding(geom, ws, eps, np.array([1]), strip)
     assert round(winding) == 1
-    (zero,), _ = pr._box_zeros(geom, w, eps[0], 1, tuple(strip[:, 0]), 1, boundary)
+    (zero,), _ = pr._box_zeros(geom, w, eps[:, 0], 1, tuple(strip[:, 0]), 1, boundary)
     assert abs(zero - (0.5601643 + 1.7361740j)) < 1e-7
     with pytest.raises(SingularityError, match="lies on the boundary"):
         pr._box_winding(geom, ws, eps, np.array([1]), np.array([[0.0], [zero.real], [0.0], top]))
@@ -1315,12 +1402,24 @@ def test_err_stays_within_the_tolerance_on_identical_plates(gap, t_right):
 @pytest.mark.parametrize("geom", [default_plates(1.0, 1.0, 0.5), default_plates(1.0, 0.7, 0.7)],
                          ids=["euler-tail", "contour-tail"])
 def test_dissimilar_pairs_never_take_the_line(monkeypatch, geom):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a dissimilar pair reached the line")
+    # on the real axis a dissimilar pair keeps the real Q axis, since its
+    # plate split is not a function of H; only its contour tail (one bath
+    # temperature) reads the line, at complex frequencies
+    line, seen = pr._line_integrand, []
 
-    monkeypatch.setattr(pr, "_line_integrand", refuse)
-    monkeypatch.setattr(pr, "_strip_residues", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("a dissimilar pair reached the line on the real axis")
+
+    def complex_only(geom, w, eps, y):
+        if not np.iscomplexobj(w):
+            refuse()
+        seen.append(np.size(y))
+        return line(geom, w, eps, y)
+
+    monkeypatch.setattr(pr, "_line_q_integral", refuse)
+    monkeypatch.setattr(pr, "_line_integrand", complex_only)
     assert steady_pressure(geom, PressureOptions(rel_tol=1e-3)).value < 0.0
+    assert bool(seen) == pr._closes_on_contour(geom)
 
 
 @pytest.mark.parametrize("params", [(1.0, 1.0, 0.1, 1.0), (1.0, 1.0, 0.1, 2.0),
@@ -1341,12 +1440,12 @@ def test_evanescent_rows_match_the_channel_map(params):
         eps = fac["complex"][1, 0]
         both = pr.PRESSURE_SIGN * pr._MEASURE * fac["weight"][:, 0].sum() / (w * w * eps.imag)
         want = sector_sums(pr._bath_channels(geom, w, Q), "evanescent")
-        got = both * pr._evanescent_integrand(geom, w, eps, Q)
+        got = both * pr._evanescent_integrand(geom, w, [eps], Q)
         inner = slice(0, len(kappa_l))
         assert_allclose(got[:, inner], want[:, inner], rtol=1e-13, atol=0.0)
         assert_allclose(got[:, len(kappa_l):], want[:, len(kappa_l):], rtol=1e-12, atol=0.0)
         # on the light line dQ/dt = 0 and the row reads 0, not 0 * inf
-        assert np.all(pr._evanescent_integrand(geom, w, eps, np.array([w])) == 0.0)
+        assert np.all(pr._evanescent_integrand(geom, w, [eps], np.array([w])) == 0.0)
 
 
 @pytest.mark.parametrize("thermal_only", [False, True])
@@ -1470,6 +1569,16 @@ def segment_integrand(names, seen, ride):
 def run_segments(names, rel_tol=1e-9, seen=None, ride=lambda x, main: 2.0 * main, **kw):
     return pr._adaptive_gk(segment_integrand(names, seen, ride),
                            [KNOWN[n][1] for n in names], rel_tol, labels=names.__getitem__, **kw)
+
+
+def test_seed_edges_a_millionth_of_the_span_apart_are_one_edge():
+    # marks that coincide up to a perturbation of the inputs seed no
+    # sliver panel; a row keeps its first and last edges
+    lo, hi, seg = pr._seed_panels(np.array([[0.0, 1.0, 1.0 + 1e-7, 2.0 - 1e-7, 2.0],
+                                            [3.0, 1e-7, 0.0, 1.0, np.nan]]), str)
+    assert lo.tolist() == [0.0, 1.0, 0.0, 1.0]
+    assert hi.tolist() == [1.0, 2.0, 1.0, 3.0]
+    assert seg.tolist() == [0, 0, 1, 1]
 
 
 def test_segmented_rule_meets_each_segments_own_tolerance():
