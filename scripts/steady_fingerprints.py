@@ -16,7 +16,9 @@ returns value, err, tail, omega_max_used and the eight channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
 the same bits, so a change to the quadrature that claims to move no
-number is checked by diffing this output before and after it:
+number is checked by diffing this output before and after it.  The
+``point-map`` case calls the channel map itself on a fixed batch of
+points and returns its rows:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -78,6 +80,17 @@ def _lockstep(rule, *args):
     return lambda: np.concatenate([np.ravel(a) for a in rule(*args)])
 
 
+def point_map():
+    """The rows of the public channel map on identical, then dissimilar
+    plates, each without and with thermal_only, at omega = 0, on the
+    light line Q = omega and in both sectors."""
+    w = np.repeat(np.append(0.0, OMEGAS[:3]), 6)
+    Q = np.where(w > 0.0, w, 1.0) * np.tile([0.0, 0.3, 0.999, 1.0, 1.7, 3.0], 4)
+    return [pressure._bath_channels(geom, w, Q, thermal_only=thermal_only)
+            for geom in (identical(1.0, 1.0, 0.3), dissimilar(1.0, 1.0, 0.3))
+            for thermal_only in (False, True)]
+
+
 CASES = {
     "sweep-far": _steady(identical(2.0, 1.0, 0.3), rel_tol=2e-3),
     "sweep-far-3e-4": _steady(identical(2.0, 1.0, 0.3), rel_tol=3e-4),
@@ -96,6 +109,9 @@ CASES = {
        for g in np.geomspace(1.0, 10.0, 5)},
     "inner-q": _lockstep(pressure._inner_q_integral, dissimilar(1.0, 1.0, 0.5), OMEGAS, False,
                          1e-10, 0.0),
+    "line-q": _lockstep(pressure._inner_q_integral, identical(1.0, 1.0, 0.5), OMEGAS, False,
+                        1e-10, 0.0),
+    "point-map": point_map,
     "contour-q": _lockstep(pressure._contour_line_integral, identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
 }

@@ -11,11 +11,11 @@ GreenBlock) so that z-derivatives act exactly term by term.  The plates
 are isotropic, so every block lies at transverse wavevector
 phase_sign*Q*xhat.  Each build evaluates its optics once, in one private
 record (`_optics`: the gap wavenumber and, per plate, the permittivity,
-wavenumber and Fresnel coefficients at (s, Q), evaluated once per plate
-material), and every term reads from it.  The stress contraction of two
-blocks (`spectral.theta_contract`) and the transient integrands built on
-it live in :mod:`.spectral`; the steady pressure (:mod:`.pressure`) uses
-only the Fresnel coefficients and wavenumbers of this module.
+wavenumber and Fresnel coefficients at (s, Q)), and every term reads from
+it.  The stress contraction of two blocks (`spectral.theta_contract`) and
+the transient integrands built on it live in :mod:`.spectral`; the steady
+pressure (:mod:`.pressure`) uses only the Fresnel coefficients and
+wavenumbers of this module.
 
 Conventions: q_z = sqrt(eps(s) s^2 + Q^2) with the principal branch and a
 retarded shift s -> s + eta realizing boundary values from Re s > 0;
@@ -165,11 +165,11 @@ def _fresnel_coeffs(eps, q, qn, s, abs_q=None, out=None):
     vectors cancel the sqrt(eps) of t_TM (see `_source_vecs`), and the
     steady integrand needs only the moduli of the two denominators and of
     qn, which the singularity test forms anyway.  eps, q and qn broadcast
-    against each other, so eps and qn may carry a leading axis of plate
-    materials over one shared q; ``abs_q`` is |q| when the caller already
-    has it.  Raises the same SingularityError as `fresnel` when a
-    denominator vanishes (s broadcasts against the points; the error
-    names the first bad one, in the order of the broadcast points).
+    against each other, so eps and qn may carry a leading axis of plates
+    over one shared q; ``abs_q`` is |q| when the caller already has it.
+    Raises the same SingularityError as `fresnel` when a denominator
+    vanishes (s broadcasts against the points; the error names the first
+    bad one, in the order of the broadcast points).
 
     ``out`` holds the buffers of the steady integrand's workspace form
     (see `pressure._channel_kernel`): (r, den, |den|, |qn|, scale, bad),
@@ -200,38 +200,18 @@ def _fresnel_coeffs(eps, q, qn, s, abs_q=None, out=None):
     return r, abs_den, abs_qn
 
 
-def _same_material(geom):
-    """Whether the two plates are one material, up to their temperatures.
-
-    Then every optical quantity of plate R (permittivity, wavenumber,
-    Fresnel coefficients, emission kernel) equals plate L's bit for bit,
-    and the steady integrand and `_optics` evaluate it once.  A table
-    plate counts as the same only when both plates are one object: a
-    table has no ``beta_dof``, and the arrays of a multi-row table make
-    dataclass ``==`` ambiguous.
-    """
-    left, right = geom.left, geom.right
-    if isinstance(left, EpsilonTable) or isinstance(right, EpsilonTable):
-        return left is right
-    return replace(left, beta_bath=right.beta_bath, beta_dof=right.beta_dof) == right
-
-
 def _optics(geom, s, Q):
     """The optics record (q, plates) that one block build shares: the gap
     z-wavenumber q and plates[plate] = (eps, qn, r) per plate, r the
     Fresnel coefficients (r_TE, r_TM) stacked on a leading axis.
 
     qz runs once for the gap, and plate_eps, qz and `_fresnel_coeffs` once
-    per plate material: plates of one material (`_same_material`) share
-    plate L's record.  A Fresnel denominator root raises SingularityError
-    naming the first such point of s.
+    per plate.  A Fresnel denominator root raises SingularityError naming
+    the first such point of s.
     """
     q = np.asarray(qz(1.0, s, Q))
     plates = {}
     for plate in _PLATES:
-        if plate == "R" and _same_material(geom):
-            plates["R"] = plates["L"]
-            continue
         eps = plate_eps(geom.side(plate), s)
         qn = np.asarray(qz(eps, s, Q))
         plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[0])

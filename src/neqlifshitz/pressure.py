@@ -10,8 +10,7 @@ integrand computes only that one map: the emission channels minus their
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
 ceiling, never enter.  Each channel is a plate's weight times a kernel
-of the two materials and the gap alone, so plates of one material at two
-temperatures evaluate their optics and kernels once per point.
+of the two materials and the gap alone.
 
 The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
@@ -32,7 +31,7 @@ ceiling omega_max the Q integrand of dissimilar plates is the eight
 channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
 for the engine and the public per-point map alike (`_bath_channels`, a
 point being a panel of one node), with the two polarizations and the
-two plate materials stacked so that each step is one ufunc call.
+two plates stacked so that each step is one ufunc call.
 Plates of one material (`_same_material`) integrate one row per
 polarization and sector instead, the round-trip sum of the Lifshitz
 function H weighted by both plates' occupations, and split the plates
@@ -84,14 +83,14 @@ power.  Negative values mean attraction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
                        permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _s_eff, _same_material, plate_eps
+from .em_green import _fresnel_coeffs, _s_eff, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -116,18 +115,34 @@ BREAKDOWN_KEYS = tuple((p, m, s) for p in _PLATES for m in _POLS for s in _SECTO
 # ---------------------------------------------------------------------------
 
 
+def _same_material(geom):
+    """Whether the two plates are one material, up to their temperatures.
+
+    Then every optical quantity of plate R (permittivity, wavenumber,
+    Fresnel coefficients, emission kernel) equals plate L's bit for bit:
+    the Q integrals take the round-trip form (`_line_q_integral`), the
+    tail closes on the contour (`_closes_on_contour`), and the round
+    trips there read one permittivity (`_round_trips`).  A table plate
+    counts as the same only when both plates are one object: a table has
+    no ``beta_dof``, and the arrays of a multi-row table make dataclass
+    ``==`` ambiguous.
+    """
+    left, right = geom.left, geom.right
+    if isinstance(left, EpsilonTable) or isinstance(right, EpsilonTable):
+        return left is right
+    return replace(left, beta_bath=right.beta_bath, beta_dof=right.beta_dof) == right
+
+
 def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """Factors of the channel map that depend on the frequency alone.
 
     w is an array of positive frequencies.  Returns a dict of two tables
     with one column per frequency, which the channel map gathers once per
     group of nodes (`_group_factors`): ``complex`` stacks the Laplace
-    points s = -i w, the permittivity eps = eps(s) of each plate material
-    and eps s^2 of each; ``real`` stacks w^2, |s_eff|^2 and, per plate in
-    _PLATES order, the emission weight w^2 * occupation * Im eps, also
-    viewed as ``weight``.  ``kernel_of`` names each plate's material:
-    (0, 0) when the plates are one material (`_same_material`, whose
-    permittivity is then evaluated once), else (0, 1).
+    points s = -i w, the permittivity eps = eps(s) of each plate and eps
+    s^2 of each, plates in _PLATES order; ``real`` stacks w^2, |s_eff|^2
+    and, per plate, the emission weight w^2 * occupation * Im eps, also
+    viewed as ``weight``.
 
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
@@ -137,10 +152,11 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """
     s = -1j * w
     w2 = w * w
-    kernel_of = (0, 0) if _same_material(geom) else (0, 1)
-    eps, weight = [], []
-    for side, k in zip((geom.left, geom.right), kernel_of):
-        e = eps[k] if k < len(eps) else np.asarray(plate_eps(side, s))
+    cplx = np.empty((1 + 2 * len(_PLATES), len(w)), complex)
+    real = np.empty((2 + len(_PLATES), len(w)))
+    cplx[0] = s
+    for i, side in enumerate((geom.left, geom.right)):
+        e = np.asarray(plate_eps(side, s))
         beta = side.beta_bath
         occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
         if thermal_only:
@@ -156,19 +172,12 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
             wt = 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
         else:
             wt = np.zeros(w.shape)
-        eps.append(e)
-        weight.append(wt)
-    n_mat = kernel_of[1] + 1
-    cplx = np.empty((1 + 2 * n_mat, len(w)), complex)
-    real = np.empty((2 + len(_PLATES), len(w)))
-    cplx[0] = s
-    for m in range(n_mat):
-        cplx[1 + m] = eps[m]
-        cplx[1 + n_mat + m] = eps[m] * s * s
+        cplx[1 + i] = e
+        cplx[1 + len(_PLATES) + i] = e * s * s
+        real[2 + i] = wt
     real[0] = w2
     real[1] = np.abs(_s_eff(s)) ** 2
-    real[2:] = weight
-    return {"complex": cplx, "real": real, "weight": real[2:], "kernel_of": kernel_of}
+    return {"complex": cplx, "real": real, "weight": real[2:]}
 
 
 def _axis_qz(x, neg):
@@ -256,9 +265,7 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     with |qn|^2 cancelled: |u_TE|^2 = |t_TE,a|^2 = 4|qn|^2 / |q + qn|^2
     and |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2)
     are the squared plate-source vectors and 1/(2 Re qn) is their depth
-    integral.  The kernel depends on the two materials and the gap only,
-    so plates of one material (`_same_material`, at any two temperatures)
-    share it, and the cavity factor 1/|D|^2 serves both emitters.
+    integral.  The cavity factor 1/|D|^2 serves both emitters.
     On the light line Q = omega, q = 0 and r_L = r_R = -1, so |q|^2 and D
     vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
     qn/eps (TM), and the evanescent kernel takes its limit
@@ -356,13 +363,13 @@ def _channel_rows(geom, factors, w, Q, work):
 
 def _group_factors(fac, at, work):
     """The `_frequency_factors` tables gathered at the groups' rows ``at``,
-    one column per group (in ``work``), and ``kernel_of``: the ``tables``
-    argument of `_channel_kernel`."""
+    one column per group (in ``work``): the ``tables`` argument of
+    `_channel_kernel`."""
     n = len(at)
-    return (*(tab.take(at, axis=1, mode="clip",
-                       out=work.take(("bath.factors", tab.dtype.char), len(tab) * n,
-                                     tab.dtype).reshape(-1, n))
-              for tab in (fac["complex"], fac["real"])), fac["kernel_of"])
+    return tuple(tab.take(at, axis=1, mode="clip",
+                          out=work.take(("bath.factors", tab.dtype.char), len(tab) * n,
+                                        tab.dtype).reshape(-1, n))
+                 for tab in (fac["complex"], fac["real"]))
 
 
 def _run(mask):
@@ -378,9 +385,9 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
     nodes that all lie in it, written into ``out``, shaped (2, 2) + Q's
     (groups, nodes) shape; see `_bath_channels`.
 
-    ``tables`` is (complex, real, kernel_of): the `_frequency_factors`
-    tables with one column per group, each factor read as a (groups, 1)
-    column broadcast over the group's nodes.
+    ``tables`` is (complex, real): the `_frequency_factors` tables with
+    one column per group, each factor read as a (groups, 1) column
+    broadcast over the group's nodes.
 
     On the real axis the vacuum wavenumber is real arithmetic: q =
     -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
@@ -389,36 +396,34 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
     real root k is |q| exactly, so the Fresnel step takes it as is.
 
     Each row is the emission weight times a kernel.  The two
-    polarizations, and for dissimilar plates the two plate materials
-    (``kernel_of``), are stacked on leading axes, so the plate
-    wavenumber, the Fresnel step (`.em_green._fresnel_coeffs`), G, the
-    cavity factor, the locked baseline, the trapped-mode test and the
-    rows are one ufunc call each over (n_mat, n), (2, n) or (2, n_mat, n)
-    points, in the operation order of the formulas per point.  The
-    sector's constant (2 or -4) is folded into the prefactor G: a power
-    of two, so every row keeps the bits of the formula as written.  A row
-    is exactly 0 where its plate does not emit.
+    polarizations and the two plates are stacked on leading axes, so the
+    plate wavenumber, the Fresnel step (`.em_green._fresnel_coeffs`), G,
+    the cavity factor, the locked baseline, the trapped-mode test and the
+    rows are one ufunc call each over (2, n) or (2, 2, n) points, in the
+    operation order of the formulas per point.  The sector's constant (2
+    or -4) is folded into the prefactor G: a power of two, so every row
+    keeps the bits of the formula as written.  A row is exactly 0 where
+    its plate does not emit.
 
     Every per-node array is a plane of one buffer per dtype in the
     workspace ``work``; an array that is dead is lent to a later one where
     the comments say so.
     """
-    cplx, real, kernel_of = tables
-    n_mat = kernel_of[1] + 1
+    cplx, real = tables
     g, p = Q.shape
-    s, eps, es2 = cplx[0, :, None], cplx[1:1 + n_mat, :, None], cplx[1 + n_mat:, :, None]
+    s, eps, es2 = cplx[0, :, None], cplx[1:3, :, None], cplx[3:, :, None]
     w2, s_eff2, weight = real[0, :, None], real[1, :, None], real[2:, :, None]
     # one buffer per dtype, cut into (groups, nodes) planes
-    c = work.take("kernel.complex", (2 + 5 * n_mat) * g * p, complex).reshape(-1, g, p)
-    f = work.take("kernel.real", (10 + 8 * n_mat) * g * p).reshape(-1, g, p)
-    b = work.take("kernel.bool", (3 + 3 * n_mat) * g * p, bool).reshape(-1, g, p)
-    q, trip, qn = c[0], c[1], c[2:2 + n_mat]
-    r, den = c[2 + n_mat:].reshape(2, 2, n_mat, g, p)
+    c = work.take("kernel.complex", 12 * g * p, complex).reshape(-1, g, p)
+    f = work.take("kernel.real", 26 * g * p).reshape(-1, g, p)
+    b = work.take("kernel.bool", 9 * g * p, bool).reshape(-1, g, p)
+    q, trip, qn = c[0], c[1], c[2:4]
+    r, den = c[4:].reshape(2, 2, 2, g, p)
     Q2, k, q2, h = f[:4]
     cavity, lock, tmp = f[4:10].reshape(3, 2, g, p)
-    abs_qn, scale, dd, num = f[10:10 + 4 * n_mat].reshape(4, n_mat, g, p)
-    base, r2 = f[10 + 4 * n_mat:].reshape(2, 2, n_mat, g, p)
-    light, trapped, neg, bad = b[0], b[1:3], b[3:3 + n_mat], b[3 + n_mat:].reshape(2, n_mat, g, p)
+    abs_qn, scale, dd, num = f[10:18].reshape(4, 2, g, p)
+    base, r2 = f[18:].reshape(2, 2, 2, g, p)
+    light, trapped, neg, bad = b[0], b[1:3], b[3:5], b[5:].reshape(2, 2, g, p)
     emit = work.take("kernel.emit", 3 * g, bool).reshape(3, g, 1)
     emit, emitting = emit[:2], emit[2]
 
@@ -448,22 +453,21 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
     np.logical_or(emit[0], emit[1], out=emitting)
     if propagating:                 # the locked baseline 1 - |r_L|^2 |r_R|^2
         np.square(np.abs(r, out=r2), out=r2)
-        np.subtract(1.0, np.multiply(r2[:, kernel_of[0]], r2[:, kernel_of[1]], out=lock), out=lock)
+        np.subtract(1.0, np.multiply(r2[:, 0], r2[:, 1], out=lock), out=lock)
         np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
         if np.count_nonzero(np.logical_and(trapped, emitting, out=trapped)):
             raise SingularityError("detached-plates cavity weight hits a trapped lossless mode",
                                    point=np.broadcast_to(s, trapped.shape)[trapped][0])
-    # a kernel is needed where a plate of its material emits; G = 0 there
-    # also where Re qn = 0 (no loss, no weight), so 2 Re qn is 1 elsewhere
-    live = emitting[None] if n_mat == 1 else emit
 
     # G = C Q / (2 Re qn |q + qn|^2) (TE) and C Q (Q^2 + |qn|^2) /
     # (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), C the measure and the
     # sector's constant; the light-line limit reads G before |q|^2
     np.multiply(PRESSURE_SIGN * _MEASURE * (2.0 if propagating else -4.0), Q, out=h)
     np.multiply(2.0, qn.real, out=dd)
-    if np.count_nonzero(live) < live.size:
-        np.copyto(dd, 1.0, where=~live)
+    # a kernel is needed where its plate emits; G = 0 there also where
+    # Re qn = 0 (no loss, no weight), so 2 Re qn is 1 elsewhere
+    if np.count_nonzero(emit) < emit.size:
+        np.copyto(dd, 1.0, where=~emit)
     np.multiply(dd, np.square(base, out=base), out=base)     # base: |den|, then G |q|^2
     np.multiply(base[1], s_eff2, out=base[1])
     np.multiply(h, np.add(Q2, np.square(abs_qn, out=num), out=num), out=num)
@@ -474,7 +478,7 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
     np.multiply(base, q2, out=base)
 
     c = den[:, 0]                   # the Fresnel denominators are spent: lent to D
-    np.multiply(np.multiply(r[:, kernel_of[0]], r[:, kernel_of[1]], out=c), trip, out=c)
+    np.multiply(np.multiply(r[:, 0], r[:, 1], out=c), trip, out=c)
     np.subtract(1.0, c, out=c)
     np.square(np.abs(c, out=cavity), out=cavity)
     if on_light:
@@ -485,9 +489,7 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
         partner = np.add(1.0, r2, out=r2)                   # 1 + |r_b|^2
     else:
         partner = np.multiply(r, trip, out=den).real        # Re(r_b exp(-2 q l))
-    # the partner of material m is material n_mat - 1 - m: each plate's
-    # partner when the materials differ, the one material when they do not
-    np.multiply(base, partner[:, ::-1], out=base)
+    np.multiply(base, partner[:, ::-1], out=base)         # each plate's partner
     np.multiply(base, cavity[:, None], out=base)
     if on_light and not propagating:        # one polarization at a time: small temporaries
         qn_l = qn[:, light]
@@ -720,7 +722,7 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     these decisions.  ``abs_floor`` is a number
     or a callable mapping the current per-segment totals I (those of
     retired segments included) to the floor (the inner Q integrals use
-    the latter, see `_inner_q_integral`).  A single integral, such as the
+    the latter, see `_q_integrals`).  A single integral, such as the
     outer frequency integral or a tail slice, is the one-segment case.
     ``work`` is the `_Workspace` handed to every `_eval_panels` call (see
     there).  Returns ((main, ride) per-segment totals, shaped (rows,
@@ -991,13 +993,13 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, work, line=False):
     return w, Qs, jac
 
 
-def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work, line=False):
+def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
     """The lockstep Q driver: both sectors of every real frequency in
     ``omegas`` are independent segments of one `_adaptive_gk` call (seed
     edges `_inner_q_seeds`, nodes `_q_nodes`, at most 512 panels each), so
     each round evaluates every panel still being split with one integrand
     call per chunk, while each sector keeps its own error test, panel
-    budget and ConvergenceError, named by ``label(i, sector)``.  The
+    budget and ConvergenceError, named by its sector and frequency.  The
     propagating segments come first, so each chunk (`_eval_panels`) is
     one propagating run of panels followed by one evanescent run, and the
     node map and the channel map read each run as a slice.  Under
@@ -1009,10 +1011,15 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work, line=False):
     from the (panels, 1) column of their frequencies w = omegas[at], at
     one index per panel, Q and dQ/dx shaped (panels, 15) (arrays in
     ``work``, see `_q_nodes`) and ``lead``, the number of leading
-    propagating panels; ``floor`` is the absolute floor, a number or a
-    callable of the per-frequency running totals.  Returns (integrals
-    shaped (rows, n_omega), errors shaped (2, n_omega): the propagating
-    segment's, then the evanescent one's).
+    propagating panels.
+
+    The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
+    times the largest |inner integral| among ``floor_scale`` (that of the
+    frequencies already finished) and the running per-frequency totals of
+    this call, so it does not depend on the order in which the
+    frequencies of one call are listed.  Returns (integrals shaped (rows,
+    n_omega), errors shaped (2, n_omega): the propagating segment's, then
+    the evanescent one's).
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
@@ -1031,13 +1038,15 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor, label, work, line=False):
         return rows(w, Q, jac, at, lead), np.empty((0,) + x.shape)
 
     def abs_floor(totals):
-        return floor(np.bincount(owner, weights=totals, minlength=n))
+        running = np.bincount(owner, weights=totals, minlength=n)
+        return _INNER_FLOOR * rel_tol * max(floor_scale, np.abs(running).max())
+
+    def label(j):
+        return f"{_SECTORS[int(evan[j])]} Q integral at omega={omegas[owner[j]]:.4g}"
 
     tol = np.where(evan, rel_tol, _LINE_TOL * rel_tol) if line else rel_tol
     (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, line), tol,
-                                 abs_floor=abs_floor if callable(floor) else floor,
-                                 max_panels=512, work=work,
-                                 labels=lambda j: label(owner[j], _SECTORS[int(evan[j])]))
+                                 abs_floor=abs_floor, max_panels=512, work=work, labels=label)
     errs = np.array([np.bincount(owner[~evan], weights=err[~evan], minlength=n),
                      np.bincount(owner[evan], weights=err[evan], minlength=n)])
     return _segment_sums(owner, got, n), errs
@@ -1061,13 +1070,8 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
 
 def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
     """`_inner_q_integral` with both sectors on the real Q axis, the
-    propagating one in theta (`_inner_q_seeds`).
-
-    The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
-    times the largest |inner integral| among ``floor_scale`` (that of the
-    frequencies already finished) and the running estimates of this call,
-    so it does not depend on the order in which the frequencies of one
-    call are listed.  The factors of omega alone (`_frequency_factors`)
+    propagating one in theta (`_inner_q_seeds`), with the absolute floor
+    of `_q_integrals`.  The factors of omega alone (`_frequency_factors`)
     are evaluated once per call, and each panel hands the channel map its
     row of them.  ``work`` is the `_Workspace` of the steady pass (a
     fresh one without it); the channel rows, Jacobian applied in place,
@@ -1087,22 +1091,8 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
         ch *= jac
         return ch
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, _inner_floor(rel_tol, floor_scale),
-                            _inner_label(omegas), work)
+    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work)
     return got, err[0] + err[1]
-
-
-def _inner_floor(rel_tol, floor_scale):
-    """The inner rules' absolute floor, a callable of the running totals
-    (see `_real_q_integral`)."""
-    def floor(running):
-        return _INNER_FLOOR * rel_tol * max(floor_scale, np.abs(running).max())
-    return floor
-
-
-def _inner_label(omegas):
-    """The inner rules' segment names for ConvergenceError."""
-    return lambda i, sector: f"{sector} Q integral at omega={omegas[i]:.4g}"
 
 
 # ---------------------------------------------------------------------------
@@ -1540,8 +1530,7 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
             out[:, 0, lead:] = 0.0
         return out.reshape(-1, m, p)
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, _inner_floor(rel_tol, floor_scale),
-                            _inner_label(omegas), work, line=True)
+    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=True)
     res, res_err = _strip_residues(geom, omegas[live], eps[:, live], peak[:, live])
     got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
     got[:, 0, live] -= both[live] * res.imag + got[:, 1, live]

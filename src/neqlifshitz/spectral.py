@@ -466,9 +466,14 @@ def plate_mode_roots(side, Q, kz=0.0):
     marginal.  Every root of the cleared polynomial is a genuine
     radicand zero: a cancellation against the clearing denominator
     would need lambda0^2 N(s) s^2 to vanish at a response pole, and
-    neither s = 0 nor the numerator zero is one.
+    neither s = 0 nor the numerator zero is one.  Q must be finite and
+    >= 0, and kz finite (DomainError).
     """
-    big_c = float(Q) ** 2 + float(kz) ** 2
+    Q = _transverse_q(Q)
+    kz = float(kz)
+    if not math.isfinite(kz):
+        raise DomainError(f"kz must be finite, got {kz}")
+    big_c = Q ** 2 + kz ** 2
     if isinstance(side, EpsilonTable):
         eps0 = complex(side.eps[0])
         if eps0 == 0:
@@ -1160,7 +1165,10 @@ def _ic_half(geom, k, s, phase_sign):
 def _ic_pair(k, half1, half2, beta_em=math.inf):
     """Initial-field integrand parts from its s1 and s2 halves, keyed
     (pol, "electric"|"magnetic"); array halves broadcast against each
-    other."""
+    other.  A NaN or non-positive beta_em raises DomainError (inf, the
+    vacuum, is allowed), as a plate's ``beta_bath`` does."""
+    if not beta_em > 0:             # NaN fails too
+        raise DomainError(f"beta_em must be > 0 (inf allowed), got {beta_em}")
     Q, kz, wk = _ic_wavevector(k)
     (s1, co1), (s2, co2) = half1, half2
     proj = transverse_projector(np.array([Q, 0.0, kz]))
@@ -1186,7 +1194,8 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
                    integrals ... ]
 
     leaving d^3k, the Bromwich measures and the time factor external.
-    ``beta_em`` is the initial field temperature (inf = vacuum).
+    ``beta_em`` is the inverse initial field temperature (inf = vacuum;
+    NaN or <= 0 raises DomainError).
 
     Evaluated as the pair step of two per-variable halves (`_ic_half` at
     s1 and s2), each built on a one-point array: the scalar case of the
@@ -1470,7 +1479,8 @@ def ic_origin_report(geom, k, beta_em=math.inf):
     (`ic_z_block`) are built once per Laplace variable on the 45 points
     the 208 sampled pairs use, and one pair step contracts the two halves
     gathered onto those pairs: 2 builds and 208 contracted pairs.  Every
-    component of k must be finite (DomainError).
+    component of k must be finite, and beta_em as in
+    `assemble_ic_integrand` (DomainError).
     ``"steady_after_discard"`` is 0.0 by the discard rule, not a measured
     value.
     """

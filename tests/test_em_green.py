@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from neqlifshitz.em_green import (
     qz,
 )
 from neqlifshitz.errors import DomainError, SingularityError
-from neqlifshitz.material import BathModel, EpsilonTable, Material
+from neqlifshitz.material import BathModel, Material
 from neqlifshitz.spectral import scan_dmu_imaginary_axis
 
 from conftest import fresnel_tm_root
@@ -257,46 +256,6 @@ def test_batched_equals_scalar():
     for i, Q in enumerate(Qs):
         single = green_gap_from_plate(geom, "L", s, float(Q)).evaluate(0.1)
         assert_allclose(batch[i], single, rtol=1e-13)
-
-
-def test_same_material_ignores_temperatures_and_compares_tables_by_identity():
-    # an oscillator plate is the same material at any temperatures; a
-    # table plate only as the same object: tables have no beta_dof, and
-    # dataclass == on two multi-row tables would compare arrays
-    warm = replace(LOSSY, beta_bath=1.0, beta_dof=2.0)
-    assert em_green._same_material(Geometry(gap=1.0, left=LOSSY, right=warm))
-    assert not em_green._same_material(Geometry(gap=1.0, left=LOSSY, right=LOSSY2))
-    omega = np.array([0.5, 1.0, 2.0])
-    rows = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=1.0)
-    twin = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=0.5)
-    assert em_green._same_material(Geometry(gap=1.0, left=rows, right=rows))
-    for left, right in ((rows, twin), (rows, warm), (warm, rows)):
-        assert not em_green._same_material(Geometry(gap=1.0, left=left, right=right))
-
-
-def test_one_material_shares_its_optics_record(monkeypatch):
-    # plates of one material at two temperatures read one optics record;
-    # every block built from it equals the one built from two records
-    geom = Geometry(gap=0.8, left=replace(LOSSY, beta_bath=1.0),
-                    right=replace(LOSSY, beta_bath=3.0), z_field=0.1)
-    s = np.array([0.3 - 1.2j, 0.05 + 2.0j, 1.1 + 0.4j])
-    Q = np.array([0.7, 1.9, 0.2])
-
-    def builds():
-        return [green_gap_from_plate(geom, "L", s, Q).evaluate(0.1),
-                green_gap_from_plate(geom, "R", s, Q).evaluate(0.1, 0.6),
-                green_gap_bulk_scattered(geom, s, Q, -0.2).evaluate(0.1),
-                green_plate_from_gap(geom, "R", s, Q, -0.2).evaluate(0.5),
-                ic_z_integral(geom, s, Q, 0.4), dmu(geom, s, Q, "TM")]
-
-    plates = em_green._optics(geom, s, Q)[1]
-    assert plates["R"] is plates["L"]
-    shared = builds()
-    monkeypatch.setattr(em_green, "_same_material", lambda geom: False)
-    plates = em_green._optics(geom, s, Q)[1]
-    assert plates["R"] is not plates["L"]
-    for one, two in zip(shared, builds()):
-        assert np.array_equal(one, two)
 
 
 # ---------------------------------------------------------------------------

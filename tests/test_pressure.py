@@ -654,12 +654,11 @@ def test_sector_runs_match_the_per_node_rules():
 
 
 def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
-    # identical plates at two temperatures run one Fresnel step per sector,
-    # and their rows are bit for bit those of the two-material path (forced
-    # by declaring the plates different), which stacks both materials into
-    # one Fresnel call per sector as well.  The batch holds both sectors and
-    # the light line; under thermal_only the cold plate emits below
-    # omega = 2 only, so its rows read 0 at the higher frequencies
+    # identical plates at two temperatures run one Fresnel step per sector
+    # with both plates on its leading axis, as dissimilar plates do.  The
+    # batch holds both sectors and the light line; under thermal_only the
+    # cold plate emits below omega = 2 only, so its rows read 0 at the
+    # higher frequencies
     geom = identical_plates(0.9, 1.0, 0.05)
     rng = np.random.default_rng(29)
     ws = np.array([0.3, 1.1, 2.5, 6.0])
@@ -674,18 +673,27 @@ def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
     monkeypatch.setattr(pr, "_fresnel_coeffs", spy)
     for thermal_only in (False, True):
         calls.clear()
-        shared = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
+        rows = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
         assert len(calls) == 2
-        with monkeypatch.context() as m:
-            m.setattr(pr, "_same_material", lambda geom: False)
-            calls.clear()
-            apart = pr._bath_channels(geom, w, Q, thermal_only=thermal_only)
-            assert len(calls) == 2
-            assert all(np.shape(args[2])[0] == 2 for args in calls)     # qn of both materials
-        assert shared.tobytes() == apart.tobytes()
-        assert np.any(shared[:4] != 0.0)
-        cold = shared[4:, w > 2.0]
+        assert all(np.shape(args[2])[0] == 2 for args in calls)     # qn of both plates
+        assert np.any(rows[:4] != 0.0)
+        cold = rows[4:, w > 2.0]
         assert np.all(cold == 0.0) if thermal_only else np.any(cold != 0.0)
+
+
+def test_same_material_ignores_temperatures_and_compares_tables_by_identity():
+    # an oscillator plate is the same material at any temperatures; a
+    # table plate only as the same object: tables have no beta_dof, and
+    # dataclass == on two multi-row tables would compare arrays
+    warm = replace(LOSSY, beta_bath=1.0, beta_dof=2.0)
+    assert pr._same_material(Geometry(gap=1.0, left=LOSSY, right=warm))
+    assert not pr._same_material(Geometry(gap=1.0, left=LOSSY, right=LOSSY2))
+    omega = np.array([0.5, 1.0, 2.0])
+    rows = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=1.0)
+    twin = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=0.5)
+    assert pr._same_material(Geometry(gap=1.0, left=rows, right=rows))
+    for left, right in ((rows, twin), (rows, warm), (warm, rows)):
+        assert not pr._same_material(Geometry(gap=1.0, left=left, right=right))
 
 
 def test_table_pairs_take_the_two_material_path():
@@ -696,8 +704,6 @@ def test_table_pairs_take_the_two_material_path():
     rows = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=1.0)
     twin = EpsilonTable(omega=omega, eps=np.full(3, 2.0 + 0j), beta_bath=0.5)
     assert not pr._closes_on_contour(Geometry(gap=1.0, left=rows, right=twin))
-    assert pr._frequency_factors(Geometry(gap=1.0, left=rows, right=rows),
-                                 np.array([1.0]))["kernel_of"] == (0, 0)
     for left, right in ((rows, twin), (warm_geom().left, rows), (rows, warm_geom().left)):
         ch = pr._bath_channels(Geometry(gap=1.0, left=left, right=right), 1.2,
                                np.array([0.5, 2.0]))
@@ -810,7 +816,7 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
     # sectors, with and without a light-line straggler (which sends the
     # chunk down to one node per group), for one and two plate materials.
     # Without a straggler the chunk makes one stacked Fresnel call per
-    # sector, both materials on its leading axis
+    # sector, both plates on its leading axis
     geom = default_plates(0.9, 1.0, 0.05) if plates == "dissimilar" else \
         identical_plates(0.9, 1.0, 0.05)
     calls = []
@@ -826,8 +832,7 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
     w = np.broadcast_to(w, Q.shape)
     assert np.count_nonzero(Q == w) == int(straggler)
     if not straggler:
-        n_mat = 2 if plates == "dissimilar" else 1
-        assert calls == [(n_mat, 40, 15), (n_mat, 30, 15)]
+        assert calls == [(2, 40, 15), (2, 30, 15)]
     want = pr._bath_channels(geom, w, Q, thermal_only=thermal_only) * jac
     assert rows.shape == (len(BREAKDOWN_KEYS),) + Q.shape
     assert rows.tobytes() == want.tobytes()
@@ -1722,6 +1727,21 @@ def test_inner_convergence_error_names_frequency_and_sector(monkeypatch, sector)
     monkeypatch.setattr(pr, "_bath_channels", rough)
     with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
         pr._inner_q_integral(warm_geom(), np.array([1.0, 2.5, 4.0]), False, 1e-6, 0.0)
+
+    # identical plates take the line k_z = omega + i y (in y) and the
+    # round-trip evanescent rows (in Q) instead, through the same labels
+    def rough_rows(w, x, propagating):
+        w = np.broadcast_to(w, np.shape(x))
+        bad = (w == 2.5) & ((sector == "propagating") == propagating)
+        return np.stack([np.exp(-x) + np.where(bad, np.sin(1e6 * x), 0.0)] * len(pr._POLS))
+
+    monkeypatch.setattr(pr, "_line_integrand", lambda geom, w, eps, y: (
+        1j * rough_rows(w, y, True), np.zeros((len(pr._POLS), len(y)))))
+    monkeypatch.setattr(pr, "_evanescent_integrand",
+                        lambda geom, w, eps, Q: rough_rows(w, Q, False))
+    with pytest.raises(ConvergenceError, match=f"{sector} Q integral at omega=2.5 "):
+        pr._inner_q_integral(identical_plates(1.0, 1.0, 0.5), np.array([1.0, 2.5, 4.0]),
+                             False, 1e-6, 0.0)
 
 
 @pytest.mark.parametrize("geom, rel_tol", [(identical_plates(2.0, 1.0, 0.3), 2e-3),

@@ -5,7 +5,10 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from neqlifshitz.pressure import BREAKDOWN_KEYS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
@@ -72,6 +75,23 @@ def test_steady_fingerprints_script(capsys):
     assert name == "dissimilar-euler" and points.startswith("points=")
     assert int(points.removeprefix("points=").split("+")[0]) > 0
     assert len(numbers) == 12 and not any(n.startswith(("line=", "evan=")) for n in numbers)
+    # the lockstep Q rule of identical plates runs the line and the
+    # round-trip evanescent form; the point map runs the channel map on
+    # its 24 points, four times (two plate pairs, with and without
+    # thermal_only)
+    assert script.main(["--case", "line-q", "--case", "point-map"]) == 0
+    line_q, point_map = capsys.readouterr().out.splitlines()
+    name, points, line, evan, *numbers = line_q.split()
+    assert name == "line-q" and points == "points=0+0"
+    assert int(line.removeprefix("line=")) > 0 and int(evan.removeprefix("evan=")) > 0
+    assert len(numbers) == len(BREAKDOWN_KEYS) * 4 + 4
+    name, points, *numbers = point_map.split()
+    assert name == "point-map" and points == "points=96+0"
+    rows = np.array([float.fromhex(n) for n in numbers]).reshape(4, len(BREAKDOWN_KEYS), 24)
+    assert np.all(rows[:, :, :6] == 0.0)                # omega = 0
+    assert np.all(rows[:, 0::2, 9::6] == 0.0)           # the light line is evanescent
+    assert np.all(rows[:, 1::2, 9::6] != 0.0)
+    assert not np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
 
 
 def test_analytic_fingerprints_script(capsys):

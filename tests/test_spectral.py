@@ -358,6 +358,18 @@ def test_plate_roots_degenerate_origin():
     assert rep.roots == ((0.0j, 2, None),)
 
 
+@pytest.mark.parametrize("Q, kz", [(math.nan, 0.0), (math.inf, 0.0), (-0.5, 0.0),
+                                   (0.5, math.nan), (0.5, math.inf), (0.5, -math.inf)])
+def test_plate_roots_refuse_bad_wavenumbers(Q, kz):
+    # an oscillator plate used to raise numpy's LinAlgError here, a table
+    # plate to report no root as causal, a lambda0 = 0 plate NaN roots
+    table = EpsilonTable(omega=np.array([1.0]), eps=np.array([4.0 + 0.0j]))
+    mute = Material(omega0=1.0, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.1))
+    for side in (LOSSY, table, mute):
+        with pytest.raises(DomainError, match="must be finite"):
+            plate_mode_roots(side, Q, kz=kz)
+
+
 def test_branch_inventory_gap_cut():
     table = EpsilonTable(omega=np.array([1.0]), eps=np.array([1.0 + 0.0j]))
     geom = Geometry(gap=1.0, left=table, right=table)
@@ -590,6 +602,17 @@ def test_ic_origin_taxonomy():
     assert rep["total"]["switch_on"]["strength"] < 1e-3
     assert rep["steady_after_discard"] == 0.0
     assert json.dumps(rep)
+
+
+@pytest.mark.parametrize("beta_em", [math.nan, 0.0, -2.0, -math.inf])
+def test_initial_field_refuses_a_bad_beta_em(beta_em):
+    # a NaN beta_em used to be read as the vacuum, a negative one to give
+    # a negative occupation; both entries share the pair step's check
+    geom, k = warm_geom(), np.array([0.4, 0.3, 1.1])
+    with pytest.raises(DomainError, match="beta_em must be > 0"):
+        spectral.assemble_ic_integrand(geom, k, 0.15 - 0.8j, 0.15 + 0.8j, beta_em=beta_em)
+    with pytest.raises(DomainError, match="beta_em must be > 0"):
+        ic_origin_report(geom, k, beta_em=beta_em)
 
 
 def _count_calls(monkeypatch, module, name):
