@@ -18,7 +18,9 @@ per-frequency errors.  Two checkouts that print the same text compute
 the same bits, so a change to the quadrature that claims to move no
 number is checked by diffing this output before and after it.  The
 ``point-map`` case calls the channel map itself on a fixed batch of
-points and returns its rows:
+points and returns its rows, and the ``straggler`` case calls it as the
+inner rules do, on one chunk of panels with and without a light-line
+node in its propagating run:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -91,6 +93,29 @@ def point_map():
             for thermal_only in (False, True)]
 
 
+def straggler():
+    """The channel rows of one inner-rule chunk on the default plates:
+    three propagating panels of 15 theta nodes (Q = omega sin(theta)),
+    then three evanescent panels (sqrt(Q^2 - omega^2) = decay t/(1 - t)),
+    with each panel's frequency factors.  First with the last node of the
+    second panel at theta = pi/2 - 1e-9, where sin(theta) rounds to 1 and
+    Q = omega, then with that node at its place on the grid."""
+    geom = dissimilar(1.0, 1.0, 0.5)
+    ws = OMEGAS[:3, None]
+    t = np.linspace(0.02, 0.97, 15)
+    decay = np.maximum(ws, 0.5 / geom.gap)
+    Q_e = np.hypot(ws, decay * t / (1.0 - t))
+    factors = (pressure._frequency_factors(geom, OMEGAS[:3]), np.tile(np.arange(3), 2))
+    rows = []
+    for light in (True, False):
+        theta = np.tile(np.linspace(0.05, 1.5, 15), (3, 1))
+        if light:
+            theta[1, -1] = 0.5 * math.pi - 1e-9
+        Q = np.vstack([ws * np.sin(theta), Q_e])
+        rows.append(pressure._bath_channels(geom, np.vstack([ws, ws]), Q, factors=factors))
+    return rows
+
+
 CASES = {
     "sweep-far": _steady(identical(2.0, 1.0, 0.3), rel_tol=2e-3),
     "sweep-far-3e-4": _steady(identical(2.0, 1.0, 0.3), rel_tol=3e-4),
@@ -112,6 +137,7 @@ CASES = {
     "line-q": _lockstep(pressure._inner_q_integral, identical(1.0, 1.0, 0.5), OMEGAS, False,
                         1e-10, 0.0),
     "point-map": point_map,
+    "straggler": straggler,
     "contour-q": _lockstep(pressure._contour_line_integral, identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
 }

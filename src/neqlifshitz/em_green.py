@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .material import ETA_REL, EpsilonTable, Material, permittivity
+from .material import EpsilonTable, Material, _eta_shift, permittivity
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -99,7 +99,7 @@ def plate_eps(side, s):
         return side.eps_laplace(s)
     s_arr = np.asarray(s, dtype=complex)
     if not (side.bath.gamma > 0):
-        s_arr = s_arr + ETA_REL * np.maximum(np.abs(s_arr), 1.0)
+        s_arr = _eta_shift(s_arr)
     return permittivity(side, s_arr if s_arr.ndim else complex(s_arr))
 
 
@@ -117,7 +117,7 @@ def qz(eps, s, Q):
     """
     s = np.asarray(s, dtype=complex)
     on_axis = (s.real == 0) & (s.imag != 0)
-    s_eff = np.where(on_axis, s, s + ETA_REL * np.maximum(np.abs(s), 1.0))
+    s_eff = np.where(on_axis, s, _eta_shift(s))
     x = np.asarray(eps, dtype=complex) * s_eff * s_eff \
         + np.asarray(Q, dtype=float) ** 2
     out = np.sqrt(x)
@@ -125,16 +125,6 @@ def qz(eps, s, Q):
     if np.any(neg):
         out = np.where(neg, 1j * np.sign(s.imag) * np.sqrt(-x.real + 0j), out)
     return out if out.ndim else complex(out)
-
-
-def _s_eff(s):
-    """The common retarded evaluation point used inside every block.
-
-    Elementwise for an array of Laplace points.
-    """
-    if np.ndim(s):
-        return s + ETA_REL * np.maximum(np.abs(s), 1.0)
-    return s + ETA_REL * max(abs(s), 1.0)
 
 
 def fresnel(side, s, Q):
@@ -340,7 +330,7 @@ def _gap_vectors(s, Q, q, phase_sign):
     broadcast(s, Q) + (3,).
     """
     e_te = np.broadcast_to(np.array([0.0, -phase_sign, 0.0]), q.shape + (3,))  # qv x zhat
-    scale = np.asarray(1.0 / (1j * _s_eff(s)))[..., None]
+    scale = np.asarray(1.0 / (1j * _eta_shift(s)))[..., None]
     qz_part = np.multiply.outer(Q, ZHAT) * scale
     qv_part = np.multiply.outer(q, phase_sign * XHAT) * (1j * scale)
     return (e_te, e_te), (qz_part - qv_part, qz_part + qv_part)
@@ -360,7 +350,7 @@ def _source_vecs(eps, q, qn, s, Q, phase_sign, updown, num):
     te = (num / (q + qn))[..., None] * np.array([0.0, -phase_sign, 0.0])
     tm = (np.multiply.outer(np.asarray(Q, dtype=float), ZHAT)
           - updown * 1j * np.multiply.outer(qn, phase_sign * XHAT)) \
-        * (num / ((eps * q + qn) * 1j * _s_eff(s)))[..., None]
+        * (num / ((eps * q + qn) * 1j * _eta_shift(s)))[..., None]
     return te, tm
 
 
@@ -495,7 +485,7 @@ def green_gap_bulk_scattered(geom, s, Q, z_src, phase_sign=+1):
         terms += _scattered_terms(geom, optics, i, up, dn)
     return GreenBlock(terms=tuple(terms), s=_block_s(s), Q=Q,
                       phase_sign=phase_sign, geom=geom, z_src=z_src,
-                      has_delta=True, delta_scalar=-1.0 / _s_eff(s) ** 2)
+                      has_delta=True, delta_scalar=-1.0 / _eta_shift(s) ** 2)
 
 
 def green_plate_from_gap(geom, plate, s, Q, z_src, phase_sign=+1):
@@ -625,7 +615,7 @@ def ic_z_block(geom, s, Q, kz, phase_sign=+1):
     terms.append(GreenTerm(pol="TM", plate="gap", tag="delta",
                            field_vec=np.broadcast_to(ZHAT, q.shape + (3,)),
                            src_vec=np.broadcast_to(ZHAT, q.shape + (3,)),
-                           scalar=(-1.0 / _s_eff(s) ** 2) * np.ones_like(q),
+                           scalar=(-1.0 / _eta_shift(s) ** 2) * np.ones_like(q),
                            exp_z=1j * kz_eff + 0.0 * q))
 
     # --- source in the gap: scattered pieces, entire functions of kz

@@ -26,6 +26,14 @@ BATH_KINDS = ("none", "ohmic", "ohmic_lorentz_cutoff")
 ETA_REL = 1e-9
 
 
+def _eta_shift(s):
+    """The retarded evaluation point s + eta, eta = ETA_REL * max(|s|, 1):
+    elementwise for an array of Laplace points, a scalar for a scalar."""
+    if np.ndim(s):
+        return s + ETA_REL * np.maximum(np.abs(s), 1.0)
+    return s + ETA_REL * max(abs(s), 1.0)
+
+
 @dataclass(frozen=True)
 class BathModel:
     """Dissipation kernel attached to a plate's internal oscillator.
@@ -36,10 +44,10 @@ class BathModel:
         One of ``"none"``, ``"ohmic"`` (2*D(s) = -gamma*s) or
         ``"ohmic_lorentz_cutoff"`` (2*D(s) = -gamma*s*cutoff/(s + cutoff)).
     gamma : float
-        Friction coefficient, >= 0.
+        Friction coefficient, finite and >= 0.
     cutoff : float
         Lorentz-Drude cutoff of the spectral density (only used by the
-        cutoff kind), > 0.
+        cutoff kind, where it must be finite), > 0.
     """
 
     kind: str = "ohmic"
@@ -49,10 +57,12 @@ class BathModel:
     def __post_init__(self):
         if self.kind not in BATH_KINDS:
             raise DomainError(f"unknown bath kind {self.kind!r}; expected one of {BATH_KINDS}")
-        if not self.gamma >= 0.0:
-            raise DomainError(f"bath gamma must be >= 0, got {self.gamma}")
-        if self.kind == "ohmic_lorentz_cutoff" and not (self.cutoff > 0.0 and math.isfinite(self.cutoff)):
+        if not 0.0 <= self.gamma < math.inf:
+            raise DomainError(f"bath gamma must be finite and >= 0, got {self.gamma}")
+        if self.kind == "ohmic_lorentz_cutoff" and not 0.0 < self.cutoff < math.inf:
             raise DomainError(f"ohmic_lorentz_cutoff needs a finite positive cutoff, got {self.cutoff}")
+        if not self.cutoff > 0.0:
+            raise DomainError(f"bath cutoff must be > 0 (inf allowed), got {self.cutoff}")
         if self.kind == "none" and self.gamma != 0.0:
             raise DomainError("bath kind 'none' must have gamma = 0")
 
@@ -77,12 +87,12 @@ class Material:
     beta_dof: float = math.inf
 
     def __post_init__(self):
-        if not self.omega0 > 0:
-            raise DomainError(f"omega0 must be > 0, got {self.omega0}")
-        if not self.lambda0 >= 0:
-            raise DomainError(f"lambda0 must be >= 0, got {self.lambda0}")
-        if not self.mass > 0:
-            raise DomainError(f"mass must be > 0, got {self.mass}")
+        if not 0 < self.omega0 < math.inf:
+            raise DomainError(f"omega0 must be finite and > 0, got {self.omega0}")
+        if not 0 <= self.lambda0 < math.inf:
+            raise DomainError(f"lambda0 must be finite and >= 0, got {self.lambda0}")
+        if not 0 < self.mass < math.inf:
+            raise DomainError(f"mass must be finite and > 0, got {self.mass}")
         for name in ("beta_bath", "beta_dof"):
             b = getattr(self, name)
             if not b > 0:
@@ -147,11 +157,8 @@ def _fourier_s(mat, omega):
     Lossy materials are evaluated exactly at s = -i*omega; marginal ones
     (gamma = 0) need the eta-prescription to stay retarded.
     """
-    omega = np.asarray(omega, dtype=float)
-    s = -1j * omega
-    if not (mat.bath.gamma > 0):
-        s = s + ETA_REL * np.maximum(np.abs(omega), 1.0)
-    return s
+    s = -1j * np.asarray(omega, dtype=float)
+    return s if mat.bath.gamma > 0 else _eta_shift(s)
 
 
 def permittivity_fourier(mat, omega):

@@ -29,9 +29,11 @@ itself, its decay scale and contour weight, and its row of the
 once per panel and broadcast over its nodes.  Up to the real-axis
 ceiling omega_max the Q integrand of dissimilar plates is the eight
 channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
-for the engine and the public per-point map alike (`_bath_channels`, a
-point being a panel of one node), with the two polarizations and the
-two plates stacked so that each step is one ufunc call.
+(`_channel_kernel`) for the engine and the public per-point map alike
+(`_bath_channels`), with the two polarizations and the two plates
+stacked so that each step is one ufunc call: a chunk's two sector runs
+take one call each, any other batch of points one call per sector on
+its gathered nodes.
 Plates of one material (`_same_material`) integrate one row per
 polarization and sector instead, the round-trip sum of the Lifshitz
 function H weighted by both plates' occupations, and split the plates
@@ -58,14 +60,17 @@ contraction (:func:`.spectral.theta_contract`) serve the transient study in
 :mod:`.spectral`, and in the tests the oracle of the closed form.
 
 Each `steady_pressure` call owns one `_Workspace` and hands it through
-every lockstep call to the inner rules (`_adaptive_gk`, `_eval_panels`),
-the node mapping and the channel map (`_bath_channels`,
-`_channel_kernel`, `.em_green._fresnel_coeffs`).  Every per-node array
-of a chunk is written into one of its reused buffers with ``out=``
-ufuncs, in the same operation order as fresh arrays, so a chunk
-allocates nothing of its size and the heap is not trimmed and faulted
-back in between chunks; the channel kernel cuts its arrays out of one
-buffer per dtype.  Rows taken from a workspace are valid until the next
+every lockstep call to the inner rules (`_adaptive_gk`,
+`_eval_panels`), the node mapping and the channel map
+(`_bath_channels`, `_channel_kernel`, `.em_green._fresnel_coeffs`).
+Every per-node array of a chunk is written into one of its reused
+buffers with ``out=`` ufuncs, in the same operation order as fresh
+arrays, so a chunk allocates nothing of its size and the heap is not
+trimmed and faulted back in between chunks; the channel kernel cuts
+its arrays out of one buffer per dtype.  The channel map's per-node
+form, for any layout but a chunk's two sector runs (the public map's
+points; no steady pass hands it one), gathers and scatters its nodes
+in fresh arrays.  Rows taken from a workspace are valid until the next
 call with the same workspace; a call made without one (as every caller
 outside the quadrature does) makes a fresh one, so what it returns is
 its caller's alone.  The outer rules take none, since their nodes must
@@ -74,6 +79,9 @@ plates, the contour tail's line and the zero search allocate fresh
 arrays.
 The hot path checks nothing the engine guarantees: the public entries
 refuse bad points (DomainError), the engine's own nodes skip the test.
+The lockstep Q rules (`_q_integrals` and its seeds, `_real_q_integral`,
+`_line_q_integral`) take only positive real frequencies, as the outer
+rule hands them (interior Gauss-Kronrod nodes, never omega = 0).
 
 Everything is in natural units (hbar = c = k_B = 1, frequencies in units
 of the oscillator scale); pressures come out in those units to the fourth
@@ -88,9 +96,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .material import (EpsilonTable, _coth, _fourier_s, bath_dissipation_fourier,
-                       permittivity, qbm_green)
-from .em_green import _fresnel_coeffs, _s_eff, plate_eps
+from .material import (EpsilonTable, _coth, _eta_shift, _fourier_s,
+                       bath_dissipation_fourier, permittivity, qbm_green)
+from .em_green import _fresnel_coeffs, plate_eps
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -137,12 +145,13 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     """Factors of the channel map that depend on the frequency alone.
 
     w is an array of positive frequencies.  Returns a dict of two tables
-    with one column per frequency, which the channel map gathers once per
-    group of nodes (`_group_factors`): ``complex`` stacks the Laplace
+    with one column per frequency, which the channel map gathers at its
+    groups' rows (`_channel_rows`): ``complex`` stacks the Laplace
     points s = -i w, the permittivity eps = eps(s) of each plate and eps
     s^2 of each, plates in _PLATES order; ``real`` stacks w^2, |s_eff|^2
-    and, per plate, the emission weight w^2 * occupation * Im eps, also
-    viewed as ``weight``.
+    (s_eff = `_eta_shift` (s), the retarded point) and, per plate, the
+    emission weight w^2 * occupation * Im eps, also viewed as
+    ``weight``.
 
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
@@ -176,7 +185,7 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
         cplx[1 + len(_PLATES) + i] = e * s * s
         real[2 + i] = wt
     real[0] = w2
-    real[1] = np.abs(_s_eff(s)) ** 2
+    real[1] = np.abs(_eta_shift(s)) ** 2
     return {"complex": cplx, "real": real, "weight": real[2:]}
 
 
@@ -223,8 +232,7 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     round-trip form instead (`_line_q_integral`); the map is their
     pointwise reference.
 
-    omega is one frequency or an array of them broadcast against Q (the
-    inner Q integrals of many frequencies run through one call).  Returns
+    omega is one frequency or an array of them broadcast against Q.  Returns
     a real array of shape (8,) + the broadcast shape, one row per channel
     in BREAKDOWN_KEYS order.  The values include the full measure (the Q
     of Q dQ and ``_MEASURE``), so the pressure is the plain (omega, Q)
@@ -232,22 +240,21 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     emission and read 0; a negative, NaN or infinite omega, or a NaN,
     infinite or negative Q, raises DomainError.
 
-    The points are evaluated in groups that share one frequency
-    (`_channel_rows`).  Called with its points alone, each point is a
-    group of one node: the factors of omega alone (`_frequency_factors`)
-    are evaluated at the distinct nonzero frequencies of the call.
-    ``factors`` is the pair (that dict, the row of each group's frequency
-    in it), as `_inner_q_integral` passes it once per lockstep call; it
-    then rules over use_fdr and thermal_only, and the points are taken as
-    they come, unchecked: a 2-d Q is (groups, nodes) with omega a
-    (groups, 1) column, as the inner rules' panels of 15 nodes; a 1-d Q
-    is one node per group.
+    This is the engine's entry to the map (the benchmark tracer counts
+    the integrand's points here); `_channel_rows` evaluates it.  Called
+    with its points alone, the factors of omega alone
+    (`_frequency_factors`) are evaluated at each point of nonzero
+    frequency.  ``factors`` is the pair (that dict, the row of each
+    panel's frequency in it), as `_real_q_integral` passes it once per
+    lockstep call; it then rules over use_fdr and thermal_only, and the
+    points are taken as they come, unchecked: Q is (panels, nodes) with
+    omega the (panels, 1) column, as the inner rules' panels of 15 nodes.
 
     ``work`` is the `_Workspace` of the steady pass that owns this call;
-    every per-point array, the returned rows included, lives in its
-    buffers, so the rows are valid until the next call with the same
-    workspace.  Without one (`bath_integrand`, tests) the call makes a
-    fresh workspace, and what it returns is its caller's alone.
+    the rows of an inner-rule chunk live in its buffers, valid until the
+    next call with the same workspace.  Without one (`bath_integrand`,
+    tests) the call makes a fresh workspace, and what it returns is its
+    caller's alone.
 
     Each channel is plate a's emission weight w_a(omega) times a kernel
     K_a, the closed-form zz stress of the field that plate a emits into
@@ -284,23 +291,17 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     if work is None:
         work = _Workspace()
     if factors is not None:
-        w, Q = np.asarray(omega, dtype=float), np.asarray(Q, dtype=float)
-        if Q.ndim == 2:
-            return _channel_rows(geom, factors, w, Q, work)
-        return _channel_rows(geom, factors, np.broadcast_to(w, Q.shape).reshape(-1, 1),
-                             Q.reshape(-1, 1), work).reshape((-1,) + Q.shape)
+        return _channel_rows(geom, factors, np.asarray(omega, dtype=float),
+                             np.asarray(Q, dtype=float), work)
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(Q, dtype=float))
     for name, v in (("omega", w), ("Q", Q)):
         bad = ~(v >= 0.0) | (v == math.inf)       # NaN fails v >= 0
         if bad.any():
             raise DomainError(f"the channel map needs finite {name} >= 0, "
                               f"got {name}={v[bad].flat[0]}")
-    if not w.any():
-        return np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
-    w_u, at = np.unique(w, return_inverse=True)
-    zero = int(w_u[0] == 0.0)       # omega = 0 takes no row
-    factors = (_frequency_factors(geom, w_u[zero:], use_fdr=use_fdr, thermal_only=thermal_only),
-               at.ravel() - zero)
+    live = w.ravel() != 0.0         # omega = 0 takes no row
+    factors = (_frequency_factors(geom, w.ravel()[live], use_fdr=use_fdr,
+                                  thermal_only=thermal_only), np.cumsum(live) - 1)
     rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)
     return rows.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
 
@@ -309,67 +310,45 @@ def _channel_rows(geom, factors, w, Q, work):
     """The channel rows of `_bath_channels` at groups of nodes: Q shaped
     (groups, nodes), w the (groups, 1) column of their frequencies and
     ``factors`` the pair (the `_frequency_factors` dict, each group's row
-    in it).  Returns the rows shaped (8, groups, nodes), C ordered, in
-    ``work``.
+    in it).  Returns the rows shaped (8, groups, nodes), C ordered.
 
-    A group lies in one sector when all its nodes do: propagating (Q <
-    omega) or evanescent.  Each sector's groups take its closed form
-    alone, through one gather of the factor tables (`_group_factors`)
-    and one call of `_channel_kernel`.  The inner rules' chunks, one
-    propagating run of panels then one evanescent run at nonzero
-    frequencies, are evaluated in place, a slice per sector.  A chunk
-    with a group that straddles the sectors, a light-line straggler
-    Q = omega of a propagating panel, goes down to one node per group,
-    where each node takes its own sector's form: the straggler the
-    evanescent one.  One node per group (the public map), each sector's
-    live points are gathered, evaluated and scattered back; points at
-    omega = 0 read 0.
+    The inner rules' chunks, one propagating (Q < omega) run of groups
+    then one evanescent run at nonzero frequencies, are evaluated in
+    place: each run's factors are gathered once and take its sector's
+    closed form through one `_channel_kernel` call, and the rows live in
+    ``work``.  Any other layout (the public map's points, a chunk with a
+    light-line straggler Q = omega in a propagating panel) is evaluated
+    node by node into fresh arrays: one kernel call per sector on the
+    nodes at nonzero frequencies, Q >= omega (the straggler included)
+    taking the evanescent form; nodes at omega = 0 read 0.
     """
     fac, at = factors
     g, p = Q.shape
     prop = np.less(Q, w, out=work.take("bath.prop", g * p, bool).reshape(g, p))
     k = int(np.count_nonzero(prop[:, 0]))
-    rows = work.take("bath.rows", len(BREAKDOWN_KEYS) * g * p).reshape(
-        len(_PLATES), len(_POLS), len(_SECTORS), g, p)
     if np.count_nonzero(w) == g and np.count_nonzero(prop[:k]) == k * p == np.count_nonzero(prop):
+        rows = work.take("bath.rows", len(BREAKDOWN_KEYS) * g * p).reshape(
+            len(_PLATES), len(_POLS), len(_SECTORS), g, p)
         for sector, run in enumerate((slice(0, k), slice(k, g))):
-            if run.start < run.stop:
-                _channel_kernel(geom, _group_factors(fac, at[run], work), Q[run], sector == 0,
-                                work, rows[:, :, sector, run])
+            n = run.stop - run.start
+            if n:
+                tables = tuple(tab.take(at[run], axis=1, mode="clip", out=work.take(
+                                   ("bath.factors", tab.dtype.char), len(tab) * n,
+                                   tab.dtype).reshape(-1, n))
+                               for tab in (fac["complex"], fac["real"]))
+                _channel_kernel(geom, tables, Q[run], sector == 0, work, rows[:, :, sector, run])
                 rows[:, :, 1 - sector, run] = 0.0
         return rows.reshape(len(BREAKDOWN_KEYS), g, p)
-    if p > 1:
-        return _channel_rows(geom, (fac, np.repeat(at, p)),
-                             np.broadcast_to(w, Q.shape).reshape(-1, 1), Q.reshape(-1, 1),
-                             work).reshape(-1, g, p)
-    rows.fill(0.0)
-    live = np.not_equal(w[:, 0], 0.0, out=work.take("bath.live", g, bool))
-    lead = np.logical_and(prop[:, 0], live, out=prop[:, 0])
-    trail = work.take("bath.trail", g, bool)
-    np.logical_and(np.logical_not(lead, out=trail), live, out=trail)
-    for sector, mask in enumerate((lead, trail)):
-        pick = np.flatnonzero(mask)
-        if pick.size:
-            n = pick.size
-            out = work.take("bath.picked", len(BREAKDOWN_KEYS) // 2 * n).reshape(
-                len(_PLATES), len(_POLS), n, 1)
-            _channel_kernel(geom, _group_factors(fac, at.take(pick, out=work.take(
-                                "bath.at", n, np.intp)), work),
-                            Q.take(pick, axis=0, out=work.take("bath.Q", n).reshape(n, 1)),
-                            sector == 0, work, out)
-            rows[:, :, sector, pick] = out
+    w, Q, at = (np.broadcast_to(a, (g, p)).ravel() for a in (w, Q, at[:, None]))
+    rows = np.zeros((len(_PLATES), len(_POLS), len(_SECTORS), g * p))
+    live = w != 0.0
+    for sector, pick in enumerate((live & (Q < w), live & (Q >= w))):
+        if pick.any():
+            out = np.empty((len(_PLATES), len(_POLS), np.count_nonzero(pick), 1))
+            tables = tuple(tab[:, at[pick]] for tab in (fac["complex"], fac["real"]))
+            _channel_kernel(geom, tables, Q[pick, None], sector == 0, work, out)
+            rows[:, :, sector, pick] = out[..., 0]
     return rows.reshape(len(BREAKDOWN_KEYS), g, p)
-
-
-def _group_factors(fac, at, work):
-    """The `_frequency_factors` tables gathered at the groups' rows ``at``,
-    one column per group (in ``work``): the ``tables`` argument of
-    `_channel_kernel`."""
-    n = len(at)
-    return tuple(tab.take(at, axis=1, mode="clip",
-                          out=work.take(("bath.factors", tab.dtype.char), len(tab) * n,
-                                        tab.dtype).reshape(-1, n))
-                 for tab in (fac["complex"], fac["real"]))
 
 
 def _run(mask):
@@ -808,9 +787,9 @@ class PressureOptions:
     """Quadrature controls for the steady pressure.
 
     rel_tol bounds the total error estimate relative to the result;
-    omega_max overrides the automatic frequency ceiling; thermal_only keeps
-    only the thermal occupation part coth - 1 of each plate's emission
-    (vanishing at T = 0).
+    omega_max overrides the automatic frequency ceiling; thermal_only (a
+    bool) keeps only the thermal occupation part coth - 1 of each plate's
+    emission (vanishing at T = 0).
     """
 
     rel_tol: float = 1e-4
@@ -822,6 +801,8 @@ class PressureOptions:
             raise DomainError(f"rel_tol must lie in (0, 1e-2], got {self.rel_tol}")
         if self.omega_max is not None and not 0 < self.omega_max < math.inf:
             raise DomainError(f"omega_max must be finite and > 0, got {self.omega_max}")
+        if not isinstance(self.thermal_only, (bool, np.bool_)):
+            raise DomainError(f"thermal_only must be a bool, got {self.thermal_only!r}")
 
 
 @dataclass
@@ -900,9 +881,9 @@ def _auto_omega_max(geom):
 def _inner_q_seeds(geom, omegas, line=False):
     """Seed edges of the inner Q integrals of an array of frequencies.
 
-    One row per segment, the propagating sector of every positive
-    frequency first, then the evanescent sector of every frequency, as a
-    NaN-padded 2-d array for `_adaptive_gk`.
+    One row per segment, the propagating sector of every frequency first,
+    then the evanescent sector of every frequency, as a NaN-padded 2-d
+    array for `_adaptive_gk`.
 
     * propagating, in theta with Q = omega sin(theta): 0, pi/2, the
       round-trip oscillation exp(2 i kappa l), kappa = omega cos(theta), in
@@ -915,7 +896,7 @@ def _inner_q_seeds(geom, omegas, line=False):
       .. 4/l, omega and 2 omega below it.
     """
     l = geom.gap
-    w_p = omegas[omegas > 0.0][:, None]
+    w_p = omegas[:, None]
     if line:
         prop = np.tile(_LINE_MARKS, (len(w_p), 1))
     else:
@@ -934,7 +915,7 @@ def _inner_q_seeds(geom, omegas, line=False):
     qs = np.hstack([np.tile([0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l], (len(omegas), 1)),
                     omegas[:, None], 2 * omegas[:, None]])
     evan = np.hstack([np.zeros_like(scale), q_cap / (scale + q_cap),
-                      np.where((qs > 0.0) & (qs < q_cap), qs / (scale + qs), np.nan)])
+                      np.where(qs < q_cap, qs / (scale + qs), np.nan)])
     width = max(prop.shape[1], evan.shape[1])
     return np.vstack([np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=np.nan)
                       for rows in (prop, evan)])
@@ -994,10 +975,10 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, work, line=False):
 
 
 def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
-    """The lockstep Q driver: both sectors of every real frequency in
-    ``omegas`` are independent segments of one `_adaptive_gk` call (seed
-    edges `_inner_q_seeds`, nodes `_q_nodes`, at most 512 panels each), so
-    each round evaluates every panel still being split with one integrand
+    """The lockstep Q driver: both sectors of every frequency in
+    ``omegas`` (real and > 0) are independent segments of one
+    `_adaptive_gk` call (seed edges `_inner_q_seeds`, nodes `_q_nodes`, at
+    most 512 panels each), so each round evaluates every panel still being split with one integrand
     call per chunk, while each sector keeps its own error test, panel
     budget and ConvergenceError, named by its sector and frequency.  The
     propagating segments come first, so each chunk (`_eval_panels`) is
@@ -1009,8 +990,9 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
 
     ``rows(w, Q, jac, at, lead)`` gives the integrand rows at the nodes
     from the (panels, 1) column of their frequencies w = omegas[at], at
-    one index per panel, Q and dQ/dx shaped (panels, 15) (arrays in
-    ``work``, see `_q_nodes`) and ``lead``, the number of leading
+    one frequency index per panel (also its column of the
+    `_frequency_factors` tables), Q and dQ/dx shaped (panels, 15) (arrays
+    in ``work``, see `_q_nodes`) and ``lead``, the number of leading
     propagating panels.
 
     The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
@@ -1023,18 +1005,17 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
-    pos = np.flatnonzero(omegas > 0.0)
-    owner = np.concatenate([pos, np.arange(n)])
-    evan = np.arange(len(owner)) >= len(pos)
+    owner = np.tile(np.arange(n), 2)
+    evan = np.arange(2 * n) >= n
     w_seg = omegas[owner]
     decay = np.maximum(w_seg, 0.5 / geom.gap)
     if line:
-        decay[:len(pos)] = 0.5 / geom.gap
+        decay[:n] = 0.5 / geom.gap
 
     def f(x, seg):
-        w, Q, jac = _q_nodes(x, seg, len(pos), w_seg, decay, work, line=line)
+        w, Q, jac = _q_nodes(x, seg, n, w_seg, decay, work, line=line)
         at = owner.take(seg, out=work.take("node.at", len(seg), np.intp), mode="clip")
-        lead = int(np.count_nonzero(seg < len(pos)))
+        lead = int(np.count_nonzero(seg < n))
         return rows(w, Q, jac, at, lead), np.empty((0,) + x.shape)
 
     def abs_floor(totals):
@@ -1072,22 +1053,19 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     """`_inner_q_integral` with both sectors on the real Q axis, the
     propagating one in theta (`_inner_q_seeds`), with the absolute floor
     of `_q_integrals`.  The factors of omega alone (`_frequency_factors`)
-    are evaluated once per call, and each panel hands the channel map its
-    row of them.  ``work`` is the `_Workspace` of the steady pass (a
-    fresh one without it); the channel rows, Jacobian applied in place,
-    live in it until its next chunk.  The error of a frequency is the sum
-    of its two sectors' estimates.
+    are evaluated once per call at the frequencies as given, and each
+    panel hands the channel map its frequency's column.  ``work`` is the
+    `_Workspace` of the steady pass (a fresh one without it); the channel
+    rows, Jacobian applied in place, live in it until its next chunk.  The
+    error of a frequency is the sum of its two sectors' estimates.
     """
     if work is None:
         work = _Workspace()
-    omegas = np.asarray(omegas, dtype=float)
-    live = omegas != 0.0
-    factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
-    row = np.cumsum(live) - 1       # each frequency's row of the factors
+    factors = _frequency_factors(geom, np.asarray(omegas, dtype=float),
+                                 thermal_only=thermal_only)
 
     def rows(w, Q, jac, at, lead):
-        fac_row = row.take(at, out=work.take("node.row", len(at), np.intp), mode="clip")
-        ch = _bath_channels(geom, w, Q, factors=(factors, fac_row), work=work)
+        ch = _bath_channels(geom, w, Q, factors=(factors, at), work=work)
         ch *= jac
         return ch
 
@@ -1496,19 +1474,18 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     c_a / (c_L + c_R) of every row (0 where neither plate emits): the
     channels come out in BREAKDOWN_KEYS order.  The evanescent integral
     cancels from the sum of the two sectors, so a frequency's error is
-    the line's estimate plus the residues'.
+    the line's estimate plus the residues'.  Each frequency (> 0, see the
+    module docstring) reads its permittivity and the shares off its
+    column of the `_frequency_factors` tables.
     """
     if work is None:
         work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
-    live = omegas != 0.0
-    factors = _frequency_factors(geom, omegas[live], thermal_only=thermal_only)
-    # per plate and live frequency: C w_a / (omega^2 Im eps) = C c_a
+    factors = _frequency_factors(geom, omegas, thermal_only=thermal_only)
+    # per plate and frequency: C w_a / (omega^2 Im eps) = C c_a
     share = (PRESSURE_SIGN * _MEASURE) * factors["weight"] / (
         factors["real"][0] * factors["complex"][1].imag)
-    # per frequency, omega = 0 (no line, no emission) included
-    eps, both = np.ones((1, len(omegas)), complex), np.zeros(len(omegas))
-    eps[0, live], both[live] = factors["complex"][1], share.sum(axis=0)
+    eps, both = factors["complex"][1:2], share.sum(axis=0)
     peak = np.zeros((len(_POLS), len(omegas)))
 
     def rows(w, Q, jac, at, lead):
@@ -1531,14 +1508,11 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
         return out.reshape(-1, m, p)
 
     got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=True)
-    res, res_err = _strip_residues(geom, omegas[live], eps[:, live], peak[:, live])
+    res, res_err = _strip_residues(geom, omegas, eps, peak)
     got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
-    got[:, 0, live] -= both[live] * res.imag + got[:, 1, live]
-    split = np.zeros((len(_PLATES), len(omegas)))
-    split[:, live] = np.divide(share, both[live], out=np.zeros_like(share),
-                               where=both[live] != 0.0)
-    err = err[0]
-    err[live] += np.abs(share).sum(axis=0) * res_err
+    got[:, 0] -= both * res.imag + got[:, 1]
+    split = np.divide(share, both, out=np.zeros_like(share), where=both != 0.0)
+    err = err[0] + np.abs(share).sum(axis=0) * res_err
     return (split[:, None, None] * got).reshape(len(BREAKDOWN_KEYS), len(omegas)), err
 
 

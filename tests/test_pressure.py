@@ -16,9 +16,9 @@ from neqlifshitz import pressure as pr
 from neqlifshitz import spectral
 from neqlifshitz.cli import geometry_for, load_config
 from neqlifshitz.em_green import (Geometry, GreenBlock, GreenTerm, XHAT, _fresnel_coeffs,
-                                  _s_eff, green_gap_from_plate, ic_z_block, plate_eps, qz)
+                                  green_gap_from_plate, ic_z_block, plate_eps, qz)
 from neqlifshitz.errors import ConvergenceError, DomainError, SingularityError
-from neqlifshitz.material import (BathModel, EpsilonTable, Material, _coth,
+from neqlifshitz.material import (BathModel, EpsilonTable, Material, _coth, _eta_shift,
                                   permittivity_fourier)
 from neqlifshitz.pressure import (BREAKDOWN_KEYS, PressureOptions, bath_integrand,
                                   equilibrium_matsubara, steady_pressure)
@@ -568,7 +568,7 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
         media.append((eps, qn))
         r, abs_den, abs_qn = _fresnel_coeffs(eps, q, qn, s)
         coeffs.append((*r, *abs_den, abs_qn))
-    s_eff2 = np.abs(_s_eff(s)) ** 2
+    s_eff2 = np.abs(_eta_shift(s)) ** 2
     C = pr.PRESSURE_SIGN * pr._MEASURE
     for i in range(2):
         r_l, r_r = coeffs[0][i], coeffs[1][i]
@@ -621,8 +621,9 @@ def test_sector_split_matches_the_per_node_rules(thermal_only):
     live = w_nodes != 0.0
     factors = pr._frequency_factors(geom, ws[:-1], thermal_only=thermal_only)
     row = np.repeat(np.arange(len(ws)), x.size)[perm][live]
-    lockstep = pr._bath_channels(geom, w_nodes[live], Q_nodes[live], factors=(factors, row))
-    assert np.array_equal(lockstep, got[:, live])
+    lockstep = pr._bath_channels(geom, w_nodes[live, None], Q_nodes[live, None],
+                                 factors=(factors, row))
+    assert np.array_equal(lockstep[..., 0], got[:, live])
 
 
 def test_sector_runs_match_the_per_node_rules():
@@ -645,11 +646,12 @@ def test_sector_runs_match_the_per_node_rules():
     on_light = np.flatnonzero(Q == w)
     assert on_light.tolist() == [theta.size * (i + 1) - 1 for i in range(ws.size)]
     factors = (pr._frequency_factors(geom, ws), row)
-    got = pr._bath_channels(geom, w, Q, factors=factors)
+    got = pr._bath_channels(geom, w[:, None], Q[:, None], factors=factors)[..., 0]
     assert np.array_equal(got, per_node_channels(geom, w, Q, "difference", False))
     assert np.all(got[0::2, on_light] == 0.0) and np.all(got[1::2, on_light] != 0.0)
     clean = np.setdiff1d(np.arange(w.size), on_light)   # two clean runs
-    got = pr._bath_channels(geom, w[clean], Q[clean], factors=(factors[0], row[clean]))
+    got = pr._bath_channels(geom, w[clean, None], Q[clean, None],
+                            factors=(factors[0], row[clean]))[..., 0]
     assert np.array_equal(got, per_node_channels(geom, w[clean], Q[clean], "difference", False))
 
 
@@ -814,7 +816,7 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
     # frequency factors once and dQ/dx to fold in; its rows are the public
     # one-node-per-point map times dQ/dx bit for bit, for a chunk of both
     # sectors, with and without a light-line straggler (which sends the
-    # chunk down to one node per group), for one and two plate materials.
+    # chunk to the per-node fallback), for one and two plate materials.
     # Without a straggler the chunk makes one stacked Fresnel call per
     # sector, both plates on its leading axis
     geom = default_plates(0.9, 1.0, 0.05) if plates == "dissimilar" else \
@@ -840,6 +842,23 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
     assert np.all(rows[0::2, 40:] == 0.0)                          # evanescent panels
 
 
+def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
+    # a pass on the default config's plates evaluates every chunk as its
+    # two sector runs of (panels, 15) nodes, in the workspace.  The channel
+    # map's per-node fallback (the public map, a light-line straggler) is
+    # plain numpy with fresh arrays because no pass reaches it; if this
+    # fails, the fallback has traffic and its cost must be measured
+    kernel, shapes = pr._channel_kernel, []
+
+    def spy(geom, tables, Q, *args):
+        shapes.append(Q.shape)
+        return kernel(geom, tables, Q, *args)
+
+    monkeypatch.setattr(pr, "_channel_kernel", spy)
+    steady_pressure(default_plates(1.0, 1.0, 0.5), PressureOptions(rel_tol=1e-4))
+    assert shapes and all(shape[1] == 15 for shape in shapes)
+
+
 @pytest.mark.parametrize("omega, Q", [(math.nan, 0.5), (1.0, -0.5), (math.inf, 0.5),
                                       (1.0, math.inf), (1.0, math.nan), (-1.0, 0.5),
                                       (np.array([1.0, 2.0]), np.array([0.5, -math.inf]))])
@@ -852,32 +871,13 @@ def test_channel_map_refuses_bad_points(omega, Q):
 
 
 #: Bound on the tracemalloc peak of one full-chunk `_bath_channels` call on
-#: a warmed workspace.  Measured with numpy 2.4 on the chunks below:
-#: 149 kB with one node per group and 162 kB with the engine's (panels,
-#: 15) layout, mostly numpy's iterator buffers for broadcast operands
-#: (64.6 kB before the kernel stacked its polarizations and materials),
-#: the rest sector index arrays and small masks; 1.32 MB when every
-#: per-point array was a fresh temporary (1.96 MB, 512 B per point, on an
-#: all-propagating chunk of the default pass).
+#: a warmed workspace.  Measured with numpy 2.4 on the chunk below: 162 kB
+#: with the engine's (panels, 15) layout, mostly numpy's iterator buffers
+#: for broadcast operands (64.6 kB before the kernel stacked its
+#: polarizations and materials), the rest sector index arrays and small
+#: masks; 1.32 MB when every per-point array was a fresh temporary (1.96
+#: MB, 512 B per point, on an all-propagating chunk of the default pass).
 _CHUNK_PEAK_BOUND = 200_000
-
-
-def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_integrand():
-    rng = np.random.default_rng(5)
-    n = 15 * pr._PANEL_CHUNK
-    ws = np.sort(rng.uniform(0.05, 20.0, 120))
-    row = rng.integers(0, len(ws), n)
-    w = ws[row]
-    Q = w * rng.uniform(0.0, 3.0, n)
-    kw = {"factors": (pr._frequency_factors(warm_geom(), ws), row), "work": pr._Workspace()}
-    pr._bath_channels(warm_geom(), w, Q, **kw)      # warm the workspace
-    tracemalloc.start()
-    try:
-        pr._bath_channels(warm_geom(), w, Q, **kw)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < _CHUNK_PEAK_BOUND, f"{peak} bytes for {n} points"
 
 
 def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_engine_chunk():
@@ -1533,6 +1533,21 @@ def test_pressure_options_validation():
         PressureOptions(rel_tol=0.5)
     with pytest.raises(DomainError):
         PressureOptions(rel_tol=0.0)
+
+
+def test_constructors_refuse_values_that_turn_into_wrong_numbers():
+    # an infinite oscillator scale gave a causal double root, an infinite
+    # friction a ConvergenceError on a NaN residual, and a truthy string
+    # for thermal_only silently dropped the zero-point emission
+    refused = ((Material, {"omega0": math.inf}), (Material, {"lambda0": math.inf}),
+               (Material, {"mass": math.inf}), (BathModel, {"gamma": math.inf}),
+               (BathModel, {"cutoff": math.nan}), (BathModel, {"cutoff": 0.0}),
+               (PressureOptions, {"thermal_only": "no"}), (PressureOptions, {"thermal_only": 1}))
+    for cls, kw in refused:
+        with pytest.raises(DomainError):
+            cls(**kw)
+    assert PressureOptions(thermal_only=np.True_).thermal_only
+    assert BathModel(kind="ohmic", cutoff=math.inf).cutoff == math.inf
 
 
 def test_pressure_options_rejects_infinite_omega_max():

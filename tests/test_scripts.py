@@ -92,6 +92,20 @@ def test_steady_fingerprints_script(capsys):
     assert np.all(rows[:, 0::2, 9::6] == 0.0)           # the light line is evanescent
     assert np.all(rows[:, 1::2, 9::6] != 0.0)
     assert not np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
+    # one inner-rule chunk with a light-line node in its propagating run
+    # (the per-node form), then with that node on its grid (the sector
+    # runs): every other node keeps its bits, and the light-line node
+    # takes the evanescent limit
+    assert script.main(["--case", "straggler"]) == 0
+    name, points, *numbers = capsys.readouterr().out.split()
+    assert name == "straggler" and points == "points=180+0"
+    light, clean = np.array([float.fromhex(n) for n in numbers]).reshape(
+        2, len(BREAKDOWN_KEYS), 6, 15)
+    grid = np.ones((6, 15), bool)
+    grid[1, -1] = False
+    assert np.array_equal(light[:, grid], clean[:, grid])
+    assert np.all(light[0::2, 1, -1] == 0.0) and np.all(light[1::2, 1, -1] != 0.0)
+    assert np.all(clean[1::2, :3] == 0.0) and np.all(clean[0::2, 3:] == 0.0)
 
 
 def test_analytic_fingerprints_script(capsys):
