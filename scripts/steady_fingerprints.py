@@ -18,9 +18,10 @@ per-frequency errors.  Two checkouts that print the same text compute
 the same bits, so a change to the quadrature that claims to move no
 number is checked by diffing this output before and after it.  The
 ``point-map`` case calls the channel map itself on a fixed batch of
-points and returns its rows, and the ``straggler`` case calls it as the
-inner rules do, on one chunk of panels with and without a light-line
-node in its propagating run:
+points and returns its rows, the ``point-map-high`` case does so on the
+dissimilar plates at high frequencies, where the round trip x is small,
+and the ``straggler`` case calls it as the inner rules do, on one chunk
+of panels with and without a light-line node in its propagating run:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -93,6 +94,15 @@ def point_map():
             for thermal_only in (False, True)]
 
 
+def point_map_high():
+    """The rows of the public channel map on the dissimilar plates at
+    omega = 8, 12 and 17, in both sectors and on the light line Q =
+    omega."""
+    w = np.repeat([8.0, 12.0, 17.0], 6)
+    Q = w * np.tile([0.0, 0.3, 0.9, 1.0, 1.1, 2.0], 3)
+    return pressure._bath_channels(dissimilar(1.0, 1.0, 0.5), w, Q)
+
+
 def straggler():
     """The channel rows of one inner-rule chunk on the default plates:
     three propagating panels of 15 theta nodes (Q = omega sin(theta)),
@@ -137,6 +147,7 @@ CASES = {
     "line-q": _lockstep(pressure._inner_q_integral, identical(1.0, 1.0, 0.5), OMEGAS, False,
                         1e-10, 0.0),
     "point-map": point_map,
+    "point-map-high": point_map_high,
     "straggler": straggler,
     "contour-q": _lockstep(pressure._contour_line_integral, identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),

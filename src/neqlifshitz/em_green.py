@@ -140,54 +140,33 @@ def fresnel(side, s, Q):
     eps = plate_eps(side, s)
     q = np.asarray(qz(1.0, s, Q))
     qn = np.asarray(qz(eps, s, Q))
-    r_te, r_tm = _fresnel_coeffs(eps, q, qn, s)[0]
+    r_te, r_tm = _fresnel_coeffs(eps, q, qn, s)
     t_te = 2.0 * qn / (q + qn)
     t_tm = 2.0 * np.sqrt(np.asarray(eps, dtype=complex)) * qn / (eps * q + qn)
     return r_te, r_tm, t_te, t_tm
 
 
-def _fresnel_coeffs(eps, q, qn, s, abs_q=None, out=None):
-    """(r, |den|, |qn|) of `fresnel` from a plate's permittivity and the
-    two z-wavenumbers, the two polarizations stacked on a leading axis:
-    r = (r_TE, r_TM) and |den| = (|q + qn|, |eps q + qn|).
+def _fresnel_coeffs(eps, q, qn, s):
+    """The reflection coefficients r = (r_TE, r_TM) of `fresnel` from a
+    plate's permittivity and the two z-wavenumbers, the two polarizations
+    stacked on a leading axis.
 
     The transmission coefficients are left out: the assembled source
     vectors cancel the sqrt(eps) of t_TM (see `_source_vecs`), and the
-    steady integrand needs only the moduli of the two denominators and of
-    qn, which the singularity test forms anyway.  eps, q and qn broadcast
-    against each other, so eps and qn may carry a leading axis of plates
-    over one shared q; ``abs_q`` is |q| when the caller already has it.
-    Raises the same SingularityError as `fresnel` when a denominator
-    vanishes (s broadcasts against the points; the error names the first
-    bad one, in the order of the broadcast points).
-
-    ``out`` holds the buffers of the steady integrand's workspace form
-    (see `pressure._channel_kernel`): (r, den, |den|, |qn|, scale, bad),
-    the first three and ``bad`` shaped (2,) + the broadcast shape, the
-    others the broadcast shape; r, |den| and |qn| are returned in them.
-    Without it every array is fresh.
+    steady integrand reads the reflection coefficients alone.  eps, q and
+    qn broadcast against each other, so eps and qn may carry a leading
+    axis of plates over one shared q.  Raises the same SingularityError as
+    `fresnel` when a denominator vanishes (s broadcasts against the
+    points; the error names the first bad one, in the order of the
+    broadcast points).
     """
-    if out is None:
-        shape = np.broadcast_shapes(np.shape(eps), np.shape(q), np.shape(qn))
-        out = (np.empty((2,) + shape, complex), np.empty((2,) + shape, complex),
-               np.empty((2,) + shape), np.empty(shape), np.empty(shape),
-               np.empty((2,) + shape, bool))
-    r, den, abs_den, abs_qn, scale, bad = out
-    eq = np.multiply(eps, q, out=r[1, ...])     # eps q, until r_TM replaces it
-    np.add(q, qn, out=den[0, ...])
-    np.add(eq, qn, out=den[1, ...])
-    if abs_q is None:
-        abs_q = np.abs(q, out=scale)
-    np.abs(qn, out=abs_qn)
-    np.multiply(1e-14, np.add(abs_q, abs_qn, out=scale), out=scale)
-    np.abs(den, out=abs_den)
-    if np.count_nonzero(np.less_equal(abs_den, scale, out=bad)):
+    eq = eps * q
+    den = np.stack([q + qn, eq + qn])
+    bad = np.abs(den) <= 1e-14 * (np.abs(q) + np.abs(qn))
+    if np.count_nonzero(bad):
         pt = _first_bad(s, bad[0] | bad[1])
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
-    np.subtract(eq, qn, out=eq)
-    np.subtract(q, qn, out=r[0, ...])
-    np.divide(r, den, out=r)
-    return r, abs_den, abs_qn
+    return np.stack([q - qn, eq - qn]) / den
 
 
 def _optics(geom, s, Q):
@@ -204,7 +183,7 @@ def _optics(geom, s, Q):
     for plate in _PLATES:
         eps = plate_eps(geom.side(plate), s)
         qn = np.asarray(qz(eps, s, Q))
-        plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s)[0])
+        plates[plate] = (eps, qn, _fresnel_coeffs(eps, q, qn, s))
     return q, plates
 
 

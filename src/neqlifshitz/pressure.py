@@ -9,8 +9,10 @@ of the two plates' Fresnel coefficients (Antezza et al., PRA 77, 022901
 integrand computes only that one map: the emission channels minus their
 detached-plates (l -> infinity) baseline, so the large l-independent
 radiation terms, whose integral grows without bound with the frequency
-ceiling, never enter.  Each channel is a plate's weight times a kernel
-of the two materials and the gap alone.
+ceiling, never enter.  Each channel is a plate's share of the emission
+(its occupation, up to the measure) times a kernel of the two plates'
+reflection coefficients and the gap alone, in the reflection form, which
+carries no baseline term (`_bath_channels`).
 
 The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
@@ -30,10 +32,11 @@ once per panel and broadcast over its nodes.  Up to the real-axis
 ceiling omega_max the Q integrand of dissimilar plates is the eight
 channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
 (`_channel_kernel`) for the engine and the public per-point map alike
-(`_bath_channels`), with the two polarizations and the two plates
-stacked so that each step is one ufunc call: a chunk's two sector runs
-take one call each, any other batch of points one call per sector on
-its gathered nodes.
+(`_bath_channels`): one Fresnel call per sector with both plates on its
+leading axis, and the rows from r_L, r_R and the round trip x = r_L r_R
+exp(2 i k_z l) of each polarization, in plain numpy on fresh arrays.  A
+chunk's two sector runs take one call each, any other batch of points
+one call per sector on its gathered nodes.
 Plates of one material (`_same_material`) integrate one row per
 polarization and sector instead, the round-trip sum of the Lifshitz
 function H weighted by both plates' occupations, and split the plates
@@ -61,19 +64,18 @@ contraction (:func:`.spectral.theta_contract`) serve the transient study in
 
 Each `steady_pressure` call owns one `_Workspace` and hands it through
 every lockstep call to the inner rules (`_adaptive_gk`,
-`_eval_panels`), the node mapping and the channel map
-(`_bath_channels`, `_channel_kernel`, `.em_green._fresnel_coeffs`).
-Every per-node array of a chunk is written into one of its reused
-buffers with ``out=`` ufuncs, in the same operation order as fresh
-arrays, so a chunk allocates nothing of its size and the heap is not
-trimmed and faulted back in between chunks; the channel kernel cuts
-its arrays out of one buffer per dtype.  The channel map's per-node
-form, for any layout but a chunk's two sector runs (the public map's
-points; no steady pass hands it one), gathers and scatters its nodes
-in fresh arrays.  Rows taken from a workspace are valid until the next
-call with the same workspace; a call made without one (as every caller
-outside the quadrature does) makes a fresh one, so what it returns is
-its caller's alone.  The outer rules take none, since their nodes must
+`_eval_panels`), the node mapping and the channel map's sector runs
+(`_bath_channels`, `_channel_rows`).  Their per-node arrays of a chunk
+(the nodes, the gathered frequency factors, the channel rows and the
+rule's sums) are written into its reused buffers with ``out=`` ufuncs,
+in the same operation order as fresh arrays; the channel kernel
+computes on fresh arrays and writes only its rows there.  The channel
+map's per-node form, for any layout but a chunk's two sector runs (the
+public map's points; no steady pass hands it one), gathers and scatters
+its nodes in fresh arrays.  Rows taken from a workspace are valid until
+the next call with the same workspace; a call made without one (as
+every caller outside the quadrature does) makes a fresh one, so what it
+returns is its caller's alone.  The outer rules take none, since their nodes must
 outlive the inner rules' chunks; the round-trip rows of identical
 plates, the contour tail's line and the zero search allocate fresh
 arrays.
@@ -96,7 +98,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .material import (EpsilonTable, _coth, _eta_shift, _fourier_s,
+from .material import (EpsilonTable, _coth, _fourier_s,
                        bath_dissipation_fourier, permittivity, qbm_green)
 from .em_green import _fresnel_coeffs, plate_eps
 
@@ -148,22 +150,26 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     with one column per frequency, which the channel map gathers at its
     groups' rows (`_channel_rows`): ``complex`` stacks the Laplace
     points s = -i w, the permittivity eps = eps(s) of each plate and eps
-    s^2 of each, plates in _PLATES order; ``real`` stacks w^2, |s_eff|^2
-    (s_eff = `_eta_shift` (s), the retarded point) and, per plate, the
-    emission weight w^2 * occupation * Im eps, also viewed as
-    ``weight``.
+    s^2 of each, plates in _PLATES order; ``real`` stacks w^2 and, per
+    plate, its share of the emission, s_a = C w_a / (w^2 Im eps_a), also
+    viewed as ``share``.  C = PRESSURE_SIGN * _MEASURE, and w_a = w^2 *
+    occupation * Im eps_a is the plate's emission weight, so s_a is C
+    times its occupation; s_a = 0 where Im eps_a = 0 (such a plate emits
+    nothing).
 
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
     Im eps off the permittivity above; ``use_fdr=False`` rebuilds it from
     the bath noise kernel and the oscillator response instead (the same
-    number by the fluctuation-dissipation identity; Material plates only).
+    number by the fluctuation-dissipation identity; Material plates
+    only), so the shares carry that identity into the integrand.
     """
     s = -1j * w
     w2 = w * w
     cplx = np.empty((1 + 2 * len(_PLATES), len(w)), complex)
-    real = np.empty((2 + len(_PLATES), len(w)))
+    real = np.zeros((1 + len(_PLATES), len(w)))
     cplx[0] = s
+    real[0] = w2
     for i, side in enumerate((geom.left, geom.right)):
         e = np.asarray(plate_eps(side, s))
         beta = side.beta_bath
@@ -183,24 +189,20 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
             wt = np.zeros(w.shape)
         cplx[1 + i] = e
         cplx[1 + len(_PLATES) + i] = e * s * s
-        real[2 + i] = wt
-    real[0] = w2
-    real[1] = np.abs(_eta_shift(s)) ** 2
-    return {"complex": cplx, "real": real, "weight": real[2:]}
+        im = np.imag(e)
+        np.divide((PRESSURE_SIGN * _MEASURE) * wt, w2 * im, out=real[1 + i], where=im != 0.0)
+    return {"complex": cplx, "real": real, "share": real[1:]}
 
 
-def _axis_qz(x, neg):
-    """`qz` at s = -i w, w > 0, from x = eps s^2 + Q^2, point by point and
-    in place: the principal root, and -i sqrt(-x) on the lossless branch
-    x < 0.  ``neg`` is a boolean buffer shaped like x."""
-    if np.count_nonzero(np.equal(x.imag, 0.0, out=neg)):
-        neg &= x.real < 0.0
-        lossless = x.real[neg]
-        np.sqrt(x, out=x)
-        x[neg] = -1j * np.sqrt(-lossless)
-    else:
-        np.sqrt(x, out=x)
-    return x
+def _axis_qz(x):
+    """`qz` at s = -i w, w > 0, from x = eps s^2 + Q^2, point by point:
+    the principal root, and -i sqrt(-x) on the lossless branch x < 0."""
+    root = np.sqrt(x)
+    lossless = x.imag == 0.0
+    if np.count_nonzero(lossless):
+        lossless &= x.real < 0.0
+        root[lossless] = -1j * np.sqrt(-x.real[lossless])
+    return root
 
 
 class _Workspace:
@@ -256,37 +258,42 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     tests) the call makes a fresh workspace, and what it returns is its
     caller's alone.
 
-    Each channel is plate a's emission weight w_a(omega) times a kernel
-    K_a, the closed-form zz stress of the field that plate a emits into
-    the gap in one polarization, reflected by the partner plate b
-    (Antezza et al., PRA 77, 022901 (2008)).  At s = -i omega, with
-    q = qz(1, s, Q), qn = qz(eps_a, s, Q) and D = 1 - r_L r_R exp(-2 q l),
+    Each channel is plate a's share s_a = C c_a of the emission (C =
+    PRESSURE_SIGN * _MEASURE, c_a its occupation, 0 where Im eps_a = 0;
+    see `_frequency_factors`) times a kernel of the two plates'
+    reflection coefficients r_L, r_R and the gap: the closed-form zz
+    stress of the field that plate a emits into the gap in one
+    polarization, reflected by the partner plate b (Antezza et al., PRA
+    77, 022901 (2008)).  At s = -i omega, with k_z = sqrt(omega^2 - Q^2),
+    q = -i k_z and the round trip x = r_L r_R exp(-2 q l) per
+    polarization (`.em_green._fresnel_coeffs`; q = qz(1, s, Q)),
 
-        channel = w_a(omega) * K_a(omega, Q)
-        propagating:  K_a = G * 2|q|^2 (1 + |r_b|^2) (1/|D|^2 - 1/(1 - |r_L|^2 |r_R|^2))
-        evanescent:   K_a = G * (-4|q|^2) Re(r_b exp(-2 q l)) / |D|^2
-        G_TE = C Q / (2 Re(qn) |q + qn|^2)
-        G_TM = C Q (Q^2 + |qn|^2) / (2 Re(qn) |eps_a q + qn|^2 |s_eff|^2)
+        propagating (k_z = k):       s_a Q k (1 +- A) Re[x / (1 - x)],
+                                     + for plate L, - for R, A = (|r_R|^2
+                                     - |r_L|^2) / (1 - |r_L|^2 |r_R|^2)
+        evanescent (k_z = i kappa):  -2 s_a Q kappa Im(r_a) Re(r_b)
+                                     exp(-2 kappa l) / |1 - x|^2
 
-    where C = PRESSURE_SIGN * _MEASURE.  G is Q |u|^2 / (8 Re(qn) |qn|^2)
-    with |qn|^2 cancelled: |u_TE|^2 = |t_TE,a|^2 = 4|qn|^2 / |q + qn|^2
-    and |u_TM|^2 = 4|qn|^2 (Q^2 + |qn|^2) / (|eps_a q + qn|^2 |s_eff|^2)
-    are the squared plate-source vectors and 1/(2 Re qn) is their depth
-    integral.  The cavity factor 1/|D|^2 serves both emitters.
-    On the light line Q = omega, q = 0 and r_L = r_R = -1, so |q|^2 and D
-    vanish together; there D ~ 2q (l + 1/n_a + 1/n_b) with n = qn (TE) or
-    qn/eps (TM), and the evanescent kernel takes its limit
-    G / |l + 1/n_a + 1/n_b|^2 instead of 0 * inf.
-    The subtracted 1/(1 - |r_L|^2 |r_R|^2) is the round-trip phase average
-    of 1/|D|^2, the detached-plates (l -> infinity) baseline; it lives in
-    the propagating sector only (evanescent emission does not survive that
-    limit), and a trapped lossless mode (|r_L r_R| = 1 where a plate
-    emits) makes it singular: SingularityError.  Without the subtraction
-    the map, zero-point emission included, would integrate to a value
-    growing as omega_max^4.  The tests check the unsubtracted map and the
-    baseline against the symbolic contraction of
-    :func:`.spectral.theta_contract`, the phase average and the blackbody
-    pressure.
+    The emission channel itself, in the propagating sector, is s_a Q k (1
+    - |r_a|^2) (1 + |r_b|^2) / (2 |1 - x|^2), and its detached-plates (l
+    -> infinity) baseline is its round-trip phase average, with 1/(1 -
+    |r_L|^2 |r_R|^2) for the cavity factor; their difference is the row
+    above, since Re[x / (1 - x)] = sum_{n >= 1} Re x^n averages to 0.
+    Evanescent emission does not survive that limit.  Without the
+    subtraction the map, zero-point emission included, would integrate to
+    a value growing as omega_max^4.  A trapped lossless mode (1 - |r_L|^2
+    |r_R|^2 below 1e-13 where a plate emits) makes A and the baseline
+    singular: SingularityError.  On the light line Q = omega, kappa = 0
+    and r_L = r_R = -1, so kappa and 1 - x vanish together; there 1 - x ~
+    2 kappa (l + 1/n_L + 1/n_R) with n = qn (TE) or qn/eps (TM), qn =
+    qz(eps, s, Q), and the evanescent row takes its limit s_a Q Im(1/n_a)
+    / |l + 1/n_L + 1/n_R|^2 instead of 0 * inf.  Plates of one material
+    have A = 0 and Im(r_a) Re(r_b) = Im(r^2) / 2, so their rows summed
+    over the plates are the round-trip integrand of `_line_q_integral`
+    on the real Q axis.  The tests check this map plus the baseline, and
+    the source-vector form of the emission channels, against the symbolic
+    contraction of :func:`.spectral.theta_contract`, the phase average,
+    the blackbody pressure and a 40-digit evaluation.
     """
     if work is None:
         work = _Workspace()
@@ -336,7 +343,7 @@ def _channel_rows(geom, factors, w, Q, work):
                                    ("bath.factors", tab.dtype.char), len(tab) * n,
                                    tab.dtype).reshape(-1, n))
                                for tab in (fac["complex"], fac["real"]))
-                _channel_kernel(geom, tables, Q[run], sector == 0, work, rows[:, :, sector, run])
+                _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, sector, run])
                 rows[:, :, 1 - sector, run] = 0.0
         return rows.reshape(len(BREAKDOWN_KEYS), g, p)
     w, Q, at = (np.broadcast_to(a, (g, p)).ravel() for a in (w, Q, at[:, None]))
@@ -346,7 +353,7 @@ def _channel_rows(geom, factors, w, Q, work):
         if pick.any():
             out = np.empty((len(_PLATES), len(_POLS), np.count_nonzero(pick), 1))
             tables = tuple(tab[:, at[pick]] for tab in (fac["complex"], fac["real"]))
-            _channel_kernel(geom, tables, Q[pick, None], sector == 0, work, out)
+            _channel_kernel(geom, tables, Q[pick, None], sector == 0, out)
             rows[:, :, sector, pick] = out[..., 0]
     return rows.reshape(len(BREAKDOWN_KEYS), g, p)
 
@@ -359,10 +366,10 @@ def _run(mask):
     return slice(start, start + k) if np.count_nonzero(mask[start:start + k]) == k else None
 
 
-def _channel_kernel(geom, tables, Q, propagating, work, out):
+def _channel_kernel(geom, tables, Q, propagating, out):
     """The four channels of one sector (plate x polarization) at groups of
     nodes that all lie in it, written into ``out``, shaped (2, 2) + Q's
-    (groups, nodes) shape; see `_bath_channels`.
+    (groups, nodes) shape: the reflection forms of `_bath_channels`.
 
     ``tables`` is (complex, real): the `_frequency_factors` tables with
     one column per group, each factor read as a (groups, 1) column
@@ -370,112 +377,59 @@ def _channel_kernel(geom, tables, Q, propagating, work, out):
 
     On the real axis the vacuum wavenumber is real arithmetic: q =
     -i sqrt(omega^2 - Q^2) with the round-trip factor exp(-2 q l) a pure
-    phase in the propagating sector, q = sqrt(Q^2 - omega^2) in the
-    evanescent one.  Both equal `qz` and `np.exp` bit for bit, and the
-    real root k is |q| exactly, so the Fresnel step takes it as is.
-
-    Each row is the emission weight times a kernel.  The two
-    polarizations and the two plates are stacked on leading axes, so the
-    plate wavenumber, the Fresnel step (`.em_green._fresnel_coeffs`), G,
-    the cavity factor, the locked baseline, the trapped-mode test and the
-    rows are one ufunc call each over (2, n) or (2, 2, n) points, in the
-    operation order of the formulas per point.  The sector's constant (2
-    or -4) is folded into the prefactor G: a power of two, so every row
-    keeps the bits of the formula as written.  A row is exactly 0 where
-    its plate does not emit.
-
-    Every per-node array is a plane of one buffer per dtype in the
-    workspace ``work``; an array that is dead is lent to a later one where
-    the comments say so.
+    phase in the propagating sector (k > 0 there, since Q < omega), q =
+    sqrt(Q^2 - omega^2) in the evanescent one.  Both equal `qz` and
+    `np.exp` bit for bit.  The two plates share one Fresnel call
+    (`.em_green._fresnel_coeffs`), their permittivities on its leading
+    axis, and the rows are their shares times per-polarization terms of
+    r_L, r_R and x = r_L r_R exp(-2 q l), in plain numpy on fresh arrays.
+    A row is exactly 0 where its plate does not emit.
     """
     cplx, real = tables
-    g, p = Q.shape
     s, eps, es2 = cplx[0, :, None], cplx[1:3, :, None], cplx[3:, :, None]
-    w2, s_eff2, weight = real[0, :, None], real[1, :, None], real[2:, :, None]
-    # one buffer per dtype, cut into (groups, nodes) planes
-    c = work.take("kernel.complex", 12 * g * p, complex).reshape(-1, g, p)
-    f = work.take("kernel.real", 26 * g * p).reshape(-1, g, p)
-    b = work.take("kernel.bool", 9 * g * p, bool).reshape(-1, g, p)
-    q, trip, qn = c[0], c[1], c[2:4]
-    r, den = c[4:].reshape(2, 2, 2, g, p)
-    Q2, k, q2, h = f[:4]
-    cavity, lock, tmp = f[4:10].reshape(3, 2, g, p)
-    abs_qn, scale, dd, num = f[10:18].reshape(4, 2, g, p)
-    base, r2 = f[18:].reshape(2, 2, 2, g, p)
-    light, trapped, neg, bad = b[0], b[1:3], b[3:5], b[5:].reshape(2, 2, g, p)
-    emit = work.take("kernel.emit", 3 * g, bool).reshape(3, g, 1)
-    emit, emitting = emit[:2], emit[2]
-
-    np.multiply(Q, Q, out=Q2)
+    w2, share = real[0, :, None], real[1:, :, None]
+    Q2 = Q * Q
     if propagating:
-        np.sqrt(np.subtract(w2, Q2, out=k), out=k)
-        np.multiply(-1j, k, out=q)
-        phase, cos = cavity         # lent until the cavity step
-        np.multiply(np.multiply(2.0, k, out=phase), geom.gap, out=phase)
-        np.cos(phase, out=cos)
-        np.add(cos, np.multiply(1j, np.sin(phase, out=phase), out=trip), out=trip)
+        k = np.sqrt(w2 - Q2)
+        q = -1j * k
+        phase = 2.0 * k * geom.gap
+        trip = np.cos(phase) + 1j * np.sin(phase)
     else:
-        np.sqrt(np.subtract(Q2, w2, out=k), out=k)
-        np.add(k, 0j, out=q)
-        np.multiply(np.multiply(-2.0, q, out=trip), geom.gap, out=trip)
-        np.exp(trip, out=trip)      # a real exp is 1 ulp off
-    np.multiply(k, k, out=q2)
-    # Q = omega: |q|^2 and D vanish together
-    on_light = np.count_nonzero(np.equal(k, 0.0, out=light)) > 0
-    _axis_qz(np.add(es2, Q2, out=qn), neg)
-    _fresnel_coeffs(eps, q, qn, s, abs_q=k, out=(r, den, base, abs_qn, scale, bad))
-
-    np.not_equal(weight, 0.0, out=emit)
+        k = np.sqrt(Q2 - w2)
+        q = k + 0j
+        trip = np.exp(-2.0 * q * geom.gap)     # a real exp is 1 ulp off
+    qn = _axis_qz(es2 + Q2)
+    r = _fresnel_coeffs(eps, q, qn, s)          # (polarization, plate, ...)
+    emit = share != 0.0
     if not np.count_nonzero(emit):
         out.fill(0.0)
         return out
-    np.logical_or(emit[0], emit[1], out=emitting)
-    if propagating:                 # the locked baseline 1 - |r_L|^2 |r_R|^2
-        np.square(np.abs(r, out=r2), out=r2)
-        np.subtract(1.0, np.multiply(r2[:, 0], r2[:, 1], out=lock), out=lock)
-        np.less(np.abs(lock, out=tmp), 1e-13, out=trapped)
-        if np.count_nonzero(np.logical_and(trapped, emitting, out=trapped)):
+    x = r[:, 0] * r[:, 1] * trip
+    if propagating:
+        r2 = np.square(np.abs(r))
+        lock = 1.0 - r2[:, 0] * r2[:, 1]
+        trapped = (np.abs(lock) < 1e-13) & (emit[0] | emit[1])
+        if np.count_nonzero(trapped):
             raise SingularityError("detached-plates cavity weight hits a trapped lossless mode",
                                    point=np.broadcast_to(s, trapped.shape)[trapped][0])
-
-    # G = C Q / (2 Re qn |q + qn|^2) (TE) and C Q (Q^2 + |qn|^2) /
-    # (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), C the measure and the
-    # sector's constant; the light-line limit reads G before |q|^2
-    np.multiply(PRESSURE_SIGN * _MEASURE * (2.0 if propagating else -4.0), Q, out=h)
-    np.multiply(2.0, qn.real, out=dd)
-    # a kernel is needed where its plate emits; G = 0 there also where
-    # Re qn = 0 (no loss, no weight), so 2 Re qn is 1 elsewhere
-    if np.count_nonzero(emit) < emit.size:
-        np.copyto(dd, 1.0, where=~emit)
-    np.multiply(dd, np.square(base, out=base), out=base)     # base: |den|, then G |q|^2
-    np.multiply(base[1], s_eff2, out=base[1])
-    np.multiply(h, np.add(Q2, np.square(abs_qn, out=num), out=num), out=num)
-    np.divide(h, base[0], out=base[0])
-    np.divide(num, base[1], out=base[1])
-    if on_light and not propagating:
-        g_light = base[:, :, light] * -0.25        # exact: undoes the -4
-    np.multiply(base, q2, out=base)
-
-    c = den[:, 0]                   # the Fresnel denominators are spent: lent to D
-    np.multiply(np.multiply(r[:, 0], r[:, 1], out=c), trip, out=c)
-    np.subtract(1.0, c, out=c)
-    np.square(np.abs(c, out=cavity), out=cavity)
-    if on_light:
-        np.copyto(cavity, 1.0, where=light)
-    np.divide(1.0, cavity, out=cavity)
-    if propagating:
-        np.subtract(cavity, np.divide(1.0, lock, out=lock), out=cavity)
-        partner = np.add(1.0, r2, out=r2)                   # 1 + |r_b|^2
+        # where lock = 0 no plate emits: A reads 0 there
+        A = np.divide(r2[:, 1] - r2[:, 0], lock, out=np.zeros(lock.shape), where=lock != 0.0)
+        h = Q * k * np.real(x / (1.0 - x))
+        rows = np.stack([(1.0 + A) * h, (1.0 - A) * h])
     else:
-        partner = np.multiply(r, trip, out=den).real        # Re(r_b exp(-2 q l))
-    np.multiply(base, partner[:, ::-1], out=base)         # each plate's partner
-    np.multiply(base, cavity[:, None], out=base)
-    if on_light and not propagating:        # one polarization at a time: small temporaries
-        qn_l = qn[:, light]
-        for i in range(len(_POLS)):         # n = qn (TE) or qn / eps (TM)
-            inv = 1.0 / (qn_l / np.broadcast_to(eps, qn.shape)[:, light] if i else qn_l)
-            base[i][:, light] = g_light[i] / np.abs(geom.gap + inv + inv[::-1]) ** 2
-    np.multiply(weight[:, None], base.swapaxes(0, 1), out=out)
+        den = np.square(np.abs(1.0 - x))
+        light = k == 0.0                # Q = omega: kappa and 1 - x vanish together
+        on_light = np.count_nonzero(light)
+        if on_light:
+            np.copyto(den, 1.0, where=light)
+        h = -2.0 * Q * k * trip.real / den
+        rows = (r.imag * r.real[:, ::-1] * h[:, None]).swapaxes(0, 1)
+        if on_light:                    # n = qn (TE) or qn / eps (TM)
+            qn_l = qn[:, light]
+            for i in range(len(_POLS)):
+                inv = 1.0 / (qn_l / np.broadcast_to(eps, qn.shape)[:, light] if i else qn_l)
+                rows[:, i, light] = Q[light] * inv.imag / np.abs(geom.gap + inv[0] + inv[1]) ** 2
+    np.multiply(share[:, None], rows, out=out)
     if np.count_nonzero(emit) < emit.size:
         np.copyto(out, 0.0, where=~emit[:, None])
     return out
@@ -1465,14 +1419,14 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     k_z = i kappa and h = Q kappa S.  The rows are one per polarization
     and sector: C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du on
     the line (`_line_integrand`) and times -kappa Q Im(x_mu / (1 - x_mu))
-    dQ/dt in the evanescent sector (`_evanescent_integrand`), C =
-    PRESSURE_SIGN * _MEASURE and c_a = w_a / (omega^2 Im eps) read off
-    the emission weight.  An evanescent row equals the sum over the
+    dQ/dt in the evanescent sector (`_evanescent_integrand`), C c_a =
+    PRESSURE_SIGN * _MEASURE * c_a the plates' share rows of
+    `_frequency_factors`.  An evanescent row equals the sum over the
     plates of `_bath_channels`' rows to rounding, so the adaptive rules
-    split the panels they split on the channel map.  After integration the propagating rows
-    take off the residues and the evanescent rows, and each plate takes
-    c_a / (c_L + c_R) of every row (0 where neither plate emits): the
-    channels come out in BREAKDOWN_KEYS order.  The evanescent integral
+    split the panels they split on the channel map.  After integration
+    the propagating rows take off the residues and the evanescent rows,
+    and each plate takes c_a / (c_L + c_R) of every row (0 where neither
+    plate emits): the channels come out in BREAKDOWN_KEYS order.  The evanescent integral
     cancels from the sum of the two sectors, so a frequency's error is
     the line's estimate plus the residues'.  Each frequency (> 0, see the
     module docstring) reads its permittivity and the shares off its
@@ -1482,9 +1436,7 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
         work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
     factors = _frequency_factors(geom, omegas, thermal_only=thermal_only)
-    # per plate and frequency: C w_a / (omega^2 Im eps) = C c_a
-    share = (PRESSURE_SIGN * _MEASURE) * factors["weight"] / (
-        factors["real"][0] * factors["complex"][1].imag)
+    share = factors["share"]        # per plate and frequency: C c_a
     eps, both = factors["complex"][1:2], share.sum(axis=0)
     peak = np.zeros((len(_POLS), len(omegas)))
 

@@ -567,8 +567,10 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
     round-trip phase (spacing <= pi/(8 l)), and Q finite and >= 0
     (DomainError otherwise).  A minimum at or below
     ``DMU_FLOOR`` is recorded as a property violation in the result, not
-    raised; isolated grid points landing on a response pole of a
-    lossless material are skipped and counted.
+    raised.  Grid points on the gap branch points |omega| = Q (see
+    `branch_inventory`), where q = 0 makes r_mu = -1 and D_mu = 0 for
+    every material, and isolated grid points landing on a response pole
+    of a lossless material are skipped and counted.
     """
     Q = _transverse_q(Q)
     grid = np.asarray(omega_grid, dtype=float).ravel()
@@ -585,14 +587,17 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
         raise DomainError(
             f"grid spacing {step:.4g} too coarse for the round-trip phase "
             f"pi/l = {math.pi / geom.gap:.4g} (need >= 8 points per period)")
-    skipped = 0
+    live = np.abs(grid) != Q
+    if not live.any():
+        raise DomainError("omega_grid holds only the gap branch points |omega| = Q")
+    skipped = grid.size - int(np.count_nonzero(live))
+    vals = np.full(grid.shape, np.nan)
     try:
-        vals = np.abs(dmu(geom, 1j * grid, Q, pol))
+        vals[live] = np.abs(dmu(geom, 1j * grid[live], Q, pol))
     except SingularityError:
-        vals = np.full(grid.shape, np.nan)
-        for i, w in enumerate(grid):
+        for i in np.flatnonzero(live):
             try:
-                vals[i] = abs(dmu(geom, complex(0.0, w), Q, pol))
+                vals[i] = abs(dmu(geom, complex(0.0, grid[i]), Q, pol))
             except SingularityError:
                 skipped += 1
         if skipped == grid.size:

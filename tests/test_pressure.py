@@ -414,9 +414,9 @@ def test_closed_form_channels_match_symbolic_contraction(z_field):
     # the closed form never reads the field height; the symbolic side does,
     # term by term, so agreement at three heights (centred and off-centre)
     # shows the stress is z-independent.  One cutoff-bath plate, both
-    # sectors.  The full map is the per-node reference's; the production
-    # map equals that reference's difference map bit for bit
-    # (test_sector_split_matches_the_per_node_rules)
+    # sectors.  The full map is the per-node reference's source-vector
+    # form; the production map, in the reflection form, plus the
+    # reference's detached-plates baseline must match it too
     cutoff = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
                       bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.3, cutoff=20.0))
     geom = Geometry(gap=0.9, left=warm_geom().left, right=cutoff, z_field=z_field)
@@ -424,11 +424,80 @@ def test_closed_form_channels_match_symbolic_contraction(z_field):
     for _ in range(80):
         w = float(rng.uniform(0.05, 8.0))
         Q = w * np.concatenate([rng.uniform(0.0, 1.0, 8), rng.uniform(1.0, 4.0, 8)])
-        got = per_node_channels(geom, w, Q, "full", False)
         want = symbolic_channels(geom, w, Q)
         scale = max(np.max(np.abs(v)) for v in want.values())
-        for key, v in zip(BREAKDOWN_KEYS, got):
-            assert np.max(np.abs(v - want[key].real)) <= 1e-12 * scale, (w, key)
+        for got in (per_node_channels(geom, w, Q, "full", False),
+                    pr._bath_channels(geom, w, Q) + per_node_channels(geom, w, Q, "baseline", False)):
+            for key, v in zip(BREAKDOWN_KEYS, got):
+                assert np.max(np.abs(v - want[key].real)) <= 1e-12 * scale, (w, key)
+
+
+def mp_channels(geom, omega, Q):
+    """The eight channels at one point in 40-digit arithmetic, in the
+    source-vector (G) form and in the reflection form (see
+    `per_node_channels`), from the permittivities and shares that
+    `_frequency_factors` gives in double precision.  Returns the two as
+    lists in BREAKDOWN_KEYS order."""
+    import mpmath as mp
+
+    fac = pr._frequency_factors(geom, np.array([omega]))
+    with mp.workdps(40):
+        C = pr.PRESSURE_SIGN / (4 * mp.pi ** 2)
+        eps = [mp.mpc(complex(e)) for e in fac["complex"][1:3, 0]]
+        share = [mp.mpf(float(v)) for v in fac["share"][:, 0]]
+        w, Q, l = mp.mpf(omega), mp.mpf(Q), mp.mpf(geom.gap)
+        prop = Q < w
+        kz = mp.sqrt(w * w - Q * Q) if prop else 1j * mp.sqrt(Q * Q - w * w)
+        q = -1j * kz
+        qn = [mp.sqrt(Q * Q - e * w * w) for e in eps]
+        r = [[(q - n) / (q + n), (e * q - n) / (e * q + n)] for e, n in zip(eps, qn)]
+        trip = mp.exp(-2 * q * l)
+        g_form, r_form = [], []
+        for a, b in ((0, 1), (1, 0)):
+            weight = share[a] * w * w * eps[a].imag / C
+            for i in range(2):
+                x = r[0][i] * r[1][i] * trip
+                cavity = 1 / abs(1 - x) ** 2
+                if i == 0:
+                    G = C * Q / (2 * qn[a].real * abs(q + qn[a]) ** 2)
+                else:
+                    G = C * Q * (Q * Q + abs(qn[a]) ** 2) / (
+                        2 * qn[a].real * abs(eps[a] * q + qn[a]) ** 2 * w * w)
+                if prop:
+                    a2, b2 = abs(r[0][i]) ** 2, abs(r[1][i]) ** 2
+                    lock = 1 - a2 * b2
+                    g = 2 * G * abs(q) ** 2 * (1 + abs(r[b][i]) ** 2) * (cavity - 1 / lock)
+                    A = (b2 - a2) / lock
+                    f = share[a] * Q * kz * (1 + (A if a == 0 else -A)) * mp.re(x / (1 - x))
+                else:
+                    g = -4 * G * abs(q) ** 2 * mp.re(r[b][i] * trip) * cavity
+                    kappa = kz.imag
+                    f = -2 * share[a] * Q * kappa * r[a][i].imag * r[b][i].real \
+                        * mp.exp(-2 * kappa * l) * cavity
+                zero = mp.mpf(0)
+                g_form += [weight * g, zero] if prop else [zero, weight * g]
+                r_form += [f, zero] if prop else [zero, f]
+        return g_form, r_form
+
+
+@pytest.mark.parametrize("gap, omega, x", [(1.0, 12.0, 0.3), (3.0, 17.0, 0.3), (1.0, 0.7, 0.3),
+                                           (1.0, 3.0, 1.5)])
+def test_channel_map_matches_a_40_digit_g_form(gap, omega, x):
+    # at high frequency |x| is small and the G form's 1/|D|^2 - 1/(1 -
+    # |r_L r_R|^2) cancels: in double precision that form lands 1.7e-10
+    # and 3.1e-10 of the largest channel off at the first two points.  The
+    # reflection form reads Re[x/(1 - x)] instead, and the 40-digit G and
+    # reflection forms agree
+    import mpmath as mp
+
+    geom = default_plates(gap, 1.0, 0.5)
+    Q = omega * x
+    g_form, r_form = mp_channels(geom, omega, Q)
+    scale = max(abs(v) for v in g_form)
+    assert max(abs(g - f) for g, f in zip(g_form, r_form)) <= mp.mpf("1e-30") * scale
+    got = pr._bath_channels(geom, omega, Q)
+    dev = max(abs(mp.mpf(float(v)) - g) for v, g in zip(got, g_form))
+    assert dev <= 1e-12 * scale, float(dev / scale)
 
 
 def test_locked_cavity_is_the_phase_average():
@@ -538,17 +607,27 @@ def test_bath_channels_frequency_batch_still_detects_trapped_modes():
 def per_node_channels(geom, omega, Q, kernel, thermal_only):
     """The channel map evaluated point by point with the general rules:
     `qz` for every wavenumber, `np.exp` for the round-trip factor, both
-    sectors' closed forms at every point and masks to pick one.
+    sectors' closed forms at every point and masks to pick one.  A row is
+    0 where its plate does not emit.
 
-    Each row is plate a's emission weight times its kernel, with
-    G = C Q / (2 Re qn |q + qn|^2) (TE) or C Q (Q^2 + |qn|^2) /
-    (2 Re qn |eps q + qn|^2 |s_eff|^2) (TM), the round trip r_L r_R (in
-    L, R order) and the locked baseline 1 - |r_L|^2 |r_R|^2, both shared
-    by the two emitters; a row is 0 where its plate does not emit.
+    kernel = "difference" is the map the production integrand computes,
+    in its reflection form: with s_a = C w_a / (omega^2 Im eps_a) plate
+    a's share (C the measure, w_a its emission weight), the round trip
+    x = r_L r_R exp(-2 q l) and A = (|r_R|^2 - |r_L|^2) / (1 - |r_L|^2
+    |r_R|^2), the rows are s_a Q k (1 +- A) Re[x / (1 - x)] (propagating,
+    + for L) and -2 s_a Q kappa Im(r_a) Re(r_b) exp(-2 kappa l) / |1 -
+    x|^2 (evanescent), whose light-line limit is s_a Q Im(1/n_a) / |l +
+    1/n_L + 1/n_R|^2, n = qn (TE) or qn / eps (TM).
 
-    kernel = "difference" is the map the production integrand computes;
     "full" (the unsubtracted map) and "baseline" (its detached-plates
-    limit, propagating only) are the oracles' side of it."""
+    limit, propagating only) are the oracles' side of it, in the
+    source-vector form: plate a's emission weight times G = C Q / (2 Re
+    qn |q + qn|^2) (TE) or C Q (Q^2 + |qn|^2) / (2 Re qn |eps q + qn|^2
+    |s_eff|^2) (TM), times 2 |q|^2 (1 + |r_b|^2) and the cavity factor
+    1/|1 - x|^2 or the locked baseline 1/(1 - |r_L|^2 |r_R|^2)
+    (propagating), or -4 |q|^2 Re(r_b exp(-2 q l)) / |1 - x|^2
+    (evanescent, with the limit G / |l + 1/n_a + 1/n_b|^2 on the light
+    line)."""
     w, Q = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(Q, dtype=float))
     out = np.zeros((len(BREAKDOWN_KEYS),) + Q.shape)
     grid = out.reshape((2, 2, 2) + Q.shape)
@@ -557,40 +636,59 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
     s = -1j * w
     prop = Q < w
     q = qz(1.0, s, Q)
-    q2 = np.abs(q) ** 2
+    k = np.abs(q)
     light = q == 0.0
     trip = np.exp(-2.0 * q * geom.gap)
     sides = (geom.left, geom.right)
-    media, coeffs = [], []
+    C = pr.PRESSURE_SIGN * pr._MEASURE
+    media, coeffs, weights, shares = [], [], [], []
     for side in sides:
         eps = np.asarray(plate_eps(side, s))
         qn = qz(eps, s, Q)
         media.append((eps, qn))
-        r, abs_den, abs_qn = _fresnel_coeffs(eps, q, qn, s)
-        coeffs.append((*r, *abs_den, abs_qn))
+        coeffs.append(_fresnel_coeffs(eps, q, qn, s))
+        weight = emission_weight(side, w, thermal_only=thermal_only)
+        weights.append(weight)
+        lossy = eps.imag != 0.0
+        shares.append(np.where(lossy, C * weight / np.where(lossy, w * w * eps.imag, 1.0), 0.0))
     s_eff2 = np.abs(_eta_shift(s)) ** 2
-    C = pr.PRESSURE_SIGN * pr._MEASURE
     for i in range(2):
         r_l, r_r = coeffs[0][i], coeffs[1][i]
-        cavity = 1.0 / np.where(light, 1.0, np.abs(1.0 - r_l * r_r * trip) ** 2)
+        x = r_l * r_r * trip
+        inv = [1.0 / (qn / eps if i else qn) for eps, qn in media]
+        span = np.abs(geom.gap + inv[0] + inv[1]) ** 2
+        if kernel == "difference":
+            a2, b2 = np.abs(r_l) ** 2, np.abs(r_r) ** 2
+            lock = 1.0 - a2 * b2
+            A = (b2 - a2) / np.where(lock != 0.0, lock, 1.0)
+            h_prop = Q * k * np.real(x / np.where(light, 1.0, 1.0 - x))
+            den = np.where(light, 1.0, np.abs(1.0 - x) ** 2)
+            h_evan = -2.0 * Q * k * trip.real / den
+            for a, b, sign in ((0, 1, 1.0), (1, 0, -1.0)):
+                share = shares[a]
+                emit = share != 0.0
+                ra, rb = coeffs[a][i], coeffs[b][i]
+                evan = np.where(light, Q * inv[a].imag / span, ra.imag * rb.real * h_evan)
+                grid[a, i, 0, ...][live] = np.where(prop & emit, share * ((1.0 + sign * A) * h_prop),
+                                                    0.0)
+                grid[a, i, 1, ...][live] = np.where(~prop & emit, share * evan, 0.0)
+            continue
+        cavity = 1.0 / np.where(light, 1.0, np.abs(1.0 - x) ** 2)
         locked = 1.0 / np.where(prop, 1.0 - np.abs(r_l) ** 2 * np.abs(r_r) ** 2, 1.0)
-        prop_cavity = {"full": cavity, "baseline": locked, "difference": cavity - locked}[kernel]
+        prop_cavity = {"full": cavity, "baseline": locked}[kernel]
         for a, b in ((0, 1), (1, 0)):
-            weight = emission_weight(sides[a], w, thermal_only=thermal_only)
+            weight = weights[a]
             emit = weight != 0.0
             eps, qn = media[a]
-            abs_te, abs_tm, abs_qn = coeffs[a][2:]
             den = np.where(emit, 2.0 * qn.real, 1.0)
-            G = (C * Q / (den * abs_te ** 2),
-                 C * Q * (Q * Q + abs_qn ** 2) / (den * abs_tm ** 2 * s_eff2))[i]
+            G = (C * Q / (den * np.abs(q + qn) ** 2),
+                 C * Q * (Q * Q + np.abs(qn) ** 2) / (den * np.abs(eps * q + qn) ** 2 * s_eff2))[i]
             rb = coeffs[b][i]
-            prop_k = 2.0 * G * q2 * (1.0 + np.abs(rb) ** 2) * prop_cavity
+            prop_k = 2.0 * G * k * k * (1.0 + np.abs(rb) ** 2) * prop_cavity
             grid[a, i, 0, ...][live] = np.where(prop & emit, weight * prop_k, 0.0)
-            if kernel != "baseline":
-                eps_b, qn_b = media[b]
-                n_a, n_b = (qn, qn_b) if i == 0 else (qn / eps, qn_b / eps_b)
-                lim = G / np.abs(geom.gap + 1.0 / n_a + 1.0 / n_b) ** 2
-                evan_k = np.where(light, lim, -4.0 * G * q2 * (rb * trip).real * cavity)
+            if kernel == "full":
+                lim = G / span
+                evan_k = np.where(light, lim, -4.0 * G * k * k * (rb * trip).real * cavity)
                 grid[a, i, 1, ...][live] = np.where(~prop & emit, weight * evan_k, 0.0)
     return out
 
@@ -870,37 +968,11 @@ def test_channel_map_refuses_bad_points(omega, Q):
             call(warm_geom(), omega, Q)
 
 
-#: Bound on the tracemalloc peak of one full-chunk `_bath_channels` call on
-#: a warmed workspace.  Measured with numpy 2.4 on the chunk below: 162 kB
-#: with the engine's (panels, 15) layout, mostly numpy's iterator buffers
-#: for broadcast operands (64.6 kB before the kernel stacked its
-#: polarizations and materials), the rest sector index arrays and small
-#: masks; 1.32 MB when every per-point array was a fresh temporary (1.96
-#: MB, 512 B per point, on an all-propagating chunk of the default pass).
-_CHUNK_PEAK_BOUND = 200_000
-
-
-def test_warm_workspace_keeps_chunk_sized_temporaries_out_of_the_engine_chunk():
-    # the layout the inner rules hand over: a full chunk of (panels, 15)
-    # nodes from `_q_nodes`, one frequency row per panel, dQ/dx in place
-    geom = warm_geom()
-    panels = engine_panels(np.random.default_rng(5), 150, pr._PANEL_CHUNK - 150)
-    factors, work = pr._frequency_factors(geom, panels[0]), pr._Workspace()
-    engine_rows(geom, panels, factors, work)        # warm the workspace
-    tracemalloc.start()
-    try:
-        rows = engine_rows(geom, panels, factors, work)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert rows.shape == (len(BREAKDOWN_KEYS), pr._PANEL_CHUNK, 15)
-    assert peak < _CHUNK_PEAK_BOUND, f"{peak} bytes for {rows[0].size} points"
-
-
 #: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
-#: the default configuration's plates.  Measured with numpy 2.4: 4.48 MB,
-#: about 2.5 MB of it the pass's workspace; 4.87 MB when the inner rules'
-#: seed rows stayed alive through a lockstep call, 5.28 MB when the
+#: the default configuration's plates.  Measured with numpy 2.4: 3.35 MB
+#: with the channel kernel on fresh arrays (4.28 MB when it kept its
+#: arrays in the pass's workspace); 4.87 MB when the inner rules' seed
+#: rows stayed alive through a lockstep call, 5.28 MB when the
 #: per-segment sums built one flat index over all rows.
 _PASS_PEAK_BOUND = 4_700_000
 
@@ -1138,6 +1210,28 @@ def test_contour_search_refuses_a_crossed_branch_cut():
     geom, w = equal_t_geom(1.0, 1.0), np.array([1.0 + 0.1j])
     with pytest.raises(SingularityError, match="branch cut"):
         pr._strip_residues(geom, w, np.array([[1.0 - 2.0j]]), np.zeros((2, 1)))
+
+
+def test_strip_residues_drop_zeros_on_the_far_side_of_the_real_q_path(monkeypatch):
+    # at omega = a + i b, b > 0, real Q runs k_z along Re k_z Im k_z = a b,
+    # so only the zeros of D_mu with Re k_z Im k_z > a b lie between that
+    # path and the line.  No tail box has been seen to hold one on the far
+    # side, so the zero test, the count and the search hand back, by hand,
+    # one TM root on each side: only the near one's 2 pi p^2 den_L den_R /
+    # N' enters
+    geom, w = default_plates(1.0, 1.0, 1.0), np.array([3.0 + 0.5j])
+    eps = np.array([[complex(plate_eps(side, -1j * w[0]))] for side in (geom.left, geom.right)])
+    roots = np.array([2.0 + 1.0j, 1.0 + 1.0j])     # Re k_z Im k_z = 2 and 1, against a b = 1.5
+    monkeypatch.setattr(pr, "_strip_may_hold_zeros",
+                        lambda *args: np.array([[False], [True]]))
+    monkeypatch.setattr(pr, "_box_winding", lambda *args: [(2.0, None, None, None)])
+    monkeypatch.setattr(pr, "_box_zeros", lambda *args: (roots, roots.copy()))
+    out, err = pr._strip_residues(geom, w, eps, np.zeros((2, 1)))
+    _, dn, den = pr._strip_n(geom, w[0], eps[:, 0], roots)
+    terms = 2.0 * math.pi * roots * roots * den[1] / dn[1]
+    assert np.all(terms != 0.0)
+    assert out[1, 0] == np.sum(terms[:1]) and out[0, 0] == 0.0
+    assert err[0] == 0.0
 
 
 #: Largest share |tail| / |value| on acceptance criterion 1's six points.
@@ -1443,7 +1537,7 @@ def test_evanescent_rows_match_the_channel_map(params):
         Q = np.concatenate([np.hypot(w, kappa_l / geom.gap), edge])
         fac = pr._frequency_factors(geom, np.array([w]))
         eps = fac["complex"][1, 0]
-        both = pr.PRESSURE_SIGN * pr._MEASURE * fac["weight"][:, 0].sum() / (w * w * eps.imag)
+        both = fac["share"][:, 0].sum()
         want = sector_sums(pr._bath_channels(geom, w, Q), "evanescent")
         got = both * pr._evanescent_integrand(geom, w, [eps], Q)
         inner = slice(0, len(kappa_l))
@@ -1864,9 +1958,11 @@ def test_mirror_swap_property(w, x):
 @settings(max_examples=15, deadline=None)
 @given(w=st.floats(0.02, 10.0))
 def test_emission_weight_positivity(w):
+    # each plate's share C c_a of the emission, C > 0 the measure and c_a
+    # its occupation: positive, and the thermal part below the whole
     geom = warm_geom()
-    full = pr._frequency_factors(geom, np.array([w]))["weight"]
-    thermal = pr._frequency_factors(geom, np.array([w]), thermal_only=True)["weight"]
+    full = pr._frequency_factors(geom, np.array([w]))["share"]
+    thermal = pr._frequency_factors(geom, np.array([w]), thermal_only=True)["share"]
     for a in range(2):
         assert full[a][0] >= 0.0
         assert 0.0 <= thermal[a][0] <= full[a][0] + 1e-300

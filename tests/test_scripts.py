@@ -92,6 +92,15 @@ def test_steady_fingerprints_script(capsys):
     assert np.all(rows[:, 0::2, 9::6] == 0.0)           # the light line is evanescent
     assert np.all(rows[:, 1::2, 9::6] != 0.0)
     assert not np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
+    # the dissimilar plates at omega = 8, 12 and 17: six points each, Q = 0
+    # (where the rows' factor Q is 0) first, the light line (the fourth)
+    # in the evanescent sector
+    assert script.main(["--case", "point-map-high"]) == 0
+    name, points, *numbers = capsys.readouterr().out.split()
+    assert name == "point-map-high" and points == "points=18+0"
+    rows = np.array([float.fromhex(n) for n in numbers]).reshape(len(BREAKDOWN_KEYS), 3, 6)
+    assert np.all(rows[0::2, :, 3:] == 0.0) and np.all(rows[1::2, :, :3] == 0.0)
+    assert np.all(rows[0::2, :, 1:3] != 0.0) and np.all(rows[1::2, :, 3:] != 0.0)
     # one inner-rule chunk with a light-line node in its propagating run
     # (the per-node form), then with that node on its grid (the sector
     # runs): every other node keeps its bits, and the light-line node

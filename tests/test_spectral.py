@@ -435,6 +435,25 @@ def test_scan_lossy_dense_grid_positive():
         assert not scan.violation
 
 
+def test_scan_skips_the_gap_branch_points():
+    # at |omega| = Q the gap wavenumber vanishes, r_mu = -1 and D_mu = 0
+    # for every material, so a grid that holds those two points must not
+    # report a violation there: they are the branch points +-iQ of the
+    # gap cut, skipped and counted like lossless response poles
+    m = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
+    geom = Geometry(gap=1.0, left=m, right=m)
+    grid = np.linspace(-2.0, 2.0, 4001)
+    assert np.count_nonzero(np.abs(grid) == 0.5) == 2
+    for pol, floor in (("TE", 0.206), ("TM", 0.404)):
+        scan = scan_dmu_imaginary_axis(geom, pol, 0.5, grid)
+        assert not scan.violation and scan.n_skipped == 2
+        assert scan.min_abs == pytest.approx(floor, abs=1e-3)
+        rest = scan_dmu_imaginary_axis(geom, pol, 0.5, grid[np.abs(grid) != 0.5])
+        assert (rest.min_abs, rest.argmin) == (scan.min_abs, scan.argmin)
+    with pytest.raises(DomainError, match="only the gap branch points"):
+        scan_dmu_imaginary_axis(geom, "TE", 0.1, np.array([-0.1, 0.1]))
+
+
 def test_scan_floor_decreases_with_damping():
     grid = np.linspace(-20.0, 20.0, 4001)
     floors = []
