@@ -11,7 +11,10 @@ the line k_z = omega + i y of the propagating sector and the round-trip
 form of the evanescent one, and its line gets ``line=`` and ``evan=``
 columns of those points (``pressure._line_integrand`` at real
 frequencies, the size of its y, and ``pressure._evanescent_integrand``,
-the size of its Q).  A `steady_pressure` case
+the size of its Q).  The ``freqs=`` column counts the real-axis
+frequencies the case hands ``pressure._inner_q_integral``, the outer
+rule's nodes on [0, omega_max] and in the Euler tail slices, so a change
+to the outer seeds shows its cost.  A `steady_pressure` case
 returns value, err, tail, omega_max_used and the eight channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
@@ -79,8 +82,10 @@ def default_config():
 
 
 def _lockstep(rule, *args):
-    """A lockstep Q case: its integrals, then its per-frequency errors."""
-    return lambda: np.concatenate([np.ravel(a) for a in rule(*args)])
+    """A lockstep Q case: its integrals, then its per-frequency errors.
+    ``rule`` names the `pressure` function, looked up when the case runs
+    so that the counting wrappers see the call."""
+    return lambda: np.concatenate([np.ravel(a) for a in getattr(pressure, rule)(*args)])
 
 
 def point_map():
@@ -142,14 +147,14 @@ CASES = {
                                                 right=plate(1.0, 1.0, 1e-2, 0.3)), rel_tol=1e-3),
     **{f"criterion-8-l{g:.4g}": _steady(identical(float(g), 1.0, 1.0), rel_tol=2e-3)
        for g in np.geomspace(1.0, 10.0, 5)},
-    "inner-q": _lockstep(pressure._inner_q_integral, dissimilar(1.0, 1.0, 0.5), OMEGAS, False,
+    "inner-q": _lockstep("_inner_q_integral", dissimilar(1.0, 1.0, 0.5), OMEGAS, False,
                          1e-10, 0.0),
-    "line-q": _lockstep(pressure._inner_q_integral, identical(1.0, 1.0, 0.5), OMEGAS, False,
+    "line-q": _lockstep("_inner_q_integral", identical(1.0, 1.0, 0.5), OMEGAS, False,
                         1e-10, 0.0),
     "point-map": point_map,
     "point-map-high": point_map_high,
     "straggler": straggler,
-    "contour-q": _lockstep(pressure._contour_line_integral, identical(1.0, 1.0, 0.5),
+    "contour-q": _lockstep("_contour_line_integral", identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
 }
 
@@ -161,8 +166,9 @@ def _hex(values):
 def fingerprint(name):
     """The case's line: its name, its numbers in float.hex and its points."""
     points = {"_bath_channels": 0, "contour": 0, "_line_integrand": 0,
-              "_evanescent_integrand": 0}
-    wrapped = ("_bath_channels", "_line_integrand", "_evanescent_integrand")
+              "_evanescent_integrand": 0, "_inner_q_integral": 0}
+    wrapped = ("_bath_channels", "_line_integrand", "_evanescent_integrand",
+               "_inner_q_integral")
     originals = {key: getattr(pressure, key) for key in wrapped}
 
     def counting(key, sizes):
@@ -176,12 +182,13 @@ def fingerprint(name):
     pressure._bath_channels = counting("_bath_channels", lambda a: (a[2],))
     pressure._line_integrand = counting("_line_integrand", lambda a: (a[3],))
     pressure._evanescent_integrand = counting("_evanescent_integrand", lambda a: (a[3],))
+    pressure._inner_q_integral = counting("_inner_q_integral", lambda a: (a[1],))
     try:
         numbers = CASES[name]()
     finally:
         for key, fn in originals.items():
             setattr(pressure, key, fn)
-    counts = f"{points['_bath_channels']}+{points['contour']}"
+    counts = f"{points['_bath_channels']}+{points['contour']} freqs={points['_inner_q_integral']}"
     if points["_line_integrand"]:
         counts += f" line={points['_line_integrand']} evan={points['_evanescent_integrand']}"
     return f"{name} points={counts} {_hex(numbers)}"

@@ -570,7 +570,10 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
     raised.  Grid points on the gap branch points |omega| = Q (see
     `branch_inventory`), where q = 0 makes r_mu = -1 and D_mu = 0 for
     every material, and isolated grid points landing on a response pole
-    of a lossless material are skipped and counted.
+    of a lossless material are skipped and counted.  A grid point within
+    4 ulps of the grid's largest |omega| of a branch point is one that
+    rounding moved off it (``np.linspace`` places its points to about
+    that), and is skipped as the branch point.
     """
     Q = _transverse_q(Q)
     grid = np.asarray(omega_grid, dtype=float).ravel()
@@ -587,7 +590,7 @@ def scan_dmu_imaginary_axis(geom, pol, Q, omega_grid):
         raise DomainError(
             f"grid spacing {step:.4g} too coarse for the round-trip phase "
             f"pi/l = {math.pi / geom.gap:.4g} (need >= 8 points per period)")
-    live = np.abs(grid) != Q
+    live = np.abs(np.abs(grid) - Q) > 4.0 * np.spacing(np.abs(grid).max())
     if not live.any():
         raise DomainError("omega_grid holds only the gap branch points |omega| = Q")
     skipped = grid.size - int(np.count_nonzero(live))

@@ -1090,6 +1090,47 @@ def test_err_bounds_the_true_error_over_random_plates():
         assert abs(res.value - eq) <= res.err, (geom, res.value, eq, res.err)
 
 
+def test_err_bounds_the_true_error_on_low_loss_plates():
+    # the surface band of a low-loss plate (gamma 1e-3 to 3e-2, below
+    # rand_lossy's draws) is a peak of width gamma in the frequency
+    # integrand that the outer rule's seeds bracket; identical and
+    # dissimilar pairs at one temperature against the imaginary-frequency
+    # sum
+    rng = np.random.default_rng(32)
+    opts = PressureOptions(rel_tol=1e-3)
+    for same in (True, False, True, False):
+        gap, T = float(rng.uniform(0.3, 2.0)), float(rng.uniform(0.1, 2.0))
+        left, right = (Material(omega0=float(rng.uniform(0.5, 2.5)),
+                                lambda0=float(rng.uniform(0.4, 1.5)),
+                                bath=BathModel(kind="ohmic",
+                                               gamma=float(10.0 ** rng.uniform(-3.0, -1.5))),
+                                beta_bath=1.0 / T) for _ in range(2))
+        geom = Geometry(gap=gap, left=left, right=left if same else right)
+        res = steady_pressure(geom, opts)
+        eq = equilibrium_matsubara(geom, T)
+        assert abs(res.value - eq) <= res.err, (geom, res.value, eq, res.err)
+
+
+def test_outer_seeds_bracket_the_surface_bands_and_the_cavity_periods():
+    # five edges around each plate's Re eps = -1 point, at 0, +-1 and +-4
+    # widths (gamma), and one cavity edge per round-trip period pi/l up
+    # to the cap of 48, none at the half periods
+    geom = default_plates(1.7, 1.0, 0.5)
+    edges = pr._omega_edges(geom, 18.0)
+    assert edges == sorted(set(edges)) and (edges[0], edges[-1]) == (0.0, 18.0)
+    for side in (geom.left, geom.right):
+        base = math.hypot(side.omega0, side.lambda0 / math.sqrt(2.0))
+        lossless = replace(side, bath=BathModel(kind="ohmic", gamma=0.0))
+        assert permittivity_fourier(lossless, base).real == pytest.approx(-1.0, abs=1e-12)
+        for c in (-4.0, -1.0, 0.0, 1.0, 4.0):
+            assert min(abs(e - (base + c * side.bath.gamma)) for e in edges) < 1e-12
+    period = math.pi / 1.7
+    assert {k * period for k in range(1, 10)} <= set(edges) and 10 * period > 18.0
+    assert not {(k + 0.5) * period for k in range(9)} & set(edges)
+    far = pr._omega_edges(default_plates(31.6, 1.0, 0.5), 18.0)
+    assert 48 * (math.pi / 31.6) in far and 49 * (math.pi / 31.6) not in far
+
+
 # ---------------------------------------------------------------------------
 # steady pressure: the frequency tail on the contour omega_max + i y
 # ---------------------------------------------------------------------------
@@ -1305,6 +1346,18 @@ def test_default_config_keeps_the_real_axis_tail():
     assert steady_pressure(geom, PressureOptions(rel_tol=1e-3)).omega_max_used == 18.0
 
 
+def test_euler_tail_slices_take_the_real_axis_part_as_their_floor():
+    # a slice far smaller than the pressure meets a tolerance relative to
+    # the real-axis part, as the contour tail does; relative to itself the
+    # slice at omega_max = 30 did not converge
+    geom = default_plates(1.0, 1.0, 0.5)
+    opts = PressureOptions(thermal_only=True)
+    high = steady_pressure(geom, replace(opts, omega_max=30.0))
+    low = steady_pressure(geom, opts)
+    assert abs(high.tail) < 1e-12 * abs(high.value)
+    assert abs(high.value - low.value) <= high.err + low.err
+
+
 def test_matsubara_oracle_shape():
     geom = equal_t_geom(gap=1.0, T=1.0)
     p1 = equilibrium_matsubara(geom, 1.0)
@@ -1491,8 +1544,8 @@ def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
                          ids=[f"criterion-8-l{g:.3g}" for g in np.geomspace(1.0, 10.0, 5)]
                          + ["sweep-far"])
 def test_err_stays_within_the_tolerance_on_identical_plates(gap, t_right):
-    # err / (rel_tol |P|) reads 0.01, 0.01, 0.12, 0.59 and 0.08 at
-    # criterion 8's gaps and 0.42 on the sweep-far plates (it was 0.10 to
+    # err / (rel_tol |P|) reads 0.02, 0.12, 0.05, 0.10 and 0.06 at
+    # criterion 8's gaps and 0.008 on the sweep-far plates (it was 0.10 to
     # 22.3 and 1.21 on the theta path)
     res = steady_pressure(identical_plates(gap, 1.0, t_right), PressureOptions(rel_tol=2e-3))
     assert 0.0 < res.err <= 2e-3 * abs(res.value)

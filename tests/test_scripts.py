@@ -58,9 +58,12 @@ def test_steady_fingerprints_script(capsys):
     script = load_script("steady_fingerprints")
     assert script.main(["--case", "sweep-far", "--case", "dissimilar-euler"]) == 0
     identical, dissimilar = capsys.readouterr().out.splitlines()
-    name, points, line, evan, *numbers = identical.split()
+    name, points, freqs, line, evan, *numbers = identical.split()
     assert name == "sweep-far"
     real, contour = (int(n) for n in points.removeprefix("points=").split("+"))
+    # the real-axis frequencies of the outer rule: 15 Kronrod nodes a panel
+    n_freqs = int(freqs.removeprefix("freqs="))
+    assert n_freqs > 0 and n_freqs % 15 == 0
     # plates of one material take the propagating sector on the line and
     # the evanescent one in its round-trip form, whose points have columns
     # of their own: the channel map never runs
@@ -71,9 +74,12 @@ def test_steady_fingerprints_script(capsys):
     assert value < 0.0 < err and omega_max == 4.0
     assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
     # a dissimilar pair evaluates no line and prints no line or evan column
-    name, points, *numbers = dissimilar.split()
+    name, points, freqs, *numbers = dissimilar.split()
     assert name == "dissimilar-euler" and points.startswith("points=")
     assert int(points.removeprefix("points=").split("+")[0]) > 0
+    # the real axis and the two Euler tail slices
+    n_freqs = int(freqs.removeprefix("freqs="))
+    assert n_freqs > 0 and n_freqs % 15 == 0
     assert len(numbers) == 12 and not any(n.startswith(("line=", "evan=")) for n in numbers)
     # the lockstep Q rule of identical plates runs the line and the
     # round-trip evanescent form; the point map runs the channel map on
@@ -81,12 +87,12 @@ def test_steady_fingerprints_script(capsys):
     # thermal_only)
     assert script.main(["--case", "line-q", "--case", "point-map"]) == 0
     line_q, point_map = capsys.readouterr().out.splitlines()
-    name, points, line, evan, *numbers = line_q.split()
-    assert name == "line-q" and points == "points=0+0"
+    name, points, freqs, line, evan, *numbers = line_q.split()
+    assert name == "line-q" and points == "points=0+0" and freqs == "freqs=4"
     assert int(line.removeprefix("line=")) > 0 and int(evan.removeprefix("evan=")) > 0
     assert len(numbers) == len(BREAKDOWN_KEYS) * 4 + 4
-    name, points, *numbers = point_map.split()
-    assert name == "point-map" and points == "points=96+0"
+    name, points, freqs, *numbers = point_map.split()
+    assert name == "point-map" and points == "points=96+0" and freqs == "freqs=0"
     rows = np.array([float.fromhex(n) for n in numbers]).reshape(4, len(BREAKDOWN_KEYS), 24)
     assert np.all(rows[:, :, :6] == 0.0)                # omega = 0
     assert np.all(rows[:, 0::2, 9::6] == 0.0)           # the light line is evanescent
@@ -96,8 +102,8 @@ def test_steady_fingerprints_script(capsys):
     # (where the rows' factor Q is 0) first, the light line (the fourth)
     # in the evanescent sector
     assert script.main(["--case", "point-map-high"]) == 0
-    name, points, *numbers = capsys.readouterr().out.split()
-    assert name == "point-map-high" and points == "points=18+0"
+    name, points, freqs, *numbers = capsys.readouterr().out.split()
+    assert name == "point-map-high" and points == "points=18+0" and freqs == "freqs=0"
     rows = np.array([float.fromhex(n) for n in numbers]).reshape(len(BREAKDOWN_KEYS), 3, 6)
     assert np.all(rows[0::2, :, 3:] == 0.0) and np.all(rows[1::2, :, :3] == 0.0)
     assert np.all(rows[0::2, :, 1:3] != 0.0) and np.all(rows[1::2, :, 3:] != 0.0)
@@ -106,8 +112,8 @@ def test_steady_fingerprints_script(capsys):
     # runs): every other node keeps its bits, and the light-line node
     # takes the evanescent limit
     assert script.main(["--case", "straggler"]) == 0
-    name, points, *numbers = capsys.readouterr().out.split()
-    assert name == "straggler" and points == "points=180+0"
+    name, points, freqs, *numbers = capsys.readouterr().out.split()
+    assert name == "straggler" and points == "points=180+0" and freqs == "freqs=0"
     light, clean = np.array([float.fromhex(n) for n in numbers]).reshape(
         2, len(BREAKDOWN_KEYS), 6, 15)
     grid = np.ones((6, 15), bool)
