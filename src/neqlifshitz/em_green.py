@@ -146,7 +146,7 @@ def fresnel(side, s, Q):
     return r_te, r_tm, t_te, t_tm
 
 
-def _fresnel_coeffs(eps, q, qn, s):
+def _fresnel_coeffs(eps, q, qn, s, out=None):
     """The reflection coefficients r = (r_TE, r_TM) of `fresnel` from a
     plate's permittivity and the two z-wavenumbers, the two polarizations
     stacked on a leading axis.
@@ -159,14 +159,31 @@ def _fresnel_coeffs(eps, q, qn, s):
     `fresnel` when a denominator vanishes (s broadcasts against the
     points; the error names the first bad one, in the order of the
     broadcast points).
+
+    ``out`` is (den, r, mag), three buffers shaped (2,) + the broadcast
+    shape (den and r complex, mag real), as the steady pass's channel
+    kernel hands them from its workspace (`pressure._channel_kernel`):
+    den takes the denominators, mag their moduli, and r, returned in its
+    buffer, the numerators and then the quotient, in the operation order
+    of the fresh form and with its bits.  Without it every array is fresh.
     """
     eq = eps * q
-    den = np.stack([q + qn, eq + qn])
-    bad = np.abs(den) <= 1e-14 * (np.abs(q) + np.abs(qn))
+    if out is None:
+        den = np.stack([q + qn, eq + qn])
+        bad = np.abs(den) <= 1e-14 * (np.abs(q) + np.abs(qn))
+    else:
+        den, r, mag = out
+        np.add(q, qn, out=den[0])
+        np.add(eq, qn, out=den[1])
+        bad = np.abs(den, out=mag) <= 1e-14 * (np.abs(q) + np.abs(qn))
     if np.count_nonzero(bad):
         pt = _first_bad(s, bad[0] | bad[1])
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
-    return np.stack([q - qn, eq - qn]) / den
+    if out is None:
+        return np.stack([q - qn, eq - qn]) / den
+    np.subtract(q, qn, out=r[0])
+    np.subtract(eq, qn, out=r[1])
+    return np.divide(r, den, out=r)
 
 
 def _optics(geom, s, Q):

@@ -34,9 +34,9 @@ channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
 (`_channel_kernel`) for the engine and the public per-point map alike
 (`_bath_channels`): one Fresnel call per sector with both plates on its
 leading axis, and the rows from r_L, r_R and the round trip x = r_L r_R
-exp(2 i k_z l) of each polarization, in plain numpy on fresh arrays.  A
-chunk's two sector runs take one call each, any other batch of points
-one call per sector on its gathered nodes.
+exp(2 i k_z l) of each polarization, in plain numpy.  A chunk's two
+sector runs take one call each, any other batch of points one call per
+sector on its gathered nodes.
 Plates of one material (`_same_material`) integrate one row per
 polarization and sector instead, the round-trip sum of the Lifshitz
 function H weighted by both plates' occupations, and split the plates
@@ -68,14 +68,18 @@ every lockstep call to the inner rules (`_adaptive_gk`,
 (`_bath_channels`, `_channel_rows`).  Their per-node arrays of a chunk
 (the nodes, the gathered frequency factors, the channel rows and the
 rule's sums) are written into its reused buffers with ``out=`` ufuncs,
-in the same operation order as fresh arrays; the channel kernel
-computes on fresh arrays and writes only its rows there.  The channel
-map's per-node form, for any layout but a chunk's two sector runs (the
-public map's points; no steady pass hands it one), gathers and scatters
-its nodes in fresh arrays.  Rows taken from a workspace are valid until
-the next call with the same workspace; a call made without one (as
-every caller outside the quadrature does) makes a fresh one, so what it
-returns is its caller's alone.  The outer rules take none, since their nodes must
+in the same operation order as fresh arrays.  The channel kernel keeps
+its four (polarization, plate) arrays there too (the Fresnel
+denominators, the coefficients, their moduli and its rows), so a pass
+does not hand those pages back to the allocator and fault them in again
+at every chunk; its smaller temporaries are fresh.  The channel map's
+per-node form, for any layout but a chunk's two sector runs (the public
+map's points; no steady pass hands it one), gathers and scatters its
+nodes in fresh arrays, and its kernel calls take a fresh workspace.
+Rows taken from a workspace are valid until the next call with the same
+workspace; a call made without one (as every caller outside the
+quadrature does) makes a fresh one, so what it returns is its caller's
+alone.  The outer rules take none, since their nodes must
 outlive the inner rules' chunks; the round-trip rows of identical
 plates, the contour tail's line and the zero search allocate fresh
 arrays.
@@ -343,7 +347,8 @@ def _channel_rows(geom, factors, w, Q, work):
                                    ("bath.factors", tab.dtype.char), len(tab) * n,
                                    tab.dtype).reshape(-1, n))
                                for tab in (fac["complex"], fac["real"]))
-                _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, sector, run])
+                _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, sector, run],
+                                work)
                 rows[:, :, 1 - sector, run] = 0.0
         return rows.reshape(len(BREAKDOWN_KEYS), g, p)
     w, Q, at = (np.broadcast_to(a, (g, p)).ravel() for a in (w, Q, at[:, None]))
@@ -366,7 +371,7 @@ def _run(mask):
     return slice(start, start + k) if np.count_nonzero(mask[start:start + k]) == k else None
 
 
-def _channel_kernel(geom, tables, Q, propagating, out):
+def _channel_kernel(geom, tables, Q, propagating, out, work=None):
     """The four channels of one sector (plate x polarization) at groups of
     nodes that all lie in it, written into ``out``, shaped (2, 2) + Q's
     (groups, nodes) shape: the reflection forms of `_bath_channels`.
@@ -382,8 +387,15 @@ def _channel_kernel(geom, tables, Q, propagating, out):
     `np.exp` bit for bit.  The two plates share one Fresnel call
     (`.em_green._fresnel_coeffs`), their permittivities on its leading
     axis, and the rows are their shares times per-polarization terms of
-    r_L, r_R and x = r_L r_R exp(-2 q l), in plain numpy on fresh arrays.
-    A row is exactly 0 where its plate does not emit.
+    r_L, r_R and x = r_L r_R exp(-2 q l), in plain numpy.  A row is
+    exactly 0 where its plate does not emit.
+
+    ``work`` is the `_Workspace` of the steady pass (the sector runs of
+    `_channel_rows`; a fresh one without it): the Fresnel step's
+    denominators, coefficients and moduli, and the rows before the
+    shares, are its (2, 2) + Q.shape buffers ``kernel.*``, written with
+    ``out=`` in the operation order of fresh arrays; the smaller
+    temporaries are fresh.
     """
     cplx, real = tables
     s, eps, es2 = cplx[0, :, None], cplx[1:3, :, None], cplx[3:, :, None]
@@ -399,14 +411,19 @@ def _channel_kernel(geom, tables, Q, propagating, out):
         q = k + 0j
         trip = np.exp(-2.0 * q * geom.gap)     # a real exp is 1 ulp off
     qn = _axis_qz(es2 + Q2)
-    r = _fresnel_coeffs(eps, q, qn, s)          # (polarization, plate, ...)
+    if work is None:
+        work = _Workspace()
+    shape = (len(_POLS), len(_PLATES)) + Q.shape
+    den, r, mag = (work.take("kernel." + key, math.prod(shape), dtype).reshape(shape)
+                   for key, dtype in (("den", complex), ("r", complex), ("mag", float)))
+    r = _fresnel_coeffs(eps, q, qn, s, out=(den, r, mag))   # (polarization, plate, ...)
     emit = share != 0.0
     if not np.count_nonzero(emit):
         out.fill(0.0)
         return out
     x = r[:, 0] * r[:, 1] * trip
     if propagating:
-        r2 = np.square(np.abs(r))
+        r2 = np.square(np.abs(r, out=mag), out=mag)
         lock = 1.0 - r2[:, 0] * r2[:, 1]
         trapped = (np.abs(lock) < 1e-13) & (emit[0] | emit[1])
         if np.count_nonzero(trapped):
@@ -415,15 +432,23 @@ def _channel_kernel(geom, tables, Q, propagating, out):
         # where lock = 0 no plate emits: A reads 0 there
         A = np.divide(r2[:, 1] - r2[:, 0], lock, out=np.zeros(lock.shape), where=lock != 0.0)
         h = Q * k * np.real(x / (1.0 - x))
-        rows = np.stack([(1.0 + A) * h, (1.0 - A) * h])
+        # (plate, polarization, ...).  Taken here, with the sector's
+        # temporaries live, the buffer lands above them on the heap on
+        # the pass's first call: taken before the Fresnel step instead,
+        # a warm default pass faulted 580-1,400 pages, against 190-500
+        rows = work.take("kernel.rows", r.size).reshape(shape)
+        np.multiply(np.add(1.0, A, out=rows[0]), h, out=rows[0])
+        np.multiply(np.subtract(1.0, A, out=rows[1]), h, out=rows[1])
     else:
-        den = np.square(np.abs(1.0 - x))
+        cavity = np.square(np.abs(1.0 - x))
         light = k == 0.0                # Q = omega: kappa and 1 - x vanish together
         on_light = np.count_nonzero(light)
         if on_light:
-            np.copyto(den, 1.0, where=light)
-        h = -2.0 * Q * k * trip.real / den
-        rows = (r.imag * r.real[:, ::-1] * h[:, None]).swapaxes(0, 1)
+            np.copyto(cavity, 1.0, where=light)
+        h = -2.0 * Q * k * trip.real / cavity
+        rows = work.take("kernel.rows", r.size).reshape(shape)
+        swapped = rows.swapaxes(0, 1)   # (polarization, plate, ...), as r
+        np.multiply(np.multiply(r.imag, r.real[:, ::-1], out=swapped), h[:, None], out=swapped)
         if on_light:                    # n = qn (TE) or qn / eps (TM)
             qn_l = qn[:, light]
             for i in range(len(_POLS)):
@@ -740,10 +765,18 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
 class PressureOptions:
     """Quadrature controls for the steady pressure.
 
-    rel_tol bounds the total error estimate relative to the result;
-    omega_max overrides the automatic frequency ceiling; thermal_only (a
-    bool) keeps only the thermal occupation part coth - 1 of each plate's
-    emission (vanishing at T = 0).
+    rel_tol sets the tolerances of the nested rules (see
+    `steady_pressure`): the outer frequency rule runs at rel_tol/2, each
+    frequency's inner Q integral at rel_tol/4 of its own value, the line
+    k_z = omega + i y of one-material plates at 1/100 of that, and the
+    tail at rel_tol/4 (the Euler slices at rel_tol/2), with |P| of the
+    real-axis part as its floor.  The result's err is their summed
+    estimate (see `PressureResult`); it is not bounded by rel_tol |P|,
+    and can exceed it without a ConvergenceError on dissimilar plates at
+    large gaps and near a sign change of P.  omega_max overrides the
+    automatic frequency ceiling; thermal_only (a bool) keeps only the
+    thermal occupation part coth - 1 of each plate's emission (vanishing
+    at T = 0).
     """
 
     rel_tol: float = 1e-4

@@ -142,6 +142,48 @@ def test_fresnel_names_the_point_where_a_denominator_vanishes():
         assert err.value.point == root and f"s={root}" in str(err.value)
 
 
+def stacked_optics(s, Q):
+    """(eps, q, qn) of LOSSY and LOSSY2 at Laplace points s, both plates
+    on the leading axis of eps and qn, as the steady channel kernel holds them."""
+    eps = np.stack([plate_eps(LOSSY, s), plate_eps(LOSSY2, s)])
+    return eps, np.asarray(qz(1.0, s, Q)), np.asarray(qz(eps, s, Q))
+
+
+def fresnel_buffers(shape):
+    """The (den, r, mag) buffers of `_fresnel_coeffs`' out form."""
+    return (np.empty((2,) + shape, complex), np.empty((2,) + shape, complex),
+            np.empty((2,) + shape))
+
+
+def test_fresnel_coeffs_into_buffers_match_the_fresh_form():
+    # propagating (Q < omega) and evanescent nodes of three real-axis
+    # frequencies: the buffers' quotient has the fresh form's bits and is
+    # returned in the r buffer
+    w = np.array([0.4, 1.3, 3.0])[:, None]
+    s = -1j * w
+    eps, q, qn = stacked_optics(s, w * np.array([0.0, 0.5, 0.99, 1.01, 2.0, 5.0]))
+    out = fresnel_buffers(qn.shape)
+    fresh = em_green._fresnel_coeffs(eps, q, qn, s)
+    got = em_green._fresnel_coeffs(eps, q, qn, s, out=out)
+    assert got is out[1] and got.shape == fresh.shape == (2, 2, 3, 6)
+    assert got.tobytes() == fresh.tobytes()
+
+
+def test_fresnel_coeffs_into_buffers_raise_as_the_fresh_form():
+    # at a root of LOSSY's TM denominator among other Laplace points, with
+    # LOSSY2 stacked behind it, both forms name the same point
+    Q = 5.0
+    root = fresnel_tm_root(LOSSY, Q, -0.05 + 1.22j)
+    s = np.array([0.3 + 0.1j, 0.2j, root, 1.1 - 0.4j])
+    eps, q, qn = stacked_optics(s, Q)
+    raised = []
+    for out in (None, fresnel_buffers(qn.shape)):
+        with pytest.raises(SingularityError, match="Fresnel denominator") as err:
+            em_green._fresnel_coeffs(eps, q, qn, s, out=out)
+        raised.append((str(err.value), err.value.point))
+    assert raised[0] == raised[1] and raised[0][1] == root
+
+
 def test_dmu_values():
     geom = geom_pair()
     s, Q = -1j * 1.2, 0.5

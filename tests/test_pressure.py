@@ -957,6 +957,28 @@ def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
     assert shapes and all(shape[1] == 15 for shape in shapes)
 
 
+def test_channel_kernel_keeps_its_arrays_in_the_pass_workspace(monkeypatch):
+    # the channel kernel's (polarization, plate) arrays live in the pass's
+    # workspace: every sector run's Fresnel coefficients come back in one
+    # of its buffers, and a warm call with the same workspace takes no new
+    # buffer and grows none, so a pass does not reallocate them per chunk
+    geom, work = default_plates(1.0, 1.0, 0.5), pr._Workspace()
+    ws = np.linspace(0.2, 12.0, 24)
+    coeffs = []
+
+    def spy(*args, **kw):
+        coeffs.append(_fresnel_coeffs(*args, **kw))
+        return coeffs[-1]
+
+    pr._real_q_integral(geom, ws, False, 1e-4, 0.0, work)        # warm the workspace
+    sizes = {key: (len(buf), buf.dtype) for key, buf in work._bufs.items()}
+    monkeypatch.setattr(pr, "_fresnel_coeffs", spy)
+    pr._real_q_integral(geom, ws, False, 1e-4, 0.0, work)
+    assert len(coeffs) > 2
+    assert all(any(np.shares_memory(r, buf) for buf in work._bufs.values()) for r in coeffs)
+    assert {key: (len(buf), buf.dtype) for key, buf in work._bufs.items()} == sizes
+
+
 @pytest.mark.parametrize("omega, Q", [(math.nan, 0.5), (1.0, -0.5), (math.inf, 0.5),
                                       (1.0, math.inf), (1.0, math.nan), (-1.0, 0.5),
                                       (np.array([1.0, 2.0]), np.array([0.5, -math.inf]))])
@@ -969,11 +991,12 @@ def test_channel_map_refuses_bad_points(omega, Q):
 
 
 #: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
-#: the default configuration's plates.  Measured with numpy 2.4: 3.35 MB
-#: with the channel kernel on fresh arrays (4.28 MB when it kept its
-#: arrays in the pass's workspace); 4.87 MB when the inner rules' seed
-#: rows stayed alive through a lockstep call, 5.28 MB when the
-#: per-segment sums built one flat index over all rows.
+#: the default configuration's plates.  Measured with numpy 2.4: 3.15 MB
+#: with the channel kernel's four (polarization, plate) arrays in the
+#: pass's workspace (2.81 MB with every kernel array fresh, 4.14 MB with
+#: every kernel temporary in the workspace); 4.87 MB when the inner
+#: rules' seed rows stayed alive through a lockstep call, 5.28 MB when
+#: the per-segment sums built one flat index over all rows.
 _PASS_PEAK_BOUND = 4_700_000
 
 
