@@ -162,27 +162,24 @@ def _fresnel_coeffs(eps, q, qn, s, out=None):
 
     ``out`` is (den, r, mag), three buffers shaped (2,) + the broadcast
     shape (den and r complex, mag real), as the steady pass's channel
-    kernel hands them from its workspace (`pressure._channel_kernel`):
-    den takes the denominators, mag their moduli, and r, returned in its
-    buffer, the numerators and then the quotient, in the operation order
-    of the fresh form and with its bits.  Without it every array is fresh.
+    kernel hands them from its workspace (`pressure._channel_kernel`);
+    without it the three are fresh.  den takes the denominators, mag
+    their moduli, and r, returned in its buffer, the numerators and then
+    the quotient.
     """
     eq = eps * q
     if out is None:
-        den = np.stack([q + qn, eq + qn])
-        bad = np.abs(den) <= 1e-14 * (np.abs(q) + np.abs(qn))
-    else:
-        den, r, mag = out
-        np.add(q, qn, out=den[0])
-        np.add(eq, qn, out=den[1])
-        bad = np.abs(den, out=mag) <= 1e-14 * (np.abs(q) + np.abs(qn))
+        shape = (2,) + np.broadcast_shapes(np.shape(eq), np.shape(qn))
+        out = (np.empty(shape, complex), np.empty(shape, complex), np.empty(shape))
+    den, r, mag = out
+    np.add(q, qn, out=den[0, ...])
+    np.add(eq, qn, out=den[1, ...])
+    bad = np.abs(den, out=mag) <= 1e-14 * (np.abs(q) + np.abs(qn))
     if np.count_nonzero(bad):
         pt = _first_bad(s, bad[0] | bad[1])
         raise SingularityError(f"Fresnel denominator vanishes at s={pt}", point=pt)
-    if out is None:
-        return np.stack([q - qn, eq - qn]) / den
-    np.subtract(q, qn, out=r[0])
-    np.subtract(eq, qn, out=r[1])
+    np.subtract(q, qn, out=r[0, ...])
+    np.subtract(eq, qn, out=r[1, ...])
     return np.divide(r, den, out=r)
 
 

@@ -75,7 +75,7 @@ does not hand those pages back to the allocator and fault them in again
 at every chunk; its smaller temporaries are fresh.  The channel map's
 per-node form, for any layout but a chunk's two sector runs (the public
 map's points; no steady pass hands it one), gathers and scatters its
-nodes in fresh arrays, and its kernel calls take a fresh workspace.
+nodes in fresh arrays; its kernel calls take the same workspace.
 Rows taken from a workspace are valid until the next call with the same
 workspace; a call made without one (as every caller outside the
 quadrature does) makes a fresh one, so what it returns is its caller's
@@ -329,9 +329,9 @@ def _channel_rows(geom, factors, w, Q, work):
     closed form through one `_channel_kernel` call, and the rows live in
     ``work``.  Any other layout (the public map's points, a chunk with a
     light-line straggler Q = omega in a propagating panel) is evaluated
-    node by node into fresh arrays: one kernel call per sector on the
-    nodes at nonzero frequencies, Q >= omega (the straggler included)
-    taking the evanescent form; nodes at omega = 0 read 0.
+    node by node, gathered into fresh arrays: one kernel call per sector
+    on the nodes at nonzero frequencies, Q >= omega (the straggler
+    included) taking the evanescent form; nodes at omega = 0 read 0.
     """
     fac, at = factors
     g, p = Q.shape
@@ -358,7 +358,7 @@ def _channel_rows(geom, factors, w, Q, work):
         if pick.any():
             out = np.empty((len(_PLATES), len(_POLS), np.count_nonzero(pick), 1))
             tables = tuple(tab[:, at[pick]] for tab in (fac["complex"], fac["real"]))
-            _channel_kernel(geom, tables, Q[pick, None], sector == 0, out)
+            _channel_kernel(geom, tables, Q[pick, None], sector == 0, out, work)
             rows[:, :, sector, pick] = out[..., 0]
     return rows.reshape(len(BREAKDOWN_KEYS), g, p)
 
@@ -371,7 +371,7 @@ def _run(mask):
     return slice(start, start + k) if np.count_nonzero(mask[start:start + k]) == k else None
 
 
-def _channel_kernel(geom, tables, Q, propagating, out, work=None):
+def _channel_kernel(geom, tables, Q, propagating, out, work):
     """The four channels of one sector (plate x polarization) at groups of
     nodes that all lie in it, written into ``out``, shaped (2, 2) + Q's
     (groups, nodes) shape: the reflection forms of `_bath_channels`.
@@ -390,9 +390,8 @@ def _channel_kernel(geom, tables, Q, propagating, out, work=None):
     r_L, r_R and x = r_L r_R exp(-2 q l), in plain numpy.  A row is
     exactly 0 where its plate does not emit.
 
-    ``work`` is the `_Workspace` of the steady pass (the sector runs of
-    `_channel_rows`; a fresh one without it): the Fresnel step's
-    denominators, coefficients and moduli, and the rows before the
+    ``work`` is the `_Workspace` that `_channel_rows` holds: the Fresnel
+    step's denominators, coefficients and moduli, and the rows before the
     shares, are its (2, 2) + Q.shape buffers ``kernel.*``, written with
     ``out=`` in the operation order of fresh arrays; the smaller
     temporaries are fresh.
@@ -411,8 +410,6 @@ def _channel_kernel(geom, tables, Q, propagating, out, work=None):
         q = k + 0j
         trip = np.exp(-2.0 * q * geom.gap)     # a real exp is 1 ulp off
     qn = _axis_qz(es2 + Q2)
-    if work is None:
-        work = _Workspace()
     shape = (len(_POLS), len(_PLATES)) + Q.shape
     den, r, mag = (work.take("kernel." + key, math.prod(shape), dtype).reshape(shape)
                    for key, dtype in (("den", complex), ("r", complex), ("mag", float)))

@@ -155,18 +155,20 @@ def fresnel_buffers(shape):
             np.empty((2,) + shape))
 
 
-def test_fresnel_coeffs_into_buffers_match_the_fresh_form():
+def test_fresnel_coeffs_are_the_plain_quotient_in_and_out_of_buffers():
     # propagating (Q < omega) and evanescent nodes of three real-axis
-    # frequencies: the buffers' quotient has the fresh form's bits and is
-    # returned in the r buffer
+    # frequencies: with or without buffers, the coefficients have the
+    # bits of the plain numpy quotient (the form the steady pass ran
+    # before its buffers), and the out form returns them in the r buffer
     w = np.array([0.4, 1.3, 3.0])[:, None]
     s = -1j * w
     eps, q, qn = stacked_optics(s, w * np.array([0.0, 0.5, 0.99, 1.01, 2.0, 5.0]))
+    plain = np.stack([q - qn, eps * q - qn]) / np.stack([q + qn, eps * q + qn])
     out = fresnel_buffers(qn.shape)
     fresh = em_green._fresnel_coeffs(eps, q, qn, s)
     got = em_green._fresnel_coeffs(eps, q, qn, s, out=out)
-    assert got is out[1] and got.shape == fresh.shape == (2, 2, 3, 6)
-    assert got.tobytes() == fresh.tobytes()
+    assert got is out[1] and got.shape == fresh.shape == plain.shape == (2, 2, 3, 6)
+    assert got.tobytes() == fresh.tobytes() == plain.tobytes()
 
 
 def test_fresnel_coeffs_into_buffers_raise_as_the_fresh_form():

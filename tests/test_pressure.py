@@ -943,8 +943,8 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
 def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
     # a pass on the default config's plates evaluates every chunk as its
     # two sector runs of (panels, 15) nodes, in the workspace.  The channel
-    # map's per-node fallback (the public map, a light-line straggler) is
-    # plain numpy with fresh arrays because no pass reaches it; if this
+    # map's per-node fallback (the public map, a light-line straggler)
+    # gathers its nodes into fresh arrays because no pass reaches it; if this
     # fails, the fallback has traffic and its cost must be measured
     kernel, shapes = pr._channel_kernel, []
 
