@@ -317,11 +317,16 @@ def geometry_for(cfg, gap=None, t_left=None, t_right=None):
 
 
 def _pressure_options(cfg, rel_tol=None):
-    """The configured PressureOptions, with rel_tol overridden if given."""
+    """The configured PressureOptions, with rel_tol overridden if given;
+    an override out of range is a ConfigError (load_config has checked
+    the configured options)."""
     opts = dict(cfg.options)
     if rel_tol is not None:
         opts["rel_tol"] = rel_tol
-    return PressureOptions(**opts)
+    try:
+        return PressureOptions(**opts)
+    except DomainError as exc:
+        raise ConfigError(f"--rel-tol: {exc}")
 
 
 def _sweep_points(cfg):
@@ -362,7 +367,10 @@ def _header_lines(cfg, command):
 def _emit(text, args):
     out = getattr(args, "out", None)
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -569,6 +577,8 @@ def cmd_compare_eq(cfg, args):
         raise ConfigError("compare-eq needs T_L == T_R in the geometry block")
     # --rel-tol is the match threshold here; the quadrature keeps options.rel_tol
     tol = args.rel_tol if args.rel_tol is not None else 1e-3
+    if not 0.0 < tol < math.inf:
+        raise ConfigError(f"--rel-tol must be finite and > 0, got {tol}")
     steady, eq, dev = _equilibrium_deviation(geometry_for(cfg), cfg.t_left,
                                              _pressure_options(cfg))
     cols = "l,T,steady,matsubara,rel_dev"

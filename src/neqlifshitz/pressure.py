@@ -62,27 +62,17 @@ symbolic Green block: the blocks of :mod:`.em_green` and their stress
 contraction (:func:`.spectral.theta_contract`) serve the transient study in
 :mod:`.spectral`, and in the tests the oracle of the closed form.
 
-Each `steady_pressure` call owns one `_Workspace` and hands it through
-every lockstep call to the inner rules (`_adaptive_gk`,
-`_eval_panels`), the node mapping and the channel map's sector runs
-(`_bath_channels`, `_channel_rows`).  Their per-node arrays of a chunk
-(the nodes, the gathered frequency factors, the channel rows and the
-rule's sums) are written into its reused buffers with ``out=`` ufuncs,
-in the same operation order as fresh arrays.  The channel kernel keeps
-its four (polarization, plate) arrays there too (the Fresnel
-denominators, the coefficients, their moduli and its rows), so a pass
-does not hand those pages back to the allocator and fault them in again
-at every chunk; its smaller temporaries are fresh.  The channel map's
-per-node form, for any layout but a chunk's two sector runs (the public
-map's points; no steady pass hands it one), gathers and scatters its
-nodes in fresh arrays; its kernel calls take the same workspace.
-Rows taken from a workspace are valid until the next call with the same
-workspace; a call made without one (as every caller outside the
-quadrature does) makes a fresh one, so what it returns is its caller's
-alone.  The outer rules take none, since their nodes must
-outlive the inner rules' chunks; the round-trip rows of identical
-plates, the contour tail's line and the zero search allocate fresh
-arrays.
+The quadrature engine (`_adaptive_gk`, `_eval_panels`, `_q_nodes`,
+`_q_integrals`) computes in fresh arrays.  Only the row producers keep
+buffers: each `_real_q_integral` and `_line_q_integral` call owns one
+`_Workspace` until it returns, and each chunk's rows overwrite the last
+chunk's there (consumed by `_eval_panels` in between), so a pass does
+not fault those pages in again at every chunk.  `_real_q_integral`
+hands it to the channel map (`_bath_channels`, `_channel_rows`,
+`_channel_kernel`) for the rows and the kernel's four (polarization,
+plate) arrays: the Fresnel denominators, the coefficients, their moduli
+and its rows.  A channel-map call without one (as every caller outside
+the quadrature makes) makes its own, so what it returns is its caller's.
 The hot path checks nothing the engine guarantees: the public entries
 refuse bad points (DomainError), the engine's own nodes skip the test.
 The lockstep Q rules (`_q_integrals` and its seeds, `_real_q_integral`,
@@ -210,8 +200,9 @@ def _axis_qz(x):
 
 
 class _Workspace:
-    """Reused per-node buffers of the steady integrand (see the module
-    docstring for who owns one).
+    """Reused row buffers of one row producer's lockstep call:
+    ``bath.rows`` and ``kernel.*`` of `_real_q_integral`, ``line.rows``
+    of `_line_q_integral` (see the module docstring).
 
     ``take(key, n, dtype)`` returns the first n elements of the 1-d buffer
     named ``key`` (one dtype per key), grown when a call needs more; the
@@ -256,11 +247,10 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     points are taken as they come, unchecked: Q is (panels, nodes) with
     omega the (panels, 1) column, as the inner rules' panels of 15 nodes.
 
-    ``work`` is the `_Workspace` of the steady pass that owns this call;
-    the rows of an inner-rule chunk live in its buffers, valid until the
-    next call with the same workspace.  Without one (`bath_integrand`,
-    tests) the call makes a fresh workspace, and what it returns is its
-    caller's alone.
+    ``work`` is the `_Workspace` of the `_real_q_integral` call that
+    owns this call; the rows of a chunk live in its buffers until the
+    next call with it.  Without one (`bath_integrand`, tests) the call
+    makes a fresh workspace, and what it returns is its caller's alone.
 
     Each channel is plate a's share s_a = C c_a of the emission (C =
     PRESSURE_SIGN * _MEASURE, c_a its occupation, 0 where Im eps_a = 0;
@@ -335,18 +325,15 @@ def _channel_rows(geom, factors, w, Q, work):
     """
     fac, at = factors
     g, p = Q.shape
-    prop = np.less(Q, w, out=work.take("bath.prop", g * p, bool).reshape(g, p))
+    prop = Q < w
     k = int(np.count_nonzero(prop[:, 0]))
     if np.count_nonzero(w) == g and np.count_nonzero(prop[:k]) == k * p == np.count_nonzero(prop):
         rows = work.take("bath.rows", len(BREAKDOWN_KEYS) * g * p).reshape(
             len(_PLATES), len(_POLS), len(_SECTORS), g, p)
         for sector, run in enumerate((slice(0, k), slice(k, g))):
-            n = run.stop - run.start
-            if n:
-                tables = tuple(tab.take(at[run], axis=1, mode="clip", out=work.take(
-                                   ("bath.factors", tab.dtype.char), len(tab) * n,
-                                   tab.dtype).reshape(-1, n))
-                               for tab in (fac["complex"], fac["real"]))
+            if run.stop > run.start:
+                # take(), not tab[:, idx]: that gather comes back F-ordered
+                tables = tuple(tab.take(at[run], axis=1) for tab in (fac["complex"], fac["real"]))
                 _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, sector, run],
                                 work)
                 rows[:, :, 1 - sector, run] = 0.0
@@ -390,7 +377,8 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
     r_L, r_R and x = r_L r_R exp(-2 q l), in plain numpy.  A row is
     exactly 0 where its plate does not emit.
 
-    ``work`` is the `_Workspace` that `_channel_rows` holds: the Fresnel
+    ``work`` is the `_Workspace` that `_channel_rows` hands down (that of
+    its `_real_q_integral` call, or a public call's own): the Fresnel
     step's denominators, coefficients and moduli, and the rows before the
     shares, are its (2, 2) + Q.shape buffers ``kernel.*``, written with
     ``out=`` in the operation order of fresh arrays; the smaller
@@ -523,7 +511,7 @@ _GK_WG[1::2] = [
 #: Panels per integrand call in `_eval_panels` (15 nodes each).
 _PANEL_CHUNK = 256
 
-def _eval_panels(f, lo, hi, seg, work=None):
+def _eval_panels(f, lo, hi, seg):
     """Evaluate a row-valued integrand on a batch of panels.
 
     f maps (the nodes, shaped (panels, 15), one row per panel; the
@@ -545,11 +533,9 @@ def _eval_panels(f, lo, hi, seg, work=None):
     propagating sectors first (`_q_integrals`), so each of their chunks
     is one propagating run of panels followed by one evanescent run.
 
-    The per-node arrays of a chunk (the nodes handed to f, their summed
-    main rows and its deviations) live in the `_Workspace` ``work``: the
-    steady pass's, handed down by `_inner_q_integral` through
-    `_adaptive_gk`, or a fresh one for this call.  f may return rows that
-    live in the same workspace; they are consumed before the next chunk.
+    The rule's own arrays are fresh.  f may return rows that live in its
+    own buffers (the row producers' `_Workspace`): each chunk's rows are
+    consumed before f is called for the next.
 
     The error estimate is the QUADPACK rescaling of |K15 - G7|: a panel
     whose nodes show large variation about the mean (resasc) is never
@@ -561,8 +547,6 @@ def _eval_panels(f, lo, hi, seg, work=None):
     in its chunk: a panel gets the same integral, error and rounding
     floor bit for bit alone or in a batch (a BLAS ``matmul`` does not).
     """
-    if work is None:
-        work = _Workspace()
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     n = len(lo)
@@ -571,34 +555,30 @@ def _eval_panels(f, lo, hi, seg, work=None):
     err, rnd = np.empty(n), np.empty(n)
     for c in range(0, n, _PANEL_CHUNK):
         part = order[c:c + _PANEL_CHUNK]
-        m = len(part)
         lo_p, hi_p = lo[part], hi[part]
         half = 0.5 * (hi_p - lo_p)
-        mid = np.multiply(0.5, np.add(lo_p, hi_p, out=lo_p), out=lo_p)
-        xs = work.take("gk.x", m * 15).reshape(m, 15)
-        np.add(mid[:, None], np.multiply(half[:, None], _GK_X, out=xs), out=xs)
-        rows = [np.reshape(v, (len(v), m, 15)) for v in f(xs, seg[part])]
+        mid = 0.5 * (lo_p + hi_p)
+        rows = [np.reshape(v, (len(v), len(part), 15))
+                for v in f(mid[:, None] + half[:, None] * _GK_X, seg[part])]
         if ints is None:
             ints = [np.empty((len(v), n)) for v in rows]
         for out, v in zip(ints, rows):
             if len(v):
                 out[:, part] = np.einsum("rmk,k->rm", v, _GK_WK) * half
-        total = np.sum(rows[0], axis=0, out=work.take("gk.total", m * 15).reshape(m, 15))
-        tmp = work.take("gk.tmp", m * 15).reshape(m, 15)
-        k15, g7, resasc, resabs = work.take("gk.sums", 4 * m).reshape(4, m)
-        np.multiply(np.einsum("mk,k->m", total, _GK_WK), half, out=k15)
-        np.multiply(np.einsum("mk,k->m", total, _GK_WG), half, out=g7)
-        dev = np.abs(np.subtract(total, (k15 / (2.0 * half))[:, None], out=tmp), out=tmp)
-        np.multiply(np.einsum("mk,k->m", dev, _GK_WK), half, out=resasc)
-        np.multiply(np.einsum("mk,k->m", np.abs(total, out=tmp), _GK_WK), half, out=resabs)
-        raw = np.abs(np.subtract(k15, g7, out=k15), out=k15)
-        safe = np.maximum(resasc, 1e-300, out=g7)
+        total = np.sum(rows[0], axis=0)
+        k15 = np.einsum("mk,k->m", total, _GK_WK) * half
+        g7 = np.einsum("mk,k->m", total, _GK_WG) * half
+        dev = np.abs(total - (k15 / (2.0 * half))[:, None])
+        resasc = np.einsum("mk,k->m", dev, _GK_WK) * half
+        resabs = np.einsum("mk,k->m", np.abs(total), _GK_WK) * half
+        raw = np.abs(k15 - g7)
+        safe = np.maximum(resasc, 1e-300)
         # min(1, x)**1.5 == min(1, x**1.5), and the clamped ratio cannot
         # overflow when resasc is tiny
         e = np.where((resasc > 0.0) & (raw > 0.0),
                      resasc * (np.minimum(200.0 * raw, safe) / safe) ** 1.5, raw)
-        rnd[part] = np.multiply(50.0 * np.finfo(float).eps, resabs, out=resabs)
-        err[part] = np.maximum(e, resabs, out=e)
+        rnd[part] = floor = 50.0 * np.finfo(float).eps * resabs
+        err[part] = np.maximum(e, floor)
     return ints, err, rnd
 
 
@@ -640,8 +620,7 @@ def _seed_panels(segments, labels):
     return edges[:-1][inner], edges[1:][inner], owner[:-1][inner]
 
 
-def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels,
-                 work=None):
+def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels):
     """Globally adaptive vectorized Gauss-Kronrod over independent segments.
 
     Each segment is one integral, given by one row of seed panel edges in
@@ -679,14 +658,14 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     retired segments included) to the floor (the inner Q integrals use
     the latter, see `_q_integrals`).  A single integral, such as the
     outer frequency integral or a tail slice, is the one-segment case.
-    ``work`` is the `_Workspace` handed to every `_eval_panels` call (see
-    there).  Returns ((main, ride) per-segment totals, shaped (rows,
-    segments), per-segment error estimates).
+    Its arrays are fresh; f owns whatever buffers its rows live in (see
+    `_eval_panels`).  Returns ((main, ride) per-segment totals, shaped
+    (rows, segments), per-segment error estimates).
     """
     lo, hi, seg = _seed_panels(segments, labels)
     nseg = len(segments)
     del segments                # frees a caller's temporary seed rows before round 0
-    (main, ride), err, rnd = _eval_panels(f, lo, hi, seg, work=work)
+    (main, ride), err, rnd = _eval_panels(f, lo, hi, seg)
     # each panel's main-row sum is taken once, over the batch that
     # evaluated it, as numpy sums a batch: rows in sequence for two or more
     # panels, as one reduction for a one-panel seed, whose sum serves
@@ -741,7 +720,7 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         keep[pick] = False      # the retired segments' panels and the split ones leave
         lo, hi, seg, err, rnd = lo[keep], hi[keep], seg[keep], err[keep], rnd[keep]
         main, ride, psum = main[:, keep], ride[:, keep], psum[keep]
-        (new_main, new_ride), nerr, nrnd = _eval_panels(f, new_lo, new_hi, new_seg, work=work)
+        (new_main, new_ride), nerr, nrnd = _eval_panels(f, new_lo, new_hi, new_seg)
         lo = np.concatenate([lo, new_lo])
         hi = np.concatenate([hi, new_hi])
         seg = np.concatenate([seg, new_seg])
@@ -910,7 +889,7 @@ def _inner_q_seeds(geom, omegas, line=False):
 _INNER_FLOOR = 1e-3
 
 
-def _q_nodes(x, seg, n_prop, w_seg, decay, work, line=False):
+def _q_nodes(x, seg, n_prop, w_seg, decay, line=False):
     """The inner rules' node mapping: nodes x, shaped (panels, 15), of
     panels of segments seg to Q.
 
@@ -923,42 +902,34 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, work, line=False):
     dQ/dx; ``decay`` is then 1/(2 l) there); the evanescent nodes after
     them are t in [0, 1) with sqrt(Q^2 - omega^2) = decay t/(1 - t).
     Returns (omega, the (panels, 1) column of the panels' frequencies,
-    then Q and dQ/dx over the nodes), rows of the `_Workspace` ``work``
-    valid until its next call.  The node arithmetic runs on plain arrays:
-    each panel's frequency and decay scale are spread over its nodes
-    once.
+    then Q and dQ/dx over the nodes), fresh arrays: each panel's
+    frequency and decay scale are read once and broadcast over its
+    nodes.
     """
-    m, p = x.shape
-    w = w_seg.take(seg, out=work.take("node.w", m), mode="clip")[:, None]
-    lead = _run(np.less(seg, n_prop, out=work.take("node.lead", m, bool)))
+    lead = _run(seg < n_prop)
     if lead is None or lead.start:
         raise ValueError("the propagating panels must lead the chunk (see _eval_panels)")
     k = lead.stop
-    wn, Qs, jac = work.take("node.real", 3 * m * p).reshape(3, m, p)
-    np.copyto(wn, w)
+    w = w_seg[seg][:, None]
+    Q, jac = np.empty((2,) + x.shape)
     if k and line:                  # y = u c / (1 - u), dy/du = c / (1 - u)^2
-        rest = np.subtract(1.0, x[:k], out=work.take("node.prop", k * p).reshape(k, p))
-        c = decay.take(seg[:k], out=work.take("node.decay", k), mode="clip")[:, None]
-        np.divide(np.multiply(c, x[:k], out=Qs[:k]), rest, out=Qs[:k])
-        np.divide(c, np.square(rest, out=rest), out=jac[:k])
+        rest = 1.0 - x[:k]
+        c = decay[seg[:k]][:, None]
+        Q[:k] = c * x[:k] / rest
+        jac[:k] = c / np.square(rest)
     elif k:
-        wp, tp, v = wn[:k], x[:k], work.take("node.prop", k * p).reshape(k, p)
-        np.multiply(wp, np.sin(tp, out=v), out=Qs[:k])
-        np.multiply(wp, np.cos(tp, out=v), out=jac[:k])
-    if k < m:
-        sc, rest, qs, d = work.take("node.evan", 4 * (m - k) * p).reshape(4, m - k, p)
-        np.copyto(sc, decay.take(seg[k:], out=work.take("node.decay", m - k),
-                                 mode="clip")[:, None])
-        ts, Qe = x[k:], Qs[k:]
-        np.subtract(1.0, ts, out=rest)
-        np.divide(np.multiply(sc, ts, out=qs), rest, out=qs)
-        np.hypot(wn[k:], qs, out=Qe)
-        np.divide(qs, np.maximum(Qe, 1e-300, out=d), out=d)
-        np.divide(np.multiply(d, sc, out=d), np.square(rest, out=rest), out=jac[k:])
-    return w, Qs, jac
+        Q[:k] = w[:k] * np.sin(x[:k])
+        jac[:k] = w[:k] * np.cos(x[:k])
+    if k < len(x):
+        c, t = decay[seg[k:]][:, None], x[k:]
+        rest = 1.0 - t
+        qs = c * t / rest
+        Q[k:] = np.hypot(w[k:], qs)
+        jac[k:] = qs / np.maximum(Q[k:], 1e-300) * c / np.square(rest)
+    return w, Q, jac
 
 
-def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
+def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
     """The lockstep Q driver: both sectors of every frequency in
     ``omegas`` (real and > 0) are independent segments of one
     `_adaptive_gk` call (seed edges `_inner_q_seeds`, nodes `_q_nodes`, at
@@ -975,9 +946,10 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
     ``rows(w, Q, jac, at, lead)`` gives the integrand rows at the nodes
     from the (panels, 1) column of their frequencies w = omegas[at], at
     one frequency index per panel (also its column of the
-    `_frequency_factors` tables), Q and dQ/dx shaped (panels, 15) (arrays
-    in ``work``, see `_q_nodes`) and ``lead``, the number of leading
-    propagating panels.
+    `_frequency_factors` tables), Q and dQ/dx shaped (panels, 15) (see
+    `_q_nodes`) and ``lead``, the number of leading propagating panels.
+    Its own arrays are fresh; ``rows`` may keep its rows in its own
+    `_Workspace` (see `_eval_panels`).
 
     The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
     times the largest |inner integral| among ``floor_scale`` (that of the
@@ -997,10 +969,8 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
         decay[:n] = 0.5 / geom.gap
 
     def f(x, seg):
-        w, Q, jac = _q_nodes(x, seg, n, w_seg, decay, work, line=line)
-        at = owner.take(seg, out=work.take("node.at", len(seg), np.intp), mode="clip")
-        lead = int(np.count_nonzero(seg < n))
-        return rows(w, Q, jac, at, lead), np.empty((0,) + x.shape)
+        w, Q, jac = _q_nodes(x, seg, n, w_seg, decay, line=line)
+        return rows(w, Q, jac, owner[seg], np.count_nonzero(seg < n)), np.empty((0,) + x.shape)
 
     def abs_floor(totals):
         running = np.bincount(owner, weights=totals, minlength=n)
@@ -1011,13 +981,13 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=False):
 
     tol = np.where(evan, rel_tol, _LINE_TOL * rel_tol) if line else rel_tol
     (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, line), tol,
-                                 abs_floor=abs_floor, max_panels=512, work=work, labels=label)
+                                 abs_floor=abs_floor, max_panels=512, labels=label)
     errs = np.array([np.bincount(owner[~evan], weights=err[~evan], minlength=n),
                      np.bincount(owner[evan], weights=err[evan], minlength=n)])
     return _segment_sums(owner, got, n), errs
 
 
-def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
+def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     """Q-integrals of the difference channel map at an array of frequencies,
     in lockstep (`_q_integrals`): (channel integrals shaped (8, n_omega) in
     BREAKDOWN_KEYS order, per-frequency errors).
@@ -1030,21 +1000,21 @@ def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=Non
     described there.
     """
     rule = _line_q_integral if _same_material(geom) else _real_q_integral
-    return rule(geom, omegas, thermal_only, rel_tol, floor_scale, work)
+    return rule(geom, omegas, thermal_only, rel_tol, floor_scale)
 
 
-def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
+def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     """`_inner_q_integral` with both sectors on the real Q axis, the
     propagating one in theta (`_inner_q_seeds`), with the absolute floor
     of `_q_integrals`.  The factors of omega alone (`_frequency_factors`)
     are evaluated once per call at the frequencies as given, and each
-    panel hands the channel map its frequency's column.  ``work`` is the
-    `_Workspace` of the steady pass (a fresh one without it); the channel
-    rows, Jacobian applied in place, live in it until its next chunk.  The
+    panel hands the channel map its frequency's column.  The call owns
+    one `_Workspace` and hands it to the channel map: each chunk's channel
+    rows, Jacobian applied in place, and the kernel's arrays live in it
+    until the next chunk, and it is dropped when the call returns.  The
     error of a frequency is the sum of its two sectors' estimates.
     """
-    if work is None:
-        work = _Workspace()
+    work = _Workspace()
     factors = _frequency_factors(geom, np.asarray(omegas, dtype=float),
                                  thermal_only=thermal_only)
 
@@ -1053,7 +1023,7 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
         ch *= jac
         return ch
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work)
+    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale)
     return got, err[0] + err[1]
 
 
@@ -1425,7 +1395,7 @@ def _strip_residues(geom, w, eps, line_peak):
     return out, err
 
 
-def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None):
+def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     """`_inner_q_integral` for plates of one material: both sectors from
     the round-trip sum, the propagating one on the line k_z = omega + i y,
     and the plates split after integration.
@@ -1460,10 +1430,11 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
     cancels from the sum of the two sectors, so a frequency's error is
     the line's estimate plus the residues'.  Each frequency (> 0, see the
     module docstring) reads its permittivity and the shares off its
-    column of the `_frequency_factors` tables.
+    column of the `_frequency_factors` tables.  The call owns one
+    `_Workspace`, which keeps each chunk's rows until the next chunk and
+    is dropped when the call returns.
     """
-    if work is None:
-        work = _Workspace()
+    work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
     factors = _frequency_factors(geom, omegas, thermal_only=thermal_only)
     share = factors["share"]        # per plate and frequency: C c_a
@@ -1489,7 +1460,7 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale, work=None
             out[:, 0, lead:] = 0.0
         return out.reshape(-1, m, p)
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, work, line=True)
+    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=True)
     res, res_err = _strip_residues(geom, omegas, eps, peak)
     got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
     got[:, 0] -= both * res.imag + got[:, 1]
@@ -1505,8 +1476,8 @@ def _frequency_rule(nodes, edges, rel_tol, floor, max_panels, label):
     chunk, so each round makes one ``nodes`` call: one lockstep Q call.
 
     nodes(x) returns (rows shaped (n_rows, len(x)), the inner errors at
-    x); the rows drive the error test, the inner errors ride along.  The
-    rule takes no workspace (see the module docstring).  Returns (the
+    x); the rows drive the error test, the inner errors ride along.
+    Returns (the
     n_rows integrals then the integrated inner error, as one array; the
     outer error estimate).
     """
@@ -1713,7 +1684,7 @@ def steady_pressure(geom, opts=None):
 
     The outer frequency rule on [0, omega_max] (`_frequency_rule`) runs at
     rel_tol/2 and hands its nodes to `_inner_q_integral` at rel_tol/4,
-    with the floor described there, fed by the largest inner integral
+    with the floor described at `_q_integrals`, fed by the largest inner integral
     finished so far; the channel rows drive the outer error test, and the
     integrated inner errors enter ``err`` (see `PressureResult`).
 
@@ -1751,11 +1722,9 @@ def steady_pressure(geom, opts=None):
     omega_max = opts.omega_max if opts.omega_max is not None else _auto_omega_max(geom)
     inner_tol = opts.rel_tol / 4.0
     state = {"scale": 0.0}      # largest |inner integral| finished so far
-    work = _Workspace()         # the inner rules' per-node buffers, for the whole pass
 
     def nodes(ws):
-        main, inner = _inner_q_integral(geom, ws, opts.thermal_only, inner_tol, state["scale"],
-                                        work)
+        main, inner = _inner_q_integral(geom, ws, opts.thermal_only, inner_tol, state["scale"])
         state["scale"] = max(state["scale"], float(np.abs(main.sum(axis=0)).max()))
         return main, inner
 
@@ -1834,15 +1803,38 @@ def _matsubara_inner(geom, xi):
     return val
 
 
+#: zeta(3 - k) / k! for k = 4, 6, .., 18, the terms of Li_3(e^mu) past mu^3
+#: in `_polylog3` (the odd ones vanish): zeta(1 - 2m) = -B_2m / (2m), B_n
+#: the Bernoulli numbers, over (2m + 2)!.  They shrink like (mu / 2 pi)^k:
+#: for |mu| <= ln 2 the last is 1e-19 of the sum.
+_LI3_LOG_COEFFS = (-1 / 288, 1 / 86400, -1 / 10160640, 1 / 870912000, -1 / 63228211200,
+                   691 / 2855960819712000, -1 / 251073478656000,
+                   3617 / 52243369438740480000)
+
+
 def _polylog3(x):
-    """Li_3 on [0, 1) by plain series (geometric tail)."""
+    """Li_3 on [0, 1): the plain series (geometric tail) up to x = 1/2,
+    above it the expansion in mu = ln x, convergent for |mu| < 2 pi,
+
+        Li_3(e^mu) = zeta(3) + zeta(2) mu + (3/2 - ln(-mu)) mu^2 / 2
+                     + sum_{k >= 3} zeta(3 - k) mu^k / k!,
+
+    whose cost does not grow as x nears 1."""
     if not 0.0 <= x < 1.0:
         raise DomainError(f"Li3 series needs 0 <= x < 1, got {x}")
     if x == 0.0:
         return 0.0
-    n = max(64, int(60.0 / max(1e-12, -math.log(x))) + 1)
-    k = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(x ** k / k ** 3))
+    if x <= 0.5:
+        n = max(64, int(60.0 / -math.log(x)) + 1)
+        k = np.arange(1, n + 1, dtype=float)
+        return float(np.sum(x ** k / k ** 3))
+    mu = math.log(x)
+    rest = 0.0
+    for c in reversed(_LI3_LOG_COEFFS):
+        rest = rest * mu * mu + c
+    rest = mu ** 3 * (mu * rest - 1.0 / 12.0)
+    return 1.2020569031595942 + (math.pi ** 2 / 6.0 * mu
+                                 + ((1.5 - math.log(-mu)) * mu * mu / 2.0 + rest))
 
 
 #: Relative size of the last three Matsubara terms at which the sum stops.

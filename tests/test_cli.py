@@ -558,6 +558,35 @@ def test_rel_tol_is_accepted_where_it_is_read(command):
     assert args.rel_tol == 1e-3
 
 
+@pytest.mark.parametrize("command, value", [("pressure", "0.5"), ("pressure", "nan"),
+                                            ("verify", "0.5"), ("verify", "-1e-3"),
+                                            ("compare-eq", "nan"), ("compare-eq", "-1e-3"),
+                                            ("compare-eq", "0"), ("compare-eq", "inf")])
+def test_an_out_of_range_rel_tol_is_a_config_error(tmp_path, capsys, command, value):
+    # the flag is refused as its config key is (exit 2, naming the flag),
+    # before any quadrature runs: exit 3 means a numerical failure and
+    # exit 1 a failed property, which a NaN threshold would fake
+    cfg = write_cfg(tmp_path, BASE.replace("geometry.T_R = 0.3", "geometry.T_R = 0.9"))
+    code = main([command, "--config", cfg, f"--rel-tol={value}"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "--rel-tol" in err
+
+
+@pytest.mark.parametrize("command", ["pressure", "epsilon"])
+@pytest.mark.parametrize("given_by", ["--out", "output.path"])
+def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, command, given_by):
+    # a file in a missing directory is a configuration error (exit 2)
+    # with a message, not a traceback: exit 1 means a failed property
+    out = tmp_path / "missing" / "run.csv"
+    text = BASE + (f"output.path = {out}\n" if given_by == "output.path" else "")
+    argv = [command, "--config", write_cfg(tmp_path, text)]
+    code = main(argv + (["--out", str(out)] if given_by == "--out" else []))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and f"cannot write output {out}" in err
+
+
 # ---------------------------------------------------------------------------
 # top-level error handling
 # ---------------------------------------------------------------------------

@@ -121,6 +121,21 @@ def _reachable(module, start):
     return seen
 
 
+def test_quadrature_engine_keeps_no_buffers():
+    # the generic rules and the node map compute in fresh arrays: nothing
+    # they reach names the row producers' _Workspace or takes a workspace
+    defs = {node.name: node for node in ast.parse(inspect.getsource(pressure)).body
+            if isinstance(node, ast.FunctionDef)}
+    for start in ("_adaptive_gk", "_eval_panels", "_q_integrals", "_q_nodes"):
+        reached = _reachable(pressure, start)
+        assert start in reached
+        for name in reached:
+            fn = defs[name]
+            params = {a.arg for a in fn.args.args + fn.args.kwonlyargs}
+            names = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            assert "work" not in params and "_Workspace" not in names, (start, name)
+
+
 def test_contour_tail_is_built_apart_from_the_matsubara_oracle():
     # the tail is checked against the imaginary-frequency sum, so it must
     # not be made of it

@@ -894,13 +894,14 @@ def engine_panels(rng, n_prop, n_evan, straggler=False):
 
 
 def engine_rows(geom, panels, factors, work):
-    """The channel rows of a chunk as `_inner_q_integral` makes them: the
+    """The channel rows of a chunk as `_real_q_integral` makes them: the
     nodes through `_q_nodes` ((panels, 1) omega, (panels, 15) Q and
-    dQ/dx), `_bath_channels` with each panel's row of ``factors``, then
-    dQ/dx in place.  Returns (rows, omega, Q, dQ/dx)."""
+    dQ/dx), `_bath_channels` with each panel's row of ``factors`` and the
+    workspace ``work``, then dQ/dx in place.  Returns (rows, omega, Q,
+    dQ/dx)."""
     ws, x, seg, owner = panels
     w_seg = ws[owner]
-    w, Q, jac = pr._q_nodes(x, seg, len(ws), w_seg, np.maximum(w_seg, 0.5 / geom.gap), work)
+    w, Q, jac = pr._q_nodes(x, seg, len(ws), w_seg, np.maximum(w_seg, 0.5 / geom.gap))
     rows = pr._bath_channels(geom, w, Q, factors=(factors, owner[seg]), work=work)
     rows *= jac
     return rows, w, Q, jac
@@ -957,26 +958,59 @@ def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
     assert shapes and all(shape[1] == 15 for shape in shapes)
 
 
-def test_channel_kernel_keeps_its_arrays_in_the_pass_workspace(monkeypatch):
-    # the channel kernel's (polarization, plate) arrays live in the pass's
-    # workspace: every sector run's Fresnel coefficients come back in one
-    # of its buffers, and a warm call with the same workspace takes no new
-    # buffer and grows none, so a pass does not reallocate them per chunk
-    geom, work = default_plates(1.0, 1.0, 0.5), pr._Workspace()
+def spy_workspaces(monkeypatch):
+    """Record every `_Workspace` that pressure makes from now on, in a
+    list that is returned."""
+    made = []
+
+    class Recorded(pr._Workspace):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(pr, "_Workspace", Recorded)
+    return made
+
+
+def test_channel_kernel_keeps_its_arrays_in_its_lockstep_calls_workspace(monkeypatch):
+    # each _real_q_integral call makes one workspace and holds the channel
+    # rows and the kernel's (polarization, plate) arrays in it: every
+    # sector run's Fresnel coefficients come back in one of that
+    # workspace's buffers as they stand at the call, so its chunks do not
+    # reallocate them.  A second call makes its own
+    geom = default_plates(1.0, 1.0, 0.5)
     ws = np.linspace(0.2, 12.0, 24)
-    coeffs = []
+    made, coeffs = spy_workspaces(monkeypatch), []
 
     def spy(*args, **kw):
-        coeffs.append(_fresnel_coeffs(*args, **kw))
-        return coeffs[-1]
+        r = _fresnel_coeffs(*args, **kw)
+        coeffs.append(any(np.shares_memory(r, buf) for buf in made[-1]._bufs.values()))
+        return r
 
-    pr._real_q_integral(geom, ws, False, 1e-4, 0.0, work)        # warm the workspace
-    sizes = {key: (len(buf), buf.dtype) for key, buf in work._bufs.items()}
     monkeypatch.setattr(pr, "_fresnel_coeffs", spy)
-    pr._real_q_integral(geom, ws, False, 1e-4, 0.0, work)
-    assert len(coeffs) > 2
-    assert all(any(np.shares_memory(r, buf) for buf in work._bufs.values()) for r in coeffs)
-    assert {key: (len(buf), buf.dtype) for key, buf in work._bufs.items()} == sizes
+    for call in (1, 2):
+        pr._real_q_integral(geom, ws, False, 1e-4, 0.0)
+        assert len(made) == call
+    assert len(coeffs) > 4 and all(coeffs)
+    assert all(set(work._bufs) == {"bath.rows", "kernel.den", "kernel.r", "kernel.mag",
+                                   "kernel.rows"} for work in made)
+
+
+@pytest.mark.parametrize("plates", ["dissimilar", "identical"])
+def test_a_pass_makes_one_workspace_per_lockstep_call(monkeypatch, plates):
+    # the row producers own the buffers: a steady pass makes one workspace
+    # per inner lockstep call and none elsewhere, with the producer's keys
+    # alone (the channel rows and kernel arrays, or the round-trip rows)
+    geom = default_plates(1.0, 1.0, 0.5) if plates == "dissimilar" else \
+        identical_plates(1.0, 1.0, 0.5)
+    made, calls = spy_workspaces(monkeypatch), []
+    inner = pr._inner_q_integral
+    monkeypatch.setattr(pr, "_inner_q_integral", lambda *a: calls.append(1) or inner(*a))
+    steady_pressure(geom, PressureOptions(rel_tol=1e-3))
+    assert len(made) == len(calls) > 0
+    keys = {"bath.rows", "kernel.den", "kernel.r", "kernel.mag", "kernel.rows"} \
+        if plates == "dissimilar" else {"line.rows"}
+    assert all(set(work._bufs) == keys for work in made)
 
 
 @pytest.mark.parametrize("omega, Q", [(math.nan, 0.5), (1.0, -0.5), (math.inf, 0.5),
@@ -991,12 +1025,14 @@ def test_channel_map_refuses_bad_points(omega, Q):
 
 
 #: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
-#: the default configuration's plates.  Measured with numpy 2.4: 3.15 MB
-#: with the channel kernel's four (polarization, plate) arrays in the
-#: pass's workspace (2.81 MB with every kernel array fresh, 4.14 MB with
-#: every kernel temporary in the workspace); 4.87 MB when the inner
-#: rules' seed rows stayed alive through a lockstep call, 5.28 MB when
-#: the per-segment sums built one flat index over all rows.
+#: the default configuration's plates.  Measured with numpy 2.4: 3.02 MB
+#: with only the row producers' rows and the channel kernel's four
+#: (polarization, plate) arrays in a per-lockstep-call workspace; 3.15 MB
+#: with every per-node array of the quadrature in one workspace for the
+#: whole pass (2.81 MB with every kernel array fresh, 4.14 MB with every
+#: kernel temporary in the workspace); 4.87 MB when the inner rules' seed
+#: rows stayed alive through a lockstep call, 5.28 MB when the
+#: per-segment sums built one flat index over all rows.
 _PASS_PEAK_BOUND = 4_700_000
 
 
@@ -1399,6 +1435,34 @@ def test_matsubara_oracle_refuses_bad_temperatures(T):
     # 200,000 quad calls; T = inf returned -inf
     with pytest.raises(DomainError, match="temperature must be >= 0 and finite"):
         equilibrium_matsubara(equal_t_geom(gap=1.0, T=1.0), T)
+
+
+def test_polylog3_matches_mpmath_at_bounded_cost():
+    # the static (xi = 0) Matsubara term: Li_3 of the static round trip,
+    # which nears 1 for mirror plates (1 - 4e-6 at eps = 1e6).  Up to
+    # x = 1/2 (the sweep-far plates' rho0 = 1/9 among them) the plain
+    # series keeps its bits.  Each value comes within 1e-15 of mpmath's,
+    # and no call holds more than 100 kB, where the plain series needs
+    # about 60 / (1 - x) terms in one array, 376 MB at 1 - 4e-6.  The
+    # points run in increasing x, so a series that grows fails on its
+    # bound before it reaches 1 - 4e-8
+    import mpmath as mp
+
+    frozen = {0.1: "0x1.9ee0e234b0a47p-4", 1 / 9: "0x1.cda68a1eba852p-4",
+              0.25: "0x1.08aa1aa8e6306p-2", 0.5: "0x1.130d9b930d707p-1"}
+    assert {x: pr._polylog3(x).hex() for x in frozen} == frozen
+
+    for x in (0.1, 0.5, 0.9, 1 - 4e-6, 1 - 4e-8):
+        tracemalloc.start()
+        try:
+            got = pr._polylog3(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000, (x, peak)
+        with mp.workdps(40):
+            want = mp.polylog(3, mp.mpf(x))
+            assert abs(float((mp.mpf(got) - want) / want)) < 1e-15, x
 
 
 def test_ideal_mirror_limit_brackets_lifshitz():
