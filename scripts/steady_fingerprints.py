@@ -24,7 +24,11 @@ number is checked by diffing this output before and after it.  The
 points and returns its rows, the ``point-map-high`` case does so on the
 dissimilar plates at high frequencies, where the round trip x is small,
 and the ``straggler`` case calls it as the inner rules do, on one chunk
-of panels with and without a light-line node in its propagating run:
+of panels with and without a light-line node in its propagating run
+(the engine's rows, one per plate and polarization in each panel's
+sector).  The ``dissimilar-euler-multiround`` case is a low-loss pair
+whose real axis takes rounds after its seed round, so the Euler slices,
+segments of the same outer call, read a running floor there:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -112,7 +116,8 @@ def straggler():
     """The channel rows of one inner-rule chunk on the default plates:
     three propagating panels of 15 theta nodes (Q = omega sin(theta)),
     then three evanescent panels (sqrt(Q^2 - omega^2) = decay t/(1 - t)),
-    with each panel's frequency factors.  First with the last node of the
+    with each panel's frequency factors; one row per plate and
+    polarization, each panel's sector's.  First with the last node of the
     second panel at theta = pi/2 - 1e-9, where sin(theta) rounds to 1 and
     Q = omega, then with that node at its place on the grid."""
     geom = dissimilar(1.0, 1.0, 0.5)
@@ -137,6 +142,8 @@ CASES = {
     "criterion-1-l2-T0.1": _steady(identical(2.0, 0.1, 0.1), rel_tol=3e-4),
     "dissimilar-T0.7-contour": _steady(dissimilar(1.0, 0.7, 0.7)),
     "dissimilar-euler": _steady(dissimilar(0.7, 2.0, 0.2)),
+    "dissimilar-euler-multiround": _steady(Geometry(gap=1.0, left=plate(1.0, 1.0, 1e-2, 1.0),
+                                                    right=plate(1.3, 0.8, 2e-2, 0.3))),
     "identical-T0": _steady(identical(1.0, 0.0, 0.0), rel_tol=1e-3),
     "thermal-only-contour": _steady(identical(1.0, 1.0, 0.5), rel_tol=1e-3, thermal_only=True),
     "thermal-only-euler": _steady(dissimilar(1.0, 1.0, 0.5), rel_tol=1e-3, thermal_only=True),

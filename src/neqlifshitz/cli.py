@@ -643,7 +643,9 @@ def main(argv=None):
         return 2
     if args.out is None and cfg.values["output.path"]:
         args.out = cfg.values["output.path"]
-    try:
+    try:       # an output no write can succeed on is refused before any work
+        if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+            raise ConfigError(f"cannot write output {args.out}: not a file in a directory")
         return _DISPATCH[args.command](cfg, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -16,29 +16,29 @@ carries no baseline term (`_bath_channels`).
 
 The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
-(`_frequency_rule`) hands all the nodes of each round to one call of the
-lockstep Q driver (`_q_integrals`): the propagating (Q < Re omega) and
-evanescent sectors of every frequency are independent segments of one
-adaptive rule, each with its own error test, panel budget and
-ConvergenceError, and each retires, its totals stored, in the round it
-converges.  Each round evaluates all panels being split with one
-integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory stays
-bounded.  A chunk's nodes come shaped (panels, 15), one propagating run
-of panels then one evanescent run, which the node and channel maps read
-as slices; whatever depends on a panel's frequency alone (the frequency
-itself, its decay scale and contour weight, and its row of the
-`_frequency_factors` tables, evaluated once per lockstep call) is read
-once per panel and broadcast over its nodes.  Up to the real-axis
-ceiling omega_max the Q integrand of dissimilar plates is the eight
-channels (`_real_q_integral`; rows in BREAKDOWN_KEYS order), one kernel
+(`_frequency_rule`; on dissimilar plates at T_L != T_R its segments are
+[0, omega_max] and the two Euler tail slices) hands all the nodes of each
+round to one call of the lockstep Q driver (`_q_integrals`): the
+propagating (Q < Re omega) and evanescent sectors of every frequency are
+independent segments of one adaptive rule, each with its own error test,
+panel budget and ConvergenceError, and each retires, its totals stored,
+in the round it converges.  Each round evaluates all panels being split
+with one integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory
+stays bounded.  A chunk's nodes come shaped (panels, 15), one
+propagating run of panels then one evanescent run, which the node and
+channel maps read as slices; whatever depends on a panel's frequency
+alone (the frequency itself, its decay scale and contour weight, and its
+row of the `_frequency_factors` tables, evaluated once per lockstep
+call) is read once per panel and broadcast over its nodes, and a panel
+carries only its own sector's rows.  Up to the real-axis ceiling
+omega_max the Q integrand of dissimilar plates is the four (plate x
+polarization) channels (`_real_q_integral`), one kernel
 (`_channel_kernel`) for the engine and the public per-point map alike
-(`_bath_channels`): one Fresnel call per sector with both plates on its
-leading axis, and the rows from r_L, r_R and the round trip x = r_L r_R
-exp(2 i k_z l) of each polarization, in plain numpy.  A chunk's two
-sector runs take one call each, any other batch of points one call per
-sector on its gathered nodes.
+(`_bath_channels`, eight rows in BREAKDOWN_KEYS order): one Fresnel call
+per sector with both plates on its leading axis, and the rows from r_L,
+r_R and the round trip x = r_L r_R exp(2 i k_z l) of each polarization.
 Plates of one material (`_same_material`) integrate one row per
-polarization and sector instead, the round-trip sum of the Lifshitz
+polarization in either sector instead, the round-trip sum of the Lifshitz
 function H weighted by both plates' occupations, and split the plates
 after integration (`_line_q_integral`); they never call the channel
 map.  Their propagating sector leaves the real Q axis: with k_z =
@@ -241,11 +241,13 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     the integrand's points here); `_channel_rows` evaluates it.  Called
     with its points alone, the factors of omega alone
     (`_frequency_factors`) are evaluated at each point of nonzero
-    frequency.  ``factors`` is the pair (that dict, the row of each
-    panel's frequency in it), as `_real_q_integral` passes it once per
-    lockstep call; it then rules over use_fdr and thermal_only, and the
-    points are taken as they come, unchecked: Q is (panels, nodes) with
-    omega the (panels, 1) column, as the inner rules' panels of 15 nodes.
+    frequency, and each point's rows fill its sector's (Q < omega
+    propagating), the other sector's reading 0.  ``factors`` is the pair
+    (that dict, the row of each panel's frequency in it), as
+    `_real_q_integral` passes it once per lockstep call; it then rules
+    over use_fdr and thermal_only, the points are taken as they come,
+    unchecked (Q (panels, nodes), omega the (panels, 1) column), and the
+    call returns the four rows of `_channel_rows`: the engine form.
 
     ``work`` is the `_Workspace` of the `_real_q_integral` call that
     owns this call; the rows of a chunk live in its buffers until the
@@ -303,15 +305,18 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     live = w.ravel() != 0.0         # omega = 0 takes no row
     factors = (_frequency_factors(geom, w.ravel()[live], use_fdr=use_fdr,
                                   thermal_only=thermal_only), np.cumsum(live) - 1)
-    rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)
-    return rows.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
+    rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)[..., 0]
+    prop = (Q < w).ravel()
+    out = np.stack([np.where(prop, rows, 0.0), np.where(prop, 0.0, rows)], axis=1)
+    return out.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
 
 
 def _channel_rows(geom, factors, w, Q, work):
     """The channel rows of `_bath_channels` at groups of nodes: Q shaped
     (groups, nodes), w the (groups, 1) column of their frequencies and
     ``factors`` the pair (the `_frequency_factors` dict, each group's row
-    in it).  Returns the rows shaped (8, groups, nodes), C ordered.
+    in it).  Returns each node's four rows, (plate, polarization) of the
+    sector of its closed form, shaped (4, groups, nodes), C ordered.
 
     The inner rules' chunks, one propagating (Q < omega) run of groups
     then one evanescent run at nonzero frequencies, are evaluated in
@@ -320,42 +325,33 @@ def _channel_rows(geom, factors, w, Q, work):
     ``work``.  Any other layout (the public map's points, a chunk with a
     light-line straggler Q = omega in a propagating panel) is evaluated
     node by node, gathered into fresh arrays: one kernel call per sector
-    on the nodes at nonzero frequencies, Q >= omega (the straggler
-    included) taking the evanescent form; nodes at omega = 0 read 0.
+    on the nodes at nonzero frequencies, Q >= omega (the straggler, whose
+    rows count toward its panel's) taking the evanescent form; nodes at
+    omega = 0 read 0.
     """
     fac, at = factors
     g, p = Q.shape
     prop = Q < w
     k = int(np.count_nonzero(prop[:, 0]))
     if np.count_nonzero(w) == g and np.count_nonzero(prop[:k]) == k * p == np.count_nonzero(prop):
-        rows = work.take("bath.rows", len(BREAKDOWN_KEYS) * g * p).reshape(
-            len(_PLATES), len(_POLS), len(_SECTORS), g, p)
+        rows = work.take("bath.rows", len(_PLATES) * len(_POLS) * g * p).reshape(
+            len(_PLATES), len(_POLS), g, p)
         for sector, run in enumerate((slice(0, k), slice(k, g))):
             if run.stop > run.start:
                 # take(), not tab[:, idx]: that gather comes back F-ordered
                 tables = tuple(tab.take(at[run], axis=1) for tab in (fac["complex"], fac["real"]))
-                _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, sector, run],
-                                work)
-                rows[:, :, 1 - sector, run] = 0.0
-        return rows.reshape(len(BREAKDOWN_KEYS), g, p)
+                _channel_kernel(geom, tables, Q[run], sector == 0, rows[:, :, run], work)
+        return rows.reshape(-1, g, p)
     w, Q, at = (np.broadcast_to(a, (g, p)).ravel() for a in (w, Q, at[:, None]))
-    rows = np.zeros((len(_PLATES), len(_POLS), len(_SECTORS), g * p))
+    rows = np.zeros((len(_PLATES), len(_POLS), g * p))
     live = w != 0.0
     for sector, pick in enumerate((live & (Q < w), live & (Q >= w))):
         if pick.any():
             out = np.empty((len(_PLATES), len(_POLS), np.count_nonzero(pick), 1))
             tables = tuple(tab[:, at[pick]] for tab in (fac["complex"], fac["real"]))
             _channel_kernel(geom, tables, Q[pick, None], sector == 0, out, work)
-            rows[:, :, sector, pick] = out[..., 0]
-    return rows.reshape(len(BREAKDOWN_KEYS), g, p)
-
-
-def _run(mask):
-    """The True entries of a boolean array as a slice when they form one
-    contiguous run (or there are none), else None."""
-    k = int(np.count_nonzero(mask))
-    start = int(np.argmax(mask)) if k else 0
-    return slice(start, start + k) if np.count_nonzero(mask[start:start + k]) == k else None
+            rows[:, :, pick] = out[..., 0]
+    return rows.reshape(-1, g, p)
 
 
 def _channel_kernel(geom, tables, Q, propagating, out, work):
@@ -531,7 +527,8 @@ def _eval_panels(f, lo, hi, seg):
     The panels go to f in a stable order by segment, so a chunk holds
     its segments' panels in segment order: the inner rules number the
     propagating sectors first (`_q_integrals`), so each of their chunks
-    is one propagating run of panels followed by one evanescent run.
+    is one propagating run of panels followed by one evanescent run; the
+    outer rule's are the real axis's then the Euler tail slices'.
 
     The rule's own arrays are fresh.  f may return rows that live in its
     own buffers (the row producers' `_Workspace`): each chunk's rows are
@@ -580,15 +577,6 @@ def _eval_panels(f, lo, hi, seg):
         rnd[part] = floor = 50.0 * np.finfo(float).eps * resabs
         err[part] = np.maximum(e, floor)
     return ints, err, rnd
-
-
-def _segment_sums(seg, rows, nseg):
-    """np.bincount(seg, row, nseg) for every row of ``rows`` (an array or
-    an iterable of rows), shaped (rows, nseg): each bin is summed in index
-    order, so a segment's sums depend only on the order of its own
-    panels."""
-    return np.array([np.bincount(seg, weights=row, minlength=nseg)
-                     for row in rows]).reshape(-1, nseg)
 
 
 #: Seed edges of one segment closer than this fraction of its span are one
@@ -642,8 +630,8 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     * otherwise it splits its worst 32 panels whose error exceeds
       room = rel_tol * max(|I_j|, floor) / (2 * its panel count), or its
       worst panel when none does;
-    * it raises ConvergenceError, naming its label and worst subinterval,
-      when it reaches ``max_panels`` panels unconverged.
+    * it raises ConvergenceError, naming its label, budget and worst
+      subinterval, when it reaches its ``max_panels`` panels unconverged.
 
     A segment retires in the round it converges: its totals and error are
     stored, each summed over its panels in their array order, and its
@@ -652,18 +640,19 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
     left and the right halves of the split ones), so every sum, error and
     decision has the bits it would have if no segment retired.
 
-    rel_tol is a number or one per segment.  The ride rows never enter
-    these decisions.  ``abs_floor`` is a number
-    or a callable mapping the current per-segment totals I (those of
-    retired segments included) to the floor (the inner Q integrals use
-    the latter, see `_q_integrals`).  A single integral, such as the
-    outer frequency integral or a tail slice, is the one-segment case.
+    rel_tol and max_panels are each a number or one per segment.  The
+    ride rows never enter these decisions.  ``abs_floor`` is a number,
+    one per segment, or a callable mapping the current per-segment
+    totals I (those of retired segments included) to those (as the
+    inner Q integrals and the outer rule use it, see `_q_integrals` and
+    `steady_pressure`).  The contour tail is the one-segment case.
     Its arrays are fresh; f owns whatever buffers its rows live in (see
     `_eval_panels`).  Returns ((main, ride) per-segment totals, shaped
     (rows, segments), per-segment error estimates).
     """
     lo, hi, seg = _seed_panels(segments, labels)
     nseg = len(segments)
+    budget = np.broadcast_to(max_panels, nseg)
     del segments                # frees a caller's temporary seed rows before round 0
     (main, ride), err, rnd = _eval_panels(f, lo, hi, seg)
     # each panel's main-row sum is taken once, over the batch that
@@ -684,21 +673,22 @@ def _adaptive_gk(f, segments, rel_tol, abs_floor=0.0, max_panels=1024, *, labels
         ends = ~done & ((bad <= target)
                         | (bad <= 2.0 * np.bincount(seg, weights=rnd, minlength=nseg)))
         if ends.any():
-            gone = ends[seg]
+            gone = ends[seg]        # each bin sums its own panels in index order
             for total, rows in zip(totals, (main, ride)):
-                total[:, ends] = _segment_sums(seg[gone], (r[gone] for r in rows), nseg)[:, ends]
+                for t, r in zip(total, rows):
+                    t[ends] = np.bincount(seg[gone], weights=r[gone], minlength=nseg)[ends]
             done |= ends
         if done.all():
             break
         count = np.bincount(seg, minlength=nseg)
-        stuck = ~done & (count >= max_panels)
+        stuck = ~done & (count >= budget)
         if stuck.any():
             j = int(np.argmax(stuck))
             mine = np.flatnonzero(seg == j)
             i = mine[np.argmax(err[mine])]
             raise ConvergenceError(
-                f"{labels(j)} did not converge: {count[j]} panels, residual "
-                f"{bad[j]:.3e} vs target {target[j]:.3e}; worst subinterval "
+                f"{labels(j)} did not converge: {count[j]} panels (budget {budget[j]}), "
+                f"residual {bad[j]:.3e} vs target {target[j]:.3e}; worst subinterval "
                 f"[{lo[i]:.6g}, {hi[i]:.6g}] with error {err[i]:.3e}")
         # per open segment, split its worst 32 panels still carrying a
         # meaningful share of its budget, or its worst panel when none
@@ -777,12 +767,13 @@ class PressureResult:
     ceiling; tail is the part past it, and value = fsum(breakdown) + tail
     (to rounding).  The tail is the contour integral up omega_max_used +
     i y where the plates' emission continues off the real axis (see
-    `steady_pressure`), else the Euler-weighted real-axis slices.  For
-    plates of one material the Q integrals run one row per polarization
-    and sector, both plates together, and each plate's channels are its
-    share c_a / (c_L + c_R) of them, c_a its occupation, taken after the
-    Q integration (`_line_q_integral`); other pairs integrate the eight
-    channels as they are.
+    `steady_pressure`), else the Euler-weighted real-axis slices.  Each
+    Q segment integrates only its own sector's rows.  For plates of one
+    material those are one row per polarization, both plates together,
+    and each plate's channels are its share c_a / (c_L + c_R) of the
+    integrals, c_a its occupation, taken after the Q integration
+    (`_line_q_integral`); other pairs integrate their four channels
+    (plate x polarization) as they are.
 
     err is the sum of the outer estimate on [0, omega_max_used],
     |integrated inner| (the inner Q errors integrated over omega with the
@@ -906,10 +897,9 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, line=False):
     frequency and decay scale are read once and broadcast over its
     nodes.
     """
-    lead = _run(seg < n_prop)
-    if lead is None or lead.start:
+    k = int(np.count_nonzero(seg < n_prop))
+    if np.count_nonzero(seg[:k] < n_prop) < k:
         raise ValueError("the propagating panels must lead the chunk (see _eval_panels)")
-    k = lead.stop
     w = w_seg[seg][:, None]
     Q, jac = np.empty((2,) + x.shape)
     if k and line:                  # y = u c / (1 - u), dy/du = c / (1 - u)^2
@@ -947,17 +937,18 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
     from the (panels, 1) column of their frequencies w = omegas[at], at
     one frequency index per panel (also its column of the
     `_frequency_factors` tables), Q and dQ/dx shaped (panels, 15) (see
-    `_q_nodes`) and ``lead``, the number of leading propagating panels.
-    Its own arrays are fresh; ``rows`` may keep its rows in its own
-    `_Workspace` (see `_eval_panels`).
+    `_q_nodes`) and ``lead``, the number of leading propagating panels:
+    n_rows rows of each panel's sector alone.  Its own arrays are fresh;
+    ``rows`` may keep its rows in its own `_Workspace` (see
+    `_eval_panels`).
 
     The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
     times the largest |inner integral| among ``floor_scale`` (that of the
     frequencies already finished) and the running per-frequency totals of
     this call, so it does not depend on the order in which the
-    frequencies of one call are listed.  Returns (integrals shaped (rows,
-    n_omega), errors shaped (2, n_omega): the propagating segment's, then
-    the evanescent one's).
+    frequencies of one call are listed.  Returns (integrals shaped (2
+    n_rows, n_omega), each row's two sectors side by side; errors shaped
+    (2, n_omega): the propagating segment's, then the evanescent one's).
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
@@ -984,7 +975,7 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
                                  abs_floor=abs_floor, max_panels=512, labels=label)
     errs = np.array([np.bincount(owner[~evan], weights=err[~evan], minlength=n),
                      np.bincount(owner[evan], weights=err[evan], minlength=n)])
-    return _segment_sums(owner, got, n), errs
+    return np.stack([got[:, :n], got[:, n:]], axis=1).reshape(-1, n), errs
 
 
 def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
@@ -1008,11 +999,12 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     propagating one in theta (`_inner_q_seeds`), with the absolute floor
     of `_q_integrals`.  The factors of omega alone (`_frequency_factors`)
     are evaluated once per call at the frequencies as given, and each
-    panel hands the channel map its frequency's column.  The call owns
-    one `_Workspace` and hands it to the channel map: each chunk's channel
-    rows, Jacobian applied in place, and the kernel's arrays live in it
-    until the next chunk, and it is dropped when the call returns.  The
-    error of a frequency is the sum of its two sectors' estimates.
+    panel hands the channel map its frequency's column and takes the
+    four channels of its sector.  The call owns one `_Workspace` and
+    hands it to the channel map: each chunk's channel rows, Jacobian
+    applied in place, and the kernel's arrays live in it until the next
+    chunk, and it is dropped when the call returns.  The error of a
+    frequency is the sum of its two sectors' estimates.
     """
     work = _Workspace()
     factors = _frequency_factors(geom, np.asarray(omegas, dtype=float),
@@ -1416,10 +1408,11 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     of the contour tail alike, `_contour_line_integral`).  The line is one lockstep segment per
     frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`), beside
     the evanescent segments, seeded in t as in `_real_q_integral`, where
-    k_z = i kappa and h = Q kappa S.  The rows are one per polarization
-    and sector: C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du on
-    the line (`_line_integrand`) and times -kappa Q Im(x_mu / (1 - x_mu))
-    dQ/dt in the evanescent sector (`_evanescent_integrand`), C c_a =
+    k_z = i kappa and h = Q kappa S.  The rows are one per polarization,
+    in each panel's sector (`_q_integrals` places the sectors' integrals
+    side by side): C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du
+    on the line (`_line_integrand`) and times -kappa Q Im(x_mu / (1 -
+    x_mu)) dQ/dt in the evanescent sector (`_evanescent_integrand`), C c_a =
     PRESSURE_SIGN * _MEASURE * c_a the plates' share rows of
     `_frequency_factors`.  An evanescent row equals the sum over the
     plates of `_bath_channels`' rows to rounding, so the adaptive rules
@@ -1443,22 +1436,19 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
 
     def rows(w, Q, jac, at, lead):
         m, p = Q.shape
-        out = work.take("line.rows", len(_POLS) * len(_SECTORS) * m * p).reshape(
-            len(_POLS), len(_SECTORS), m, p)
+        out = work.take("line.rows", len(_POLS) * m * p).reshape(len(_POLS), m, p)
         e, c = eps[:, at, None], both[at][:, None]
         if lead:
             g, top = _line_integrand(geom, w[:lead], e[:, :lead], Q[:lead])
             np.maximum.at(peak, (slice(None), at[:lead]), top)
             g = g.imag
             g *= jac[:lead]
-            np.multiply(c[:lead], g, out=out[:, 0, :lead])
-            out[:, 1, :lead] = 0.0
+            np.multiply(c[:lead], g, out=out[:, :lead])
         if lead < m:
             g = _evanescent_integrand(geom, w[lead:], e[:, lead:], Q[lead:])
             g *= jac[lead:]
-            np.multiply(c[lead:], g, out=out[:, 1, lead:])
-            out[:, 0, lead:] = 0.0
-        return out.reshape(-1, m, p)
+            np.multiply(c[lead:], g, out=out[:, lead:])
+        return out
 
     got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=True)
     res, res_err = _strip_residues(geom, omegas, eps, peak)
@@ -1469,25 +1459,25 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     return (split[:, None, None] * got).reshape(len(BREAKDOWN_KEYS), len(omegas)), err
 
 
-def _frequency_rule(nodes, edges, rel_tol, floor, max_panels, label):
-    """The outer frequency rule: one `_adaptive_gk` segment seeded with
-    ``edges``, whose nodes go to ``nodes`` as `_eval_panels` chunks them.
-    A round of this rule (its seeds, or at most 64 split halves) fits one
+def _frequency_rule(nodes, segments, rel_tol, floor, max_panels, labels):
+    """The outer frequency rule: `_adaptive_gk` over the NaN-padded rows
+    of seed edges ``segments``, whose nodes go to ``nodes`` as
+    `_eval_panels` chunks them.  A round of this rule (its seeds, or at
+    most 64 split halves per segment, three segments at most) fits one
     chunk, so each round makes one ``nodes`` call: one lockstep Q call.
 
     nodes(x) returns (rows shaped (n_rows, len(x)), the inner errors at
     x); the rows drive the error test, the inner errors ride along.
-    Returns (the
-    n_rows integrals then the integrated inner error, as one array; the
-    outer error estimate).
+    Returns (the n_rows integrals then the integrated inner error, shaped
+    (n_rows + 1, segments); each segment's outer error estimate).
     """
     def f(x, seg):
         main, inner = nodes(x.ravel())
         return main, inner[None]
 
-    (main, inner), e = _adaptive_gk(f, [edges], rel_tol, abs_floor=floor,
-                                    max_panels=max_panels, labels=lambda j: label)
-    return np.append(main, inner), float(e[0])
+    (main, inner), e = _adaptive_gk(f, segments, rel_tol, abs_floor=floor,
+                                    max_panels=max_panels, labels=labels)
+    return np.vstack([main, inner]), e
 
 
 # ---------------------------------------------------------------------------
@@ -1607,8 +1597,9 @@ def _contour_tail(geom, omega_c, rel_tol, thermal_only, scale):
         return got[None], err
 
     marks = [0.0, 0.2, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.8, 1.0]     # y l = 1/4 .. 4
-    (tail, inner), e = _frequency_rule(nodes, marks, rel_tol, scale, 1024, "contour tail")
-    return float(tail), float(e + abs(inner))
+    (tail, inner), e = _frequency_rule(nodes, [marks], rel_tol, scale, 1024,
+                                       lambda j: "contour tail")
+    return float(tail[0]), float(e[0] + abs(inner[0]))
 
 
 def _surface_band_marks(side, omega_max):
@@ -1695,8 +1686,9 @@ def steady_pressure(geom, opts=None):
     takes its Q integral on the line k_z = omega + i y with the residues
     between that line and the real-Q path.  Dissimilar plates at
     T_L != T_R keep the real-axis ceiling of 18 and the Euler slices,
-    whose residue is about 1e-6 of the result; like the contour tail,
-    they take |P| of the real-axis part as their floor.
+    whose residue is about 1e-6 of the result, two more segments of the
+    outer rule's call (64 panels each); like the contour tail, they take
+    |P| of the real-axis part (its running sum) as their floor.
 
     Plates of one material (up to their temperatures) take each
     frequency's propagating Q integral on the line k_z = omega + i y
@@ -1728,39 +1720,45 @@ def steady_pressure(geom, opts=None):
         state["scale"] = max(state["scale"], float(np.abs(main.sum(axis=0)).max()))
         return main, inner
 
-    def integrate(edges, floor, max_panels, label):
-        return _frequency_rule(nodes, edges, opts.rel_tol / 2.0, floor, max_panels, label)
+    # Dissimilar plates at T_L != T_R: the (coth_L - coth_R) part of the
+    # emission does not continue off the real axis, and splitting it off needs
+    # per-plate kernels with the occupation factored out.  The tail stays on
+    # the real axis: past the material scales the subtracted integrand is
+    # dominated by a decaying cavity round-trip oscillation
+    # cos(2 omega l + phi), and averaging the partial integral over the next
+    # two half-period endpoints (Euler weights 3/4 and 1/4 on the half-period
+    # slices, two more segments of the outer call) cancels its first two
+    # orders, leaving about 1e-6 of the result.  The default configuration
+    # takes this branch, and perfbench/reference.json was made by it; moving it
+    # waits for that split and a regenerated reference.  Like the contour tail,
+    # each slice takes |P| of the real-axis part (its running sum) as its
+    # absolute floor: a slice far smaller than the result need not meet a
+    # tolerance relative to itself.
+    contour = _closes_on_contour(geom)
+    edges = _omega_edges(geom, omega_max)
+    segments, half = [edges], math.pi / (2.0 * geom.gap)
+    if not contour:
+        segments += [[omega_max + j * half, omega_max + (j + 1) * half]
+                     + [math.nan] * (len(edges) - 2) for j in (0, 1)]
 
-    totals, outer_err = integrate(_omega_edges(geom, omega_max), 1e-14 / geom.gap ** 4, 1024,
-                                  "frequency integral")
-    channels = totals[:-1]
+    def floor(sums):
+        return np.r_[1e-14 / geom.gap ** 4, np.full(len(sums) - 1, abs(sums[0]))]
+
+    labels = ("frequency integral", "frequency tail slice", "frequency tail slice")
+    totals, errs = _frequency_rule(nodes, segments, opts.rel_tol / 2.0, floor,
+                                   [1024, 64, 64][:len(segments)], labels.__getitem__)
+    channels = totals[:-1, 0]
     breakdown = dict(zip(BREAKDOWN_KEYS, channels.tolist()))
     main = math.fsum(channels)
-    if _closes_on_contour(geom):
+    if contour:
         tail, tail_err = _contour_tail(geom, omega_max, opts.rel_tol / 4.0, opts.thermal_only,
                                        abs(main))
         return PressureResult(value=main + tail,
-                              err=float(outer_err + abs(totals[-1]) + tail_err),
+                              err=float(errs[0] + abs(totals[-1, 0]) + tail_err),
                               breakdown=breakdown, omega_max_used=float(omega_max), tail=tail)
-    # Dissimilar plates at T_L != T_R: the (coth_L - coth_R) part of the
-    # emission does not continue off the real axis, and splitting it off
-    # needs per-plate kernels with the occupation factored out.  The tail
-    # stays on the real axis: past the material scales the subtracted
-    # integrand is dominated by a decaying cavity round-trip oscillation
-    # cos(2 omega l + phi), and averaging the partial integral over the
-    # next two half-period endpoints (Euler weights 3/4 and 1/4 on the
-    # half-period slices) cancels its first two orders, leaving about 1e-6
-    # of the result.  The default configuration takes this branch, and
-    # perfbench/reference.json was made by it; moving it waits for that
-    # split and a regenerated reference.  Like the contour tail, each
-    # slice takes |P| of the real-axis part as its absolute floor: a
-    # slice far smaller than the result need not meet a tolerance
-    # relative to itself.
-    half = math.pi / (2.0 * geom.gap)
-    (s0, e0), (s1, e1) = [integrate([omega_max + j * half, omega_max + (j + 1) * half],
-                                    abs(main), 64, "frequency tail slice") for j in (0, 1)]
-    full = totals + 0.75 * s0 + 0.25 * s1
-    outer_err = outer_err + e0 + e1 + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
+    s0, s1 = totals[:, 1], totals[:, 2]
+    full = totals[:, 0] + 0.75 * s0 + 0.25 * s1
+    outer_err = errs[0] + errs[1] + errs[2] + 0.5 * abs(sum(s0[:-1] + s1[:-1]))
     return PressureResult(value=math.fsum(full[:-1]), err=float(outer_err + abs(full[-1])),
                           breakdown=breakdown, omega_max_used=float(omega_max),
                           tail=math.fsum(0.75 * s0[:-1] + 0.25 * s1[:-1]))

@@ -587,6 +587,23 @@ def test_an_unwritable_output_is_a_config_error(tmp_path, capsys, command, given
     assert "config error" in err and f"cannot write output {out}" in err
 
 
+@pytest.mark.parametrize("command", ["pressure", "verify"])
+@pytest.mark.parametrize("target", ["missing directory", "directory"])
+def test_an_unwritable_output_is_refused_before_any_pass(tmp_path, capsys, monkeypatch,
+                                                         command, target):
+    # an output in a missing directory, or one that is a directory, fails
+    # at once (exit 2): the sweep or the property suite never starts
+    def never(*args, **kwargs):
+        raise AssertionError("steady_pressure ran before the output was checked")
+
+    monkeypatch.setattr(cli, "steady_pressure", never)
+    out = tmp_path / "missing" / "run.csv" if target == "missing directory" else tmp_path
+    code = main([command, "--config", write_cfg(tmp_path, BASE), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and f"cannot write output {out}" in err
+
+
 # ---------------------------------------------------------------------------
 # top-level error handling
 # ---------------------------------------------------------------------------

@@ -693,6 +693,17 @@ def per_node_channels(geom, omega, Q, kernel, thermal_only):
     return out
 
 
+def own_sector(rows, w, Q):
+    """The public map's rows (8, ...) at each point's own sector, Q <
+    omega propagating and Q >= omega (the light line included)
+    evanescent: (the (plate, polarization) rows, shaped (4, ...), as the
+    engine's form of the map returns them; the rows of the other
+    sector)."""
+    grid = rows.reshape((-1, len(pr._SECTORS)) + rows.shape[1:])
+    prop = Q < w
+    return np.where(prop, grid[:, 0], grid[:, 1]), np.where(prop, grid[:, 1], grid[:, 0])
+
+
 @pytest.mark.parametrize("thermal_only", [False, True])
 def test_sector_split_matches_the_per_node_rules(thermal_only):
     # each sector on its own, with the vacuum wavenumber and the round-trip
@@ -700,7 +711,8 @@ def test_sector_split_matches_the_per_node_rules(thermal_only):
     # the batch holds both sectors, points on the light line, omega = 0 and
     # a lossless (gamma = 0) partner plate.  The factors-once path of the
     # inner rule (frequencies in call order, each point's row given) gives
-    # the same arrays as a fresh call
+    # each point's rows in its own sector, one per plate and polarization:
+    # the public map's rows there, whose other sector reads 0
     glassy = Material(omega0=1.3, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.0),
                       beta_bath=2.0)
     geom = Geometry(gap=0.9, left=warm_geom().left, right=glassy)
@@ -721,7 +733,10 @@ def test_sector_split_matches_the_per_node_rules(thermal_only):
     row = np.repeat(np.arange(len(ws)), x.size)[perm][live]
     lockstep = pr._bath_channels(geom, w_nodes[live, None], Q_nodes[live, None],
                                  factors=(factors, row))
-    assert np.array_equal(lockstep[..., 0], got[:, live])
+    own, other = own_sector(got[:, live], w_nodes[live], Q_nodes[live])
+    assert lockstep.shape == (len(pr._PLATES) * len(pr._POLS), np.count_nonzero(live), 1)
+    assert np.array_equal(lockstep[..., 0], own)
+    assert np.all(other == 0.0)
 
 
 def test_sector_runs_match_the_per_node_rules():
@@ -729,7 +744,8 @@ def test_sector_runs_match_the_per_node_rules():
     # followed by one evanescent run.  A theta node so close to pi/2 that
     # sin(theta) rounds to 1 lands on the light line inside the propagating
     # run: it keeps the evanescent closed form (its light-line limit), as
-    # the per-node rules give it, and the runs around it stay exact
+    # the per-node rules give it, in its panel's (plate, polarization)
+    # rows, and the runs around it stay exact
     geom = default_plates(1.0, 1.0, 0.5)
     ws = np.array([0.4, 1.3, 2.9])
     theta = np.append(np.linspace(0.05, 1.5, 9), 0.5 * math.pi - 1e-9)
@@ -744,13 +760,17 @@ def test_sector_runs_match_the_per_node_rules():
     on_light = np.flatnonzero(Q == w)
     assert on_light.tolist() == [theta.size * (i + 1) - 1 for i in range(ws.size)]
     factors = (pr._frequency_factors(geom, ws), row)
+    want = per_node_channels(geom, w, Q, "difference", False)
+    own, other = own_sector(want, w, Q)
     got = pr._bath_channels(geom, w[:, None], Q[:, None], factors=factors)[..., 0]
-    assert np.array_equal(got, per_node_channels(geom, w, Q, "difference", False))
-    assert np.all(got[0::2, on_light] == 0.0) and np.all(got[1::2, on_light] != 0.0)
+    assert np.array_equal(got, own) and np.all(other == 0.0)
+    assert np.all(want[0::2, on_light] == 0.0)
+    assert np.array_equal(got[:, on_light], want[1::2, on_light])   # the light-line limit
+    assert np.all(got[:, on_light] != 0.0)
     clean = np.setdiff1d(np.arange(w.size), on_light)   # two clean runs
     got = pr._bath_channels(geom, w[clean, None], Q[clean, None],
                             factors=(factors[0], row[clean]))[..., 0]
-    assert np.array_equal(got, per_node_channels(geom, w[clean], Q[clean], "difference", False))
+    assert np.array_equal(got, own[:, clean])
 
 
 def test_one_material_runs_its_optics_and_kernels_once(monkeypatch):
@@ -897,8 +917,9 @@ def engine_rows(geom, panels, factors, work):
     """The channel rows of a chunk as `_real_q_integral` makes them: the
     nodes through `_q_nodes` ((panels, 1) omega, (panels, 15) Q and
     dQ/dx), `_bath_channels` with each panel's row of ``factors`` and the
-    workspace ``work``, then dQ/dx in place.  Returns (rows, omega, Q,
-    dQ/dx)."""
+    workspace ``work``, then dQ/dx in place.  Returns (rows, one per
+    plate and polarization in each panel's sector, shaped (4, panels,
+    15); omega, Q, dQ/dx)."""
     ws, x, seg, owner = panels
     w_seg = ws[owner]
     w, Q, jac = pr._q_nodes(x, seg, len(ws), w_seg, np.maximum(w_seg, 0.5 / geom.gap))
@@ -912,12 +933,15 @@ def engine_rows(geom, panels, factors, work):
 @pytest.mark.parametrize("plates", ["dissimilar", "identical"])
 def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, thermal_only):
     # the engine hands the channel map its nodes per panel, each panel's
-    # frequency factors once and dQ/dx to fold in; its rows are the public
-    # one-node-per-point map times dQ/dx bit for bit, for a chunk of both
-    # sectors, with and without a light-line straggler (which sends the
-    # chunk to the per-node fallback), for one and two plate materials.
-    # Without a straggler the chunk makes one stacked Fresnel call per
-    # sector, both plates on its leading axis
+    # frequency factors once and dQ/dx to fold in; its (plate,
+    # polarization) rows are the public one-node-per-point map's rows in
+    # each node's sector times dQ/dx bit for bit, and the public map's
+    # other sector reads 0, for a chunk of both sectors, with and without
+    # a light-line straggler (which sends the chunk to the per-node
+    # fallback), for one and two plate materials.  The straggler's rows,
+    # in a propagating panel, are the public map's evanescent light-line
+    # limit.  Without a straggler the chunk makes one stacked Fresnel call
+    # per sector, both plates on its leading axis
     geom = default_plates(0.9, 1.0, 0.05) if plates == "dissimilar" else \
         identical_plates(0.9, 1.0, 0.05)
     calls = []
@@ -935,10 +959,15 @@ def test_engine_panels_match_the_point_map(monkeypatch, plates, straggler, therm
     if not straggler:
         assert calls == [(2, 40, 15), (2, 30, 15)]
     want = pr._bath_channels(geom, w, Q, thermal_only=thermal_only) * jac
-    assert rows.shape == (len(BREAKDOWN_KEYS),) + Q.shape
-    assert rows.tobytes() == want.tobytes()
-    assert np.all(rows[1::2, :40][:, Q[:40] < w[:40]] == 0.0)     # propagating panels
-    assert np.all(rows[0::2, 40:] == 0.0)                          # evanescent panels
+    own, other = own_sector(want, w, Q)
+    assert rows.shape == (len(pr._PLATES) * len(pr._POLS),) + Q.shape
+    assert rows.tobytes() == own.tobytes()
+    assert np.all(other == 0.0)
+    assert np.all(Q[40:] > w[40:])                                  # evanescent panels
+    light = Q == w                                                  # in a propagating panel
+    assert np.all((Q[:40] < w[:40]) | light[:40])
+    assert rows[:, light].tobytes() == want[1::2, light].tobytes()
+    assert np.all(rows[:, light] != 0.0)
 
 
 def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
@@ -956,6 +985,22 @@ def test_steady_pass_hands_the_channel_map_only_sector_runs(monkeypatch):
     monkeypatch.setattr(pr, "_channel_kernel", spy)
     steady_pressure(default_plates(1.0, 1.0, 0.5), PressureOptions(rel_tol=1e-4))
     assert shapes and all(shape[1] == 15 for shape in shapes)
+
+
+def test_default_pass_makes_one_lockstep_q_call(monkeypatch):
+    # the real axis and the two Euler tail slices are segments of one outer
+    # call, which converges in its seed round on the default plates: one
+    # lockstep Q call over all 495 frequencies (465 on the real axis, 15 in
+    # each slice)
+    inner, sizes = pr._inner_q_integral, []
+
+    def spy(geom, omegas, *args):
+        sizes.append(len(omegas))
+        return inner(geom, omegas, *args)
+
+    monkeypatch.setattr(pr, "_inner_q_integral", spy)
+    steady_pressure(default_plates(1.0, 1.0, 0.5), PressureOptions(rel_tol=1e-4))
+    assert sizes == [495]
 
 
 def spy_workspaces(monkeypatch):
@@ -1025,8 +1070,11 @@ def test_channel_map_refuses_bad_points(omega, Q):
 
 
 #: Bound on the tracemalloc peak of one warmed `steady_pressure` pass on
-#: the default configuration's plates.  Measured with numpy 2.4: 3.02 MB
-#: with only the row producers' rows and the channel kernel's four
+#: the default configuration's plates.  Measured with numpy 2.4: 2.72 MB
+#: with the real axis and both Euler tail slices in one lockstep Q call
+#: whose panels carry only their own sector's four channel rows; 3.02 MB
+#: with three calls (the real axis, each slice) and all eight rows a
+#: panel, only the row producers' rows and the channel kernel's four
 #: (polarization, plate) arrays in a per-lockstep-call workspace; 3.15 MB
 #: with every per-node array of the quadrature in one workspace for the
 #: whole pass (2.81 MB with every kernel array fresh, 4.14 MB with every
@@ -1938,6 +1986,25 @@ def test_panel_reductions_do_not_depend_on_the_batch():
         (main1, ride1), err1, rnd1 = pr._eval_panels(f, lo[part], hi[part], seg[part])
         assert np.array_equal(main1[:, 0], main[:, j]) and np.array_equal(ride1[:, 0], ride[:, j])
         assert err1[0] == err[j] and rnd1[0] == rnd[j]
+
+
+def test_each_segment_keeps_its_own_panel_budget():
+    # max_panels may be one per segment: two segments of one Lorentzian
+    # need the same panels; the one whose budget is below that raises,
+    # naming itself and its budget, beside one whose budget lets it
+    # converge (as both do under the larger budget)
+    f = segment_integrand(("lorentzian", "lorentzian"), None, lambda x, main: main)
+    seeds = [KNOWN["lorentzian"][1]] * 2
+    (main, _), err = pr._adaptive_gk(f, seeds, 1e-9, max_panels=[1024, 1024],
+                                     labels=lambda j: f"segment {j}")
+    assert main[0, 0] == main[0, 1] and err[0] == err[1]
+    with pytest.raises(ConvergenceError, match=r"^segment 1 did not converge: \d+ panels "
+                                               r"\(budget 8\)"):
+        pr._adaptive_gk(f, seeds, 1e-9, max_panels=[1024, 8], labels=lambda j: f"segment {j}")
+    with pytest.raises(ConvergenceError, match=r"^segment 0 did not converge: \d+ panels "
+                                               r"\(budget 8\)"):
+        pr._adaptive_gk(f, seeds, 1e-9, max_panels=np.array([8, 1024]),
+                        labels=lambda j: f"segment {j}")
 
 
 def test_segment_stops_at_its_rounding_floor():

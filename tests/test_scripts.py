@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from neqlifshitz import pressure
 from neqlifshitz.pressure import BREAKDOWN_KEYS
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
@@ -109,18 +110,21 @@ def test_steady_fingerprints_script(capsys):
     assert np.all(rows[0::2, :, 1:3] != 0.0) and np.all(rows[1::2, :, 3:] != 0.0)
     # one inner-rule chunk with a light-line node in its propagating run
     # (the per-node form), then with that node on its grid (the sector
-    # runs): every other node keeps its bits, and the light-line node
-    # takes the evanescent limit
+    # runs), one row per plate and polarization in each panel's sector:
+    # every other node keeps its bits, and the light-line node takes the
+    # public map's evanescent limit there (omega = 1.3, the second panel's)
     assert script.main(["--case", "straggler"]) == 0
     name, points, freqs, *numbers = capsys.readouterr().out.split()
     assert name == "straggler" and points == "points=180+0" and freqs == "freqs=0"
     light, clean = np.array([float.fromhex(n) for n in numbers]).reshape(
-        2, len(BREAKDOWN_KEYS), 6, 15)
+        2, len(BREAKDOWN_KEYS) // 2, 6, 15)
     grid = np.ones((6, 15), bool)
     grid[1, -1] = False
     assert np.array_equal(light[:, grid], clean[:, grid])
-    assert np.all(light[0::2, 1, -1] == 0.0) and np.all(light[1::2, 1, -1] != 0.0)
-    assert np.all(clean[1::2, :3] == 0.0) and np.all(clean[0::2, 3:] == 0.0)
+    limit = pressure._bath_channels(script.dissimilar(1.0, 1.0, 0.5), 1.3, 1.3)
+    assert np.all(limit[0::2] == 0.0) and np.all(limit[1::2] != 0.0)
+    assert np.array_equal(light[:, 1, -1], limit[1::2])
+    assert np.all(clean != 0.0)
 
 
 def test_analytic_fingerprints_script(capsys):
