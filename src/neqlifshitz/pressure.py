@@ -1143,38 +1143,62 @@ def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
     b < Im k_z < top, may hold a zero of D_mu, per polarization: (2, n)
     booleans.
 
-    By Rouche's theorem D_mu = 1 - x_mu has no zero inside a contour on
-    which |x_mu| < 1.  At real w (b = 0) the bottom edge is the real axis,
-    where |x_mu| = |r_mu|^2 < 1 (passive plates) save at the corner k_z =
-    0, where x_mu = 1: there x_mu ~ 1 - 2 q L_mu, L_mu = l + 1/n_L + 1/n_R
-    with n = qn (TE) or qn/eps (TM) at k_z = 0, so |x_mu| < 1 next to the
-    corner when Re L_mu > 0.  The rest of the boundary is sampled:
-    ``line_peak``, the largest |x_mu| at the line's quadrature nodes,
-    ``_STRIP_EDGE_SAMPLES`` points of the left edge k_z = i kappa,
-    ``_STRIP_TOP_SAMPLES`` + 1 of the top edge, the points level with
-    r_TM's pole, where |x_TM| peaks, and with the branch point qn = 0,
-    where guided waves of low-loss plates crowd, and, when b > 0,
-    ``_STRIP_EDGE_SAMPLES`` points of the bottom edge.  A frequency is
-    flagged unless all of them stay below 1."""
+    By the symmetric form of Rouche's theorem (Glicksberg, Amer. Math.
+    Monthly 83, 186 (1976)), D_mu = 1 - x_mu has as many zeros inside a
+    contour as 1 has, none, when x_mu stays off [1, inf) on it.  The
+    right and top edges are sampled: ``line_peak``, the largest |x_mu| at
+    the line's quadrature nodes, ``_STRIP_TOP_SAMPLES`` + 1 points of the
+    top edge and the points of the right edge level with r_TM's pole,
+    where |x_TM| peaks, and with the branch point qn = 0, where guided
+    waves of low-loss plates crowd.
+
+    At real w (b = 0) the bottom edge is the real axis, where |x_mu| =
+    |r_mu|^2 < 1 (passive plates) save at the corner k_z = 0, where x_mu =
+    1: there x_mu ~ 1 - 2 q L_mu, L_mu = l + 1/n_L + 1/n_R with n = qn
+    (TE) or qn/eps (TM) at k_z = 0.  Where both plates have Im eps(w) > 0
+    the left edge is proved, not sampled: on k_z = i kappa, with qn = p -
+    i s (p, s > 0), Im r_TE = 2 kappa s / |kappa + qn|^2 > 0 and Im r_TM =
+    2 kappa s (Re eps + 2 p^2 / w^2) / |eps kappa + qn|^2 > 0, so x_mu =
+    r_L r_R exp(-2 kappa l) stays off [0, inf); and q = -i k_z lies in the
+    closed fourth quadrant next to the corner, so x_mu reaches [1, inf)
+    there only if L_mu lies in the closed third quadrant.  Elsewhere (a
+    complex w, or a plate with Im eps(w) = 0) the left edge is sampled
+    too, at ``_STRIP_EDGE_SAMPLES`` points k_z = i kappa and at the
+    points level with the pole and the branch point, and so, when b > 0,
+    is the bottom edge (``_STRIP_EDGE_SAMPLES`` points); at real w the
+    corner then needs Re L_mu > 0, which keeps |x_mu| < 1 next to it.  A
+    frequency is flagged unless every sample stays below 1 and its corner
+    passes."""
     l = geom.gap
     a, b = w.real[:, None], w.imag[:, None]
     w, eps, top = w[:, None], eps[:, :, None], top[:, None]
-    u = np.arange(1, _STRIP_EDGE_SAMPLES + 1) / (_STRIP_EDGE_SAMPLES + 1.0)
-    kappa = np.minimum(b + u / (2.0 * l * (1.0 - u)), top)
     level = np.clip(np.abs(np.imag(np.hstack([v for ep in eps for v in (
         w / np.sqrt(ep + 1.0), w * np.sqrt(1.0 - ep))]))), b, top)
     t = np.arange(_STRIP_TOP_SAMPLES + 1) / _STRIP_TOP_SAMPLES
-    edges = [1j * kappa, t * a + 1j * top, 1j * level, a + 1j * level]
-    if b.any():
-        edges.append(u * a + 1j * b)
-    peak = np.maximum(np.abs(_round_trips(geom, w, eps, np.hstack(edges))).max(axis=-1),
+
+    def peak_at(at, k):
+        return np.abs(_round_trips(geom, w[at], eps[:, at], k)).max(axis=-1)
+
+    everywhere = slice(None)
+    peak = np.maximum(peak_at(everywhere, np.hstack([t * a + 1j * top, a + 1j * level])),
                       line_peak)
+    passive = (b[:, 0] == 0.0) & np.all(eps[:, :, 0].imag > 0.0, axis=0)
+    sampled = np.flatnonzero(~passive)
+    if len(sampled):
+        u = np.arange(1, _STRIP_EDGE_SAMPLES + 1) / (_STRIP_EDGE_SAMPLES + 1.0)
+        bs = b[sampled]
+        left = [1j * np.minimum(bs + u / (2.0 * l * (1.0 - u)), top[sampled]),
+                1j * level[sampled]]
+        if b.any():
+            left.append(u * a[sampled] + 1j * bs)
+        peak[:, sampled] = np.maximum(peak[:, sampled], peak_at(sampled, np.hstack(left)))
     inv = []                        # 1/n per polarization, each material
     for ep in eps:
         qn0 = np.sqrt((1.0 - ep[:, 0]) * w[:, 0] ** 2)
         inv.append(np.stack([1.0 / qn0, ep[:, 0] / qn0]))
     corner = l + (inv[0] + inv[-1])
-    return (peak >= 1.0) | ((b[:, 0] == 0.0) & ~(corner.real > 0.0))
+    third = (corner.real <= 0.0) & (corner.imag <= 0.0)
+    return (peak >= 1.0) | np.where(passive, third, (b[:, 0] == 0.0) & ~(corner.real > 0.0))
 
 
 def _strip_n(geom, w, eps, k):
@@ -1343,7 +1367,14 @@ def _strip_residues(geom, w, eps, line_peak):
     so each zero adds 2 pi p^2 den_L den_R / N'.  Only the boxes that
     `_strip_may_hold_zeros` flags are counted, by the argument principle
     on their boundary (`_box_winding`, all flagged pairs at once), and
-    only those that count zeros are searched (`_box_zeros`).
+    only those that count zeros are searched (`_box_zeros`).  A box holds
+    no zero where x_mu stays off [1, inf) on its boundary; at a real w
+    where both plates have Im eps > 0, passivity keeps x_mu off [0, inf)
+    on the left edge k_z = i kappa, |x_mu| < 1 on the bottom edge, and
+    the corner k_z = 0 off [1, inf) unless L_mu lies in the closed third
+    quadrant, so only the line's nodes (``line_peak``), the top and the
+    right edge's level points are sampled there; a complex w, or a plate
+    with Im eps = 0, has its left and bottom edges sampled too.
 
     Moving the path over R needs qn = sqrt((1 - eps) w^2 - k_z^2) analytic
     there and on the box.  With A = (1 - eps) w^2, the principal root's
