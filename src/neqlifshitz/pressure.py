@@ -1069,14 +1069,16 @@ _ROOT_TOL = 1e-10
 _MAX_HALVINGS = 40
 
 
-def _round_trips(geom, w, eps, k):
+def _round_trips(geom, w, eps, k, phase):
     """x_mu = r_mu,L r_mu,R exp(2 i k_z l) at gap wavenumbers k_z
     (broadcast against the frequencies w and each permittivity), per
     polarization on a leading axis (TE, TM): what the line, the
     evanescent rows and the zero test read.  ``eps`` holds one
     permittivity per plate material on its leading axis: plate L's alone
     for plates of one material (`_same_material`), which take r_mu^2,
-    else (eps_L, eps_R).
+    else (eps_L, eps_R).  ``phase`` is exp(2 i k_z l), which the line
+    builds as exp(2 i w l) exp(-2 y l) and the evanescent rows as
+    exp(-2 kappa l): one real exponential per node, not a complex one.
 
     r_TE = (q - qn)/(q + qn) and r_TM = (eps q - qn)/(eps q + qn), with
     q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2) the principal root.
@@ -1084,14 +1086,13 @@ def _round_trips(geom, w, eps, k):
     first quadrant (Im eps > 0), so the root is analytic there; at
     complex w `_strip_residues` checks it."""
     q = -1j * k
-    e = np.exp((2j * geom.gap) * k)
     r = []
     for ep in eps:
         qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
         r.append([(a - qn) / (a + qn) for a in (q, ep * q)])
-    x = np.empty((len(_POLS),) + np.broadcast_shapes(r[0][0].shape, e.shape), complex)
+    x = np.empty((len(_POLS),) + np.broadcast_shapes(r[0][0].shape, np.shape(phase)), complex)
     for i in range(len(_POLS)):
-        np.multiply(r[0][i] * r[-1][i], e, out=x[i])
+        np.multiply(r[0][i] * r[-1][i], phase, out=x[i])
     return x
 
 
@@ -1103,7 +1104,8 @@ def _line_integrand(geom, w, eps, y):
     and at complex w (`_contour_line_integral`), and its share of the
     zero test."""
     k = w + 1j * y
-    x = _round_trips(geom, w, eps, k)
+    x = _round_trips(geom, w, eps, k,
+                     np.exp((2j * geom.gap) * w) * np.exp((-2.0 * geom.gap) * y))
     return k * k * x / (1.0 - x), np.abs(x).max(axis=-1)
 
 
@@ -1114,7 +1116,7 @@ def _evanescent_integrand(geom, w, eps, Q):
     real root; a node on the light line (kappa = 0, where dQ/dt = 0 too)
     reads 0."""
     kappa = np.sqrt(Q * Q - w * w)
-    x = _round_trips(geom, w, eps, 1j * kappa)
+    x = _round_trips(geom, w, eps, 1j * kappa, np.exp((-2.0 * geom.gap) * kappa))
     with np.errstate(invalid="ignore", divide="ignore"):
         g = (-kappa * Q) * np.imag(x / (1.0 - x))
     if not kappa.all():
@@ -1177,7 +1179,8 @@ def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
     t = np.arange(_STRIP_TOP_SAMPLES + 1) / _STRIP_TOP_SAMPLES
 
     def peak_at(at, k):
-        return np.abs(_round_trips(geom, w[at], eps[:, at], k)).max(axis=-1)
+        return np.abs(_round_trips(geom, w[at], eps[:, at], k,
+                                   np.exp((2j * l) * k))).max(axis=-1)
 
     everywhere = slice(None)
     peak = np.maximum(peak_at(everywhere, np.hstack([t * a + 1j * top, a + 1j * level])),

@@ -1657,7 +1657,8 @@ def test_passive_plates_keep_the_left_edge_off_the_positive_axis():
                 geom = Geometry(gap=gap, left=mat, right=mat)
                 # far up the edge exp(-2 kappa l) takes x, and first its
                 # smaller part, below the smallest double
-                x = pr._round_trips(geom, w, np.array([eps]), 1j * kappa)
+                x = pr._round_trips(geom, w, np.array([eps]), 1j * kappa,
+                                    np.exp(-2.0 * gap * kappa))
                 x = x[np.abs(x) > 1e-200]
                 assert not np.any((x.imag == 0.0) & (x.real >= 0.0)), (mat, w, gap)
                 for n in (qn0, qn0 / eps):
@@ -1735,8 +1736,9 @@ def sampled_strip_flags(geom, w, eps, top, line_peak):
     edges = [1j * kappa, t * a + 1j * top, 1j * level, a + 1j * level]
     if b.any():
         edges.append(u * a + 1j * b)
-    peak = np.maximum(np.abs(pr._round_trips(geom, w, eps, np.hstack(edges))).max(axis=-1),
-                      line_peak)
+    k = np.hstack(edges)
+    x = pr._round_trips(geom, w, eps, k, np.exp(2j * l * k))
+    peak = np.maximum(np.abs(x).max(axis=-1), line_peak)
     inv = []
     for ep in eps:
         qn0 = np.sqrt((1.0 - ep[:, 0]) * w[:, 0] ** 2)
