@@ -1182,8 +1182,7 @@ def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
         return np.abs(_round_trips(geom, w[at], eps[:, at], k,
                                    np.exp((2j * l) * k))).max(axis=-1)
 
-    everywhere = slice(None)
-    peak = np.maximum(peak_at(everywhere, np.hstack([t * a + 1j * top, a + 1j * level])),
+    peak = np.maximum(peak_at(slice(None), np.hstack([t * a + 1j * top, a + 1j * level])),
                       line_peak)
     passive = (b[:, 0] == 0.0) & np.all(eps[:, :, 0].imag > 0.0, axis=0)
     sampled = np.flatnonzero(~passive)
