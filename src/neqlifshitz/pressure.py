@@ -1034,9 +1034,10 @@ _LINE_MARKS = np.array([0.0, 0.5, 0.75, 0.9, 1.0])
 #: 2e-3); at 1/100 of it at most 0.6, for 11% more line points.
 _LINE_TOL = 0.01
 #: Samples of the searched box's left edge k_z = i kappa in the zero test
-#: (`_strip_may_hold_zeros`), at kappa = Im omega + u / (2 l (1 - u)) for
-#: u evenly spaced in (0, 1), those below the box's top, and, at complex
-#: omega, of its bottom edge at k_z = u Re omega + i Im omega.
+#: (`_strip_may_hold_zeros`) where passivity does not prove it, at kappa =
+#: Im omega + u / (2 l (1 - u)) for u evenly spaced in (0, 1), those below
+#: the box's top, and, at complex omega, of its bottom edge at k_z = u Re
+#: omega + i Im omega.
 _STRIP_EDGE_SAMPLES = 24
 #: Samples of the box's top edge in the same test.
 _STRIP_TOP_SAMPLES = 4

@@ -1751,7 +1751,7 @@ def test_strip_test_samples_the_left_edge_off_the_passive_real_axis():
     # the proof needs a real frequency and Im eps > 0 on both plates; at
     # complex omega (the contour tail) and where a plate has Im eps = 0
     # (real entries, some with r_TM's pole on the left edge) the test
-    # samples every edge as before
+    # samples every edge, and flags what the sampled form flags
     low, default = (Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1e-2)),
                     Material(omega0=1.3, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.2)))
     cases = []
