@@ -30,9 +30,13 @@ channel maps read as slices; whatever depends on a panel's frequency
 alone (the frequency itself, its decay scale and contour weight, and its
 row of the `_frequency_factors` tables, evaluated once per lockstep
 call) is read once per panel and broadcast over its nodes, and a panel
-carries only its own sector's rows.  Up to the real-axis ceiling
-omega_max the Q integrand of dissimilar plates is the four (plate x
-polarization) channels (`_real_q_integral`), one kernel
+carries only its own sector's rows.  The seeds of the evanescent sector
+mark each plate's critical wavenumber kappa_c = omega sqrt(eps - 1),
+where the plate wavenumber vanishes, with a ladder of marks out from it
+where the plate's loss leaves that edge sharp, read off the same
+permittivity tables (`_inner_q_seeds`, `_critical_marks`).  Up to the
+real-axis ceiling omega_max the Q integrand of dissimilar plates is the
+four (plate x polarization) channels (`_real_q_integral`), one kernel
 (`_channel_kernel`) for the engine and the public per-point map alike
 (`_bath_channels`, eight rows in BREAKDOWN_KEYS order): one Fresnel call
 per sector with both plates on its leading axis, and the rows from r_L,
@@ -832,27 +836,35 @@ def _auto_omega_max(geom):
     return max(cands)
 
 
-def _inner_q_seeds(geom, omegas, line=False):
+def _inner_q_seeds(geom, omegas, eps, line=False):
     """Seed edges of the inner Q integrals of an array of frequencies.
 
     One row per segment, the propagating sector of every frequency first,
     then the evanescent sector of every frequency, as a NaN-padded 2-d
-    array for `_adaptive_gk`.
+    array for `_adaptive_gk`.  ``eps`` holds one row of permittivities
+    eps(omegas) per plate material, as the lockstep rules tabulate them
+    (`_frequency_factors`), so the seeds evaluate no permittivity.
 
     * propagating, in theta with Q = omega sin(theta): 0, pi/2, the
       round-trip oscillation exp(2 i kappa l), kappa = omega cos(theta), in
       round(2 omega l / pi) steps (at least 6, at most 28), and
       acos(kappa/omega) for each material kappa (lambda0, omega0) below
       omega; under ``line``, the line k_z = omega + i y instead, in u in
-      [0, 1) with y = u / (2 l (1 - u)): ``_LINE_MARKS``;
-    * evanescent, in the decay variable t in [0, 1) with q = scale t/(1 - t)
-      and scale = max(omega, 1/(2 l)): the cap 320/l and the scales 1/(4 l)
-      .. 4/l, omega and 2 omega below it.
+      [0, 1) with y = u / (2 l (1 - u)): ``_LINE_MARKS``, and y = omega
+      and 4 omega where u(omega) < 1/4, the scale of the corner k_z -> 0
+      that the marks at y l >= 1/2 miss at small omega;
+    * evanescent, in the decay variable t in [0, 1) with kappa = sqrt(Q^2 -
+      omega^2) = scale t/(1 - t) and scale = max(omega, 1/(2 l)): the cap
+      320/l, the scales 1/(4 l) .. 4/l, omega and 2 omega below it, and
+      each material's critical wavenumber (`_critical_marks`).
     """
     l = geom.gap
     w_p = omegas[:, None]
     if line:
-        prop = np.tile(_LINE_MARKS, (len(w_p), 1))
+        u = 2.0 * l * w_p / (1.0 + 2.0 * l * w_p)
+        corner = np.where(u < 0.25, np.hstack([w_p, 4.0 * w_p]), np.nan)
+        prop = np.hstack([np.tile(_LINE_MARKS, (len(w_p), 1)),
+                          2.0 * l * corner / (1.0 + 2.0 * l * corner)])
     else:
         n_osc = np.clip(np.rint(2.0 * w_p * l / math.pi), 6, 28)
         i = np.arange(1, 28)
@@ -867,12 +879,52 @@ def _inner_q_seeds(geom, omegas, line=False):
     scale = np.maximum(omegas, 0.5 / l)[:, None]
     q_cap = 320.0 / l
     qs = np.hstack([np.tile([0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l], (len(omegas), 1)),
-                    omegas[:, None], 2 * omegas[:, None]])
+                    omegas[:, None], 2 * omegas[:, None], _critical_marks(omegas, eps)])
     evan = np.hstack([np.zeros_like(scale), q_cap / (scale + q_cap),
                       np.where(qs < q_cap, qs / (scale + qs), np.nan)])
     width = max(prop.shape[1], evan.shape[1])
     return np.vstack([np.pad(rows, ((0, 0), (0, width - rows.shape[1])), constant_values=np.nan)
                       for rows in (prop, evan)])
+
+
+#: A plate's critical wavenumber is a sharp edge of the evanescent rows,
+#: and gets the ladder of `_critical_marks`, where its width |Im kappa_c|
+#: is below this fraction of Re kappa_c.
+_CRITICAL_SHARP = 0.03
+#: Ratio of successive rungs of that ladder.
+_CRITICAL_RUNG = 8.0
+
+
+def _critical_marks(omegas, eps):
+    """Evanescent seed marks at each material's critical wavenumber, in
+    kappa = sqrt(Q^2 - omega^2): one column per mark, NaN where a
+    frequency has none.
+
+    The plate wavenumber sqrt(eps omega^2 - Q^2) vanishes at kappa_c =
+    omega sqrt(eps - 1) (principal root), a square-root edge of the
+    evanescent rows that only the plate's loss blurs, to a width w =
+    |Im kappa_c|.  Where Re eps > 1, that is Re kappa_c > w, each
+    material marks Re kappa_c and, where the edge is sharp (0 < w <
+    ``_CRITICAL_SHARP`` Re kappa_c), the geometric ladder Re kappa_c +-
+    w ``_CRITICAL_RUNG``^j, j = 0, 1, ..., every offset below Re kappa_c
+    / 2, so the adaptive rule finds the edge resolved at each scale from
+    its width up instead of zooming in on it round by round.  A lossless
+    plate (w = 0) gets the single mark; rungs that coincide in the seed
+    variable merge in `_seed_panels`.  Where Re eps <= 1 the loss blurs
+    the edge past its own position: a mark there only added points (1-2%
+    on the default plates).
+    """
+    kc = omegas * np.sqrt(np.asarray(eps) - 1.0)
+    re, width = kc.real, np.abs(kc.imag)
+    sharp = (width > 0.0) & (width < _CRITICAL_SHARP * re)
+    room = np.divide(0.5 * re, width, out=np.ones_like(re), where=sharp)
+    rungs = int(np.ceil(np.log(room.max()) / math.log(_CRITICAL_RUNG)))
+    offset = width[..., None] * _CRITICAL_RUNG ** np.arange(rungs)
+    offset[~(sharp[..., None] & (offset < 0.5 * re[..., None]))] = np.nan
+    marks = re[..., None] + np.concatenate([np.zeros_like(re)[..., None], -offset, offset],
+                                           axis=-1)
+    marks[~(re > width)] = np.nan
+    return np.moveaxis(marks, 0, 1).reshape(len(omegas), -1)
 
 
 #: The inner integrals' absolute floor is this fraction of rel_tol times
@@ -919,7 +971,7 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, line=False):
     return w, Q, jac
 
 
-def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
+def _q_integrals(geom, omegas, eps, rows, rel_tol, floor_scale, line=False):
     """The lockstep Q driver: both sectors of every frequency in
     ``omegas`` (real and > 0) are independent segments of one
     `_adaptive_gk` call (seed edges `_inner_q_seeds`, nodes `_q_nodes`, at
@@ -933,6 +985,8 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
     instead of the real Q axis, at ``_LINE_TOL`` times rel_tol (see
     `_line_q_integral`).
 
+    ``eps`` holds one row of permittivities at ``omegas`` per plate
+    material, the seeds' critical wavenumbers (`_inner_q_seeds`).
     ``rows(w, Q, jac, at, lead)`` gives the integrand rows at the nodes
     from the (panels, 1) column of their frequencies w = omegas[at], at
     one frequency index per panel (also its column of the
@@ -971,7 +1025,7 @@ def _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=False):
         return f"{_SECTORS[int(evan[j])]} Q integral at omega={omegas[owner[j]]:.4g}"
 
     tol = np.where(evan, rel_tol, _LINE_TOL * rel_tol) if line else rel_tol
-    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, line), tol,
+    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, eps, line), tol,
                                  abs_floor=abs_floor, max_panels=512, labels=label)
     errs = np.array([np.bincount(owner[~evan], weights=err[~evan], minlength=n),
                      np.bincount(owner[evan], weights=err[evan], minlength=n)])
@@ -1015,7 +1069,8 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
         ch *= jac
         return ch
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale)
+    got, err = _q_integrals(geom, omegas, factors["complex"][1:1 + len(_PLATES)], rows,
+                            rel_tol, floor_scale)
     return got, err[0] + err[1]
 
 
@@ -1440,8 +1495,9 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     the residues at the zeros of D_mu in the strip 0 < Re k_z < omega,
     Im k_z > 0 (`_strip_residues`, which serves the complex frequencies
     of the contour tail alike, `_contour_line_integral`).  The line is one lockstep segment per
-    frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`), beside
-    the evanescent segments, seeded in t as in `_real_q_integral`, where
+    frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`, and y =
+    omega and 4 omega at small omega), beside the evanescent segments,
+    seeded in t as in `_real_q_integral` (`_inner_q_seeds`), where
     k_z = i kappa and h = Q kappa S.  The rows are one per polarization,
     in each panel's sector (`_q_integrals` places the sectors' integrals
     side by side): C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du
@@ -1484,7 +1540,7 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
             np.multiply(c[lead:], g, out=out[:, lead:])
         return out
 
-    got, err = _q_integrals(geom, omegas, rows, rel_tol, floor_scale, line=True)
+    got, err = _q_integrals(geom, omegas, eps, rows, rel_tol, floor_scale, line=True)
     res, res_err = _strip_residues(geom, omegas, eps, peak)
     got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
     got[:, 0] -= both * res.imag + got[:, 1]
