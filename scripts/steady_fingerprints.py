@@ -28,7 +28,11 @@ of panels with and without a light-line node in its propagating run
 (the engine's rows, one per plate and polarization in each panel's
 sector).  The ``dissimilar-euler-multiround`` case is a low-loss pair
 whose real axis takes rounds after its seed round, so the Euler slices,
-segments of the same outer call, read a running floor there:
+segments of the same outer call, read a running floor there.  The
+``dissimilar-T1-critical`` case is the default plates at one temperature,
+whose soft plate's critical wavenumber omega sqrt(eps - 1) ~ 0.616 omega
+at low omega lies off the generic evanescent seed marks (1/(4 l) .. 4/l,
+omega, 2 omega), so only its own critical marks seed it:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -141,6 +145,7 @@ CASES = {
     "sweep-far-3e-4": _steady(identical(2.0, 1.0, 0.3), rel_tol=3e-4),
     "criterion-1-l2-T0.1": _steady(identical(2.0, 0.1, 0.1), rel_tol=3e-4),
     "dissimilar-T0.7-contour": _steady(dissimilar(1.0, 0.7, 0.7)),
+    "dissimilar-T1-critical": _steady(dissimilar(1.0, 1.0, 1.0)),
     "dissimilar-euler": _steady(dissimilar(0.7, 2.0, 0.2)),
     "dissimilar-euler-multiround": _steady(Geometry(gap=1.0, left=plate(1.0, 1.0, 1e-2, 1.0),
                                                     right=plate(1.3, 0.8, 2e-2, 0.3))),

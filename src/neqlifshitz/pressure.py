@@ -889,7 +889,8 @@ def _inner_q_seeds(geom, omegas, eps, line=False):
 
 #: A plate's critical wavenumber is a sharp edge of the evanescent rows,
 #: and gets the ladder of `_critical_marks`, where its width |Im kappa_c|
-#: is below this fraction of Re kappa_c.
+#: is below this fraction of Re kappa_c (and at least ``_SEED_MERGE`` of
+#: it: a narrower edge is as sharp as a lossless one to the seed edges).
 _CRITICAL_SHARP = 0.03
 #: Ratio of successive rungs of that ladder.
 _CRITICAL_RUNG = 8.0
@@ -904,19 +905,20 @@ def _critical_marks(omegas, eps):
     omega sqrt(eps - 1) (principal root), a square-root edge of the
     evanescent rows that only the plate's loss blurs, to a width w =
     |Im kappa_c|.  Where Re eps > 1, that is Re kappa_c > w, each
-    material marks Re kappa_c and, where the edge is sharp (0 < w <
-    ``_CRITICAL_SHARP`` Re kappa_c), the geometric ladder Re kappa_c +-
-    w ``_CRITICAL_RUNG``^j, j = 0, 1, ..., every offset below Re kappa_c
-    / 2, so the adaptive rule finds the edge resolved at each scale from
-    its width up instead of zooming in on it round by round.  A lossless
-    plate (w = 0) gets the single mark; rungs that coincide in the seed
-    variable merge in `_seed_panels`.  Where Re eps <= 1 the loss blurs
+    material marks Re kappa_c and, where the edge is sharp (``_SEED_MERGE``
+    <= w / Re kappa_c < ``_CRITICAL_SHARP``), the geometric ladder Re
+    kappa_c +- w ``_CRITICAL_RUNG``^j, j = 0, 1, ..., every offset below
+    Re kappa_c / 2, so the adaptive rule finds the edge resolved at each
+    scale from its width up instead of zooming in on it round by round.
+    A lossless plate (w = 0, or the width of the retarded eta shift of a
+    gamma = 0 plate) gets the single mark; rungs that coincide in the
+    seed variable merge in `_seed_panels`.  Where Re eps <= 1 the loss blurs
     the edge past its own position: a mark there only added points (1-2%
     on the default plates).
     """
     kc = omegas * np.sqrt(np.asarray(eps) - 1.0)
     re, width = kc.real, np.abs(kc.imag)
-    sharp = (width > 0.0) & (width < _CRITICAL_SHARP * re)
+    sharp = (width >= _SEED_MERGE * re) & (width < _CRITICAL_SHARP * re)
     room = np.divide(0.5 * re, width, out=np.ones_like(re), where=sharp)
     rungs = int(np.ceil(np.log(room.max()) / math.log(_CRITICAL_RUNG)))
     offset = width[..., None] * _CRITICAL_RUNG ** np.arange(rungs)

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.integrate import quad
+from scipy.integrate import quad, quad_vec
 
 from conftest import rand_lossy
+from oracles import odd_part_oracle
 from neqlifshitz import pressure as pr
 from neqlifshitz import spectral
 from neqlifshitz.cli import geometry_for, load_config
@@ -1171,6 +1172,20 @@ def test_plate_exchange_identity_for_dissimilar_plates(gap, t_left, t_right):
     assert abs(there.value + back.value - eq) <= there.err + back.err
 
 
+def test_odd_part_matches_an_independent_oracle():
+    # the part of P odd under the temperature exchange, dc (K_L - K_R), is
+    # half the difference of two thermal_only runs with swapped
+    # temperatures (their zero-point parts cancel), at omega_max = 30
+    # T_max, where dc has decayed by exp(-30); the oracle integrates its
+    # closed form under nested scipy quad and shares no code with
+    # steady_pressure (tests/oracles.py)
+    opts = PressureOptions(rel_tol=1e-9, omega_max=30.0 * 2.0, thermal_only=True)
+    there = steady_pressure(default_plates(1.0, 2.0, 0.3), opts)
+    back = steady_pressure(default_plates(1.0, 0.3, 2.0), opts)
+    odd = 0.5 * (there.value - back.value)
+    assert odd == pytest.approx(odd_part_oracle(default_plates(1.0, 2.0, 0.3)), rel=1e-9)
+
+
 def test_thermal_only_is_pressure_minus_zero_temperature_pressure():
     # P is linear in each plate's occupation and coth = 1 + (coth - 1), so the
     # thermal-only pressure at (T_L, T_R) is P(T_L, T_R) - P(0, 0)
@@ -1236,6 +1251,102 @@ def test_outer_seeds_bracket_the_surface_bands_and_the_cavity_periods():
     assert not {(k + 0.5) * period for k in range(9)} & set(edges)
     far = pr._omega_edges(default_plates(31.6, 1.0, 0.5), 18.0)
     assert 48 * (math.pi / 31.6) in far and 49 * (math.pi / 31.6) not in far
+
+
+def test_evanescent_rows_resolve_the_critical_wavenumber_off_every_mark():
+    # at low omega the soft oscillator's (omega0 = 1.3, lambda0 = 0.8)
+    # critical wavenumber kappa_c = omega sqrt(eps - 1), where its plate
+    # wavenumber vanishes, is 0.616 omega: off the generic evanescent
+    # marks (1/(4 l) .. 4/l, omega, 2 omega).  The theta path's evanescent
+    # rows match scipy's adaptive quad_vec with points at each plate's
+    # kappa_c, within 1e-3 of rel_tol; without the critical marks they
+    # read 3.1e-7 and 6.6e-7 off at these frequencies (rel_tol 1e-4), and
+    # now 1e-11
+    geom = default_plates(1.0, 1.0, 0.5)
+    evan = [i for i, key in enumerate(BREAKDOWN_KEYS) if key[2] == "evanescent"]
+    rel_tol = 1e-4
+    for w in (0.005, 0.05):
+        eps = pr._frequency_factors(geom, np.array([w]))["complex"][1:3, 0]
+        edges = [w * cmath.sqrt(e - 1.0).real for e in eps]
+        assert edges[1] == pytest.approx(0.616 * w, rel=1e-3)
+
+        def rows(kappa):
+            Q = math.hypot(w, kappa)
+            return pr._bath_channels(geom, w, Q)[evan] * kappa / Q
+
+        want = quad_vec(rows, 0.0, 30.0 / geom.gap, points=edges, epsabs=0.0, epsrel=1e-12,
+                        norm="max")[0]
+        got = pr._inner_q_integral(geom, np.array([w]), False, rel_tol, 0.0)[0][evan, 0]
+        assert np.abs(got - want).max() <= 1e-3 * rel_tol * np.abs(want).sum(), (w, got, want)
+
+
+def test_sweep_far_first_inner_call_takes_few_rounds(monkeypatch):
+    # the sweep-far plates (l = 2, T = 1 and 0.3, rel_tol 2e-3): without
+    # the critical marks the first lockstep Q call took 9 rounds, 4 of
+    # them only for the evanescent segments at omega <= 0.02; now 3
+    panels, inner, rounds = pr._eval_panels, pr._inner_q_integral, []
+    inside = [False]
+
+    def count(*args):
+        if inside[0]:
+            rounds[-1] += 1
+        return panels(*args)
+
+    def spy(*args):
+        rounds.append(0)
+        inside[0] = True
+        try:
+            return inner(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(pr, "_eval_panels", count)
+    monkeypatch.setattr(pr, "_inner_q_integral", spy)
+    steady_pressure(identical_plates(2.0, 1.0, 0.3), PressureOptions(rel_tol=2e-3))
+    assert 0 < rounds[0] <= 5, rounds
+
+
+def test_critical_ladder_merges_close_rungs_and_a_lossless_plate_gets_one_mark():
+    # at omega = 6e-4 each plate's edge is sharp (|Im kappa_c| = 3.0e-5
+    # and 3.6e-5 of Re kappa_c), so each gets its mark and five rungs a
+    # side; the lowest rungs lie closer than _SEED_MERGE of the span in t:
+    # they merge, and no seed panel is a sliver
+    geom = default_plates(1.0, 1.0, 0.5)
+    w = np.array([6e-4])
+    eps = pr._frequency_factors(geom, w)["complex"][1:3]
+    marks = pr._critical_marks(w, eps)[0]
+    marks = marks[~np.isnan(marks)]
+    assert len(marks) == 2 * (1 + 2 * 5)
+    scale = max(w[0], 0.5 / geom.gap)
+    t = np.sort(marks / (scale + marks))
+    assert np.diff(t).min() < pr._SEED_MERGE
+    lo, hi, seg = pr._seed_panels(pr._inner_q_seeds(geom, w, eps), str)
+    evan = seg == 1
+    assert (hi[evan] - lo[evan]).min() > pr._SEED_MERGE
+    # 0, the cap, 1/(4 l) .. 4/l, omega and 2 omega, and the marks, less
+    # those merged
+    assert np.count_nonzero(evan) < 9 + len(t) - 1
+    # a gamma = 0 plate, whose Im eps is only the retarded eta shift: one
+    # mark where Re eps > 1, none above its resonance where Re eps < 1
+    lossless = Material(omega0=1.3, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.0))
+    ws = np.array([6e-4, 0.3, 1.2, 1.4, 3.0])
+    eps = np.array([plate_eps(lossless, -1j * ws)])
+    assert np.all(eps.imag > 0.0)
+    for table in (eps, eps.real + 0j):          # and with Im eps = 0 exactly
+        found = ~np.isnan(pr._critical_marks(ws, table))
+        assert found.sum(axis=1).tolist() == [1, 1, 1, 0, 0]
+
+
+def test_line_seeds_the_corner_at_small_omega():
+    # y = omega and 4 omega, where u = 2 l omega / (1 + 2 l omega) < 1/4:
+    # the marks y l >= 1/2 lie far above that corner's scale there
+    geom = identical_plates(1.0, 1.0, 0.5)
+    w = np.array([0.05, 0.5])
+    eps = pr._frequency_factors(geom, w)["complex"][1:2]
+    prop = pr._inner_q_seeds(geom, w, eps, line=True)[:2]
+    u = [2.0 * y / (1.0 + 2.0 * y) for y in (0.05, 0.2)]
+    assert set(prop[0][~np.isnan(prop[0])]) == set(pr._LINE_MARKS) | set(u)
+    assert set(prop[1][~np.isnan(prop[1])]) == set(pr._LINE_MARKS)
 
 
 # ---------------------------------------------------------------------------

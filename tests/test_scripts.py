@@ -127,6 +127,24 @@ def test_steady_fingerprints_script(capsys):
     assert np.all(clean != 0.0)
 
 
+def test_odd_oracle_script(tmp_path):
+    # the default config's point: the program's odd part (two thermal_only
+    # runs with swapped temperatures) and the independent oracle agree, and
+    # the reference value adds the Matsubara half-sum
+    out = tmp_path / "odd.csv"
+    script = load_script("odd_oracle")
+    assert script.main(["--point", "1,1,0.5", "--out", str(out)]) == 0
+    with out.open() as fh:
+        (row,) = list(csv.DictReader(fh))
+    values = {k: float(v) for k, v in row.items()}
+    assert (values["l"], values["T_L"], values["T_R"]) == (1.0, 1.0, 0.5)
+    assert values["rel_diff"] <= 1e-9
+    assert values["odd_part"] == pytest.approx(values["odd_oracle"], rel=1e-9)
+    assert values["p_ref"] == values["half_sum_eq"] + values["odd_part"]
+    with pytest.raises(SystemExit):
+        script.main(["--point", "1,0"])
+
+
 def test_analytic_fingerprints_script(capsys):
     script = load_script("analytic_fingerprints")
     assert script.main(["--case", "criterion-7-0", "--case", "criterion-4"]) == 0
