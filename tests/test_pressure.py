@@ -1902,8 +1902,8 @@ def test_line_rows_keep_each_plates_share():
 
 def test_inner_points_per_frequency_stay_flat_in_the_gap(monkeypatch):
     # criterion 8's plates at rel_tol 2e-3: the line and evanescent points
-    # per real-axis frequency read 211, 196, 198 and 223 at l = 1, 3.16,
-    # 10 and 31.6 (72, 62, 61 and 60 of them on the line); on the theta
+    # per real-axis frequency read 204, 193, 199 and 225 at l = 1, 3.16,
+    # 10 and 31.6 (67, 62, 61 and 60 of them on the line); on the theta
     # path they read 304, 478, 1214 and 3574.  The spies cover every
     # integrand an inner rule may call, and the floor on the means fails
     # if one of them goes uncounted
