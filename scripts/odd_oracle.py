@@ -46,7 +46,8 @@ def default_plates(gap, t_left, t_right):
     def plate(omega0, lambda0, gamma, T):
         return Material(omega0=omega0, lambda0=lambda0, bath=BathModel(kind="ohmic", gamma=gamma),
                         beta_bath=1.0 / T)
-    return Geometry(gap=gap, left=plate(1.0, 1.0, 0.1, t_left), right=plate(1.3, 0.8, 0.2, t_right))
+    return Geometry(gap=gap, left=plate(1.0, 1.0, 0.1, t_left),
+                    right=plate(1.3, 0.8, 0.2, t_right))
 
 
 def row(gap, t_left, t_right):
@@ -59,7 +60,8 @@ def row(gap, t_left, t_right):
     mid = time.perf_counter()
     oracle = odd_part_oracle(default_plates(gap, t_left, t_right))
     end = time.perf_counter()
-    even = 0.5 * sum(equilibrium_matsubara(default_plates(gap, T, T), T) for T in (t_left, t_right))
+    even = 0.5 * sum(equilibrium_matsubara(default_plates(gap, T, T), T)
+                     for T in (t_left, t_right))
     return [gap, t_left, t_right, even, odd, oracle, abs(odd - oracle) / abs(oracle),
             even + odd, round(mid - start, 2), round(end - mid, 2)]
 
