@@ -878,8 +878,9 @@ def _inner_q_seeds(geom, omegas, eps, line=False):
 
     scale = np.maximum(omegas, 0.5 / l)[:, None]
     q_cap = 320.0 / l
+    critical = _critical_marks(omegas, eps, scale[:, 0])
     qs = np.hstack([np.tile([0.25 / l, 0.5 / l, 1.0 / l, 2.0 / l, 4.0 / l], (len(omegas), 1)),
-                    omegas[:, None], 2 * omegas[:, None], _critical_marks(omegas, eps)])
+                    omegas[:, None], 2 * omegas[:, None], critical])
     evan = np.hstack([np.zeros_like(scale), q_cap / (scale + q_cap),
                       np.where(qs < q_cap, qs / (scale + qs), np.nan)])
     width = max(prop.shape[1], evan.shape[1])
@@ -896,7 +897,7 @@ _CRITICAL_SHARP = 0.03
 _CRITICAL_RUNG = 8.0
 
 
-def _critical_marks(omegas, eps):
+def _critical_marks(omegas, eps, scale):
     """Evanescent seed marks at each material's critical wavenumber, in
     kappa = sqrt(Q^2 - omega^2): one column per mark, NaN where a
     frequency has none.
@@ -911,8 +912,11 @@ def _critical_marks(omegas, eps):
     Re kappa_c / 2, so the adaptive rule finds the edge resolved at each
     scale from its width up instead of zooming in on it round by round.
     A lossless plate (w = 0, or the width of the retarded eta shift of a
-    gamma = 0 plate) gets the single mark; rungs that coincide in the
-    seed variable merge in `_seed_panels`.  Where Re eps <= 1 the loss
+    gamma = 0 plate) gets the single mark.  ``scale`` holds the evanescent
+    rows' decay scales, kappa = scale t/(1 - t): a rung closer
+    to Re kappa_c in t than twice ``_SEED_MERGE`` is left out, since
+    `_seed_panels` would merge it with its neighbours and keep the lowest
+    of them in place of Re kappa_c.  Where Re eps <= 1 the loss
     blurs the edge past its own position: a mark there only added points
     (4.5% on the default config's point).
     """
@@ -922,7 +926,10 @@ def _critical_marks(omegas, eps):
     room = np.divide(0.5 * re, width, out=np.ones_like(re), where=sharp)
     rungs = int(np.ceil(np.log(room.max()) / math.log(_CRITICAL_RUNG)))
     offset = width[..., None] * _CRITICAL_RUNG ** np.arange(rungs)
-    offset[~(sharp[..., None] & (offset < 0.5 * re[..., None]))] = np.nan
+    # a rung's distance from Re kappa_c in t is at least 2/3 of this
+    shift = offset * (scale / np.square(scale + re))[..., None]
+    offset[~(sharp[..., None] & (offset < 0.5 * re[..., None])
+             & (shift > 2.0 * _SEED_MERGE))] = np.nan
     marks = re[..., None] + np.concatenate([np.zeros_like(re)[..., None], -offset, offset],
                                            axis=-1)
     marks[~(re > width)] = np.nan

@@ -1306,26 +1306,30 @@ def test_sweep_far_first_inner_call_takes_few_rounds(monkeypatch):
     assert 0 < rounds[0] <= 5, rounds
 
 
-def test_critical_ladder_merges_close_rungs_and_a_lossless_plate_gets_one_mark():
+def test_critical_ladder_leaves_out_rungs_the_seeds_cannot_resolve():
     # at omega = 6e-4 each plate's edge is sharp (|Im kappa_c| = 3.0e-5
-    # and 3.6e-5 of Re kappa_c), so each gets its mark and five rungs a
-    # side; the lowest rungs lie closer than _SEED_MERGE of the span in t:
-    # they merge, and no seed panel is a sliver
+    # and 3.6e-5 of Re kappa_c), and its lowest rungs would lie closer
+    # than _SEED_MERGE of the span to Re kappa_c in t: `_seed_panels` would
+    # merge them and keep the lowest in place of Re kappa_c.  They are left
+    # out, so each plate's Re kappa_c is a seed edge (they sat 2.1e-7 and
+    # 2.9e-7 off it), its upper rungs stay, and no seed panel is a sliver
     geom = default_plates(1.0, 1.0, 0.5)
     w = np.array([6e-4])
-    eps = pr._frequency_factors(geom, w)["complex"][1:3]
-    marks = pr._critical_marks(w, eps)[0]
-    marks = marks[~np.isnan(marks)]
-    assert len(marks) == 2 * (1 + 2 * 5)
     scale = max(w[0], 0.5 / geom.gap)
+    eps = pr._frequency_factors(geom, w)["complex"][1:3]
+    kc = w[0] * np.sqrt(eps[:, 0] - 1.0)
+    assert np.all(np.abs(kc.imag) < 4e-5 * kc.real)
+    marks = pr._critical_marks(w, eps, np.array([scale]))[0]
+    marks = marks[~np.isnan(marks)]
+    assert len(marks) == (1 + 2 * 3) + (1 + 2 * 2)     # each mark, three and two rungs a side
     t = np.sort(marks / (scale + marks))
-    assert np.diff(t).min() < pr._SEED_MERGE
+    assert np.diff(t).min() > pr._SEED_MERGE
     lo, hi, seg = pr._seed_panels(pr._inner_q_seeds(geom, w, eps), str)
     evan = seg == 1
     assert (hi[evan] - lo[evan]).min() > pr._SEED_MERGE
-    # 0, the cap, 1/(4 l) .. 4/l, omega and 2 omega, and the marks, less
-    # those merged
-    assert np.count_nonzero(evan) < 9 + len(t) - 1
+    # plate L's kappa_c (= 1.00001 omega) merges with the mark at omega
+    for tc in kc.real / (scale + kc.real):
+        assert np.abs(lo[evan] - tc).min() < 1e-9
     # a gamma = 0 plate, whose Im eps is only the retarded eta shift: one
     # mark where Re eps > 1, none above its resonance where Re eps < 1
     lossless = Material(omega0=1.3, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.0))
@@ -1333,7 +1337,7 @@ def test_critical_ladder_merges_close_rungs_and_a_lossless_plate_gets_one_mark()
     eps = np.array([plate_eps(lossless, -1j * ws)])
     assert np.all(eps.imag > 0.0)
     for table in (eps, eps.real + 0j):          # and with Im eps = 0 exactly
-        found = ~np.isnan(pr._critical_marks(ws, table))
+        found = ~np.isnan(pr._critical_marks(ws, table, np.full(len(ws), 0.5)))
         assert found.sum(axis=1).tolist() == [1, 1, 1, 0, 0]
 
 
