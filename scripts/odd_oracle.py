@@ -15,7 +15,7 @@ configs/default.cfg; by default the five points
 
     (1; 1, 0.5), (1; 2, 0.3), (0.7; 2, 0.2), (3.16; 1, 0.5), (10; 1, 0.5)
 
-which take about 5-30 s each:
+which take about 1.5-9 s each on one core of a 2-vCPU Xeon VM:
 
     PYTHONPATH=src python3 scripts/odd_oracle.py --point 1,2,0.3
 
