@@ -32,7 +32,11 @@ segments of the same outer call, read a running floor there.  The
 ``dissimilar-T1-critical`` case is the default plates at one temperature,
 whose soft plate's critical wavenumber omega sqrt(eps - 1) ~ 0.616 omega
 at low omega lies off the generic evanescent seed marks (1/(4 l) .. 4/l,
-omega, 2 omega), so only its own critical marks seed it:
+omega, 2 omega), so only its own critical marks seed it.  The
+``zero-count`` case counts the zeros of D_mu in the full TE and TM
+strips of the surface-band plates by the argument principle and returns
+the windings and each strip's boundary samples, so the counter's bits
+are diffed directly:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -48,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from neqlifshitz import cli, pressure
-from neqlifshitz.em_green import Geometry
+from neqlifshitz.em_green import Geometry, plate_eps
 from neqlifshitz.material import BathModel, Material
 from neqlifshitz.pressure import BREAKDOWN_KEYS, PressureOptions, steady_pressure
 
@@ -140,6 +144,20 @@ def straggler():
     return rows
 
 
+def zero_count():
+    """The windings of N_mu / k_z along the full TE and TM strips 0 <
+    Re k_z < omega, 0 < Im k_z < top (`pressure._strip_top`) of the
+    surface-band plates (omega0 = lambda0 = 1, gamma = 1e-2, l = 1) at
+    omega = 1.2247, where Re eps = -1, then each strip's number of
+    boundary samples."""
+    geom = Geometry(gap=1.0, left=plate(1.0, 1.0, 1e-2, 1.0), right=plate(1.0, 1.0, 1e-2, 0.3))
+    w = np.full(2, 1.2247)
+    eps = plate_eps(geom.left, -1j * w)[None]
+    strips = np.array([np.zeros(2), w, np.zeros(2), pressure._strip_top(geom, w, eps)])
+    counts = pressure._box_winding(geom, w, eps, np.arange(2), strips)
+    return [winding for winding, *_ in counts] + [len(k) for _, k, *_ in counts]
+
+
 CASES = {
     "sweep-far": _steady(identical(2.0, 1.0, 0.3), rel_tol=2e-3),
     "sweep-far-3e-4": _steady(identical(2.0, 1.0, 0.3), rel_tol=3e-4),
@@ -168,6 +186,7 @@ CASES = {
     "straggler": straggler,
     "contour-q": _lockstep("_contour_line_integral", identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
+    "zero-count": zero_count,
 }
 
 

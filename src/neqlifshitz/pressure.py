@@ -99,6 +99,7 @@ from .errors import ConvergenceError, DomainError, SingularityError
 from .material import (EpsilonTable, _coth, _fourier_s,
                        bath_dissipation_fourier, permittivity, qbm_green)
 from .em_green import _fresnel_coeffs, plate_eps
+from .winding import _WINDING_SLACK, box_winding
 
 # Overall orientation and scale of the collapsed (omega, Q) measure.  The
 # stress contraction is sign-ambiguous on paper; the convention is pinned
@@ -592,17 +593,24 @@ def _seed_panels(segments, labels):
     """The seed panels (lo, hi, seg) of `_adaptive_gk`'s segment rows, in
     row order and, within a row, in ascending order of the edges.
 
-    An edge within ``_SEED_MERGE`` of its row's span of the edge before
-    it, or of the row's last edge, is dropped, so marks that coincide up
-    to a perturbation of the inputs seed no sliver panel; the row's first
-    and last edges always stay."""
+    An edge within ``_SEED_MERGE`` of its row's span of the last edge
+    kept before it, or of the row's last edge, is dropped, so marks that
+    coincide up to a perturbation of the inputs seed no sliver panel; the
+    row's first and last edges always stay."""
     marks = np.sort(np.asarray(segments, dtype=float), axis=1)     # NaN sorts last
     last = np.nanmax(marks, axis=1)[:, None]
     tol = _SEED_MERGE * (last - marks[:, :1])
-    new = ~np.isnan(marks)
     later = marks[:, 1:]
-    new[:, 1:] &= ((later - marks[:, :-1] > tol) & (last - later > tol)
-                   | (later == last) & (marks[:, :-1] != last))
+    seen, prev = None, marks[:, :-1]
+    while True:
+        new = ~np.isnan(marks)
+        new[:, 1:] &= ((later - prev > tol) & (last - later > tol)
+                       | (later == last) & (prev != last))
+        # unless two edges in a row drop, the edge before is the last kept
+        if np.array_equal(new, seen) or seen is None and not (
+                ~new[:, 1:-1] & ~new[:, 2:] & ~np.isnan(later[:, 1:])).any():
+            break
+        seen, prev = new, np.maximum.accumulate(np.where(new, marks, -np.inf), axis=1)[:, :-1]
     few = np.flatnonzero(new.sum(axis=1) < 2)
     if few.size:
         raise DomainError(f"{labels(few[0])}: need at least two panel edges")
@@ -915,8 +923,8 @@ def _critical_marks(omegas, eps, scale):
     gamma = 0 plate) gets the single mark.  ``scale`` holds the evanescent
     rows' decay scales, kappa = scale t/(1 - t): a rung closer
     to Re kappa_c in t than twice ``_SEED_MERGE`` is left out, since
-    `_seed_panels` would merge it with its neighbours and keep the lowest
-    of them in place of Re kappa_c.  Where Re eps <= 1 the loss
+    `_seed_panels` keeps the first edge of a close pair, so a rung below
+    Re kappa_c would take its place.  Where Re eps <= 1 the loss
     blurs the edge past its own position: a mark there only added points
     (4.5% on the default config's point).
     """
@@ -1108,19 +1116,6 @@ _STRIP_TOP_SAMPLES = 4
 #: Decay e^-x of the round trip above the asymptotic Fresnel bound that
 #: sets the box's top (`_strip_top`).
 _STRIP_TOP_DECAY = 10.0
-#: Initial samples per edge of the argument-principle count
-#: (`_box_winding`); a step is halved while its phase turns by more than
-#: ``_COUNT_TURN``, or its length times |d log(N/k_z)/dk_z| does, down to
-#: ``_COUNT_MIN_STEP`` of the boundary's parameter (four per box).  The
-#: winding must come out within ``_WINDING_SLACK`` of an integer.  The
-#: halving puts the samples where the phase turns, so a coarse start costs
-#: rounds, not counts: the 44 flagged strips of the sweep-far plates (l =
-#: 2, T = 1 and 0.3, rel_tol 2e-3) take 1,877 boundary samples in 7
-#: rounds from 8, and 5,685 in 5 rounds from 32, for the same counts.
-_COUNT_SAMPLES = 8
-_COUNT_TURN = math.pi / 4
-_COUNT_MIN_STEP = 1e-12
-_WINDING_SLACK = 1e-6
 #: Fraction of its edges by which a box cuts off the corner k_z = 0, the
 #: zero that D_mu has for every pair.
 _CORNER_CUT = 1e-9
@@ -1295,77 +1290,21 @@ def _strip_n(geom, w, eps, k):
     return n, dn, den
 
 
-def _box_path(box, t):
-    """Points of the boundary of the box x0 < Re k_z < x1, y0 < Im k_z <
-    y1 at parameters t in [0, 4), counterclockwise from (x0, y0), with
-    y = y0 + (y1 - y0) f^2 on the vertical edges (f the fraction of the
-    edge, counted upwards).  A box with its corner at k_z = 0 has that
-    corner cut off by ``_CORNER_CUT`` of its edges.  ``box`` holds x0,
-    x1, y0, y1, each broadcast against t."""
-    x0, x1, y0, y1 = box
-    cut = np.where((x0 == 0.0) & (y0 == 0.0), _CORNER_CUT, 0.0)
-    edge = np.floor(t)
-    f = t - edge
-    up, down = f * f, (1.0 - f) ** 2 * (1.0 - cut) + cut
-    return np.choose(edge.astype(int), [x0 + (x1 - x0) * (cut + (1.0 - cut) * f) + 1j * y0,
-                                        x1 + 1j * (y0 + (y1 - y0) * up),
-                                        x1 - (x1 - x0) * f + 1j * y1,
-                                        x0 + 1j * (y0 + (y1 - y0) * down)])
-
-
 def _box_winding(geom, w, eps, pol, boxes):
-    """The winding of N_mu / k_z (`_strip_n`; the division removes the
-    zero every pair has at the corner k_z = 0) along the boundaries of
-    boxes, one per (frequency, polarization) pair: ``boxes`` is shaped
-    (4, pairs).  Every boundary starts with ``_COUNT_SAMPLES`` steps per
-    edge; then a step is halved while its phase turns by more than
-    ``_COUNT_TURN`` or its length times the larger |d log(N/k_z)/dk_z|
-    at its ends does (a zero within about a step of the boundary), so a
-    turn cannot alias.  All pairs refine at once, their samples in
-    one flat array ordered by (pair, parameter).  Returns, per pair, (the
-    winding number as a float, the boundary points, N_mu and N_mu'
-    there); SingularityError when a step shrinks to rounding (a zero on
-    the boundary)."""
-    def sample(at, t):
-        k = _box_path(boxes[:, at], t)
+    """`winding.box_winding` from 8 steps per edge of N_mu / k_z (`_strip_n`;
+    the division removes the zero every pair has at the corner k_z = 0,
+    which the boxes cut off), one box per (frequency, polarization) pair,
+    ``boxes`` shaped (4, pairs): per pair, the winding and the boundary's
+    points, N_mu and N_mu'; SingularityError for a zero on a boundary."""
+    def sample(at, k):
         n, dn, _ = _strip_n(geom, w[at], eps[:, at], k)
         pick = np.arange(len(at))
-        return k, n[pol[at], pick], dn[pol[at], pick]
+        n, dn = n[pol[at], pick], dn[pol[at], pick]
+        return n / k, dn / n - 1.0 / k, n, dn
 
-    if not len(w):
-        return []
-    steps = 4 * _COUNT_SAMPLES
-    pair = np.repeat(np.arange(len(w)), steps)
-    t = np.tile(np.arange(steps) / _COUNT_SAMPLES, len(w))
-    k, n, dn = sample(pair, t)
-    while True:
-        first = np.flatnonzero(np.r_[True, pair[1:] != pair[:-1]])
-        last = np.r_[first[1:], len(pair)] - 1
-        nxt = np.arange(1, len(pair) + 1)
-        nxt[last] = first
-        g = n / k
-        slope = np.abs(dn / n - 1.0 / k)
-        d = np.angle(g[nxt] / g)
-        reach = np.maximum(slope, slope[nxt]) * np.abs(k[nxt] - k)
-        wide = np.flatnonzero((np.abs(d) > _COUNT_TURN) | (reach > _COUNT_TURN))
-        if not wide.size:
-            break
-        ends = t[nxt]
-        ends[last] = 4.0
-        if np.any(ends[wide] - t[wide] < _COUNT_MIN_STEP):
-            j = pair[wide[np.argmin(ends[wide] - t[wide])]]
-            raise SingularityError("a zero of D_mu lies on the boundary of the strip "
-                                   f"searched at omega={w[j]:.6g}", point=complex(w[j]))
-        mid = 0.5 * (t[wide] + ends[wide])
-        km, nm, dnm = sample(pair[wide], mid)
-        pair, t = np.r_[pair, pair[wide]], np.r_[t, mid]
-        order = np.lexsort((t, pair))
-        pair, t = pair[order], t[order]
-        k, n, dn = (np.r_[a, b][order] for a, b in ((k, km), (n, nm), (dn, dnm)))
-    winding = np.bincount(pair, weights=d, minlength=len(w)) / (2.0 * math.pi)
-    bounds = np.r_[first, len(pair)]
-    return [(winding[j], k[a:b], n[a:b], dn[a:b])
-            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]))]
+    return box_winding(sample, boxes, 8, _CORNER_CUT, lambda j: SingularityError(
+        f"a zero of D_mu lies on the boundary of the strip searched at omega={w[j]:.6g}",
+        point=complex(w[j])))
 
 
 def _box_zeros(geom, w, eps, i, box, count, boundary, depth=0):
@@ -1434,14 +1373,7 @@ def _strip_residues(geom, w, eps, line_peak):
     so each zero adds 2 pi p^2 den_L den_R / N'.  Only the boxes that
     `_strip_may_hold_zeros` flags are counted, by the argument principle
     on their boundary (`_box_winding`, all flagged pairs at once), and
-    only those that count zeros are searched (`_box_zeros`).  A box holds
-    no zero where x_mu stays off [1, inf) on its boundary; at a real w
-    where both plates have Im eps > 0, passivity keeps x_mu off [0, inf)
-    on the left edge k_z = i kappa, |x_mu| < 1 on the bottom edge, and
-    the corner k_z = 0 off [1, inf) unless L_mu lies in the closed third
-    quadrant, so only the line's nodes (``line_peak``), the top and the
-    right edge's level points are sampled there; a complex w, or a plate
-    with Im eps = 0, has its left and bottom edges sampled too.
+    only those that count zeros are searched (`_box_zeros`).
 
     Moving the path over R needs qn = sqrt((1 - eps) w^2 - k_z^2) analytic
     there and on the box.  With A = (1 - eps) w^2, the principal root's

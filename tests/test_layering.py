@@ -13,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
-from neqlifshitz import pressure, spectral
+import numpy as np
+
+from neqlifshitz import em_green, pressure, spectral, winding
+from neqlifshitz.material import BathModel, Material
 
 BLOCK_LAYER = ("green_gap_from_plate", "ic_z_block", "theta_contract",
                "assemble_dof_integrand", "assemble_ic_integrand")
@@ -155,3 +158,40 @@ print(json.dumps([res.tail, [m for m in {HEAVY!r} if m in sys.modules]]))
     tail, loaded = _fresh_python(code)
     assert tail != 0.0
     assert loaded == []
+
+
+def test_one_zero_counter_serves_the_poles_and_the_strip():
+    # the argument-principle loop lives in `winding`, which needs numpy and
+    # the package's errors at most and binds nothing of the modules it serves
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(winding))):
+        if isinstance(node, ast.Import):
+            imported |= {a.name for a in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"numpy", ".errors"}, imported
+    served = (em_green, pressure, spectral)
+    assert not [name for name, value in vars(winding).items()
+                if any(value is m for m in served)
+                or getattr(value, "__module__", None) in {m.__name__ for m in served}]
+    # the polynomial count and the strip's count keep no loop of their
+    # own, and both run the shared one
+    for fn in (spectral.winding_count, pressure._box_winding):
+        tree = ast.parse(inspect.getsource(fn))
+        assert not [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))], fn
+    loop, calls = winding.box_winding.__code__, []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is loop:
+            calls.append(frame.f_back.f_code.co_name)
+
+    mat = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=1e-2))
+    geom, w = em_green.Geometry(gap=1.0, left=mat, right=mat), np.array([1.2247])
+    sys.setprofile(profile)
+    try:
+        spectral.winding_count(np.poly([0.5j, -0.5j]), -1, 1, -1, 1)
+        pressure._box_winding(geom, w, em_green.plate_eps(mat, -1j * w)[None], np.array([1]),
+                              np.array([[0.0], w, [0.0], [3.0]]))
+    finally:
+        sys.setprofile(None)
+    assert calls == ["winding_count", "_box_winding"]

@@ -1310,9 +1310,10 @@ def test_critical_ladder_leaves_out_rungs_the_seeds_cannot_resolve():
     # at omega = 6e-4 each plate's edge is sharp (|Im kappa_c| = 3.0e-5
     # and 3.6e-5 of Re kappa_c), and its lowest rungs would lie closer
     # than _SEED_MERGE of the span to Re kappa_c in t: `_seed_panels` would
-    # merge them and keep the lowest in place of Re kappa_c.  They are left
-    # out, so each plate's Re kappa_c is a seed edge (they sat 2.1e-7 and
-    # 2.9e-7 off it), its upper rungs stay, and no seed panel is a sliver
+    # keep a rung below Re kappa_c, the first edge of the close group, in
+    # its place.  They are left out, so each plate's Re kappa_c is a seed
+    # edge (they sat 2.1e-7 and 2.9e-7 off it), its upper rungs stay, and
+    # no seed panel is a sliver
     geom = default_plates(1.0, 1.0, 0.5)
     w = np.array([6e-4])
     scale = max(w[0], 0.5 / geom.gap)
@@ -2151,6 +2152,16 @@ def test_seed_edges_a_millionth_of_the_span_apart_are_one_edge():
     assert lo.tolist() == [0.0, 1.0, 0.0, 1.0]
     assert hi.tolist() == [1.0, 2.0, 1.0, 3.0]
     assert seg.tolist() == [0, 0, 1, 1]
+
+
+def test_a_chain_of_close_seed_marks_merges_against_the_kept_edges():
+    # each mark is within _SEED_MERGE of the span of the one before it,
+    # but every other mark is farther than that from the last kept edge:
+    # the chain keeps one edge per merge width, not only its lowest mark
+    lo, hi, seg = pr._seed_panels([[0, 0.6e-6, 1.2e-6, 1.8e-6, 2.4e-6, 1]], str)
+    assert lo.tolist() == [0.0, 1.2e-6, 2.4e-6]
+    assert hi.tolist() == [1.2e-6, 2.4e-6, 1.0]
+    assert seg.tolist() == [0, 0, 0]
 
 
 def test_segmented_rule_meets_each_segments_own_tolerance():

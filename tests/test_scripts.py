@@ -125,6 +125,15 @@ def test_steady_fingerprints_script(capsys):
     assert np.all(limit[0::2] == 0.0) and np.all(limit[1::2] != 0.0)
     assert np.array_equal(light[:, 1, -1], limit[1::2])
     assert np.all(clean != 0.0)
+    # the surface-band strips at omega = 1.2247: no TE zero and one TM
+    # zero, each winding within rounding of its count, and each strip's
+    # boundary refined past its 4 x 8 starting samples
+    assert script.main(["--case", "zero-count"]) == 0
+    name, points, freqs, *numbers = capsys.readouterr().out.split()
+    assert name == "zero-count" and points == "points=0+0" and freqs == "freqs=0"
+    te, tm, *samples = (float.fromhex(n) for n in numbers)
+    assert abs(te) < 1e-12 and abs(tm - 1.0) < 1e-12
+    assert all(n == int(n) and n > 32 for n in samples) and len(samples) == 2
 
 
 def test_odd_oracle_script(tmp_path):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -141,6 +141,38 @@ def test_winding_count_on_synthetic_poly():
     assert winding_count(poly, -5, 3, -4, 4) == 4
     with pytest.raises(SingularityError):
         winding_count(poly, -1, 1, -1, 1)  # root at s=-1 on the edge
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_winding_count_resolves_a_root_near_the_edge_and_refuses_one_on_it():
+    # a double root 1e-4 inside the right edge: the steps halve where the
+    # phase turns, so its two turns cannot alias
+    assert winding_count(np.poly([0.9999 + 0.3j] * 2), -1, 1, -1, 1) == 2
+    # a root on a sampled corner, and one at a corner z = 0, which a
+    # polynomial's box does not cut off: refused, without a division by 0
+    with pytest.raises(SingularityError, match="counting contour"):
+        winding_count(np.poly([1.0 + 1.0j, 0.2]), -1, 1, -1, 1)
+    with pytest.raises(SingularityError, match="counting contour"):
+        winding_count(np.poly([0.0, 0.3 + 0.1j]), 0, 1, 0, 1)
+
+
+def _boundary_distance(z, x0, x1, y0, y1):
+    """Distance of z from the boundary of the box x0 < Re < x1, y0 < Im < y1."""
+    dx, dy = max(x0 - z.real, 0.0, z.real - x1), max(y0 - z.imag, 0.0, z.imag - y1)
+    if dx or dy:
+        return math.hypot(dx, dy)
+    return min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag)
+
+
+@given(roots=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=1, max_size=6),
+       corner=st.tuples(st.floats(-3.5, 3.0), st.floats(-3.5, 3.0)),
+       size=st.tuples(st.floats(0.1, 4.0), st.floats(0.1, 4.0)))
+def test_winding_count_counts_the_roots_inside(roots, corner, size):
+    x0, y0 = corner
+    x1, y1 = x0 + size[0], y0 + size[1]
+    assume(all(_boundary_distance(r, x0, x1, y0, y1) > 1e-3 for r in roots))
+    inside = sum(x0 < r.real < x1 and y0 < r.imag < y1 for r in roots)
+    assert winding_count(np.poly(roots), x0, x1, y0, y1) == inside
 
 
 # ---------------------------------------------------------------------------
