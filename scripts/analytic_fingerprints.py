@@ -10,7 +10,12 @@ reports (every number of their JSON reports, booleans as 0/1).  The
 geometries are the workload's 8 at ``--seed`` (criterion 7's first 8
 draws, jittered) and criterion 7's first 8 configurations as drawn; the
 ``criterion-4`` case inverts the kernel of criterion 4's 50 materials on
-that criterion's grids.  Two checkouts that print the same text compute
+that criterion's grids.  The ``edge`` case runs both origin reports on
+three geometries off those draws: a lossless plate (bath ``none``,
+gamma = 0, whose Green function carries the eta shift), an uncoupled
+plate (lambda0 = 0) and a cutoff bath, with the field at z_field = 0,
+0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 and the
+initial-field report at three wavevectors, one along z (Q = 0).  Two checkouts that print the same text compute
 the same bits, so a change to the toolkit that claims to move no number
 is checked by diffing this output before and after it:
 
@@ -29,6 +34,7 @@ import numpy as np
 
 from neqlifshitz import spectral
 from neqlifshitz.em_green import Geometry
+from neqlifshitz.material import BathModel, Material
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -61,6 +67,33 @@ def criterion_7_cases(n=8):
         kz_mode = float(modes.uniform(0.25, 2.5)) * sign(modes)
         cases.append(WORKLOADS.Case(geom, q_dof, k, q_mode, kz_mode))
     return cases
+
+
+def edge_geometries():
+    """The ``edge`` case's three geometries, with a lossless, an uncoupled
+    and a cutoff plate, and the field off the gap's centre in two of them."""
+    lossless = Material(omega0=1.3, lambda0=1.0, bath=BathModel(kind="none", gamma=0.0))
+    uncoupled = Material(omega0=0.9, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.2))
+    cutoff = Material(omega0=1.1, lambda0=0.7, beta_bath=1.5,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.25, cutoff=40.0))
+    ohmic = Material(omega0=1.5, lambda0=0.8, beta_bath=2.0,
+                     bath=BathModel(kind="ohmic", gamma=0.3))
+    return [Geometry(gap=1.0, left=lossless, right=cutoff, z_field=0.0),
+            Geometry(gap=0.9, left=uncoupled, right=ohmic, z_field=0.13),
+            Geometry(gap=1.3, left=cutoff, right=lossless, z_field=-0.31)]
+
+
+#: The ``edge`` case's transverse wavenumbers and photon wavevectors.
+EDGE_Q = (0.0, 0.7, 2.3)
+EDGE_K = ((0.4, 0.3, 1.1), (0.0, 0.0, 1.1), (1.5, 0.8, -0.6))
+
+
+def edge_case():
+    out = []
+    for geom in edge_geometries():
+        out += [spectral.dof_origin_report(geom, Q) for Q in EDGE_Q]
+        out += [spectral.ic_origin_report(geom, np.array(k)) for k in EDGE_K]
+    return out
 
 
 def numbers(obj):
@@ -110,6 +143,7 @@ def cases(seed):
         **{f"workload-{i}": (lambda c=c: geometry_case(c)) for i, c in enumerate(workload)},
         **{f"criterion-7-{i}": (lambda c=c: geometry_case(c)) for i, c in enumerate(drawn)},
         "criterion-4": criterion_4,
+        "edge": edge_case,
     }
 
 

@@ -168,3 +168,17 @@ def test_analytic_fingerprints_script(capsys):
     assert name == "criterion-4" and len(numbers) == 50 * 15
     # the same bits on a second run
     assert script.fingerprint("criterion-7-0", script.cases(1)["criterion-7-0"]) == first
+
+
+def test_analytic_fingerprints_edge_case(capsys):
+    # both origin reports on the lossless, uncoupled and cutoff plates: one
+    # oscillator report per Q and one initial-field report per k, per geometry
+    script = load_script("analytic_fingerprints")
+    assert script.main(["--case", "edge"]) == 0
+    name, *numbers = capsys.readouterr().out.split()
+    assert name == "edge"
+    reports = script.edge_case()
+    per_geom = ["dof_origin"] * len(script.EDGE_Q) + ["ic_origin"] * len(script.EDGE_K)
+    assert [r["kind"] for r in reports] == per_geom * len(script.edge_geometries())
+    assert [float.fromhex(n) for n in numbers] == script.numbers(reports)
+    assert all(r["taxonomy_ok"] for r in reports if r["kind"] == "ic_origin")
