@@ -734,17 +734,20 @@ _NODE_ANGLES = {}
 
 
 def _min_node_gap(n_eff, r, poles):
-    """Smallest distance of a contour node at radius r from a pole,
-    relative to 1 + |pole|.  The node angles theta_k and cot theta_k + i
-    are cached per node count."""
+    """Smallest distance of a contour node from a pole, relative to
+    1 + |pole|, for each radius of r (a float or an array of them) on the
+    contour of n_eff nodes; shaped like r.  The nodes r and r theta_k (cot
+    theta_k + i) round as on one radius at a time; the node angles theta_k
+    and cot theta_k + i are cached per node count."""
     angles = _NODE_ANGLES.get(n_eff)
     if angles is None:
         th = np.pi * np.arange(1, n_eff) / n_eff
         angles = _NODE_ANGLES[n_eff] = (th, 1.0 / np.tan(th) + 1j)
     th, cot_i = angles
-    nodes = np.concatenate([[r + 0.0j], r * th * cot_i])
-    return min(float(np.min(np.abs(nodes - p))) / (1.0 + abs(p))
-               for p in poles)
+    r = np.asarray(r, dtype=float)[..., None, None]
+    nodes = np.concatenate([r + 0.0j, r * th * cot_i], axis=-1)     # (..., 1, nodes)
+    scale = np.array([1.0 + abs(p) for p in poles])
+    return (np.abs(nodes - np.array(poles)[:, None]).min(axis=-1) / scale).min(axis=-1)
 
 
 def _talbot_node_count(t, r_floor, shift=0):
@@ -759,7 +762,39 @@ def _talbot_node_count(t, r_floor, shift=0):
     return n_eff
 
 
-def _talbot_point(mat, t, r_floor, poles):
+def _talbot_contours(t, r_floor, poles):
+    """(n_eff, r) of the contour of each time of the 1-d array t > 0.
+
+    Each time starts at its first node count (`_talbot_node_count`) with
+    the canonical radius r = 2M/(5t); one `_min_node_gap` call per first
+    count checks all of its times.  A time with a node within 1e-6 of a
+    pole moves to the next node count, with its own canonical radius and
+    nodes, and raises SingularityError if eight counts in a row fail; no
+    count may pass ``TALBOT_MAX_NODES``.
+    """
+    counts = np.array([_talbot_node_count(ti, r_floor) for ti in t.tolist()], dtype=int)
+    radii = 2.0 * counts / (5.0 * t)
+    gaps = np.empty(t.shape)
+    for n_eff in np.unique(counts).tolist():
+        at = counts == n_eff
+        gaps[at] = _min_node_gap(n_eff, radii[at], poles)
+    contours = list(zip(counts.tolist(), radii.tolist()))
+    for i in np.flatnonzero(~(gaps > 1e-6)).tolist():    # NaN refuses too
+        ti = float(t[i])
+        for shift in range(1, 8):
+            n_eff = _talbot_node_count(ti, r_floor, shift)
+            r = 2.0 * n_eff / (5.0 * ti)
+            if _min_node_gap(n_eff, r, poles) > 1e-6:
+                contours[i] = (n_eff, r)
+                break
+        else:
+            raise SingularityError(
+                "inversion contour cannot avoid a response pole",
+                point=min(poles, key=lambda p: abs(p)))
+    return contours
+
+
+def _talbot_point(mat, t, n_eff, r):
     """G(t) = (r/M) sum_k Re(f_k F(s_k)), f_k = exp(t s_k) w_k the node
     factors of `_talbot_fixtures` and F = N/D the kernel transform:
     (s + L) / ((s^2 + omega0^2)(s + L) + gamma L s) for the cutoff bath,
@@ -772,19 +807,9 @@ def _talbot_point(mat, t, r_floor, poles):
     `_talbot_fixtures`: 8 integer products per node for the ohmic kernel,
     14 for the cutoff one.  Each term Re(f N conj(D)) / |D|^2 takes one
     floor division, and the result one correctly rounded true division.
-    A node within 1e-6 of a pole moves the sum to the next node count,
-    with its own canonical radius 2M/(5t) and nodes; no count may pass
-    ``TALBOT_MAX_NODES`` (`_talbot_node_count`).
+    The contour, n_eff nodes at the canonical radius r = 2M/(5t), comes
+    from `_talbot_contours`.
     """
-    for shift in range(8):
-        n_eff = _talbot_node_count(t, r_floor, shift)
-        r = 2.0 * n_eff / (5.0 * t)
-        if _min_node_gap(n_eff, r, poles) > 1e-6:
-            break
-    else:
-        raise SingularityError(
-            "inversion contour cannot avoid a response pole",
-            point=min(poles, key=lambda p: abs(p)))
     bits, nodes = _talbot_fixtures(n_eff)
     num, den = r.as_integer_ratio()     # r = num / 2**e exactly
     e = den.bit_length() - 1
@@ -825,13 +850,15 @@ def invert_laplace_qbm(mat, t_grid):
     fixed-point Python integers 32 bits finer than a working precision
     sized to the node count.  Its nodes and factors come from mpmath
     (imported on first use), once per node count.  t = 0 returns the
-    exact boundary value 0 of the retarded kernel.  A contour node
-    landing on a pole moves the point to the next node count, whose
-    canonical contour has other nodes; the inversion raises only if
-    eight node counts in a row fail.  A time whose node count would
-    exceed ``TALBOT_MAX_NODES`` raises ConvergenceError; the grid's last,
-    longest time is checked before any point is summed.  The grid must
-    be finite, >= 0 and sorted ascending (DomainError).
+    exact boundary value 0 of the retarded kernel.  Every time's contour
+    is fixed before any point is summed, and one node-gap check covers
+    all times that share a first node count.  A contour node landing on
+    a pole moves the point to the next node count, whose canonical
+    contour has other nodes; the inversion raises only if eight node
+    counts in a row fail.  A time whose node count would exceed
+    ``TALBOT_MAX_NODES`` raises ConvergenceError; the grid's last,
+    longest time is checked first.  The grid must be finite, >= 0 and
+    sorted ascending (DomainError).
     """
     t = np.asarray(t_grid, dtype=float)
     flat = t.ravel()
@@ -847,10 +874,10 @@ def invert_laplace_qbm(mat, t_grid):
     im_max = max(abs(p.imag) for p in poles)
     r_floor = (2.4 / math.pi) * im_max
     _talbot_node_count(float(flat[-1]), r_floor)     # the longest time fails first
-    out = np.empty(flat.shape)
-    for i, ti in enumerate(flat):
-        out[i] = 0.0 if ti == 0.0 else _talbot_point(
-            mat, float(ti), r_floor, poles)
+    out = np.zeros(flat.shape)      # t = 0 keeps the boundary value 0
+    live = np.flatnonzero(flat)
+    for i, (n_eff, r) in zip(live.tolist(), _talbot_contours(flat[live], r_floor, poles)):
+        out[i] = _talbot_point(mat, float(flat[i]), n_eff, r)
     return out.reshape(t.shape)
 
 
@@ -1048,7 +1075,10 @@ def transverse_projector(k):
 # array of them, and the pair step broadcasts two halves against each
 # other elementwise, so a caller sampling many (s1, s2) pairs builds each
 # variable's blocks once per point set, gathers both halves onto the
-# pairs it reads (`_take`) and contracts them in one step.
+# pairs it reads (`_take`) and contracts them in one step.  The s2 half
+# (phase_sign = -1) follows exactly from an s1 half: the isotropic plates
+# are invariant under the mirror x -> -x (`_mirror_half`), and the
+# retarded blocks obey Schwarz reflection (`_conj_half`).
 
 
 def _dof_half(geom, Q, s, phase_sign):
@@ -1072,6 +1102,25 @@ def _dof_half(geom, Q, s, phase_sign):
         plates[plate] = (s * s * g - 1.0, s * g,
                          {pol: _coincidence(block.filtered(pol)) for pol in _POLS})
     return s, plates
+
+
+#: R F R for the mirror R = diag(-1, 1, 1), as elementwise signs on F.
+_MIRROR = np.outer([-1.0, 1.0, 1.0], [-1.0, 1.0, 1.0])
+
+
+def _mirror_half(half):
+    """The phase_sign = -1 half at the points of a phase_sign = +1 half.
+
+    The mirror R = diag(-1, 1, 1) maps the parallel phase +Q x to -Q x and
+    leaves the isotropic plates unchanged, so the -1 blocks' coincidence
+    tensors are R F R and, the curl being a pseudovector, -R C R.  Both are
+    sign flips, exact in floating point; the brackets s^2 G - 1 and s G and
+    the source data (plate, z_ref, qn(s)) do not depend on the phase.
+    """
+    s, plates = half
+    return s, {plate: (a, b, {pol: (src, F * _MIRROR, C * -_MIRROR)
+                              for pol, (src, F, C) in co.items()})
+               for plate, (a, b, co) in plates.items()}
 
 
 def _dof_pair(geom, half1, half2):
@@ -1155,6 +1204,19 @@ def _ic_half(geom, k, s, phase_sign):
     s = _block_s(s)
     block = ic_z_block(geom, s, Q, kz, phase_sign=phase_sign)
     return s, {pol: _coincidence(block.filtered(pol)) for pol in _POLS}
+
+
+def _conj_half(half):
+    """The phase_sign = -1 half at conj(s) from a phase_sign = +1 `_ic_half`
+    at s.
+
+    The retarded blocks obey Schwarz reflection, G(conj s) = conj G(s), and
+    conjugating the plane wave's phase e^{i(Q x + kz z)} gives the -1
+    partner's, so its coincidence tensors are the conjugates.  The source
+    data (src_exp = 0, every term source-integrated) carries over.
+    """
+    s, co = half
+    return s.conj(), {pol: (src, F.conj(), C.conj()) for pol, (src, F, C) in co.items()}
 
 
 def _ic_pair(k, half1, half2, beta_em=math.inf):
@@ -1365,24 +1427,23 @@ def _take(half, idx):
     return half[idx] if np.ndim(half) else half
 
 
-def _origin_report(half, pair, expected):
+def _origin_report(halves, pair, expected):
     """Classification and Laurent coefficients shared by the two origin reports.
 
-    ``half(s, phase_sign)`` builds one Laplace variable's factor of the
-    integrand on a 1-d array of points (+1 for s1, -1 for s2), ``pair(h1,
-    h2)`` returns the parts dict of two halves broadcast against each
-    other, and ``expected(key)`` the expected per-variable orders of the
-    part ``key``.  A report reads the integrand at 208 (s1, s2) pairs:
-    each of the RING_COUNT x RING_POINTS ring points against ORIGIN_PROBE
-    in either variable, and the TORUS_POINTS x TORUS_POINTS torus.  Each
-    variable's half is built once, on one flat array of the 45 points
-    those pairs use, then gathered onto the pairs by an index array per
-    variable, and one pair step evaluates every part on the 208 pairs
-    only.  Each part's ring samples and torus table are read out of that
-    step; all parts are classified as one stack.  Returns (parts report
-    keyed "|"-joined, whether every part matches, sorted part keys,
-    Laurent coefficients per order with one entry per part, integrand
-    scale).
+    ``halves(s)`` returns both Laplace variables' factors of the integrand
+    (s1's, phase_sign +1, and s2's, -1) on a 1-d array of points, ``pair(h1,
+    h2)`` the parts dict of two halves broadcast against each other, and
+    ``expected(key)`` the expected per-variable orders of the part ``key``.
+    A report reads the integrand at 208 (s1, s2) pairs: each of the
+    RING_COUNT x RING_POINTS ring points against ORIGIN_PROBE in either
+    variable, and the TORUS_POINTS x TORUS_POINTS torus.  Both halves are
+    taken once, on one flat array of the 45 points those pairs use, then
+    gathered onto the pairs by an index array per variable, and one pair
+    step evaluates every part on the 208 pairs only.  Each part's ring
+    samples and torus table are read out of that step; all parts are
+    classified as one stack.  Returns (parts report keyed "|"-joined,
+    whether every part matches, sorted part keys, Laurent coefficients per
+    order with one entry per part, integrand scale).
     """
     radii, angles, ring = _ring_samples()
     n = TORUS_POINTS
@@ -1393,7 +1454,8 @@ def _origin_report(half, pair, expected):
     on_ring, at_probe, on_torus = np.arange(p), np.full(p, p), np.arange(p + 1, pts.size)
     idx1 = np.concatenate([on_ring, at_probe, np.repeat(on_torus, n)])
     idx2 = np.concatenate([at_probe, on_ring, np.tile(on_torus, n)])
-    parts = pair(_take(half(pts, +1), idx1), _take(half(pts, -1), idx2))
+    h1, h2 = halves(pts)
+    parts = pair(_take(h1, idx1), _take(h2, idx2))
     keys = sorted(parts)
     m = idx1.size   # (parts, m), also for a report without parts
     table = np.reshape([np.broadcast_to(parts[key], (m,)) for key in keys], (-1, m))
@@ -1431,17 +1493,23 @@ def dof_origin_report(geom, Q):
 
     The report reads the integrand at 208 (s1, s2) pairs (two rings of
     32 points against the probe, a 12 x 12 torus).  Its Green blocks are
-    built once per Laplace variable, on one array of the 45 points those
-    pairs use: 2 per-variable halves, each holding one
-    `green_gap_from_plate` block per coupled plate from one optics
-    record.  Both halves, with their brackets s^2 G - 1 and s G and their
-    source exponents, are gathered onto the 208 pairs, and one pair step
-    contracts them there.  Q must be finite and >= 0 (DomainError).
+    built once, on one array of the 45 points those pairs use: one s1
+    half holding a `green_gap_from_plate` block per coupled plate from one
+    optics record.  The s2 half at the same points is its mirror image
+    (`_mirror_half`), with the same brackets s^2 G - 1 and s G and source
+    exponents.  Both halves are gathered onto the 208 pairs, and one pair
+    step contracts them there.  `assemble_dof_integrand` builds both
+    halves directly and checks these tables.  Q must be finite and >= 0
+    (DomainError).
     """
     Q = _transverse_q(Q)
+
+    def halves(s):
+        h1 = _dof_half(geom, Q, s, +1)
+        return h1, _mirror_half(h1)
+
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
-        lambda s, phase_sign: _dof_half(geom, Q, s, phase_sign),
-        lambda h1, h2: _dof_pair(geom, h1, h2),
+        halves, lambda h1, h2: _dof_pair(geom, h1, h2),
         lambda key: expected_dof_origin_orders(*key[1:]))
     plates_report = {}
     cancel_ok = True
@@ -1470,18 +1538,23 @@ def ic_origin_report(geom, k, beta_em=math.inf):
 
     Same structure as the oscillator-transient report with parts keyed
     (pol, piece); the candidate modes away from the origin are covered
-    separately by `modified_mode_check`.  As there, the Green blocks
-    (`ic_z_block`) are built once per Laplace variable on the 45 points
-    the 208 sampled pairs use, and one pair step contracts the two halves
-    gathered onto those pairs: 2 builds and 208 contracted pairs.  Every
-    component of k must be finite, and beta_em as in
-    `assemble_ic_integrand` (DomainError).
+    separately by `modified_mode_check`.  One `ic_z_block` build on the
+    45 points the 208 sampled pairs use and on their conjugates (90
+    points) gives both halves: the s1 half at the points, and the s2 half
+    as the conjugate of the s1 half at the conjugate points (Schwarz
+    reflection, `_conj_half`).  One pair step contracts the two halves
+    gathered onto the 208 pairs; `assemble_ic_integrand` builds both
+    halves directly and checks these tables.  Every component of k must
+    be finite, and beta_em as in `assemble_ic_integrand` (DomainError).
     ``"steady_after_discard"`` is 0.0 by the discard rule, not a measured
     value.
     """
+    def halves(s):
+        both = _ic_half(geom, k, np.concatenate([s, s.conj()]), +1)
+        return _take(both, slice(None, s.size)), _conj_half(_take(both, slice(s.size, None)))
+
     parts_report, all_match, keys, coeffs, f_scale = _origin_report(
-        lambda s, phase_sign: _ic_half(geom, k, s, phase_sign),
-        lambda h1, h2: _ic_pair(k, h1, h2, beta_em=beta_em),
+        halves, lambda h1, h2: _ic_pair(k, h1, h2, beta_em=beta_em),
         lambda key: expected_ic_origin_orders(*key))
     record, cancel_ok = _cancellation_record(coeffs, slice(None), f_scale)
     return {

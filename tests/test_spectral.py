@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,12 +285,16 @@ def test_fixed_point_node_sum_matches_mpmath(monkeypatch, mat, t, beyond):
 
 def test_inversion_rescaled_radius(monkeypatch):
     # a contour node on a pole moves the point to the next node count, with
-    # its own canonical radius 2M/(5t): refuse the first count once per point
+    # its own canonical radius 2M/(5t): refuse the first count once per
+    # point.  The first count is checked on the grid's array of radii, the
+    # next one on the refused point's radius alone; each radius is recorded
+    # with its count, in the order checked
     real_gap, seen = spectral._min_node_gap, []
 
     def refuse_first(n_eff, r, poles):
-        seen.append((n_eff, r))
-        return 0.0 if len(seen) == 1 else real_gap(n_eff, r, poles)
+        first = not seen
+        seen.extend((n_eff, x) for x in np.ravel(r).tolist())
+        return np.zeros(np.shape(r)) if first else real_gap(n_eff, r, poles)
 
     monkeypatch.setattr(spectral, "_min_node_gap", refuse_first)
     w1 = math.sqrt(1.0 - 0.05 ** 2)
@@ -304,7 +310,7 @@ def test_inversion_rescaled_radius(monkeypatch):
 def test_inversion_raises_when_no_node_count_avoids_the_poles(monkeypatch):
     seen = []
     monkeypatch.setattr(spectral, "_min_node_gap",
-                        lambda n_eff, r, poles: seen.append(n_eff) or 0.0)
+                        lambda n_eff, r, poles: seen.append(n_eff) or np.zeros(np.shape(r)))
     with pytest.raises(SingularityError, match="cannot avoid a response pole"):
         invert_laplace_qbm(LOSSY, [1.0])
     assert seen == list(range(spectral.TALBOT_NODES, spectral.TALBOT_NODES + 8))
@@ -323,7 +329,8 @@ def test_inversion_refuses_node_counts_past_the_ceiling(monkeypatch):
     # a point whose first count fits but whose pole-dodging shifts do not
     r_floor = (2.4 / math.pi) * max(abs(s.imag) for s, _, _ in find_qbm_poles(LOSSY).roots)
     t = (spectral.TALBOT_MAX_NODES - 3) / (2.5 * r_floor)
-    monkeypatch.setattr(spectral, "_min_node_gap", lambda n_eff, r, poles: 0.0)
+    monkeypatch.setattr(spectral, "_min_node_gap",
+                        lambda n_eff, r, poles: np.zeros(np.shape(r)))
     with pytest.raises(ConvergenceError, match=f"needs {spectral.TALBOT_MAX_NODES + 1} contour"):
         invert_laplace_qbm(LOSSY, [t])
     assert built == []
@@ -338,6 +345,36 @@ def test_min_node_gap_matches_the_contour_nodes():
         nodes = np.concatenate([[r + 0.0j], r * th * (1.0 / np.tan(th) + 1j)])
         want = min(float(np.min(np.abs(nodes - p))) / (1.0 + abs(p)) for p in poles)
         assert spectral._min_node_gap(n_eff, r, poles) == want
+    # an array of radii: each radius's gap with the bits of its own call
+    radii = np.array([9.1, 0.37, 2.0, 1e-3])
+    want = [spectral._min_node_gap(64, r, poles) for r in radii.tolist()]
+    got = spectral._min_node_gap(64, radii, poles)
+    assert got.shape == radii.shape and got.tolist() == want
+
+
+def test_inversion_checks_each_first_node_count_once(monkeypatch):
+    # one node-gap call per first node count covers all of its times; the
+    # shift loop runs for the refused time alone, and every time keeps the
+    # bits it has inverted on its own
+    t = [0.0, 0.7, 3.0, 12.0, 60.0, 80.0]
+    alone = [invert_laplace_qbm(LOSSY, [ti])[0] for ti in t]
+    real_gap, calls = spectral._min_node_gap, []
+
+    def refuse_t3(n_eff, r, poles):
+        calls.append((n_eff, np.shape(r)))
+        gap = real_gap(n_eff, r, poles)
+        return np.where(np.asarray(r) == 2.0 * n_eff / (5.0 * 3.0), 0.0, gap) \
+            if len(calls) == 1 else gap
+
+    monkeypatch.setattr(spectral, "_min_node_gap", refuse_t3)
+    got = invert_laplace_qbm(LOSSY, t)
+    n = spectral.TALBOT_NODES
+    r_floor = (2.4 / math.pi) * max(abs(s.imag) for s, _, _ in find_qbm_poles(LOSSY).roots)
+    counts = [spectral._talbot_node_count(ti, r_floor) for ti in (60.0, 80.0)]
+    assert n < counts[0] < counts[1]
+    assert calls == [(n, (3,)), (counts[0], (1,)), (counts[1], (1,)), (n + 1, ())]
+    assert got.tolist()[:2] + got.tolist()[3:] == alone[:2] + alone[3:]
+    assert got[2] == mp_talbot(LOSSY, 3.0, n=n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -593,27 +630,26 @@ def test_laurent_2d_extracts_torus_coefficients():
             "b": {(-1, -1): 0.0, (-2, -2): 0.0, (-2, -1): 1.5 - 0.5j, (-1, -2): -0.4}}
     built = []
 
-    def half(s, phase_sign):
-        built.append((s, phase_sign))
-        return s
+    def halves(s):
+        built.append(s)
+        return s, s
 
     def pair(s1, s2):
         return {key: f(s1, s2) for key, f in parts.items()}
 
     radius, n_theta = spectral.TORUS_RADIUS, spectral.TORUS_POINTS
     report, all_match, keys, coeffs, scale = spectral._origin_report(
-        half, pair, lambda key: (2, 2))
+        halves, pair, lambda key: (2, 2))
     assert keys == ["a", "b"] and all_match
     assert [report[key]["order"] for key in keys] == [[2, 2], [2, 2]]
     for i, key in enumerate(keys):
         assert set(coeffs) == set(want[key])
         for mn, c in want[key].items():
             assert_allclose(coeffs[mn][i], c, atol=1e-10, err_msg=f"{key} {mn}")
-    # every point is built once per variable, as one flat array of the
-    # rings, the probe and the torus
+    # both halves come from one build on one flat array of the rings, the
+    # probe and the torus
     n_pts = spectral.RING_COUNT * spectral.RING_POINTS + 1 + n_theta
-    assert sorted(ph for _, ph in built) == [-1, +1]
-    assert {np.shape(s) for s, _ in built} == {(n_pts,)}
+    assert [np.shape(s) for s in built] == [(n_pts,)]
     ring = radius * np.exp(2j * np.pi * (np.arange(n_theta) + 0.5) / n_theta)
     s1, s2 = np.meshgrid(ring, ring, indexing="ij")
     assert_allclose(scale, np.median(sum(np.abs(f(s1, s2)) for f in parts.values())),
@@ -684,9 +720,11 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_origin_reports_build_each_block_once_per_point(monkeypatch):
-    # 208 (s1, s2) pairs per report, 45 distinct Laplace points per
-    # variable (32 ring points, the probe and 12 torus points), built as
-    # one array per variable whatever the torus size
+    # 208 (s1, s2) pairs per report, 45 distinct Laplace points (32 ring
+    # points, the probe and 12 torus points), built once whatever the torus
+    # size: the s2 half is the s1 half's mirror image (oscillator report),
+    # or the conjugate of the s1 half at the conjugate points (initial
+    # field, one build on the points and their conjugates)
     geom = warm_geom(z_field=0.13)
     Q = 0.7
     k = np.array([0.4, 0.3, 1.1])
@@ -694,7 +732,9 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
     ic_calls = _count_calls(monkeypatch, spectral, "ic_z_block")
     tables = _count_calls(monkeypatch, spectral, "_laurent_coefficients")
     ic_origin_report(geom, k)
-    assert len(ic_calls) == 2
+    assert len(ic_calls) == 1
+    (_, s, *_), = ic_calls
+    assert np.shape(s) == (90,) and np.array_equal(s[45:], np.conj(s[:45]))
     (ring, tabs), = tables
     for a, b in ((0, 0), (3, 7), (11, 5)):
         _, want = spectral.assemble_ic_integrand(geom, k, ring[a], ring[b], parts=True)
@@ -704,14 +744,15 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(spectral, "TORUS_POINTS", 16)
         ic_origin_report(geom, k)
-    assert len(ic_calls) == 2
+    assert len(ic_calls) == 1
 
     # one optics record per variable, holding a block per coupled plate
     dof_calls = _count_calls(monkeypatch, spectral, "_from_plate_blocks")
     tables.clear()
     dof_origin_report(geom, Q)
-    assert len(dof_calls) == 2
-    assert [len(args[1]) for args in dof_calls] == [2, 2]
+    assert len(dof_calls) == 1
+    assert [len(args[1]) for args in dof_calls] == [2]
+    assert [args[4] for args in dof_calls] == [+1]
     (ring, tabs), = tables
     for a, b in ((0, 0), (2, 9), (10, 4)):
         _, want = spectral.assemble_dof_integrand(geom, Q, ring[a], ring[b], parts=True)
@@ -721,7 +762,59 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(spectral, "TORUS_POINTS", 16)
         dof_origin_report(geom, Q)
-    assert len(dof_calls) == 2
+    assert len(dof_calls) == 1
+
+
+def _fingerprint_script():
+    path = Path(__file__).resolve().parents[1] / "scripts" / "analytic_fingerprints.py"
+    spec = importlib.util.spec_from_file_location("analytic_fingerprints", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _assert_same_halves(got, want):
+    # nested tuples and dicts of arrays and constants, equal entry by entry
+    # (np.array_equal: a zero's sign may differ)
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want)
+        for key in want:
+            _assert_same_halves(got[key], want[key])
+    elif isinstance(want, tuple):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same_halves(g, w)
+    else:
+        assert np.array_equal(got, want)
+
+
+def test_s2_halves_follow_exactly_from_s1_halves():
+    # the origin reports take the s2 half (phase_sign = -1) from the s1
+    # half: the oscillator half at the same points is its mirror image
+    # under x -> -x, and the initial-field half at s is the conjugate of
+    # the s1 half at conj(s).  Both hold to the bit on criterion 7's draws
+    # and on the lossless (eta shift), uncoupled and cutoff plates of the
+    # fingerprint script's edge case, at Q = 0 too; an anisotropic plate
+    # or a non-reciprocal term would break them
+    script = _fingerprint_script()
+    cases = [(c.geom, [c.q_dof], [c.k]) for c in script.criterion_7_cases()]
+    cases += [(geom, script.EDGE_Q, [np.array(k) for k in script.EDGE_K])
+              for geom in script.edge_geometries()]
+    _, _, ring = spectral._ring_samples()
+    s = np.concatenate([ring.ravel(), [spectral.ORIGIN_PROBE, 0.2 - 0.9j, 1.3 + 2.1j]])
+    mirror = np.diag([-1.0, 1.0, 1.0])
+    for geom, qs, ks in cases:
+        for Q in qs:
+            h1, h2 = spectral._dof_half(geom, Q, s, +1), spectral._dof_half(geom, Q, s, -1)
+            _assert_same_halves(spectral._mirror_half(h1), h2)
+            for plate, (_, _, co) in h1[1].items():
+                for pol, (_, F, C) in co.items():
+                    _, F2, C2 = h2[1][plate][2][pol]
+                    assert np.array_equal(mirror @ F @ mirror, F2)
+                    assert np.array_equal(-(mirror @ C @ mirror), C2)
+        for k in ks:
+            h1, h2 = spectral._ic_half(geom, k, s.conj(), +1), spectral._ic_half(geom, k, s, -1)
+            _assert_same_halves(spectral._conj_half(h1), h2)
 
 
 @pytest.mark.parametrize("kind", ["dof", "ic"])
