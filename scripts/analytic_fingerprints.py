@@ -15,9 +15,10 @@ three geometries off those draws: a lossless plate (bath ``none``,
 gamma = 0, whose Green function carries the eta shift), an uncoupled
 plate (lambda0 = 0) and a cutoff bath, with the field at z_field = 0,
 0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 and the
-initial-field report at three wavevectors, one along z (Q = 0).  Two checkouts that print the same text compute
-the same bits, so a change to the toolkit that claims to move no number
-is checked by diffing this output before and after it:
+initial-field report at three wavevectors, one along z (Q = 0).  Two
+checkouts that print the same text compute the same bits, so a change to
+the toolkit that claims to move no number is checked by diffing this
+output before and after it:
 
     PYTHONPATH=src python3 scripts/analytic_fingerprints.py > before.txt
 

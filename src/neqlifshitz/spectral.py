@@ -1169,8 +1169,9 @@ def assemble_dof_integrand(geom, Q, s1, s2, parts=False):
 
     Evaluated as the pair step of two per-variable halves (`_dof_half` at
     s1 and s2), each built on a one-point array: the scalar case of the
-    halves the origin report builds on whole arrays of Laplace points,
-    with the same rounding.
+    halves the origin report takes on whole arrays of Laplace points,
+    with the same rounding.  Both halves are built directly, so this is
+    the independent check of the report's mirrored s2 half.
 
     With ``parts`` also returns the dict keyed
     (plate, pol, "product"|"cross", "electric"|"magnetic").
@@ -1256,8 +1257,9 @@ def assemble_ic_integrand(geom, k, s1, s2, beta_em=math.inf, parts=False):
 
     Evaluated as the pair step of two per-variable halves (`_ic_half` at
     s1 and s2), each built on a one-point array: the scalar case of the
-    halves the origin report builds on whole arrays of Laplace points,
-    with the same rounding.  With
+    halves the origin report takes on whole arrays of Laplace points,
+    with the same rounding.  Both halves are built directly, so this is
+    the independent check of the report's conjugated s2 half.  With
     ``parts`` also returns the dict keyed (pol, "electric"|"magnetic").
     """
     pieces = _point_parts(_ic_pair(k, _ic_half(geom, k, [s1], +1),

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import os
 from pathlib import Path
@@ -11,6 +12,7 @@ from neqlifshitz.em_green import plate_eps, qz
 from neqlifshitz.material import BathModel, Material
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 # The property tests draw the same examples on every run and every machine:
 # derandomized, with no example database to replay.
@@ -24,6 +26,14 @@ def pytest_configure(config):
     paths = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     if SRC not in paths:
         os.environ["PYTHONPATH"] = os.pathsep.join([SRC] + paths)
+
+
+def load_script(name):
+    """A study script of ``scripts/``, loaded as a module from its file."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture

@@ -1,9 +1,7 @@
 """Smoke tests of the study scripts, the in-repo consumers of the library API."""
 
 import csv
-import importlib.util
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,14 +9,7 @@ import pytest
 from neqlifshitz import pressure
 from neqlifshitz.pressure import BREAKDOWN_KEYS
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
-
-
-def load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from conftest import load_script
 
 
 def run_script(name, tmp_path, *argv):

@@ -1,9 +1,7 @@
-import importlib.util
 import json
 import math
 import time
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +21,7 @@ from neqlifshitz.spectral import (METHOD_ANALYTIC, METHOD_NEWTON,
                                   modified_mode_check, plate_mode_roots, qbm_char_poly,
                                   scan_dmu_imaginary_axis, winding_count)
 
-from conftest import fresnel_tm_root
+from conftest import fresnel_tm_root, load_script
 
 LOSSY = Material(omega0=1.0, lambda0=1.0, bath=BathModel(kind="ohmic", gamma=0.1))
 LOSSY2 = Material(omega0=1.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.3))
@@ -746,7 +744,7 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         ic_origin_report(geom, k)
     assert len(ic_calls) == 1
 
-    # one optics record per variable, holding a block per coupled plate
+    # one optics record, for s1, holding a block per coupled plate
     dof_calls = _count_calls(monkeypatch, spectral, "_from_plate_blocks")
     tables.clear()
     dof_origin_report(geom, Q)
@@ -763,14 +761,6 @@ def test_origin_reports_build_each_block_once_per_point(monkeypatch):
         m.setattr(spectral, "TORUS_POINTS", 16)
         dof_origin_report(geom, Q)
     assert len(dof_calls) == 1
-
-
-def _fingerprint_script():
-    path = Path(__file__).resolve().parents[1] / "scripts" / "analytic_fingerprints.py"
-    spec = importlib.util.spec_from_file_location("analytic_fingerprints", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _assert_same_halves(got, want):
@@ -796,7 +786,7 @@ def test_s2_halves_follow_exactly_from_s1_halves():
     # and on the lossless (eta shift), uncoupled and cutoff plates of the
     # fingerprint script's edge case, at Q = 0 too; an anisotropic plate
     # or a non-reciprocal term would break them
-    script = _fingerprint_script()
+    script = load_script("analytic_fingerprints")
     cases = [(c.geom, [c.q_dof], [c.k]) for c in script.criterion_7_cases()]
     cases += [(geom, script.EDGE_Q, [np.array(k) for k in script.EDGE_K])
               for geom in script.edge_geometries()]
