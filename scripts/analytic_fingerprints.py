@@ -15,7 +15,12 @@ three geometries off those draws: a lossless plate (bath ``none``,
 gamma = 0, whose Green function carries the eta shift), an uncoupled
 plate (lambda0 = 0) and a cutoff bath, with the field at z_field = 0,
 0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 and the
-initial-field report at three wavevectors, one along z (Q = 0).  Two
+initial-field report at three wavevectors, one along z (Q = 0).  The
+``roots`` case runs the root finders: `find_qbm_poles` on a lossless, an
+ohmic, a critically damped and a cutoff plate, and `plate_mode_roots`
+(at three (Q, kz)) and `branch_inventory` (at three Q) on the ``edge``
+plates and a table plate (every pole report with a 0/1 for its
+Newton-polished method).  Two
 checkouts that print the same text compute the same bits, so a change to
 the toolkit that claims to move no number is checked by diffing this
 output before and after it:
@@ -35,7 +40,7 @@ import numpy as np
 
 from neqlifshitz import spectral
 from neqlifshitz.em_green import Geometry
-from neqlifshitz.material import BathModel, Material
+from neqlifshitz.material import BathModel, EpsilonTable, Material
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,6 +102,30 @@ def edge_case():
     return out
 
 
+#: The ``roots`` case's (Q, kz) of the plate modes.
+ROOTS_QKZ = ((0.0, 0.0), (0.7, 0.0), (2.3, -0.4))
+
+
+def pole_report(rep):
+    return [rep.as_report(), rep.method == spectral.METHOD_NEWTON]
+
+
+def roots_case():
+    poles = [Material(omega0=1.3, lambda0=1.0, bath=BathModel(kind="none", gamma=0.0)),
+             Material(omega0=1.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=0.3)),
+             Material(omega0=0.5, lambda0=0.8, bath=BathModel(kind="ohmic", gamma=1.0)),
+             Material(omega0=1.1, lambda0=0.7,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.25, cutoff=40.0))]
+    out = [pole_report(spectral.find_qbm_poles(mat)) for mat in poles]
+    table = EpsilonTable(omega=np.array([0.5, 2.0]), eps=np.array([2.5, 2.5]))
+    geoms = edge_geometries() + [Geometry(gap=1.1, left=table, right=poles[1])]
+    for geom in geoms:
+        for side in (geom.left, geom.right):
+            out += [pole_report(spectral.plate_mode_roots(side, Q, kz)) for Q, kz in ROOTS_QKZ]
+        out += [spectral.branch_inventory(geom, Q).as_report() for Q, _ in ROOTS_QKZ]
+    return out
+
+
 def numbers(obj):
     """Every number of a (nested) report, depth first; strings and None skipped."""
     if isinstance(obj, dict):
@@ -145,6 +174,7 @@ def cases(seed):
         **{f"criterion-7-{i}": (lambda c=c: geometry_case(c)) for i, c in enumerate(drawn)},
         "criterion-4": criterion_4,
         "edge": edge_case,
+        "roots": roots_case,
     }
 
 

@@ -36,7 +36,12 @@ omega, 2 omega), so only its own critical marks seed it.  The
 ``zero-count`` case counts the zeros of D_mu in the full TE and TM
 strips of the surface-band plates by the argument principle and returns
 the windings and each strip's boundary samples, so the counter's bits
-are diffed directly:
+are diffed directly.  The ``fdr`` case returns both sides of the
+permittivity fluctuation-dissipation identity on an ohmic and a cutoff
+plate, then the public integrand on the ``point-map`` batch through the
+noise-kernel path (``use_fdr=False``), on the identical and dissimilar
+plates and on two pairs with a lossless, an uncoupled (lambda0 = 0) and
+a T = 0 plate:
 
     PYTHONPATH=src python3 scripts/steady_fingerprints.py > before.txt
 
@@ -47,17 +52,24 @@ are diffed directly:
 import argparse
 import math
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from neqlifshitz import cli, pressure
 from neqlifshitz.em_green import Geometry, plate_eps
-from neqlifshitz.material import BathModel, Material
+from neqlifshitz.material import BathModel, Material, fdr_epsilon_identity
 from neqlifshitz.pressure import BREAKDOWN_KEYS, PressureOptions, steady_pressure
 
 DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 OMEGAS = np.array([0.5, 1.3, 2.9, 6.0])
+#: The point-map batch: omega = 0 and OMEGAS[:3], each at Q = 0, in both
+#: sectors and on the light line Q = omega.
+MAP_W = np.repeat(np.append(0.0, OMEGAS[:3]), 6)
+MAP_Q = np.where(MAP_W > 0.0, MAP_W, 1.0) * np.tile([0.0, 0.3, 0.999, 1.0, 1.7, 3.0], 4)
+#: Frequencies of the fdr case's identity rows.
+FDR_OMEGAS = (-2.3, 0.05, 0.7, 1.9, 6.0)
 
 
 def plate(omega0, lambda0, gamma, temperature):
@@ -104,9 +116,7 @@ def point_map():
     """The rows of the public channel map on identical, then dissimilar
     plates, each without and with thermal_only, at omega = 0, on the
     light line Q = omega and in both sectors."""
-    w = np.repeat(np.append(0.0, OMEGAS[:3]), 6)
-    Q = np.where(w > 0.0, w, 1.0) * np.tile([0.0, 0.3, 0.999, 1.0, 1.7, 3.0], 4)
-    return [pressure._bath_channels(geom, w, Q, thermal_only=thermal_only)
+    return [pressure._bath_channels(geom, MAP_W, MAP_Q, thermal_only=thermal_only)
             for geom in (identical(1.0, 1.0, 0.3), dissimilar(1.0, 1.0, 0.3))
             for thermal_only in (False, True)]
 
@@ -142,6 +152,29 @@ def straggler():
         Q = np.vstack([ws * np.sin(theta), Q_e])
         rows.append(pressure._bath_channels(geom, np.vstack([ws, ws]), Q, factors=factors))
     return rows
+
+
+def fdr():
+    """(Im eps, its noise-kernel form) at FDR_OMEGAS on an ohmic and a
+    cutoff plate, then `bath_integrand(..., use_fdr=False)` on the
+    point-map batch: identical and dissimilar plates, then, off the
+    light line, a cutoff plate at T = 0 against an uncoupled one and a
+    lossless plate against an ohmic one."""
+    cutoff = Material(omega0=1.1, lambda0=0.7, beta_bath=1.5,
+                      bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.25, cutoff=40.0))
+    identity = [side for mat in (plate(1.3, 0.8, 0.2, 0.5), cutoff) for w in FDR_OMEGAS
+                for side in fdr_epsilon_identity(mat, w)]
+    lossless = Material(omega0=1.3, lambda0=1.0, beta_bath=2.0,
+                        bath=BathModel(kind="none", gamma=0.0))
+    rows = [pressure.bath_integrand(geom, MAP_W, MAP_Q, use_fdr=False)
+            for geom in (identical(1.0, 1.0, 0.3), dissimilar(1.0, 1.0, 0.3))]
+    # off the light line, where an uncoupled plate's Fresnel denominators vanish
+    off = MAP_Q != MAP_W
+    rows += [pressure.bath_integrand(geom, MAP_W[off], MAP_Q[off], use_fdr=False)
+             for geom in (Geometry(gap=0.8, left=replace(cutoff, beta_bath=math.inf),
+                                   right=plate(0.9, 0.0, 0.2, 0.7)),
+                          Geometry(gap=1.2, left=lossless, right=plate(1.5, 0.8, 0.3, 0.5)))]
+    return np.concatenate([identity, *rows])
 
 
 def zero_count():
@@ -187,6 +220,7 @@ CASES = {
     "contour-q": _lockstep("_contour_line_integral", identical(1.0, 1.0, 0.5),
                            OMEGAS + 0.7j, np.ones(len(OMEGAS)), 1e-10, 0.0),
     "zero-count": zero_count,
+    "fdr": fdr,
 }
 
 

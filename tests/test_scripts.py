@@ -127,6 +127,26 @@ def test_steady_fingerprints_script(capsys):
     assert all(n == int(n) and n > 32 for n in samples) and len(samples) == 2
 
 
+def test_steady_fingerprints_fdr_case(capsys):
+    # both sides of the FDR identity at five frequencies on two plates,
+    # then the public integrand through the noise-kernel path on the
+    # point-map batch (24 points on two pairs, 20 off the light line on
+    # two more): it matches the permittivity path
+    script = load_script("steady_fingerprints")
+    assert script.main(["--case", "fdr"]) == 0
+    name, points, freqs, *numbers = capsys.readouterr().out.split()
+    assert name == "fdr" and points == "points=88+0" and freqs == "freqs=0"
+    values = np.array([float.fromhex(n) for n in numbers])
+    identity, rows = values[:20].reshape(10, 2), values[20:]
+    assert len(rows) == 88
+    np.testing.assert_allclose(identity[:, 1], identity[:, 0], rtol=1e-12, atol=0.0)
+    off = script.MAP_Q != script.MAP_W
+    assert len(rows) == 2 * len(script.MAP_W) + 2 * np.count_nonzero(off)
+    want = pressure.bath_integrand(script.dissimilar(1.0, 1.0, 0.3), script.MAP_W, script.MAP_Q)
+    np.testing.assert_allclose(rows[24:48], want, rtol=1e-10, atol=1e-18)
+    assert script.fingerprint("fdr").split()[3:] == numbers
+
+
 def test_odd_oracle_script(tmp_path):
     # the default config's point: the program's odd part (two thermal_only
     # runs with swapped temperatures) and the independent oracle agree, and
@@ -173,3 +193,25 @@ def test_analytic_fingerprints_edge_case(capsys):
     assert [r["kind"] for r in reports] == per_geom * len(script.edge_geometries())
     assert [float.fromhex(n) for n in numbers] == script.numbers(reports)
     assert all(r["taxonomy_ok"] for r in reports if r["kind"] == "ic_origin")
+
+
+def test_analytic_fingerprints_roots_case(capsys):
+    # the response poles of four plates (closed form, save the cutoff
+    # cubic), then per geometry the plate modes of both plates at three
+    # (Q, kz) and the branch cuts at three Q
+    script = load_script("analytic_fingerprints")
+    assert script.main(["--case", "roots"]) == 0
+    name, *numbers = capsys.readouterr().out.split()
+    assert name == "roots"
+    reports = script.roots_case()
+    assert [float.fromhex(n) for n in numbers] == script.numbers(reports)
+    per_geom = 2 * len(script.ROOTS_QKZ) + len(script.ROOTS_QKZ)
+    assert len(reports) == 4 + per_geom * (len(script.edge_geometries()) + 1)
+    poles = reports[:4]
+    assert [newton for _, newton in poles] == [False, False, False, True]
+    assert [(p["causal"], p["marginal"]) for p, _ in poles] == \
+        [(False, True), (True, False), (True, False), (True, False)]
+    assert [r["order"] for r in poles[2][0]["roots"]] == [2]
+    # the table plate's modes are closed-form
+    table_modes = reports[-per_geom:][:len(script.ROOTS_QKZ)]
+    assert not any(newton for _, newton in table_modes)
