@@ -34,7 +34,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import DomainError, SingularityError
-from .material import EpsilonTable, Material, _eta_shift, permittivity
+from .material import EpsilonTable, Material, _eta_shift, _retarded_s, permittivity
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 XHAT = np.array([1.0, 0.0, 0.0])
@@ -97,9 +97,7 @@ def plate_eps(side, s):
         return complex(side)
     if isinstance(side, EpsilonTable):
         return side.eps_laplace(s)
-    s_arr = np.asarray(s, dtype=complex)
-    if not (side.bath.gamma > 0):
-        s_arr = _eta_shift(s_arr)
+    s_arr = _retarded_s(side, np.asarray(s, dtype=complex))
     return permittivity(side, s_arr if s_arr.ndim else complex(s_arr))
 
 

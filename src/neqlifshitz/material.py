@@ -151,14 +151,16 @@ def permittivity(mat, s):
     return 1.0 + mat.lambda0**2 * qbm_green(mat, s)
 
 
-def _fourier_s(mat, omega):
-    """Laplace point for the retarded Fourier boundary value of ``mat``.
-
-    Lossy materials are evaluated exactly at s = -i*omega; marginal ones
-    (gamma = 0) need the eta-prescription to stay retarded.
-    """
-    s = -1j * np.asarray(omega, dtype=float)
+def _retarded_s(mat, s):
+    """The point at which ``mat``'s response is evaluated for the Laplace
+    point s: s itself for a lossy bath, the eta-shifted `_eta_shift(s)`
+    for a marginal one (gamma = 0), which stays retarded that way."""
     return s if mat.bath.gamma > 0 else _eta_shift(s)
+
+
+def _fourier_s(mat, omega):
+    """The retarded Fourier boundary point `_retarded_s` of s = -i*omega."""
+    return _retarded_s(mat, -1j * np.asarray(omega, dtype=float))
 
 
 def permittivity_fourier(mat, omega):
@@ -217,6 +219,17 @@ def _im_dbar_slope0(bath):
     return 0.5 * bath.gamma  # cutoff kind: gamma*L^2/(2(L^2+0)) = gamma/2
 
 
+def fdr_weight(mat, omega):
+    """The noise-kernel form of Im eps_bar(omega), elementwise:
+    2 * lambda0^2 * Im D_bar(omega) * Re[G(-i omega) G(+i omega)], both
+    Green functions at the retarded points of `_fourier_s`.  By the
+    fluctuation-dissipation identity it equals Im eps_bar(omega) for
+    every Material."""
+    s = _fourier_s(mat, omega)
+    gg = np.real(qbm_green(mat, s) * qbm_green(mat, np.conj(s)))
+    return 2.0 * mat.lambda0**2 * np.imag(bath_dissipation_fourier(mat.bath, omega)) * gg
+
+
 def fdr_epsilon_identity(mat, omega):
     """Both sides of the permittivity fluctuation-dissipation identity.
 
@@ -224,14 +237,11 @@ def fdr_epsilon_identity(mat, omega):
     -------
     (lhs, rhs) : tuple of float
         lhs = Im eps_bar(omega);
-        rhs = 2 * lambda0^2 * Im D_bar(omega) * G(-i omega) * G(+i omega).
+        rhs = `fdr_weight`, 2 lambda0^2 Im D_bar(omega) G(-i omega) G(+i omega).
         The identity is exact for every dissipative material.
     """
     w = float(omega)
-    lhs = float(np.imag(permittivity_fourier(mat, w)))
-    gg = qbm_green(mat, _fourier_s(mat, w)) * qbm_green(mat, np.conj(_fourier_s(mat, w)))
-    rhs = 2.0 * mat.lambda0**2 * float(np.imag(bath_dissipation_fourier(mat.bath, w))) * float(np.real(gg))
-    return lhs, rhs
+    return float(np.imag(permittivity_fourier(mat, w))), float(fdr_weight(mat, w))
 
 
 # ---------------------------------------------------------------------------

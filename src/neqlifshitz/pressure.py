@@ -96,8 +96,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConvergenceError, DomainError, SingularityError
-from .material import (EpsilonTable, _coth, _fourier_s,
-                       bath_dissipation_fourier, permittivity, qbm_green)
+from .material import EpsilonTable, _coth, fdr_weight, permittivity
 from .em_green import _fresnel_coeffs, plate_eps
 from .winding import _WINDING_SLACK, box_winding
 
@@ -159,8 +158,8 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     The occupation is coth(beta w/2), or coth - 1 (the pure occupation
     part, vanishing at T = 0) under ``thermal_only``.  The weight reads
     Im eps off the permittivity above; ``use_fdr=False`` rebuilds it from
-    the bath noise kernel and the oscillator response instead (the same
-    number by the fluctuation-dissipation identity; Material plates
+    the bath noise kernel and the oscillator response (`fdr_weight`, the
+    same number by the fluctuation-dissipation identity; Material plates
     only), so the shares carry that identity into the integrand.
     """
     s = -1j * w
@@ -171,21 +170,15 @@ def _frequency_factors(geom, w, use_fdr=True, thermal_only=False):
     real[0] = w2
     for i, side in enumerate((geom.left, geom.right)):
         e = np.asarray(plate_eps(side, s))
-        beta = side.beta_bath
-        occ = _coth(0.5 * beta * w) if math.isfinite(beta) else np.ones(w.shape)
+        occ = _coth(0.5 * side.beta_bath * w)      # 1 at T = 0
         if thermal_only:
             occ = occ - 1.0
         if use_fdr:
             wt = w2 * occ * np.imag(e)
         elif isinstance(side, EpsilonTable):
             raise DomainError("tabulated plates only support the permittivity path")
-        elif side.lambda0 != 0.0:
-            imd = np.imag(bath_dissipation_fourier(side.bath, w))
-            sround = _fourier_s(side, w)
-            gg = np.real(qbm_green(side, sround) * qbm_green(side, np.conj(sround)))
-            wt = 2.0 * side.lambda0 ** 2 * w * w * occ * imd * gg
         else:
-            wt = np.zeros(w.shape)
+            wt = w2 * occ * fdr_weight(side, w)
         cplx[1 + i] = e
         cplx[1 + len(_PLATES) + i] = e * s * s
         im = np.imag(e)
@@ -435,11 +428,10 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
         rows = work.take("kernel.rows", r.size).reshape(shape)
         swapped = rows.swapaxes(0, 1)   # (polarization, plate, ...), as r
         np.multiply(np.multiply(r.imag, r.real[:, ::-1], out=swapped), h[:, None], out=swapped)
-        if on_light:                    # n = qn (TE) or qn / eps (TM)
-            qn_l = qn[:, light]
-            for i in range(len(_POLS)):
-                inv = 1.0 / (qn_l / np.broadcast_to(eps, qn.shape)[:, light] if i else qn_l)
-                rows[:, i, light] = Q[light] * inv.imag / np.abs(geom.gap + inv[0] + inv[1]) ** 2
+        if on_light:                    # (polarization, plate, nodes)
+            inv = _inverse_n(qn[:, light], np.broadcast_to(eps, qn.shape)[:, light])
+            rows[:, :, light] = Q[light] * inv.imag.swapaxes(0, 1) \
+                / np.abs(geom.gap + inv[:, 0] + inv[:, 1]) ** 2
     np.multiply(share[:, None], rows, out=out)
     if np.count_nonzero(emit) < emit.size:
         np.copyto(out, 0.0, where=~emit[:, None])
@@ -1129,6 +1121,23 @@ _ROOT_TOL = 1e-10
 _MAX_HALVINGS = 40
 
 
+def _plate_fresnel(w, ep, k):
+    """qn = sqrt((1 - eps) w^2 - k_z^2), the principal root, and per
+    polarization (TE, TM) the numerator and denominator a - qn and a + qn
+    of r_mu, a = q (TE) or eps q (TM), q = -i k_z, for the plate of
+    permittivity ``ep`` at gap wavenumbers k."""
+    q = -1j * k
+    qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
+    return qn, [(a - qn, a + qn) for a in (q, ep * q)]
+
+
+def _inverse_n(qn, eps):
+    """1/n_mu per polarization (TE, TM) on a leading axis, n = qn (TE) or
+    qn/eps (TM): the light-line limit of r_mu, where q = 0, r_mu ~
+    -1 + 2 q/n_mu."""
+    return np.stack([1.0 / qn, 1.0 / (qn / eps)])
+
+
 def _round_trips(geom, w, eps, k, phase):
     """x_mu = r_mu,L r_mu,R exp(2 i k_z l) at gap wavenumbers k_z
     (broadcast against the frequencies w and each permittivity), per
@@ -1141,15 +1150,11 @@ def _round_trips(geom, w, eps, k, phase):
     exp(-2 kappa l): one real exponential per node, not a complex one.
 
     r_TE = (q - qn)/(q + qn) and r_TM = (eps q - qn)/(eps q + qn), with
-    q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2) the principal root.
-    At real w, Im qn^2 = -Im eps w^2 - 2 Re k_z Im k_z < 0 in the closed
-    first quadrant (Im eps > 0), so the root is analytic there; at
-    complex w `_strip_residues` checks it."""
-    q = -1j * k
-    r = []
-    for ep in eps:
-        qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
-        r.append([(a - qn) / (a + qn) for a in (q, ep * q)])
+    q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2) the principal root
+    (`_plate_fresnel`).  At real w, Im qn^2 = -Im eps w^2 - 2 Re k_z Im
+    k_z < 0 in the closed first quadrant (Im eps > 0), so the root is
+    analytic there; at complex w `_strip_residues` checks it."""
+    r = [[num / den for num, den in _plate_fresnel(w, ep, k)[1]] for ep in eps]
     x = np.empty((len(_POLS),) + np.broadcast_shapes(r[0][0].shape, np.shape(phase)), complex)
     for i in range(len(_POLS)):
         np.multiply(r[0][i] * r[-1][i], phase, out=x[i])
@@ -1254,10 +1259,7 @@ def _strip_may_hold_zeros(geom, w, eps, top, line_peak):
         if b.any():
             left.append(u * a[sampled] + 1j * bs)
         peak[:, sampled] = np.maximum(peak[:, sampled], peak_at(sampled, np.hstack(left)))
-    inv = []                        # 1/n per polarization, each material
-    for ep in eps:
-        qn0 = np.sqrt((1.0 - ep[:, 0]) * w[:, 0] ** 2)
-        inv.append(np.stack([1.0 / qn0, ep[:, 0] / qn0]))
+    inv = [_inverse_n(np.sqrt((1.0 - ep[:, 0]) * w[:, 0] ** 2), ep[:, 0]) for ep in eps]
     corner = l + (inv[0] + inv[-1])
     third = (corner.real <= 0.0) & (corner.imag <= 0.0)
     return (peak >= 1.0) | np.where(passive, third, (b[:, 0] == 0.0) & ~(corner.real > 0.0))
@@ -1269,15 +1271,14 @@ def _strip_n(geom, w, eps, k):
     wavenumbers k, per polarization on a leading axis (``eps`` as in
     `_round_trips`): D_mu's zeros without r_TM's poles, and its analytic
     derivative."""
-    q = -1j * k
     e = np.exp((2j * geom.gap) * k)
     plates = []
     for ep in eps:
-        qn = np.sqrt((1.0 - ep) * (w * w) - k * k)
+        qn, pairs = _plate_fresnel(w, ep, k)
         dqn = -k / qn
         # per polarization: num, den and their derivatives
-        plates.append([(a - qn, a + qn, da - dqn, da + dqn)
-                       for a, da in ((q, -1j), (ep * q, -1j * ep))])
+        plates.append([(num, den, da - dqn, da + dqn)
+                       for (num, den), da in zip(pairs, (-1j, -1j * ep))])
     n, dn, den = np.empty((3, len(_POLS)) + plates[0][0][0].shape, complex)
     for i in range(len(_POLS)):
         (num_l, den_l, dnum_l, dden_l), (num_r, den_r, dnum_r, dden_r) = \

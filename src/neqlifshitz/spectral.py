@@ -333,15 +333,16 @@ def _conjugate_closed(groups, rtol=1e-9):
     return out
 
 
-def _causal_flags(roots):
-    """(causal, marginal) from a root list; tolerance scales with |s|."""
-    if not roots:
-        return True, False
-    scale = max(1.0, max(abs(s) for s, _, _ in roots))
-    mx = max(s.real for s, _, _ in roots)
+def _pole_report(roots, method):
+    """The PoleReport of a root list, its flags from the rightmost root:
+    causal strictly left of the imaginary axis, marginal on it, with a
+    tolerance that scales with |s|."""
+    roots = tuple(roots)
+    scale = max([1.0] + [abs(s) for s, _, _ in roots])
+    mx = max((s.real for s, _, _ in roots), default=-math.inf)
     causal = mx < -_RE_TOL * scale
-    marginal = (not causal) and mx <= _RE_TOL * scale
-    return causal, marginal
+    return PoleReport(roots=roots, causal=causal, method=method,
+                      marginal=(not causal) and mx <= _RE_TOL * scale)
 
 
 def winding_count(coeffs, re_lo, re_hi, im_lo, im_hi):
@@ -361,6 +362,15 @@ def winding_count(coeffs, re_lo, re_hi, im_lo, im_hi):
     box = np.array([[re_lo], [re_hi], [im_lo], [im_hi]], dtype=float)
     (winding, _), = box_winding(sample, box, 32, 0.0, lambda _: on_contour)
     return int(round(winding))
+
+
+def _root_groups(poly):
+    """(center, order) groups of a real polynomial's roots: companion
+    roots, Newton polished, clustered, snapped into conjugate pairs and
+    checked against an argument-principle count (`_verify_count`)."""
+    groups = _conjugate_closed(_cluster_roots(_newton_polish(poly, np.roots(poly))))
+    _verify_count(poly, groups)
+    return groups
 
 
 def _verify_count(coeffs, groups):
@@ -395,8 +405,7 @@ def find_qbm_poles(mat):
         res = -0.5j / w0
         roots = ((complex(0.0, w0), 1, res),
                  (complex(0.0, -w0), 1, res.conjugate()))
-        return PoleReport(roots=roots, causal=False, method=METHOD_ANALYTIC,
-                          marginal=True)
+        return _pole_report(roots, METHOD_ANALYTIC)
     if bath.kind == "ohmic":
         g = bath.gamma
         disc = 0.25 * g * g - w0 * w0
@@ -410,25 +419,14 @@ def find_qbm_poles(mat):
             s1 = complex(-0.5 * g, math.sqrt(-disc))
             r1 = 1.0 / (2.0 * s1 + g)
             roots = ((s1.conjugate(), 1, r1.conjugate()), (s1, 1, r1))
-        causal, marginal = _causal_flags(roots)
-        return PoleReport(roots=roots, causal=causal, method=METHOD_ANALYTIC,
-                          marginal=marginal)
+        return _pole_report(roots, METHOD_ANALYTIC)
     coeffs = qbm_char_poly(mat)
-    polished = _newton_polish(coeffs, np.roots(coeffs))
-    groups = _conjugate_closed(_cluster_roots(polished))
-    _verify_count(coeffs, groups)
     numer = _response_numerator_poly(mat)
     dpoly = np.polyder(coeffs)
-    roots = []
-    for s0, order in groups:
-        residue = None
-        if order == 1:
-            residue = complex(np.polyval(numer, s0) / np.polyval(dpoly, s0))
-        roots.append((s0, order, residue))
-    roots = tuple(roots)
-    causal, marginal = _causal_flags(roots)
-    return PoleReport(roots=roots, causal=causal, method=METHOD_NEWTON,
-                      marginal=marginal)
+    # residues of the simple roots only
+    roots = [(s0, order, complex(np.polyval(numer, s0) / np.polyval(dpoly, s0))
+              if order == 1 else None) for s0, order in _root_groups(coeffs)]
+    return _pole_report(roots, METHOD_NEWTON)
 
 
 # ----------------------------------------------------------------------
@@ -469,11 +467,8 @@ def plate_mode_roots(side, Q, kz=0.0):
             roots = ((0.0j, 2, None),)
         else:
             v = cmath.sqrt(-big_c / eps0)
-            roots = _conjugate_closed([(v, 1), (-v, 1)])
-            roots = tuple((s, o, None) for s, o in roots)
-        causal, marginal = _causal_flags(roots)
-        return PoleReport(roots=roots, causal=causal,
-                          method=METHOD_ANALYTIC, marginal=marginal)
+            roots = ((s, o, None) for s, o in _conjugate_closed([(v, 1), (-v, 1)]))
+        return _pole_report(roots, METHOD_ANALYTIC)
     if not isinstance(side, Material):
         raise DomainError(f"unsupported plate description {type(side).__name__}")
     if side.lambda0 == 0.0:
@@ -482,19 +477,13 @@ def plate_mode_roots(side, Q, kz=0.0):
         else:
             w = math.sqrt(big_c)
             roots = ((complex(0.0, -w), 1, None), (complex(0.0, w), 1, None))
-        return PoleReport(roots=roots, causal=False, method=METHOD_ANALYTIC,
-                          marginal=True)
+        return _pole_report(roots, METHOD_ANALYTIC)
     denom = qbm_char_poly(side)
     eps_num = np.polyadd(denom,
                          side.lambda0 ** 2 * _response_numerator_poly(side))
     poly = np.polyadd(np.polymul(eps_num, [1.0, 0.0, 0.0]), big_c * denom)
-    polished = _newton_polish(poly, np.roots(poly))
-    groups = _conjugate_closed(_cluster_roots(polished))
-    _verify_count(poly, groups)
-    roots = tuple((s0, order, None) for s0, order in groups)
-    causal, marginal = _causal_flags(roots)
-    return PoleReport(roots=roots, causal=causal, method=METHOD_NEWTON,
-                      marginal=marginal)
+    return _pole_report(((s0, order, None) for s0, order in _root_groups(poly)),
+                        METHOD_NEWTON)
 
 
 def branch_inventory(geom, Q):
@@ -730,22 +719,14 @@ def _talbot_fixtures(n_eff):
     return fx
 
 
-_NODE_ANGLES = {}
-
-
 def _min_node_gap(n_eff, r, poles):
     """Smallest distance of a contour node from a pole, relative to
     1 + |pole|, for each radius of r (a float or an array of them) on the
     contour of n_eff nodes; shaped like r.  The nodes r and r theta_k (cot
-    theta_k + i) round as on one radius at a time; the node angles theta_k
-    and cot theta_k + i are cached per node count."""
-    angles = _NODE_ANGLES.get(n_eff)
-    if angles is None:
-        th = np.pi * np.arange(1, n_eff) / n_eff
-        angles = _NODE_ANGLES[n_eff] = (th, 1.0 / np.tan(th) + 1j)
-    th, cot_i = angles
+    theta_k + i) round as on one radius at a time."""
+    th = np.pi * np.arange(1, n_eff) / n_eff
     r = np.asarray(r, dtype=float)[..., None, None]
-    nodes = np.concatenate([r + 0.0j, r * th * cot_i], axis=-1)     # (..., 1, nodes)
+    nodes = np.concatenate([r + 0.0j, r * th * (1.0 / np.tan(th) + 1j)], axis=-1)  # (..., 1, nodes)
     scale = np.array([1.0 + abs(p) for p in poles])
     return (np.abs(nodes - np.array(poles)[:, None]).min(axis=-1) / scale).min(axis=-1)
 
@@ -1230,7 +1211,7 @@ def _ic_pair(k, half1, half2, beta_em=math.inf):
     Q, kz, wk = _ic_wavevector(k)
     (s1, co1), (s2, co2) = half1, half2
     proj = transverse_projector(np.array([Q, 0.0, kz]))
-    occ = _coth(0.5 * beta_em * wk) if math.isfinite(beta_em) else 1.0
+    occ = _coth(0.5 * beta_em * wk)     # 1 in the vacuum, beta_em = inf
     pref = (-1.0 / (8.0 * math.pi)) * occ * (s1 * s2 + wk * wk) \
         / (2.0 * wk * (2.0 * math.pi) ** 3)
     pieces = {}

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from neqlifshitz import em_green, pressure, spectral, winding
+from neqlifshitz import em_green, material, pressure, spectral, winding
 from neqlifshitz.material import BathModel, Material
 
 BLOCK_LAYER = ("green_gap_from_plate", "ic_z_block", "theta_contract",
@@ -195,3 +195,44 @@ def test_one_zero_counter_serves_the_poles_and_the_strip():
     finally:
         sys.setprofile(None)
     assert calls == ["winding_count", "_box_winding"]
+
+
+def _spelling(module, text):
+    """Names of ``module``'s top-level functions whose source holds ``text``."""
+    source = inspect.getsource(module)
+    return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
+            and text in ast.get_source_segment(source, node)}
+
+
+def test_each_consolidated_formula_has_one_definition():
+    # the plate optics at a gap wavenumber, the light-line limit, the FDR
+    # weight, the retarded prescription and the root pipeline each live in
+    # one helper, which every caller reaches
+    for module, helper, callers in (
+            (pressure, "_plate_fresnel", ("_round_trips", "_strip_n")),
+            (pressure, "_inverse_n", ("_channel_kernel", "_strip_may_hold_zeros")),
+            (material, "fdr_weight", ("fdr_epsilon_identity",)),
+            (material, "_retarded_s", ("_fourier_s", "fdr_weight", "permittivity_fourier")),
+            (spectral, "_root_groups", ("find_qbm_poles", "plate_mode_roots")),
+            (spectral, "_pole_report", ("find_qbm_poles", "plate_mode_roots"))):
+        for caller in callers:
+            assert helper in _reachable(module, caller), (caller, helper)
+    # the callers in other modules read the helper itself
+    assert pressure.fdr_weight is material.fdr_weight
+    assert em_green._retarded_s is material._retarded_s
+    for module, caller, helper in ((pressure, "_frequency_factors", "fdr_weight"),
+                                   (em_green, "plate_eps", "_retarded_s")):
+        assert {helper} <= {n.id for n in ast.walk(ast.parse(inspect.getsource(
+            getattr(module, caller)))) if isinstance(n, ast.Name)}, (caller, helper)
+    # and no other function spells the formula out
+    for module, text, helper in (
+            (pressure, "np.sqrt((1.0 - ep) * (w * w) - k * k)", "_plate_fresnel"),
+            (pressure, "1.0 / (qn / ", "_inverse_n"),
+            (pressure, "qbm_green", None),
+            (material, "np.conj(s)", "fdr_weight"),
+            (material, "gamma > 0 else", "_retarded_s"),
+            (em_green, "gamma > 0", None),
+            (spectral, "_newton_polish(poly", "_root_groups"),
+            (spectral, "PoleReport(", "_pole_report"),
+            (spectral, "_NODE_ANGLES", None)):
+        assert _spelling(module, text) == ({helper} if helper else set()), text

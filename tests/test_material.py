@@ -10,9 +10,11 @@ from neqlifshitz.material import (
     BathModel,
     EpsilonTable,
     Material,
+    _coth,
     bath_dissipation,
     bath_dissipation_fourier,
     fdr_epsilon_identity,
+    fdr_weight,
     load_epsilon_table,
     noise_fourier,
     permittivity,
@@ -123,6 +125,30 @@ def test_noise_even_and_plateau():
 def test_fdr_identity(mat, omega):
     lhs, rhs = fdr_epsilon_identity(mat, omega)
     assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
+def test_fdr_weight_on_an_array_is_the_identity_point_by_point():
+    # one definition serves the scalar identity and the integrand's array
+    # path (numpy's array kernels may round the complex products 1 ulp
+    # apart), on lossy, marginal and uncoupled plates
+    w = np.array([-2.3, 0.05, 0.7, 1.0, 1.9, 6.0])
+    for mat in (Material(bath=BathModel(kind="ohmic", gamma=0.3)),
+                Material(omega0=1.1, lambda0=0.7,
+                         bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.25, cutoff=40.0)),
+                Material(bath=BathModel(kind="none", gamma=0.0)),
+                Material(lambda0=0.0)):
+        assert_allclose(fdr_weight(mat, w), [fdr_epsilon_identity(mat, x)[1] for x in w],
+                        rtol=1e-15, atol=0.0)
+    assert not fdr_weight(Material(lambda0=0.0), w).any()
+    assert not fdr_weight(Material(bath=BathModel(kind="none", gamma=0.0)), w).any()
+
+
+def test_coth_is_exactly_one_in_magnitude_at_zero_temperature():
+    # the T = 0 occupation: coth(beta w/2) at beta = inf, read without a
+    # guard by the integrand's frequency factors and both transient pairs
+    assert _coth(np.array([math.inf, -math.inf])).tolist() == [1.0, -1.0]
+    assert _coth(0.5 * math.inf * np.array([1e-300, 0.7, 1e300])).tolist() == [1.0] * 3
+    assert float(_coth(math.inf)) == 1.0
 
 
 @settings(max_examples=60, deadline=None)
