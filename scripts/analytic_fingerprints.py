@@ -14,8 +14,10 @@ that criterion's grids.  The ``edge`` case runs both origin reports on
 three geometries off those draws: a lossless plate (bath ``none``,
 gamma = 0, whose Green function carries the eta shift), an uncoupled
 plate (lambda0 = 0) and a cutoff bath, with the field at z_field = 0,
-0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 and the
-initial-field report at three wavevectors, one along z (Q = 0).  The
+0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 (at Q = 0
+its refusal, a DomainError below DOF_Q_MARGIN * RING_R0, recorded as Q
+and a 1) and the initial-field report at three wavevectors, one along z
+(Q = 0).  The
 ``roots`` case runs the root finders: `find_qbm_poles` on a lossless, an
 ohmic, a critically damped and a cutoff plate, and `plate_mode_roots`
 (at three (Q, kz)) and `branch_inventory` (at three Q) on the ``edge``
@@ -40,6 +42,7 @@ import numpy as np
 
 from neqlifshitz import spectral
 from neqlifshitz.em_green import Geometry
+from neqlifshitz.errors import DomainError
 from neqlifshitz.material import BathModel, EpsilonTable, Material
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,10 +97,18 @@ EDGE_Q = (0.0, 0.7, 2.3)
 EDGE_K = ((0.4, 0.3, 1.1), (0.0, 0.0, 1.1), (1.5, 0.8, -0.6))
 
 
+def dof_report(geom, Q):
+    """The oscillator origin report at Q, or the record of its refusal."""
+    try:
+        return spectral.dof_origin_report(geom, Q)
+    except DomainError:
+        return {"kind": "dof_origin", "Q": Q, "refused": True}
+
+
 def edge_case():
     out = []
     for geom in edge_geometries():
-        out += [spectral.dof_origin_report(geom, Q) for Q in EDGE_Q]
+        out += [dof_report(geom, Q) for Q in EDGE_Q]
         out += [spectral.ic_origin_report(geom, np.array(k)) for k in EDGE_K]
     return out
 

@@ -193,6 +193,14 @@ def test_analytic_fingerprints_edge_case(capsys):
     assert [r["kind"] for r in reports] == per_geom * len(script.edge_geometries())
     assert [float.fromhex(n) for n in numbers] == script.numbers(reports)
     assert all(r["taxonomy_ok"] for r in reports if r["kind"] == "ic_origin")
+    # the oscillator report refuses Q = 0, below DOF_Q_MARGIN * RING_R0,
+    # and the line records the refusal; at Q = 0.7 and 2.3 its taxonomy holds
+    assert script.EDGE_Q[0] == 0.0
+    dof = [r for r in reports if r["kind"] == "dof_origin"]
+    assert [r.get("refused", False) for r in dof] == \
+        [True, False, False] * len(script.edge_geometries())
+    assert all(r == {"kind": "dof_origin", "Q": 0.0, "refused": True} for r in dof[::3])
+    assert all(r["taxonomy_ok"] for i, r in enumerate(dof) if i % 3)
 
 
 def test_analytic_fingerprints_roots_case(capsys):

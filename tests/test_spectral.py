@@ -1120,6 +1120,22 @@ def test_dof_origin_report_refuses_bad_q():
             dof_origin_report(warm_geom(), Q)
 
 
+def test_dof_origin_report_refuses_q_near_its_rings():
+    # below DOF_Q_MARGIN * RING_R0 the branch points +-iQ crowd the
+    # classification rings: the report raises instead of returning a
+    # failed taxonomy, and at the bound itself its taxonomy holds, on
+    # criterion 7's 20 draws and the fingerprint script's edge geometries
+    script = load_script("analytic_fingerprints")
+    bound = spectral.DOF_Q_MARGIN * spectral.RING_R0
+    assert bound == 0.04
+    geoms = [c.geom for c in script.criterion_7_cases(20)] + script.edge_geometries()
+    for geom in geoms:
+        for Q in (0.0, 1e-3, math.nextafter(bound, 0.0)):
+            with pytest.raises(DomainError, match="DOF_Q_MARGIN"):
+                dof_origin_report(geom, Q)
+        assert dof_origin_report(geom, bound)["taxonomy_ok"]
+
+
 def test_ic_origin_report_refuses_non_finite_k():
     for bad in (math.nan, math.inf, -math.inf):
         for i in range(3):
