@@ -33,21 +33,17 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 
 from oracles import OMEGA_CAP, odd_part_oracle  # noqa: E402
 
-from neqlifshitz.em_green import Geometry  # noqa: E402
-from neqlifshitz.material import BathModel, Material  # noqa: E402
+from neqlifshitz import cli  # noqa: E402
 from neqlifshitz.pressure import (PressureOptions, equilibrium_matsubara,  # noqa: E402
                                   steady_pressure)
 
 POINTS = [(1.0, 1.0, 0.5), (1.0, 2.0, 0.3), (0.7, 2.0, 0.2), (3.16, 1.0, 0.5), (10.0, 1.0, 0.5)]
+DEFAULT_CFG = Path(__file__).resolve().parents[1] / "configs" / "default.cfg"
 
 
 def default_plates(gap, t_left, t_right):
     """The plates of configs/default.cfg at temperatures (T_L, T_R)."""
-    def plate(omega0, lambda0, gamma, T):
-        return Material(omega0=omega0, lambda0=lambda0, bath=BathModel(kind="ohmic", gamma=gamma),
-                        beta_bath=1.0 / T)
-    return Geometry(gap=gap, left=plate(1.0, 1.0, 0.1, t_left),
-                    right=plate(1.3, 0.8, 0.2, t_right))
+    return cli.geometry_for(cli.load_config(DEFAULT_CFG), gap, t_left, t_right)
 
 
 def row(gap, t_left, t_right):
