@@ -200,23 +200,14 @@ def noise_fourier(mat, omega):
     omega_arr = np.atleast_1d(np.asarray(omega, dtype=float))
     beta = mat.beta_bath
     im_d = np.imag(bath_dissipation_fourier(mat.bath, omega_arr))
-    if math.isinf(beta):
-        out = np.sign(omega_arr) * im_d
-    else:
-        out = np.empty_like(omega_arr)
-        zero = omega_arr == 0.0
-        # lim_{w->0} coth(beta w/2) Im D_bar(w) = (2/beta) * d Im D_bar/dw (0)
-        out[zero] = (2.0 / beta) * _im_dbar_slope0(mat.bath)
-        nz = ~zero
-        out[nz] = _coth(0.5 * beta * omega_arr[nz]) * im_d[nz]
+    out = np.empty_like(omega_arr)
+    zero = omega_arr == 0.0
+    # lim_{w->0} coth(beta w/2) Im D_bar(w) = (2/beta) * d Im D_bar/dw (0),
+    # the slope gamma/2 for every kind (gamma = 0 without a bath)
+    out[zero] = (2.0 / beta) * (0.5 * mat.bath.gamma)
+    nz = ~zero
+    out[nz] = _coth(0.5 * beta * omega_arr[nz]) * im_d[nz]
     return out if np.ndim(omega) else float(out[0])
-
-
-def _im_dbar_slope0(bath):
-    """d Im D_bar / d omega at omega = 0 (= gamma/2 for both ohmic kernels)."""
-    if bath.kind == "none":
-        return 0.0
-    return 0.5 * bath.gamma  # cutoff kind: gamma*L^2/(2(L^2+0)) = gamma/2
 
 
 def fdr_weight(mat, omega):

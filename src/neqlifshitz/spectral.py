@@ -76,11 +76,8 @@ RING_R0 = 1e-2
 RING_SHRINK = 4.0
 RING_COUNT = 4
 RING_POINTS = 8
-#: The oscillator origin report refuses Q below DOF_Q_MARGIN * RING_R0,
-#: where the gap wavenumber's branch points +-iQ crowd the rings and the
-#: torus.  Its taxonomy fails up to Q = 0.0129 (1.29 RING_R0) on
-#: criterion 7's 20 draws, the benchmark's 8 geometries and the
-#: fingerprint script's 3 edge geometries, and holds from there on.
+#: The oscillator origin report refuses Q < DOF_Q_MARGIN * RING_R0 (its
+#: taxonomy failed up to Q = 1.29 RING_R0; see `dof_origin_report`).
 DOF_Q_MARGIN = 4.0
 #: Largest distance of a fitted log-log slope from the integer order.
 SLOPE_TOL = 0.25
@@ -429,7 +426,6 @@ def find_qbm_poles(mat):
     coeffs = qbm_char_poly(mat)
     numer = _response_numerator_poly(mat)
     dpoly = np.polyder(coeffs)
-    # residues of the simple roots only
     roots = [(s0, order, complex(np.polyval(numer, s0) / np.polyval(dpoly, s0))
               if order == 1 else None) for s0, order in _root_groups(coeffs)]
     return _pole_report(roots, METHOD_NEWTON)
@@ -1489,18 +1485,16 @@ def dof_origin_report(geom, Q):
     exponents.  Both halves are gathered onto the 208 pairs, and one pair
     step contracts them there.  `assemble_dof_integrand` builds both
     halves directly and checks these tables.  Q must be finite and at
-    least DOF_Q_MARGIN * RING_R0 = 0.04 (DomainError): below that the
-    branch points +-iQ of the gap wavenumber lie in or near the
-    classification rings (largest radius RING_R0) and the torus, where
-    the Laurent read-out does not apply, and the taxonomy would fail
-    without saying why.
+    least DOF_Q_MARGIN * RING_R0 = 0.04 (DomainError): nearer the origin
+    the gap wavenumber's branch points +-iQ crowd the rings (largest
+    radius RING_R0) and the torus, and the taxonomy failed up to Q =
+    0.0129 on criterion 7's 20 draws, the benchmark's 8 geometries and
+    the fingerprint script's 3 edge geometries.
     """
     Q = _transverse_q(Q)
     if Q < DOF_Q_MARGIN * RING_R0:
-        raise DomainError(
-            f"the oscillator origin report needs Q >= DOF_Q_MARGIN * RING_R0 = "
-            f"{DOF_Q_MARGIN * RING_R0:g}, got {Q:g}: the branch points +-iQ would lie "
-            f"near its classification rings")
+        raise DomainError(f"the oscillator origin report needs Q >= DOF_Q_MARGIN * RING_R0 = "
+                          f"{DOF_Q_MARGIN * RING_R0:g}, got {Q:g}: +-iQ crowd its rings")
 
     def halves(s):
         h1 = _dof_half(geom, Q, s, +1)

@@ -118,6 +118,9 @@ def test_noise_even_and_plateau():
     m0 = Material(bath=BathModel(kind="ohmic", gamma=0.3))
     assert_allclose(noise_fourier(m0, 1.7), 0.5 * 0.3 * 1.7, rtol=1e-13)
     assert noise_fourier(m0, 0.0) == 0.0
+    # coth at beta = inf is sign(omega) exactly, with no branch of its own
+    assert noise_fourier(m0, np.r_[-w, w]).tolist() == (
+        np.sign(np.r_[-w, w]) * np.imag(bath_dissipation_fourier(m0.bath, np.r_[-w, w]))).tolist()
 
 
 @settings(max_examples=100, deadline=None)
