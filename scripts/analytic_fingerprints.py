@@ -17,15 +17,13 @@ plate (lambda0 = 0) and a cutoff bath, with the field at z_field = 0,
 0.13 and -0.31, the oscillator report at Q = 0, 0.7 and 2.3 (at Q = 0
 its refusal, a DomainError below DOF_Q_MARGIN * RING_R0, recorded as Q
 and a 1) and the initial-field report at three wavevectors, one along z
-(Q = 0).  The
-``roots`` case runs the root finders: `find_qbm_poles` on a lossless, an
-ohmic, a critically damped and a cutoff plate, and `plate_mode_roots`
-(at three (Q, kz)) and `branch_inventory` (at three Q) on the ``edge``
-plates and a table plate (every pole report with a 0/1 for its
-Newton-polished method).  Two
-checkouts that print the same text compute the same bits, so a change to
-the toolkit that claims to move no number is checked by diffing this
-output before and after it:
+(Q = 0).  The ``roots`` case runs the root finders: `find_qbm_poles` on
+a lossless, an ohmic, a critically damped and a cutoff plate, and
+`plate_mode_roots` (at three (Q, kz)) and `branch_inventory` (at three
+Q) on the ``edge`` plates and a table plate (every pole report with a
+0/1 for its Newton-polished method).  Two checkouts that print the same
+text compute the same bits, so a change to the toolkit that claims to
+move no number is checked by diffing this output before and after it:
 
     PYTHONPATH=src python3 scripts/analytic_fingerprints.py > before.txt
 
