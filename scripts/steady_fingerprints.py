@@ -7,15 +7,13 @@ contour points (counted by wrapping ``pressure._bath_channels``, the size
 of its Q, and ``pressure._line_integrand`` at the complex frequencies of
 ``pressure._contour_line_integral``, the size of its y).  A case whose
 plates are one material evaluates no channel map: its real axis takes
-the line k_z = omega + i y of the propagating sector and the round-trip
-form of the evanescent one, and its line gets ``line=`` and ``evan=``
-columns of those points (``pressure._line_integrand`` at real
-frequencies, the size of its y, and ``pressure._evanescent_integrand``,
-the size of its Q).  The ``freqs=`` column counts the real-axis
+the line k_z = omega + i y, whose points get a ``line=`` column
+(``pressure._line_integrand`` at real frequencies, the size of its
+y).  The ``freqs=`` column counts the real-axis
 frequencies the case hands ``pressure._inner_q_integral``, the outer
 rule's nodes on [0, omega_max] and in the Euler tail slices, so a change
 to the outer seeds shows its cost.  A `steady_pressure` case
-returns value, err, tail, omega_max_used and the eight channels in
+returns value, err, tail, omega_max_used and the four channels in
 BREAKDOWN_KEYS order; a lockstep Q case returns its channel integrals and
 per-frequency errors.  Two checkouts that print the same text compute
 the same bits, so a change to the quadrature that claims to move no
@@ -230,10 +228,8 @@ def _hex(values):
 
 def fingerprint(name):
     """The case's line: its name, its numbers in float.hex and its points."""
-    points = {"_bath_channels": 0, "contour": 0, "_line_integrand": 0,
-              "_evanescent_integrand": 0, "_inner_q_integral": 0}
-    wrapped = ("_bath_channels", "_line_integrand", "_evanescent_integrand",
-               "_inner_q_integral")
+    points = {"_bath_channels": 0, "contour": 0, "_line_integrand": 0, "_inner_q_integral": 0}
+    wrapped = tuple(key for key in points if key != "contour")
     originals = {key: getattr(pressure, key) for key in wrapped}
 
     def counting(key, sizes):
@@ -246,7 +242,6 @@ def fingerprint(name):
 
     pressure._bath_channels = counting("_bath_channels", lambda a: (a[2],))
     pressure._line_integrand = counting("_line_integrand", lambda a: (a[3],))
-    pressure._evanescent_integrand = counting("_evanescent_integrand", lambda a: (a[3],))
     pressure._inner_q_integral = counting("_inner_q_integral", lambda a: (a[1],))
     try:
         numbers = CASES[name]()
@@ -255,7 +250,7 @@ def fingerprint(name):
             setattr(pressure, key, fn)
     counts = f"{points['_bath_channels']}+{points['contour']} freqs={points['_inner_q_integral']}"
     if points["_line_integrand"]:
-        counts += f" line={points['_line_integrand']} evan={points['_evanescent_integrand']}"
+        counts += f" line={points['_line_integrand']}"
     return f"{name} points={counts} {_hex(numbers)}"
 
 

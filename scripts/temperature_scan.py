@@ -51,7 +51,7 @@ def main(argv=None):
     for t_left in temps:
         left = plate(args.omega0, args.lambda0, args.gamma, float(t_left))
         res = steady_pressure(Geometry(gap=args.gap, left=left, right=right), opts)
-        from_left, from_right = (sum(v for (p, _, _), v in res.breakdown.items() if p == side)
+        from_left, from_right = (sum(v for (p, _), v in res.breakdown.items() if p == side)
                                  for side in ("L", "R"))
         rows.append((float(t_left), res.value, res.err, from_left, from_right, res.tail,
                      res.omega_max_used))

@@ -18,39 +18,41 @@ The (omega, Q) integral is nested adaptive Gauss-Kronrod, and two rules
 serve the real axis and the tail alike.  The outer frequency rule
 (`_frequency_rule`; on dissimilar plates at T_L != T_R its segments are
 [0, omega_max] and the two Euler tail slices) hands all the nodes of each
-round to one call of the lockstep Q driver (`_q_integrals`): the
-propagating (Q < Re omega) and evanescent sectors of every frequency are
-independent segments of one adaptive rule, each with its own error test,
-panel budget and ConvergenceError, and each retires, its totals stored,
-in the round it converges.  Each round evaluates all panels being split
-with one integrand call per chunk of ``_PANEL_CHUNK`` panels, so memory
-stays bounded.  A chunk's nodes come shaped (panels, 15), one
-propagating run of panels then one evanescent run, which the node and
-channel maps read as slices; whatever depends on a panel's frequency
-alone (the frequency itself, its decay scale and contour weight, and its
-row of the `_frequency_factors` tables, evaluated once per lockstep
-call) is read once per panel and broadcast over its nodes, and a panel
-carries only its own sector's rows.  The seeds of the evanescent sector
-mark each plate's critical wavenumber kappa_c = omega sqrt(eps - 1),
-where the plate wavenumber vanishes, with a ladder of marks out from it
-where the plate's loss leaves that edge sharp, read off the same
-permittivity tables (`_inner_q_seeds`, `_critical_marks`).  Up to the
-real-axis ceiling omega_max the Q integrand of dissimilar plates is the
-four (plate x polarization) channels (`_real_q_integral`), one kernel
-(`_channel_kernel`) for the engine and the public per-point map alike
-(`_bath_channels`, eight rows in BREAKDOWN_KEYS order): one Fresnel call
-per sector with both plates on its leading axis, and the rows from r_L,
-r_R and the round trip x = r_L r_R exp(2 i k_z l) of each polarization.
-Plates of one material (`_same_material`) integrate one row per
-polarization in either sector instead, the round-trip sum of the Lifshitz
-function H weighted by both plates' occupations, and split the plates
-after integration (`_line_q_integral`); they never call the channel
-map.  Their propagating sector leaves the real Q axis: with k_z =
-sqrt(omega^2 - Q^2) it closes on the line k_z = omega + i y, where the
+round to one call of the lockstep Q driver (`_q_integrals`): the Q
+segments of every frequency are independent segments of one adaptive
+rule, each with its own error test, panel budget and ConvergenceError,
+and each retires, its totals stored, in the round it converges.  Each
+round evaluates all panels being split with one integrand call per chunk
+of ``_PANEL_CHUNK`` panels, so memory stays bounded.  A chunk's nodes
+come shaped (panels, 15); whatever depends on a panel's frequency alone
+(the frequency itself, its decay scale and contour weight, and its row
+of the `_frequency_factors` tables, evaluated once per lockstep call) is
+read once per panel and broadcast over its nodes.  Up to the real-axis
+ceiling omega_max the Q integrand of dissimilar plates is the four
+(plate x polarization) channels on the real Q axis (`_real_q_integral`),
+one kernel (`_channel_kernel`) for the engine and the public per-point
+map alike (`_bath_channels`, four rows in BREAKDOWN_KEYS order): one
+Fresnel call per sector (Q < omega propagating, else evanescent) with
+both plates on its leading axis, and the rows from r_L, r_R and the
+round trip x = r_L r_R exp(2 i k_z l) of each polarization.  Each
+frequency's two sectors are two segments, the propagating ones first,
+so a chunk is one propagating run of panels then one evanescent run,
+which the node and channel maps read as slices, and a panel carries only
+its own sector's rows.  The seeds of the evanescent sector mark each
+plate's critical wavenumber kappa_c = omega sqrt(eps - 1), where the
+plate wavenumber vanishes, with a ladder of marks out from it where the
+plate's loss leaves that edge sharp, read off the same permittivity
+tables (`_inner_q_seeds`, `_critical_marks`).  Plates of one material
+(`_same_material`) integrate one row per polarization instead, the
+round-trip sum of the Lifshitz function H weighted by both plates'
+occupations, and split the plates after integration
+(`_line_q_integral`); they never call the channel map.  Their Q
+integral leaves the real axis: with k_z = sqrt(omega^2 - Q^2) it closes
+on the line k_z = omega + i y, one segment per frequency, where the
 cavity round trip decays like exp(-2 y l) instead of oscillating, plus
-the residues at the zeros of D_mu between the line and the imaginary
-axis, so its cost per frequency does not grow with the gap; omega
-stays real.  Past the ceiling, where the emission is the mean occupation
+the residues at the zeros of D_mu between the line and the real-Q path,
+so its cost per frequency does not grow with the gap; omega stays
+real.  Past the ceiling, where the emission is the mean occupation
 times the Lifshitz function H (identical plates up to their
 temperatures, or one bath temperature), the tail closes on the line
 omega_max + i y (`_contour_tail`), and each of its complex frequencies
@@ -115,7 +117,7 @@ _POLS = ("TE", "TM")
 _SECTORS = ("propagating", "evanescent")
 
 #: Fixed ordering of the pressure breakdown channels (CSV column order).
-BREAKDOWN_KEYS = tuple((p, m, s) for p in _PLATES for m in _POLS for s in _SECTORS)
+BREAKDOWN_KEYS = tuple((p, m) for p in _PLATES for m in _POLS)
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +230,12 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     pointwise reference.
 
     omega is one frequency or an array of them broadcast against Q.  Returns
-    a real array of shape (8,) + the broadcast shape, one row per channel
-    in BREAKDOWN_KEYS order.  The values include the full measure (the Q
-    of Q dQ and ``_MEASURE``), so the pressure is the plain (omega, Q)
-    double integral of the sum of the rows.  Points at omega = 0 carry no
+    a real array of shape (4,) + the broadcast shape, one row per channel
+    (plate x polarization) in BREAKDOWN_KEYS order, each point's in the
+    closed form of its sector (Q < omega propagating, else evanescent).
+    The values include the full measure (the Q of Q dQ and
+    ``_MEASURE``), so the pressure is the plain (omega, Q) double
+    integral of the sum of the rows.  Points at omega = 0 carry no
     emission and read 0; a negative, NaN or infinite omega, or a NaN,
     infinite or negative Q, raises DomainError.
 
@@ -239,13 +243,11 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     the integrand's points here); `_channel_rows` evaluates it.  Called
     with its points alone, the factors of omega alone
     (`_frequency_factors`) are evaluated at each point of nonzero
-    frequency, and each point's rows fill its sector's (Q < omega
-    propagating), the other sector's reading 0.  ``factors`` is the pair
-    (that dict, the row of each panel's frequency in it), as
-    `_real_q_integral` passes it once per lockstep call; it then rules
-    over use_fdr and thermal_only, the points are taken as they come,
-    unchecked (Q (panels, nodes), omega the (panels, 1) column), and the
-    call returns the four rows of `_channel_rows`: the engine form.
+    frequency.  ``factors`` is the pair (that dict, the row of each
+    panel's frequency in it), as `_real_q_integral` passes it once per
+    lockstep call; it then rules over use_fdr and thermal_only, and the
+    points are taken as they come, unchecked (Q (panels, nodes), omega
+    the (panels, 1) column): the engine form.
 
     ``work`` is the `_Workspace` of the `_real_q_integral` call that
     owns this call; the rows of a chunk live in its buffers until the
@@ -303,10 +305,8 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     live = w.ravel() != 0.0         # omega = 0 takes no row
     factors = (_frequency_factors(geom, w.ravel()[live], use_fdr=use_fdr,
                                   thermal_only=thermal_only), np.cumsum(live) - 1)
-    rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)[..., 0]
-    prop = (Q < w).ravel()
-    out = np.stack([np.where(prop, rows, 0.0), np.where(prop, 0.0, rows)], axis=1)
-    return out.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
+    rows = _channel_rows(geom, factors, w.reshape(-1, 1), Q.reshape(-1, 1), work)
+    return rows.reshape((len(BREAKDOWN_KEYS),) + Q.shape)
 
 
 def _channel_rows(geom, factors, w, Q, work):
@@ -441,7 +441,7 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
 def bath_integrand(geom, omega, Q, use_fdr=True):
     """Bath-pressure integrand summed at one (omega, Q) point (or a batch).
 
-    The sum over plates, polarizations and sectors of the channel map of
+    The sum over plates and polarizations of the channel map of
     `_bath_channels`, baseline subtracted: the integrand of
     `steady_pressure`, real by construction.  ``use_fdr=False`` switches
     every Material plate to the noise-kernel evaluation path (a
@@ -522,10 +522,11 @@ def _eval_panels(f, lo, hi, seg):
     order of the batch.
 
     The panels go to f in a stable order by segment, so a chunk holds
-    its segments' panels in segment order: the inner rules number the
-    propagating sectors first (`_q_integrals`), so each of their chunks
-    is one propagating run of panels followed by one evanescent run; the
-    outer rule's are the real axis's then the Euler tail slices'.
+    its segments' panels in segment order: the real-axis inner rule
+    numbers the propagating sectors first (`_q_integrals`), so each of
+    its chunks is one propagating run of panels followed by one
+    evanescent run; the outer rule's are the real axis's then the Euler
+    tail slices'.
 
     The rule's own arrays are fresh.  f may return rows that live in its
     own buffers (the row producers' `_Workspace`): each chunk's rows are
@@ -766,18 +767,17 @@ class PressureOptions:
 class PressureResult:
     """Value, error estimate and channel breakdown of one pressure run.
 
-    breakdown holds the eight real-axis channels (plate x polarization x
-    sector) integrated over [0, omega_max_used], the resolved real-axis
-    ceiling; tail is the part past it, and value = fsum(breakdown) + tail
-    (to rounding).  The tail is the contour integral up omega_max_used +
-    i y where the plates' emission continues off the real axis (see
-    `steady_pressure`), else the Euler-weighted real-axis slices.  Each
-    Q segment integrates only its own sector's rows.  For plates of one
-    material those are one row per polarization, both plates together,
-    and each plate's channels are its share c_a / (c_L + c_R) of the
-    integrals, c_a its occupation, taken after the Q integration
-    (`_line_q_integral`); other pairs integrate their four channels
-    (plate x polarization) as they are.
+    breakdown holds the four real-axis channels (plate x polarization)
+    integrated over [0, omega_max_used], the resolved real-axis ceiling;
+    tail is the part past it, and value = fsum(breakdown) + tail (to
+    rounding).  The tail is the contour integral up omega_max_used + i y
+    where the plates' emission continues off the real axis (see
+    `steady_pressure`), else the Euler-weighted real-axis slices.  For
+    plates of one material the Q integrals are one row per polarization,
+    both plates together, and each plate's channels are its share c_a /
+    (c_L + c_R) of the integrals, c_a its occupation, taken after the Q
+    integration (`_line_q_integral`); other pairs integrate their four
+    channels as they are.
 
     err is the sum of the outer estimate on [0, omega_max_used],
     |integrated inner| (the inner Q errors integrated over omega with the
@@ -786,11 +786,8 @@ class PressureResult:
     k_z = omega + i y plus that of its residues; on the real axis, the
     estimates of the two slices plus 0.5 |resid|, resid the summed
     channels of both slices.  The inner error of a frequency sums its two
-    sectors' estimates; for plates of one material, whose propagating
-    sector comes from the line k_z = omega + i y, it is the line's
-    estimate plus the residues', since the evanescent integral cancels
-    from the sum of the two sectors (it still sets the sector split of
-    the breakdown).
+    sectors' estimates; for plates of one material it is the line's
+    estimate plus the residues'.
     """
 
     value: float
@@ -800,7 +797,7 @@ class PressureResult:
     tail: float = 0.0
 
     def csv_row(self, gap, t_left, t_right):
-        """Flat CSV row: l, T_L, T_R, value, err, 8 channels, and a constant
+        """Flat CSV row: l, T_L, T_R, value, err, 4 channels, and a constant
         1 in the ``baseline_subtracted`` column kept for existing readers."""
         cells = [gap, t_left, t_right, self.value, self.err]
         cells += [self.breakdown[k] for k in BREAKDOWN_KEYS]
@@ -839,42 +836,42 @@ def _auto_omega_max(geom):
 def _inner_q_seeds(geom, omegas, eps, line=False):
     """Seed edges of the inner Q integrals of an array of frequencies.
 
-    One row per segment, the propagating sector of every frequency first,
-    then the evanescent sector of every frequency, as a NaN-padded 2-d
-    array for `_adaptive_gk`.  ``eps`` holds one row of permittivities
-    eps(omegas) per plate material, as the lockstep rules tabulate them
-    (`_frequency_factors`), so the seeds evaluate no permittivity.
+    One row per segment, as a NaN-padded 2-d array for `_adaptive_gk`:
+    under ``line`` the line k_z = omega + i y of every frequency, in u in
+    [0, 1) with y = u / (2 l (1 - u)): ``_LINE_MARKS``, and y = omega and
+    4 omega where u(omega) < 1/4, the scale of the corner k_z -> 0 that
+    the marks at y l >= 1/2 miss at small omega.  Otherwise the
+    propagating sector of every frequency, then its evanescent sector:
 
     * propagating, in theta with Q = omega sin(theta): 0, pi/2, the
       round-trip oscillation exp(2 i kappa l), kappa = omega cos(theta), in
       round(2 omega l / pi) steps (at least 6, at most 28), and
       acos(kappa/omega) for each material kappa (lambda0, omega0) below
-      omega; under ``line``, the line k_z = omega + i y instead, in u in
-      [0, 1) with y = u / (2 l (1 - u)): ``_LINE_MARKS``, and y = omega
-      and 4 omega where u(omega) < 1/4, the scale of the corner k_z -> 0
-      that the marks at y l >= 1/2 miss at small omega;
+      omega;
     * evanescent, in the decay variable t in [0, 1) with kappa = sqrt(Q^2 -
       omega^2) = scale t/(1 - t) and scale = max(omega, 1/(2 l)): the cap
       320/l, the scales 1/(4 l) .. 4/l, omega and 2 omega below it, and
-      each material's critical wavenumber (`_critical_marks`).
+      each material's critical wavenumber (`_critical_marks`).  ``eps``
+      holds one row of permittivities eps(omegas) per plate material, as
+      the lockstep rules tabulate them (`_frequency_factors`), so the
+      seeds evaluate no permittivity.
     """
     l = geom.gap
     w_p = omegas[:, None]
     if line:
         u = 2.0 * l * w_p / (1.0 + 2.0 * l * w_p)
         corner = np.where(u < 0.25, np.hstack([w_p, 4.0 * w_p]), np.nan)
-        prop = np.hstack([np.tile(_LINE_MARKS, (len(w_p), 1)),
+        return np.hstack([np.tile(_LINE_MARKS, (len(w_p), 1)),
                           2.0 * l * corner / (1.0 + 2.0 * l * corner)])
-    else:
-        n_osc = np.clip(np.rint(2.0 * w_p * l / math.pi), 6, 28)
-        i = np.arange(1, 28)
-        theta = np.where(i < n_osc, math.pi / 2 * i / n_osc, np.nan)
-        kappa = np.array([kappa for side in (geom.left, geom.right)
-                          for kappa in (side.lambda0, side.omega0)], dtype=float)
-        below = (kappa > 0.0) & (kappa < w_p)
-        acos = np.full(below.shape, np.nan)     # math.acos: the marks' floats as ever
-        acos[below] = [math.acos(r) for r in (kappa / w_p)[below].tolist()]
-        prop = np.hstack([np.tile([0.0, math.pi / 2], (len(w_p), 1)), theta, acos])
+    n_osc = np.clip(np.rint(2.0 * w_p * l / math.pi), 6, 28)
+    i = np.arange(1, 28)
+    theta = np.where(i < n_osc, math.pi / 2 * i / n_osc, np.nan)
+    kappa = np.array([kappa for side in (geom.left, geom.right)
+                      for kappa in (side.lambda0, side.omega0)], dtype=float)
+    below = (kappa > 0.0) & (kappa < w_p)
+    acos = np.full(below.shape, np.nan)     # math.acos: the marks' floats as ever
+    acos[below] = [math.acos(r) for r in (kappa / w_p)[below].tolist()]
+    prop = np.hstack([np.tile([0.0, math.pi / 2], (len(w_p), 1)), theta, acos])
 
     scale = np.maximum(omegas, 0.5 / l)[:, None]
     q_cap = 320.0 / l
@@ -946,112 +943,102 @@ def _q_nodes(x, seg, n_prop, w_seg, decay, line=False):
     panels of segments seg to Q.
 
     ``w_seg`` and ``decay`` are per segment: its (real) frequency omega
-    and its decay scale, each read once per panel.  Segments below
+    and its decay scale, each read once per panel.  Under ``line`` every
+    segment is the line k_z = omega + i y of its frequency, and x is u
+    with y = decay u / (1 - u) (y and dy/du take the places of Q and
+    dQ/dx; ``decay`` is 1/(2 l) there).  Otherwise segments below
     ``n_prop`` are propagating, and their panels must come first
     (`_eval_panels` orders each chunk so): x is theta with Q = omega
-    sin(theta) there, or under ``line`` u with y = u / (2 l (1 - u)) on
-    the line k_z = omega + i y (y and dy/du take the places of Q and
-    dQ/dx; ``decay`` is then 1/(2 l) there); the evanescent nodes after
-    them are t in [0, 1) with sqrt(Q^2 - omega^2) = decay t/(1 - t).
-    Returns (omega, the (panels, 1) column of the panels' frequencies,
-    then Q and dQ/dx over the nodes), fresh arrays: each panel's
-    frequency and decay scale are read once and broadcast over its
-    nodes.
+    sin(theta) there; the evanescent nodes after them are t in [0, 1)
+    with sqrt(Q^2 - omega^2) = decay t/(1 - t).  Returns (omega, the
+    (panels, 1) column of the panels' frequencies, then Q and dQ/dx over
+    the nodes), fresh arrays: each panel's frequency and decay scale are
+    read once and broadcast over its nodes.
     """
+    w, c = w_seg[seg][:, None], decay[seg][:, None]
+    if line:                        # y = u c / (1 - u), dy/du = c / (1 - u)^2
+        rest = 1.0 - x
+        return w, c * x / rest, c / np.square(rest)
     k = int(np.count_nonzero(seg < n_prop))
     if np.count_nonzero(seg[:k] < n_prop) < k:
         raise ValueError("the propagating panels must lead the chunk (see _eval_panels)")
-    w = w_seg[seg][:, None]
     Q, jac = np.empty((2,) + x.shape)
-    if k and line:                  # y = u c / (1 - u), dy/du = c / (1 - u)^2
-        rest = 1.0 - x[:k]
-        c = decay[seg[:k]][:, None]
-        Q[:k] = c * x[:k] / rest
-        jac[:k] = c / np.square(rest)
-    elif k:
-        Q[:k] = w[:k] * np.sin(x[:k])
-        jac[:k] = w[:k] * np.cos(x[:k])
-    if k < len(x):
-        c, t = decay[seg[k:]][:, None], x[k:]
-        rest = 1.0 - t
-        qs = c * t / rest
-        Q[k:] = np.hypot(w[k:], qs)
-        jac[k:] = qs / np.maximum(Q[k:], 1e-300) * c / np.square(rest)
+    Q[:k] = w[:k] * np.sin(x[:k])
+    jac[:k] = w[:k] * np.cos(x[:k])
+    rest = 1.0 - x[k:]
+    qs = c[k:] * x[k:] / rest
+    Q[k:] = np.hypot(w[k:], qs)
+    jac[k:] = qs / np.maximum(Q[k:], 1e-300) * c[k:] / np.square(rest)
     return w, Q, jac
 
 
 def _q_integrals(geom, omegas, eps, rows, rel_tol, floor_scale, line=False):
-    """The lockstep Q driver: both sectors of every frequency in
+    """The lockstep Q driver: the Q segments of every frequency in
     ``omegas`` (real and > 0) are independent segments of one
     `_adaptive_gk` call (seed edges `_inner_q_seeds`, nodes `_q_nodes`, at
-    most 512 panels each), so each round evaluates every panel still being split with one integrand
-    call per chunk, while each sector keeps its own error test, panel
-    budget and ConvergenceError, named by its sector and frequency.  The
-    propagating segments come first, so each chunk (`_eval_panels`) is
-    one propagating run of panels followed by one evanescent run, and the
-    node map and the channel map read each run as a slice.  Under
-    ``line`` the propagating segments run on the line k_z = omega + i y
-    instead of the real Q axis, at ``_LINE_TOL`` times rel_tol (see
+    most 512 panels each), so each round evaluates every panel still
+    being split with one integrand call per chunk, while each segment
+    keeps its own error test, panel budget and ConvergenceError, named by
+    its frequency.  On the real Q axis a frequency has two segments, its
+    propagating and evanescent sectors, the propagating ones first, so
+    each chunk (`_eval_panels`) is one propagating run of panels followed
+    by one evanescent run, and the node map and the channel map read each
+    run as a slice.  Under ``line`` a frequency has one segment, the line
+    k_z = omega + i y, at ``_LINE_TOL`` times rel_tol (see
     `_line_q_integral`).
 
     ``eps`` holds one row of permittivities at ``omegas`` per plate
     material, the seeds' critical wavenumbers (`_inner_q_seeds`).
-    ``rows(w, Q, jac, at, lead)`` gives the integrand rows at the nodes
-    from the (panels, 1) column of their frequencies w = omegas[at], at
-    one frequency index per panel (also its column of the
-    `_frequency_factors` tables), Q and dQ/dx shaped (panels, 15) (see
-    `_q_nodes`) and ``lead``, the number of leading propagating panels:
-    n_rows rows of each panel's sector alone.  Its own arrays are fresh;
-    ``rows`` may keep its rows in its own `_Workspace` (see
-    `_eval_panels`).
+    ``rows(w, Q, jac, at)`` gives the integrand rows at the nodes from
+    the (panels, 1) column of their frequencies w = omegas[at], at one
+    frequency index per panel (also its column of the
+    `_frequency_factors` tables), and Q and dQ/dx shaped (panels, 15)
+    (see `_q_nodes`): n_rows rows of each panel's segment.  Its own
+    arrays are fresh; ``rows`` may keep its rows in its own `_Workspace`
+    (see `_eval_panels`).
 
     The absolute floor of every segment is ``_INNER_FLOOR * rel_tol``
     times the largest |inner integral| among ``floor_scale`` (that of the
     frequencies already finished) and the running per-frequency totals of
     this call, so it does not depend on the order in which the
-    frequencies of one call are listed.  Returns (integrals shaped (2
-    n_rows, n_omega), each row's two sectors side by side; errors shaped
-    (2, n_omega): the propagating segment's, then the evanescent one's).
+    frequencies of one call are listed.  Returns (integrals shaped
+    (n_rows, n_omega), errors shaped (n_omega,)), each frequency's
+    segments summed.
     """
     omegas = np.asarray(omegas, dtype=float)
     n = len(omegas)
-    owner = np.tile(np.arange(n), 2)
-    evan = np.arange(2 * n) >= n
+    sectors = 1 if line else len(_SECTORS)
+    owner = np.tile(np.arange(n), sectors)
     w_seg = omegas[owner]
-    decay = np.maximum(w_seg, 0.5 / geom.gap)
-    if line:
-        decay[:n] = 0.5 / geom.gap
+    decay = np.full(n, 0.5 / geom.gap) if line else np.maximum(w_seg, 0.5 / geom.gap)
 
     def f(x, seg):
-        w, Q, jac = _q_nodes(x, seg, n, w_seg, decay, line=line)
-        return rows(w, Q, jac, owner[seg], np.count_nonzero(seg < n)), np.empty((0,) + x.shape)
+        return rows(*_q_nodes(x, seg, n, w_seg, decay, line), owner[seg]), \
+            np.empty((0,) + x.shape)
 
     def abs_floor(totals):
         running = np.bincount(owner, weights=totals, minlength=n)
         return _INNER_FLOOR * rel_tol * max(floor_scale, np.abs(running).max())
 
     def label(j):
-        return f"{_SECTORS[int(evan[j])]} Q integral at omega={omegas[owner[j]]:.4g}"
+        return f"{_SECTORS[j // n]} Q integral at omega={omegas[owner[j]]:.4g}"
 
-    tol = np.where(evan, rel_tol, _LINE_TOL * rel_tol) if line else rel_tol
-    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, eps, line), tol,
+    (got, _), err = _adaptive_gk(f, _inner_q_seeds(geom, omegas, eps, line),
+                                 _LINE_TOL * rel_tol if line else rel_tol,
                                  abs_floor=abs_floor, max_panels=512, labels=label)
-    errs = np.array([np.bincount(owner[~evan], weights=err[~evan], minlength=n),
-                     np.bincount(owner[evan], weights=err[evan], minlength=n)])
-    return np.stack([got[:, :n], got[:, n:]], axis=1).reshape(-1, n), errs
+    return got.reshape(len(got), sectors, n).sum(axis=1), err.reshape(sectors, n).sum(axis=0)
 
 
 def _inner_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     """Q-integrals of the difference channel map at an array of frequencies,
-    in lockstep (`_q_integrals`): (channel integrals shaped (8, n_omega) in
+    in lockstep (`_q_integrals`): (channel integrals shaped (4, n_omega) in
     BREAKDOWN_KEYS order, per-frequency errors).
 
     Plates of one material (`_same_material`) integrate the round-trip
-    sum per polarization and sector, the propagating sector on the line
-    k_z = omega + i y, and split the plates after integration
-    (`_line_q_integral`); other pairs integrate the channel map in both
-    sectors on the real Q axis (`_real_q_integral`).  Both rules are
-    described there.
+    sum per polarization on the line k_z = omega + i y, and split the
+    plates after integration (`_line_q_integral`); other pairs integrate
+    the channel map in both sectors on the real Q axis
+    (`_real_q_integral`).  Both rules are described there.
     """
     rule = _line_q_integral if _same_material(geom) else _real_q_integral
     return rule(geom, omegas, thermal_only, rel_tol, floor_scale)
@@ -1066,21 +1053,20 @@ def _real_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     four channels of its sector.  The call owns one `_Workspace` and
     hands it to the channel map: each chunk's channel rows, Jacobian
     applied in place, and the kernel's arrays live in it until the next
-    chunk, and it is dropped when the call returns.  The error of a
-    frequency is the sum of its two sectors' estimates.
+    chunk, and it is dropped when the call returns.  A frequency's
+    integrals and error are the sums of its two sectors'.
     """
     work = _Workspace()
     factors = _frequency_factors(geom, np.asarray(omegas, dtype=float),
                                  thermal_only=thermal_only)
 
-    def rows(w, Q, jac, at, lead):
+    def rows(w, Q, jac, at):
         ch = _bath_channels(geom, w, Q, factors=(factors, at), work=work)
         ch *= jac
         return ch
 
-    got, err = _q_integrals(geom, omegas, factors["complex"][1:1 + len(_PLATES)], rows,
-                            rel_tol, floor_scale)
-    return got, err[0] + err[1]
+    return _q_integrals(geom, omegas, factors["complex"][1:1 + len(_PLATES)], rows,
+                        rel_tol, floor_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1141,13 +1127,12 @@ def _inverse_n(qn, eps):
 def _round_trips(geom, w, eps, k, phase):
     """x_mu = r_mu,L r_mu,R exp(2 i k_z l) at gap wavenumbers k_z
     (broadcast against the frequencies w and each permittivity), per
-    polarization on a leading axis (TE, TM): what the line, the
-    evanescent rows and the zero test read.  ``eps`` holds one
-    permittivity per plate material on its leading axis: plate L's alone
-    for plates of one material (`_same_material`), which take r_mu^2,
-    else (eps_L, eps_R).  ``phase`` is exp(2 i k_z l), which the line
-    builds as exp(2 i w l) exp(-2 y l) and the evanescent rows as
-    exp(-2 kappa l): one real exponential per node, not a complex one.
+    polarization on a leading axis (TE, TM): what the line and the zero
+    test read.  ``eps`` holds one permittivity per plate material on its
+    leading axis: plate L's alone for plates of one material
+    (`_same_material`), which take r_mu^2, else (eps_L, eps_R).
+    ``phase`` is exp(2 i k_z l), which the line builds as exp(2 i w l)
+    exp(-2 y l): one real exponential per node, not a complex one.
 
     r_TE = (q - qn)/(q + qn) and r_TM = (eps q - qn)/(eps q + qn), with
     q = -i k_z and qn = sqrt((1 - eps) w^2 - k_z^2) the principal root
@@ -1172,21 +1157,6 @@ def _line_integrand(geom, w, eps, y):
     x = _round_trips(geom, w, eps, k,
                      np.exp((2j * geom.gap) * w) * np.exp((-2.0 * geom.gap) * y))
     return k * k * x / (1.0 - x), np.abs(x).max(axis=-1)
-
-
-def _evanescent_integrand(geom, w, eps, Q):
-    """-kappa Q Im(x_mu / (1 - x_mu)) at k_z = i kappa, kappa = sqrt(Q^2 -
-    w^2), per polarization, shaped (2,) + Q's shape: the evanescent
-    integrand of `_line_q_integral` in Q.  kappa is the channel kernel's
-    real root; a node on the light line (kappa = 0, where dQ/dt = 0 too)
-    reads 0."""
-    kappa = np.sqrt(Q * Q - w * w)
-    x = _round_trips(geom, w, eps, 1j * kappa, np.exp((-2.0 * geom.gap) * kappa))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        g = (-kappa * Q) * np.imag(x / (1.0 - x))
-    if not kappa.all():
-        g[:, kappa == 0.0] = 0.0
-    return g
 
 
 def _strip_top(geom, w, eps):
@@ -1419,45 +1389,36 @@ def _strip_residues(geom, w, eps, line_peak):
 
 
 def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
-    """`_inner_q_integral` for plates of one material: both sectors from
-    the round-trip sum, the propagating one on the line k_z = omega + i y,
-    and the plates split after integration.
+    """`_inner_q_integral` for plates of one material: the round-trip sum
+    on the line k_z = omega + i y, and the plates split after integration.
 
     With h = Q q S, q = -i k_z and S = sum_mu x_mu / (1 - x_mu) the
     round-trip sum (`_round_trips`), the Q-integrated emission of
-    polarization mu in either sector is -c_bar Im H_mu / (2 pi^2), H_mu
-    the integral of its h (Antezza et al., PRA 77, 022901 (2008)), and
-    plate a's share is c_a / (2 c_bar), c_a its occupation.  In k_z = sqrt(omega^2 - Q^2),
-    h dQ = i k_z^2 S dk_z: the propagating sector runs k_z from omega to
-    0, the evanescent one from 0 up the imaginary axis.  Closing them on
-    the line omega + i y, where the round trip decays like exp(-2 y l),
+    polarization mu is -c_bar Im H_mu / (2 pi^2), H_mu the integral of
+    its h over real Q (Antezza et al., PRA 77, 022901 (2008)), and plate
+    a's share is c_a / (2 c_bar), c_a its occupation.  In k_z =
+    sqrt(omega^2 - Q^2), h dQ = i k_z^2 S dk_z, and real Q runs k_z from
+    omega to 0, then up the imaginary axis.  Closed on the line omega +
+    i y, where the round trip decays like exp(-2 y l),
 
-        propagating = line - evanescent - 2 pi i sum Res,
+        H_mu = line - 2 pi i sum Res,
 
     the residues at the zeros of D_mu in the strip 0 < Re k_z < omega,
     Im k_z > 0 (`_strip_residues`, which serves the complex frequencies
-    of the contour tail alike, `_contour_line_integral`).  The line is one lockstep segment per
-    frequency, in u with y = u / (2 l (1 - u)) (`_LINE_MARKS`, and y =
-    omega and 4 omega at small omega), beside the evanescent segments,
-    seeded in t as in `_real_q_integral` (`_inner_q_seeds`), where
-    k_z = i kappa and h = Q kappa S.  The rows are one per polarization,
-    in each panel's sector (`_q_integrals` places the sectors' integrals
-    side by side): C (c_L + c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du
-    on the line (`_line_integrand`) and times -kappa Q Im(x_mu / (1 -
-    x_mu)) dQ/dt in the evanescent sector (`_evanescent_integrand`), C c_a =
-    PRESSURE_SIGN * _MEASURE * c_a the plates' share rows of
-    `_frequency_factors`.  An evanescent row equals the sum over the
-    plates of `_bath_channels`' rows to rounding, so the adaptive rules
-    split the panels they split on the channel map.  After integration
-    the propagating rows take off the residues and the evanescent rows,
-    and each plate takes c_a / (c_L + c_R) of every row (0 where neither
-    plate emits): the channels come out in BREAKDOWN_KEYS order.  The evanescent integral
-    cancels from the sum of the two sectors, so a frequency's error is
-    the line's estimate plus the residues'.  Each frequency (> 0, see the
-    module docstring) reads its permittivity and the shares off its
-    column of the `_frequency_factors` tables.  The call owns one
-    `_Workspace`, which keeps each chunk's rows until the next chunk and
-    is dropped when the call returns.
+    of the contour tail alike, `_contour_line_integral`).  The line is
+    one lockstep segment per frequency, in u with y = u / (2 l (1 - u))
+    (`_inner_q_seeds`).  Its rows are one per polarization: C (c_L +
+    c_R) times Im(k_z^2 x_mu / (1 - x_mu)) dy/du (`_line_integrand`),
+    C c_a = PRESSURE_SIGN * _MEASURE * c_a the plates' share rows of
+    `_frequency_factors`.  After integration the rows take off the
+    residues, and each plate takes c_a / (c_L + c_R) of every row (0
+    where neither plate emits): the channels come out in BREAKDOWN_KEYS
+    order.  A frequency's error is the line's estimate plus the
+    residues'.  Each frequency (> 0, see the module docstring) reads its
+    permittivity and the shares off its column of the
+    `_frequency_factors` tables.  The call owns one `_Workspace`, which
+    keeps each chunk's rows until the next chunk and is dropped when the
+    call returns.
     """
     work = _Workspace()
     omegas = np.asarray(omegas, dtype=float)
@@ -1466,29 +1427,20 @@ def _line_q_integral(geom, omegas, thermal_only, rel_tol, floor_scale):
     eps, both = factors["complex"][1:2], share.sum(axis=0)
     peak = np.zeros((len(_POLS), len(omegas)))
 
-    def rows(w, Q, jac, at, lead):
-        m, p = Q.shape
-        out = work.take("line.rows", len(_POLS) * m * p).reshape(len(_POLS), m, p)
-        e, c = eps[:, at, None], both[at][:, None]
-        if lead:
-            g, top = _line_integrand(geom, w[:lead], e[:, :lead], Q[:lead])
-            np.maximum.at(peak, (slice(None), at[:lead]), top)
-            g = g.imag
-            g *= jac[:lead]
-            np.multiply(c[:lead], g, out=out[:, :lead])
-        if lead < m:
-            g = _evanescent_integrand(geom, w[lead:], e[:, lead:], Q[lead:])
-            g *= jac[lead:]
-            np.multiply(c[lead:], g, out=out[:, lead:])
-        return out
+    def rows(w, Q, jac, at):
+        out = work.take("line.rows", len(_POLS) * Q.size).reshape((len(_POLS),) + Q.shape)
+        g, top = _line_integrand(geom, w, eps[:, at, None], Q)
+        np.maximum.at(peak, (slice(None), at), top)
+        g = g.imag
+        g *= jac
+        return np.multiply(both[at][:, None], g, out=out)
 
     got, err = _q_integrals(geom, omegas, eps, rows, rel_tol, floor_scale, line=True)
     res, res_err = _strip_residues(geom, omegas, eps, peak)
-    got = got.reshape(len(_POLS), len(_SECTORS), len(omegas))
-    got[:, 0] -= both * res.imag + got[:, 1]
+    got -= both * res.imag
     split = np.divide(share, both, out=np.zeros_like(share), where=both != 0.0)
-    err = err[0] + np.abs(share).sum(axis=0) * res_err
-    return (split[:, None, None] * got).reshape(len(BREAKDOWN_KEYS), len(omegas)), err
+    err += np.abs(share).sum(axis=0) * res_err
+    return (split[:, None] * got).reshape(len(BREAKDOWN_KEYS), len(omegas)), err
 
 
 def _frequency_rule(nodes, segments, rel_tol, floor, max_panels, labels):
@@ -1723,9 +1675,9 @@ def steady_pressure(geom, opts=None):
     |P| of the real-axis part (its running sum) as their floor.
 
     Plates of one material (up to their temperatures) take each
-    frequency's propagating Q integral on the line k_z = omega + i y
-    with the strip's residues (`_line_q_integral`), at 1/100 of the inner
-    tolerance (``_LINE_TOL``); other pairs take it on the real Q axis.
+    frequency's Q integral on the line k_z = omega + i y with the strip's
+    residues (`_line_q_integral`), at 1/100 of the inner tolerance
+    (``_LINE_TOL``); other pairs take it on the real Q axis.
     A zero of D_mu that the searched box's boundary cannot resolve, or a
     branch cut of a plate wavenumber across the box of a tail frequency,
     raises SingularityError.

@@ -203,7 +203,8 @@ def test_pressure_single_point_csv(tmp_path, capsys):
     header, rows = read_csv(out)
     assert header[:5] == ["l", "T_L", "T_R", "pressure", "err"]
     assert header[-1] == "baseline_subtracted"
-    assert len(header) == 14 and len(rows) == 1
+    assert header[5:9] == ["L_TE", "L_TM", "R_TE", "R_TM"]
+    assert len(header) == 10 and len(rows) == 1
     row = [float(x) for x in rows[0]]
     assert row[0] == 1.2 and row[1] == 0.9 and row[2] == 0.3
     assert row[-1] == 1.0
@@ -211,8 +212,8 @@ def test_pressure_single_point_csv(tmp_path, capsys):
     # sum to the reported value
     cfg = load_config(write_cfg(tmp_path, BASE))
     res = pressure.steady_pressure(geometry_for(cfg), _pressure_options(cfg))
-    assert row[3] == res.value and row[5:13] == [res.breakdown[k] for k in pressure.BREAKDOWN_KEYS]
-    assert math.isclose(sum(row[5:13]) + res.tail, row[3], rel_tol=0, abs_tol=1e-12)
+    assert row[3] == res.value and row[5:9] == [res.breakdown[k] for k in pressure.BREAKDOWN_KEYS]
+    assert math.isclose(sum(row[5:9]) + res.tail, row[3], rel_tol=0, abs_tol=1e-12)
 
 
 def test_pressure_sweep_decays_with_separation(tmp_path, capsys):

@@ -50,55 +50,52 @@ def test_steady_fingerprints_script(capsys):
     script = load_script("steady_fingerprints")
     assert script.main(["--case", "sweep-far", "--case", "dissimilar-euler"]) == 0
     identical, dissimilar = capsys.readouterr().out.splitlines()
-    name, points, freqs, line, evan, *numbers = identical.split()
+    name, points, freqs, line, *numbers = identical.split()
     assert name == "sweep-far"
     real, contour = (int(n) for n in points.removeprefix("points=").split("+"))
     # the real-axis frequencies of the outer rule: 15 Kronrod nodes a panel
     n_freqs = int(freqs.removeprefix("freqs="))
     assert n_freqs > 0 and n_freqs % 15 == 0
-    # plates of one material take the propagating sector on the line and
-    # the evanescent one in its round-trip form, whose points have columns
-    # of their own: the channel map never runs
+    # plates of one material take the line k_z = omega + i y, whose points
+    # have a column of their own: the channel map never runs
     assert real == 0 and contour > 0
-    assert int(line.removeprefix("line=")) > 0 and int(evan.removeprefix("evan=")) > 0
+    assert int(line.removeprefix("line=")) > 0
     value, err, tail, omega_max, *channels = (float.fromhex(n) for n in numbers)
-    assert len(channels) == 8
+    assert len(channels) == len(BREAKDOWN_KEYS) == 4
     assert value < 0.0 < err and omega_max == 4.0
     assert value == pytest.approx(math.fsum(channels) + tail, rel=1e-12)
-    # a dissimilar pair evaluates no line and prints no line or evan column
+    # a dissimilar pair evaluates no line and prints no line column
     name, points, freqs, *numbers = dissimilar.split()
     assert name == "dissimilar-euler" and points.startswith("points=")
     assert int(points.removeprefix("points=").split("+")[0]) > 0
     # the real axis and the two Euler tail slices
     n_freqs = int(freqs.removeprefix("freqs="))
     assert n_freqs > 0 and n_freqs % 15 == 0
-    assert len(numbers) == 12 and not any(n.startswith(("line=", "evan=")) for n in numbers)
-    # the lockstep Q rule of identical plates runs the line and the
-    # round-trip evanescent form; the point map runs the channel map on
-    # its 24 points, four times (two plate pairs, with and without
-    # thermal_only)
+    assert len(numbers) == 8 and not any(n.startswith("line=") for n in numbers)
+    # the lockstep Q rule of identical plates runs the line alone; the
+    # point map runs the channel map on its 24 points, four times (two
+    # plate pairs, with and without thermal_only)
     assert script.main(["--case", "line-q", "--case", "point-map"]) == 0
     line_q, point_map = capsys.readouterr().out.splitlines()
-    name, points, freqs, line, evan, *numbers = line_q.split()
+    name, points, freqs, line, *numbers = line_q.split()
     assert name == "line-q" and points == "points=0+0" and freqs == "freqs=4"
-    assert int(line.removeprefix("line=")) > 0 and int(evan.removeprefix("evan=")) > 0
+    assert int(line.removeprefix("line=")) > 0 and not any("=" in n for n in numbers)
     assert len(numbers) == len(BREAKDOWN_KEYS) * 4 + 4
     name, points, freqs, *numbers = point_map.split()
     assert name == "point-map" and points == "points=96+0" and freqs == "freqs=0"
     rows = np.array([float.fromhex(n) for n in numbers]).reshape(4, len(BREAKDOWN_KEYS), 24)
     assert np.all(rows[:, :, :6] == 0.0)                # omega = 0
-    assert np.all(rows[:, 0::2, 9::6] == 0.0)           # the light line is evanescent
-    assert np.all(rows[:, 1::2, 9::6] != 0.0)
+    # the light line takes the evanescent limit, nonzero in every channel
+    assert np.all(rows[:, :, 9::6] != 0.0)
     assert not np.array_equal(rows[0], rows[1]) and not np.array_equal(rows[0], rows[2])
     # the dissimilar plates at omega = 8, 12 and 17: six points each, Q = 0
-    # (where the rows' factor Q is 0) first, the light line (the fourth)
-    # in the evanescent sector
+    # (where the rows' factor Q is 0) first, then both sectors and the
+    # light line (the fourth)
     assert script.main(["--case", "point-map-high"]) == 0
     name, points, freqs, *numbers = capsys.readouterr().out.split()
     assert name == "point-map-high" and points == "points=18+0" and freqs == "freqs=0"
     rows = np.array([float.fromhex(n) for n in numbers]).reshape(len(BREAKDOWN_KEYS), 3, 6)
-    assert np.all(rows[0::2, :, 3:] == 0.0) and np.all(rows[1::2, :, :3] == 0.0)
-    assert np.all(rows[0::2, :, 1:3] != 0.0) and np.all(rows[1::2, :, 3:] != 0.0)
+    assert np.all(rows[:, :, 0] == 0.0) and np.all(rows[:, :, 1:] != 0.0)
     # one inner-rule chunk with a light-line node in its propagating run
     # (the per-node form), then with that node on its grid (the sector
     # runs), one row per plate and polarization in each panel's sector:
@@ -108,13 +105,12 @@ def test_steady_fingerprints_script(capsys):
     name, points, freqs, *numbers = capsys.readouterr().out.split()
     assert name == "straggler" and points == "points=180+0" and freqs == "freqs=0"
     light, clean = np.array([float.fromhex(n) for n in numbers]).reshape(
-        2, len(BREAKDOWN_KEYS) // 2, 6, 15)
+        2, len(BREAKDOWN_KEYS), 6, 15)
     grid = np.ones((6, 15), bool)
     grid[1, -1] = False
     assert np.array_equal(light[:, grid], clean[:, grid])
     limit = pressure._bath_channels(script.dissimilar(1.0, 1.0, 0.5), 1.3, 1.3)
-    assert np.all(limit[0::2] == 0.0) and np.all(limit[1::2] != 0.0)
-    assert np.array_equal(light[:, 1, -1], limit[1::2])
+    assert np.all(limit != 0.0) and np.array_equal(light[:, 1, -1], limit)
     assert np.all(clean != 0.0)
     # the surface-band strips at omega = 1.2247: no TE zero and one TM
     # zero, each winding within rounding of its count, and each strip's
