@@ -283,7 +283,9 @@ def _bath_channels(geom, omega, Q, use_fdr=True, thermal_only=False, factors=Non
     and r_L = r_R = -1, so kappa and 1 - x vanish together; there 1 - x ~
     2 kappa (l + 1/n_L + 1/n_R) with n = qn (TE) or qn/eps (TM), qn =
     qz(eps, s, Q), and the evanescent row takes its limit s_a Q Im(1/n_a)
-    / |l + 1/n_L + 1/n_R|^2 instead of 0 * inf.  Plates of one material
+    / |l + 1/n_L + 1/n_R|^2 instead of 0 * inf.  A plate with eps = 1
+    (lambda0 = 0), where qn = 0 there too, reflects nothing (r = 0), and
+    the rows read 0.  Plates of one material
     have A = 0 and Im(r_a) Re(r_b) = Im(r^2) / 2, so their rows summed
     over the plates are the round-trip integrand of `_line_q_integral`
     on the real Q axis.  The tests check this map plus the baseline, and
@@ -391,11 +393,20 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
         k = np.sqrt(Q2 - w2)
         q = k + 0j
         trip = np.exp(-2.0 * q * geom.gap)     # a real exp is 1 ulp off
+        light = k == 0.0                # Q = omega: kappa and 1 - x vanish together
+        on_light = np.count_nonzero(light)
     qn = _axis_qz(es2 + Q2)
+    if not propagating and on_light:
+        # q = qn = 0 there only on a plate with eps = 1, which reflects
+        # nothing: its r is 0, not the light-line limit -1
+        void = light & (qn == 0.0)
+        qn[void] = 1.0
     shape = (len(_POLS), len(_PLATES)) + Q.shape
     den, r, mag = (work.take("kernel." + key, math.prod(shape), dtype).reshape(shape)
                    for key, dtype in (("den", complex), ("r", complex), ("mag", float)))
     r = _fresnel_coeffs(eps, q, qn, s, out=(den, r, mag))   # (polarization, plate, ...)
+    if not propagating and on_light:
+        r[:, void] = 0.0
     emit = share != 0.0
     if not np.count_nonzero(emit):
         out.fill(0.0)
@@ -420,8 +431,6 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
         np.multiply(np.subtract(1.0, A, out=rows[1]), h, out=rows[1])
     else:
         cavity = np.square(np.abs(1.0 - x))
-        light = k == 0.0                # Q = omega: kappa and 1 - x vanish together
-        on_light = np.count_nonzero(light)
         if on_light:
             np.copyto(cavity, 1.0, where=light)
         h = -2.0 * Q * k * trip.real / cavity
@@ -429,6 +438,7 @@ def _channel_kernel(geom, tables, Q, propagating, out, work):
         swapped = rows.swapaxes(0, 1)   # (polarization, plate, ...), as r
         np.multiply(np.multiply(r.imag, r.real[:, ::-1], out=swapped), h[:, None], out=swapped)
         if on_light:                    # (polarization, plate, nodes)
+            light &= ~void.any(axis=0)  # a plate that reflects nothing leaves the rows 0
             inv = _inverse_n(qn[:, light], np.broadcast_to(eps, qn.shape)[:, light])
             rows[:, :, light] = Q[light] * inv.imag.swapaxes(0, 1) \
                 / np.abs(geom.gap + inv[:, 0] + inv[:, 1]) ** 2

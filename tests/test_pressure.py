@@ -309,6 +309,26 @@ def test_bath_integrand_vanishes_without_coupling_and_at_zero_frequency():
     assert bath_integrand(geom2, 0.0, 0.4) == 0.0
 
 
+def test_light_line_against_an_uncoupled_plate_reads_zero():
+    # at Q = omega > 0 the gap and plate wavenumbers vanish together only
+    # on a plate with eps = 1 (lambda0 = 0), which reflects nothing: the
+    # map reads 0 there, as on either side of the line, instead of raising
+    # on the vanishing Fresnel denominator.  A coupled pair's light-line
+    # rows keep the per-node reference's limit bit for bit
+    mute = Material(omega0=0.9, lambda0=0.0, bath=BathModel(kind="ohmic", gamma=0.2),
+                    beta_bath=1.0 / 0.7)
+    warm = warm_geom()
+    for geom in (Geometry(gap=1.0, left=warm.left, right=mute),
+                 Geometry(gap=1.0, left=mute, right=warm.left)):
+        for Q in (0.4999, 0.5, 0.5001):
+            assert bath_integrand(geom, 0.5, Q) == 0.0
+        assert np.all(pr._bath_channels(geom, np.array([0.5, 1.3]), np.array([0.5, 1.3])) == 0.0)
+    w = np.array([0.3, 0.5, 2.7])
+    coupled = pr._bath_channels(warm, w, w)
+    assert np.all(coupled != 0.0)
+    assert np.array_equal(coupled, per_node_channels(warm, w, w, "difference", False))
+
+
 def test_bath_integrand_fdr_paths_agree():
     # pre- and post-fluctuation-dissipation evaluations are one identity apart
     rng = np.random.default_rng(99)
