@@ -155,9 +155,9 @@ def straggler():
 def fdr():
     """(Im eps, its noise-kernel form) at FDR_OMEGAS on an ohmic and a
     cutoff plate, then `bath_integrand(..., use_fdr=False)` on the
-    point-map batch: identical and dissimilar plates, then, off the
-    light line, a cutoff plate at T = 0 against an uncoupled one and a
-    lossless plate against an ohmic one."""
+    point-map batch: identical and dissimilar plates, a cutoff plate at
+    T = 0 against an uncoupled one and a lossless plate against an ohmic
+    one."""
     cutoff = Material(omega0=1.1, lambda0=0.7, beta_bath=1.5,
                       bath=BathModel(kind="ohmic_lorentz_cutoff", gamma=0.25, cutoff=40.0))
     identity = [side for mat in (plate(1.3, 0.8, 0.2, 0.5), cutoff) for w in FDR_OMEGAS
@@ -165,13 +165,10 @@ def fdr():
     lossless = Material(omega0=1.3, lambda0=1.0, beta_bath=2.0,
                         bath=BathModel(kind="none", gamma=0.0))
     rows = [pressure.bath_integrand(geom, MAP_W, MAP_Q, use_fdr=False)
-            for geom in (identical(1.0, 1.0, 0.3), dissimilar(1.0, 1.0, 0.3))]
-    # off the light line, where an uncoupled plate's Fresnel denominators vanish
-    off = MAP_Q != MAP_W
-    rows += [pressure.bath_integrand(geom, MAP_W[off], MAP_Q[off], use_fdr=False)
-             for geom in (Geometry(gap=0.8, left=replace(cutoff, beta_bath=math.inf),
-                                   right=plate(0.9, 0.0, 0.2, 0.7)),
-                          Geometry(gap=1.2, left=lossless, right=plate(1.5, 0.8, 0.3, 0.5)))]
+            for geom in (identical(1.0, 1.0, 0.3), dissimilar(1.0, 1.0, 0.3),
+                         Geometry(gap=0.8, left=replace(cutoff, beta_bath=math.inf),
+                                  right=plate(0.9, 0.0, 0.2, 0.7)),
+                         Geometry(gap=1.2, left=lossless, right=plate(1.5, 0.8, 0.3, 0.5)))]
     return np.concatenate([identity, *rows])
 
 

@@ -126,20 +126,20 @@ def test_steady_fingerprints_script(capsys):
 def test_steady_fingerprints_fdr_case(capsys):
     # both sides of the FDR identity at five frequencies on two plates,
     # then the public integrand through the noise-kernel path on the
-    # point-map batch (24 points on two pairs, 20 off the light line on
-    # two more): it matches the permittivity path
+    # point-map batch (24 points, the light line included, on four
+    # pairs): it matches the permittivity path, and the pair with an
+    # uncoupled plate, which reflects nothing, reads 0 at every point
     script = load_script("steady_fingerprints")
     assert script.main(["--case", "fdr"]) == 0
     name, points, freqs, *numbers = capsys.readouterr().out.split()
-    assert name == "fdr" and points == "points=88+0" and freqs == "freqs=0"
+    assert name == "fdr" and points == "points=96+0" and freqs == "freqs=0"
     values = np.array([float.fromhex(n) for n in numbers])
     identity, rows = values[:20].reshape(10, 2), values[20:]
-    assert len(rows) == 88
+    assert len(rows) == 4 * len(script.MAP_W) == 96
     np.testing.assert_allclose(identity[:, 1], identity[:, 0], rtol=1e-12, atol=0.0)
-    off = script.MAP_Q != script.MAP_W
-    assert len(rows) == 2 * len(script.MAP_W) + 2 * np.count_nonzero(off)
     want = pressure.bath_integrand(script.dissimilar(1.0, 1.0, 0.3), script.MAP_W, script.MAP_Q)
     np.testing.assert_allclose(rows[24:48], want, rtol=1e-10, atol=1e-18)
+    assert np.all(rows[48:72] == 0.0)
     assert script.fingerprint("fdr").split()[3:] == numbers
 
 
