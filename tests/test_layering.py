@@ -198,10 +198,13 @@ def test_one_zero_counter_serves_the_poles_and_the_strip():
 
 
 def _spelling(module, text):
-    """Names of ``module``'s top-level functions whose source holds ``text``."""
+    """Names of ``module``'s top-level functions whose source holds ``text``:
+    each function's lines, sliced once from the module's (a per-node
+    ``ast.get_source_segment`` re-splits the whole source every call)."""
     source = inspect.getsource(module)
+    lines = source.splitlines(keepends=True)
     return {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)
-            and text in ast.get_source_segment(source, node)}
+            and text in "".join(lines[node.lineno - 1:node.end_lineno])}
 
 
 def test_each_consolidated_formula_has_one_definition():
