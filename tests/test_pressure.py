@@ -1279,9 +1279,8 @@ def test_evanescent_rows_resolve_the_critical_wavenumber_off_every_mark():
 
 
 def test_sweep_far_first_inner_call_takes_few_rounds(monkeypatch):
-    # the sweep-far plates (l = 2, T = 1 and 0.3, rel_tol 2e-3): without
-    # the critical marks the first lockstep Q call took 9 rounds, 4 of
-    # them only for the evanescent segments at omega <= 0.02; now 3
+    # the sweep-far plates (l = 2, T = 1 and 0.3, rel_tol 2e-3): the first
+    # lockstep Q call, the line alone, takes 3 rounds
     panels, inner, rounds = pr._eval_panels, pr._inner_q_integral, []
     inside = [False]
 
